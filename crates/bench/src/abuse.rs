@@ -17,8 +17,6 @@
 
 use std::fmt::Write as _;
 
-use crossbeam::thread;
-
 use h2attack::{AttackReport, AttackVector, ConfusionMatrix, Detector, RobustnessRow};
 use h2fault::{splitmix64, ImpairmentSpec};
 use h2obs::{Obs, SiteTrace};
@@ -27,7 +25,7 @@ use h2server::{ServerProfile, SiteSpec};
 use h2wire::Settings;
 use netsim::time::SimDuration;
 
-use crate::sched::{Slots, WorkQueue};
+use crate::sched::{run_workers, Slots, WorkQueue};
 
 /// Campaign size at `--scale 1`: 60 connections per testbed profile.
 const BASE_SITES: u64 = 420;
@@ -209,28 +207,20 @@ fn run_site(profiles: &[ServerProfile], options: &AbuseOptions, i: u64, obs: &Ob
 /// Runs the whole campaign: the mixed population, the detector pass and
 /// the robustness matrix. Byte-identical at any `threads`.
 pub fn run_campaign(options: &AbuseOptions) -> AbuseCampaign {
-    let threads = options.threads.max(1);
     let total = options.site_count();
     let mut profiles = ServerProfile::testbed();
     profiles.push(ServerProfile::rfc7540());
     // Trace every site: the detector consumes the frame-level traces.
     let obs = Obs::campaign(total);
-    let queue = WorkQueue::new(total, threads);
+    let queue = WorkQueue::new(total, options.threads);
     let slots = Slots::new(total as usize);
-    thread::scope(|scope| {
-        for _ in 0..threads {
-            let obs = obs.clone();
-            let (queue, slots, profiles) = (&queue, &slots, &profiles);
-            scope.spawn(move |_| {
-                while let Some(range) = queue.claim() {
-                    for i in range {
-                        slots.put(i as usize, run_site(profiles, options, i, &obs));
-                    }
-                }
-            });
+    run_workers(options.threads, |_worker| {
+        while let Some(range) = queue.claim() {
+            for i in range {
+                slots.put(i as usize, run_site(&profiles, options, i, &obs));
+            }
         }
-    })
-    .expect("abuse campaign workers do not panic");
+    });
     let outcomes = slots.into_vec();
 
     let snapshot = obs.snapshot().expect("campaign obs snapshots");

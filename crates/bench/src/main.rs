@@ -102,7 +102,7 @@ use std::time::Instant;
 
 use h2fault::{FaultProfile, KillPoint};
 use h2obs::Obs;
-use h2ready_bench::scan::RecordedScan;
+use h2ready_bench::scan::{Campaign, RecordedScan};
 use h2ready_bench::{abuse, figures, push_study, scan, serve, tables, wild};
 use webpop::{ExperimentSpec, Population};
 
@@ -168,10 +168,16 @@ fn parse_args() -> Options {
                 }
             },
             "--threads" => {
-                threads = args.next().and_then(|v| v.parse().ok()).unwrap_or(threads);
+                threads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--threads needs an unsigned worker count");
+                    std::process::exit(2);
+                });
             }
             "--loads" => {
-                loads = args.next().and_then(|v| v.parse().ok()).unwrap_or(loads);
+                loads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--loads needs an unsigned load count");
+                    std::process::exit(2);
+                });
             }
             "--faults" => {
                 let name = args.next().unwrap_or_default();
@@ -593,17 +599,19 @@ fn main() {
         let population = Population::new(spec.clone(), options.scale);
         let records = if needs_scan(command) || record_base.is_some() {
             let started = Instant::now();
+            let campaign = Campaign {
+                population: &population,
+                threads: options.threads,
+                faults: options.faults,
+                seed: options.seed,
+                obs: obs.clone(),
+            };
             let records = if let Some(base) = record_base {
                 let path = resolve(
                     options.out_dir.as_deref(),
                     &per_experiment_path(base, spec.name, options.experiments.len() > 1),
                 );
-                let outcome = scan::scan_recorded(
-                    &population,
-                    options.threads,
-                    options.faults,
-                    options.seed,
-                    &obs,
+                let outcome = campaign.scan_recorded(
                     &path,
                     options.resume.is_some(),
                     options.kill_after.map(KillPoint::after),
@@ -634,13 +642,7 @@ fn main() {
                     }
                 }
             } else {
-                scan::scan_faulted_with_obs(
-                    &population,
-                    options.threads,
-                    options.faults,
-                    options.seed,
-                    &obs,
-                )
+                campaign.scan()
             };
             eprintln!(
                 "[{}] scanned {} h2 sites in {:.1}s",

@@ -10,7 +10,7 @@
 //! baseline — broken down by RTT band, page weight, and object count,
 //! which is where push's help-vs-hurt boundary lives.
 //!
-//! Work is distributed over the sharded [`ScanPool`]: workers claim
+//! Work is distributed over [`run_workers`]: workers claim
 //! grid cells (one site × one link) from a [`WorkQueue`] and deposit
 //! finished cells into index-addressed [`Slots`], and every per-load
 //! connection seed is a pure function of `(campaign seed, site, link,
@@ -33,7 +33,7 @@ use netsim::time::SimDuration;
 use netsim::LinkSpec;
 use webpop::{ExperimentSpec, Family, Population};
 
-use crate::sched::{ScanPool, Slots, WorkQueue};
+use crate::sched::{run_workers, Slots, WorkQueue};
 use crate::stats::{mean, quantile};
 
 /// The RTT bands of the sweep: `(label, round-trip ms)`.
@@ -280,44 +280,29 @@ fn run_cell(
     }
 }
 
-/// Runs the study on `pool`'s workers, returning cells in grid order.
-pub fn run_on(options: &StudyOptions, pool: &mut ScanPool) -> StudyReport {
+/// Runs the study on `options.threads` workers, returning cells in
+/// grid order.
+pub fn run(options: &StudyOptions) -> StudyReport {
     let population = study_population(options);
     let sites = sampled_sites(options, &population);
     let links = RTT_BANDS.len() * BANDWIDTHS.len();
     let total = sites.len() * links;
-    let queue = Arc::new(WorkQueue::new(total as u64, pool.threads()));
-    let slots = Arc::new(Slots::new(total));
-    let shared = Arc::new((population, sites, options.clone()));
-    {
-        let queue = Arc::clone(&queue);
-        let slots = Arc::clone(&slots);
-        let shared = Arc::clone(&shared);
-        pool.broadcast(move |_worker| {
-            let (population, sites, options) = &*shared;
-            while let Some(range) = queue.claim() {
-                for item in range {
-                    let site = sites[item as usize / links];
-                    let link = item as usize % links;
-                    let (rtt, bw) = (link / BANDWIDTHS.len(), link % BANDWIDTHS.len());
-                    slots.put(item as usize, run_cell(population, options, site, rtt, bw));
-                }
+    let queue = WorkQueue::new(total as u64, options.threads);
+    let slots = Slots::new(total);
+    run_workers(options.threads, |_worker| {
+        while let Some(range) = queue.claim() {
+            for item in range {
+                let site = sites[item as usize / links];
+                let link = item as usize % links;
+                let (rtt, bw) = (link / BANDWIDTHS.len(), link % BANDWIDTHS.len());
+                slots.put(item as usize, run_cell(&population, options, site, rtt, bw));
             }
-        });
-    }
-    let cells = Arc::into_inner(slots)
-        .expect("broadcast returns only after every job dropped its state")
-        .into_vec();
+        }
+    });
     StudyReport {
         options: options.clone(),
-        cells,
+        cells: slots.into_vec(),
     }
-}
-
-/// Runs the study on a fresh pool of `options.threads` workers.
-pub fn run(options: &StudyOptions) -> StudyReport {
-    let mut pool = ScanPool::new(options.threads);
-    run_on(options, &mut pool)
 }
 
 /// Tercile split points over the positive values of `key` across

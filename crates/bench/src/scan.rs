@@ -3,10 +3,11 @@
 //! ("we construct a thread pool with configurable number of threads, each
 //! of which will test a web site").
 //!
-//! Every scan variant — plain, faulted, recorded, resumed — runs on a
-//! [`ScanPool`] of persistent workers. Each worker is a shared-nothing
-//! simulator shard: it owns its [`H2Scope`] scratch state, an
-//! [`Obs::worker_shard`] counter registry, and (per connection) a
+//! A [`Campaign`] names what to scan and how; its two runs — in-memory
+//! [`Campaign::scan`] and persisted/resumable [`Campaign::scan_recorded`]
+//! — share one worker loop on [`run_workers`]. Each worker is a
+//! shared-nothing simulator shard: it owns its [`H2Scope`] scratch state,
+//! an [`Obs::worker_shard`] counter registry, and (per connection) a
 //! private netsim event loop, touching shared state only to claim the
 //! next chunk of site indices and to deposit finished records into
 //! index-addressed [`Slots`]. Because every record depends only on
@@ -15,7 +16,6 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use h2campaign::{CampaignMeta, CampaignRow, RecordError, RecordWriter};
 use h2fault::{splitmix64, FaultPlan, FaultProfile, KillPoint};
@@ -24,7 +24,7 @@ use h2scope::{survey_with_retries, H2Scope, ProbeOutcome, SiteReport};
 use netsim::time::SimDuration;
 use webpop::{Family, Population, SiteSample};
 
-use crate::sched::{ScanPool, Slots, SparseQueue, WorkQueue};
+use crate::sched::{run_workers, Slots, WorkQueue};
 
 /// One scanned site with its generated family (kept alongside the report
 /// so family-conditioned figures don't have to re-parse server strings).
@@ -38,149 +38,107 @@ pub struct ScanRecord {
     pub report: SiteReport,
 }
 
-/// Scans every h2 site of the population with `threads` worker threads,
-/// returning records in index order.
-///
-/// Convenience wrapper that spins up a transient [`ScanPool`]; callers
-/// running repeated campaigns (benchmarks, the coming `repro serve`
-/// daemon) should hold a pool and call [`ScanPool::scan`] to amortize
-/// worker spawning.
-pub fn scan(population: &Population, threads: usize) -> Vec<ScanRecord> {
-    ScanPool::new(threads).scan(population)
-}
-
-/// [`scan`] with an observability handle: per-site metrics and (for sites
-/// under the `--trace-sites` limit) frame-level traces are recorded into
-/// `obs`. With `Obs::off()` this is exactly [`scan`].
-pub fn scan_with_obs(population: &Population, threads: usize, obs: &Obs) -> Vec<ScanRecord> {
-    ScanPool::new(threads).scan_with_obs(population, obs)
-}
-
-/// Scans the population under a fault profile: every site's probes run
-/// against an impaired link (and possibly a byzantine server) derived
-/// deterministically from `(seed, site index, attempt)`, with deadlines
-/// and retry/backoff from the profile. With the `none` profile this is
-/// exactly [`scan`] — same code path, bit-identical records.
-pub fn scan_faulted(
-    population: &Population,
-    threads: usize,
-    profile: FaultProfile,
-    seed: u64,
-) -> Vec<ScanRecord> {
-    ScanPool::new(threads).scan_faulted(population, profile, seed)
-}
-
-/// [`scan_faulted`] with an observability handle (see [`scan_with_obs`]).
-/// All of a site's retry attempts share one per-site context, so retry
-/// telemetry and trace events accumulate across attempts.
-pub fn scan_faulted_with_obs(
-    population: &Population,
-    threads: usize,
-    profile: FaultProfile,
-    seed: u64,
-    obs: &Obs,
-) -> Vec<ScanRecord> {
-    ScanPool::new(threads).scan_faulted_with_obs(population, profile, seed, obs)
-}
-
-impl ScanPool {
-    /// Scans every h2 site of the population on this pool's workers,
-    /// returning records in index order.
-    pub fn scan(&mut self, population: &Population) -> Vec<ScanRecord> {
-        self.scan_with_obs(population, &Obs::off())
-    }
-
-    /// [`ScanPool::scan`] with an observability handle; each worker
-    /// records through its own [`Obs::worker_shard`].
-    pub fn scan_with_obs(&mut self, population: &Population, obs: &Obs) -> Vec<ScanRecord> {
-        self.run_campaign(population, None, 0, obs)
-    }
-
-    /// Scans under a fault profile (see [`scan_faulted`]).
-    pub fn scan_faulted(
-        &mut self,
-        population: &Population,
-        profile: FaultProfile,
-        seed: u64,
-    ) -> Vec<ScanRecord> {
-        self.scan_faulted_with_obs(population, profile, seed, &Obs::off())
-    }
-
-    /// Scans under a fault profile with an observability handle.
-    pub fn scan_faulted_with_obs(
-        &mut self,
-        population: &Population,
-        profile: FaultProfile,
-        seed: u64,
-        obs: &Obs,
-    ) -> Vec<ScanRecord> {
-        let plan = (!profile.is_none()).then(|| FaultPlan::new(profile, seed));
-        self.run_campaign(population, plan, seed, obs)
-    }
-
-    /// The one in-memory scan loop: broadcast a queue-draining job to
-    /// every worker, collect the slots.
-    ///
-    /// Workers receive the population behind an `Arc` (a `Population` is
-    /// a spec + scale, so the clone is O(1) — sites are generated on
-    /// demand from `(spec, index)`), claim adaptively-sized index chunks
-    /// from a shared [`WorkQueue`], and deposit records into shared
-    /// [`Slots`]. Everything else a worker touches is its own.
-    fn run_campaign(
-        &mut self,
-        population: &Population,
-        plan: Option<FaultPlan>,
-        seed: u64,
-        obs: &Obs,
-    ) -> Vec<ScanRecord> {
-        let total = population.h2_count();
-        let queue = Arc::new(WorkQueue::new(total, self.threads()));
-        let slots = Arc::new(Slots::new(total as usize));
-        let shared = Arc::new((population.clone(), plan));
-        let obs = obs.clone();
-        {
-            let queue = Arc::clone(&queue);
-            let slots = Arc::clone(&slots);
-            let shared = Arc::clone(&shared);
-            self.broadcast(move |_worker| {
-                let (population, plan) = &*shared;
-                let scope_tool = H2Scope::new();
-                let obs = obs.worker_shard();
-                while let Some(range) = queue.claim() {
-                    for i in range {
-                        slots.put(
-                            i as usize,
-                            scan_one(&scope_tool, population, i, plan.as_ref(), seed, &obs),
-                        );
-                    }
-                }
-            });
+impl ScanRecord {
+    fn from_row(row: CampaignRow) -> ScanRecord {
+        ScanRecord {
+            index: row.index,
+            family: row.family,
+            report: row.report,
         }
-        Arc::into_inner(slots)
-            .expect("broadcast returns only after every job dropped its state")
-            .into_vec()
     }
 
-    /// [`ScanPool::scan_faulted_with_obs`] with persistence (see the
-    /// free [`scan_recorded`] for the full contract).
+    fn to_row(&self) -> CampaignRow {
+        CampaignRow {
+            index: self.index,
+            family: self.family,
+            report: self.report.clone(),
+        }
+    }
+}
+
+/// How a recorded scan ([`Campaign::scan_recorded`]) ended.
+#[derive(Debug)]
+pub enum RecordedScan {
+    /// The campaign completed and the record on disk was finalized.
+    Complete {
+        /// All records, in index order.
+        records: Vec<ScanRecord>,
+        /// Sites preloaded from a partial record instead of scanned.
+        resumed: u64,
+    },
+    /// A [`KillPoint`] fired: the journal holds `rows` durable rows and
+    /// no `end|` trailer — the on-disk state of a crashed campaign.
+    Killed {
+        /// Rows persisted before the simulated crash.
+        rows: u64,
+    },
+}
+
+/// One scan campaign: every h2 site of a population, surveyed by
+/// `threads` workers.
+#[derive(Debug, Clone)]
+pub struct Campaign<'a> {
+    /// The sites to scan.
+    pub population: &'a Population,
+    /// Worker threads (0 is treated as 1).
+    pub threads: usize,
+    /// Fault profile: every site's probes run against an impaired link
+    /// (and possibly a byzantine server) derived deterministically from
+    /// `(seed, site index, attempt)`, with deadlines and retry/backoff
+    /// from the profile. `none` scans clean links on the plain path.
+    pub faults: FaultProfile,
+    /// Campaign seed for the fault plan.
+    pub seed: u64,
+    /// Observability handle: per-site metrics and (for sites under the
+    /// `--trace-sites` limit) frame-level traces are recorded into it,
+    /// each worker through its own [`Obs::worker_shard`]. All of a
+    /// site's retry attempts share one per-site context.
+    pub obs: Obs,
+}
+
+impl<'a> Campaign<'a> {
+    /// A clean, unobserved campaign: no faults, seed 0, `Obs::off()`.
+    pub fn new(population: &'a Population, threads: usize) -> Campaign<'a> {
+        Campaign {
+            population,
+            threads,
+            faults: FaultProfile::none(),
+            seed: 0,
+            obs: Obs::off(),
+        }
+    }
+
+    /// Scans every h2 site of the population, returning records in
+    /// index order.
+    pub fn scan(&self) -> Vec<ScanRecord> {
+        let slots = Slots::new(self.population.h2_count() as usize);
+        self.run(&slots, None, None);
+        slots.into_vec()
+    }
+
+    /// [`Campaign::scan`] with persistence: every finished site is
+    /// appended (and flushed) to the campaign record at `path` before the
+    /// worker moves on, so a killed process loses at most its in-flight
+    /// sites. With `resume`, a partial record at `path` is validated
+    /// against this campaign's configuration, its rows are preloaded, and
+    /// only the missing sites are scanned. Either way a completed campaign
+    /// finalizes the record into canonical index order — which is why a
+    /// resumed campaign's final record is byte-identical to an
+    /// uninterrupted one at any thread count: rows depend only on
+    /// `(population, index)` and the final bytes only on `(meta, row set)`.
     ///
     /// # Errors
     ///
     /// [`RecordError`] on I/O failure, a malformed record, or a resume
     /// against a record from a different campaign configuration.
-    #[allow(clippy::too_many_arguments)] // the CLI's one call site names them all
     pub fn scan_recorded(
-        &mut self,
-        population: &Population,
-        profile: FaultProfile,
-        seed: u64,
-        obs: &Obs,
+        &self,
         path: &Path,
         resume: bool,
         kill: Option<KillPoint>,
     ) -> Result<RecordedScan, RecordError> {
-        let total = population.h2_count();
-        let meta = CampaignMeta::describe(population, profile.name, seed);
+        let total = self.population.h2_count();
+        let meta = CampaignMeta::describe(self.population, self.faults.name, self.seed);
 
         let mut preloaded: Vec<CampaignRow> = Vec::new();
         if resume {
@@ -188,102 +146,93 @@ impl ScanPool {
             meta.ensure_matches(&stored.meta)?;
             if stored.finalized {
                 // Nothing to do — surface the stored campaign unchanged.
-                obs.sites_resumed(stored.rows.len() as u64);
-                let records = stored
-                    .rows
-                    .into_iter()
-                    .map(|row| ScanRecord {
-                        index: row.index,
-                        family: row.family,
-                        report: row.report,
-                    })
-                    .collect();
+                self.obs.sites_resumed(stored.rows.len() as u64);
                 return Ok(RecordedScan::Complete {
-                    records,
+                    records: stored.rows.into_iter().map(ScanRecord::from_row).collect(),
                     resumed: total,
                 });
             }
             preloaded = stored.rows;
         }
 
-        let slots = Arc::new(Slots::new(total as usize));
+        let slots = Slots::new(total as usize);
         let mut present = vec![false; total as usize];
         let resumed = preloaded.len() as u64;
         for row in preloaded {
             present[row.index as usize] = true;
-            slots.put(
-                row.index as usize,
-                ScanRecord {
-                    index: row.index,
-                    family: row.family,
-                    report: row.report,
-                },
-            );
+            slots.put(row.index as usize, ScanRecord::from_row(row));
         }
-        obs.sites_resumed(resumed);
-        let writer = Arc::new(if resume {
+        self.obs.sites_resumed(resumed);
+        let writer = if resume {
             RecordWriter::append_to(path, resumed)?
         } else {
             RecordWriter::create(path, &meta)?
-        });
+        };
         let missing: Vec<u64> = (0..total).filter(|&i| !present[i as usize]).collect();
-        let queue = Arc::new(SparseQueue::new(missing, self.threads()));
-        let killed = Arc::new(AtomicBool::new(false));
-        let plan = (!profile.is_none()).then(|| FaultPlan::new(profile, seed));
-        let shared = Arc::new((population.clone(), plan));
-        let obs_handle = obs.clone();
-        {
-            let queue = Arc::clone(&queue);
-            let slots = Arc::clone(&slots);
-            let writer = Arc::clone(&writer);
-            let killed = Arc::clone(&killed);
-            let shared = Arc::clone(&shared);
-            self.broadcast(move |_worker| {
-                let (population, plan) = &*shared;
-                let scope_tool = H2Scope::new();
-                let obs = obs_handle.worker_shard();
-                'claims: while let Some(chunk) = queue.claim() {
-                    for &i in chunk {
-                        if killed.load(Ordering::Relaxed) {
-                            break 'claims;
-                        }
-                        let record =
-                            scan_one(&scope_tool, population, i, plan.as_ref(), seed, &obs);
-                        let row = CampaignRow {
-                            index: record.index,
-                            family: record.family,
-                            report: record.report.clone(),
-                        };
-                        // A record that cannot persist its rows has lost
-                        // its crash-safety contract; stop the campaign.
-                        let written = writer.append(&row).expect("campaign record append");
-                        slots.put(i as usize, record);
-                        if kill.is_some_and(|k| written >= k.after_rows) {
-                            killed.store(true, Ordering::Relaxed);
-                            break 'claims;
-                        }
-                    }
-                }
-            });
-        }
-        if killed.load(Ordering::Relaxed) {
+        if self.run(&slots, Some(&missing), Some((&writer, kill))) {
             return Ok(RecordedScan::Killed {
                 rows: writer.rows_written(),
             });
         }
-        let records = Arc::into_inner(slots)
-            .expect("broadcast returns only after every job dropped its state")
-            .into_vec();
-        let rows: Vec<CampaignRow> = records
-            .iter()
-            .map(|r| CampaignRow {
-                index: r.index,
-                family: r.family,
-                report: r.report.clone(),
-            })
-            .collect();
+        let records = slots.into_vec();
+        let rows: Vec<CampaignRow> = records.iter().map(ScanRecord::to_row).collect();
         h2campaign::finalize(path, &meta, &rows)?;
         Ok(RecordedScan::Complete { records, resumed })
+    }
+
+    /// The one scan loop. Workers claim adaptively-sized chunks of
+    /// positions from a shared [`WorkQueue`] — positions into `missing`
+    /// when resuming (a partial record's gaps are rarely contiguous:
+    /// workers were writing rows out of order when the process died),
+    /// site indices themselves otherwise — survey each site, append it to
+    /// the `journal`'s record if there is one, and deposit it into
+    /// `slots`. Everything else a worker touches is its own.
+    ///
+    /// Returns whether the journal's kill point fired.
+    fn run(
+        &self,
+        slots: &Slots<ScanRecord>,
+        missing: Option<&[u64]>,
+        journal: Option<(&RecordWriter, Option<KillPoint>)>,
+    ) -> bool {
+        let todo = missing.map_or(self.population.h2_count(), |m| m.len() as u64);
+        let queue = WorkQueue::new(todo, self.threads);
+        let plan = (!self.faults.is_none()).then(|| FaultPlan::new(self.faults, self.seed));
+        let killed = AtomicBool::new(false);
+        run_workers(self.threads, |_worker| {
+            let scope_tool = H2Scope::new();
+            let obs = self.obs.worker_shard();
+            'claims: while let Some(range) = queue.claim() {
+                for pos in range {
+                    if killed.load(Ordering::Relaxed) {
+                        break 'claims;
+                    }
+                    let i = missing.map_or(pos, |m| m[pos as usize]);
+                    let record = scan_one(
+                        &scope_tool,
+                        self.population,
+                        i,
+                        plan.as_ref(),
+                        self.seed,
+                        &obs,
+                    );
+                    let crash = journal.is_some_and(|(writer, kill)| {
+                        // A record that cannot persist its rows has lost
+                        // its crash-safety contract; stop the campaign.
+                        let written = writer
+                            .append(&record.to_row())
+                            .expect("campaign record append");
+                        kill.is_some_and(|k| written >= k.after_rows)
+                    });
+                    slots.put(i as usize, record);
+                    if crash {
+                        killed.store(true, Ordering::Relaxed);
+                        break 'claims;
+                    }
+                }
+            }
+        });
+        killed.into_inner()
     }
 }
 
@@ -357,53 +306,6 @@ pub fn headers_records(records: &[ScanRecord]) -> Vec<&ScanRecord> {
         .collect()
 }
 
-/// How a recorded scan ([`scan_recorded`]) ended.
-#[derive(Debug)]
-pub enum RecordedScan {
-    /// The campaign completed and the record on disk was finalized.
-    Complete {
-        /// All records, in index order.
-        records: Vec<ScanRecord>,
-        /// Sites preloaded from a partial record instead of scanned.
-        resumed: u64,
-    },
-    /// A [`KillPoint`] fired: the journal holds `rows` durable rows and
-    /// no `end|` trailer — the on-disk state of a crashed campaign.
-    Killed {
-        /// Rows persisted before the simulated crash.
-        rows: u64,
-    },
-}
-
-/// [`scan_faulted_with_obs`] with persistence: every finished site is
-/// appended (and flushed) to the campaign record at `path` before the
-/// worker moves on, so a killed process loses at most its in-flight
-/// sites. With `resume`, a partial record at `path` is validated against
-/// this campaign's configuration, its rows are preloaded, and only the
-/// missing sites are scanned. Either way a completed campaign finalizes
-/// the record into canonical index order — which is why a resumed
-/// campaign's final record is byte-identical to an uninterrupted one at
-/// any thread count: rows depend only on `(population, index)` and the
-/// final bytes only on `(meta, row set)`.
-///
-/// # Errors
-///
-/// [`RecordError`] on I/O failure, a malformed record, or a resume
-/// against a record from a different campaign configuration.
-#[allow(clippy::too_many_arguments)] // the CLI's one call site names them all
-pub fn scan_recorded(
-    population: &Population,
-    threads: usize,
-    profile: FaultProfile,
-    seed: u64,
-    obs: &Obs,
-    path: &Path,
-    resume: bool,
-    kill: Option<KillPoint>,
-) -> Result<RecordedScan, RecordError> {
-    ScanPool::new(threads).scan_recorded(population, profile, seed, obs, path, resume, kill)
-}
-
 /// The scan report's resilience section: outcome histogram plus
 /// retry/backoff accounting (printed by `repro` for faulted campaigns).
 pub fn fault_summary(records: &[ScanRecord]) -> String {
@@ -450,6 +352,32 @@ mod tests {
     use super::*;
     use webpop::ExperimentSpec;
 
+    fn scan(population: &Population, threads: usize) -> Vec<ScanRecord> {
+        Campaign::new(population, threads).scan()
+    }
+
+    fn faulted(
+        population: &Population,
+        threads: usize,
+        faults: FaultProfile,
+        seed: u64,
+    ) -> Campaign<'_> {
+        Campaign {
+            faults,
+            seed,
+            ..Campaign::new(population, threads)
+        }
+    }
+
+    fn scan_faulted(
+        population: &Population,
+        threads: usize,
+        faults: FaultProfile,
+        seed: u64,
+    ) -> Vec<ScanRecord> {
+        faulted(population, threads, faults, seed).scan()
+    }
+
     #[test]
     fn scan_covers_the_population_in_order() {
         let population = Population::new(ExperimentSpec::first(), 0.001);
@@ -473,28 +401,6 @@ mod tests {
             assert_eq!(x.index, y.index);
             assert_eq!(x.report, y.report);
             assert_eq!(x.report, z.report, "16 threads diverged");
-        }
-    }
-
-    #[test]
-    fn reused_pool_matches_fresh_pools() {
-        // A persistent pool run back-to-back (the benchmark's steady
-        // state) must produce exactly what transient pools produce —
-        // worker reuse cannot leak state between campaigns.
-        let population = Population::new(ExperimentSpec::first(), 0.0005);
-        let fresh_plain = scan(&population, 4);
-        let fresh_faulted = scan_faulted(&population, 4, FaultProfile::flaky(), 0xfa17);
-        let mut pool = ScanPool::new(4);
-        for _round in 0..2 {
-            let plain = pool.scan(&population);
-            let faulted = pool.scan_faulted(&population, FaultProfile::flaky(), 0xfa17);
-            assert_eq!(plain.len(), fresh_plain.len());
-            for (x, y) in plain.iter().zip(&fresh_plain) {
-                assert_eq!(x.report, y.report);
-            }
-            for (x, y) in faulted.iter().zip(&fresh_faulted) {
-                assert_eq!(x.report, y.report);
-            }
         }
     }
 
@@ -565,19 +471,15 @@ mod tests {
             h2scope::storage::write_reports(records.iter().map(|r| &r.report))
         };
         let plain = serialize(&scan(&population, 4));
-        let obs = Obs::campaign(2);
-        let observed = serialize(&scan_with_obs(&population, 4, &obs));
+        let mut campaign = Campaign::new(&population, 4);
+        campaign.obs = Obs::campaign(2);
+        let observed = serialize(&campaign.scan());
         assert_eq!(plain, observed, "plain scan perturbed by metrics");
-        let faulted = serialize(&scan_faulted(&population, 4, FaultProfile::flaky(), 7));
-        let obs = Obs::campaign(2);
-        let observed = serialize(&scan_faulted_with_obs(
-            &population,
-            4,
-            FaultProfile::flaky(),
-            7,
-            &obs,
-        ));
-        assert_eq!(faulted, observed, "faulted scan perturbed by metrics");
+        let unobserved = serialize(&scan_faulted(&population, 4, FaultProfile::flaky(), 7));
+        let mut campaign = faulted(&population, 4, FaultProfile::flaky(), 7);
+        campaign.obs = Obs::campaign(2);
+        let observed = serialize(&campaign.scan());
+        assert_eq!(unobserved, observed, "faulted scan perturbed by metrics");
     }
 
     #[test]
@@ -588,9 +490,10 @@ mod tests {
         // worker scheduling or shard count.
         let population = Population::new(ExperimentSpec::first(), 0.0005);
         let run = |threads: usize| {
-            let obs = Obs::campaign(3);
-            scan_faulted_with_obs(&population, threads, FaultProfile::flaky(), 7, &obs);
-            let snap = obs.snapshot().expect("campaign obs snapshots");
+            let mut campaign = faulted(&population, threads, FaultProfile::flaky(), 7);
+            campaign.obs = Obs::campaign(3);
+            campaign.scan();
+            let snap = campaign.obs.snapshot().expect("campaign obs snapshots");
             (h2obs::render_table(&snap), h2obs::render_json(&snap))
         };
         let (table1, json1) = run(1);

@@ -1,5 +1,5 @@
-//! Work claiming, result collection, and the persistent worker pool for
-//! the parallel scan driver.
+//! Work claiming, result collection, and the worker fan-out for every
+//! population sweep of the crate (scan, serve, push study, abuse).
 //!
 //! The original scan loop gave worker `w` the arithmetic stride `w, w+T,
 //! w+2T, …` and funneled every finished record through an unbounded
@@ -22,23 +22,15 @@
 //! pre-sized slot addressed by site index, so collection is O(n) and
 //! allocation-free per record.
 //!
-//! [`ScanPool`] owns the worker threads themselves. Spawning a thread per
-//! scan was invisible at campaign scale but dominated the short
-//! benchmark iterations that produced the inverted scaling curve of
-//! `BENCH_scan_throughput.json`; a pool spawns once, hands each worker
-//! jobs over a private channel, and reports per-job thread-CPU time so
-//! the benchmarks can measure the critical path instead of the wall
-//! clock of a core-starved host.
+//! [`run_workers`] is the one place threads are spawned: a scoped
+//! fan-out whose workers borrow the queue, the slots and whatever else
+//! the campaign shares, so no sweep needs channels or reference-counted
+//! copies of its state to get work in and results out.
 
-use std::any::Any;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
-
-use crate::cputime;
+use std::sync::OnceLock;
 
 /// Upper bound on indices claimed per atomic operation. Small enough
 /// that an unlucky worker stuck behind a pathological chunk strands at
@@ -84,10 +76,9 @@ impl WorkQueue {
     /// which is what makes the per-index [`Slots::put`] writes race-free.
     ///
     /// An exhausted claim is non-mutating: the counter saturates at
-    /// `total` instead of creeping upward with every poll, so a
-    /// long-lived queue (the coming `repro serve` daemon re-polls queues
-    /// for their lifetime) can never wrap around, and post-exhaustion
-    /// polling stops dirtying the shared cache line.
+    /// `total` instead of creeping upward with every poll, so it can
+    /// never wrap around, and workers polling an exhausted queue stop
+    /// dirtying the shared cache line.
     pub fn claim(&self) -> Option<Range<u64>> {
         let mut start = self.next.load(Ordering::Relaxed);
         loop {
@@ -108,65 +99,6 @@ impl WorkQueue {
     /// Indices not yet handed out (0 once exhausted).
     pub fn remaining(&self) -> u64 {
         self.total.saturating_sub(self.next.load(Ordering::Relaxed))
-    }
-}
-
-/// Chunked atomic claiming over an arbitrary (sparse) index list — the
-/// resume path's work queue. A resumed campaign only re-scans the sites
-/// missing from the partial record, which is rarely a contiguous range:
-/// workers were writing rows out of order when the process died. Same
-/// claim discipline as [`WorkQueue`] (one compare-exchange per chunk,
-/// saturating at exhaustion), but over an explicit index list instead of
-/// `0..total`.
-#[derive(Debug)]
-pub struct SparseQueue {
-    indices: Vec<u64>,
-    next: AtomicU64,
-    chunk: u64,
-}
-
-impl SparseQueue {
-    /// A queue handing out the given indices (claim order = list order),
-    /// with claim granularity adapted to `threads` (see [`chunk_size`]).
-    pub fn new(indices: Vec<u64>, threads: usize) -> SparseQueue {
-        let chunk = chunk_size(indices.len() as u64, threads);
-        SparseQueue {
-            indices,
-            next: AtomicU64::new(0),
-            chunk,
-        }
-    }
-
-    /// How many indices the queue was created with.
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// `true` when the queue was created empty.
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
-    /// Claims the next unclaimed slice of at most [`chunk_size`] indices,
-    /// or `None` when the list is exhausted. Slices never overlap, and an
-    /// exhausted claim leaves the counter untouched (see
-    /// [`WorkQueue::claim`]).
-    pub fn claim(&self) -> Option<&[u64]> {
-        let total = self.indices.len() as u64;
-        let mut start = self.next.load(Ordering::Relaxed);
-        loop {
-            if start >= total {
-                return None;
-            }
-            let end = (start + self.chunk).min(total);
-            match self
-                .next
-                .compare_exchange_weak(start, end, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return Some(&self.indices[start as usize..end as usize]),
-                Err(observed) => start = observed,
-            }
-        }
     }
 }
 
@@ -207,7 +139,7 @@ impl<T> Slots<T> {
     ///
     /// Panics if any slot is empty (a worker exited without finishing its
     /// claimed range, which only happens via a worker panic — already
-    /// propagated by the pool).
+    /// propagated by [`run_workers`]).
     pub fn into_vec(self) -> Vec<T> {
         self.slots
             .into_iter()
@@ -220,148 +152,55 @@ impl<T> Slots<T> {
     }
 }
 
-/// One unit of work dispatched to a pool worker.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A worker's completion report for one job.
-struct Done {
-    worker: usize,
-    cpu_ns: u64,
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-/// A persistent pool of scan workers.
+/// Runs `work(worker)` on `threads.max(1)` scoped threads named
+/// `scan-0…` and returns their results in worker order.
 ///
-/// Workers are spawned once and live for the pool's lifetime;
-/// [`ScanPool::broadcast`] hands every worker one closure of the same
-/// job (the scan paths make the closure drain a shared [`WorkQueue`]
-/// or [`SparseQueue`], so the pool stays policy-free). Each completion
-/// carries the thread-CPU time the job consumed, which
-/// [`ScanPool::worker_cpu_ns`] / [`ScanPool::critical_path_ns`] expose
-/// for the scaling benchmarks.
+/// Workers may borrow anything that outlives the call (the queue, the
+/// slots, the population, a record writer): the scope joins every one
+/// of them before returning.
 ///
-/// A job that panics does not kill its worker: the panic is caught,
-/// reported with the completion, and re-raised on the broadcasting
-/// thread after every worker has checked in — same observable behavior
-/// as the scoped-thread scan it replaces, but the pool stays reusable.
-#[derive(Debug)]
-pub struct ScanPool {
-    senders: Vec<mpsc::Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
-    done: mpsc::Receiver<Done>,
-    cpu_ns: Vec<u64>,
-}
-
-impl ScanPool {
-    /// Spawns `threads.max(1)` workers, named `scan-0…`.
-    pub fn new(threads: usize) -> ScanPool {
-        let threads = threads.max(1);
-        let (done_tx, done) = mpsc::channel::<Done>();
-        let mut senders = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for worker in 0..threads {
-            let (tx, rx) = mpsc::channel::<Job>();
-            let done_tx = done_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("scan-{worker}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let start = cputime::thread_cpu_ns();
-                        // The job owns all its state (Arc'd queue, slots,
-                        // population), so a panic cannot leave this
-                        // worker's locals poisoned; catching it keeps the
-                        // pool alive and lets the broadcaster re-raise.
-                        let panic = catch_unwind(AssertUnwindSafe(job)).err();
-                        let cpu_ns = cputime::thread_cpu_ns().saturating_sub(start);
-                        if done_tx
-                            .send(Done {
-                                worker,
-                                cpu_ns,
-                                panic,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn scan worker");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        ScanPool {
-            senders,
-            handles,
-            done,
-            cpu_ns: vec![0; threads],
-        }
-    }
-
-    /// Number of workers in the pool.
-    pub fn threads(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Runs `job(worker_index)` on every worker and blocks until all of
-    /// them finish, recording per-worker thread-CPU time.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first worker panic (after every worker has
-    /// completed, so [`Slots`] teardown never races a live worker).
-    pub fn broadcast<F>(&mut self, job: F)
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        let job = Arc::new(job);
-        for (worker, tx) in self.senders.iter().enumerate() {
-            let job = Arc::clone(&job);
-            tx.send(Box::new(move || job(worker)))
-                .expect("scan worker alive");
-        }
-        drop(job);
+/// # Panics
+///
+/// Re-raises the first worker panic, but only after every worker has
+/// stopped, so tearing down borrowed state never races a live worker.
+pub fn run_workers<R, F>(threads: usize, work: F) -> Vec<R>
+where
+    F: Fn(usize) -> R + Sync,
+    R: Send,
+{
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.max(1))
+            .map(|worker| {
+                let work = &work;
+                std::thread::Builder::new()
+                    .name(format!("scan-{worker}"))
+                    .spawn_scoped(scope, move || work(worker))
+                    .expect("spawn scan worker")
+            })
+            .collect();
+        let mut results = Vec::with_capacity(handles.len());
         let mut first_panic = None;
-        for _ in 0..self.senders.len() {
-            let done = self.done.recv().expect("scan worker completion");
-            self.cpu_ns[done.worker] = done.cpu_ns;
-            if first_panic.is_none() {
-                first_panic = done.panic;
+        for handle in handles {
+            match handle.join() {
+                Ok(result) => results.push(result),
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
+                }
             }
         }
         if let Some(payload) = first_panic {
             resume_unwind(payload);
         }
-    }
-
-    /// Thread-CPU nanoseconds each worker spent on the last
-    /// [`ScanPool::broadcast`], indexed by worker.
-    pub fn worker_cpu_ns(&self) -> &[u64] {
-        &self.cpu_ns
-    }
-
-    /// The last broadcast's critical path: the maximum thread-CPU time
-    /// over all workers — the wall time the broadcast would need on a
-    /// host with at least [`ScanPool::threads`] free cores.
-    pub fn critical_path_ns(&self) -> u64 {
-        self.cpu_ns.iter().copied().max().unwrap_or(0)
-    }
-}
-
-impl Drop for ScanPool {
-    fn drop(&mut self) {
-        // Closing the job channels ends each worker's recv loop.
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
+        results
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::thread;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     #[test]
     fn claims_cover_the_index_space_exactly_once() {
@@ -385,8 +224,8 @@ mod tests {
     fn chunk_adapts_to_population_and_thread_count() {
         // Huge population: chunk saturates at MAX_CHUNK.
         assert_eq!(chunk_size(1_000_000, 8), MAX_CHUNK);
-        // The inverted-bench shape: 105 sites / 8 threads must not leave
-        // a worker without a claimable chunk (105/64 = 1-index chunks).
+        // 105 sites / 8 threads must not leave a worker without a
+        // claimable chunk (105/64 = 1-index chunks).
         assert_eq!(chunk_size(105, 8), 1);
         // Mid-size: total/(threads*8), between the clamps.
         assert_eq!(chunk_size(320, 8), 5);
@@ -417,15 +256,13 @@ mod tests {
         // from a 105-site queue (the shape that idled the 8th worker
         // under the fixed chunk), every claim must succeed.
         let queue = WorkQueue::new(105, 8);
-        thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..8 {
-                let queue = &queue;
-                scope.spawn(move |_| {
+                scope.spawn(|| {
                     assert!(queue.claim().is_some(), "worker starved of a first chunk");
                 });
             }
-        })
-        .expect("claimers do not panic");
+        });
     }
 
     #[test]
@@ -446,37 +283,25 @@ mod tests {
     }
 
     #[test]
-    fn sparse_exhausted_claims_do_not_mutate_the_counter() {
-        let queue = SparseQueue::new((0..50).collect(), 4);
-        while queue.claim().is_some() {}
+    fn claimed_positions_cover_a_sparse_list_exactly_once() {
+        // The resume path's shape: a queue over positions of a sparse
+        // `missing` list, mapped back through the list.
+        let missing: Vec<u64> = (0..217).filter(|i| i % 3 != 0).collect();
+        let queue = WorkQueue::new(missing.len() as u64, 4);
+        let mut claimed = Vec::new();
+        while let Some(range) = queue.claim() {
+            claimed.extend(range.map(|pos| missing[pos as usize]));
+        }
+        assert_eq!(claimed, missing);
         let settled = queue.next.load(Ordering::Relaxed);
         for _ in 0..1000 {
-            assert!(queue.claim().is_none());
+            assert_eq!(queue.claim(), None);
         }
         assert_eq!(
             queue.next.load(Ordering::Relaxed),
             settled,
-            "post-exhaustion sparse claims crept the counter"
+            "post-exhaustion claims crept the counter"
         );
-    }
-
-    #[test]
-    fn sparse_claims_cover_the_list_exactly_once() {
-        let indices: Vec<u64> = (0..217).filter(|i| i % 3 != 0).collect();
-        let queue = SparseQueue::new(indices.clone(), 4);
-        assert_eq!(queue.len(), indices.len());
-        let mut claimed = Vec::new();
-        while let Some(chunk) = queue.claim() {
-            claimed.extend_from_slice(chunk);
-        }
-        assert_eq!(claimed, indices);
-    }
-
-    #[test]
-    fn empty_sparse_queue_yields_nothing() {
-        let queue = SparseQueue::new(Vec::new(), 4);
-        assert!(queue.is_empty());
-        assert_eq!(queue.claim(), None);
     }
 
     #[test]
@@ -492,10 +317,9 @@ mod tests {
     fn concurrent_workers_partition_the_space() {
         let queue = WorkQueue::new(1000, 4);
         let slots = Slots::new(1000);
-        thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..4 {
-                let (queue, slots) = (&queue, &slots);
-                scope.spawn(move |_| {
+                scope.spawn(|| {
                     while let Some(range) = queue.claim() {
                         for i in range {
                             slots.put(i as usize, i * 2);
@@ -503,8 +327,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("workers do not panic");
+        });
         let collected = slots.into_vec();
         assert!(collected
             .iter()
@@ -521,60 +344,45 @@ mod tests {
     }
 
     #[test]
-    fn pool_broadcast_runs_every_worker_and_is_reusable() {
-        let mut pool = ScanPool::new(4);
-        assert_eq!(pool.threads(), 4);
-        for _round in 0..3 {
-            let hits = Arc::new(AtomicUsize::new(0));
-            let seen = Arc::new(Slots::new(4));
-            let (h, s) = (Arc::clone(&hits), Arc::clone(&seen));
-            pool.broadcast(move |worker| {
-                h.fetch_add(1, Ordering::Relaxed);
-                s.put(worker, worker);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 4);
-            let seen = Arc::into_inner(seen).expect("jobs dropped after broadcast");
-            assert_eq!(seen.into_vec(), vec![0, 1, 2, 3]);
-        }
-    }
-
-    #[test]
-    fn pool_reports_per_worker_cpu_time() {
-        let mut pool = ScanPool::new(2);
-        pool.broadcast(|worker| {
-            // Worker 1 does measurable work; worker 0 does none.
-            if worker == 1 {
-                let mut acc = 0u64;
-                for i in 0..3_000_000u64 {
-                    acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
-                }
-                assert_ne!(acc, 1);
-            }
+    fn run_workers_runs_each_index_once_in_worker_order() {
+        let seen = Slots::new(4);
+        let results = run_workers(4, |worker| {
+            seen.put(worker, std::thread::current().name().map(str::to_owned));
+            worker * 10
         });
-        let cpu = pool.worker_cpu_ns();
-        assert_eq!(cpu.len(), 2);
-        assert!(
-            cpu[1] > cpu[0],
-            "busy worker should out-spend the idle one: {cpu:?}"
-        );
-        assert_eq!(pool.critical_path_ns(), cpu[1].max(cpu[0]));
+        assert_eq!(results, vec![0, 10, 20, 30]);
+        let names: Vec<String> = seen.into_vec().into_iter().flatten().collect();
+        assert_eq!(names, ["scan-0", "scan-1", "scan-2", "scan-3"]);
     }
 
     #[test]
-    fn pool_worker_panic_propagates_but_pool_survives() {
-        let mut pool = ScanPool::new(3);
+    fn zero_threads_runs_one_worker() {
+        assert_eq!(run_workers(0, |worker| worker), vec![0]);
+    }
+
+    #[test]
+    fn worker_panic_propagates_after_the_others_finish() {
+        // The barrier holds the survivors back until worker 0 is about
+        // to panic, so their bumps happen while (or after) it unwinds.
+        let about_to_panic = Barrier::new(3);
+        let finished = AtomicUsize::new(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.broadcast(|worker| {
-                assert!(worker != 1, "deliberate test panic");
+            run_workers(3, |worker| {
+                about_to_panic.wait();
+                if worker == 0 {
+                    panic!("deliberate test panic");
+                }
+                finished.fetch_add(1, Ordering::Relaxed);
             });
         }));
-        assert!(caught.is_err(), "worker panic must propagate");
-        // The pool remains usable after a propagated panic.
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        pool.broadcast(move |_| {
-            h.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
+        let payload = caught.expect_err("worker panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"deliberate test panic"),
+            "the worker's own payload is re-raised"
+        );
+        assert_eq!(finished.load(Ordering::Relaxed), 2);
+        // Nothing persists between calls, so the next one just works.
+        assert_eq!(run_workers(3, |worker| worker), vec![0, 1, 2]);
     }
 }

@@ -1,6 +1,6 @@
 //! The `repro serve` load driver: replays a seeded query trace against
-//! the h2serve daemon over real HTTP/2 connections, sharded across the
-//! persistent scan pool.
+//! the h2serve daemon over real HTTP/2 connections, sharded across
+//! [`run_workers`].
 //!
 //! Architecture (mirrors the sharded scan driver of `scan.rs`):
 //!
@@ -37,7 +37,7 @@ use h2server::{ServerProfile, SiteSpec};
 use h2wire::{Frame, Settings};
 use netsim::time::SimDuration;
 
-use crate::sched::{ScanPool, Slots};
+use crate::sched::{run_workers, Slots};
 
 /// Queries served per client connection before it is torn down and a
 /// fresh one established (exercising the buffer pool's lease/reclaim
@@ -194,20 +194,19 @@ fn digest_responses(responses: &[QueryResult]) -> u64 {
 }
 
 /// Drives one worker shard: its partition of the trace, serially, over
-/// long-lived connections against its own server instances.
-#[allow(clippy::too_many_arguments)]
+/// long-lived connections against its own server instances. Returns the
+/// shard's hostile engagements in the order they ran.
 fn run_shard(
     worker: usize,
     queries: &[(usize, Query)],
     target: &Target,
-    cache: &Arc<Mutex<QueryCache>>,
+    cache: &Mutex<QueryCache>,
     slots: &Slots<QueryResult>,
     hostile: bool,
-    obs: &Obs,
-    hostiles: &Mutex<Vec<HostileOutcome>>,
-) {
+) -> Vec<HostileOutcome> {
+    let mut hostiles = Vec::new();
     if queries.is_empty() {
-        return;
+        return hostiles;
     }
     let mut conn = ProbeConn::establish(target, Settings::new(), (worker as u64) << 32);
     let mut stream = 1u32;
@@ -222,7 +221,7 @@ fn run_shard(
                 AttackVector::RapidReset
             };
             let report = run_attack(vector, target, (worker as u64) << 24 | k as u64);
-            hostiles.lock().expect("hostile log").push(HostileOutcome {
+            hostiles.push(HostileOutcome {
                 vector: match vector {
                     AttackVector::SlowRead => "slow_read",
                     _ => "rapid_reset",
@@ -248,7 +247,7 @@ fn run_shard(
         stream += 2;
         let latency_ns = (done - t0).as_nanos();
         let hit = cache.lock().expect("shard cache").hits() > hits_before;
-        obs.query_served(hit, body.len() as u64, latency_ns);
+        target.obs.query_served(hit, body.len() as u64, latency_ns);
         slots.put(
             *seq,
             QueryResult {
@@ -258,6 +257,7 @@ fn run_shard(
             },
         );
     }
+    hostiles
 }
 
 /// Loads the records, replays the seeded trace across `workers` shards,
@@ -270,32 +270,7 @@ fn run_shard(
 pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, LoadError> {
     let index = Arc::new(ServeIndex::load(&cfg.records)?);
     let trace = generate_trace(&index, cfg.seed, cfg.queries);
-    run_on_index(cfg, index, trace)
-}
-
-/// [`run_serve`] over an index already in memory (benches reuse the
-/// loaded index across worker-count sweeps).
-pub fn run_on_index(
-    cfg: &ServeConfig,
-    index: Arc<ServeIndex>,
-    trace: Vec<Query>,
-) -> Result<ServeOutcome, LoadError> {
     let workers = cfg.workers.max(1);
-    let mut pool = ScanPool::new(workers);
-    let outcome = run_on_pool(cfg, index, trace, &mut pool);
-    Ok(outcome)
-}
-
-/// The innermost driver: reuses an existing pool (the throughput bench
-/// keeps one pool alive across samples so per-sample cost is the serve
-/// work, not thread spawning).
-pub fn run_on_pool(
-    cfg: &ServeConfig,
-    index: Arc<ServeIndex>,
-    trace: Vec<Query>,
-    pool: &mut ScanPool,
-) -> ServeOutcome {
-    let workers = pool.threads();
     // Pre-partition the trace: worker w owns every query whose home
     // shard is w. Ownership is by content hash, not position, so the
     // same query always lands in the same shard's cache.
@@ -306,72 +281,41 @@ pub fn run_on_pool(
     }
     let total: usize = partitions.iter().map(Vec::len).sum();
 
+    // The handler hook must own its index and cache, so those two stay
+    // behind `Arc`s; everything else is borrowed by the workers.
     let caches: Vec<Arc<Mutex<QueryCache>>> = (0..workers)
         .map(|_| Arc::new(Mutex::new(QueryCache::new(256, cfg.cache))))
         .collect();
-    let slots = Arc::new(Slots::<QueryResult>::new(total));
-    let hostiles = Arc::new(Mutex::new(Vec::new()));
-    let partitions = Arc::new(partitions);
-
+    let slots = Slots::<QueryResult>::new(total);
     let profile = Arc::new(serve_profile());
     let site = Arc::new(SiteSpec::benchmark());
 
-    {
-        let cfg = cfg.clone();
-        let index = Arc::clone(&index);
-        let caches = caches.clone();
-        let slots = Arc::clone(&slots);
-        let hostiles = Arc::clone(&hostiles);
-        let partitions = Arc::clone(&partitions);
-        pool.broadcast(move |w| {
-            let Some(queries) = partitions.get(w) else {
-                return;
-            };
-            let Some(cache) = caches.get(w) else {
-                return;
-            };
-            let obs = cfg.obs.worker_shard();
-            let hook_index = Arc::clone(&index);
-            let hook_cache = Arc::clone(cache);
-            let mut target = Target::testbed(Arc::clone(&profile), Arc::clone(&site));
-            target.seed = cfg.seed ^ 0x5e12e ^ w as u64;
-            target.obs = obs.clone();
-            target.handler = Some(HandlerHook::new(move || {
-                Box::new(QueryHandler::new(
-                    Arc::clone(&hook_index),
-                    Arc::clone(&hook_cache),
-                ))
-            }));
-            run_shard(
-                w,
-                queries,
-                &target,
-                cache,
-                &slots,
-                cfg.hostile,
-                &obs,
-                &hostiles,
-            );
-        });
-    }
+    let hostiles = run_workers(workers, |w| {
+        let (hook_index, hook_cache) = (Arc::clone(&index), Arc::clone(&caches[w]));
+        let mut target = Target::testbed(Arc::clone(&profile), Arc::clone(&site));
+        target.seed = cfg.seed ^ 0x5e12e ^ w as u64;
+        target.obs = cfg.obs.worker_shard();
+        target.handler = Some(HandlerHook::new(move || {
+            Box::new(QueryHandler::new(
+                Arc::clone(&hook_index),
+                Arc::clone(&hook_cache),
+            ))
+        }));
+        run_shard(w, &partitions[w], &target, &caches[w], &slots, cfg.hostile)
+    })
+    .concat();
 
-    let responses = Arc::into_inner(slots)
-        .expect("workers done with slots")
-        .into_vec();
+    let responses = slots.into_vec();
     let digest = digest_responses(&responses);
     let (cache_hits, cache_misses) = caches.iter().fold((0, 0), |(h, m), c| {
         let c = c.lock().expect("shard cache");
         (h + c.hits(), m + c.misses())
     });
-    let hostiles = Arc::into_inner(hostiles)
-        .expect("workers done with hostile log")
-        .into_inner()
-        .expect("hostile log");
-    ServeOutcome {
+    Ok(ServeOutcome {
         responses,
         digest,
         cache_hits,
         cache_misses,
         hostiles,
-    }
+    })
 }

@@ -8,7 +8,7 @@ use h2scope::probes::flow_control::SmallWindowOutcome;
 use h2scope::{ProbeOutcome, ProbeStats, Reaction};
 use webpop::Population;
 
-use crate::scan::{headers_records, ScanRecord};
+use crate::scan::{headers_records, Campaign, ScanRecord};
 use crate::stats::{apportion, fmt_count, spark_cdf};
 
 /// Scales one *independent* measured count back up to paper scale for
@@ -56,7 +56,7 @@ pub fn trend(scale: f64, threads: usize) -> String {
     .unwrap();
     for (month, spec) in webpop::monthly_series().into_iter().enumerate() {
         let population = Population::new(spec, scale);
-        let records = crate::scan::scan(&population, threads);
+        let records = Campaign::new(&population, threads).scan();
         let npn = records
             .iter()
             .filter(|r| r.report.negotiation.npn_h2)
@@ -818,7 +818,7 @@ mod tests {
         // consistency independent per-row rounding could not guarantee.
         for scale in [0.05, 0.01, 0.003] {
             let population = Population::new(ExperimentSpec::first(), scale);
-            let records = crate::scan::scan(&population, 2);
+            let records = Campaign::new(&population, 2).scan();
             let headers = headers_records(&records).len();
             let column = scaled_column(&table5(&records, &population));
             assert_eq!(
@@ -832,7 +832,12 @@ mod tests {
     #[test]
     fn faulted_no_response_split_accounts_for_every_row() {
         let population = Population::new(ExperimentSpec::first(), 0.01);
-        let records = crate::scan::scan_faulted(&population, 2, h2fault::FaultProfile::flaky(), 7);
+        let records = Campaign {
+            faults: h2fault::FaultProfile::flaky(),
+            seed: 7,
+            ..Campaign::new(&population, 2)
+        }
+        .scan();
         let report = flow_control(&records, &population);
         assert!(
             !report.contains("ACCOUNTING ERROR"),

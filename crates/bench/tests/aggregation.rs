@@ -6,7 +6,7 @@ use webpop::{ExperimentSpec, Population};
 
 fn mini_campaign() -> (Population, Vec<scan::ScanRecord>) {
     let population = Population::new(ExperimentSpec::first(), 0.003);
-    let records = scan::scan(&population, 4);
+    let records = scan::Campaign::new(&population, 4).scan();
     (population, records)
 }
 

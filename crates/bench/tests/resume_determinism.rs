@@ -9,8 +9,7 @@ use std::path::{Path, PathBuf};
 
 use h2fault::{FaultProfile, KillPoint};
 use h2obs::Obs;
-use h2ready_bench::scan::{self, RecordedScan};
-use h2ready_bench::sched::ScanPool;
+use h2ready_bench::scan::{self, Campaign, RecordedScan};
 use webpop::{ExperimentSpec, Population};
 
 const SCALE: f64 = 0.004;
@@ -25,18 +24,19 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("h2ready-resume-{}-{tag}.h2c", std::process::id()))
 }
 
+/// The campaign every test here records: the flaky profile under `SEED`.
+fn flaky(population: &Population, threads: usize) -> Campaign<'_> {
+    Campaign {
+        faults: FaultProfile::flaky(),
+        seed: SEED,
+        ..Campaign::new(population, threads)
+    }
+}
+
 fn record_uninterrupted(path: &Path, threads: usize) -> Vec<scan::ScanRecord> {
-    let outcome = scan::scan_recorded(
-        &population(),
-        threads,
-        FaultProfile::flaky(),
-        SEED,
-        &Obs::off(),
-        path,
-        false,
-        None,
-    )
-    .expect("recorded scan");
+    let outcome = flaky(&population(), threads)
+        .scan_recorded(path, false, None)
+        .expect("recorded scan");
     match outcome {
         RecordedScan::Complete { records, resumed } => {
             assert_eq!(resumed, 0, "fresh run resumed nothing");
@@ -58,17 +58,9 @@ fn killed_and_resumed_records_are_byte_identical_to_uninterrupted() {
     for (k, kill) in KillPoint::seeded(total, SEED).into_iter().enumerate() {
         for (kill_threads, resume_threads) in [(1, 4), (4, 1)] {
             let path = scratch(&format!("kill{k}-t{kill_threads}"));
-            let outcome = scan::scan_recorded(
-                &population(),
-                kill_threads,
-                FaultProfile::flaky(),
-                SEED,
-                &Obs::off(),
-                &path,
-                false,
-                Some(kill),
-            )
-            .expect("killed scan");
+            let outcome = flaky(&population(), kill_threads)
+                .scan_recorded(&path, false, Some(kill))
+                .expect("killed scan");
             let rows = match outcome {
                 RecordedScan::Killed { rows } => rows,
                 RecordedScan::Complete { .. } => panic!("kill point did not fire"),
@@ -82,17 +74,9 @@ fn killed_and_resumed_records_are_byte_identical_to_uninterrupted() {
                 assert!(rows < total, "the crash left work behind");
             }
 
-            let resumed_outcome = scan::scan_recorded(
-                &population(),
-                resume_threads,
-                FaultProfile::flaky(),
-                SEED,
-                &Obs::off(),
-                &path,
-                true,
-                None,
-            )
-            .expect("resumed scan");
+            let resumed_outcome = flaky(&population(), resume_threads)
+                .scan_recorded(&path, true, None)
+                .expect("resumed scan");
             let (records, resumed) = match resumed_outcome {
                 RecordedScan::Complete { records, resumed } => (records, resumed),
                 RecordedScan::Killed { .. } => panic!("resume had no kill point"),
@@ -118,7 +102,7 @@ fn killed_and_resumed_records_are_byte_identical_to_uninterrupted() {
 fn recorded_scan_returns_the_same_records_as_the_plain_scan() {
     let path = scratch("parity");
     let recorded = record_uninterrupted(&path, 4);
-    let plain = scan::scan_faulted(&population(), 2, FaultProfile::flaky(), SEED);
+    let plain = flaky(&population(), 2).scan();
     assert_eq!(recorded.len(), plain.len());
     for (a, b) in recorded.iter().zip(&plain) {
         assert_eq!(a.index, b.index);
@@ -134,16 +118,11 @@ fn resuming_a_finalized_record_is_a_no_op() {
     record_uninterrupted(&path, 2);
     let before = std::fs::read(&path).expect("finalized bytes");
     let obs = Obs::campaign(0);
-    let outcome = scan::scan_recorded(
-        &population(),
-        3,
-        FaultProfile::flaky(),
-        SEED,
-        &obs,
-        &path,
-        true,
-        None,
-    )
+    let outcome = Campaign {
+        obs: obs.clone(),
+        ..flaky(&population(), 3)
+    }
+    .scan_recorded(&path, true, None)
     .expect("resume of finalized record");
     let RecordedScan::Complete { records, resumed } = outcome else {
         panic!("no kill point was set");
@@ -170,30 +149,20 @@ fn sharded_scan_is_byte_identical_to_single_thread_for_every_campaign_kind() {
         h2scope::storage::write_reports(records.iter().map(|r| &r.report))
     };
 
-    let plain_1t = serialize(&scan::scan(&population, 1));
+    let plain_1t = serialize(&Campaign::new(&population, 1).scan());
     for threads in [2, 8, 16] {
         assert_eq!(
             plain_1t,
-            serialize(&scan::scan(&population, threads)),
+            serialize(&Campaign::new(&population, threads).scan()),
             "plain scan diverged at {threads} threads"
         );
     }
 
-    let faulted_1t = serialize(&scan::scan_faulted(
-        &population,
-        1,
-        FaultProfile::flaky(),
-        SEED,
-    ));
+    let faulted_1t = serialize(&flaky(&population, 1).scan());
     for threads in [2, 8, 16] {
         assert_eq!(
             faulted_1t,
-            serialize(&scan::scan_faulted(
-                &population,
-                threads,
-                FaultProfile::flaky(),
-                SEED
-            )),
+            serialize(&flaky(&population, threads).scan()),
             "faulted scan diverged at {threads} threads"
         );
     }
@@ -215,79 +184,14 @@ fn sharded_scan_is_byte_identical_to_single_thread_for_every_campaign_kind() {
 }
 
 #[test]
-fn a_reused_pool_records_kills_and_resumes_byte_identically() {
-    // The persistent-pool contract: workers that already ran other
-    // campaigns (warmed thread-local buffer pools, consumed RNG
-    // streams, dirty scratch state) must record and resume exactly like
-    // freshly spawned single-thread workers.
-    let golden_path = scratch("pool-golden");
-    record_uninterrupted(&golden_path, 1);
-    let golden = std::fs::read(&golden_path).expect("golden bytes");
-
-    let population = population();
-    let mut pool = ScanPool::new(3);
-    // Dirty the pool with unrelated campaigns first.
-    pool.scan(&population);
-    pool.scan_faulted(&population, FaultProfile::flaky(), SEED ^ 0xdead);
-
-    let kill = KillPoint::seeded(population.h2_count(), SEED)[1];
-    let path = scratch("pool-reuse");
-    let outcome = pool
-        .scan_recorded(
-            &population,
-            FaultProfile::flaky(),
-            SEED,
-            &Obs::off(),
-            &path,
-            false,
-            Some(kill),
-        )
-        .expect("killed scan");
-    assert!(
-        matches!(outcome, RecordedScan::Killed { .. }),
-        "kill point did not fire"
-    );
-
-    // Resume on the SAME pool the crash happened on.
-    let resumed = pool
-        .scan_recorded(
-            &population,
-            FaultProfile::flaky(),
-            SEED,
-            &Obs::off(),
-            &path,
-            true,
-            None,
-        )
-        .expect("resumed scan");
-    let RecordedScan::Complete { records, resumed } = resumed else {
-        panic!("resume had no kill point");
-    };
-    assert!(resumed >= kill.after_rows);
-    assert_eq!(records.len() as u64, population.h2_count());
-    assert_eq!(
-        std::fs::read(&path).expect("resumed bytes"),
-        golden,
-        "pool reuse across record→resume diverged from a fresh run"
-    );
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&golden_path).ok();
-}
-
-#[test]
 fn resume_refuses_a_record_from_a_different_campaign() {
     let path = scratch("mismatch");
     record_uninterrupted(&path, 2);
-    let err = scan::scan_recorded(
-        &population(),
-        2,
-        FaultProfile::flaky(),
-        SEED + 1, // different campaign seed
-        &Obs::off(),
-        &path,
-        true,
-        None,
-    )
+    let err = Campaign {
+        seed: SEED + 1, // different campaign seed
+        ..flaky(&population(), 2)
+    }
+    .scan_recorded(&path, true, None)
     .expect_err("seed mismatch must be rejected");
     assert!(err.to_string().contains("seed"), "unhelpful error: {err}");
     std::fs::remove_file(&path).ok();
@@ -298,17 +202,9 @@ fn diff_of_stored_records_matches_the_in_memory_campaign() {
     let path_a = scratch("diff-a");
     let path_b = scratch("diff-b");
     let records_a = record_uninterrupted(&path_a, 2);
-    let outcome = scan::scan_recorded(
-        &Population::new(ExperimentSpec::second(), SCALE),
-        2,
-        FaultProfile::flaky(),
-        SEED,
-        &Obs::off(),
-        &path_b,
-        false,
-        None,
-    )
-    .expect("recorded scan");
+    let outcome = flaky(&Population::new(ExperimentSpec::second(), SCALE), 2)
+        .scan_recorded(&path_b, false, None)
+        .expect("recorded scan");
     let RecordedScan::Complete {
         records: records_b, ..
     } = outcome

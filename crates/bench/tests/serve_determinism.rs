@@ -148,6 +148,29 @@ fn hostile_clients_cannot_perturb_responses() {
     }
     assert_eq!(outcome.digest, baseline.digest);
     assert_eq!(bodies(&outcome.responses), bodies(&baseline.responses));
+
+    // The hostile log itself is an output: shards report in worker
+    // order, never in the order their threads happened to finish. Long
+    // enough a trace that every shard alternates both vectors.
+    let mut wide = config();
+    wide.workers = 4;
+    wide.queries = 4096;
+    wide.hostile = true;
+    let log = |cfg: &ServeConfig| -> Vec<(&'static str, bool)> {
+        let outcome = run_serve(cfg).expect("4-worker hostile run");
+        outcome
+            .hostiles
+            .iter()
+            .map(|h| (h.vector, h.defended))
+            .collect()
+    };
+    let first = log(&wide);
+    assert!(first.len() > wide.workers, "{first:?}");
+    assert_eq!(first, log(&wide), "hostile log depends on scheduling");
+    // Each shard alternates its two vectors, so in worker order a vector
+    // can only repeat where one shard's run ends and the next begins.
+    let repeats = first.windows(2).filter(|w| w[0].0 == w[1].0).count();
+    assert!(repeats < wide.workers, "shards interleaved: {first:?}");
 }
 
 #[test]

@@ -14,8 +14,6 @@
 //! 1.0 by construction — the pinned fixture test asserts ≥ 0.95 to
 //! leave room for future traffic classes.
 
-use serde::{Deserialize, Serialize};
-
 use h2obs::SiteTrace;
 
 use crate::vectors::AttackVector;
@@ -31,7 +29,7 @@ const CONTINUATION: u8 = 0x9;
 /// Rule thresholds. Campaign attack volumes (see `vectors`) exceed
 /// every threshold several-fold; benign page loads stay under all of
 /// them by at least the same margin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detector {
     /// Client CONTINUATION frames at or above this ⇒ continuation flood.
     pub continuation_frames: u64,
@@ -121,7 +119,7 @@ impl Detector {
 
 /// Detector evaluation against ground truth, accumulated over a mixed
 /// campaign. "Positive" means attacked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConfusionMatrix {
     /// Attacked connections flagged as attacked.
     pub true_positives: u64,

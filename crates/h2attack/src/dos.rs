@@ -1,9 +1,9 @@
-//! # h2dos — the paper's discussion-section DoS vectors, simulated
+//! The paper's discussion-section DoS vectors, simulated.
 //!
 //! Section VI of *"Are HTTP/2 Servers Ready Yet?"* warns that several of
 //! the protocol features the paper measures are dual-use: the same
-//! mechanisms that protect endpoints can be turned against them. This
-//! crate turns those warnings into runnable experiments against the
+//! mechanisms that protect endpoints can be turned against them. These
+//! modules turn those warnings into runnable experiments against the
 //! workspace's simulated servers, with a mitigation measured next to
 //! each attack:
 //!
@@ -16,10 +16,11 @@
 //! Everything runs in virtual time on the deterministic simulator: the
 //! "attacks" never touch a network and exist to quantify *engine*
 //! behavior (octets pinned, table growth, tree size), exactly as a
-//! defensive capacity-planning exercise would.
+//! defensive capacity-planning exercise would. Each experiment's report
+//! converts into the unified [`crate::AttackReport`] ledger.
 //!
 //! ```
-//! use h2dos::slow_receiver;
+//! use h2attack::dos::slow_receiver;
 //! use h2scope::Target;
 //! use h2server::{ServerProfile, SiteSpec};
 //!
@@ -30,8 +31,6 @@
 //! assert_eq!(report.pinned_octets, 1_048_572); // kilobytes pinned...
 //! assert_eq!(report.amplification, 6_898); // ...per attacker octet
 //! ```
-
-#![warn(missing_docs)]
 
 pub mod priority_churn;
 pub mod slow_receiver;

@@ -19,9 +19,9 @@
 //!    attacked (with the vector), evaluated by precision/recall on
 //!    mixed benign+attack campaigns.
 //!
-//! The three legacy `h2dos` experiments fold into the unified
-//! [`AttackReport`] schema via `From` conversions, so `repro abuse`
-//! reports every vector — old and new — in one table.
+//! The three §VI capacity experiments in [`dos`] (slow receiver, table
+//! thrash, priority churn) convert into the unified [`AttackReport`]
+//! schema, so `repro abuse` reports every vector in one table.
 //!
 //! ```
 //! use h2attack::{run, AttackVector};
@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod detect;
+pub mod dos;
 pub mod matrix;
 pub mod report;
 pub mod vectors;

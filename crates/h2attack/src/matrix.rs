@@ -7,14 +7,12 @@
 //! bound is crossed? Built directly on the `h2scope::probes::abuse`
 //! suite so the answers are measured, not transcribed.
 
-use serde::{Deserialize, Serialize};
-
 use h2scope::probes::abuse::{self, AbuseHardeningReport};
 use h2scope::{Reaction, Target};
 use h2server::{ServerProfile, SiteSpec};
 
 /// One measured row of the robustness matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RobustnessRow {
     /// Server the row describes.
     pub server: String,

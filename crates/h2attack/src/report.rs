@@ -1,20 +1,18 @@
 //! The unified attack-report schema.
 //!
-//! Every vector — the four new ones and the three folded in from
-//! `h2dos` — reduces to the same ledger: what the attacker spent, what
-//! it cost the server, and whether the server defended itself. All
+//! Every vector — the four frame-level ones and the three [`crate::dos`]
+//! experiments — reduces to the same ledger: what the attacker spent,
+//! what it cost the server, and whether the server defended itself. All
 //! arithmetic is checked/saturating: a report is a measurement, and a
 //! measurement that panics on overflow measured nothing.
 
-use serde::{Deserialize, Serialize};
-
-use h2dos::{ChurnReport, SlowReceiverReport, TableThrashReport};
 use h2scope::Reaction;
 
+use crate::dos::{ChurnReport, SlowReceiverReport, TableThrashReport};
 use crate::vectors::AttackVector;
 
 /// Outcome of one attack engagement against one target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttackReport {
     /// Which vector ran.
     pub vector: AttackVector,
@@ -58,7 +56,7 @@ impl AttackReport {
         }
     }
 
-    /// Folds a legacy slow-receiver engagement into the unified schema.
+    /// Folds a slow-receiver engagement into the unified schema.
     /// The slow-receiver's cost is the response octets it pinned in the
     /// server's send queue.
     pub fn from_slow_receiver(r: &SlowReceiverReport, reaction: Reaction) -> AttackReport {
@@ -72,7 +70,7 @@ impl AttackReport {
         )
     }
 
-    /// Folds a legacy table-thrash engagement: the cost is the octets
+    /// Folds a table-thrash engagement: the cost is the octets
     /// the victim's HPACK encoder table ballooned to.
     pub fn from_table_thrash(r: &TableThrashReport, octets_sent: u64) -> AttackReport {
         AttackReport::new(
@@ -85,7 +83,7 @@ impl AttackReport {
         )
     }
 
-    /// Folds a legacy priority-churn engagement: the cost is the idle
+    /// Folds a priority-churn engagement: the cost is the idle
     /// nodes the victim's dependency tree retains.
     pub fn from_priority_churn(r: &ChurnReport) -> AttackReport {
         AttackReport::new(

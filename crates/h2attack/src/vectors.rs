@@ -8,8 +8,6 @@
 //! limit-exceeding volumes for the robustness matrix; both exist so
 //! that probing a bound and simulating an attacker stay distinct jobs.
 
-use serde::{Deserialize, Serialize};
-
 use h2hpack::Header;
 use h2scope::{ProbeConn, Reaction, Target, TimedFrame};
 use h2wire::{
@@ -18,11 +16,12 @@ use h2wire::{
 };
 use netsim::time::SimDuration;
 
+use crate::dos;
 use crate::report::AttackReport;
 
 /// Octets of the connection prelude every vector pays: the client
 /// preface (24) plus an empty SETTINGS frame (9 + 6 of padding slack
-/// kept for parity with `h2dos`'s ledger).
+/// kept for parity with the [`crate::dos`] ledger).
 const PRELUDE_OCTETS: u64 = 24 + 9 + 6;
 
 /// Request+RST pairs in a rapid-reset engagement.
@@ -39,7 +38,7 @@ pub const SLOW_POST_TRICKLES: u32 = 6;
 pub const SLOW_POST_GAP_SECS: u64 = 10;
 /// SETTINGS frames in a flood engagement.
 pub const SETTINGS_FLOOD_FRAMES: u32 = 120;
-/// Requests in a table-thrash engagement (folded from `h2dos`).
+/// Requests in a table-thrash engagement.
 pub const TABLE_THRASH_REQUESTS: u32 = 48;
 /// Idle-stream chain depth in a priority-churn engagement.
 pub const PRIORITY_CHURN_DEPTH: u32 = 32;
@@ -47,7 +46,7 @@ pub const PRIORITY_CHURN_DEPTH: u32 = 32;
 pub const PRIORITY_CHURN_ROUNDS: u32 = 8;
 
 /// The seven abuse vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AttackVector {
     /// Open a stream, cancel it immediately, repeat (CVE-2023-44487's
     /// shape): request work is free, canceled work is not.
@@ -56,7 +55,8 @@ pub enum AttackVector {
     /// then CONTINUATION fragments forever (RFC 7540 §4.3 sets no cap).
     ContinuationFlood,
     /// Advertise a 1-octet window, request large objects, go silent —
-    /// the paper's slow-receiver memory pin (folds `h2dos::slow_receiver`).
+    /// the paper's slow-receiver memory pin (reported through the
+    /// [`dos::slow_receiver`] ledger).
     SlowRead,
     /// Announce a request body and trickle it an octet at a time with
     /// long quiet gaps, holding request state open indefinitely.
@@ -64,10 +64,10 @@ pub enum AttackVector {
     /// SETTINGS frames in bulk: each extorts an ack (RFC 7540 §6.5.3).
     SettingsFlood,
     /// Announce a huge header table and thrash insertions into it
-    /// (folds `h2dos::table_thrash`).
+    /// (runs [`dos::table_thrash`]).
     TableThrash,
-    /// Deep idle-stream dependency chains, repeatedly reversed (folds
-    /// `h2dos::priority_churn`).
+    /// Deep idle-stream dependency chains, repeatedly reversed (runs
+    /// [`dos::priority_churn`]).
     PriorityChurn,
 }
 
@@ -234,7 +234,7 @@ fn slow_read(target: &Target, seed: u64) -> AttackReport {
     frames = frames.saturating_add(1);
     octets = octets.saturating_add(17);
     conn.exchange();
-    let folded = h2dos::SlowReceiverReport {
+    let folded = dos::SlowReceiverReport {
         attacker_octets: octets,
         pinned_octets: conn.server().pending_response_octets(),
         amplification: conn
@@ -323,7 +323,7 @@ fn settings_flood(target: &Target, seed: u64) -> AttackReport {
 }
 
 fn table_thrash(target: &Target) -> AttackReport {
-    let r = h2dos::table_thrash::attack(target, 1 << 26, TABLE_THRASH_REQUESTS);
+    let r = dos::table_thrash::attack(target, 1 << 26, TABLE_THRASH_REQUESTS);
     // The thrash's wire cost is its requests: ~40 octets of HEADERS each
     // once the static entries are table hits, plus the prelude.
     let octets = PRELUDE_OCTETS.saturating_add(u64::from(r.requests).saturating_mul(49));
@@ -331,7 +331,7 @@ fn table_thrash(target: &Target) -> AttackReport {
 }
 
 fn priority_churn(target: &Target) -> AttackReport {
-    let r = h2dos::priority_churn::attack(target, PRIORITY_CHURN_DEPTH, PRIORITY_CHURN_ROUNDS);
+    let r = dos::priority_churn::attack(target, PRIORITY_CHURN_DEPTH, PRIORITY_CHURN_ROUNDS);
     AttackReport::from_priority_churn(&r)
 }
 

@@ -37,6 +37,7 @@ pub const FORBID_UNSAFE_CRATES: &[&str] = &[
     "h2campaign",
     "h2serve",
     "h2check",
+    "bench",
 ];
 
 /// Crates whose output (report rows, record lines, response bytes) must

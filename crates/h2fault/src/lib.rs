@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 use netsim::{LinkSpec, PipeFaults, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64: the stateless mixing function every fault derivation is
 /// built from (one u64 in, one well-scrambled u64 out).
@@ -47,7 +46,7 @@ fn unit(h: u64) -> f64 {
 /// The default spec is a **strict no-op**: applying it to a link returns
 /// the link bit-for-bit unchanged (same RNG consumption downstream), and
 /// its [`PipeFaults`] are empty.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ImpairmentSpec {
     /// Added one-way propagation delay.
     pub extra_delay: SimDuration,
@@ -130,7 +129,7 @@ impl ImpairmentSpec {
 
 /// Server-side misbehavior injected into the `h2server` engine — the
 /// population a hardened scanner must classify rather than hang on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ByzantineSpec {
     /// The greeting is garbage that cannot parse as HTTP/2 frames.
     pub garbage_preface: bool,

@@ -1,6 +1,6 @@
 //! Human-readable table and hand-rolled JSON rendering of a
-//! [`CampaignSnapshot`]. No serde: the schema is small, stable and fully
-//! under our control (same precedent as `h2scope::storage`).
+//! [`CampaignSnapshot`]. Written by hand: the schema is small, stable and
+//! fully under our control (same precedent as `h2scope::storage`).
 
 use std::fmt::Write as _;
 

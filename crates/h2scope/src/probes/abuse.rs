@@ -10,8 +10,6 @@
 //! GOAWAY/RST_STREAM (typically `ENHANCE_YOUR_CALM`), an unhardened one
 //! absorbs the abuse silently.
 
-use serde::{Deserialize, Serialize};
-
 use h2wire::{ErrorCode, Frame, PingFrame, RstStreamFrame, SettingId, Settings, StreamId};
 
 use super::{classify_reaction, Reaction};
@@ -32,7 +30,7 @@ pub const STALL_PROBE_SECS: u64 = 120;
 
 /// The abuse-hardening characterization of one server — one row of the
 /// §VI robustness matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbuseHardeningReport {
     /// Reaction to RST_STREAM churn past any reasonable budget.
     pub rst_rate: Reaction,

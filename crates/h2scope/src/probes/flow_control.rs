@@ -1,8 +1,6 @@
 //! Flow-control probes (§III-B): four tests of how a server honors — or
 //! over-applies, or ignores — the flow-control rules of RFC 7540.
 
-use serde::{Deserialize, Serialize};
-
 use h2wire::{Frame, SettingId, Settings, StreamId, WindowUpdateFrame};
 
 use super::{classify_reaction, Reaction};
@@ -10,7 +8,7 @@ use crate::client::ProbeConn;
 use crate::target::Target;
 
 /// Outcome of the 1-octet-window probe (§III-B1 / §V-D1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SmallWindowOutcome {
     /// The first DATA frame carried exactly the window (1 octet) — the
     /// RFC-compliant behavior 37k/44k sites showed.
@@ -26,7 +24,7 @@ pub enum SmallWindowOutcome {
 }
 
 /// The full flow-control characterization of one server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowControlReport {
     /// §III-B1: behavior under `SETTINGS_INITIAL_WINDOW_SIZE = 1`.
     pub small_window: SmallWindowOutcome,

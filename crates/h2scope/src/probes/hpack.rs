@@ -5,15 +5,13 @@
 
 // h2check: allow-file(index) — indices bounded by the response-count checks above each use
 
-use serde::{Deserialize, Serialize};
-
 use h2wire::{Frame, Settings};
 
 use crate::client::ProbeConn;
 use crate::target::Target;
 
 /// Result of the HPACK probe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HpackReport {
     /// Compression ratio r (equation 1 in the paper).
     pub ratio: f64,

@@ -11,15 +11,13 @@ pub mod priority;
 pub mod push;
 pub mod settings;
 
-use serde::{Deserialize, Serialize};
-
 use crate::client::TimedFrame;
 use h2wire::Frame;
 
 /// How a server reacted to a deliberately offending frame — the
 /// classification H2Scope applies across the flow-control and priority
 /// probes (§III-B3, §III-B4, §III-C2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reaction {
     /// No error frame came back; the server carried on.
     Ignored,

@@ -4,15 +4,13 @@
 
 // h2check: allow-file(index) — indices bounded by the response-count checks above each use
 
-use serde::{Deserialize, Serialize};
-
 use h2wire::{Frame, SettingId, Settings};
 
 use crate::client::ProbeConn;
 use crate::target::Target;
 
 /// Result of the multiplexing probe.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiplexingReport {
     /// Responses interleaved — the server processes requests in parallel.
     pub parallel: bool,

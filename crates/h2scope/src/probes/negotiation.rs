@@ -1,14 +1,12 @@
 //! ALPN/NPN negotiation probe (§IV-A): does the site speak HTTP/2, and
 //! through which TLS extension?
 
-use serde::{Deserialize, Serialize};
-
 use netsim::tls::{handshake, PROTO_H2, PROTO_HTTP11};
 
 use crate::target::Target;
 
 /// Result of the negotiation probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NegotiationReport {
     /// h2 selected via ALPN.
     pub alpn_h2: bool,

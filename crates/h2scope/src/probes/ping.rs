@@ -3,7 +3,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use h2wire::{Frame, PingFrame, Settings};
 use netsim::http1::{get_request, Http1Server};
@@ -15,7 +14,7 @@ use crate::client::ProbeConn;
 use crate::target::Target;
 
 /// Result of the PING support probe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PingReport {
     /// The server echoed the PING with ACK and identical payload.
     pub supported: bool,
@@ -24,7 +23,7 @@ pub struct PingReport {
 }
 
 /// One site's samples for all four estimators (Figure 6), in ms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RttComparison {
     /// HTTP/2 PING round trips.
     pub h2_ping: Vec<f64>,

@@ -19,8 +19,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use h2wire::{
     Frame, PriorityFrame, PrioritySpec, SettingId, Settings, StreamId, WindowUpdateFrame,
 };
@@ -43,7 +41,7 @@ const E: u32 = 11;
 const F: u32 = 13;
 
 /// Result of Algorithm 1 plus the self-dependency probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PriorityReport {
     /// Expected ordering holds judging by each stream's *last* DATA frame
     /// (the paper's 1,147 / 2,187 sites).

@@ -1,15 +1,13 @@
 //! Server push probe (§III-D): enable push, browse pages, look for
 //! PUSH_PROMISE frames.
 
-use serde::{Deserialize, Serialize};
-
 use h2wire::{Frame, SettingId, Settings};
 
 use crate::client::ProbeConn;
 use crate::target::Target;
 
 /// Result of the push probe.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PushReport {
     /// At least one PUSH_PROMISE was received.
     pub supported: bool,

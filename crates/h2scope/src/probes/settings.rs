@@ -2,8 +2,6 @@
 //! announces, plus the "announce zero, then WINDOW_UPDATE" pattern the
 //! paper observed on Nginx (Table V).
 
-use serde::{Deserialize, Serialize};
-
 use h2wire::{Frame, SettingId, Settings};
 
 use crate::client::ProbeConn;
@@ -11,7 +9,7 @@ use crate::target::Target;
 
 /// The server's announced SETTINGS, `None` meaning "not present in the
 /// frame" (the paper's NULL rows in Tables V–VII).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SettingsReport {
     /// `SETTINGS_HEADER_TABLE_SIZE`.
     pub header_table_size: Option<u32>,

@@ -1,8 +1,6 @@
 //! Reports: the per-server characterization (Table III) and the per-site
 //! scan record (the paper's measurement "database").
 
-use serde::{Deserialize, Serialize};
-
 use h2wire::{Frame, Settings};
 
 use crate::client::ProbeConn;
@@ -18,7 +16,7 @@ use crate::resilient::ProbeStats;
 use crate::target::Target;
 
 /// A full characterization of one server — a column of Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerCharacterization {
     /// Profile name ("Nginx", "LiteSpeed", ...).
     pub server: String,
@@ -44,7 +42,7 @@ pub struct ServerCharacterization {
 
 /// One scanned site's record — what H2Scope stores per site during the
 /// top-1M campaigns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteReport {
     /// The site's authority (synthetic rank-derived hostname in scans).
     pub authority: String,
@@ -72,7 +70,7 @@ pub struct SiteReport {
 
 /// Result of the HEADERS-returning probe: whether any HEADERS frame came
 /// back for a front-page request, and the `server` field if present.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeadersProbe {
     /// At least one HEADERS frame was received.
     pub headers_received: bool,

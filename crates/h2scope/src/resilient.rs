@@ -15,8 +15,6 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
 use h2fault::RetryPolicy;
 use netsim::time::SimDuration;
 
@@ -25,7 +23,7 @@ use crate::scope::H2Scope;
 use crate::target::Target;
 
 /// The first thing that went wrong on a probe connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeFailure {
     /// The simulated-time deadline elapsed before the exchange finished.
     Timeout,
@@ -37,7 +35,7 @@ pub enum ProbeFailure {
 
 /// Final classification of one site's survey — the taxonomy `bench`
 /// aggregates (§V-D "no response" rows come from `Timeout`, not quirks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeOutcome {
     /// Every probe exchange completed.
     Ok,
@@ -62,7 +60,7 @@ impl From<ProbeFailure> for ProbeOutcome {
 }
 
 /// Per-site resilience accounting carried on every [`SiteReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeStats {
     /// How the survey resolved.
     pub outcome: ProbeOutcome,

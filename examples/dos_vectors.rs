@@ -6,7 +6,7 @@
 //! cargo run --release --example dos_vectors
 //! ```
 
-use h2dos::{priority_churn, slow_receiver, table_thrash};
+use h2ready::dos::{priority_churn, slow_receiver, table_thrash};
 use h2ready::scope::Target;
 use h2ready::server::{ServerProfile, SiteSpec};
 
