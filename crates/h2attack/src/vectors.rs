@@ -9,7 +9,7 @@
 //! that probing a bound and simulating an attacker stay distinct jobs.
 
 use h2hpack::Header;
-use h2scope::{ProbeConn, Reaction, Target, TimedFrame};
+use h2scope::{classify_reaction, ProbeConn, Target};
 use h2wire::{
     DataFrame, ErrorCode, Frame, PingFrame, RstStreamFrame, SettingId, Settings, SettingsFrame,
     StreamId,
@@ -108,24 +108,6 @@ impl std::fmt::Display for AttackVector {
     }
 }
 
-/// First defensive frame wins, same taxonomy as the probe suite.
-fn classify(frames: &[TimedFrame]) -> Reaction {
-    for tf in frames {
-        match &tf.frame {
-            Frame::RstStream(_) => return Reaction::RstStream,
-            Frame::Goaway(g) => {
-                return if g.debug_data.is_empty() {
-                    Reaction::Goaway
-                } else {
-                    Reaction::GoawayWithDebug
-                };
-            }
-            _ => {}
-        }
-    }
-    Reaction::Ignored
-}
-
 /// Runs one vector against `target`, seeded so the whole engagement —
 /// connection randomness included — replays deterministically.
 pub fn run(vector: AttackVector, target: &Target, seed: u64) -> AttackReport {
@@ -165,7 +147,7 @@ fn rapid_reset(target: &Target, seed: u64) -> AttackReport {
         octets,
         canceled,
         "canceled requests",
-        classify(&conn.received),
+        classify_reaction(&conn.received),
     )
 }
 
@@ -203,7 +185,7 @@ fn continuation_flood(target: &Target, seed: u64) -> AttackReport {
         octets,
         buffered,
         "buffered octets",
-        classify(&conn.received),
+        classify_reaction(&conn.received),
     )
 }
 
@@ -220,14 +202,7 @@ fn slow_read(target: &Target, seed: u64) -> AttackReport {
         octets = octets.saturating_add(9 + header_len);
     }
     conn.exchange();
-    let leaked: u64 = conn
-        .received
-        .iter()
-        .filter_map(|tf| match &tf.frame {
-            Frame::Data(d) => Some(d.data.len() as u64),
-            _ => None,
-        })
-        .sum();
+    let leaked = dos::slow_receiver::data_octets(&conn.received);
     // Silence: the attacker holds the connection open without reading.
     conn.advance(SimDuration::from_secs(SLOW_READ_STALL_SECS));
     conn.send(Frame::Ping(PingFrame::request([0x51; 8])));
@@ -244,7 +219,7 @@ fn slow_read(target: &Target, seed: u64) -> AttackReport {
             .unwrap_or(0),
         leaked_octets: leaked,
     };
-    let mut report = AttackReport::from_slow_receiver(&folded, classify(&conn.received));
+    let mut report = AttackReport::from_slow_receiver(&folded, classify_reaction(&conn.received));
     report.attacker_frames = frames;
     report
 }
@@ -285,7 +260,7 @@ fn slow_post(target: &Target, seed: u64) -> AttackReport {
         octets,
         stalled,
         "stalled requests",
-        classify(&conn.received),
+        classify_reaction(&conn.received),
     )
 }
 
@@ -318,7 +293,7 @@ fn settings_flood(target: &Target, seed: u64) -> AttackReport {
         octets,
         acks,
         "acks extorted",
-        classify(&conn.received),
+        classify_reaction(&conn.received),
     )
 }
 
@@ -389,7 +364,7 @@ mod tests {
     fn slow_read_is_reaped_by_stall_timeouts() {
         let apache = Target::testbed(ServerProfile::apache(), SiteSpec::benchmark());
         let r = run(AttackVector::SlowRead, &apache, 0);
-        assert_eq!(r.reaction, Reaction::GoawayWithDebug, "{r:?}");
+        assert_eq!(r.reaction, h2scope::Reaction::GoawayWithDebug, "{r:?}");
     }
 
     #[test]

@@ -881,11 +881,6 @@ impl ConnectionCore {
     pub fn hpack_encoder(&self) -> &HpackEncoder {
         &self.encoder
     }
-
-    /// Direct mutable access to the HPACK encoder.
-    pub fn hpack_encoder_mut(&mut self) -> &mut HpackEncoder {
-        &mut self.encoder
-    }
 }
 
 #[cfg(test)]

@@ -82,11 +82,6 @@ impl Encoder {
         self.options.indexing
     }
 
-    /// Replaces the indexing policy.
-    pub fn set_indexing(&mut self, indexing: IndexingPolicy) {
-        self.options.indexing = indexing;
-    }
-
     /// Read-only view of the dynamic table (useful in tests and probes).
     pub fn table(&self) -> &DynamicTable {
         &self.table

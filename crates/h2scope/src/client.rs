@@ -50,7 +50,7 @@ pub struct ProbeConn {
     /// Every frame received so far, in arrival order.
     pub received: Vec<TimedFrame>,
     /// Deadline for the whole connection in simulated time (`None` =
-    /// legacy, fault-free pipeline: run to quiescence, panic on garbage).
+    /// testbed mode: run to quiescence, panic on garbage).
     deadline: Option<SimTime>,
     /// The connection hit a failure; further exchanges are no-ops.
     dead: bool,
@@ -137,11 +137,7 @@ impl ProbeConn {
 
     /// Sends one frame.
     pub fn send(&mut self, frame: Frame) {
-        self.obs
-            .frame_sent(frame.kind().to_u8(), self.pipe.now().as_nanos());
-        self.wire_scratch.clear();
-        frame.encode(&mut self.wire_scratch);
-        self.pipe.client_send(&self.wire_scratch);
+        self.send_all(std::slice::from_ref(&frame));
     }
 
     /// Sends several frames as one segment.
@@ -245,75 +241,46 @@ impl ProbeConn {
     /// fault log instead of panicking. A failed connection goes dead:
     /// later exchanges return nothing.
     pub fn exchange(&mut self) -> Vec<TimedFrame> {
-        let Some(deadline) = self.deadline else {
-            let arrivals = self.pipe.run_to_quiescence();
-            let mut new_frames = Vec::new();
-            for arrival in arrivals {
-                // Wrapping the delivery in `Bytes` is free (the Vec's
-                // heap block is adopted, not copied) and lets every DATA
-                // payload below be a refcounted slice of the segment.
-                let mut input = Bytes::from(arrival.bytes);
-                while let Some(frame) = self
-                    .decoder
-                    .next_frame_shared(&mut input)
-                    // Unparseable server output in testbed mode is an engine
-                    // bug, not a measurable behavior (see the method docs).
-                    // h2check: allow(panic) — testbed mode surfaces engine bugs
-                    .expect("server output parses")
-                {
-                    let headers = self
-                        .try_decode_block_of(&frame)
-                        // h2check: allow(panic) — testbed mode, same contract
-                        .unwrap_or_else(|e| panic!("{e}"));
-                    self.obs
-                        .frame_received(frame.kind().to_u8(), arrival.at.as_nanos());
-                    new_frames.push(TimedFrame {
-                        at: arrival.at,
-                        frame,
-                        headers,
-                    });
-                }
-                // If no decoded frame kept a slice of the segment alive
-                // (no DATA in it), hand the buffer back to the pipe's
-                // pool; otherwise the payload slices own it now.
-                if let Ok(buf) = input.try_into_vec() {
-                    self.pipe.recycle(buf);
-                }
-            }
-            self.received.extend(new_frames.iter().cloned());
-            return new_frames;
-        };
         if self.dead {
             return Vec::new();
         }
-        let (arrivals, outcome) = self.pipe.run_until(deadline);
+        let (arrivals, outcome) = match self.deadline {
+            Some(deadline) => self.pipe.run_until(deadline),
+            None => (self.pipe.run_to_quiescence(), RunOutcome::Quiescent),
+        };
         let mut new_frames = Vec::new();
         'arrivals: for arrival in arrivals {
+            // Wrapping the delivery in `Bytes` is free (the Vec's heap
+            // block is adopted, not copied) and lets every DATA payload
+            // below be a refcounted slice of the segment.
             let mut input = Bytes::from(arrival.bytes);
             loop {
-                match self.decoder.next_frame_shared(&mut input) {
-                    Ok(Some(frame)) => match self.try_decode_block_of(&frame) {
-                        Ok(headers) => {
-                            self.obs
-                                .frame_received(frame.kind().to_u8(), arrival.at.as_nanos());
-                            new_frames.push(TimedFrame {
-                                at: arrival.at,
-                                frame,
-                                headers,
-                            });
-                        }
-                        Err(_) => {
-                            self.fail(ProbeFailure::Malformed);
-                            break 'arrivals;
-                        }
-                    },
+                let frame = match self.decoder.next_frame_shared(&mut input) {
+                    Ok(Some(frame)) => frame,
                     Ok(None) => break,
-                    Err(_) => {
-                        self.fail(ProbeFailure::Malformed);
+                    Err(e) => {
+                        self.unparseable(&e);
                         break 'arrivals;
                     }
-                }
+                };
+                let headers = match self.try_decode_block_of(&frame) {
+                    Ok(headers) => headers,
+                    Err(e) => {
+                        self.unparseable(&e);
+                        break 'arrivals;
+                    }
+                };
+                self.obs
+                    .frame_received(frame.kind().to_u8(), arrival.at.as_nanos());
+                new_frames.push(TimedFrame {
+                    at: arrival.at,
+                    frame,
+                    headers,
+                });
             }
+            // If no decoded frame kept a slice of the segment alive (no
+            // DATA in it), hand the buffer back to the pipe's pool;
+            // otherwise the payload slices own it now.
             if let Ok(buf) = input.try_into_vec() {
                 self.pipe.recycle(buf);
             }
@@ -332,7 +299,7 @@ impl ProbeConn {
     /// Guarded mode: drains whatever is still in flight, then charges the
     /// remaining silence against the deadline — a probe that would
     /// otherwise conclude "no response" instead observes a timeout, which
-    /// is what the paper's scanner saw from the wild. Legacy mode: plain
+    /// is what the paper's scanner saw from the wild. Testbed mode: plain
     /// exchange.
     pub fn await_deadline(&mut self) -> Vec<TimedFrame> {
         let frames = self.exchange();
@@ -345,6 +312,17 @@ impl ProbeConn {
     /// `true` once the connection failed (guarded mode only).
     pub fn is_dead(&self) -> bool {
         self.dead
+    }
+
+    /// The server sent bytes that do not parse. Guarded mode records the
+    /// failure; in testbed mode it is an engine bug, not a measurable
+    /// behavior (see [`ProbeConn::exchange`]).
+    fn unparseable(&mut self, what: &dyn std::fmt::Display) {
+        if self.deadline.is_none() {
+            // h2check: allow(panic) — testbed mode surfaces engine bugs
+            panic!("server output parses: {what}");
+        }
+        self.fail(ProbeFailure::Malformed);
     }
 
     fn fail(&mut self, failure: ProbeFailure) {
@@ -366,36 +344,28 @@ impl ProbeConn {
     ) -> Result<Option<std::sync::Arc<Vec<Header>>>, &'static str> {
         use h2conn::BlockKind;
         let complete = match frame {
-            Frame::Headers(h) => self
-                .assembler
-                .start(
-                    h.stream_id,
-                    BlockKind::Headers,
-                    &h.fragment,
-                    h.end_stream,
-                    h.end_headers,
-                    h.priority,
-                )
-                .map_err(|_| "server respects continuation discipline")?,
-            Frame::PushPromise(p) => self
-                .assembler
-                .start(
-                    p.stream_id,
-                    BlockKind::PushPromise {
-                        promised: p.promised_stream_id,
-                    },
-                    &p.fragment,
-                    false,
-                    p.end_headers,
-                    None,
-                )
-                .map_err(|_| "server respects continuation discipline")?,
-            Frame::Continuation(c) => self
-                .assembler
-                .continuation(c)
-                .map_err(|_| "server respects continuation discipline")?,
-            _ => None,
-        };
+            Frame::Headers(h) => self.assembler.start(
+                h.stream_id,
+                BlockKind::Headers,
+                &h.fragment,
+                h.end_stream,
+                h.end_headers,
+                h.priority,
+            ),
+            Frame::PushPromise(p) => self.assembler.start(
+                p.stream_id,
+                BlockKind::PushPromise {
+                    promised: p.promised_stream_id,
+                },
+                &p.fragment,
+                false,
+                p.end_headers,
+                None,
+            ),
+            Frame::Continuation(c) => self.assembler.continuation(c),
+            _ => return Ok(None),
+        }
+        .map_err(|_| "server respects continuation discipline")?;
         match complete {
             Some(block) => Ok(Some(std::sync::Arc::new(
                 self.hpack_decoder
@@ -547,6 +517,49 @@ mod tests {
         }
         assert_eq!(sizes.len(), 2);
         assert!(sizes[1] < sizes[0], "indexed second response is smaller");
+    }
+
+    #[test]
+    fn guarded_connection_records_one_malformed_and_keeps_earlier_frames() {
+        use netsim::time::SimDuration;
+        let guarded = |profile: ServerProfile| {
+            let mut target = Target::testbed(profile, SiteSpec::benchmark());
+            target.patience = Some(SimDuration::from_secs(30));
+            target
+        };
+        // A greeting that is not HTTP/2 at all: nothing decodes, one
+        // failure is logged, and the dead connection stays quiet.
+        let mut profile = ServerProfile::rfc7540();
+        profile.behavior.byzantine = Some(h2fault::ByzantineSpec {
+            garbage_preface: true,
+            ..h2fault::ByzantineSpec::default()
+        });
+        let target = guarded(profile);
+        let mut conn = ProbeConn::establish(&target, Settings::new(), 1);
+        assert!(conn.exchange().is_empty());
+        assert!(conn.is_dead());
+        assert!(conn.exchange().is_empty() && conn.received.is_empty());
+        assert_eq!(target.fault_log.len(), 1);
+        assert_eq!(target.fault_log.first(), Some(ProbeFailure::Malformed));
+
+        // A segment that goes bad part-way (a DATA frame this decoder
+        // refuses, behind the response HEADERS): the frames before the
+        // bad one are returned and retained, the rest is dropped.
+        let target = guarded(ServerProfile::rfc7540());
+        let mut conn = ProbeConn::establish(&target, Settings::new(), 1);
+        conn.exchange();
+        let handshake = conn.received.len();
+        conn.decoder.set_max_frame_size(1_024);
+        conn.get(1, "/big/0", None);
+        let frames = conn.exchange();
+        assert!(matches!(
+            frames.last().map(|tf| &tf.frame),
+            Some(Frame::Headers(h)) if h.stream_id.value() == 1
+        ));
+        assert_eq!(conn.received[handshake..], frames[..]);
+        assert!(conn.is_dead());
+        assert_eq!(target.fault_log.len(), 1);
+        assert_eq!(target.fault_log.first(), Some(ProbeFailure::Malformed));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod trace;
 
 pub use client::{ProbeConn, TimedFrame};
 pub use h2obs::{Obs, ProbeKind};
-pub use probes::Reaction;
+pub use probes::{classify_reaction, Reaction};
 pub use report::{ServerCharacterization, SiteReport};
 pub use resilient::{
     survey_with_retries, FaultLog, ProbeFailure, ProbeOutcome, ProbeStats, MAX_RETRY_BACKOFF,

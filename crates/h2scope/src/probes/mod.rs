@@ -42,8 +42,9 @@ impl std::fmt::Display for Reaction {
     }
 }
 
-/// Classifies the frames received after sending an offending frame.
-pub(crate) fn classify_reaction(frames: &[TimedFrame]) -> Reaction {
+/// Classifies the frames received after sending an offending frame: the
+/// first defensive frame wins.
+pub fn classify_reaction(frames: &[TimedFrame]) -> Reaction {
     for tf in frames {
         match &tf.frame {
             Frame::RstStream(_) => return Reaction::RstStream,

@@ -128,20 +128,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn declined_upgrade_still_gets_an_http1_response() {
+    /// What a cleartext server answers to an `Upgrade: h2c` request.
+    fn upgrade_answer(profile: ServerProfile) -> Vec<u8> {
         use h2server::H2Server;
         use netsim::Pipe;
-        let target = Target::testbed(ServerProfile::nginx(), SiteSpec::benchmark());
+        let target = Target::testbed(profile, SiteSpec::benchmark());
         let server = H2Server::new_cleartext(target.profile.clone(), target.site.clone());
         let mut pipe = Pipe::connect(server, target.link, 1);
         pipe.client_send(b"GET / HTTP/1.1\r\nHost: x\r\nUpgrade: h2c\r\n\r\n");
         let arrivals = pipe.run_to_quiescence();
-        let text: Vec<u8> = arrivals.into_iter().flat_map(|a| a.bytes).collect();
+        arrivals.into_iter().flat_map(|a| a.bytes).collect()
+    }
+
+    /// Every line of an HTTP/1.1 head ends in CRLF (RFC 7230 §3).
+    fn has_no_bare_lf(head: &[u8]) -> bool {
+        (0..head.len()).all(|i| head[i] != b'\n' || (i > 0 && head[i - 1] == b'\r'))
+    }
+
+    #[test]
+    fn switching_protocols_head_is_crlf_terminated() {
+        let head = upgrade_answer(ServerProfile::h2o());
+        assert!(head.starts_with(b"HTTP/1.1 101 Switching Protocols\r\n"));
+        assert!(head.ends_with(b"Upgrade: h2c\r\n\r\n"), "RFC 7540 §3.2");
+        assert!(has_no_bare_lf(&head));
+    }
+
+    #[test]
+    fn declined_upgrade_still_gets_an_http1_response() {
+        let text = upgrade_answer(ServerProfile::nginx());
         assert!(
-            text.starts_with(b"HTTP/1.1 200 OK"),
+            text.starts_with(b"HTTP/1.1 200 OK\r\n"),
             "plain HTTP/1.1 service"
         );
+        let head_end = text.windows(4).position(|w| w == b"\r\n\r\n");
+        let head_end = head_end.expect("head ends in an empty line") + 4;
+        assert!(has_no_bare_lf(&text[..head_end]));
     }
 
     #[test]

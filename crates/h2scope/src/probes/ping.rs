@@ -7,7 +7,6 @@ use rand::SeedableRng;
 use h2wire::{Frame, PingFrame, Settings};
 use netsim::http1::{get_request, Http1Server};
 use netsim::rtt::{icmp_rtt, tcp_handshake_rtt};
-use netsim::time::SimDuration;
 use netsim::Pipe;
 
 use crate::client::ProbeConn;
@@ -115,15 +114,11 @@ pub fn median(samples: &[f64]) -> f64 {
     }
 }
 
-/// A processing-delay-free duration helper for tests.
-pub fn to_ms(d: SimDuration) -> f64 {
-    d.as_millis_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use h2server::{ServerProfile, SiteSpec};
+    use netsim::time::SimDuration;
     use netsim::LinkSpec;
 
     fn wan_target(delay_ms: u64) -> Target {

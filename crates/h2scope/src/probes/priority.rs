@@ -115,11 +115,6 @@ pub fn algorithm1(target: &Target) -> PriorityReport {
 
     // Step 2: submit the probe requests with the Table I dependency tree:
     // A at the root (weight 1); B, C, D under A; E under B; F under D.
-    let dep = |parent: u32| PrioritySpec {
-        exclusive: false,
-        dependency: StreamId::new(parent),
-        weight: 1,
-    };
     conn.get(A, "/big/1", Some(dep(0)));
     conn.get(B, "/big/2", Some(dep(A)));
     conn.get(C, "/big/3", Some(dep(A)));
@@ -134,10 +129,39 @@ pub fn algorithm1(target: &Target) -> PriorityReport {
             .iter()
             .any(|tf| matches!(tf.frame, Frame::Headers(_)));
 
-    // Step 3: reprioritize with PRIORITY frames into the §V-E target
-    // tree: D at the root, A under D (exclusively, adopting F), E moved
-    // under C. Expected service order: D first, then A, then {B, C, F},
-    // with E after C.
+    // Step 3: reprioritize while the server cannot send DATA.
+    reprioritize(&mut conn);
+    conn.exchange();
+
+    // Step 4: reopen the connection window and observe DATA ordering.
+    conn.send(Frame::WindowUpdate(WindowUpdateFrame {
+        stream_id: StreamId::CONNECTION,
+        increment: 0x7fff_fffe,
+    }));
+    let (by_last_frame, by_first_frame) = observe_ordering(&mut conn);
+    PriorityReport {
+        by_last_frame,
+        by_first_frame,
+        by_both: by_last_frame && by_first_frame,
+        headers_blocked_at_zero_conn_window: headers_blocked,
+        self_dependency: self_dependency(target),
+    }
+}
+
+/// A non-exclusive, weight-1 dependency on `parent` (Table I's edges).
+fn dep(parent: u32) -> PrioritySpec {
+    PrioritySpec {
+        exclusive: false,
+        dependency: StreamId::new(parent),
+        weight: 1,
+    }
+}
+
+/// Reprioritizes with PRIORITY frames into the §V-E target tree: D at
+/// the root, A under D (exclusively, adopting F), E moved under C.
+/// Expected service order: D first, then A, then {B, C, F}, with E
+/// after C.
+fn reprioritize(conn: &mut ProbeConn) {
     conn.send_all(&[
         Frame::Priority(PriorityFrame {
             stream_id: StreamId::new(D),
@@ -147,8 +171,7 @@ pub fn algorithm1(target: &Target) -> PriorityReport {
             stream_id: StreamId::new(A),
             spec: PrioritySpec {
                 exclusive: true,
-                dependency: StreamId::new(D),
-                weight: 1,
+                ..dep(D)
             },
         }),
         Frame::Priority(PriorityFrame {
@@ -156,13 +179,11 @@ pub fn algorithm1(target: &Target) -> PriorityReport {
             spec: dep(C),
         }),
     ]);
-    conn.exchange();
+}
 
-    // Step 4: reopen the connection window and observe DATA ordering.
-    conn.send(Frame::WindowUpdate(WindowUpdateFrame {
-        stream_id: StreamId::CONNECTION,
-        increment: 0x7fff_fffe,
-    }));
+/// Runs the connection to silence and judges the DATA ordering by each
+/// stream's last and by its first frame: `(by_last, by_first)`.
+fn observe_ordering(conn: &mut ProbeConn) -> (bool, bool) {
     let mut first: HashMap<u32, usize> = HashMap::new();
     let mut last: HashMap<u32, usize> = HashMap::new();
     let mut index = 0usize;
@@ -180,16 +201,7 @@ pub fn algorithm1(target: &Target) -> PriorityReport {
             }
         }
     }
-
-    let by_last_frame = ordering_holds(&last);
-    let by_first_frame = ordering_holds(&first);
-    PriorityReport {
-        by_last_frame,
-        by_first_frame,
-        by_both: by_last_frame && by_first_frame,
-        headers_blocked_at_zero_conn_window: headers_blocked,
-        self_dependency: self_dependency(target),
-    }
+    (ordering_holds(&last), ordering_holds(&first))
 }
 
 /// The §V-E ordering rules on a per-stream index map:
@@ -224,11 +236,6 @@ pub fn naive_order_check(target: &Target) -> PriorityReport {
     let settings = Settings::new().with(SettingId::InitialWindowSize, 0x7fff_ffff);
     let mut conn = ProbeConn::establish(target, settings, 0xa191);
     conn.exchange();
-    let dep = |parent: u32| PrioritySpec {
-        exclusive: false,
-        dependency: StreamId::new(parent),
-        weight: 1,
-    };
     // Same tree as Algorithm 1, but requests flow immediately: each
     // exchange lets the server serve whatever arrived so far.
     conn.get(A, "/big/1", Some(dep(0)));
@@ -239,44 +246,8 @@ pub fn naive_order_check(target: &Target) -> PriorityReport {
     conn.get(D, "/big/4", Some(dep(A)));
     conn.get(E, "/big/5", Some(dep(B)));
     conn.get(F, "/big/6", Some(dep(D)));
-    conn.send_all(&[
-        Frame::Priority(PriorityFrame {
-            stream_id: StreamId::new(D),
-            spec: dep(0),
-        }),
-        Frame::Priority(PriorityFrame {
-            stream_id: StreamId::new(A),
-            spec: PrioritySpec {
-                exclusive: true,
-                dependency: StreamId::new(D),
-                weight: 1,
-            },
-        }),
-        Frame::Priority(PriorityFrame {
-            stream_id: StreamId::new(E),
-            spec: dep(C),
-        }),
-    ]);
-
-    let mut first: HashMap<u32, usize> = HashMap::new();
-    let mut last: HashMap<u32, usize> = HashMap::new();
-    let mut index = 0usize;
-    loop {
-        let frames = conn.exchange();
-        if frames.is_empty() {
-            break;
-        }
-        for tf in &frames {
-            if let Frame::Data(d) = &tf.frame {
-                let sid = d.stream_id.value();
-                first.entry(sid).or_insert(index);
-                last.insert(sid, index);
-                index += 1;
-            }
-        }
-    }
-    let by_last_frame = ordering_holds(&last);
-    let by_first_frame = ordering_holds(&first);
+    reprioritize(&mut conn);
+    let (by_last_frame, by_first_frame) = observe_ordering(&mut conn);
     PriorityReport {
         by_last_frame,
         by_first_frame,

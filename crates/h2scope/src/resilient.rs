@@ -11,7 +11,8 @@
 //! timeout-derived "no response" rows from behavioral quirks (§V-D).
 //!
 //! With no faults configured (`Target::patience == None`) none of this is
-//! active and the scan byte-stream is identical to the legacy pipeline.
+//! active: connections run in testbed mode (to quiescence, panicking on
+//! unparseable server output).
 
 use std::sync::{Arc, Mutex, PoisonError};
 

@@ -40,11 +40,6 @@ impl H2Scope {
         H2Scope::default()
     }
 
-    /// A scope with explicit configuration.
-    pub fn with_config(config: ScopeConfig) -> H2Scope {
-        H2Scope { config }
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &ScopeConfig {
         &self.config

@@ -262,7 +262,13 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
             .cloned()
             .ok_or_else(|| err(format!("missing field {key}")))
     };
-    let get_bool = |key: &str| -> Result<bool, ParseReportError> { Ok(get(key)? == "1") };
+    let get_bool = |key: &str| -> Result<bool, ParseReportError> {
+        match get(key)?.as_str() {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            other => Err(err(format!("bad {key}: {other:?} is neither 0 nor 1"))),
+        }
+    };
     let get_opt = |key: &str| -> Result<Option<u32>, ParseReportError> {
         parse_opt_u32(&get(key)?).map_err(&err)
     };

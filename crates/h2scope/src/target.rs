@@ -79,8 +79,8 @@ pub struct Target {
     /// (fault campaigns only; empty in testbed mode).
     pub pipe_faults: PipeFaults,
     /// Per-connection probe deadline in simulated time. `None` (the
-    /// default) selects the legacy run-to-quiescence pipeline, which is
-    /// bit-identical to pre-fault builds; `Some` arms the resilient path:
+    /// default) is testbed mode: connections run to quiescence and panic
+    /// on unparseable server output; `Some` arms the resilient path:
     /// exchanges stop at the deadline and failures are recorded in
     /// [`Target::fault_log`] instead of panicking.
     pub patience: Option<SimDuration>,

@@ -144,6 +144,30 @@ proptest! {
         prop_assert_eq!(loaded, reports);
     }
 
+    /// A flag byte that is neither `0` nor `1` is a parse error, never a
+    /// silent `false`: replacing any boolean field's value with another
+    /// token makes the whole line unreadable.
+    #[test]
+    fn corrupted_flag_values_are_rejected(
+        report in arb_report(),
+        // Any printable token without a field separator, except `0` and `1`.
+        token in prop_oneof!["[ -/2-{}~]{0,1}", "[ -{}~]{2,3}"],
+    ) {
+        let line = write_report(&report);
+        for key in [
+            "alpn", "npn", "hdrs", "st.recv", "st.zwtu", "fc.hzw", "pr.last", "pr.first",
+            "pr.both", "pr.blocked", "pu.sup",
+        ] {
+            // Boolean values are a single digit; `server=` always follows
+            // `hdrs=`, so every key is followed by a separator.
+            let Some(at) = line.find(&format!("|{key}=")) else { continue };
+            let value_at = at + key.len() + 2;
+            let mut corrupted = line.clone();
+            corrupted.replace_range(value_at..value_at + 1, &token);
+            prop_assert!(read_report(&corrupted).is_err(), "{key}={token:?} parsed");
+        }
+    }
+
     /// Arbitrary garbage never panics the parser.
     #[test]
     fn parser_never_panics(noise in "[ -~|=\\\\]{0,120}") {

@@ -98,13 +98,6 @@ impl PushPolicy {
             PushPolicy::OverPush => "over-push",
         }
     }
-
-    /// Parses a [`PushPolicy::name`].
-    pub fn from_name(name: &str) -> Option<PushPolicy> {
-        PushPolicy::ALL_POLICIES
-            .into_iter()
-            .find(|p| p.name() == name)
-    }
 }
 
 /// The full behavior matrix for one server implementation.

@@ -15,6 +15,7 @@ use h2wire::{
     encode_all_into, ErrorCode, Frame, GoawayFrame, PingFrame, RstStreamFrame, SettingsFrame,
     StreamId, WindowUpdateFrame, CONNECTION_PREFACE,
 };
+use netsim::http1::write_response_head;
 use netsim::pipe::ByteEndpoint;
 use netsim::time::{SimDuration, SimTime};
 
@@ -1119,12 +1120,10 @@ impl H2Server {
                 Header::new(":authority", host),
             ]);
             self.preface = leftover; // may already hold the preface
-            out.extend_from_slice(
-                b"HTTP/1.1 101 Switching Protocols
-Connection: Upgrade
-Upgrade: h2c
-
-",
+            write_response_head(
+                out,
+                "101 Switching Protocols",
+                &[("Connection", &"Upgrade"), ("Upgrade", &"h2c")],
             );
             if !self.preface.is_empty() {
                 let buffered = std::mem::take(&mut self.preface);
@@ -1139,17 +1138,14 @@ Upgrade: h2c
             None => ("404 Not Found", Bytes::from_static(b"not found")),
         };
         self.closed = true;
-        use std::io::Write as _;
-        let _ = write!(
+        write_response_head(
             out,
-            "HTTP/1.1 {status}
-Server: {}
-Content-Length: {}
-Connection: close
-
-",
-            self.behavior().server_name,
-            body.len()
+            status,
+            &[
+                ("Server", &self.behavior().server_name),
+                ("Content-Length", &body.len()),
+                ("Connection", &"close"),
+            ],
         );
         out.extend_from_slice(&body);
     }

@@ -2,25 +2,26 @@
 
 // h2check: allow-file(index) — dense wire codec; lengths verified before fixed-offset reads
 
+use std::ops::Range;
+
 use bytes::Bytes;
 
 use crate::error::DecodeFrameError;
 use crate::frame::Frame;
 use crate::header::{FrameHeader, FRAME_HEADER_LEN};
 
-/// Attempts to decode a single frame from the front of `buf`.
-///
-/// Returns `Ok(None)` when more bytes are needed, or `Ok(Some((frame,
-/// consumed)))` on success.
-///
-/// # Errors
-///
-/// Propagates structural violations from [`Frame::decode`], and rejects
-/// frames whose declared payload length exceeds `max_frame_size` before
-/// buffering the payload (RFC 7540 §4.2).
-pub fn decode_one(
+/// The one decode routine behind [`decode_one`] and both streaming entry
+/// points. Answers "is there a complete, admissible frame at the front of
+/// `buf`, and where does it end?" — `Ok(None)` means more bytes are
+/// needed, and a declared length above `max_frame_size` is refused from
+/// the header alone (RFC 7540 §4.2) — then lets `payload` materialise the
+/// frame from its header and payload range, and applies the opt-in
+/// zero-increment check (RFC 7540 §6.9).
+fn decode_front(
     buf: &[u8],
     max_frame_size: u32,
+    reject_zero_window_update: bool,
+    payload: impl FnOnce(FrameHeader, Range<usize>) -> Result<Frame, DecodeFrameError>,
 ) -> Result<Option<(Frame, usize)>, DecodeFrameError> {
     if buf.len() < FRAME_HEADER_LEN {
         return Ok(None);
@@ -36,8 +37,30 @@ pub fn decode_one(
     if buf.len() < total {
         return Ok(None);
     }
-    let frame = Frame::decode(header, &buf[FRAME_HEADER_LEN..total])?;
+    let frame = payload(header, FRAME_HEADER_LEN..total)?;
+    if reject_zero_window_update && matches!(&frame, Frame::WindowUpdate(wu) if wu.increment == 0) {
+        return Err(DecodeFrameError::InvalidWindowIncrement);
+    }
     Ok(Some((frame, total)))
+}
+
+/// Attempts to decode a single frame from the front of `buf`.
+///
+/// Returns `Ok(None)` when more bytes are needed, or `Ok(Some((frame,
+/// consumed)))` on success.
+///
+/// # Errors
+///
+/// Propagates structural violations from [`Frame::decode`], and rejects
+/// frames whose declared payload length exceeds `max_frame_size` before
+/// buffering the payload (RFC 7540 §4.2).
+pub fn decode_one(
+    buf: &[u8],
+    max_frame_size: u32,
+) -> Result<Option<(Frame, usize)>, DecodeFrameError> {
+    decode_front(buf, max_frame_size, false, |header, range| {
+        Frame::decode(header, &buf[range])
+    })
 }
 
 /// A stateful decoder that accumulates bytes and yields complete frames.
@@ -118,17 +141,12 @@ impl FrameDecoder {
     /// the decoder's buffer is cleared because RFC 7540 treats most framing
     /// errors as connection errors.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeFrameError> {
-        match decode_one(&self.buf[self.pos..], self.max_frame_size) {
+        let buf = &self.buf[self.pos..];
+        let strict = self.reject_zero_window_update;
+        match decode_front(buf, self.max_frame_size, strict, |header, range| {
+            Frame::decode(header, &buf[range])
+        }) {
             Ok(Some((frame, consumed))) => {
-                if self.reject_zero_window_update {
-                    if let Frame::WindowUpdate(wu) = &frame {
-                        if wu.increment == 0 {
-                            self.buf.clear();
-                            self.pos = 0;
-                            return Err(DecodeFrameError::InvalidWindowIncrement);
-                        }
-                    }
-                }
                 self.pos += consumed;
                 if self.pos == self.buf.len() {
                     self.buf.clear();
@@ -145,70 +163,18 @@ impl FrameDecoder {
         }
     }
 
-    /// Streaming decode that borrows from `input` instead of buffering it.
+    /// Streaming decode over a shared, refcounted segment.
     ///
     /// Complete frames at the front of `input` are decoded in place —
     /// `input` is advanced past each one — so fully-framed segments (the
     /// overwhelmingly common case on this workspace's simulated
     /// transport, which never splits an endpoint's output batch) cost no
-    /// copy into the decoder at all. Only a trailing partial frame is
-    /// copied into the internal buffer; it completes on a later call.
-    /// `Ok(None)` means `input` is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`FrameDecoder::next_frame`]: the first
-    /// structural violation is returned and all buffered *and* remaining
-    /// `input` bytes are discarded (framing errors are connection
-    /// errors).
-    pub fn next_frame_in(&mut self, input: &mut &[u8]) -> Result<Option<Frame>, DecodeFrameError> {
-        if self.buffered_len() > 0 {
-            // A partial frame is already buffered: complete it the
-            // buffered way. Rare, so the copy is acceptable.
-            if !input.is_empty() {
-                self.feed(input);
-                *input = &[];
-            }
-            return self.next_frame();
-        }
-        match decode_one(input, self.max_frame_size) {
-            Ok(Some((frame, consumed))) => {
-                if self.reject_zero_window_update {
-                    if let Frame::WindowUpdate(wu) = &frame {
-                        if wu.increment == 0 {
-                            *input = &[];
-                            return Err(DecodeFrameError::InvalidWindowIncrement);
-                        }
-                    }
-                }
-                *input = &input[consumed..];
-                Ok(Some(frame))
-            }
-            Ok(None) => {
-                if !input.is_empty() {
-                    self.feed(input);
-                    *input = &[];
-                }
-                Ok(None)
-            }
-            Err(err) => {
-                *input = &[];
-                Err(err)
-            }
-        }
-    }
-
-    /// Streaming decode over a shared, refcounted segment.
-    ///
-    /// Like [`FrameDecoder::next_frame_in`], but because `input` is a
-    /// [`Bytes`] view the decoder can hand DATA frames a zero-copy slice
-    /// of the segment ([`Frame::decode_shared`]) instead of copying each
-    /// payload out. On a bulk download this removes the last per-frame
-    /// copy on the receive side: the segment arrives once and every DATA
-    /// body is a refcount bump into it. `input` is advanced past each
-    /// decoded frame; a trailing partial frame is copied into the
-    /// internal buffer and completes on a later call. `Ok(None)` means
-    /// `input` is exhausted.
+    /// copy into the decoder at all, and because `input` is a [`Bytes`]
+    /// view every DATA frame gets a zero-copy slice of the segment
+    /// ([`Frame::decode_shared`]): on a bulk download the segment arrives
+    /// once and every DATA body is a refcount bump into it. Only a
+    /// trailing partial frame is copied into the internal buffer; it
+    /// completes on a later call. `Ok(None)` means `input` is exhausted.
     ///
     /// # Errors
     ///
@@ -229,46 +195,24 @@ impl FrameDecoder {
             }
             return self.next_frame();
         }
-        let buf: &[u8] = input.as_ref();
-        if buf.len() < FRAME_HEADER_LEN {
-            if !buf.is_empty() {
-                self.feed(buf);
-                *input = Bytes::new();
-            }
-            return Ok(None);
-        }
-        let header = match FrameHeader::decode(buf) {
-            Ok(header) => header,
-            Err(err) => {
-                *input = Bytes::new();
-                return Err(err);
-            }
-        };
-        if header.length > self.max_frame_size {
-            *input = Bytes::new();
-            return Err(DecodeFrameError::FrameTooLarge {
-                length: header.length,
-                max: self.max_frame_size,
-            });
-        }
-        let total = FRAME_HEADER_LEN + header.length as usize;
-        if buf.len() < total {
-            self.feed(buf);
-            *input = Bytes::new();
-            return Ok(None);
-        }
-        match Frame::decode_shared(header, input.slice(FRAME_HEADER_LEN..total)) {
-            Ok(frame) => {
-                if self.reject_zero_window_update {
-                    if let Frame::WindowUpdate(wu) = &frame {
-                        if wu.increment == 0 {
-                            *input = Bytes::new();
-                            return Err(DecodeFrameError::InvalidWindowIncrement);
-                        }
-                    }
-                }
-                *input = input.slice(total..);
+        let segment = &*input;
+        let strict = self.reject_zero_window_update;
+        match decode_front(segment, self.max_frame_size, strict, |header, range| {
+            Frame::decode_shared(header, segment.slice(range))
+        }) {
+            Ok(Some((frame, consumed))) => {
+                *input = input.slice(consumed..);
                 Ok(Some(frame))
+            }
+            // An exhausted `input` is left as it is (still the sole owner
+            // of its segment, so the caller can recycle the buffer); a
+            // partial tail is copied out and completes on a later call.
+            Ok(None) => {
+                if !input.is_empty() {
+                    self.feed(input);
+                    *input = Bytes::new();
+                }
+                Ok(None)
             }
             Err(err) => {
                 *input = Bytes::new();

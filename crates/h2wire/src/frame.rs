@@ -182,14 +182,6 @@ impl PingFrame {
             payload,
         }
     }
-
-    /// The acknowledgement for a received ping.
-    pub fn ack_of(&self) -> PingFrame {
-        PingFrame {
-            ack: true,
-            payload: self.payload,
-        }
-    }
 }
 
 /// A GOAWAY frame (RFC 7540 §6.8).
@@ -484,35 +476,16 @@ impl Frame {
     /// becomes a zero-copy [`Bytes::slice`] of `payload` instead of a
     /// fresh allocation — DATA carries virtually all transferred octets,
     /// so the receive path of a bulk download does no per-frame payload
-    /// copies at all. Other frame kinds are small and delegate to the
-    /// slice-based decoder unchanged.
+    /// copies at all. Other frame kinds are small and are copied out, so
+    /// a segment without DATA is not kept alive by its frames.
     ///
     /// # Errors
     ///
     /// Same contract as [`Frame::decode`].
     pub fn decode_shared(header: FrameHeader, payload: Bytes) -> Result<Frame, DecodeFrameError> {
-        if header.kind == FrameKind::Data {
-            if payload.len() as u32 != header.length {
-                return Err(DecodeFrameError::Truncated);
-            }
-            if header.stream_id.is_connection() {
-                return Err(DecodeFrameError::InvalidStreamId {
-                    kind: header.kind.to_u8(),
-                    stream_id: 0,
-                });
-            }
-            let (pad_len, body_range) = match strip_padding(&header, payload.as_ref())? {
-                (None, body) => (None, 0..body.len()),
-                (Some(pad), body) => (Some(pad), 1..1 + body.len()),
-            };
-            return Ok(Frame::Data(DataFrame {
-                stream_id: header.stream_id,
-                data: payload.slice(body_range),
-                end_stream: header.has_flag(flags::END_STREAM),
-                pad_len,
-            }));
-        }
-        Frame::decode(header, payload.as_ref())
+        Frame::decode_with(header, &payload, |body, at| {
+            payload.slice(at..at + body.len())
+        })
     }
 
     /// Decodes a frame from a header plus its complete payload.
@@ -524,6 +497,17 @@ impl Frame {
     /// stream-scoped frames (or nonzero on connection-scoped frames),
     /// padding overruns, or invalid SETTINGS values.
     pub fn decode(header: FrameHeader, payload: &[u8]) -> Result<Frame, DecodeFrameError> {
+        Frame::decode_with(header, payload, |body, _| Bytes::copy_from_slice(body))
+    }
+
+    /// The one payload decoder: `data_body` materialises a DATA frame's
+    /// body, given the body and its offset within `payload` (so it can be
+    /// a copy or a shared slice).
+    fn decode_with(
+        header: FrameHeader,
+        payload: &[u8],
+        data_body: impl FnOnce(&[u8], usize) -> Bytes,
+    ) -> Result<Frame, DecodeFrameError> {
         if payload.len() as u32 != header.length {
             return Err(DecodeFrameError::Truncated);
         }
@@ -537,6 +521,10 @@ impl Frame {
             } else {
                 Ok(())
             }
+        };
+        let invalid_length = || DecodeFrameError::InvalidLength {
+            kind: kind_byte,
+            length: header.length,
         };
         let require_connection = |hdr: &FrameHeader| {
             if !hdr.stream_id.is_connection() {
@@ -553,9 +541,10 @@ impl Frame {
             FrameKind::Data => {
                 require_stream(&header)?;
                 let (pad_len, body) = strip_padding(&header, payload)?;
+                // The body follows the pad-length octet when there is one.
                 Ok(Frame::Data(DataFrame {
                     stream_id: header.stream_id,
-                    data: Bytes::copy_from_slice(body),
+                    data: data_body(body, usize::from(pad_len.is_some())),
                     end_stream: header.has_flag(flags::END_STREAM),
                     pad_len,
                 }))
@@ -567,10 +556,7 @@ impl Frame {
                     // Too short for the priority fields the flag promises:
                     // a frame size error (RFC 7540 §4.2), not a truncation.
                     if body.len() < 5 {
-                        return Err(DecodeFrameError::InvalidLength {
-                            kind: kind_byte,
-                            length: header.length,
-                        });
+                        return Err(invalid_length());
                     }
                     let spec = PrioritySpec::decode(body)?;
                     (Some(spec), &body[5..])
@@ -589,10 +575,7 @@ impl Frame {
             FrameKind::Priority => {
                 require_stream(&header)?;
                 if header.length != 5 {
-                    return Err(DecodeFrameError::InvalidLength {
-                        kind: kind_byte,
-                        length: header.length,
-                    });
+                    return Err(invalid_length());
                 }
                 Ok(Frame::Priority(PriorityFrame {
                     stream_id: header.stream_id,
@@ -602,10 +585,7 @@ impl Frame {
             FrameKind::RstStream => {
                 require_stream(&header)?;
                 if header.length != 4 {
-                    return Err(DecodeFrameError::InvalidLength {
-                        kind: kind_byte,
-                        length: header.length,
-                    });
+                    return Err(invalid_length());
                 }
                 let code = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
                 Ok(Frame::RstStream(RstStreamFrame {
@@ -628,10 +608,7 @@ impl Frame {
                 // Too short for the promised stream id: a frame size
                 // error (RFC 7540 §4.2), not a truncation.
                 if body.len() < 4 {
-                    return Err(DecodeFrameError::InvalidLength {
-                        kind: kind_byte,
-                        length: header.length,
-                    });
+                    return Err(invalid_length());
                 }
                 let promised = u32::from_be_bytes([body[0], body[1], body[2], body[3]]);
                 Ok(Frame::PushPromise(PushPromiseFrame {
@@ -645,10 +622,7 @@ impl Frame {
             FrameKind::Ping => {
                 require_connection(&header)?;
                 if header.length != 8 {
-                    return Err(DecodeFrameError::InvalidLength {
-                        kind: kind_byte,
-                        length: header.length,
-                    });
+                    return Err(invalid_length());
                 }
                 let mut buf = [0u8; 8];
                 buf.copy_from_slice(payload);
@@ -660,10 +634,7 @@ impl Frame {
             FrameKind::Goaway => {
                 require_connection(&header)?;
                 if header.length < 8 {
-                    return Err(DecodeFrameError::InvalidLength {
-                        kind: kind_byte,
-                        length: header.length,
-                    });
+                    return Err(invalid_length());
                 }
                 let last = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
                 let code = u32::from_be_bytes([payload[4], payload[5], payload[6], payload[7]]);
@@ -675,10 +646,7 @@ impl Frame {
             }
             FrameKind::WindowUpdate => {
                 if header.length != 4 {
-                    return Err(DecodeFrameError::InvalidLength {
-                        kind: kind_byte,
-                        length: header.length,
-                    });
+                    return Err(invalid_length());
                 }
                 let raw = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
                 // Masking here is RFC-correct: §6.9 reserves the top bit

@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use h2wire::frame::*;
 use h2wire::settings::{SettingId, Settings, MAX_MAX_FRAME_SIZE};
-use h2wire::{decode_one, ErrorCode, Frame, FrameDecoder, StreamId};
+use h2wire::{decode_one, DecodeFrameError, ErrorCode, Frame, FrameDecoder, StreamId};
 use proptest::prelude::*;
 
 fn arb_stream_id() -> impl Strategy<Value = StreamId> {
@@ -130,7 +130,64 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
     ]
 }
 
+/// What a streaming entry point made of a segmented byte stream: the
+/// frames of every fully decoded segment, the error that stopped it (if
+/// any), and what the decoder still buffers.
+type Decoded = (Vec<Frame>, Option<DecodeFrameError>, usize);
+
+/// Cuts `bytes` into segments at the given (unordered) positions.
+fn segments<'a>(bytes: &'a [u8], cuts: &[prop::sample::Index]) -> Vec<&'a [u8]> {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c.index(bytes.len() + 1)).collect();
+    at.extend([0, bytes.len()]);
+    at.sort_unstable();
+    at.windows(2).map(|w| &bytes[w[0]..w[1]]).collect()
+}
+
+/// Runs `segments` through one streaming entry point: `feed` +
+/// `drain_frames`, or `next_frame_shared` over the same bytes.
+fn stream_decode(segments: &[&[u8]], shared: bool, strict: bool) -> Decoded {
+    let mut dec = FrameDecoder::new();
+    dec.set_max_frame_size(MAX_MAX_FRAME_SIZE);
+    dec.set_reject_zero_window_update(strict);
+    let mut frames = Vec::new();
+    for segment in segments {
+        let batch = if shared {
+            let mut input = Bytes::from(segment.to_vec());
+            std::iter::from_fn(|| dec.next_frame_shared(&mut input).transpose()).collect()
+        } else {
+            dec.feed(segment);
+            dec.drain_frames()
+        };
+        match batch {
+            Ok(batch) => frames.extend::<Vec<Frame>>(batch),
+            Err(err) => return (frames, Some(err), dec.buffered_len()),
+        }
+    }
+    (frames, None, dec.buffered_len())
+}
+
 proptest! {
+    /// A flipped byte or a cut-off tail gets the same verdict from both
+    /// entry points, and an error leaves either decoder empty.
+    #[test]
+    fn streaming_entry_points_agree_on_corrupted_input(
+        frames in prop::collection::vec(arb_frame(), 1..6),
+        at in any::<prop::sample::Index>(),
+        flip in prop::option::of(1u8..=255),
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
+    ) {
+        let mut bytes = h2wire::encode_all(&frames);
+        let at = at.index(bytes.len());
+        match flip {
+            Some(mask) => bytes[at] ^= mask,
+            None => bytes.truncate(at),
+        }
+        let segments = segments(&bytes, &cuts);
+        let buffered = stream_decode(&segments, false, false);
+        prop_assert_eq!(&buffered, &stream_decode(&segments, true, false));
+        prop_assert!(buffered.1.is_none() || buffered.2 == 0, "error left bytes buffered");
+    }
+
     /// Every encodable frame decodes back to itself, consuming exactly its
     /// own bytes.
     #[test]
@@ -144,21 +201,31 @@ proptest! {
     }
 
     /// Splitting the byte stream arbitrarily never changes the decoded
-    /// frame sequence.
+    /// frame sequence, and the two streaming entry points are one
+    /// decoder: over the same segments they yield the same frames, and
+    /// with the zero-increment option on they refuse the same
+    /// WINDOW_UPDATE.
     #[test]
     fn arbitrary_fragmentation_is_transparent(
         frames in prop::collection::vec(arb_frame(), 1..6),
-        cut in any::<prop::sample::Index>(),
+        zero_at in prop::option::of(any::<prop::sample::Index>()),
+        strict in any::<bool>(),
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
     ) {
+        let mut frames = frames;
+        if let Some(at) = zero_at {
+            let zero = WindowUpdateFrame { stream_id: StreamId::new(1), increment: 0 };
+            frames.insert(at.index(frames.len() + 1), Frame::WindowUpdate(zero));
+        }
         let bytes = h2wire::encode_all(&frames);
-        let cut = cut.index(bytes.len().max(1));
-        let mut dec = FrameDecoder::new();
-        dec.set_max_frame_size(MAX_MAX_FRAME_SIZE);
-        dec.feed(&bytes[..cut]);
-        let mut got = dec.drain_frames().expect("prefix decodes");
-        dec.feed(&bytes[cut..]);
-        got.extend(dec.drain_frames().expect("suffix decodes"));
-        prop_assert_eq!(got, frames);
+        let segments = segments(&bytes, &cuts);
+        let buffered = stream_decode(&segments, false, strict);
+        prop_assert_eq!(&buffered, &stream_decode(&segments, true, strict));
+        if strict && zero_at.is_some() {
+            prop_assert_eq!(buffered.1, Some(DecodeFrameError::InvalidWindowIncrement));
+        } else {
+            prop_assert_eq!(buffered, (frames, None, 0));
+        }
     }
 
     /// Truncated buffers never panic and never produce a frame.

@@ -6,6 +6,8 @@
 //! processing time. This module provides the substrate for reproducing
 //! that systematic gap.
 
+use std::fmt;
+
 use crate::pipe::ByteEndpoint;
 use crate::time::{SimDuration, SimTime};
 
@@ -45,12 +47,14 @@ impl ByteEndpoint for Http1Server {
             _ => ("405 Method Not Allowed", b""),
         };
         let body: &[u8] = if method == "HEAD" { b"" } else { body };
-        use std::io::Write as _;
-        let _ = write!(
+        write_response_head(
             out,
-            "HTTP/1.1 {status}\r\nServer: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-            self.server_name,
-            body.len()
+            status,
+            &[
+                ("Server", &self.server_name),
+                ("Content-Length", &body.len()),
+                ("Connection", &"keep-alive"),
+            ],
         );
         out.extend_from_slice(body);
     }
@@ -58,6 +62,20 @@ impl ByteEndpoint for Http1Server {
     fn processing_delay(&self) -> SimDuration {
         self.processing_delay
     }
+}
+
+/// Appends an HTTP/1.1 response head to `out`: the status line, one line
+/// per `(name, value)` field and the terminating blank line, each ended
+/// by CRLF (RFC 7230 §3). Every HTTP/1.1 response in the workspace is
+/// written through here.
+pub fn write_response_head(out: &mut Vec<u8>, status: &str, fields: &[(&str, &dyn fmt::Display)]) {
+    use std::io::Write as _;
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "HTTP/1.1 {status}\r\n");
+    for (name, value) in fields {
+        let _ = write!(out, "{name}: {value}\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
 }
 
 /// Builds a plain HTTP/1.1 GET request.

@@ -1,6 +1,6 @@
 //! A bidirectional byte pipe between a driver (client) and a
-//! [`ByteEndpoint`] (server), with per-direction link models and a
-//! time-ordered delivery loop.
+//! [`ByteEndpoint`] (server): one link model shared by both directions,
+//! per-direction busy/arrival clocks, and a time-ordered delivery loop.
 
 use std::collections::BinaryHeap;
 
@@ -192,8 +192,7 @@ pub struct Arrival {
 #[derive(Debug)]
 pub struct Pipe<E> {
     server: E,
-    uplink: LinkSpec,
-    downlink: LinkSpec,
+    link: LinkSpec,
     clock: SimTime,
     queue: BinaryHeap<Delivery>,
     seq: u64,
@@ -217,10 +216,10 @@ pub struct Pipe<E> {
 }
 
 impl<E: ByteEndpoint> Pipe<E> {
-    /// Connects to `server` over a symmetric `link`, invoking
-    /// [`ByteEndpoint::on_connect`].
+    /// Connects to `server` over `link` (both directions share its
+    /// characteristics), invoking [`ByteEndpoint::on_connect`].
     pub fn connect(server: E, link: LinkSpec, seed: u64) -> Pipe<E> {
-        Pipe::connect_asymmetric(server, link, link, seed)
+        Pipe::connect_pooled(server, link, seed, BytesPool::default())
     }
 
     /// [`Pipe::connect`] seeded with an existing (typically warmed)
@@ -228,31 +227,9 @@ impl<E: ByteEndpoint> Pipe<E> {
     /// all cleared ([`BytesPool::put`] clears on return), so a warmed
     /// pool changes allocation behavior only, never delivered bytes.
     pub fn connect_pooled(server: E, link: LinkSpec, seed: u64, pool: BytesPool) -> Pipe<E> {
-        Pipe::connect_asymmetric_pooled(server, link, link, seed, pool)
-    }
-
-    /// Connects with distinct uplink/downlink characteristics.
-    pub fn connect_asymmetric(
-        server: E,
-        uplink: LinkSpec,
-        downlink: LinkSpec,
-        seed: u64,
-    ) -> Pipe<E> {
-        Pipe::connect_asymmetric_pooled(server, uplink, downlink, seed, BytesPool::default())
-    }
-
-    /// [`Pipe::connect_asymmetric`] seeded with an existing buffer pool.
-    pub fn connect_asymmetric_pooled(
-        server: E,
-        uplink: LinkSpec,
-        downlink: LinkSpec,
-        seed: u64,
-        pool: BytesPool,
-    ) -> Pipe<E> {
         let mut pipe = Pipe {
             server,
-            uplink,
-            downlink,
+            link,
             clock: SimTime::ZERO,
             queue: BinaryHeap::new(),
             seq: 0,
@@ -274,15 +251,7 @@ impl<E: ByteEndpoint> Pipe<E> {
         if greeting.is_empty() {
             pipe.pool.put(greeting);
         } else {
-            let (arrival, busy) = pipe.downlink.schedule(
-                SimTime::ZERO,
-                pipe.down_busy,
-                greeting.len(),
-                &mut pipe.rng,
-            );
-            pipe.down_busy = busy;
-            pipe.down_last_arrival = arrival;
-            pipe.enqueue(arrival, greeting, false);
+            pipe.transmit(SimTime::ZERO, greeting, false);
         }
         pipe
     }
@@ -296,11 +265,6 @@ impl<E: ByteEndpoint> Pipe<E> {
     /// testbed mode).
     pub fn server(&self) -> &E {
         &self.server
-    }
-
-    /// Mutable access to the server endpoint.
-    pub fn server_mut(&mut self) -> &mut E {
-        &mut self.server
     }
 
     /// Arms transport-level fault injection. A default [`PipeFaults`] is a
@@ -331,15 +295,9 @@ impl<E: ByteEndpoint> Pipe<E> {
         if bytes.is_empty() || self.reset {
             return;
         }
-        let (arrival, busy) =
-            self.uplink
-                .schedule(self.clock, self.up_busy, bytes.len(), &mut self.rng);
-        self.up_busy = busy;
-        let arrival = arrival.max(self.up_last_arrival);
-        self.up_last_arrival = arrival;
         let mut buf = self.pool.take();
         buf.extend_from_slice(bytes);
-        self.enqueue(arrival, buf, true);
+        self.transmit(self.clock, buf, true);
     }
 
     /// Hands a buffer back to the pipe's buffer pool. Clients that have
@@ -421,16 +379,7 @@ impl<E: ByteEndpoint> Pipe<E> {
                     self.pool.put(response);
                 } else {
                     let ready = self.clock + self.server.processing_delay();
-                    let (arrival, busy) = self.downlink.schedule(
-                        ready,
-                        self.down_busy,
-                        response.len(),
-                        &mut self.rng,
-                    );
-                    self.down_busy = busy;
-                    let arrival = arrival.max(self.down_last_arrival);
-                    self.down_last_arrival = arrival;
-                    self.enqueue(arrival, response, false);
+                    self.transmit(ready, response, false);
                 }
             } else {
                 self.bytes_to_client += delivery.bytes.len() as u64;
@@ -463,10 +412,21 @@ impl<E: ByteEndpoint> Pipe<E> {
         self.clock += d;
     }
 
-    fn enqueue(&mut self, at: SimTime, bytes: Vec<u8>, to_server: bool) {
+    /// Puts `bytes` on the wire towards one end at `ready`: the link model
+    /// times the segment against that direction's busy clock, and the
+    /// direction's last arrival holds it behind everything sent before.
+    fn transmit(&mut self, ready: SimTime, bytes: Vec<u8>, to_server: bool) {
+        let (busy, last_arrival) = if to_server {
+            (&mut self.up_busy, &mut self.up_last_arrival)
+        } else {
+            (&mut self.down_busy, &mut self.down_last_arrival)
+        };
+        let (arrival, next_busy) = self.link.schedule(ready, *busy, bytes.len(), &mut self.rng);
+        *busy = next_busy;
+        *last_arrival = arrival.max(*last_arrival);
         self.seq += 1;
         self.queue.push(Delivery {
-            at,
+            at: *last_arrival,
             seq: self.seq,
             bytes,
             to_server,

@@ -12,7 +12,6 @@
 //! h2scope list-servers                     available server profiles
 //! ```
 
-use h2ready::netsim::time::SimDuration;
 use h2ready::netsim::LinkSpec;
 use h2ready::scope::pageload;
 use h2ready::scope::probes::{
@@ -67,6 +66,19 @@ struct Args {
     path: String,
 }
 
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// The next argument, parsed as a flag's value; a missing or unparsable
+/// one is a usage error saying what the flag `needs`.
+fn value<T: std::str::FromStr>(iter: &mut impl Iterator<Item = String>, needs: &str) -> T {
+    iter.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(needs))
+}
+
 fn parse() -> Args {
     let mut args = Args {
         positional: Vec::new(),
@@ -83,11 +95,23 @@ fn parse() -> Args {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--server" => args.server = iter.next().unwrap_or_default(),
-            "--exp" => args.exp = iter.next().and_then(|v| v.parse().ok()).unwrap_or(1),
-            "--scale" => args.scale = iter.next().and_then(|v| v.parse().ok()).unwrap_or(0.001),
-            "--limit" => args.limit = iter.next().and_then(|v| v.parse().ok()).unwrap_or(10),
-            "--delay" => args.delay_ms = iter.next().and_then(|v| v.parse().ok()).unwrap_or(25),
-            "--samples" => args.samples = iter.next().and_then(|v| v.parse().ok()).unwrap_or(10),
+            "--exp" => {
+                const NEEDS: &str = "--exp needs 1 or 2";
+                args.exp = value(&mut iter, NEEDS);
+                if !matches!(args.exp, 1 | 2) {
+                    usage_error(NEEDS);
+                }
+            }
+            "--scale" => {
+                const NEEDS: &str = "--scale needs a number in (0, 1]";
+                args.scale = value(&mut iter, NEEDS);
+                if !(args.scale > 0.0 && args.scale <= 1.0) {
+                    usage_error(NEEDS);
+                }
+            }
+            "--limit" => args.limit = value(&mut iter, "--limit needs a site count"),
+            "--delay" => args.delay_ms = value(&mut iter, "--delay needs milliseconds"),
+            "--samples" => args.samples = value(&mut iter, "--samples needs a sample count"),
             "--save" => args.save = iter.next(),
             "--path" => args.path = iter.next().unwrap_or_else(|| "/".into()),
             "--help" | "-h" => {
@@ -113,23 +137,22 @@ fn print_usage() {
     );
 }
 
-fn resolve_target(args: &Args) -> Target {
-    let Some(profile) = profile_by_name(&args.server) else {
-        eprintln!(
+fn resolve_profile(args: &Args) -> ServerProfile {
+    profile_by_name(&args.server).unwrap_or_else(|| {
+        usage_error(&format!(
             "unknown server '{}'; try: {}",
             args.server,
             SERVER_NAMES.join(", ")
-        );
-        std::process::exit(2);
-    };
-    Target::testbed(profile, SiteSpec::benchmark())
+        ))
+    })
+}
+
+fn resolve_target(args: &Args) -> Target {
+    Target::testbed(resolve_profile(args), SiteSpec::benchmark())
 }
 
 fn characterize(args: &Args) {
-    let Some(profile) = profile_by_name(&args.server) else {
-        eprintln!("unknown server '{}'", args.server);
-        std::process::exit(2);
-    };
+    let profile = resolve_profile(args);
     let scope = H2Scope::new();
     let report = scope.characterize(&Testbed::new(profile.clone(), SiteSpec::benchmark()));
     let push_report = push::probe(
@@ -326,11 +349,7 @@ fn rtt(args: &Args) {
 }
 
 fn pageload_cmd(args: &Args) {
-    let Some(profile) = profile_by_name(&args.server) else {
-        eprintln!("unknown server '{}'", args.server);
-        std::process::exit(2);
-    };
-    let mut target = Target::testbed(profile, SiteSpec::page_with_assets(8, 20_000));
+    let mut target = Target::testbed(resolve_profile(args), SiteSpec::page_with_assets(8, 20_000));
     target.link = LinkSpec::wan(args.delay_ms);
     let with_push = pageload::page_load(&target, true, 1);
     let without_push = pageload::page_load(&target, false, 1);
@@ -340,7 +359,6 @@ fn pageload_cmd(args: &Args) {
         with_push.pushed_assets,
         without_push.load_time.as_millis_f64()
     );
-    let _ = SimDuration::ZERO;
 }
 
 fn main() {
