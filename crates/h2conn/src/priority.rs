@@ -58,6 +58,9 @@ impl Node {
 #[derive(Debug, Clone)]
 pub struct PriorityTree {
     nodes: BTreeMap<u32, Node>,
+    /// Scratch for [`PriorityTree::next_stream`], kept so a pick does not
+    /// allocate.
+    edges: Vec<(u32, u32)>,
 }
 
 impl Default for PriorityTree {
@@ -71,7 +74,10 @@ impl PriorityTree {
     pub fn new() -> PriorityTree {
         let mut nodes = BTreeMap::new();
         nodes.insert(0, Node::new(0, 0));
-        PriorityTree { nodes }
+        PriorityTree {
+            nodes,
+            edges: Vec::new(),
+        }
     }
 
     /// Number of streams in the tree, excluding the root.
@@ -215,63 +221,71 @@ impl PriorityTree {
         }
     }
 
-    /// Picks the next stream allowed to transmit, among streams for which
-    /// `is_ready` returns `true` (has queued data and window).
+    /// Picks the next stream allowed to transmit among `ready` (the
+    /// streams with queued data and window, in any order; ids absent from
+    /// the tree are ignored).
     ///
     /// The discipline matches what the paper's Algorithm 1 verifies on
     /// priority-aware servers: a ready stream is always served before any
     /// of its descendants, and sibling subtrees share service in
     /// proportion to their weights (smooth weighted round-robin).
-    pub fn next_stream(&mut self, is_ready: impl Fn(StreamId) -> bool) -> Option<StreamId> {
-        self.pick(0, &is_ready)
-    }
-
-    fn pick(&mut self, node: u32, is_ready: &impl Fn(StreamId) -> bool) -> Option<StreamId> {
-        if node != 0 && is_ready(StreamId::new(node)) {
-            return Some(StreamId::new(node));
-        }
-        let children = self.nodes.get(&node)?.children.clone();
-        let eligible: Vec<u32> = children
-            .into_iter()
-            .filter(|&c| self.subtree_has_ready(c, is_ready))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        // Smooth WRR: credit += weight; winner = max credit; winner's
-        // credit -= total weight. Ties break toward the lower stream id so
-        // the schedule is deterministic.
-        let total: i64 = eligible
-            .iter()
-            .map(|c| i64::from(self.nodes[c].weight))
-            .sum();
-        let mut winner = eligible[0];
-        let mut best = i64::MIN;
-        for &c in &eligible {
-            let n = self.nodes.get_mut(&c).expect("eligible child exists");
-            n.wrr_credit += i64::from(n.weight);
-            let credit = n.wrr_credit;
-            if credit > best || (credit == best && c < winner) {
-                best = credit;
-                winner = c;
+    ///
+    /// Only the ready streams and their ancestors are visited, so a pick
+    /// costs the same on a connection that has carried a thousand streams
+    /// as on a fresh one.
+    pub fn next_stream(&mut self, ready: &[StreamId]) -> Option<StreamId> {
+        // Every (parent, child) edge on a path from a ready stream up to
+        // the root, sorted: the children of `node` with a ready stream in
+        // their subtree are then the run of edges starting at `node`.
+        let mut edges = std::mem::take(&mut self.edges);
+        edges.clear();
+        for stream in ready {
+            let mut cursor = stream.value();
+            while cursor != 0 {
+                let Some(node) = self.nodes.get(&cursor) else {
+                    break;
+                };
+                edges.push((node.parent, cursor));
+                cursor = node.parent;
             }
         }
-        self.nodes
-            .get_mut(&winner)
-            .expect("winner exists")
-            .wrr_credit -= total;
-        self.pick(winner, is_ready)
-    }
-
-    fn subtree_has_ready(&self, node: u32, is_ready: &impl Fn(StreamId) -> bool) -> bool {
-        if is_ready(StreamId::new(node)) {
-            return true;
-        }
-        self.nodes.get(&node).is_some_and(|n| {
-            n.children
+        edges.sort_unstable();
+        edges.dedup();
+        let mut node = 0;
+        let winner = loop {
+            if node != 0 && ready.iter().any(|s| s.value() == node) {
+                break Some(StreamId::new(node));
+            }
+            let first = edges.partition_point(|&(parent, _)| parent < node);
+            let eligible = edges[first..]
                 .iter()
-                .any(|&c| self.subtree_has_ready(c, is_ready))
-        })
+                .take_while(|&&(parent, _)| parent == node);
+            // Smooth WRR: credit += weight; winner = max credit; winner's
+            // credit -= total weight. Ties break toward the lower stream id
+            // so the schedule is deterministic (and independent of the
+            // order the candidates are visited in).
+            let mut total = 0i64;
+            let mut lead: Option<(i64, u32)> = None;
+            for &(_, c) in eligible {
+                let n = self.nodes.get_mut(&c).expect("eligible child exists");
+                total += i64::from(n.weight);
+                n.wrr_credit += i64::from(n.weight);
+                let credit = n.wrr_credit;
+                if lead.is_none_or(|(best, id)| credit > best || (credit == best && c < id)) {
+                    lead = Some((credit, c));
+                }
+            }
+            let Some((_, winner)) = lead else {
+                break None;
+            };
+            self.nodes
+                .get_mut(&winner)
+                .expect("winner exists")
+                .wrr_credit -= total;
+            node = winner;
+        };
+        self.edges = edges;
+        winner
     }
 
     /// All stream ids currently in the tree (excluding the root), in
@@ -441,8 +455,8 @@ mod tests {
     #[test]
     fn scheduler_serves_parent_before_children() {
         let mut t = paper_tree();
-        let ready: Vec<u32> = vec![1, 3, 5, 7, 9, 11];
-        let next = t.next_stream(|s| ready.contains(&s.value())).unwrap();
+        let ready = [1, 3, 5, 7, 9, 11].map(sid);
+        let next = t.next_stream(&ready).unwrap();
         assert_eq!(next, sid(1), "A is served before all descendants");
     }
 
@@ -450,14 +464,10 @@ mod tests {
     fn scheduler_descends_through_inactive_nodes() {
         let mut t = paper_tree();
         // A finished; only E (under B) and F (under D) are ready.
-        let ready = [9u32, 11];
+        let ready = [sid(9), sid(11)];
         let mut seen = Vec::new();
         for _ in 0..4 {
-            seen.push(
-                t.next_stream(|s| ready.contains(&s.value()))
-                    .unwrap()
-                    .value(),
-            );
+            seen.push(t.next_stream(&ready).unwrap().value());
         }
         assert!(
             seen.contains(&9) && seen.contains(&11),
@@ -473,11 +483,7 @@ mod tests {
         let mut count1 = 0;
         let mut count3 = 0;
         for _ in 0..400 {
-            match t
-                .next_stream(|s| matches!(s.value(), 1 | 3))
-                .unwrap()
-                .value()
-            {
+            match t.next_stream(&[sid(1), sid(3)]).unwrap().value() {
                 1 => count1 += 1,
                 3 => count3 += 1,
                 other => panic!("unexpected stream {other}"),
@@ -490,7 +496,8 @@ mod tests {
     #[test]
     fn scheduler_returns_none_when_nothing_ready() {
         let mut t = paper_tree();
-        assert_eq!(t.next_stream(|_| false), None);
+        assert_eq!(t.next_stream(&[]), None);
+        assert_eq!(t.next_stream(&[sid(99)]), None, "not in the tree");
     }
 
     #[test]

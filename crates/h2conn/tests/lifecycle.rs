@@ -170,7 +170,7 @@ fn prune_keeps_active_subtrees_intact() {
     assert_eq!(tree.parent_of(sid(7)), Some(sid(0)));
     assert_eq!(tree.parent_of(sid(9)), Some(sid(0)));
     // Scheduling still works.
-    assert!(tree.next_stream(|s| active.contains(&s.value())).is_some());
+    assert!(tree.next_stream(&[sid(7), sid(9)]).is_some());
 }
 
 #[test]

@@ -47,6 +47,9 @@ pub struct HandlerResponse {
     pub body: Bytes,
 }
 
+/// Body of the static site's 404 response.
+const NOT_FOUND: &[u8] = b"not found";
+
 /// Index of the first `\r\n\r\n` in `buf`, if complete.
 fn find_double_crlf(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
@@ -150,6 +153,9 @@ pub struct H2Server {
     /// Dynamic response source consulted before the static site
     /// (`repro serve` query dispatch); `None` for pure static serving.
     handler: Option<Box<dyn RequestHandler>>,
+    /// Reusable ready-stream list for the priority schedulers, so a DATA
+    /// chunk does not allocate.
+    ready_scratch: Vec<StreamId>,
 }
 
 impl H2Server {
@@ -200,6 +206,7 @@ impl H2Server {
             settings_seen: 0,
             pending_posts: BTreeMap::new(),
             handler: None,
+            ready_scratch: Vec::new(),
         }
     }
 
@@ -342,7 +349,7 @@ impl H2Server {
                 let Some(resource) = self.site.resource(&asset) else {
                     continue;
                 };
-                let body = resource.body.clone();
+                let body = resource.body().clone();
                 let content_type = resource.content_type.clone();
                 let request_headers = vec![
                     Header::new(":method", "GET"),
@@ -356,19 +363,33 @@ impl H2Server {
             }
         }
 
+        // RFC 7231 §4.3.2: HEAD gets the GET's header fields (the real
+        // content-length included) and no body — END_STREAM rides on
+        // HEADERS, and a synthetic body is never filled in.
+        let head = headers
+            .iter()
+            .any(|h| h.name == ":method" && h.value == "HEAD");
         let dynamic = self.handler.as_mut().and_then(|h| h.handle(path));
-        let (status, body, content_type) = match dynamic {
-            Some(resp) => (resp.status, resp.body, resp.content_type),
+        let (status, content_type, length, body) = match dynamic {
+            Some(resp) => (resp.status, resp.content_type, resp.body.len(), resp.body),
             None => match self.site.resource(path) {
-                Some(r) => ("200", r.body.clone(), r.content_type.clone()),
+                Some(r) if head => ("200", r.content_type.clone(), r.body_len(), Bytes::new()),
+                Some(r) => (
+                    "200",
+                    r.content_type.clone(),
+                    r.body_len(),
+                    r.body().clone(),
+                ),
                 None => (
                     "404",
-                    Bytes::from_static(b"not found"),
                     "text/plain".to_string(),
+                    NOT_FOUND.len(),
+                    Bytes::from_static(NOT_FOUND),
                 ),
             },
         };
-        let response_headers = self.response_headers(status, &content_type, body.len());
+        let body = if head { Bytes::new() } else { body };
+        let response_headers = self.response_headers(status, &content_type, length);
         self.enqueue_response(stream, response_headers, body);
 
         for (promised, _request, body, content_type) in pushes {
@@ -446,7 +467,9 @@ impl H2Server {
             sent_zero_marker: false,
             enqueued_at: self.now,
         });
-        self.queue.sort_by_key(|q| q.seq);
+        // `seq` only grows and `retain`/`remove` keep order, so the queue
+        // is FIFO by construction.
+        debug_assert!(self.queue.is_sorted_by_key(|q| q.seq));
     }
 
     /// The stall-timeout quirk: a server that reaps connections whose
@@ -582,17 +605,17 @@ impl H2Server {
         }
         // Phase 2: DATA, per the profile's scheduling discipline.
         match self.behavior().priority_mode {
-            crate::behavior::PriorityMode::Strict => self.pump_priority(out),
+            crate::behavior::PriorityMode::Strict => self.pump_by_tree(false, out),
             crate::behavior::PriorityMode::None => self.pump_round_robin(out, sequential),
             crate::behavior::PriorityMode::CompletionOrder => {
                 // First chunk of each response flushes FCFS...
                 self.pump_first_chunks_fifo(out);
                 // ...then strict priority governs completion order.
-                self.pump_priority(out);
+                self.pump_by_tree(false, out);
             }
             crate::behavior::PriorityMode::FirstFrameOnly => {
                 // First chunks follow the tree...
-                self.pump_first_chunks_by_tree(out);
+                self.pump_by_tree(true, out);
                 // ...then the remainder is plain round-robin.
                 self.pump_round_robin(out, sequential);
             }
@@ -689,73 +712,46 @@ impl H2Server {
         }
     }
 
-    /// Sends one chunk for every ready zero-offset response, ordered by
-    /// the priority tree.
-    fn pump_first_chunks_by_tree(&mut self, out: &mut Vec<Frame>) {
-        loop {
-            let fresh: HashSet<u32> = self
-                .queue
+    /// Refills `ready` with the streams whose response body can move
+    /// right now, in queue (arrival) order; `fresh_only` keeps just those
+    /// that have not sent any body yet.
+    fn collect_ready(&self, fresh_only: bool, ready: &mut Vec<StreamId>) {
+        ready.clear();
+        ready.extend(
+            self.queue
                 .iter()
-                .filter(|q| q.body_ready() && q.offset == 0)
+                .filter(|q| q.body_ready() && !(fresh_only && q.offset > 0))
                 .filter(|q| self.core.sendable_on(q.stream) > 0)
-                .map(|q| q.stream.value())
-                .collect();
-            if fresh.is_empty() {
-                return;
-            }
-            let next = self
-                .core
-                .priority_mut()
-                .next_stream(|s| fresh.contains(&s.value()))
-                .or_else(|| fresh.iter().min().copied().map(StreamId::new));
-            let Some(next) = next else { return };
-            let Some(index) = self.queue.iter().position(|q| q.stream == next) else {
-                return;
-            };
-            if !self.send_chunk(index, out) {
-                return;
-            }
-        }
+                .map(|q| q.stream),
+        );
     }
 
-    fn pump_priority(&mut self, out: &mut Vec<Frame>) {
+    /// Sends DATA chunk by chunk to the stream the priority tree picks
+    /// among the ready ones — with `fresh_only`, among those yet to send
+    /// their first chunk.
+    fn pump_by_tree(&mut self, fresh_only: bool, out: &mut Vec<Frame>) {
+        let mut ready = std::mem::take(&mut self.ready_scratch);
         loop {
-            let ready: HashSet<u32> = self
-                .queue
-                .iter()
-                .filter(|q| q.body_ready())
-                .filter(|q| self.core.sendable_on(q.stream) > 0)
-                .map(|q| q.stream.value())
-                .collect();
-            if ready.is_empty() {
-                return;
-            }
-            let Some(next) = self
-                .core
-                .priority_mut()
-                .next_stream(|s| ready.contains(&s.value()))
-            else {
-                // Streams with queued data but absent from the tree (e.g.
-                // pushed streams): fall back to FIFO for those.
-                let Some(index) = self
-                    .queue
-                    .iter()
-                    .position(|q| ready.contains(&q.stream.value()))
-                else {
-                    return;
-                };
-                if !self.send_chunk(index, out) {
-                    return;
+            self.collect_ready(fresh_only, &mut ready);
+            // Streams with queued data but absent from the tree (e.g.
+            // pushed streams): first chunks go lowest id first, the rest
+            // FIFO.
+            let next = self.core.priority_mut().next_stream(&ready).or_else(|| {
+                if fresh_only {
+                    ready.iter().min().copied()
+                } else {
+                    ready.first().copied()
                 }
-                continue;
-            };
-            let Some(index) = self.queue.iter().position(|q| q.stream == next) else {
-                return;
+            });
+            let Some(index) = next.and_then(|n| self.queue.iter().position(|q| q.stream == n))
+            else {
+                break;
             };
             if !self.send_chunk(index, out) {
-                return;
+                break;
             }
         }
+        self.ready_scratch = ready;
     }
 
     fn pump_round_robin(&mut self, out: &mut Vec<Frame>, sequential: bool) {
@@ -1133,9 +1129,10 @@ impl H2Server {
         }
         // No upgrade: serve it as ordinary HTTP/1.1 and close.
         self.last_delay = self.behavior().processing_delay;
-        let (status, body) = match self.site.resource(&path) {
-            Some(r) => ("200 OK", r.body.clone()),
-            None => ("404 Not Found", Bytes::from_static(b"not found")),
+        let resource = self.site.resource(&path);
+        let (status, length) = match resource {
+            Some(r) => ("200 OK", r.body_len()),
+            None => ("404 Not Found", NOT_FOUND.len()),
         };
         self.closed = true;
         write_response_head(
@@ -1143,11 +1140,14 @@ impl H2Server {
             status,
             &[
                 ("Server", &self.behavior().server_name),
-                ("Content-Length", &body.len()),
+                ("Content-Length", &length),
                 ("Connection", &"close"),
             ],
         );
-        out.extend_from_slice(&body);
+        // RFC 7231 §4.3.2: a HEAD response ends with its header section.
+        if method != "HEAD" {
+            out.extend_from_slice(resource.map_or(NOT_FOUND, |r| r.body()));
+        }
     }
 
     fn ingest(&mut self, bytes: &[u8], out: &mut Vec<u8>) {
@@ -1201,8 +1201,12 @@ mod tests {
         }
 
         fn request(&mut self, stream: u32, path: &str) -> Vec<u8> {
+            self.request_as("GET", stream, path)
+        }
+
+        fn request_as(&mut self, method: &str, stream: u32, path: &str) -> Vec<u8> {
             let headers = vec![
-                Header::new(":method", "GET"),
+                Header::new(":method", method),
                 Header::new(":scheme", "https"),
                 Header::new(":path", path),
                 Header::new(":authority", "testbed.example"),
@@ -1940,6 +1944,54 @@ mod tests {
                 ),
             }
         }
+    }
+
+    #[test]
+    fn head_gets_the_real_content_length_and_no_data() {
+        let (mut server, mut client) = serve(ServerProfile::rfc7540());
+        server.on_bytes_vec(SimTime::ZERO, &client.preface_and_settings());
+        let reply = server.on_bytes_vec(SimTime::ZERO, &client.request_as("HEAD", 1, "/big/0"));
+        let frames = client.parse(&reply);
+        assert!(
+            !frames.iter().any(|f| matches!(f, Frame::Data(_))),
+            "HEAD carries no body"
+        );
+        let block = frames
+            .iter()
+            .find_map(|f| match f {
+                Frame::Headers(h) => Some(h),
+                _ => None,
+            })
+            .expect("response headers");
+        assert!(block.end_stream, "END_STREAM rides on HEADERS");
+        // First header block on the connection: a fresh context decodes it.
+        let list = h2hpack::Decoder::new()
+            .decode_block(&block.fragment)
+            .unwrap();
+        let length = list.iter().find(|h| h.name == "content-length").unwrap();
+        assert_eq!(length.value, (256 * 1024).to_string());
+        assert_eq!(server.pending_response_octets(), 0);
+    }
+
+    #[test]
+    fn http1_head_gets_the_real_content_length_and_no_body() {
+        let reply_to = |request: &[u8]| {
+            let mut server =
+                H2Server::new_cleartext(ServerProfile::rfc7540(), SiteSpec::benchmark());
+            let reply = server.on_bytes_vec(SimTime::ZERO, request);
+            assert!(server.is_closed(), "Connection: close");
+            let end = find_double_crlf(&reply).expect("complete head") + 4;
+            (
+                String::from_utf8_lossy(&reply[..end]).to_string(),
+                reply.len() - end,
+            )
+        };
+        let (get_head, get_body) = reply_to(b"GET /big/0 HTTP/1.1\r\nHost: x\r\n\r\n");
+        let (head_head, head_body) = reply_to(b"HEAD /big/0 HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(get_head.contains("Content-Length: 262144\r\n"));
+        assert_eq!(get_body, 256 * 1024);
+        assert_eq!(head_head, get_head, "same header section as the GET");
+        assert_eq!(head_body, 0);
     }
 
     #[test]

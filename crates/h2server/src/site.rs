@@ -2,42 +2,101 @@
 //! dependency graph and its push manifest.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use bytes::Bytes;
 
 use crate::behavior::PushPolicy;
 
 /// One web object.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A synthetic body is a `(seed, len)` recipe filled in on first
+/// request: a scan asks each wild site for `/` and one shared large
+/// object, so the rest of its object graph never costs more than its
+/// path. Equality is by content either way.
+#[derive(Debug, Clone)]
 pub struct Resource {
     /// Request path, e.g. `"/index.html"`.
     pub path: String,
     /// `content-type` response header.
     pub content_type: String,
-    /// Object body.
-    pub body: Bytes,
+    /// Body length, known without the body.
+    len: usize,
+    /// First octet of a synthetic body (unused when the body was given).
+    seed: u8,
+    body: OnceLock<Bytes>,
 }
 
+/// Period of the synthetic body pattern.
+const PERIOD: usize = 251;
+
 impl Resource {
-    /// Creates a resource with a synthetic body of `size` octets.
+    /// Creates a resource with a synthetic body of `size` octets:
+    /// deterministic, mildly compressible content keyed by the path
+    /// (octet `i` is `seed + i % 251`, wrapping).
     pub fn synthetic(
         path: impl Into<String>,
         content_type: impl Into<String>,
         size: usize,
     ) -> Resource {
         let path = path.into();
-        // Deterministic, mildly compressible content keyed by the path.
         let seed = path.bytes().fold(0u8, u8::wrapping_add);
-        let body: Vec<u8> = (0..size)
-            .map(|i| seed.wrapping_add((i % 251) as u8))
-            .collect();
         Resource {
             path,
             content_type: content_type.into(),
-            body: Bytes::from(body),
+            len: size,
+            seed,
+            body: OnceLock::new(),
         }
     }
+
+    /// Creates a resource serving `body` (cheap to share between
+    /// resources: `Bytes` clones bump a reference count).
+    pub fn with_body(
+        path: impl Into<String>,
+        content_type: impl Into<String>,
+        body: Bytes,
+    ) -> Resource {
+        Resource {
+            path: path.into(),
+            content_type: content_type.into(),
+            len: body.len(),
+            seed: 0,
+            body: OnceLock::from(body),
+        }
+    }
+
+    /// Object body length — what `content-length` announces — without
+    /// filling a synthetic body in.
+    pub fn body_len(&self) -> usize {
+        self.len
+    }
+
+    /// Object body.
+    pub fn body(&self) -> &Bytes {
+        self.body.get_or_init(|| {
+            // One period written out, then doubled by block copies.
+            let mut body = Vec::with_capacity(self.len);
+            body.extend((0..self.len.min(PERIOD)).map(|i| self.seed.wrapping_add(i as u8)));
+            while body.len() < self.len {
+                let n = body.len().min(self.len - body.len());
+                body.extend_from_within(..n);
+            }
+            Bytes::from(body)
+        })
+    }
 }
+
+impl PartialEq for Resource {
+    fn eq(&self, other: &Resource) -> bool {
+        self.path == other.path
+            && self.content_type == other.content_type
+            && self.len == other.len
+            && self.body() == other.body()
+    }
+}
+
+impl Eq for Resource {}
 
 /// The content model for one simulated site.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -237,7 +296,54 @@ mod tests {
         let a = Resource::synthetic("/x", "text/plain", 100);
         let b = Resource::synthetic("/x", "text/plain", 100);
         assert_eq!(a, b);
-        assert_eq!(a.body.len(), 100);
+        assert_eq!(a.body().len(), 100);
+    }
+
+    #[test]
+    fn synthetic_bodies_match_the_closed_form() {
+        let paths = [
+            "/",
+            "/x",
+            "/big/0",
+            "/css/3.bg.png",
+            "/js/1.chunk.js",
+            "/img/12",
+            "/asset/7",
+            "/index.html?q=\u{fffd}",
+        ];
+        for path in paths {
+            let seed = path.bytes().fold(0u8, u8::wrapping_add);
+            for n in [0, 1, 250, 251, 252, 502, 503, 65_536, 96 * 1024] {
+                let expected: Vec<u8> =
+                    (0..n).map(|i| seed.wrapping_add((i % 251) as u8)).collect();
+                let resource = Resource::synthetic(path, "text/plain", n);
+                assert_eq!(resource.body_len(), n);
+                assert!(resource.body.get().is_none(), "the length fills nothing in");
+                assert!(resource.body()[..] == expected[..], "{path} at {n} octets");
+            }
+        }
+    }
+
+    #[test]
+    fn equality_is_by_content_whether_filled_in_or_not() {
+        let lazy = Resource::synthetic("/x", "text/plain", 1_000);
+        let filled = lazy.clone();
+        filled.body();
+        assert!(lazy.body.get().is_none() && filled.body.get().is_some());
+        assert_eq!(lazy, filled);
+        let given = Resource::with_body("/x", "text/plain", filled.body().clone());
+        assert_eq!(given, Resource::synthetic("/x", "text/plain", 1_000));
+        assert_ne!(
+            given,
+            Resource::with_body("/x", "text/plain", Bytes::from(vec![0; 1_000]))
+        );
+        assert_ne!(given, Resource::synthetic("/x", "text/plain", 999));
+
+        let served = SiteSpec::page_with_tree();
+        for resource in served.resources.values() {
+            resource.body();
+        }
+        assert_eq!(served, SiteSpec::page_with_tree());
     }
 
     #[test]
@@ -246,7 +352,7 @@ mod tests {
         assert!(site.resource("/").is_some());
         let big = site.resource("/big/0").unwrap();
         assert!(
-            big.body.len() >= 4 * 65_535,
+            big.body_len() >= 4 * 65_535,
             "must span multiple flow-control windows"
         );
     }

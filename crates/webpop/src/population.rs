@@ -189,7 +189,7 @@ fn permuted_position(i: u64, n: u64, dimension: u64, seed: u64) -> u64 {
 /// connection window so Algorithm 1's drain works on any wild site).
 ///
 /// Cached per *thread*, not per process: every site references this body
-/// 8 times, and `Bytes` clones bump a reference count, so a process-wide
+/// 7 times, and `Bytes` clones bump a reference count, so a process-wide
 /// body would have every scan worker hammering one shared cache line.
 /// A per-worker copy costs 96 KiB of memory per thread and removes the
 /// cross-core refcount traffic entirely; the bytes are identical on
@@ -563,11 +563,11 @@ impl Population {
         site.add(Resource::synthetic("/", "text/html", page_size));
         let body = big_body();
         for k in 1..=7 {
-            site.add(Resource {
-                path: format!("/big/{k}"),
-                content_type: "application/octet-stream".into(),
-                body: body.clone(),
-            });
+            site.add(Resource::with_body(
+                format!("/big/{k}"),
+                "application/octet-stream",
+                body.clone(),
+            ));
         }
         if push_site {
             let assets = rng.gen_range(5..=15);
@@ -781,7 +781,7 @@ mod tests {
     fn big_objects_cover_the_connection_window() {
         let pop = small_population();
         let site = pop.site(0);
-        assert!(site.site.resource("/big/7").unwrap().body.len() > 65_535);
+        assert!(site.site.resource("/big/7").unwrap().body_len() > 65_535);
     }
 
     #[test]

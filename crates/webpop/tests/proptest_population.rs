@@ -25,9 +25,15 @@ proptest! {
         let i = pick.index(population.h2_count().max(1) as usize) as u64;
         let a = population.site(i);
         let b = population.site(i);
-        prop_assert_eq!(a.profile.behavior, b.profile.behavior);
-        prop_assert_eq!(a.site, b.site);
+        prop_assert_eq!(&a.profile.behavior, &b.profile.behavior);
         prop_assert_eq!(a.family, b.family);
+        // A scan requests `/` and a large object of `a` and nothing of `b`:
+        // requested or not, on either side, every object is the same octets.
+        let _ = (a.site.resource("/").unwrap().body(), a.site.resource("/big/1").unwrap().body());
+        prop_assert_eq!(&a.site, &b.site);
+        for (path, object) in &a.site.resources {
+            prop_assert_eq!(object.body(), b.site.resources[path].body(), "{}", path);
+        }
     }
 
     /// Counts scale linearly and nest correctly.
@@ -56,7 +62,7 @@ proptest! {
         prop_assert!(sample.site.resource("/").is_some());
         for k in 1..=7 {
             let big = sample.site.resource(&format!("/big/{k}")).expect("big object");
-            prop_assert!(big.body.len() > 65_535, "Algorithm 1 needs window-spanning bodies");
+            prop_assert!(big.body_len() > 65_535, "Algorithm 1 needs window-spanning bodies");
         }
         // Link delays stay in the declared envelope.
         let ms = sample.link.delay.as_millis_f64();

@@ -1,31 +1,50 @@
-//! Allocation budget for the per-site probe path.
+//! Allocation budgets for the per-site paths.
 //!
 //! The campaign scheduler's throughput lives and dies on how much heap
-//! churn one site survey causes: at scan scale every stray `Vec` clone
-//! in the frame path multiplies by millions of sites. This test pins the
-//! allocation count of a full single-site survey under a fixed budget so
-//! a regression (a dropped scratch buffer, a deep profile clone on the
-//! connect path) fails loudly instead of silently halving throughput.
+//! churn one site causes: at scan scale every stray `Vec` clone in the
+//! frame path multiplies by millions of sites. These tests pin the
+//! allocation calls and octets of the three per-operation paths — one
+//! survey, one generated site, one request late in a long connection —
+//! so a regression (a dropped scratch buffer, a deep profile clone on the
+//! connect path, a body filled in that nobody asked for, a scheduler that
+//! walks every stream the connection ever carried) fails loudly instead
+//! of silently halving throughput.
 //!
-//! The budget is calibrated with headroom above the current count
-//! (~2.6k allocations per survey) — it guards against coarse
-//! regressions, not single allocations.
+//! The survey budget is calibrated with headroom above the current count
+//! (~2.5k allocations for the testbed survey below; the benchmark's
+//! `h2scope.survey_allocs` measures 2,831 per wild site) — it guards
+//! against coarse regressions, not single allocations. The flat-cost guards compare two windows of one run and
+//! need no calibration.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use h2scope::{H2Scope, Target};
+use h2scope::{H2Scope, ProbeConn, Target};
 use h2server::{ServerProfile, SiteSpec};
+use h2wire::Settings;
+use netsim::time::SimDuration;
+use webpop::{ExperimentSpec, Population};
 
 /// Counts every allocation and reallocation made through the global
-/// allocator. Deallocations are free passes: reuse is the whole point.
+/// allocator, and the octets asked for, per thread (the harness runs the
+/// tests of this file side by side). Deallocations are free passes: reuse
+/// is the whole point.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    static OCTETS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(octets: usize) {
+    // A thread's last frees can come after its locals are gone.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = OCTETS.try_with(|c| c.set(c.get() + octets as u64));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -34,13 +53,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
+
+/// `(calls, octets)` this thread allocated while running `work`.
+fn spent<R>(work: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (calls, octets) = (CALLS.get(), OCTETS.get());
+    let result = work();
+    (result, CALLS.get() - calls, OCTETS.get() - octets)
+}
 
 #[test]
 fn single_site_survey_stays_under_allocation_budget() {
@@ -50,16 +76,78 @@ fn single_site_survey_stays_under_allocation_budget() {
     // report so only steady-state per-survey cost is measured.
     let warmup = scope.survey(&target);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = scope.survey(&target);
-    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (report, calls, _) = spent(|| scope.survey(&target));
 
     assert_eq!(report, warmup, "warmup and measured surveys agree");
-    eprintln!("survey allocations: {spent}");
+    eprintln!("survey allocations: {calls}");
     const BUDGET: u64 = 6_000;
     assert!(
-        spent <= BUDGET,
-        "one site survey allocated {spent} times (budget {BUDGET}); \
+        calls <= BUDGET,
+        "one site survey allocated {calls} times (budget {BUDGET}); \
          the zero-copy probe path has regressed"
+    );
+}
+
+/// Generating a wild site costs its object graph's *paths*, not its
+/// bodies: a scan requests `/` and one shared large object, so the few
+/// hundred KB of CSS/JS/image bodies are filled in only for the page
+/// loads that fetch them.
+#[test]
+fn generated_sites_cost_paths_not_bodies() {
+    const SAMPLE: u64 = 200;
+    let population = Population::new(ExperimentSpec::first(), 0.01);
+    drop(population.site(0)); // the per-thread shared large body
+    let ((), calls, octets) = spent(|| {
+        for i in 0..SAMPLE {
+            drop(population.site(i * population.headers_count() / SAMPLE));
+        }
+    });
+    let (calls, octets) = (calls as f64 / SAMPLE as f64, octets / SAMPLE);
+    eprintln!("site generation: {calls:.1} allocations, {octets} octets per site");
+    assert!(calls <= 160.0, "{calls:.1} allocations per generated site");
+    assert!(
+        octets < 64 * 1024,
+        "{octets} octets per generated site: unrequested bodies are being filled in"
+    );
+}
+
+/// A request allocates the same late in a long-lived connection as early
+/// in it: the priority scheduler may not copy (or size anything by) the
+/// streams that have already closed.
+#[test]
+fn request_cost_is_flat_over_a_long_connection() {
+    // The `repro serve` daemon's profile and connection length.
+    let mut profile = ServerProfile::nghttpd();
+    profile.behavior.stall_timeout = Some(SimDuration::from_secs(30));
+    profile.behavior.rst_rate_limit = Some(32);
+    let target = Target::testbed(profile, SiteSpec::benchmark());
+    let mut conn = ProbeConn::establish(&target, Settings::new(), 7);
+    let mut stream = 1;
+    let mut window = |requests: u32| {
+        let ((), calls, octets) = spent(|| {
+            for _ in 0..requests {
+                let (frames, _) = conn.fetch(stream, "/");
+                assert!(!frames.is_empty(), "stream {stream} is answered");
+                stream += 2;
+            }
+        });
+        (calls, octets)
+    };
+    window(100);
+    let early = window(100);
+    window(700);
+    let late = window(100);
+    eprintln!("100 requests: early {early:?}, late {late:?} (calls, octets)");
+    assert!(
+        late.0 <= early.0,
+        "requests 900..1000 allocated {} times, requests 100..200 {} times",
+        late.0,
+        early.0
+    );
+    assert!(
+        late.1 * 10 <= early.1 * 11,
+        "requests 900..1000 allocated {} octets, requests 100..200 {} octets",
+        late.1,
+        early.1
     );
 }

@@ -26,7 +26,7 @@ fn large_transfer_is_byte_exact_through_flow_control() {
     let expected = SiteSpec::benchmark()
         .resource("/big/0")
         .unwrap()
-        .body
+        .body()
         .clone();
     assert_eq!(received.len(), expected.len());
     assert_eq!(
