@@ -180,10 +180,11 @@ fn parse_args() -> Options {
             "--exp" => match args.next().as_deref() {
                 Some("1") => o.experiments = vec![ExperimentSpec::first()],
                 Some("2") => o.experiments = vec![ExperimentSpec::second()],
-                Some("both") | None => {}
+                Some("both") => {}
                 Some(other) => {
                     usage_error(&format!("unknown experiment {other}; use 1, 2 or both"));
                 }
+                None => usage_error("--exp needs an experiment: 1, 2 or both"),
             },
             "--threads" => {
                 o.threads = value(&mut args, "--threads needs an unsigned worker count");

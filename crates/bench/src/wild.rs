@@ -38,6 +38,55 @@ fn upscaled_rows(counts: &[u64], total: u64, scale: f64) -> Vec<u64> {
     shares
 }
 
+/// Appends one `measured / paper-scale / paper` comparison row: `label`
+/// behind `indent` spaces and padded to `pad` columns, then the three
+/// counts right-aligned in `width`, `width + 1` and `width + 1` columns.
+fn paper_row(
+    out: &mut String,
+    indent: usize,
+    label: &str,
+    pad: usize,
+    width: usize,
+    counts: [u64; 3],
+) {
+    let [measured, scaled, paper] = counts.map(fmt_count);
+    let wide = width + 1;
+    writeln!(
+        out,
+        "{:indent$}{label:<pad$} measured {measured:>width$}  paper-scale {scaled:>wide$}  paper {paper:>wide$}",
+        ""
+    )
+    .unwrap();
+}
+
+/// Appends a `measured / paper-scale / paper` table: a header line, then
+/// one line per `(name, measured, paper)` row. The rows partition (a
+/// subset of) `total` sites, so their paper-scale column is apportioned
+/// against the upscaled total rather than rounded row by row.
+fn paper_table(
+    out: &mut String,
+    heading: &str,
+    pad: usize,
+    rows: &[(String, u64, u64)],
+    total: u64,
+    scale: f64,
+) {
+    let mut line = |name: &str, measured: &str, scaled: &str, paper: &str| {
+        writeln!(out, "  {name:<pad$}{measured:>10}{scaled:>14}{paper:>10}").unwrap();
+    };
+    line(heading, "measured", "paper-scale", "paper");
+    let measured: Vec<u64> = rows.iter().map(|&(_, measured, _)| measured).collect();
+    let scaled = upscaled_rows(&measured, total, scale);
+    for ((name, measured, paper), scaled) in rows.iter().zip(scaled) {
+        line(
+            name,
+            &fmt_count(*measured),
+            &fmt_count(scaled),
+            &fmt_count(*paper),
+        );
+    }
+}
+
 /// Future work made runnable: a monthly adoption-trend series between
 /// the two campaigns, each month a freshly generated and scanned
 /// population (the paper: "we will perform regular scanning on popular
@@ -178,38 +227,17 @@ pub fn table4(records: &[CampaignRow], population: &Population) -> String {
         if second { 345 } else { 223 }
     )
     .unwrap();
-    writeln!(
-        out,
-        "  {:<22}{:>10}{:>14}{:>10}",
-        "Server", "measured", "paper-scale", "paper"
-    )
-    .unwrap();
-    // The listed families are disjoint slices of the headers-returning
-    // sites, so their paper-scale column is apportioned against the
-    // upscaled headers total rather than rounded row by row.
-    let measured_rows: Vec<u64> = paper
+    let table: Vec<(String, u64, u64)> = paper
         .iter()
-        .map(|(name, _, _)| {
-            rows.iter()
+        .map(|&(name, exp1, exp2)| {
+            let measured = rows
+                .iter()
                 .find(|(n, _)| n == name)
-                .map_or(0, |(_, c)| *c as u64)
+                .map_or(0, |(_, c)| *c as u64);
+            (name.to_string(), measured, if second { exp2 } else { exp1 })
         })
         .collect();
-    let scaled_rows = upscaled_rows(&measured_rows, headers_total, scale);
-    for (((name, exp1, exp2), measured), scaled) in
-        paper.iter().zip(&measured_rows).zip(scaled_rows)
-    {
-        let paper_count = if second { *exp2 } else { *exp1 };
-        writeln!(
-            out,
-            "  {:<22}{:>10}{:>14}{:>10}",
-            name,
-            fmt_count(*measured),
-            fmt_count(scaled),
-            fmt_count(paper_count)
-        )
-        .unwrap();
-    }
+    paper_table(&mut out, "Server", 22, &table, headers_total, scale);
     out
 }
 
@@ -230,35 +258,21 @@ fn settings_table(
     }
     let mut out = String::new();
     writeln!(out, "{title} ({})", population.spec().label).unwrap();
-    writeln!(
-        out,
-        "  {:<16}{:>10}{:>14}{:>10}",
-        "Value", "measured", "paper-scale", "paper"
-    )
-    .unwrap();
     // Each listed value is a distinct key, so the rows partition (a
-    // subset of) the headers-returning sites: apportion the paper-scale
-    // column so it stays consistent with the upscaled total.
+    // subset of) the headers-returning sites.
     let total: u64 = counts.values().map(|&c| c as u64).sum();
-    let measured_rows: Vec<u64> = paper_rows
+    let table: Vec<(String, u64, u64)> = paper_rows
         .iter()
-        .map(|(value, _, _)| counts.get(value).copied().unwrap_or(0) as u64)
+        .map(|&(value, exp1, exp2)| {
+            let measured = counts.get(&value).copied().unwrap_or(0) as u64;
+            (
+                render_value(value),
+                measured,
+                if second { exp2 } else { exp1 },
+            )
+        })
         .collect();
-    let scaled_rows = upscaled_rows(&measured_rows, total, scale);
-    for (((value, exp1, exp2), measured), scaled) in
-        paper_rows.iter().zip(&measured_rows).zip(scaled_rows)
-    {
-        let paper_count = if second { *exp2 } else { *exp1 };
-        writeln!(
-            out,
-            "  {:<16}{:>10}{:>14}{:>10}",
-            render_value(*value),
-            fmt_count(*measured),
-            fmt_count(scaled),
-            fmt_count(paper_count)
-        )
-        .unwrap();
-    }
+    paper_table(&mut out, "Value", 16, &table, total, scale);
     out
 }
 
@@ -389,14 +403,7 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
     .into_iter()
     .zip(d1_scaled)
     {
-        writeln!(
-            out,
-            "    {label:<18} measured {:>8}  paper-scale {:>9}  paper {:>9}",
-            fmt_count(measured),
-            fmt_count(scaled),
-            fmt_count(paper)
-        )
-        .unwrap();
+        paper_row(&mut out, 4, label, 18, 8, [measured, scaled, paper]);
     }
     // Under a fault campaign, break the "no response" row down by how it
     // was established: a probe that actually waited out its deadline
@@ -449,14 +456,18 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
                 .is_some_and(|fc| fc.headers_at_zero_window)
         })
         .count();
-    writeln!(
-        out,
-        "  [V-D2] HEADERS under zero window: measured {:>8}  paper-scale {:>9}  paper {:>9}",
-        fmt_count(compliant as u64),
-        fmt_count(upscaled(compliant, scale)),
-        fmt_count(spec.headers_at_zero_window)
-    )
-    .unwrap();
+    paper_row(
+        &mut out,
+        2,
+        "[V-D2] HEADERS under zero window:",
+        0,
+        8,
+        [
+            compliant as u64,
+            upscaled(compliant, scale),
+            spec.headers_at_zero_window,
+        ],
+    );
 
     // V-D3: zero window update reactions.
     let mut rst = 0;
@@ -496,14 +507,7 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
     .into_iter()
     .zip(d3_scaled)
     {
-        writeln!(
-            out,
-            "    {label:<18} measured {:>8}  paper-scale {:>9}  paper {:>9}",
-            fmt_count(measured),
-            fmt_count(scaled),
-            fmt_count(paper)
-        )
-        .unwrap();
+        paper_row(&mut out, 4, label, 18, 8, [measured, scaled, paper]);
     }
     let conn_goaway = with_headers
         .iter()
@@ -558,14 +562,8 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
             spec.large_update_stream_rst,
         ),
     ] {
-        writeln!(
-            out,
-            "    {label:<18} measured {:>8}  paper-scale {:>9}  paper {:>9}",
-            fmt_count(measured as u64),
-            fmt_count(upscaled(measured, scale)),
-            fmt_count(paper)
-        )
-        .unwrap();
+        let counts = [measured as u64, upscaled(measured, scale), paper];
+        paper_row(&mut out, 4, label, 18, 8, counts);
     }
     out
 }
@@ -611,14 +609,8 @@ pub fn priority(records: &[CampaignRow], population: &Population) -> String {
         ("first-DATA-frame rule", by_first, spec.priority_by_first),
         ("both rules", by_both, spec.priority_by_both),
     ] {
-        writeln!(
-            out,
-            "  {label:<22} measured {:>7}  paper-scale {:>8}  paper {:>8}",
-            fmt_count(measured),
-            fmt_count(upscaled(measured as usize, scale)),
-            fmt_count(paper)
-        )
-        .unwrap();
+        let counts = [measured, upscaled(measured as usize, scale), paper];
+        paper_row(&mut out, 2, label, 22, 7, counts);
     }
     writeln!(out, "  self-dependent stream reactions:").unwrap();
     let self_scaled = upscaled_rows(
@@ -634,14 +626,7 @@ pub fn priority(records: &[CampaignRow], population: &Population) -> String {
     .into_iter()
     .zip(self_scaled)
     {
-        writeln!(
-            out,
-            "    {label:<20} measured {:>7}  paper-scale {:>8}  paper {:>8}",
-            fmt_count(measured),
-            fmt_count(scaled),
-            fmt_count(paper)
-        )
-        .unwrap();
+        paper_row(&mut out, 4, label, 20, 7, [measured, scaled, paper]);
     }
     out
 }

@@ -1,5 +1,6 @@
 //! The `repro` binary's usage errors: an unparsable `--threads`/`--loads`
-//! value, a `--scale` outside `(0, 1]` and an unknown command all exit 2
+//! value, a flag without its value (`--exp` included), a `--scale`
+//! outside `(0, 1]` and an unknown command all exit 2
 //! with a message and no report; `--threads 0` runs on one worker.
 
 use std::process::{Command, Output};
@@ -23,9 +24,18 @@ fn unparsable_threads_and_loads_are_usage_errors() {
             "{flag} {value}: unhelpful message {stderr:?}"
         );
     }
-    // A flag with its value missing altogether fails the same way.
+    // A flag with its value missing altogether fails the same way —
+    // `--exp` too, which used to read as "both" and scan everything.
     let out = repro(&["adoption", "--loads"]);
     assert_eq!(out.status.code(), Some(2));
+    let out = repro(&["adoption", "--scale", "0.0005", "--exp"]);
+    assert_eq!(out.status.code(), Some(2), "--exp without a value");
+    assert!(out.stdout.is_empty(), "--exp without a value still ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--exp needs"),
+        "unhelpful message {stderr:?}"
+    );
 }
 
 #[test]

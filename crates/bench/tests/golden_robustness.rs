@@ -1,7 +1,8 @@
 //! Pins the rendered robustness matrix to the committed golden snapshot
-//! that the CI abuse-smoke job diffs against. The matrix is a pure
-//! function of the server profiles, so any engine or quirk change that
-//! moves it must regenerate `golden_robustness.txt` deliberately:
+//! that `scripts/cli-smoke.sh abuse` (CI job `cli-smoke`) diffs against.
+//! The matrix is a pure function of the server profiles, so any engine
+//! or quirk change that moves it must regenerate `golden_robustness.txt`
+//! deliberately:
 //!
 //! ```text
 //! cargo run --release -p h2ready-bench --bin repro -- abuse --scale 0.01 --seed 0 \

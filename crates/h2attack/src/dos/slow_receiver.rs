@@ -7,7 +7,8 @@
 //! where they sit pinned for as long as the attacker keeps the connection
 //! alive — memory the attacker rents for the price of a few frames.
 
-use h2scope::{ProbeConn, Target, TimedFrame};
+use h2scope::client::data_octets;
+use h2scope::{ProbeConn, Target};
 use h2wire::{Frame, SettingId, Settings, StreamId, WindowUpdateFrame};
 
 /// Result of one slow-receiver engagement.
@@ -21,15 +22,6 @@ pub struct SlowReceiverReport {
     pub amplification: u64,
     /// Octets the server managed to emit before stalling.
     pub leaked_octets: u64,
-}
-
-/// DATA payload octets among `frames`: what the server managed to emit.
-pub(crate) fn data_octets(frames: &[TimedFrame]) -> u64 {
-    let data = frames.iter().filter_map(|tf| match &tf.frame {
-        Frame::Data(d) => Some(d.data.len() as u64),
-        _ => None,
-    });
-    data.sum()
 }
 
 /// Runs the attack: open `streams` requests for large objects with a

@@ -9,6 +9,7 @@
 //! that probing a bound and simulating an attacker stay distinct jobs.
 
 use h2hpack::Header;
+use h2scope::client::data_octets;
 use h2scope::{classify_reaction, ProbeConn, Target};
 use h2wire::{
     DataFrame, ErrorCode, Frame, PingFrame, RstStreamFrame, SettingId, Settings, SettingsFrame,
@@ -202,7 +203,7 @@ fn slow_read(target: &Target, seed: u64) -> AttackReport {
         octets = octets.saturating_add(9 + header_len);
     }
     conn.exchange();
-    let leaked = dos::slow_receiver::data_octets(&conn.received);
+    let leaked = data_octets(&conn.received);
     // Silence: the attacker holds the connection open without reading.
     conn.advance(SimDuration::from_secs(SLOW_READ_STALL_SECS));
     conn.send(Frame::Ping(PingFrame::request([0x51; 8])));

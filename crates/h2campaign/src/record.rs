@@ -34,7 +34,7 @@ use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-use h2scope::storage::{read_report, write_report};
+use h2scope::storage::{escape, read_report, split_fields, unescape, write_report};
 use h2scope::SiteReport;
 use webpop::{Family, Population};
 
@@ -122,60 +122,6 @@ fn io_err(path: &Path, source: std::io::Error) -> RecordError {
     }
 }
 
-/// Escapes a metadata value so it cannot contain a field separator or a
-/// line break (same scheme as `h2scope::storage` report lines).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '|' => out.push_str("\\p"),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('p') => out.push('|'),
-            Some('n') => out.push('\n'),
-            other => return Err(format!("bad escape \\{other:?}")),
-        }
-    }
-    Ok(out)
-}
-
-/// Splits a record line on unescaped `|`.
-fn split_fields(line: &str) -> Vec<&str> {
-    let mut fields = Vec::new();
-    let mut start = 0;
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'|' => {
-                fields.push(&line[start..i]);
-                i += 1;
-                start = i;
-            }
-            _ => i += 1,
-        }
-    }
-    fields.push(&line[start..]);
-    fields
-}
-
 /// FNV-1a 64-bit — the record checksum and population hash primitive.
 /// Dependency-free and stable across platforms, which is all a
 /// corruption tripwire needs (this is not a cryptographic seal).
@@ -190,14 +136,10 @@ fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Checksum over the canonical (index-sorted) row lines.
-fn rows_checksum(rows: &[CampaignRow]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for row in rows {
-        h = fnv1a(h, row.encode().as_bytes());
-        h = fnv1a(h, b"\n");
-    }
-    h
+/// Folds one row line (and its LF) into the record checksum, which runs
+/// over the row lines of a finalized record exactly as they are on disk.
+fn checksum_line(state: u64, line: &str) -> u64 {
+    fnv1a(fnv1a(state, line.as_bytes()), b"\n")
 }
 
 /// The campaign configuration a record was produced under. Two records
@@ -267,11 +209,11 @@ impl CampaignMeta {
         let mut seed = None;
         let mut population = None;
         let mut sites = None;
-        let fields = split_fields(line);
-        if fields.first() != Some(&"meta") {
+        let mut fields = split_fields(line);
+        if fields.next() != Some("meta") {
             return Err("expected a meta| line".to_string());
         }
-        for field in &fields[1..] {
+        for field in fields {
             let (key, value) = field
                 .split_once('=')
                 .ok_or_else(|| format!("meta field without '=': {field:?}"))?;
@@ -460,21 +402,6 @@ impl RecordWriter {
     }
 }
 
-/// The complete, canonical byte content of a finalized record.
-fn canonical_content(meta: &CampaignMeta, rows: &[CampaignRow]) -> String {
-    let mut out = meta.header();
-    for row in rows {
-        out.push_str(&row.encode());
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        "end|rows={}|checksum={:016x}\n",
-        rows.len(),
-        rows_checksum(rows)
-    ));
-    out
-}
-
 /// Finalizes a completed campaign: rewrites `path` with the header, all
 /// rows in index order, and the `end|` trailer, via a temp-file rename
 /// so a crash during finalization never destroys the journal. The
@@ -492,7 +419,18 @@ pub fn finalize(path: &Path, meta: &CampaignMeta, rows: &[CampaignRow]) -> Resul
         )));
     }
     let tmp = path.with_extension("h2c.tmp");
-    let content = canonical_content(meta, rows);
+    let mut content = meta.header();
+    let mut checksum = FNV_OFFSET;
+    for row in rows {
+        let line = row.encode();
+        checksum = checksum_line(checksum, &line);
+        content.push_str(&line);
+        content.push('\n');
+    }
+    content.push_str(&format!(
+        "end|rows={}|checksum={checksum:016x}\n",
+        rows.len()
+    ));
     std::fs::write(&tmp, content).map_err(|e| io_err(&tmp, e))?;
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
 }
@@ -504,13 +442,18 @@ pub fn finalize(path: &Path, meta: &CampaignMeta, rows: &[CampaignRow]) -> Resul
 /// deduplicated (later duplicates win — they can only arise from a
 /// crash between a row's write and the scheduler's bookkeeping, and
 /// duplicate rows of a deterministic scan are identical anyway).
-/// Finalized records are held to strict form: row count and checksum
-/// must verify.
+/// Finalized records are held to strict form: the row count must match
+/// the trailer and the checksum must verify over the row lines *as they
+/// are on disk* — so a row that still parses but is not what
+/// [`finalize`] writes (fields reordered, rows out of index order) is a
+/// [`RecordError::Checksum`], never silently re-canonicalised.
 ///
 /// # Errors
 ///
 /// [`RecordError::Io`] on filesystem failure, [`RecordError::Parse`] on
-/// malformed content.
+/// malformed content (an unknown escape included), [`RecordError::Torn`]
+/// / [`RecordError::Checksum`] on a finalized record that was cut short
+/// or altered.
 pub fn read(path: &Path) -> Result<StoredRecord, RecordError> {
     let mut content = String::new();
     File::open(path)
@@ -539,6 +482,7 @@ pub fn read(path: &Path) -> Result<StoredRecord, RecordError> {
     let meta = CampaignMeta::parse_line(meta_line).map_err(|m| parse_err(2, m))?;
 
     let mut rows = Vec::new();
+    let mut computed = FNV_OFFSET;
     let mut end: Option<(u64, u64)> = None;
     for (number, line) in lines.iter().enumerate().skip(2) {
         let number = number + 1; // 1-based
@@ -564,6 +508,7 @@ pub fn read(path: &Path) -> Result<StoredRecord, RecordError> {
             break;
         }
         rows.push(CampaignRow::decode(line).map_err(|m| parse_err(number, m))?);
+        computed = checksum_line(computed, line);
     }
 
     rows.sort_by_key(|r| r.index);
@@ -583,7 +528,6 @@ pub fn read(path: &Path) -> Result<StoredRecord, RecordError> {
                     found_rows: rows.len() as u64,
                 });
             }
-            let computed = rows_checksum(&rows);
             if checksum != computed {
                 return Err(RecordError::Checksum {
                     expected: checksum,
@@ -649,7 +593,7 @@ mod tests {
     fn meta_escaping_survives_hostile_values() {
         let population = tiny_population();
         let mut meta = CampaignMeta::describe(&population, "none", 0);
-        meta.label = "pipe|back\\slash\nnewline".to_string();
+        meta.label = "pipe|back\\slash\nnewline,key=value".to_string();
         let header = meta.header();
         let meta_line = header.lines().nth(1).expect("meta line");
         let parsed = CampaignMeta::parse_line(meta_line).expect("meta parses");
@@ -682,6 +626,13 @@ mod tests {
         assert!(stored.finalized);
         assert_eq!(stored.meta, meta);
         assert_eq!(stored.rows, rows);
+        // What was read finalizes back to the very same bytes.
+        let again = temp_path("roundtrip-again.h2c");
+        finalize(&again, &stored.meta, &stored.rows).expect("finalize again");
+        assert_eq!(
+            std::fs::read(&path).expect("bytes"),
+            std::fs::read(&again).expect("bytes again")
+        );
     }
 
     #[test]
@@ -736,6 +687,52 @@ mod tests {
         let err = read(&path).expect_err("corruption detected");
         assert!(matches!(err, RecordError::Checksum { .. }), "{err}");
         assert!(err.to_string().contains("checksum"));
+    }
+
+    #[test]
+    fn parseable_but_non_canonical_row_is_a_checksum_error() {
+        let population = tiny_population();
+        let mut meta = CampaignMeta::describe(&population, "none", 0);
+        let rows = sample_rows(&population, 3);
+        meta.sites = rows.len() as u64;
+        let path = temp_path("reordered.h2c");
+        finalize(&path, &meta, &rows).expect("finalize");
+        let good = std::fs::read_to_string(&path).expect("read file");
+        // Swap two adjacent fields of one row: every field is still
+        // there, the row decodes to the same value, but these are not the
+        // bytes `finalize` wrote.
+        let bad = good.replacen("|alpn=1|npn=1|", "|npn=1|alpn=1|", 1);
+        assert_ne!(good, bad, "fixture must actually change");
+        let swapped = bad.lines().nth(2).expect("first row");
+        assert_eq!(CampaignRow::decode(swapped).expect("still parses"), rows[0]);
+        std::fs::write(&path, bad).expect("write reordered");
+        let err = read(&path).expect_err("non-canonical row detected");
+        assert!(matches!(err, RecordError::Checksum { .. }), "{err}");
+    }
+
+    #[test]
+    fn unknown_escape_in_a_stored_line_is_a_parse_error() {
+        let population = tiny_population();
+        let meta = CampaignMeta::describe(&population, "none", 0);
+        let rows = sample_rows(&population, 2);
+        let path = temp_path("bad-escape.h2c");
+        let writer = RecordWriter::create(&path, &meta).expect("create");
+        for row in &rows {
+            writer.append(row).expect("append");
+        }
+        let good = std::fs::read_to_string(&path).expect("read file");
+        for (from, to, line) in [("|site=", "|site=\\x", 3), ("|label=", "|label=\\q", 2)] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(good, bad, "fixture must actually change");
+            std::fs::write(&path, bad).expect("write corrupted");
+            match read(&path).expect_err("corrupt escape is not kept as it stands") {
+                RecordError::Parse { line: at, message } => {
+                    assert_eq!(at, line, "{message}");
+                    assert!(message.contains("bad escape"), "{message}");
+                }
+                other => panic!("expected a parse error, got {other}"),
+            }
+        }
     }
 
     #[test]

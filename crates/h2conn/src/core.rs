@@ -24,9 +24,9 @@ use h2wire::{
     PrioritySpec, PushPromiseFrame, SettingId, Settings, StreamId,
 };
 
-use crate::assembler::{AssemblyError, BlockKind, HeaderAssembler};
+use crate::assembler::{AssemblyError, BlockKind, CompleteBlock, HeaderAssembler};
 use crate::priority::PriorityTree;
-use crate::stream::{StreamMap, StreamState};
+use crate::stream::{Stream, StreamMap, StreamState};
 use crate::window::FlowWindow;
 
 /// Which end of the connection this core implements.
@@ -470,13 +470,7 @@ impl ConnectionCore {
                         }),
                     }
                 } else {
-                    let (send_init, recv_init) = (
-                        self.remote.initial_window_size,
-                        self.local.initial_window_size,
-                    );
-                    let stream = self
-                        .streams
-                        .get_or_create(f.stream_id, send_init, recv_init);
+                    let stream = self.stream_entry(f.stream_id);
                     match stream.send_window.expand(f.increment) {
                         Ok(()) => events.push(CoreEvent::WindowUpdated {
                             scope: WindowScope::Stream(f.stream_id),
@@ -496,24 +490,18 @@ impl ConnectionCore {
                 }
             }
             Frame::Headers(f) => {
-                if let Some(block) = self.assembler.start(
+                let block = self.assembler.start(
                     f.stream_id,
                     BlockKind::Headers,
                     &f.fragment,
                     f.end_stream,
                     f.end_headers,
                     f.priority,
-                )? {
-                    self.finish_block(block, &mut events)?;
-                } else {
-                    events.push(CoreEvent::HeaderBlockProgress {
-                        stream: f.stream_id,
-                        accumulated: self.assembler.accumulated() as u32,
-                    });
-                }
+                )?;
+                self.block_step(f.stream_id, block, &mut events)?;
             }
             Frame::PushPromise(f) => {
-                if let Some(block) = self.assembler.start(
+                let block = self.assembler.start(
                     f.stream_id,
                     BlockKind::PushPromise {
                         promised: f.promised_stream_id,
@@ -522,24 +510,12 @@ impl ConnectionCore {
                     false,
                     f.end_headers,
                     None,
-                )? {
-                    self.finish_block(block, &mut events)?;
-                } else {
-                    events.push(CoreEvent::HeaderBlockProgress {
-                        stream: f.stream_id,
-                        accumulated: self.assembler.accumulated() as u32,
-                    });
-                }
+                )?;
+                self.block_step(f.stream_id, block, &mut events)?;
             }
             Frame::Continuation(f) => {
-                if let Some(block) = self.assembler.continuation(&f)? {
-                    self.finish_block(block, &mut events)?;
-                } else {
-                    events.push(CoreEvent::HeaderBlockProgress {
-                        stream: f.stream_id,
-                        accumulated: self.assembler.accumulated() as u32,
-                    });
-                }
+                let block = self.assembler.continuation(&f)?;
+                self.block_step(f.stream_id, block, &mut events)?;
             }
             Frame::Data(f) => {
                 let fcl = f.flow_controlled_len();
@@ -549,13 +525,7 @@ impl ConnectionCore {
                     });
                     return Ok(events);
                 }
-                let (send_init, recv_init) = (
-                    self.remote.initial_window_size,
-                    self.local.initial_window_size,
-                );
-                let stream = self
-                    .streams
-                    .get_or_create(f.stream_id, send_init, recv_init);
+                let stream = self.stream_entry(f.stream_id);
                 if stream.recv_window.consume(fcl).is_err() {
                     events.push(CoreEvent::FlowViolation {
                         scope: WindowScope::Stream(f.stream_id),
@@ -581,13 +551,7 @@ impl ConnectionCore {
                 }),
             },
             Frame::RstStream(f) => {
-                let (send_init, recv_init) = (
-                    self.remote.initial_window_size,
-                    self.local.initial_window_size,
-                );
-                let stream = self
-                    .streams
-                    .get_or_create(f.stream_id, send_init, recv_init);
+                let stream = self.stream_entry(f.stream_id);
                 stream.recv_reset(f.code);
                 events.push(CoreEvent::RstStreamReceived {
                     stream: f.stream_id,
@@ -642,16 +606,32 @@ impl ConnectionCore {
         }
     }
 
-    fn finish_block(
-        &mut self,
-        block: crate::assembler::CompleteBlock,
-        events: &mut Vec<CoreEvent>,
-    ) -> Result<(), ConnError> {
-        let headers = self.decoder.decode_block(&block.fragment)?;
-        let (send_init, recv_init) = (
+    /// The stream's table entry, created with the current initial
+    /// windows (peer's for sending, ours for receiving) when absent.
+    fn stream_entry(&mut self, id: StreamId) -> &mut Stream {
+        self.streams.get_or_create(
+            id,
             self.remote.initial_window_size,
             self.local.initial_window_size,
-        );
+        )
+    }
+
+    /// The tail of every header-block frame: a completed block is
+    /// decoded and applied, an open one reports how much it has buffered.
+    fn block_step(
+        &mut self,
+        stream: StreamId,
+        block: Option<CompleteBlock>,
+        events: &mut Vec<CoreEvent>,
+    ) -> Result<(), ConnError> {
+        let Some(block) = block else {
+            events.push(CoreEvent::HeaderBlockProgress {
+                stream,
+                accumulated: self.assembler.accumulated() as u32,
+            });
+            return Ok(());
+        };
+        let headers = self.decoder.decode_block(&block.fragment)?;
         match block.kind {
             BlockKind::Headers => {
                 let is_new = self.streams.get(block.stream).is_none();
@@ -676,10 +656,8 @@ impl ConnectionCore {
                         .priority
                         .declare(block.stream, PrioritySpec::default_spec());
                 }
-                let stream = self
-                    .streams
-                    .get_or_create(block.stream, send_init, recv_init);
-                stream.recv_headers(block.end_stream);
+                self.stream_entry(block.stream)
+                    .recv_headers(block.end_stream);
                 events.push(CoreEvent::HeadersReceived {
                     stream: block.stream,
                     headers,
@@ -688,8 +666,7 @@ impl ConnectionCore {
                 });
             }
             BlockKind::PushPromise { promised } => {
-                let stream = self.streams.get_or_create(promised, send_init, recv_init);
-                stream.state = StreamState::ReservedRemote;
+                self.stream_entry(promised).state = StreamState::ReservedRemote;
                 events.push(CoreEvent::PushPromiseReceived {
                     stream: block.stream,
                     promised,
@@ -715,12 +692,7 @@ impl ConnectionCore {
         let block = self.encoder.encode_block(headers);
         self.report_hpack_evictions();
         let max = self.remote.max_frame_size as usize;
-        let stream = self.streams.get_or_create(
-            stream_id,
-            self.remote.initial_window_size,
-            self.local.initial_window_size,
-        );
-        stream.send_headers(end_stream);
+        self.stream_entry(stream_id).send_headers(end_stream);
         let mut frames = Vec::new();
         if block.len() <= max {
             frames.push(Frame::Headers(HeadersFrame {
@@ -765,12 +737,7 @@ impl ConnectionCore {
         let promised = StreamId::new(self.next_push_id);
         self.next_push_id += 2;
         let block = self.encoder.encode_block(request_headers);
-        let stream = self.streams.get_or_create(
-            promised,
-            self.remote.initial_window_size,
-            self.local.initial_window_size,
-        );
-        stream.state = StreamState::ReservedLocal;
+        self.stream_entry(promised).state = StreamState::ReservedLocal;
         (
             promised,
             Frame::PushPromise(PushPromiseFrame {

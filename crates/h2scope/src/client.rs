@@ -38,6 +38,15 @@ pub struct TimedFrame {
     pub headers: Option<std::sync::Arc<Vec<Header>>>,
 }
 
+/// DATA payload octets among `frames`: the body a peer managed to emit.
+pub fn data_octets(frames: &[TimedFrame]) -> u64 {
+    let data = frames.iter().filter_map(|tf| match &tf.frame {
+        Frame::Data(d) => Some(d.data.len() as u64),
+        _ => None,
+    });
+    data.sum()
+}
+
 /// A frame-level HTTP/2 client connection to one [`Target`].
 #[derive(Debug)]
 pub struct ProbeConn {

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use h2wire::{Frame, Settings};
 use netsim::time::SimDuration;
 
-use crate::client::ProbeConn;
+use crate::client::{data_octets, ProbeConn};
 use crate::target::Target;
 
 /// Result of one page-load trial over `connections` transports.
@@ -105,16 +105,6 @@ pub fn load_with_connections(
         load_time: finish - netsim::SimTime::ZERO,
         octets,
     }
-}
-
-fn data_octets(frames: &[crate::client::TimedFrame]) -> u64 {
-    frames
-        .iter()
-        .filter_map(|tf| match &tf.frame {
-            Frame::Data(d) => Some(d.data.len() as u64),
-            _ => None,
-        })
-        .sum()
 }
 
 /// Runs the single-vs-multi comparison over `trials` seeds, returning

@@ -37,15 +37,32 @@ impl std::fmt::Display for ParseReportError {
 
 impl std::error::Error for ParseReportError {}
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('|', "\\p")
-        .replace('\n', "\\n")
-        .replace('=', "\\e")
-        .replace(',', "\\c")
+/// Escapes a value so it cannot contain a field separator (`|`), a key
+/// separator (`=`), a list separator (`,`) or a line break — the one
+/// escape of every record line, report fields and `h2campaign` meta
+/// values alike.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '|' => out.push_str("\\p"),
+            '\n' => out.push_str("\\n"),
+            '=' => out.push_str("\\e"),
+            ',' => out.push_str("\\c"),
+            _ => out.push(c),
+        }
+    }
+    out
 }
 
-fn unescape(s: &str) -> String {
+/// Reverses [`escape`].
+///
+/// # Errors
+///
+/// A backslash followed by anything but `\\`, `p`, `n`, `e` or `c` (or by
+/// nothing) is not something [`escape`] writes: the value is corrupt.
+pub fn unescape(s: &str) -> Result<String, String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -59,15 +76,36 @@ fn unescape(s: &str) -> String {
             Some('n') => out.push('\n'),
             Some('e') => out.push('='),
             Some('c') => out.push(','),
-            other => {
-                out.push('\\');
-                if let Some(o) = other {
-                    out.push(o);
-                }
-            }
+            Some(other) => return Err(format!("bad escape \\{other}")),
+            None => return Err("bad escape: trailing \\".to_string()),
         }
     }
-    out
+    Ok(out)
+}
+
+/// The fields of a record line: the slices between unescaped `|`
+/// separators, borrowed from `line` (a trailing separator yields a final
+/// empty field).
+pub fn split_fields(line: &str) -> impl Iterator<Item = &str> {
+    let bytes = line.as_bytes();
+    // Past `line.len()` once the last field is out.
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let rest = bytes.get(start..)?;
+        let mut len = 0;
+        while let Some(&b) = rest.get(len) {
+            match b {
+                b'|' => break,
+                // Skip the escaped octet; it is never a separator.
+                b'\\' => len += 2,
+                _ => len += 1,
+            }
+        }
+        let end = (start + len).min(bytes.len());
+        let field = line.get(start..end)?;
+        start = end + 1;
+        Some(field)
+    })
 }
 
 fn reaction_code(r: Reaction) -> &'static str {
@@ -249,29 +287,36 @@ pub fn write_reports<'a>(reports: impl IntoIterator<Item = &'a SiteReport>) -> S
 /// fills in real line numbers) when a field is missing or malformed.
 pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     let err = |message: String| ParseReportError { line: 0, message };
-    let mut fields = std::collections::HashMap::new();
+    let mut fields: Vec<(&str, &str)> = Vec::new();
     for part in split_fields(line) {
-        let (key, value) = part
+        let pair = part
             .split_once('=')
             .ok_or_else(|| err(format!("field without '=': {part:?}")))?;
-        fields.insert(key.to_string(), value.to_string());
+        fields.push(pair);
     }
-    let get = |key: &str| -> Result<String, ParseReportError> {
+    // Fields are looked up by key, in any order; a repeated key reads as
+    // its last occurrence.
+    let find = |key: &str| {
         fields
-            .get(key)
-            .cloned()
-            .ok_or_else(|| err(format!("missing field {key}")))
+            .iter()
+            .rev()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, value)| value)
     };
+    let get = |key: &str| find(key).ok_or_else(|| err(format!("missing field {key}")));
     let get_bool = |key: &str| -> Result<bool, ParseReportError> {
-        match get(key)?.as_str() {
+        match get(key)? {
             "0" => Ok(false),
             "1" => Ok(true),
             other => Err(err(format!("bad {key}: {other:?} is neither 0 nor 1"))),
         }
     };
     let get_opt = |key: &str| -> Result<Option<u32>, ParseReportError> {
-        parse_opt_u32(&get(key)?).map_err(&err)
+        parse_opt_u32(get(key)?).map_err(&err)
     };
+    let text = |value: &str| unescape(value).map_err(&err);
+    let bad = |key: &str| err(format!("bad {key}"));
+    let reaction = |key: &str| parse_reaction(get(key)?).ok_or_else(|| bad(key));
 
     let settings = SettingsReport {
         received: get_bool("st.recv")?,
@@ -283,62 +328,54 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
         max_header_list_size: get_opt("st.mhls")?,
         zero_window_then_update: get_bool("st.zwtu")?,
     };
-    let flow_control = if fields.contains_key("fc.small") {
+    let flow_control = if find("fc.small").is_some() {
         Some(FlowControlReport {
-            small_window: parse_small_window(&get("fc.small")?)
-                .ok_or_else(|| err("bad fc.small".into()))?,
+            small_window: parse_small_window(get("fc.small")?).ok_or_else(|| bad("fc.small"))?,
             headers_at_zero_window: get_bool("fc.hzw")?,
-            zero_update_stream: parse_reaction(&get("fc.zus")?)
-                .ok_or_else(|| err("bad fc.zus".into()))?,
-            zero_update_conn: parse_reaction(&get("fc.zuc")?)
-                .ok_or_else(|| err("bad fc.zuc".into()))?,
-            large_update_stream: parse_reaction(&get("fc.lus")?)
-                .ok_or_else(|| err("bad fc.lus".into()))?,
-            large_update_conn: parse_reaction(&get("fc.luc")?)
-                .ok_or_else(|| err("bad fc.luc".into()))?,
+            zero_update_stream: reaction("fc.zus")?,
+            zero_update_conn: reaction("fc.zuc")?,
+            large_update_stream: reaction("fc.lus")?,
+            large_update_conn: reaction("fc.luc")?,
         })
     } else {
         None
     };
-    let priority = if fields.contains_key("pr.last") {
+    let priority = if find("pr.last").is_some() {
         Some(PriorityReport {
             by_last_frame: get_bool("pr.last")?,
             by_first_frame: get_bool("pr.first")?,
             by_both: get_bool("pr.both")?,
             headers_blocked_at_zero_conn_window: get_bool("pr.blocked")?,
-            self_dependency: parse_reaction(&get("pr.self")?)
-                .ok_or_else(|| err("bad pr.self".into()))?,
+            self_dependency: reaction("pr.self")?,
         })
     } else {
         None
     };
-    let push = if fields.contains_key("pu.sup") {
+    let push = if find("pu.sup").is_some() {
         let paths = get("pu.paths")?;
         Some(PushReport {
             supported: get_bool("pu.sup")?,
-            pushed_octets: get("pu.octets")?
-                .parse()
-                .map_err(|_| err("bad pu.octets".into()))?,
+            pushed_octets: get("pu.octets")?.parse().map_err(|_| bad("pu.octets"))?,
             promised_paths: if paths.is_empty() {
                 Vec::new()
             } else {
-                paths.split(',').map(unescape).collect()
+                paths.split(',').map(text).collect::<Result<_, _>>()?
             },
         })
     } else {
         None
     };
-    let hpack = if fields.contains_key("hp.r") {
+    let hpack = if find("hp.r").is_some() {
         let sizes = get("hp.sizes")?;
         Some(HpackReport {
-            ratio: get("hp.r")?.parse().map_err(|_| err("bad hp.r".into()))?,
-            h: get("hp.h")?.parse().map_err(|_| err("bad hp.h".into()))?,
+            ratio: get("hp.r")?.parse().map_err(|_| bad("hp.r"))?,
+            h: get("hp.h")?.parse().map_err(|_| bad("hp.h"))?,
             sizes: if sizes.is_empty() {
                 Vec::new()
             } else {
                 sizes
                     .split(',')
-                    .map(|s| s.parse().map_err(|_| err("bad hp.sizes".into())))
+                    .map(|s| s.parse().map_err(|_| bad("hp.sizes")))
                     .collect::<Result<_, _>>()?
             },
         })
@@ -347,27 +384,23 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     };
     // Resilience fields default when absent (records written before fault
     // campaigns existed remain readable).
-    let probe = if fields.contains_key("pb.out") {
+    let probe = if find("pb.out").is_some() {
         ProbeStats {
-            outcome: parse_outcome(&get("pb.out")?).ok_or_else(|| err("bad pb.out".into()))?,
-            attempts: get("pb.att")?
-                .parse()
-                .map_err(|_| err("bad pb.att".into()))?,
-            backoff: SimDuration::from_nanos(
-                get("pb.bk")?.parse().map_err(|_| err("bad pb.bk".into()))?,
-            ),
+            outcome: parse_outcome(get("pb.out")?).ok_or_else(|| bad("pb.out"))?,
+            attempts: get("pb.att")?.parse().map_err(|_| bad("pb.att"))?,
+            backoff: SimDuration::from_nanos(get("pb.bk")?.parse().map_err(|_| bad("pb.bk"))?),
         }
     } else {
         ProbeStats::default()
     };
     let server = get("server")?;
     Ok(SiteReport {
-        authority: unescape(&get("site")?),
+        authority: text(get("site")?)?,
         negotiation: NegotiationReport {
             alpn_h2: get_bool("alpn")?,
             npn_h2: get_bool("npn")?,
         },
-        server_name: server.strip_prefix('+').map(unescape),
+        server_name: server.strip_prefix('+').map(text).transpose()?,
         headers_received: get_bool("hdrs")?,
         settings,
         flow_control,
@@ -376,30 +409,6 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
         hpack,
         probe,
     })
-}
-
-/// Splits on unescaped `|` separators.
-fn split_fields(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut current = String::new();
-    let mut escaped = false;
-    for c in line.chars() {
-        if escaped {
-            current.push(c);
-            escaped = false;
-        } else if c == '\\' {
-            current.push(c);
-            escaped = true;
-        } else if c == '|' {
-            fields.push(std::mem::take(&mut current));
-        } else {
-            current.push(c);
-        }
-    }
-    if !current.is_empty() {
-        fields.push(current);
-    }
-    fields
 }
 
 /// Parses a whole stored campaign.

@@ -7,7 +7,9 @@ use h2scope::probes::priority::PriorityReport;
 use h2scope::probes::push::PushReport;
 use h2scope::probes::settings::SettingsReport;
 use h2scope::probes::Reaction;
-use h2scope::storage::{read_report, read_reports, write_report, write_reports};
+use h2scope::storage::{
+    escape, read_report, read_reports, split_fields, unescape, write_report, write_reports,
+};
 use h2scope::{ProbeOutcome, ProbeStats, SiteReport};
 use netsim::time::SimDuration;
 use proptest::prelude::*;
@@ -166,6 +168,40 @@ proptest! {
             corrupted.replace_range(value_at..value_at + 1, &token);
             prop_assert!(read_report(&corrupted).is_err(), "{key}={token:?} parsed");
         }
+    }
+
+    /// The shared escape: any value — dense in all five specials —
+    /// escapes to a single field that holds no separator, and comes back
+    /// exactly, both on its own and as a report field.
+    #[test]
+    fn every_special_survives_the_shared_escape(
+        value in "[ab|=,\\\\\n]{1,24}",
+        report in arb_report(),
+    ) {
+        let escaped = escape(&value);
+        prop_assert!(!escaped.contains(['\n', '=', ',']), "{escaped:?}");
+        prop_assert_eq!(split_fields(&escaped).collect::<Vec<_>>(), vec![escaped.as_str()]);
+        prop_assert_eq!(unescape(&escaped), Ok(value.clone()));
+        let report = SiteReport {
+            authority: value.clone(),
+            server_name: Some(value),
+            ..report
+        };
+        prop_assert_eq!(read_report(&write_report(&report)), Ok(report));
+    }
+
+    /// A backslash followed by anything `escape` never writes marks a
+    /// corrupted value: it is a parse error, not kept as it stands.
+    #[test]
+    fn unknown_escapes_are_rejected(
+        report in arb_report(),
+        // Printable, minus the five escape letters `\ p n e c`.
+        bad in "[ -Z^-bdf-moq-~]",
+    ) {
+        let line = write_report(&report).replacen("site=", &format!("site=\\{bad}"), 1);
+        prop_assert!(read_report(&line).is_err(), "\\{bad} accepted");
+        prop_assert!(unescape(&format!("x\\{bad}")).is_err());
+        prop_assert!(unescape("dangling\\").is_err());
     }
 
     /// Arbitrary garbage never panics the parser.

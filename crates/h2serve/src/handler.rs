@@ -157,31 +157,7 @@ impl RequestHandler for QueryHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2campaign::{CampaignMeta, CampaignRow, StoredRecord};
-    use webpop::{ExperimentSpec, Population};
-
-    fn sample_record(label: &str) -> StoredRecord {
-        let population = Population::new(ExperimentSpec::first(), 0.0003);
-        let scope = h2scope::H2Scope::new();
-        let rows: Vec<CampaignRow> = (0..population.h2_count().min(5))
-            .map(|i| {
-                let site = population.site(i);
-                CampaignRow {
-                    index: i,
-                    family: site.family,
-                    report: scope.survey(&site.target()),
-                }
-            })
-            .collect();
-        let mut meta = CampaignMeta::describe(&population, "none", 0);
-        meta.label = label.to_string();
-        meta.sites = rows.len() as u64;
-        StoredRecord {
-            meta,
-            rows,
-            finalized: true,
-        }
-    }
+    use crate::index::tests::sample_record;
 
     fn handler(cache_enabled: bool) -> (QueryHandler, Arc<Mutex<QueryCache>>) {
         let index = Arc::new(ServeIndex::from_records(vec![

@@ -139,7 +139,7 @@ impl ServeIndex {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use h2campaign::{CampaignMeta, CampaignRow};
     use webpop::{ExperimentSpec, Population};

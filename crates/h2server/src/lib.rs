@@ -27,7 +27,9 @@
 pub mod behavior;
 pub mod engine;
 pub mod profiles;
+mod pump;
 pub mod site;
+mod transport;
 
 pub use behavior::{PushPolicy, QuirkAction, ServerBehavior};
 pub use engine::{H2Server, HandlerResponse, RequestHandler};

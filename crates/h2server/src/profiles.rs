@@ -25,16 +25,49 @@ pub struct ServerProfile {
 }
 
 impl ServerProfile {
+    /// Every profile the engine can impersonate, as `(command-line name,
+    /// constructor)`: the six testbed servers in the paper's column
+    /// order, the RFC reference, then the four wild-scan families. The
+    /// one list the `h2scope` binary, the robustness proptest and the
+    /// DESIGN.md inventory are read from.
+    #[allow(clippy::type_complexity)] // a name/constructor pair; an alias would only add a public name
+    pub fn all() -> [(&'static str, fn() -> ServerProfile); 11] {
+        [
+            ("nginx", ServerProfile::nginx),
+            ("litespeed", ServerProfile::litespeed),
+            ("h2o", ServerProfile::h2o),
+            ("nghttpd", ServerProfile::nghttpd),
+            ("tengine", ServerProfile::tengine),
+            ("apache", ServerProfile::apache),
+            ("rfc7540", ServerProfile::rfc7540),
+            ("gse", ServerProfile::gse),
+            ("cloudflare-nginx", ServerProfile::cloudflare_nginx),
+            ("ideaweb", ServerProfile::ideaweb),
+            ("tengine-aserver", ServerProfile::tengine_aserver),
+        ]
+    }
+
+    /// The profile with command-line name `name` (ASCII case-insensitive;
+    /// `reference`, `cloudflare`, `ideawebserver` and `aserver` are
+    /// accepted aliases).
+    pub fn by_name(name: &str) -> Option<ServerProfile> {
+        let lower = name.to_ascii_lowercase();
+        let canonical = match lower.as_str() {
+            "reference" => "rfc7540",
+            "cloudflare" => "cloudflare-nginx",
+            "ideawebserver" => "ideaweb",
+            "aserver" => "tengine-aserver",
+            other => other,
+        };
+        Self::all()
+            .iter()
+            .find(|(cli_name, _)| *cli_name == canonical)
+            .map(|(_, make)| make())
+    }
+
     /// All six testbed profiles in the paper's column order.
     pub fn testbed() -> Vec<ServerProfile> {
-        vec![
-            ServerProfile::nginx(),
-            ServerProfile::litespeed(),
-            ServerProfile::h2o(),
-            ServerProfile::nghttpd(),
-            ServerProfile::tengine(),
-            ServerProfile::apache(),
-        ]
+        Self::all().iter().take(6).map(|(_, make)| make()).collect()
     }
 
     /// Nginx v1.9.15 (Table III column 1).
@@ -299,6 +332,34 @@ mod tests {
             names,
             ["Nginx", "LiteSpeed", "H2O", "nghttpd", "Tengine", "Apache"]
         );
+    }
+
+    #[test]
+    fn all_lists_eleven_profiles_under_unique_names() {
+        let all = ServerProfile::all();
+        for (i, (name, make)) in all.iter().enumerate() {
+            assert!(
+                all.iter().skip(i + 1).all(|(other, _)| other != name),
+                "{name} listed twice"
+            );
+            assert_eq!(ServerProfile::by_name(name), Some(make()), "{name}");
+            assert_eq!(
+                ServerProfile::by_name(&name.to_ascii_uppercase()),
+                Some(make())
+            );
+        }
+        let display: std::collections::BTreeSet<String> =
+            all.iter().map(|(_, make)| make().name).collect();
+        assert_eq!(display.len(), 11, "eleven distinct profiles: {display:?}");
+        for (alias, name) in [
+            ("reference", "rfc7540"),
+            ("cloudflare", "cloudflare-nginx"),
+            ("ideawebserver", "ideaweb"),
+            ("aserver", "tengine-aserver"),
+        ] {
+            assert_eq!(ServerProfile::by_name(alias), ServerProfile::by_name(name));
+        }
+        assert_eq!(ServerProfile::by_name("iis"), None);
     }
 
     #[test]

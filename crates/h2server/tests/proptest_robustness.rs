@@ -9,27 +9,15 @@ use netsim::pipe::ByteEndpoint;
 use netsim::SimTime;
 use proptest::prelude::*;
 
-fn all_profiles() -> Vec<ServerProfile> {
-    let mut profiles = ServerProfile::testbed();
-    profiles.extend([
-        ServerProfile::rfc7540(),
-        ServerProfile::gse(),
-        ServerProfile::cloudflare_nginx(),
-        ServerProfile::ideaweb(),
-        ServerProfile::tengine_aserver(),
-    ]);
-    profiles
-}
-
 proptest! {
     /// Arbitrary bytes after a valid preface: the engine may close the
     /// connection but must not panic or return unparseable output.
     #[test]
     fn junk_after_preface_never_panics(
-        profile_idx in 0usize..11,
+        profile_idx in 0..ServerProfile::all().len(),
         junk in prop::collection::vec(any::<u8>(), 0..600),
     ) {
-        let profile = all_profiles()[profile_idx].clone();
+        let profile = ServerProfile::all()[profile_idx].1();
         let mut server = H2Server::new(profile, SiteSpec::benchmark());
         server.on_connect_vec(SimTime::ZERO);
         let mut hello = CONNECTION_PREFACE.to_vec();
@@ -55,10 +43,10 @@ proptest! {
     /// invalid output, across every profile.
     #[test]
     fn arbitrary_valid_frame_sequences_never_panic(
-        profile_idx in 0usize..11,
+        profile_idx in 0..ServerProfile::all().len(),
         ops in prop::collection::vec(0u8..6, 1..25),
     ) {
-        let profile = all_profiles()[profile_idx].clone();
+        let profile = ServerProfile::all()[profile_idx].1();
         let mut server = H2Server::new(profile, SiteSpec::benchmark());
         server.on_connect_vec(SimTime::ZERO);
         let mut wire = CONNECTION_PREFACE.to_vec();

@@ -1,0 +1,125 @@
+#!/usr/bin/env bash
+# CLI smoke checks: the `repro` binary driven the way a user drives it,
+# with the assertions CI gates on. Builds `repro` once, then runs the
+# named section (default: all of them) in a scratch directory.
+#
+#   scripts/cli-smoke.sh [metrics|abuse|resume|push-study|all]
+set -euo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+section="${1:-all}"
+case "$section" in
+    metrics | abuse | resume | push-study | all) ;;
+    *)
+        echo "unknown section '$section'; use metrics, abuse, resume, push-study or all" >&2
+        exit 2
+        ;;
+esac
+cd "$root"
+cargo build --release -p h2ready-bench --bin repro
+repro="${CARGO_TARGET_DIR:-$root/target}/release/repro"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+# --metrics must observe without perturbing: a faulted campaign's
+# experiment output (everything above the h2obs marker) has to be
+# byte-identical with and without instrumentation.
+metrics() {
+    "$repro" all --scale 0.01 --threads 4 --faults flaky --seed 42 > plain.txt
+    "$repro" all --scale 0.01 --threads 4 --faults flaky --seed 42 --metrics --trace-sites 3 > metrics.txt
+    grep -q '^=== h2obs campaign metrics ===$' metrics.txt
+    test -s OBS_campaign.json
+    grep -q '"schema": "h2obs-campaign-v2"' OBS_campaign.json
+    sed '/^=== h2obs campaign metrics ===$/,$d' metrics.txt > stripped.txt
+    diff plain.txt stripped.txt
+}
+
+# The §VI abuse campaign: the robustness matrix must match the committed
+# golden snapshot (it is a pure function of the profiles — any engine or
+# quirk change that moves it must regenerate the snapshot deliberately),
+# and the machine-readable artifact must parse with its pinned schema.
+abuse() {
+    "$repro" abuse --scale 0.01 --seed 0 --threads 4 > abuse.txt
+    sed -n '/^Robustness matrix/,/^$/p' abuse.txt | sed '/^$/d' > matrix.txt
+    diff "$root/crates/bench/tests/golden_robustness.txt" matrix.txt
+    python3 - <<'PY'
+import json
+doc = json.load(open('ABUSE_campaign.json'))
+assert doc['schema'] == 'h2attack-v1', doc['schema']
+assert {'tp', 'fp', 'tn', 'fn'} <= doc['confusion'].keys()
+assert doc['precision'] >= 0.95 and doc['recall'] >= 0.95, doc
+assert len(doc['robustness']) == 7
+PY
+}
+
+# The campaign record's crash-safety contract: a run killed mid-campaign
+# (exit 3) and resumed at a different thread count must finalize a record
+# byte-identical to an uninterrupted one, `repro diff` and `repro serve`
+# must work from disk alone, and a torn record is exit 5.
+resume() {
+    "$repro" adoption --exp 1 --scale 0.01 --threads 1 --faults flaky --seed 42 --record golden.h2c
+    local status=0
+    "$repro" adoption --exp 1 --scale 0.01 --threads 4 --faults flaky --seed 42 --record crashed.h2c --kill-after 40 || status=$?
+    test "$status" -eq 3
+    test -s crashed.h2c
+    # (`! grep` would not trip `set -e`.)
+    if grep -q '^end|' crashed.h2c; then
+        echo 'a killed campaign left a finalized record' >&2
+        exit 1
+    fi
+    "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume crashed.h2c
+    cmp golden.h2c crashed.h2c
+    "$repro" adoption --exp 2 --scale 0.01 --threads 4 --faults flaky --seed 42 --record second.h2c
+    "$repro" diff golden.h2c second.h2c | tee diff.txt
+    grep -q 'LONGITUDINAL DIFF' diff.txt
+    "$repro" serve golden.h2c second.h2c --threads 4 --queries 2000 --hostile | tee serve.txt
+    grep -q '2000 queries answered' serve.txt
+    grep -q 'response digest' serve.txt
+    sed '3d' golden.h2c > torn.h2c
+    status=0
+    "$repro" serve torn.h2c || status=$?
+    test "$status" -eq 5
+    (cd "$root" && cargo test -q -p h2campaign)
+}
+
+# The push QoE study: a tiny sweep must emit a PUSH_campaign.json that
+# parses with its pinned schema, byte-identical across thread counts.
+push_study() {
+    "$repro" push-study --scale 0.002 --sites 6 --loads 2 --threads 4 --out-dir t4 > study.txt
+    grep -q 'PUSH QOE STUDY' study.txt
+    for policy in push-none push-all push-critical-path over-push; do
+        grep -q "$policy" study.txt
+    done
+    for dim in rtt weight objects; do
+        grep -q "help/hurt vs push-none, by $dim" study.txt
+    done
+    python3 - <<'PY'
+import json
+doc = json.load(open('t4/PUSH_campaign.json'))
+assert doc['schema'] == 'h2push-study-v1', doc['schema']
+assert doc['cells'] == doc['sites'] * len(doc['rtt_bands']) * len(doc['bandwidths'])
+policies = [p['policy'] for p in doc['policies']]
+assert policies == ['push-none', 'push-all', 'push-critical-path', 'over-push'], policies
+base = doc['policies'][0]
+assert base['promised'] == 0 and base['delivered'] == 0, base
+for p in doc['policies'][1:]:
+    assert p['delivered'] <= p['promised'], p
+dims = [b['dimension'] for b in doc['breakdowns']]
+assert dims == ['rtt', 'weight', 'objects'], dims
+PY
+    "$repro" push-study --scale 0.002 --sites 6 --loads 2 --threads 1 --out-dir t1 > /dev/null
+    "$repro" push-study --scale 0.002 --sites 6 --loads 2 --threads 8 --out-dir t8 > /dev/null
+    cmp t4/PUSH_campaign.json t1/PUSH_campaign.json
+    cmp t4/PUSH_campaign.json t8/PUSH_campaign.json
+}
+
+if [ "$section" = all ]; then
+    metrics
+    abuse
+    resume
+    push_study
+else
+    "${section//-/_}"
+fi
+echo "cli-smoke: $section ok"

@@ -22,37 +22,9 @@ use h2ready::scope::{storage, trace, H2Scope, ProbeConn, Target};
 use h2ready::server::{ServerProfile, SiteSpec};
 use h2ready::webpop;
 
-fn profile_by_name(name: &str) -> Option<ServerProfile> {
-    let profile = match name.to_ascii_lowercase().as_str() {
-        "nginx" => ServerProfile::nginx(),
-        "litespeed" => ServerProfile::litespeed(),
-        "h2o" => ServerProfile::h2o(),
-        "nghttpd" => ServerProfile::nghttpd(),
-        "tengine" => ServerProfile::tengine(),
-        "apache" => ServerProfile::apache(),
-        "rfc7540" | "reference" => ServerProfile::rfc7540(),
-        "gse" => ServerProfile::gse(),
-        "cloudflare-nginx" | "cloudflare" => ServerProfile::cloudflare_nginx(),
-        "ideaweb" | "ideawebserver" => ServerProfile::ideaweb(),
-        "tengine-aserver" | "aserver" => ServerProfile::tengine_aserver(),
-        _ => return None,
-    };
-    Some(profile)
+fn server_names() -> Vec<&'static str> {
+    ServerProfile::all().iter().map(|&(name, _)| name).collect()
 }
-
-const SERVER_NAMES: &[&str] = &[
-    "nginx",
-    "litespeed",
-    "h2o",
-    "nghttpd",
-    "tengine",
-    "apache",
-    "rfc7540",
-    "gse",
-    "cloudflare-nginx",
-    "ideaweb",
-    "tengine-aserver",
-];
 
 struct Args {
     positional: Vec<String>,
@@ -138,11 +110,11 @@ fn print_usage() {
 }
 
 fn resolve_profile(args: &Args) -> ServerProfile {
-    profile_by_name(&args.server).unwrap_or_else(|| {
+    ServerProfile::by_name(&args.server).unwrap_or_else(|| {
         usage_error(&format!(
             "unknown server '{}'; try: {}",
             args.server,
-            SERVER_NAMES.join(", ")
+            server_names().join(", ")
         ))
     })
 }
@@ -373,7 +345,7 @@ fn main() {
         Some("rtt") => rtt(&args),
         Some("pageload") => pageload_cmd(&args),
         Some("trace") => trace_cmd(&args),
-        Some("list-servers") => println!("{}", SERVER_NAMES.join("\n")),
+        Some("list-servers") => println!("{}", server_names().join("\n")),
         _ => print_usage(),
     }
 }
