@@ -5,10 +5,10 @@
 //! page loads over impaired links, and seeded attack engagements drawn
 //! from [`h2attack::vectors`] — runs against the seven testbed profiles
 //! in virtual time. Every connection's class and target derive purely
-//! from `(campaign seed, site index)`, work is distributed by chunked
-//! claiming into index-addressed slots, and traces flush as per-site
-//! batches, so the whole report is byte-identical at any thread count
-//! (the same contract as [`crate::scan`]).
+//! from `(campaign seed, site index)`, work is distributed by
+//! [`sweep`], and traces flush as per-site batches, so the whole report
+//! is byte-identical at any thread count (the same contract as
+//! [`crate::scan`]).
 //!
 //! The output has three sections: the per-profile robustness matrix
 //! (Table III methodology extended to abuse hardening), the campaign
@@ -25,7 +25,7 @@ use h2server::{ServerProfile, SiteSpec};
 use h2wire::Settings;
 use netsim::time::SimDuration;
 
-use crate::sched::{run_workers, Slots, WorkQueue};
+use crate::sched::sweep;
 
 /// Campaign size at `--scale 1`: 60 connections per testbed profile.
 const BASE_SITES: u64 = 420;
@@ -212,16 +212,10 @@ pub fn run_campaign(options: &AbuseOptions) -> AbuseCampaign {
     profiles.push(ServerProfile::rfc7540());
     // Trace every site: the detector consumes the frame-level traces.
     let obs = Obs::campaign(total);
-    let queue = WorkQueue::new(total, options.threads);
-    let slots = Slots::new(total as usize);
-    run_workers(options.threads, |_worker| {
-        while let Some(range) = queue.claim() {
-            for i in range {
-                slots.put(i as usize, run_site(&profiles, options, i, &obs));
-            }
-        }
+    let (profiles, obs) = (&profiles, &obs);
+    let outcomes = sweep(options.threads, total, |_worker| {
+        move |i| run_site(profiles, options, i, obs)
     });
-    let outcomes = slots.into_vec();
 
     let snapshot = obs.snapshot().expect("campaign obs snapshots");
     let detector = Detector::default();

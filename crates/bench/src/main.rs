@@ -191,6 +191,9 @@ fn parse_args() -> Options {
             }
             "--loads" => {
                 o.loads = value(&mut args, "--loads needs an unsigned load count");
+                if o.loads == 0 {
+                    usage_error("--loads needs at least one load");
+                }
             }
             "--faults" => {
                 let name = args.next().unwrap_or_default();
@@ -307,6 +310,18 @@ fn resolve(out_dir: Option<&Path>, path: &Path) -> PathBuf {
         Some(dir) if path.is_relative() => dir.join(path),
         _ => path.to_path_buf(),
     }
+}
+
+/// Writes one machine-readable artifact (`OBS_`/`ABUSE_`/`PUSH_campaign.json`)
+/// through `--out-dir` and reports it on stderr under `[tag]`; an
+/// artifact that cannot be written is exit 2.
+fn write_artifact(out_dir: Option<&Path>, name: &str, body: String, tag: &str) {
+    let path = resolve(out_dir, Path::new(name));
+    if let Err(err) = std::fs::write(&path, body) {
+        eprintln!("[{tag}] failed to write {}: {err}", path.display());
+        std::process::exit(2);
+    }
+    eprintln!("[{tag}] wrote {}", path.display());
 }
 
 /// The record path for one experiment: with a single experiment the
@@ -456,14 +471,12 @@ fn run_abuse(options: &Options) -> ! {
         started.elapsed().as_secs_f64()
     );
     println!("{}", abuse::render_report(&campaign));
-    let path = resolve(options.out_dir.as_deref(), Path::new("ABUSE_campaign.json"));
-    match std::fs::write(&path, abuse::render_json(&abuse_options, &campaign)) {
-        Ok(()) => eprintln!("[abuse] wrote {}", path.display()),
-        Err(err) => {
-            eprintln!("[abuse] failed to write {}: {err}", path.display());
-            std::process::exit(2);
-        }
-    }
+    write_artifact(
+        options.out_dir.as_deref(),
+        "ABUSE_campaign.json",
+        abuse::render_json(&abuse_options, &campaign),
+        "abuse",
+    );
     std::process::exit(0);
 }
 
@@ -494,14 +507,12 @@ fn run_push_study(options: &Options) -> ! {
         started.elapsed().as_secs_f64()
     );
     println!("{}", push_study::render_report(&report));
-    let path = resolve(options.out_dir.as_deref(), Path::new("PUSH_campaign.json"));
-    match std::fs::write(&path, push_study::render_json(&report)) {
-        Ok(()) => eprintln!("[push-study] wrote {}", path.display()),
-        Err(err) => {
-            eprintln!("[push-study] failed to write {}: {err}", path.display());
-            std::process::exit(2);
-        }
-    }
+    write_artifact(
+        options.out_dir.as_deref(),
+        "PUSH_campaign.json",
+        push_study::render_json(&report),
+        "push-study",
+    );
     std::process::exit(0);
 }
 
@@ -677,10 +688,11 @@ fn main() {
     // against a --metrics-less run.
     if let Some(snapshot) = obs.snapshot() {
         println!("{}", h2obs::render_table(&snapshot));
-        let path = resolve(options.out_dir.as_deref(), Path::new("OBS_campaign.json"));
-        match std::fs::write(&path, h2obs::render_json(&snapshot)) {
-            Ok(()) => eprintln!("[obs] wrote {}", path.display()),
-            Err(err) => eprintln!("[obs] failed to write {}: {err}", path.display()),
-        }
+        write_artifact(
+            options.out_dir.as_deref(),
+            "OBS_campaign.json",
+            h2obs::render_json(&snapshot),
+            "obs",
+        );
     }
 }

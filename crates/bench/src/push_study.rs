@@ -10,13 +10,11 @@
 //! baseline — broken down by RTT band, page weight, and object count,
 //! which is where push's help-vs-hurt boundary lives.
 //!
-//! Work is distributed over [`run_workers`]: workers claim
-//! grid cells (one site × one link) from a [`WorkQueue`] and deposit
-//! finished cells into index-addressed [`Slots`], and every per-load
-//! connection seed is a pure function of `(campaign seed, site, link,
-//! policy, load)` — so the report (and `PUSH_campaign.json`) is
-//! byte-identical at any thread count, the same contract as
-//! [`crate::scan`].
+//! Work is distributed by [`sweep`] over grid cells (one site × one
+//! link), and every per-load connection seed is a pure function of
+//! `(campaign seed, site, link, policy, load)` — so the report (and
+//! `PUSH_campaign.json`) is byte-identical at any thread count, the
+//! same contract as [`crate::scan`].
 //!
 //! Loads that stall (mute servers, broken exchanges) are *counted*,
 //! never averaged into the load-time statistics — a stalled load has
@@ -33,7 +31,7 @@ use netsim::time::SimDuration;
 use netsim::LinkSpec;
 use webpop::{ExperimentSpec, Family, Population};
 
-use crate::sched::{run_workers, Slots, WorkQueue};
+use crate::sched::sweep;
 use crate::stats::{mean, quantile};
 
 /// The RTT bands of the sweep: `(label, round-trip ms)`.
@@ -286,22 +284,18 @@ pub fn run(options: &StudyOptions) -> StudyReport {
     let population = study_population(options);
     let sites = sampled_sites(options, &population);
     let links = RTT_BANDS.len() * BANDWIDTHS.len();
-    let total = sites.len() * links;
-    let queue = WorkQueue::new(total as u64, options.threads);
-    let slots = Slots::new(total);
-    run_workers(options.threads, |_worker| {
-        while let Some(range) = queue.claim() {
-            for item in range {
-                let site = sites[item as usize / links];
-                let link = item as usize % links;
-                let (rtt, bw) = (link / BANDWIDTHS.len(), link % BANDWIDTHS.len());
-                slots.put(item as usize, run_cell(&population, options, site, rtt, bw));
-            }
+    let (population, sites) = (&population, &sites);
+    let cells = sweep(options.threads, (sites.len() * links) as u64, |_worker| {
+        move |item| {
+            let site = sites[item as usize / links];
+            let link = item as usize % links;
+            let (rtt, bw) = (link / BANDWIDTHS.len(), link % BANDWIDTHS.len());
+            run_cell(population, options, site, rtt, bw)
         }
     });
     StudyReport {
         options: options.clone(),
-        cells: slots.into_vec(),
+        cells,
     }
 }
 

@@ -5,12 +5,11 @@
 //!
 //! A [`Campaign`] names what to scan and how; its two runs — in-memory
 //! [`Campaign::scan`] and persisted/resumable [`Campaign::scan_recorded`]
-//! — share one worker loop on [`run_workers`]. Each worker is a
+//! — share one worker loop on [`sweep`]. Each worker is a
 //! shared-nothing simulator shard: it owns its [`H2Scope`] scratch state,
 //! an [`Obs::worker_shard`] counter registry, and (per connection) a
 //! private netsim event loop, touching shared state only to claim the
-//! next chunk of site indices and to deposit finished records into
-//! index-addressed [`Slots`]. Because every record depends only on
+//! next site index. Because every record depends only on
 //! `(population, index, fault plan, seed)` — never on which worker ran
 //! it or when — all outputs are byte-identical at any thread count.
 
@@ -24,7 +23,7 @@ use h2scope::{survey_with_retries, H2Scope, ProbeOutcome, SiteReport};
 use netsim::time::SimDuration;
 use webpop::{Population, SiteSample};
 
-use crate::sched::{run_workers, Slots, WorkQueue};
+use crate::sched::sweep;
 
 /// How a recorded scan ([`Campaign::scan_recorded`]) ended.
 #[derive(Debug)]
@@ -81,9 +80,10 @@ impl<'a> Campaign<'a> {
     /// Scans every h2 site of the population, returning records in
     /// index order.
     pub fn scan(&self) -> Vec<CampaignRow> {
-        let slots = Slots::new(self.population.h2_count() as usize);
-        self.run(&slots, None, None);
-        slots.into_vec()
+        let (rows, _killed) = self.run(None, None);
+        rows.into_iter()
+            .map(|row| row.expect("only a journal's kill point skips sites"))
+            .collect()
     }
 
     /// [`Campaign::scan`] with persistence: every finished site is
@@ -110,7 +110,7 @@ impl<'a> Campaign<'a> {
         let total = self.population.h2_count();
         let meta = CampaignMeta::describe(self.population, self.faults.name, self.seed);
 
-        let mut preloaded: Vec<CampaignRow> = Vec::new();
+        let mut records: Vec<CampaignRow> = Vec::new();
         if resume {
             let stored = h2campaign::read(path)?;
             meta.ensure_matches(&stored.meta)?;
@@ -122,16 +122,15 @@ impl<'a> Campaign<'a> {
                     resumed: total,
                 });
             }
-            preloaded = stored.rows;
+            records = stored.rows;
         }
 
-        let slots = Slots::new(total as usize);
+        // `read` vouches for every stored index being below `meta.sites`.
         let mut present = vec![false; total as usize];
-        let resumed = preloaded.len() as u64;
-        for row in preloaded {
+        for row in &records {
             present[row.index as usize] = true;
-            slots.put(row.index as usize, row);
         }
+        let resumed = records.len() as u64;
         self.obs.sites_resumed(resumed);
         let writer = if resume {
             RecordWriter::append_to(path, resumed)?
@@ -139,67 +138,60 @@ impl<'a> Campaign<'a> {
             RecordWriter::create(path, &meta)?
         };
         let missing: Vec<u64> = (0..total).filter(|&i| !present[i as usize]).collect();
-        if self.run(&slots, Some(&missing), Some((&writer, kill))) {
+        let (scanned, killed) = self.run(Some(&missing), Some((&writer, kill)));
+        if killed {
             return Ok(RecordedScan::Killed {
                 rows: writer.rows_written(),
             });
         }
-        let records = slots.into_vec();
+        // Two runs already in index order: the stable sort merges them.
+        records.extend(scanned.into_iter().flatten());
+        records.sort_by_key(|row| row.index);
         h2campaign::finalize(path, &meta, &records)?;
         Ok(RecordedScan::Complete { records, resumed })
     }
 
-    /// The one scan loop. Workers claim adaptively-sized chunks of
-    /// positions from a shared [`WorkQueue`] — positions into `missing`
-    /// when resuming (a partial record's gaps are rarely contiguous:
-    /// workers were writing rows out of order when the process died),
-    /// site indices themselves otherwise — survey each site, append it to
-    /// the `journal`'s record if there is one, and deposit it into
-    /// `slots`. Everything else a worker touches is its own.
+    /// The one scan loop, a [`sweep`] over positions — positions into
+    /// `missing` when resuming (a partial record's gaps are rarely
+    /// contiguous: workers were writing rows out of order when the
+    /// process died), site indices themselves otherwise. A worker
+    /// surveys its site and appends it to the `journal`'s record if
+    /// there is one; everything else it touches is its own.
     ///
-    /// Returns whether the journal's kill point fired.
+    /// Returns the rows in position order, and whether the journal's
+    /// kill point fired: from then on workers skip every site they have
+    /// not started, leaving `None` in its place.
     fn run(
         &self,
-        slots: &Slots<CampaignRow>,
         missing: Option<&[u64]>,
         journal: Option<(&RecordWriter, Option<KillPoint>)>,
-    ) -> bool {
+    ) -> (Vec<Option<CampaignRow>>, bool) {
         let todo = missing.map_or(self.population.h2_count(), |m| m.len() as u64);
-        let queue = WorkQueue::new(todo, self.threads);
         let plan = (!self.faults.is_none()).then(|| FaultPlan::new(self.faults, self.seed));
-        let killed = AtomicBool::new(false);
-        run_workers(self.threads, |_worker| {
+        let plan = plan.as_ref();
+        let killed = &AtomicBool::new(false);
+        let rows = sweep(self.threads, todo, |_worker| {
             let scope_tool = H2Scope::new();
             let obs = self.obs.worker_shard();
-            'claims: while let Some(range) = queue.claim() {
-                for pos in range {
-                    if killed.load(Ordering::Relaxed) {
-                        break 'claims;
-                    }
-                    let i = missing.map_or(pos, |m| m[pos as usize]);
-                    let record = scan_one(
-                        &scope_tool,
-                        self.population,
-                        i,
-                        plan.as_ref(),
-                        self.seed,
-                        &obs,
-                    );
-                    let crash = journal.is_some_and(|(writer, kill)| {
-                        // A record that cannot persist its rows has lost
-                        // its crash-safety contract; stop the campaign.
-                        let written = writer.append(&record).expect("campaign record append");
-                        kill.is_some_and(|k| written >= k.after_rows)
-                    });
-                    slots.put(i as usize, record);
-                    if crash {
-                        killed.store(true, Ordering::Relaxed);
-                        break 'claims;
-                    }
+            move |pos| {
+                if killed.load(Ordering::Relaxed) {
+                    return None;
                 }
+                let i = missing.map_or(pos, |m| m[pos as usize]);
+                let record = scan_one(&scope_tool, self.population, i, plan, self.seed, &obs);
+                let crash = journal.is_some_and(|(writer, kill)| {
+                    // A record that cannot persist its rows has lost
+                    // its crash-safety contract; stop the campaign.
+                    let written = writer.append(&record).expect("campaign record append");
+                    kill.is_some_and(|k| written >= k.after_rows)
+                });
+                if crash {
+                    killed.store(true, Ordering::Relaxed);
+                }
+                Some(record)
             }
         });
-        killed.into_inner()
+        (rows, killed.load(Ordering::Relaxed))
     }
 }
 

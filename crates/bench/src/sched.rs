@@ -1,188 +1,70 @@
-//! Work claiming, result collection, and the worker fan-out for every
-//! population sweep of the crate (scan, serve, push study, abuse).
+//! The one fan-out behind every population sweep of the crate (scan,
+//! serve, push study, abuse): the paper's "thread pool with configurable
+//! number of threads, each of which will test a web site" (§IV-B).
 //!
-//! The original scan loop gave worker `w` the arithmetic stride `w, w+T,
-//! w+2T, …` and funneled every finished record through an unbounded
-//! channel, then sorted the whole campaign by site index afterwards. Both
-//! halves cost more than they need to:
-//!
-//! * static striding load-balances badly when per-site cost varies (mute
-//!   sites finish in microseconds, retry-burning flaky sites take orders
-//!   of magnitude longer), and
-//! * the channel allocates per record and the final sort is an
-//!   O(n log n) pass over data whose order was known all along.
-//!
-//! [`WorkQueue`] replaces the stride with chunked atomic claiming: a
-//! worker grabs the next chunk-sized index range with one compare-exchange,
-//! so contention is one atomic per chunk instead of any per-site
-//! coordination, and a slow site only delays its own chunk. The chunk
-//! size adapts to the population/thread ratio (see [`chunk_size`]) so
-//! small populations still fan out across every worker. [`Slots`]
-//! replaces the channel + sort: results are written directly into a
-//! pre-sized slot addressed by site index, so collection is O(n) and
-//! allocation-free per record.
-//!
-//! [`run_workers`] is the one place threads are spawned: a scoped
-//! fan-out whose workers borrow the queue, the slots and whatever else
-//! the campaign shares, so no sweep needs channels or reference-counted
-//! copies of its state to get work in and results out.
+//! [`sweep`] is the only place the crate spawns threads. Workers share
+//! exactly one thing, the cursor that hands out indices, and claim one
+//! index per `fetch_add`: an item is a site survey or a page-load cell
+//! costing hundreds of microseconds of CPU, so one uncontended atomic
+//! per item is noise, and handing out single indices keeps every worker
+//! busy until the last item whatever the per-item cost spread (mute
+//! sites finish in microseconds, retry-burning flaky sites take orders
+//! of magnitude longer). Each worker keeps its results locally and hands
+//! them back through the join, so nothing else is shared or locked.
 
-use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
-/// Upper bound on indices claimed per atomic operation. Small enough
-/// that an unlucky worker stuck behind a pathological chunk strands at
-/// most `MAX_CHUNK - 1` cheap sites, large enough that the claim counter
-/// never becomes a contended cache line.
-pub const MAX_CHUNK: u64 = 16;
-
-/// The claim granularity for `total` indices split across `threads`
-/// workers: `clamp(total / (threads * 8), 1, MAX_CHUNK)`.
+/// Runs `work(i)` once for every `i` in `0..n` on `threads.max(1)`
+/// scoped threads named `scan-0…` and returns the results in index
+/// order.
 ///
-/// The old fixed chunk of 16 capped parallelism at `⌈total / 16⌉`
-/// workers — a 105-site benchmark population had 7 claimable chunks, so
-/// an 8-thread scan structurally idled a worker. Adapting to the ratio
-/// guarantees at least `8 × threads` chunks whenever the population is
-/// large enough to split that far (and one-index chunks below that), so
-/// every worker claims work whenever `total ≥ threads`.
-pub fn chunk_size(total: u64, threads: usize) -> u64 {
-    let threads = threads.max(1) as u64;
-    (total / (threads * 8)).clamp(1, MAX_CHUNK)
-}
-
-/// A shared counter handing out disjoint index ranges `[0, total)`.
-#[derive(Debug)]
-pub struct WorkQueue {
-    next: AtomicU64,
-    total: u64,
-    chunk: u64,
-}
-
-impl WorkQueue {
-    /// A queue over the index space `0..total`, with claim granularity
-    /// adapted to `threads` (see [`chunk_size`]).
-    pub fn new(total: u64, threads: usize) -> WorkQueue {
-        WorkQueue {
-            next: AtomicU64::new(0),
-            total,
-            chunk: chunk_size(total, threads),
-        }
-    }
-
-    /// Claims the next unclaimed chunk, or `None` when the index space is
-    /// exhausted. Ranges returned to different callers never overlap,
-    /// which is what makes the per-index [`Slots::put`] writes race-free.
-    ///
-    /// An exhausted claim is non-mutating: the counter saturates at
-    /// `total` instead of creeping upward with every poll, so it can
-    /// never wrap around, and workers polling an exhausted queue stop
-    /// dirtying the shared cache line.
-    pub fn claim(&self) -> Option<Range<u64>> {
-        let mut start = self.next.load(Ordering::Relaxed);
-        loop {
-            if start >= self.total {
-                return None;
-            }
-            let end = (start + self.chunk).min(self.total);
-            match self
-                .next
-                .compare_exchange_weak(start, end, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return Some(start..end),
-                Err(observed) => start = observed,
-            }
-        }
-    }
-
-    /// Indices not yet handed out (0 once exhausted).
-    pub fn remaining(&self) -> u64 {
-        self.total.saturating_sub(self.next.load(Ordering::Relaxed))
-    }
-}
-
-/// Pre-sized, index-addressed result collection.
-///
-/// Each slot is a [`OnceLock`], so concurrent workers can fill disjoint
-/// indices through a shared reference without locks or channels; the
-/// scan's claim discipline guarantees each index is written exactly once.
-#[derive(Debug)]
-pub struct Slots<T> {
-    slots: Vec<OnceLock<T>>,
-}
-
-impl<T> Slots<T> {
-    /// `len` empty slots.
-    pub fn new(len: usize) -> Slots<T> {
-        let mut slots = Vec::with_capacity(len);
-        slots.resize_with(len, OnceLock::new);
-        Slots { slots }
-    }
-
-    /// Fills slot `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot was already filled — that would mean two
-    /// workers claimed the same index, which the queue's claim discipline
-    /// rules out.
-    pub fn put(&self, index: usize, value: T) {
-        if self.slots[index].set(value).is_err() {
-            panic!("slot {index} filled twice");
-        }
-    }
-
-    /// Unwraps the collection into index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slot is empty (a worker exited without finishing its
-    /// claimed range, which only happens via a worker panic — already
-    /// propagated by [`run_workers`]).
-    pub fn into_vec(self) -> Vec<T> {
-        self.slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| match slot.into_inner() {
-                Some(value) => value,
-                None => panic!("slot {i} never filled"),
-            })
-            .collect()
-    }
-}
-
-/// Runs `work(worker)` on `threads.max(1)` scoped threads named
-/// `scan-0…` and returns their results in worker order.
-///
-/// Workers may borrow anything that outlives the call (the queue, the
-/// slots, the population, a record writer): the scope joins every one
-/// of them before returning.
+/// `make_worker(worker)` runs once on each thread to build that
+/// thread's private state and returns the `work` closure that owns it;
+/// both may borrow anything that outlives the call, because the scope
+/// joins every thread before returning. Which thread runs which index
+/// is scheduling-dependent, so `work(i)` must depend on `i` alone.
 ///
 /// # Panics
 ///
 /// Re-raises the first worker panic, but only after every worker has
 /// stopped, so tearing down borrowed state never races a live worker.
-pub fn run_workers<R, F>(threads: usize, work: F) -> Vec<R>
+pub fn sweep<T, W, F>(threads: usize, n: u64, make_worker: F) -> Vec<T>
 where
-    F: Fn(usize) -> R + Sync,
-    R: Send,
+    F: Fn(usize) -> W + Sync,
+    W: FnMut(u64) -> T,
+    T: Send,
 {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.max(1))
+    // Every worker stops at its first index >= n, so the cursor ends at
+    // most `threads` past `n` and cannot wrap.
+    let next = AtomicU64::new(0);
+    let threads = threads.max(1);
+    let parts: Vec<Vec<(u64, T)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
             .map(|worker| {
-                let work = &work;
+                let (next, make_worker) = (&next, &make_worker);
                 std::thread::Builder::new()
                     .name(format!("scan-{worker}"))
-                    .spawn_scoped(scope, move || work(worker))
+                    .spawn_scoped(scope, move || {
+                        let mut work = make_worker(worker);
+                        // Room for an even share; a faster worker grows it.
+                        let mut done = Vec::with_capacity(n as usize / threads);
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                return done;
+                            }
+                            done.push((i, work(i)));
+                        }
+                    })
                     .expect("spawn scan worker")
             })
             .collect();
-        let mut results = Vec::with_capacity(handles.len());
+        let mut parts = Vec::with_capacity(handles.len());
         let mut first_panic = None;
         for handle in handles {
             match handle.join() {
-                Ok(result) => results.push(result),
+                Ok(done) => parts.push(done),
                 Err(payload) => {
                     first_panic.get_or_insert(payload);
                 }
@@ -191,8 +73,23 @@ where
         if let Some(payload) = first_panic {
             resume_unwind(payload);
         }
-        results
-    })
+        parts
+    });
+    // Each worker's indices ascend, so index `i` is at the head of
+    // exactly one part.
+    let mut parts: Vec<_> = parts
+        .into_iter()
+        .map(|part| part.into_iter().peekable())
+        .collect();
+    (0..n)
+        .map(|i| {
+            let (_, result) = parts
+                .iter_mut()
+                .find_map(|part| part.next_if(|(claimed, _)| *claimed == i))
+                .expect("every index is claimed by exactly one worker");
+            result
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -200,179 +97,72 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Barrier;
+    use std::sync::{Barrier, Mutex};
 
     #[test]
-    fn claims_cover_the_index_space_exactly_once() {
-        let queue = WorkQueue::new(103, 4);
-        let mut seen = vec![0u32; 103];
-        while let Some(range) = queue.claim() {
-            for i in range {
-                seen[i as usize] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&n| n == 1));
-    }
-
-    #[test]
-    fn empty_queue_yields_nothing() {
-        let queue = WorkQueue::new(0, 4);
-        assert_eq!(queue.claim(), None);
-    }
-
-    #[test]
-    fn chunk_adapts_to_population_and_thread_count() {
-        // Huge population: chunk saturates at MAX_CHUNK.
-        assert_eq!(chunk_size(1_000_000, 8), MAX_CHUNK);
-        // 105 sites / 8 threads must not leave a worker without a
-        // claimable chunk (105/64 = 1-index chunks).
-        assert_eq!(chunk_size(105, 8), 1);
-        // Mid-size: total/(threads*8), between the clamps.
-        assert_eq!(chunk_size(320, 8), 5);
-        // Degenerate inputs stay sane.
-        assert_eq!(chunk_size(0, 4), 1);
-        assert_eq!(chunk_size(10, 0), 1);
-    }
-
-    #[test]
-    fn every_worker_claims_work_when_total_is_at_least_threads() {
-        // The structural guarantee behind the adaptive chunk: whenever
-        // total >= threads there are at least `threads` chunks, so no
-        // worker can be idled by the claim granularity alone.
-        for threads in [1usize, 2, 3, 4, 8, 16, 32] {
-            for total in [threads as u64, 105, 1000, 52_471] {
-                if total < threads as u64 {
-                    continue;
-                }
-                let chunk = chunk_size(total, threads);
-                let chunks = total.div_ceil(chunk);
-                assert!(
-                    chunks >= threads as u64,
-                    "total={total} threads={threads}: only {chunks} chunks"
-                );
-            }
-        }
-        // And dynamically: with each of 8 workers claiming exactly once
-        // from a 105-site queue (the shape that idled the 8th worker
-        // under the fixed chunk), every claim must succeed.
-        let queue = WorkQueue::new(105, 8);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    assert!(queue.claim().is_some(), "worker starved of a first chunk");
-                });
+    fn every_index_runs_once_and_results_come_back_in_index_order() {
+        let runs: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+        let runs = &runs;
+        let results = sweep(4, 1000, |_worker| {
+            move |i| {
+                runs[i as usize].fetch_add(1, Ordering::Relaxed);
+                i * 2
             }
         });
+        assert!(runs.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        assert_eq!(results, (0..1000).map(|i| i * 2).collect::<Vec<u64>>());
     }
 
     #[test]
-    fn exhausted_claims_do_not_mutate_the_counter() {
-        let queue = WorkQueue::new(100, 4);
-        while queue.claim().is_some() {}
-        let settled = queue.next.load(Ordering::Relaxed);
-        assert!(settled >= 100);
-        for _ in 0..1000 {
-            assert_eq!(queue.claim(), None);
-        }
-        assert_eq!(
-            queue.next.load(Ordering::Relaxed),
-            settled,
-            "post-exhaustion claims crept the counter"
-        );
-        assert_eq!(queue.remaining(), 0);
+    fn empty_sweep_yields_nothing() {
+        assert_eq!(sweep(4, 0, |_worker| |i| i), Vec::<u64>::new());
     }
 
     #[test]
-    fn claimed_positions_cover_a_sparse_list_exactly_once() {
-        // The resume path's shape: a queue over positions of a sparse
-        // `missing` list, mapped back through the list.
-        let missing: Vec<u64> = (0..217).filter(|i| i % 3 != 0).collect();
-        let queue = WorkQueue::new(missing.len() as u64, 4);
-        let mut claimed = Vec::new();
-        while let Some(range) = queue.claim() {
-            claimed.extend(range.map(|pos| missing[pos as usize]));
-        }
-        assert_eq!(claimed, missing);
-        let settled = queue.next.load(Ordering::Relaxed);
-        for _ in 0..1000 {
-            assert_eq!(queue.claim(), None);
-        }
-        assert_eq!(
-            queue.next.load(Ordering::Relaxed),
-            settled,
-            "post-exhaustion claims crept the counter"
-        );
-    }
-
-    #[test]
-    fn slots_collect_in_index_order_regardless_of_fill_order() {
-        let slots = Slots::new(5);
-        for i in [3usize, 0, 4, 1, 2] {
-            slots.put(i, i * 10);
-        }
-        assert_eq!(slots.into_vec(), vec![0, 10, 20, 30, 40]);
-    }
-
-    #[test]
-    fn concurrent_workers_partition_the_space() {
-        let queue = WorkQueue::new(1000, 4);
-        let slots = Slots::new(1000);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    while let Some(range) = queue.claim() {
-                        for i in range {
-                            slots.put(i as usize, i * 2);
-                        }
-                    }
-                });
-            }
+    fn make_worker_runs_once_per_thread_on_named_threads() {
+        // The barrier keeps all four threads alive at once, so each of
+        // them must have built its own worker.
+        let all_built = Barrier::new(4);
+        let built = Mutex::new(Vec::new());
+        sweep(4, 64, |worker| {
+            let name = std::thread::current().name().map(str::to_owned);
+            built.lock().expect("built").push((worker, name));
+            all_built.wait();
+            |i| i
         });
-        let collected = slots.into_vec();
-        assert!(collected
-            .iter()
-            .enumerate()
-            .all(|(i, &v)| v == i as u64 * 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "filled twice")]
-    fn double_fill_panics() {
-        let slots = Slots::new(1);
-        slots.put(0, 1);
-        slots.put(0, 2);
-    }
-
-    #[test]
-    fn run_workers_runs_each_index_once_in_worker_order() {
-        let seen = Slots::new(4);
-        let results = run_workers(4, |worker| {
-            seen.put(worker, std::thread::current().name().map(str::to_owned));
-            worker * 10
-        });
-        assert_eq!(results, vec![0, 10, 20, 30]);
-        let names: Vec<String> = seen.into_vec().into_iter().flatten().collect();
-        assert_eq!(names, ["scan-0", "scan-1", "scan-2", "scan-3"]);
+        let mut built = built.into_inner().expect("built");
+        built.sort();
+        let expected: Vec<_> = (0..4).map(|w| (w, Some(format!("scan-{w}")))).collect();
+        assert_eq!(built, expected);
     }
 
     #[test]
     fn zero_threads_runs_one_worker() {
-        assert_eq!(run_workers(0, |worker| worker), vec![0]);
+        let built = AtomicUsize::new(0);
+        let results = sweep(0, 5, |_worker| {
+            built.fetch_add(1, Ordering::Relaxed);
+            |i| i
+        });
+        assert_eq!(results, vec![0, 1, 2, 3, 4]);
+        assert_eq!(built.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn worker_panic_propagates_after_the_others_finish() {
-        // The barrier holds the survivors back until worker 0 is about
-        // to panic, so their bumps happen while (or after) it unwinds.
-        let about_to_panic = Barrier::new(3);
-        let finished = AtomicUsize::new(0);
+        // The barrier holds every worker back until all three run, so
+        // two of them are live while the one that drew index 0 unwinds;
+        // they must still finish the other 99 items.
+        let all_running = Barrier::new(3);
+        let (all_running, finished) = (&all_running, &AtomicUsize::new(0));
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_workers(3, |worker| {
-                about_to_panic.wait();
-                if worker == 0 {
-                    panic!("deliberate test panic");
+            sweep(3, 100, |_worker| {
+                all_running.wait();
+                move |i| {
+                    if i == 0 {
+                        panic!("deliberate test panic");
+                    }
+                    finished.fetch_add(1, Ordering::Relaxed);
                 }
-                finished.fetch_add(1, Ordering::Relaxed);
             });
         }));
         let payload = caught.expect_err("worker panic must propagate");
@@ -381,8 +171,8 @@ mod tests {
             Some(&"deliberate test panic"),
             "the worker's own payload is re-raised"
         );
-        assert_eq!(finished.load(Ordering::Relaxed), 2);
+        assert_eq!(finished.load(Ordering::Relaxed), 99);
         // Nothing persists between calls, so the next one just works.
-        assert_eq!(run_workers(3, |worker| worker), vec![0, 1, 2]);
+        assert_eq!(sweep(3, 3, |_worker| |i| i), vec![0, 1, 2]);
     }
 }

@@ -1,6 +1,6 @@
 //! The `repro serve` load driver: replays a seeded query trace against
-//! the h2serve daemon over real HTTP/2 connections, sharded across
-//! [`run_workers`].
+//! the h2serve daemon over real HTTP/2 connections, one [`sweep`] item
+//! per shard.
 //!
 //! Architecture (mirrors the sharded scan driver of `scan.rs`):
 //!
@@ -10,15 +10,16 @@
 //! 2. The full query trace is generated up front from the seed — a pure
 //!    function of `(records, seed, count)`, independent of worker count.
 //! 3. Each query is assigned its home shard by site-rank hash
-//!    ([`h2serve::shard_of`] via [`Query::shard`]); worker `w` owns
-//!    shard `w` outright: its queries, its LRU render cache, its
-//!    long-lived client connection. Shared-nothing, so no locks are
-//!    contended and per-shard cache eviction stays deterministic.
+//!    ([`h2serve::shard_of`] via [`Query::shard`]); whichever worker
+//!    claims shard `w` owns it outright: its queries, its LRU render
+//!    cache, its long-lived client connection. Shared-nothing, so no
+//!    locks are contended and per-shard cache eviction stays
+//!    deterministic.
 //! 4. Workers drive queries through [`h2scope::ProbeConn`] — request
 //!    HEADERS encoded by h2hpack, framed by h2wire, multiplexed by
 //!    h2conn, answered by the [`h2serve::QueryHandler`] installed in
-//!    [`h2server::H2Server`] via the target's handler hook — and write
-//!    `(status, body, latency)` into trace-ordered [`Slots`].
+//!    [`h2server::H2Server`] via the target's handler hook — and return
+//!    `(status, body, latency)` tagged with the query's trace position.
 //!
 //! Responses are therefore byte-identical at any worker count, with the
 //! cache on or off, and with hostile clients interleaved: every response
@@ -32,12 +33,13 @@ use h2attack::{run as run_attack, AttackVector};
 use h2campaign::LoadError;
 use h2obs::Obs;
 use h2scope::{HandlerHook, ProbeConn, Target};
+use h2serve::index::{fnv1a_fold, FNV_OFFSET};
 use h2serve::{generate_trace, Query, QueryCache, QueryHandler, ServeIndex};
 use h2server::{ServerProfile, SiteSpec};
 use h2wire::{Frame, Settings};
 use netsim::time::SimDuration;
 
-use crate::sched::{run_workers, Slots};
+use crate::sched::sweep;
 
 /// Queries served per client connection before it is torn down and a
 /// fresh one established (exercising the buffer pool's lease/reclaim
@@ -177,36 +179,27 @@ fn response_for(stream: u32, frames: &[h2scope::TimedFrame]) -> (String, Vec<u8>
 
 /// FNV-1a over every response, in trace order.
 fn digest_responses(responses: &[QueryResult]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x1_0000_01b3);
-        }
-        hash ^= 0xff;
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    };
-    for r in responses {
-        eat(r.status.as_bytes());
-        eat(&r.body);
-    }
-    hash
+    let eat = |hash, bytes| fnv1a_fold(fnv1a_fold(hash, bytes), &[0xff]);
+    responses.iter().fold(FNV_OFFSET, |hash, r| {
+        eat(eat(hash, r.status.as_bytes()), &r.body)
+    })
 }
 
 /// Drives one worker shard: its partition of the trace, serially, over
 /// long-lived connections against its own server instances. Returns the
-/// shard's hostile engagements in the order they ran.
+/// shard's results tagged with their trace positions, and its hostile
+/// engagements in the order they ran.
 fn run_shard(
     worker: usize,
     queries: &[(usize, Query)],
     target: &Target,
     cache: &Mutex<QueryCache>,
-    slots: &Slots<QueryResult>,
     hostile: bool,
-) -> Vec<HostileOutcome> {
+) -> (Vec<(usize, QueryResult)>, Vec<HostileOutcome>) {
+    let mut results = Vec::with_capacity(queries.len());
     let mut hostiles = Vec::new();
     if queries.is_empty() {
-        return hostiles;
+        return (results, hostiles);
     }
     let mut conn = ProbeConn::establish(target, Settings::new(), (worker as u64) << 32);
     let mut stream = 1u32;
@@ -248,16 +241,16 @@ fn run_shard(
         let latency_ns = (done - t0).as_nanos();
         let hit = cache.lock().expect("shard cache").hits() > hits_before;
         target.obs.query_served(hit, body.len() as u64, latency_ns);
-        slots.put(
+        results.push((
             *seq,
             QueryResult {
                 status,
                 body,
                 latency_ns,
             },
-        );
+        ));
     }
-    hostiles
+    (results, hostiles)
 }
 
 /// Loads the records, replays the seeded trace across `workers` shards,
@@ -270,8 +263,8 @@ fn run_shard(
 pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, LoadError> {
     let index = Arc::new(ServeIndex::load(&cfg.records)?);
     let trace = generate_trace(&index, cfg.seed, cfg.queries);
-    let workers = cfg.workers.max(1);
-    // Pre-partition the trace: worker w owns every query whose home
+    let (workers, total) = (cfg.workers.max(1), trace.len());
+    // Pre-partition the trace: shard w owns every query whose home
     // shard is w. Ownership is by content hash, not position, so the
     // same query always lands in the same shard's cache.
     let mut partitions: Vec<Vec<(usize, Query)>> = (0..workers).map(|_| Vec::new()).collect();
@@ -279,33 +272,47 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, LoadError> {
         let shard = query.shard(workers);
         partitions[shard].push((seq, query));
     }
-    let total: usize = partitions.iter().map(Vec::len).sum();
 
     // The handler hook must own its index and cache, so those two stay
     // behind `Arc`s; everything else is borrowed by the workers.
     let caches: Vec<Arc<Mutex<QueryCache>>> = (0..workers)
         .map(|_| Arc::new(Mutex::new(QueryCache::new(256, cfg.cache))))
         .collect();
-    let slots = Slots::<QueryResult>::new(total);
     let profile = Arc::new(serve_profile());
     let site = Arc::new(SiteSpec::benchmark());
 
-    let hostiles = run_workers(workers, |w| {
-        let (hook_index, hook_cache) = (Arc::clone(&index), Arc::clone(&caches[w]));
-        let mut target = Target::testbed(Arc::clone(&profile), Arc::clone(&site));
-        target.seed = cfg.seed ^ 0x5e12e ^ w as u64;
-        target.obs = cfg.obs.worker_shard();
-        target.handler = Some(HandlerHook::new(move || {
-            Box::new(QueryHandler::new(
-                Arc::clone(&hook_index),
-                Arc::clone(&hook_cache),
-            ))
-        }));
-        run_shard(w, &partitions[w], &target, &caches[w], &slots, cfg.hostile)
-    })
-    .concat();
+    let (index, partitions, caches) = (&index, &partitions, &caches);
+    let (profile, site) = (&profile, &site);
+    let shards = sweep(workers, workers as u64, |_worker| {
+        move |shard| {
+            let w = shard as usize;
+            let (hook_index, hook_cache) = (Arc::clone(index), Arc::clone(&caches[w]));
+            let mut target = Target::testbed(Arc::clone(profile), Arc::clone(site));
+            target.seed = cfg.seed ^ 0x5e12e ^ shard;
+            target.obs = cfg.obs.worker_shard();
+            target.handler = Some(HandlerHook::new(move || {
+                Box::new(QueryHandler::new(
+                    Arc::clone(&hook_index),
+                    Arc::clone(&hook_cache),
+                ))
+            }));
+            run_shard(w, &partitions[w], &target, &caches[w], cfg.hostile)
+        }
+    });
 
-    let responses = slots.into_vec();
+    let mut slots: Vec<Option<QueryResult>> = Vec::new();
+    slots.resize_with(total, || None);
+    let mut hostiles = Vec::new();
+    for (results, engagements) in shards {
+        for (seq, result) in results {
+            slots[seq] = Some(result);
+        }
+        hostiles.extend(engagements);
+    }
+    let responses: Vec<QueryResult> = slots
+        .into_iter()
+        .map(|slot| slot.expect("every query is answered by its home shard"))
+        .collect();
     let digest = digest_responses(&responses);
     let (cache_hits, cache_misses) = caches.iter().fold((0, 0), |(h, m), c| {
         let c = c.lock().expect("shard cache");

@@ -80,19 +80,6 @@ pub fn apportion(counts: &[u64], target: u64) -> Vec<u64> {
     floors
 }
 
-/// Formats a count with thousands separators, like the paper's tables.
-pub fn fmt_count(n: u64) -> String {
-    let digits: Vec<char> = n.to_string().chars().rev().collect();
-    let mut out = String::new();
-    for (i, c) in digits.iter().enumerate() {
-        if i > 0 && i % 3 == 0 {
-            out.push(',');
-        }
-        out.push(*c);
-    }
-    out.chars().rev().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,14 +99,6 @@ mod tests {
         assert_eq!(cdf_at(&samples, 5.0), 0.0);
         assert_eq!(cdf_at(&samples, 20.0), 0.75);
         assert_eq!(cdf_at(&samples, 100.0), 1.0);
-    }
-
-    #[test]
-    fn count_formatting_matches_paper_style() {
-        assert_eq!(fmt_count(0), "0");
-        assert_eq!(fmt_count(999), "999");
-        assert_eq!(fmt_count(44_390), "44,390");
-        assert_eq!(fmt_count(1_000_000), "1,000,000");
     }
 
     #[test]

@@ -4,28 +4,19 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use h2campaign::CampaignRow;
+use h2campaign::{fmt_count, upscale, CampaignRow};
 use h2scope::probes::flow_control::SmallWindowOutcome;
 use h2scope::{ProbeOutcome, ProbeStats, Reaction};
 use webpop::Population;
 
 use crate::scan::{headers_records, Campaign};
-use crate::stats::{apportion, fmt_count, spark_cdf};
-
-/// Scales one *independent* measured count back up to paper scale for
-/// side-by-side comparison. Only for counters that don't share a column
-/// total (adoption funnels, standalone aggregates) — rows that partition
-/// a total go through [`upscaled_rows`], which keeps the column sum
-/// exact.
-fn upscaled(count: usize, scale: f64) -> u64 {
-    (count as f64 / scale).round() as u64
-}
+use crate::stats::{apportion, spark_cdf};
 
 /// Upscales a group of rows that partition (a subset of) `total` sites.
 /// Independent per-row rounding lets the upscaled rows drift from the
 /// upscaled total at scale < 1 (each row rounds on its own); instead the
 /// rows — plus an implicit remainder row covering the sites the table
-/// doesn't print — are apportioned against `upscaled(total)` by largest
+/// doesn't print — are apportioned against `upscale(total)` by largest
 /// remainder ([`apportion`]), so printed rows + unprinted remainder sum
 /// exactly to the upscaled column total at every scale.
 fn upscaled_rows(counts: &[u64], total: u64, scale: f64) -> Vec<u64> {
@@ -33,7 +24,7 @@ fn upscaled_rows(counts: &[u64], total: u64, scale: f64) -> Vec<u64> {
     debug_assert!(listed <= total, "rows exceed their column total");
     let mut with_remainder = counts.to_vec();
     with_remainder.push(total.saturating_sub(listed));
-    let mut shares = apportion(&with_remainder, upscaled(total as usize, scale));
+    let mut shares = apportion(&with_remainder, upscale(total, scale));
     shares.pop();
     shares
 }
@@ -128,10 +119,10 @@ pub fn trend(scale: f64, threads: usize) -> String {
             out,
             "  {:<8}{:>10}{:>10}{:>10}{:>12}{:>12}",
             format!("+{month}mo"),
-            fmt_count(upscaled(npn, scale)),
-            fmt_count(upscaled(alpn, scale)),
-            fmt_count(upscaled(headers, scale)),
-            fmt_count(upscaled(prio, scale)),
+            fmt_count(upscale(npn as u64, scale)),
+            fmt_count(upscale(alpn as u64, scale)),
+            fmt_count(upscale(headers as u64, scale)),
+            fmt_count(upscale(prio as u64, scale)),
             push,
         )
         .unwrap();
@@ -168,7 +159,7 @@ pub fn adoption(records: &[CampaignRow], population: &Population) -> String {
             out,
             "  {name:<26} measured {:>9}  (paper-scale est. {:>9}, paper {:>9})",
             fmt_count(measured as u64),
-            fmt_count(upscaled(measured, scale)),
+            fmt_count(upscale(measured as u64, scale)),
             fmt_count(paper)
         )
         .unwrap();
@@ -464,7 +455,7 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
         8,
         [
             compliant as u64,
-            upscaled(compliant, scale),
+            upscale(compliant as u64, scale),
             spec.headers_at_zero_window,
         ],
     );
@@ -562,7 +553,7 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
             spec.large_update_stream_rst,
         ),
     ] {
-        let counts = [measured as u64, upscaled(measured, scale), paper];
+        let counts = [measured as u64, upscale(measured as u64, scale), paper];
         paper_row(&mut out, 4, label, 18, 8, counts);
     }
     out
@@ -609,7 +600,7 @@ pub fn priority(records: &[CampaignRow], population: &Population) -> String {
         ("first-DATA-frame rule", by_first, spec.priority_by_first),
         ("both rules", by_both, spec.priority_by_both),
     ] {
-        let counts = [measured, upscaled(measured as usize, scale), paper];
+        let counts = [measured, upscale(measured, scale), paper];
         paper_row(&mut out, 2, label, 22, 7, counts);
     }
     writeln!(out, "  self-dependent stream reactions:").unwrap();
@@ -771,7 +762,7 @@ mod tests {
             let shares = upscaled_rows(&counts, total, scale);
             assert_eq!(
                 shares.iter().sum::<u64>(),
-                upscaled(total as usize, scale),
+                upscale(total, scale),
                 "scale {scale}"
             );
         }
@@ -784,14 +775,14 @@ mod tests {
         for scale in SCALES {
             let shares = upscaled_rows(&counts, total, scale);
             let listed: u64 = shares.iter().sum();
-            let column_total = upscaled(total as usize, scale);
+            let column_total = upscale(total, scale);
             assert!(listed <= column_total, "scale {scale}");
             // The implicit remainder row absorbs exactly the rest.
             let full = upscaled_rows(&[317, 204, 96, 83], total, scale);
             assert_eq!(full.iter().sum::<u64>(), column_total, "scale {scale}");
             // Apportionment stays within one unit of naive rounding.
             for (share, &count) in shares.iter().zip(&counts) {
-                let naive = upscaled(count as usize, scale);
+                let naive = upscale(count, scale);
                 assert!(share.abs_diff(naive) <= 1, "scale {scale}");
             }
         }
@@ -809,7 +800,7 @@ mod tests {
             let column = scaled_column(&table5(&records, &population));
             assert_eq!(
                 column.iter().sum::<u64>(),
-                upscaled(headers, scale),
+                upscale(headers as u64, scale),
                 "scale {scale}"
             );
         }

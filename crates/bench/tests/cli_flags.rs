@@ -1,7 +1,8 @@
 //! The `repro` binary's usage errors: an unparsable `--threads`/`--loads`
-//! value, a flag without its value (`--exp` included), a `--scale`
-//! outside `(0, 1]` and an unknown command all exit 2
-//! with a message and no report; `--threads 0` runs on one worker.
+//! value, `--loads 0`, a flag without its value (`--exp` included), a
+//! `--scale` outside `(0, 1]` and an unknown command all exit 2
+//! with a message and no report; `--threads 0` runs on one worker; an
+//! artifact that cannot be written is exit 2 as well.
 
 use std::process::{Command, Output};
 
@@ -14,7 +15,13 @@ fn repro(args: &[&str]) -> Output {
 
 #[test]
 fn unparsable_threads_and_loads_are_usage_errors() {
-    for (flag, value) in [("--threads", "x"), ("--loads", "many"), ("--threads", "-1")] {
+    // `--loads 0` parses, but every page-load mean it feeds would be NaN.
+    for (flag, value) in [
+        ("--threads", "x"),
+        ("--loads", "many"),
+        ("--threads", "-1"),
+        ("--loads", "0"),
+    ] {
         let out = repro(&["adoption", "--scale", "0.0005", "--exp", "1", flag, value]);
         assert_eq!(out.status.code(), Some(2), "{flag} {value}");
         assert!(out.stdout.is_empty(), "{flag} {value} still ran");
@@ -88,4 +95,27 @@ fn zero_threads_runs_on_one_worker() {
     assert!(zero.starts_with("repro: command=adoption"));
     assert!(one.contains("NPN"), "report missing: {one}");
     assert_eq!(below_header(&zero), below_header(&one));
+}
+
+#[test]
+fn an_unwritable_metrics_artifact_is_exit_2() {
+    // A directory squats on the artifact's path, so the write must fail.
+    let dir = std::env::temp_dir().join(format!("h2ready-cli-obs-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("OBS_campaign.json")).expect("scratch dir");
+    let out = repro(&[
+        "adoption",
+        "--scale",
+        "0.0005",
+        "--exp",
+        "1",
+        "--threads",
+        "1",
+        "--metrics",
+        "--out-dir",
+        dir.to_str().expect("utf-8 temp dir"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("[obs] failed to write"), "{stderr:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }

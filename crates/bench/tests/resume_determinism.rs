@@ -99,6 +99,52 @@ fn killed_and_resumed_records_are_byte_identical_to_uninterrupted() {
 }
 
 #[test]
+fn a_partial_whose_row_index_was_flipped_is_refused_and_a_clean_one_resumes() {
+    let golden_path = scratch("flip-golden");
+    record_uninterrupted(&golden_path, 1);
+    let golden = std::fs::read(&golden_path).expect("golden bytes");
+    let total = population().h2_count();
+
+    let path = scratch("flip");
+    flaky(&population(), 1)
+        .scan_recorded(&path, false, Some(KillPoint::after(5)))
+        .expect("killed scan");
+    let partial = std::fs::read_to_string(&path).expect("partial record");
+    let line = 1 + partial
+        .lines()
+        .position(|l| l.starts_with("r|i=3|"))
+        .expect("one worker wrote site 3 before the kill");
+
+    // Out of range used to index past the end of the slot table; an
+    // unscanned in-range index used to file site 3's report under it.
+    for flipped in [9993, total - 1] {
+        let corrupt = partial.replacen("r|i=3|", &format!("r|i={flipped}|"), 1);
+        std::fs::write(&path, corrupt).expect("corrupt partial");
+        let err = flaky(&population(), 2)
+            .scan_recorded(&path, true, None)
+            .expect_err("a row that is not its index's site must be refused");
+        assert!(
+            matches!(err, h2campaign::RecordError::Parse { line: at, .. } if at == line),
+            "index {flipped}: {err}"
+        );
+    }
+
+    for threads in [1, 2, 8] {
+        std::fs::write(&path, &partial).expect("clean partial");
+        flaky(&population(), threads)
+            .scan_recorded(&path, true, None)
+            .expect("resumed scan");
+        assert_eq!(
+            std::fs::read(&path).expect("resumed bytes"),
+            golden,
+            "clean partial resumed at {threads} threads diverged"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&golden_path).ok();
+}
+
+#[test]
 fn recorded_scan_returns_the_same_records_as_the_plain_scan() {
     let path = scratch("parity");
     let recorded = record_uninterrupted(&path, 4);

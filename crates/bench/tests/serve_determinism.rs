@@ -41,8 +41,8 @@ fn write_record(path: &Path, label: &str, skip: u64, take: u64) {
     finalize(path, &meta, &rows).expect("finalize record");
 }
 
-/// Two finalized fixture records (overlapping site ranges, so diffs have
-/// both shared and exclusive sites), written once per test process.
+/// Two finalized fixture records (6 and 8 sites, so diffs have both
+/// shared and exclusive sites), written once per test process.
 fn fixture_records() -> &'static [PathBuf] {
     static RECORDS: OnceLock<Vec<PathBuf>> = OnceLock::new();
     RECORDS.get_or_init(|| {
@@ -51,7 +51,7 @@ fn fixture_records() -> &'static [PathBuf] {
         let a = dir.join("jul-2016.h2c");
         let b = dir.join("jan-2017.h2c");
         write_record(&a, "jul-2016", 0, 6);
-        write_record(&b, "jan-2017", 2, 6);
+        write_record(&b, "jan-2017", 0, 8);
         vec![a, b]
     })
 }

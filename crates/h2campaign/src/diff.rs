@@ -186,11 +186,14 @@ pub fn diff_records(a: &StoredRecord, b: &StoredRecord) -> CampaignDiff {
     }
 }
 
-fn upscale(count: u64, scale: f64) -> u64 {
+/// Scales one measured count back up to paper scale (`count / scale`,
+/// rounded) for side-by-side comparison with the paper's numbers.
+pub fn upscale(count: u64, scale: f64) -> u64 {
     (count as f64 / scale).round() as u64
 }
 
-fn fmt_count(n: u64) -> String {
+/// Formats a count with thousands separators, like the paper's tables.
+pub fn fmt_count(n: u64) -> String {
     let digits: Vec<char> = n.to_string().chars().rev().collect();
     let mut out = String::new();
     for (i, c) in digits.iter().enumerate() {
@@ -300,6 +303,14 @@ mod tests {
     use super::*;
     use crate::record::CampaignMeta;
     use webpop::{ExperimentSpec, Population};
+
+    #[test]
+    fn count_formatting_matches_paper_style() {
+        assert_eq!(fmt_count(0), "0");
+        assert_eq!(fmt_count(999), "999");
+        assert_eq!(fmt_count(44_390), "44,390");
+        assert_eq!(fmt_count(1_000_000), "1,000,000");
+    }
 
     fn record_for(spec: ExperimentSpec, scale: f64) -> StoredRecord {
         let population = Population::new(spec, scale);

@@ -32,8 +32,8 @@ pub mod load;
 pub mod record;
 
 pub use diff::{
-    diff_records, feature_counts, feature_names, render_diff, AdoptionDelta, CampaignDiff,
-    Transition,
+    diff_records, feature_counts, feature_names, fmt_count, render_diff, upscale, AdoptionDelta,
+    CampaignDiff, Transition,
 };
 pub use load::{load_finalized, LoadError};
 pub use record::{

@@ -439,9 +439,12 @@ pub fn finalize(path: &Path, meta: &CampaignMeta, rows: &[CampaignRow]) -> Resul
 ///
 /// Partial records (no `end|` trailer) may end in a torn line, which is
 /// dropped; every fully written row is recovered, sorted by index, and
-/// deduplicated (later duplicates win — they can only arise from a
-/// crash between a row's write and the scheduler's bookkeeping, and
-/// duplicate rows of a deterministic scan are identical anyway).
+/// deduplicated (the first duplicate in file order is kept — they can
+/// only arise from a crash between a row's write and the scheduler's
+/// bookkeeping, and duplicate rows of a deterministic scan are
+/// identical anyway). Every row, in either kind of record, must carry
+/// an index below `meta.sites` and the authority of the site that
+/// index names.
 /// Finalized records are held to strict form: the row count must match
 /// the trailer and the checksum must verify over the row lines *as they
 /// are on disk* — so a row that still parses but is not what
@@ -451,7 +454,8 @@ pub fn finalize(path: &Path, meta: &CampaignMeta, rows: &[CampaignRow]) -> Resul
 /// # Errors
 ///
 /// [`RecordError::Io`] on filesystem failure, [`RecordError::Parse`] on
-/// malformed content (an unknown escape included), [`RecordError::Torn`]
+/// malformed content (an unknown escape or a row that is not the site
+/// its index names included), [`RecordError::Torn`]
 /// / [`RecordError::Checksum`] on a finalized record that was cut short
 /// or altered.
 pub fn read(path: &Path) -> Result<StoredRecord, RecordError> {
@@ -507,7 +511,29 @@ pub fn read(path: &Path) -> Result<StoredRecord, RecordError> {
             }
             break;
         }
-        rows.push(CampaignRow::decode(line).map_err(|m| parse_err(number, m))?);
+        let row = CampaignRow::decode(line).map_err(|m| parse_err(number, m))?;
+        // A row must be the site its own index names: resume and serve
+        // both place it by index, so a flipped digit would otherwise
+        // land one site's report in another's slot (or out of bounds).
+        if row.index >= meta.sites {
+            return Err(parse_err(
+                number,
+                format!(
+                    "row index {} out of range: campaign has {} sites",
+                    row.index, meta.sites
+                ),
+            ));
+        }
+        if row.report.authority != Population::authority(row.index) {
+            return Err(parse_err(
+                number,
+                format!(
+                    "row index {} does not name its site {}",
+                    row.index, row.report.authority
+                ),
+            ));
+        }
+        rows.push(row);
         computed = checksum_line(computed, line);
     }
 

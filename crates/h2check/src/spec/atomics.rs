@@ -35,13 +35,13 @@ const RELAXED: &[&str] = &["Relaxed"];
 /// The registry. Keyed `(krate, name)`; a use site anywhere in the
 /// crate's non-test code must resolve to a row here.
 pub const ATOMIC_REGISTRY: &[AtomicDecl] = &[
-    // -- bench: the work-claiming scheduler and kill latch -----------------
+    // -- bench: sweep's claim cursor and the scan's kill latch -------------
     AtomicDecl {
         krate: "bench",
         name: "next",
         orderings: RELAXED,
-        invariant: "claim cursor advanced only by CAS; a failed claim never mutates it, \
-                    and claimed index ranges are disjoint by construction",
+        invariant: "sweep's claim cursor, advanced only by fetch_add(1): each value is \
+                    handed to exactly one worker, and results travel through the join",
     },
     AtomicDecl {
         krate: "bench",

@@ -69,48 +69,34 @@ impl H2Scope {
     /// HEADERS-returning sites → per-feature tests).
     pub fn survey(&self, target: &Target) -> SiteReport {
         let negotiation = negotiation::probe(target);
-        if !negotiation.h2() {
-            return SiteReport {
-                authority: target.site.authority.clone(),
-                negotiation,
-                server_name: None,
-                headers_received: false,
-                settings: Default::default(),
-                flow_control: None,
-                priority: None,
-                push: None,
-                hpack: None,
-                probe: Default::default(),
-            };
-        }
-        let settings = settings::probe(target);
-        let probe = crate::report::headers_probe(target);
-        if !probe.headers_received {
-            return SiteReport {
-                authority: target.site.authority.clone(),
-                negotiation,
-                server_name: probe.server,
-                headers_received: false,
-                settings,
-                flow_control: None,
-                priority: None,
-                push: None,
-                hpack: None,
-                probe: Default::default(),
-            };
-        }
-        SiteReport {
+        let h2 = negotiation.h2();
+        let mut report = SiteReport {
             authority: target.site.authority.clone(),
             negotiation,
-            server_name: probe.server,
-            headers_received: true,
-            settings,
-            flow_control: Some(flow_control::probe(target)),
-            priority: Some(priority::algorithm1(target)),
-            push: Some(push::probe(target, &["/"])),
-            hpack: Some(hpack::probe(target, self.config.hpack_requests)),
+            server_name: None,
+            headers_received: false,
+            settings: Default::default(),
+            flow_control: None,
+            priority: None,
+            push: None,
+            hpack: None,
             probe: Default::default(),
+        };
+        if !h2 {
+            return report;
         }
+        report.settings = settings::probe(target);
+        let probe = crate::report::headers_probe(target);
+        report.server_name = probe.server;
+        report.headers_received = probe.headers_received;
+        if !report.headers_received {
+            return report;
+        }
+        report.flow_control = Some(flow_control::probe(target));
+        report.priority = Some(priority::algorithm1(target));
+        report.push = Some(push::probe(target, &["/"]));
+        report.hpack = Some(hpack::probe(target, self.config.hpack_requests));
+        report
     }
 }
 

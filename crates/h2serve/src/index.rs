@@ -15,15 +15,24 @@ use bytes::Bytes;
 
 use h2campaign::{load_finalized, LoadError, StoredRecord};
 
-/// FNV-1a over `bytes` — the same cheap stable hash the record trailer
-/// uses, reused here to spread site-rank hostnames across shards.
+/// The state every [`fnv1a_fold`] stream starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into `state`, FNV-1a style — the shard hash and the
+/// serve driver's response digest. Its multiplier is 2^32 + 0x1b3, not
+/// the FNV-64 prime (2^40 + 0x1b3) of h2campaign's record checksum;
+/// shard placement and the digest are pinned outputs, so the two
+/// functions cannot be folded into one.
+pub fn fnv1a_fold(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
+    })
+}
+
+/// [`fnv1a_fold`] over `bytes` alone: a cheap stable hash to spread
+/// site-rank hostnames across shards.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
+    fnv1a_fold(FNV_OFFSET, bytes)
 }
 
 /// The home shard of `key` among `shards` workers. Pure and stable, so

@@ -55,7 +55,8 @@ PY
 
 # The campaign record's crash-safety contract: a run killed mid-campaign
 # (exit 3) and resumed at a different thread count must finalize a record
-# byte-identical to an uninterrupted one, `repro diff` and `repro serve`
+# byte-identical to an uninterrupted one (and must refuse a partial
+# whose row index was flipped, exit 2), `repro diff` and `repro serve`
 # must work from disk alone, and a torn record is exit 5.
 resume() {
     "$repro" adoption --exp 1 --scale 0.01 --threads 1 --faults flaky --seed 42 --record golden.h2c
@@ -68,6 +69,15 @@ resume() {
         echo 'a killed campaign left a finalized record' >&2
         exit 1
     fi
+    # A row whose index was flipped is not the site it claims to be:
+    # --resume must refuse the record (exit 2), not file the report
+    # under the wrong site.
+    local victim
+    victim="$(grep -m1 -o '^r|i=[0-9]*|' crashed.h2c)"
+    sed "s/^${victim}/r|i=99999|/" crashed.h2c > flipped.h2c
+    status=0
+    "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume flipped.h2c || status=$?
+    test "$status" -eq 2
     "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume crashed.h2c
     cmp golden.h2c crashed.h2c
     "$repro" adoption --exp 2 --scale 0.01 --threads 4 --faults flaky --seed 42 --record second.h2c
