@@ -93,7 +93,10 @@ impl Bytes {
     }
 
     /// The bytes as a plain slice.
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "inherent twin of `AsRef<[u8]>::as_ref`, so call sites infer the slice type"
+    )]
     pub fn as_ref(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }

@@ -232,7 +232,7 @@ pub mod strategy {
             impl<$($s: Strategy),+> Strategy for ($($s,)+) {
                 type Value = ($($s::Value,)+);
 
-                #[allow(non_snake_case)]
+                #[allow(non_snake_case, reason = "the type parameters double as binding names")]
                 fn gen_value(&self, rng: &mut TestRng) -> Self::Value {
                     let ($($s,)+) = self;
                     ($($s.gen_value(rng),)+)

@@ -7,7 +7,6 @@
 //! Figure 2, §V-D, §V-E, §V-F) and the timing figures ([`figures`]:
 //! Figures 3 and 6).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod abuse;

@@ -97,6 +97,11 @@
 //!                      --resume / diff paths into DIR (created if absent)
 //! ```
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the one consumer of real time: each banner reports how long the run took"
+)]
+
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -133,6 +138,24 @@ struct Options {
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
     std::process::exit(2);
+}
+
+/// A `--scale` at which the population quota a command reads (`quota`
+/// sites at full scale) rounds to zero sites is a usage error: every
+/// mean and CDF over it would be 0/0. The message names the smallest
+/// admissible scale — where the quota starts rounding to one site —
+/// rounded up to three digits.
+fn require_sites(command: &str, scale: f64, label: &str, quota: u64, what: &str) {
+    // `Population::scaled`'s own rounding.
+    if (quota as f64 * scale).round() >= 1.0 {
+        return;
+    }
+    let smallest = 0.5 / quota as f64;
+    let unit = 10f64.powi(smallest.log10().floor() as i32 - 2);
+    usage_error(&format!(
+        "--scale needs at least {:.2e} for `{command}` on {label}: {scale} leaves no {what}",
+        (smallest / unit).ceil() * unit
+    ));
 }
 
 /// The next argument, parsed as a flag's value; a missing or unparsable
@@ -484,6 +507,14 @@ fn run_abuse(options: &Options) -> ! {
 /// page-load-time distributions, the help-vs-hurt breakdown, plus the
 /// machine-readable `PUSH_campaign.json`.
 fn run_push_study(options: &Options) -> ! {
+    let spec = ExperimentSpec::second();
+    require_sites(
+        "push-study",
+        options.scale,
+        spec.label,
+        spec.h2_sites,
+        "h2 site to sample",
+    );
     let study_options = push_study::StudyOptions {
         scale: options.scale,
         seed: options.seed,
@@ -575,6 +606,17 @@ fn main() {
         "abuse" => run_abuse(&options),
         "push-study" => run_push_study(&options),
         _ => {}
+    }
+    if needs_scan(command) || matches!(command, "fig3" | "fig6") {
+        for spec in &options.experiments {
+            require_sites(
+                command,
+                options.scale,
+                spec.label,
+                spec.headers_sites,
+                "HEADERS-returning site",
+            );
+        }
     }
     println!(
         "repro: command={command} scale={} threads={}\n",

@@ -358,16 +358,19 @@ pub fn policy_summaries(report: &StudyReport) -> Vec<PolicySummary> {
                 promised += o.promised;
                 delivered += o.delivered;
             }
+            // Every load of a policy can stall (a sample of sites that
+            // return no HEADERS): zeros, not 0/0, so the artifact stays JSON.
+            let or_zero = |stat: f64| if plts.is_empty() { 0.0 } else { stat };
             PolicySummary {
                 policy,
                 samples: plts.len(),
                 stalled,
                 promised,
                 delivered,
-                mean_ms: if plts.is_empty() { 0.0 } else { mean(&plts) },
-                p10_ms: quantile(&plts, 0.10),
-                p50_ms: quantile(&plts, 0.50),
-                p90_ms: quantile(&plts, 0.90),
+                mean_ms: or_zero(mean(&plts)),
+                p10_ms: or_zero(quantile(&plts, 0.10)),
+                p50_ms: or_zero(quantile(&plts, 0.50)),
+                p90_ms: or_zero(quantile(&plts, 0.90)),
             }
         })
         .collect()

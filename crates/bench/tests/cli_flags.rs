@@ -1,8 +1,9 @@
 //! The `repro` binary's usage errors: an unparsable `--threads`/`--loads`
 //! value, `--loads 0`, a flag without its value (`--exp` included), a
-//! `--scale` outside `(0, 1]` and an unknown command all exit 2
-//! with a message and no report; `--threads 0` runs on one worker; an
-//! artifact that cannot be written is exit 2 as well.
+//! `--scale` outside `(0, 1]` or too small to leave the command a site
+//! and an unknown command all exit 2 with a message and no report;
+//! `--threads 0` runs on one worker; an artifact that cannot be written
+//! is exit 2 as well.
 
 use std::process::{Command, Output};
 
@@ -61,6 +62,36 @@ fn unknown_commands_and_out_of_range_scales_are_usage_errors() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("--scale needs a number in (0, 1]"));
         assert!(!stderr.contains("panicked"), "--scale {scale}: {stderr}");
+    }
+
+    // A scale in range that rounds the population the command reads to
+    // zero sites (every CDF and mean would be 0/0) is refused too, with
+    // the smallest scale that is not — which then runs without a NaN.
+    for (args, too_small, smallest) in [
+        (&["all", "--exp", "1"][..], "1e-5", "1.13e-5"),
+        (
+            &["push-study", "--sites", "4", "--loads", "1"],
+            "4e-6",
+            "5.89e-6",
+        ),
+    ] {
+        let dir = std::env::temp_dir().join(format!("h2ready-cli-tiny-{}", std::process::id()));
+        let out_dir = ["--threads", "1", "--out-dir", dir.to_str().expect("utf-8")];
+        let out = repro(&[args, &out_dir, &["--scale", too_small]].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?} --scale {too_small}");
+        assert!(out.stdout.is_empty(), "{args:?} --scale {too_small} ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let needs = format!("--scale needs at least {smallest} for `{}`", args[0]);
+        assert!(stderr.contains(&needs), "{stderr:?}");
+        let out = repro(&[args, &out_dir, &["--scale", smallest]].concat());
+        assert!(out.status.success(), "{args:?} --scale {smallest}");
+        let mut printed = String::from_utf8(out.stdout).expect("utf-8 report");
+        if let Ok(artifact) = std::fs::read_to_string(dir.join("PUSH_campaign.json")) {
+            printed.push_str(&artifact);
+        }
+        let mut words = printed.split(|c: char| !c.is_alphanumeric());
+        assert!(!words.any(|w| w == "NaN" || w == "inf"), "{printed}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     // The command the typo meant still runs, and an admissible scale

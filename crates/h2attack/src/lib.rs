@@ -36,7 +36,6 @@
 //! assert_eq!(report.amplification, 6_204);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod detect;

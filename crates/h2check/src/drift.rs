@@ -8,7 +8,10 @@
 //! actual simulated probes against every `ServerProfile` and compares
 //! the observed reaction with what the quirk matrix predicts.
 
-// h2check: allow-file(index) — token indices come from enumerate/loop bounds over `sf.tokens`; `in_test` has the same length by construction
+#![allow(
+    clippy::indexing_slicing,
+    reason = "token indices come from enumerate/loop bounds over `sf.tokens`; `in_test` has the same length by construction"
+)]
 
 pub mod hpack;
 
@@ -24,7 +27,7 @@ use h2wire::{
 };
 
 use crate::lexer::{lex, SourceFile};
-use crate::report::{Finding, Report, Severity};
+use crate::report::{Finding, Report};
 use crate::spec::{
     RecvOutcome, SpecEvent, SpecState, StreamIdRule, CAPABILITIES, FRAME_RULES, PROBE_RULES,
     QUIRK_RULES, RECV_LEGALITY, SETTING_BOUNDS, TRANSITIONS,
@@ -33,7 +36,6 @@ use crate::spec::{
 fn drift(file: &str, line: usize, message: String) -> Finding {
     Finding {
         kind: "drift",
-        severity: Severity::Error,
         file: file.to_string(),
         line,
         message,
@@ -489,7 +491,6 @@ pub fn check_quirk_fields(
         if !QUIRK_RULES.iter().any(|(f, _)| f == name) {
             findings.push(Finding {
                 kind: "quirk-registry",
-                severity: Severity::Error,
                 file: file.to_string(),
                 line: *line,
                 message: format!(
@@ -608,7 +609,6 @@ fn check_probe_registry(root: &Path, report: &mut Report) {
             unmapped += 1;
             report.findings.push(Finding {
                 kind: "probe-registry",
-                severity: Severity::Error,
                 file: file.clone(),
                 line: *line,
                 message: format!(

@@ -1,7 +1,7 @@
 //! # h2check — in-repo static analysis for the HTTP/2 workspace
 //!
 //! A registry-free conformance and lint suite, run in CI as
-//! `cargo run -p h2check -- --workspace --deny-warnings`. Three layers:
+//! `cargo run -p h2check -- --workspace`. Three layers:
 //!
 //! 1. **Spec-conformance tables** ([`spec`]): RFC 7540's §5.1
 //!    stream-state machine, §6 frame constraints and §6.5.2 SETTINGS
@@ -12,10 +12,9 @@
 //!    actual simulated probes and comparing the observed reactions
 //!    with the matrix's predictions).
 //! 2. **Source lints** ([`lints`]): a hand-rolled token scanner
-//!    ([`lexer`]) enforcing panic-freedom in the protocol crates,
-//!    virtual-time discipline outside `bench`, a cycle-free lock
-//!    acquisition order in the thread-sharing modules, and the
-//!    `#![forbid(unsafe_code)]` attestation.
+//!    ([`lexer`]) enforcing a cycle-free lock acquisition order in the
+//!    thread-sharing modules, plus a count of the member manifests that
+//!    inherit `[workspace.lints]`.
 //! 3. **HPACK + determinism** ([`spec::hpack`], [`spec::atomics`]):
 //!    RFC 7541's static table, Huffman code (as a canonical length
 //!    profile), prefix-integer boundaries, entry-size arithmetic and
@@ -26,11 +25,28 @@
 //!    ([`lints::atomics`]) that makes the fold-at-snapshot
 //!    commutativity argument a checked artifact.
 //!
-//! Findings can be waived inline with a justification
-//! (`// h2check: allow(panic) — reason`); a waiver without a reason is
-//! itself an error. See [`report::Waivers`].
+//! What the toolchain already checks is not re-implemented here:
+//! panic-freedom of the crates that parse outside input
+//! (`clippy::{indexing_slicing, unwrap_used, expect_used, panic,
+//! unreachable, todo, unimplemented}` at their crate roots), `unsafe`
+//! (`unsafe_code = "forbid"` in `[workspace.lints]`) and virtual-time
+//! discipline (`disallowed-types`/`-methods` in the root `clippy.toml`)
+//! are gated by CI's `cargo clippy --workspace --all-targets -- -D
+//! warnings`, with exemptions written as `#[allow(…, reason = "…")]` /
+//! `#[expect(…, reason = "…")]`. Every finding of this suite is an
+//! error; there is no waiver syntax.
 
-#![forbid(unsafe_code)]
+// Panic-freedom: this crate parses outside input, so a site that can
+// panic needs a reasoned `allow`/`expect` (clippy.toml exempts tests).
+#![warn(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod drift;
@@ -40,4 +56,4 @@ pub mod report;
 pub mod spec;
 pub mod workspace;
 
-pub use report::{Finding, Report, Severity};
+pub use report::{Finding, Report};

@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 
 use crate::lexer::SourceFile;
-use crate::report::{Finding, Severity};
+use crate::report::Finding;
 use crate::spec::atomics::{atomic_decl, ATOMIC_REGISTRY};
 
 use super::chain_receiver;
@@ -213,7 +213,6 @@ pub fn check_registry(
             Some(decl) if decl.orderings.contains(&ordering.as_str()) => uses_ok += 1,
             Some(decl) => findings.push(Finding {
                 kind: "atomics",
-                severity: Severity::Error,
                 file: site.file.clone(),
                 line: site.line,
                 message: format!(
@@ -226,7 +225,6 @@ pub fn check_registry(
             }),
             None => findings.push(Finding {
                 kind: "atomics",
-                severity: Severity::Error,
                 file: site.file.clone(),
                 line: site.line,
                 message: format!(
@@ -251,7 +249,6 @@ pub fn check_registry(
         } else {
             findings.push(Finding {
                 kind: "atomics",
-                severity: Severity::Error,
                 file: (*file).to_string(),
                 line: *line,
                 message: format!(
@@ -271,7 +268,6 @@ pub fn check_registry(
                 stale += 1;
                 findings.push(Finding {
                     kind: "atomics",
-                    severity: Severity::Error,
                     file: "crates/h2check/src/spec/atomics.rs".to_string(),
                     line: 1,
                     message: format!(

@@ -14,8 +14,7 @@
 //!
 //! unless the same statement consumes the iterator with an
 //! order-insensitive terminal (`sum`, `count`, `min`, `max`, `all`,
-//! `any` — folds whose result does not depend on visit order), or the
-//! site carries a `// h2check: allow(detiter) — reason` waiver.
+//! `any` — folds whose result does not depend on visit order).
 //! Point lookups (`get`, `contains_key`, `insert`, …) are not
 //! iteration and are never flagged.
 //!
@@ -25,7 +24,7 @@
 //! container in this workspace is iterated where it lives.
 
 use crate::lexer::{SourceFile, Tok};
-use crate::report::{Severity, Sink};
+use crate::report::Finding;
 
 use super::chain_receiver;
 
@@ -168,7 +167,15 @@ fn skip_balanced(sf: &SourceFile, open: usize) -> usize {
 }
 
 /// Runs the lint over one file.
-pub fn check(sf: &SourceFile, sink: &mut Sink) {
+pub fn check(file: &str, sf: &SourceFile, findings: &mut Vec<Finding>) {
+    let mut emit = |line: usize, message: String| {
+        findings.push(Finding {
+            kind: "detiter",
+            file: file.to_string(),
+            line,
+            message,
+        });
+    };
     let names = hash_bindings(sf);
     if names.is_empty() {
         return;
@@ -187,13 +194,11 @@ pub fn check(sf: &SourceFile, sink: &mut Sink) {
                 if let Some(recv) = chain_receiver(sf, i - 2) {
                     if names.contains(&recv) && !chain_is_order_free(sf, i + 1) {
                         let line = sf.tokens.get(i).map_or(1, |t| t.line);
-                        sink.emit(
-                            "detiter",
-                            Severity::Error,
+                        emit(
                             line,
                             format!(
                                 "`{recv}.{method}()` iterates in hash order; use a \
-                                 BTreeMap/BTreeSet, sort the output, or waive with a reason"
+                                 BTreeMap/BTreeSet or sort the output"
                             ),
                         );
                     }
@@ -226,13 +231,11 @@ pub fn check(sf: &SourceFile, sink: &mut Sink) {
             if let Some(name) = sf.ident_at(k) {
                 if sf.punct_at(k + 1, '{') && names.iter().any(|n| n == name) {
                     let line = sf.tokens.get(k).map_or(1, |t| t.line);
-                    sink.emit(
-                        "detiter",
-                        Severity::Error,
+                    emit(
                         line,
                         format!(
                             "`for … in {name}` visits a hash container in hash order; \
-                             use a BTreeMap/BTreeSet, sort first, or waive with a reason"
+                             use a BTreeMap/BTreeSet or sort first"
                         ),
                     );
                 }
@@ -245,16 +248,10 @@ pub fn check(sf: &SourceFile, sink: &mut Sink) {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::report::{Finding, Waivers};
-    use std::collections::BTreeMap;
 
     fn run(src: &str) -> Vec<Finding> {
-        let sf = lex(src);
         let mut findings = Vec::new();
-        let mut waived = BTreeMap::new();
-        let waivers = Waivers::parse("t.rs", &sf, &mut findings);
-        let mut sink = Sink::new("t.rs", &waivers, &mut findings, &mut waived);
-        check(&sf, &mut sink);
+        check("t.rs", &lex(src), &mut findings);
         findings
     }
 
@@ -293,14 +290,6 @@ mod tests {
     #[test]
     fn vec_of_sets_does_not_bind_the_vec() {
         let src = "fn f(pending: &Vec<HashSet<u32>>) { for set in pending { use_(set); } }";
-        assert!(run(src).is_empty());
-    }
-
-    #[test]
-    fn waiver_with_reason_suppresses() {
-        let src = "fn f(m: &HashMap<u32, u64>) {\n\
-                   // h2check: allow(detiter) — feeding a commutative fold\n\
-                   for (k, v) in m { fold(k, v); } }";
         assert!(run(src).is_empty());
     }
 

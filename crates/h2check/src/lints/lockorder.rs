@@ -19,10 +19,13 @@
 //!   `held -> acquired` edge. Edges merge across functions and files by
 //!   lock name; a cycle in the merged graph is an error.
 
-// h2check: allow-file(index) — token indices come from enumerate/loop bounds over `sf.tokens`; `in_test` has the same length by construction
+#![allow(
+    clippy::indexing_slicing,
+    reason = "token indices come from enumerate/loop bounds over `sf.tokens`; `in_test` has the same length by construction"
+)]
 
 use crate::lexer::{SourceFile, Tok};
-use crate::report::{Finding, Severity};
+use crate::report::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One `held -> acquired` observation with provenance.
@@ -203,7 +206,6 @@ pub fn cycles(edges: &[LockEdge]) -> Vec<Finding> {
                             .unwrap_or(("<unknown>", 0));
                         findings.push(Finding {
                             kind: "lockorder",
-                            severity: Severity::Error,
                             file: file.to_string(),
                             line,
                             message: format!("lock acquisition cycle: {}", cycle.join(" -> ")),

@@ -3,10 +3,7 @@
 
 pub mod atomics;
 pub mod detiter;
-pub mod forbid_unsafe;
 pub mod lockorder;
-pub mod panics;
-pub mod wallclock;
 
 use crate::lexer::SourceFile;
 

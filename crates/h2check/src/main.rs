@@ -4,14 +4,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut deny_warnings = false;
     let mut check_file: Option<PathBuf> = None;
     let mut workspace = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--deny-warnings" => deny_warnings = true,
             "--check-file" => match args.next() {
                 Some(path) => check_file = Some(PathBuf::from(path)),
                 None => {
@@ -21,7 +19,7 @@ fn main() -> ExitCode {
             },
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!("usage: h2check [--workspace] [--check-file <path>] [--deny-warnings]");
+                eprintln!("usage: h2check [--workspace] [--check-file <path>]");
                 return ExitCode::from(2);
             }
         }
@@ -30,14 +28,14 @@ fn main() -> ExitCode {
         Some(path) => h2check::workspace::check_file(&path),
         None => {
             if !workspace {
-                eprintln!("usage: h2check [--workspace] [--check-file <path>] [--deny-warnings]");
+                eprintln!("usage: h2check [--workspace] [--check-file <path>]");
                 return ExitCode::from(2);
             }
             h2check::workspace::run_workspace(&h2check::workspace::repo_root())
         }
     };
     print!("{}", report.render());
-    if report.failed(deny_warnings) {
+    if report.failed() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

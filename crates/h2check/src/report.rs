@@ -1,27 +1,14 @@
-//! Findings, waivers and the deterministic report rendering.
+//! Findings and the deterministic report rendering.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::lexer::SourceFile;
-
-/// Severity of a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Always fatal.
-    Error,
-    /// Fatal only under `--deny-warnings`.
-    Warning,
-}
-
-/// One static-analysis finding.
+/// One static-analysis finding. Every finding is an error: a run with
+/// any finding fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Lint kind: `panic`, `index`, `wallclock`, `lockorder`, `unsafe`,
-    /// `waiver`, `quirk-registry`, `probe-registry` or `drift`.
+    /// Lint kind: `lockorder`, `detiter`, `atomics`, `lints`,
+    /// `quirk-registry`, `probe-registry` or `drift`.
     pub kind: &'static str,
-    /// Severity.
-    pub severity: Severity,
     /// Repo-relative path.
     pub file: String,
     /// 1-based line.
@@ -30,219 +17,19 @@ pub struct Finding {
     pub message: String,
 }
 
-/// The lint kinds a waiver comment may name.
-pub const WAIVABLE_KINDS: &[&str] = &[
-    "panic",
-    "index",
-    "wallclock",
-    "lockorder",
-    "unsafe",
-    "detiter",
-];
-
-/// Parsed waivers for one file.
-///
-/// Syntax, always in a line comment:
-///
-/// ```text
-/// // h2check: allow(panic) — reason why this site cannot fire
-/// // h2check: allow(panic, index) — reasons may cover several kinds
-/// // h2check: allow-file(index) — waives the kind for the whole file
-/// ```
-///
-/// A line-scoped waiver applies to findings on its own line (trailing
-/// comment) or the line directly below (comment-above style). A waiver
-/// without a reason is itself an error.
-#[derive(Debug, Default)]
-pub struct Waivers {
-    line_kinds: Vec<(usize, String)>,
-    file_kinds: Vec<String>,
-}
-
-impl Waivers {
-    /// Parses all waiver comments of `sf`, reporting malformed ones as
-    /// findings.
-    pub fn parse(file: &str, sf: &SourceFile, findings: &mut Vec<Finding>) -> Waivers {
-        let mut waivers = Waivers::default();
-        for (line, text) in &sf.comments {
-            let Some(pos) = text.find("h2check:") else {
-                continue;
-            };
-            let rest = text[pos + "h2check:".len()..].trim_start();
-            let (file_level, body) = if let Some(r) = rest.strip_prefix("allow-file(") {
-                (true, r)
-            } else if let Some(r) = rest.strip_prefix("allow(") {
-                (false, r)
-            } else {
-                findings.push(Finding {
-                    kind: "waiver",
-                    severity: Severity::Error,
-                    file: file.to_string(),
-                    line: *line,
-                    message: "malformed h2check waiver: expected `allow(...)` or `allow-file(...)`"
-                        .to_string(),
-                });
-                continue;
-            };
-            let Some(close) = body.find(')') else {
-                findings.push(Finding {
-                    kind: "waiver",
-                    severity: Severity::Error,
-                    file: file.to_string(),
-                    line: *line,
-                    message: "malformed h2check waiver: missing `)`".to_string(),
-                });
-                continue;
-            };
-            let kinds: Vec<String> = body[..close]
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            let mut ok = true;
-            for kind in &kinds {
-                if !WAIVABLE_KINDS.contains(&kind.as_str()) {
-                    findings.push(Finding {
-                        kind: "waiver",
-                        severity: Severity::Error,
-                        file: file.to_string(),
-                        line: *line,
-                        message: format!("unknown waivable lint kind `{kind}`"),
-                    });
-                    ok = false;
-                }
-            }
-            let reason = body[close + 1..]
-                .trim_start_matches(|c: char| c.is_whitespace() || "—–-:".contains(c))
-                .trim();
-            if reason.is_empty() {
-                findings.push(Finding {
-                    kind: "waiver",
-                    severity: Severity::Error,
-                    file: file.to_string(),
-                    line: *line,
-                    message: "h2check waiver must carry a reason after the kind list".to_string(),
-                });
-                ok = false;
-            }
-            if !ok {
-                continue;
-            }
-            for kind in kinds {
-                if file_level {
-                    waivers.file_kinds.push(kind);
-                } else {
-                    waivers.line_kinds.push((*line, kind));
-                }
-            }
-        }
-        waivers
-    }
-
-    /// Is `kind` waived at `line`?
-    pub fn allows(&self, kind: &str, line: usize) -> bool {
-        self.file_kinds.iter().any(|k| k == kind)
-            || self
-                .line_kinds
-                .iter()
-                .any(|(l, k)| k == kind && (*l == line || l + 1 == line))
-    }
-}
-
-/// Emission helper shared by the lints: routes each hit to either the
-/// findings list or the waived tally.
-pub struct Sink<'a> {
-    file: &'a str,
-    crate_name: String,
-    waivers: &'a Waivers,
-    findings: &'a mut Vec<Finding>,
-    waived: &'a mut BTreeMap<(String, &'static str), usize>,
-}
-
-impl<'a> Sink<'a> {
-    /// Creates a sink for one file.
-    pub fn new(
-        file: &'a str,
-        waivers: &'a Waivers,
-        findings: &'a mut Vec<Finding>,
-        waived: &'a mut BTreeMap<(String, &'static str), usize>,
-    ) -> Sink<'a> {
-        Sink {
-            file,
-            crate_name: crate_of(file),
-            waivers,
-            findings,
-            waived,
-        }
-    }
-
-    /// Emits a finding unless a waiver covers it.
-    pub fn emit(&mut self, kind: &'static str, severity: Severity, line: usize, message: String) {
-        if self.waivers.allows(kind, line) {
-            *self
-                .waived
-                .entry((self.crate_name.clone(), kind))
-                .or_insert(0) += 1;
-        } else {
-            self.findings.push(Finding {
-                kind,
-                severity,
-                file: self.file.to_string(),
-                line,
-                message,
-            });
-        }
-    }
-}
-
-/// The crate a repo-relative path belongs to (`crates/h2wire/src/x.rs`
-/// → `h2wire`; anything else → the root package).
-pub fn crate_of(file: &str) -> String {
-    let mut parts = file.split('/');
-    if parts.next() == Some("crates") {
-        if let Some(name) = parts.next() {
-            return name.to_string();
-        }
-    }
-    "h2ready".to_string()
-}
-
 /// The complete result of a run.
 #[derive(Debug, Default)]
 pub struct Report {
     /// Cross-validation summary lines, in check order.
     pub drift: Vec<String>,
-    /// All non-waived findings.
+    /// All findings.
     pub findings: Vec<Finding>,
-    /// Waived-hit tally per (crate, lint kind).
-    pub waived: BTreeMap<(String, &'static str), usize>,
 }
 
 impl Report {
-    /// Number of error-severity findings.
-    pub fn errors(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
-    }
-
-    /// Number of warning-severity findings.
-    pub fn warnings(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Warning)
-            .count()
-    }
-
-    /// Total waived hits.
-    pub fn waived_total(&self) -> usize {
-        self.waived.values().sum()
-    }
-
     /// Should the process exit non-zero?
-    pub fn failed(&self, deny_warnings: bool) -> bool {
-        self.errors() > 0 || (deny_warnings && self.warnings() > 0)
+    pub fn failed(&self) -> bool {
+        !self.findings.is_empty()
     }
 
     /// Renders the deterministic report text.
@@ -252,90 +39,19 @@ impl Report {
         for line in &self.drift {
             let _ = writeln!(out, "[drift] {line}");
         }
-        let mut per_crate: BTreeMap<&str, Vec<String>> = BTreeMap::new();
-        for ((krate, kind), count) in &self.waived {
-            per_crate
-                .entry(krate)
-                .or_default()
-                .push(format!("{kind} x{count}"));
-        }
-        for (krate, entries) in per_crate {
-            let _ = writeln!(out, "[waived] {krate}: {}", entries.join(", "));
-        }
         let mut findings = self.findings.clone();
         findings.sort_by(|a, b| {
             (&a.file, a.line, a.kind, &a.message).cmp(&(&b.file, b.line, b.kind, &b.message))
         });
         for f in &findings {
-            let tag = match f.severity {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
-            };
             let _ = writeln!(
                 out,
-                "{tag}: {}:{}: [{}] {}",
+                "error: {}:{}: [{}] {}",
                 f.file, f.line, f.kind, f.message
             );
         }
-        let verdict = if self.errors() > 0 { "FAIL" } else { "PASS" };
-        let _ = writeln!(
-            out,
-            "result: {verdict} ({} errors, {} warnings, {} waived)",
-            self.errors(),
-            self.warnings(),
-            self.waived_total()
-        );
+        let verdict = if self.failed() { "FAIL" } else { "PASS" };
+        let _ = writeln!(out, "result: {verdict} ({} errors)", findings.len());
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lexer::lex;
-
-    #[test]
-    fn waiver_with_reason_parses_and_allows() {
-        let sf = lex("// h2check: allow(panic) — tree invariant, cannot fire\nfoo.unwrap();\n");
-        let mut findings = Vec::new();
-        let w = Waivers::parse("x.rs", &sf, &mut findings);
-        assert!(findings.is_empty());
-        assert!(w.allows("panic", 1));
-        assert!(w.allows("panic", 2));
-        assert!(!w.allows("panic", 3));
-        assert!(!w.allows("index", 2));
-    }
-
-    #[test]
-    fn waiver_without_reason_is_an_error() {
-        let sf = lex("foo.unwrap(); // h2check: allow(panic)\n");
-        let mut findings = Vec::new();
-        let w = Waivers::parse("x.rs", &sf, &mut findings);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].kind, "waiver");
-        assert!(!w.allows("panic", 1), "reasonless waiver must not waive");
-    }
-
-    #[test]
-    fn file_level_waiver_covers_all_lines() {
-        let sf = lex("// h2check: allow-file(index) — dense wire codec, bounds shown above\n");
-        let mut findings = Vec::new();
-        let w = Waivers::parse("x.rs", &sf, &mut findings);
-        assert!(findings.is_empty());
-        assert!(w.allows("index", 500));
-    }
-
-    #[test]
-    fn unknown_kind_is_an_error() {
-        let sf = lex("// h2check: allow(bogus) — whatever\n");
-        let mut findings = Vec::new();
-        Waivers::parse("x.rs", &sf, &mut findings);
-        assert_eq!(findings.len(), 1);
-    }
-
-    #[test]
-    fn crate_of_maps_paths() {
-        assert_eq!(crate_of("crates/h2wire/src/frame.rs"), "h2wire");
-        assert_eq!(crate_of("src/main.rs"), "h2ready");
     }
 }

@@ -4,41 +4,24 @@
 //!
 //! | lint | scope |
 //! |---|---|
-//! | `panic` / `index` | non-test code of the five protocol crates (`h2wire`, `h2hpack`, `h2conn`, `h2server`, `h2scope`) |
-//! | `wallclock` | every crate except `bench` (the one consumer of real time) |
 //! | `lockorder` | the thread-sharing modules: `bench::sched`, `h2obs`, `netsim::pipe` |
-//! | `unsafe` | `#![forbid(unsafe_code)]` attestation in the protocol-adjacent crates |
 //! | `detiter` | the report/record/response-producing crates (hash-order iteration) |
 //! | `atomics` | every crate (the atomic-ordering registry) |
+//! | `lints` | every member manifest (`crates/*`, `compat/*`) inherits `[workspace.lints]` |
 //! | registries + drift | the spec tables of [`crate::spec`] vs the implementations |
+//!
+//! Panic-freedom, `unsafe` and wall-clock time are the toolchain's:
+//! `[workspace.lints]`, the crate-root `#![warn(clippy::…)]` of the
+//! crates that parse outside input, and the root `clippy.toml`, all
+//! gated by CI's one `cargo clippy … -D warnings`. The `lints` row keeps
+//! their coverage a counted fact of this report.
 
 use std::path::{Path, PathBuf};
 
 use crate::lexer::lex;
-use crate::lints::{atomics, detiter, forbid_unsafe, lockorder, panics, wallclock};
-use crate::report::{Finding, Report, Severity, Sink, Waivers};
+use crate::lints::{atomics, detiter, lockorder};
+use crate::report::{Finding, Report};
 use crate::{drift, spec};
-
-/// Crates whose non-test code must be panic-free (they parse protocol
-/// input — and h2check itself, which parses arbitrary source text).
-pub const PANIC_FREE_CRATES: &[&str] = &[
-    "h2wire", "h2hpack", "h2conn", "h2server", "h2scope", "h2serve", "h2check",
-];
-
-/// Crates that must carry `#![forbid(unsafe_code)]`.
-pub const FORBID_UNSAFE_CRATES: &[&str] = &[
-    "h2wire",
-    "h2hpack",
-    "h2conn",
-    "h2server",
-    "h2scope",
-    "webpop",
-    "h2fault",
-    "h2campaign",
-    "h2serve",
-    "h2check",
-    "bench",
-];
 
 /// Crates whose output (report rows, record lines, response bytes) must
 /// not depend on hash-iteration order; the `detiter` lint errors on
@@ -82,32 +65,99 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// All lint-scoped source files, as (absolute path, repo-relative path).
-fn source_files(root: &Path) -> Vec<(PathBuf, String)> {
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = match std::fs::read_dir(&crates_dir) {
+/// The package directories under one member glob (`crates`, `compat`).
+fn package_dirs(root: &Path, group: &str) -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = match std::fs::read_dir(root.join(group)) {
         Ok(rd) => rd.filter_map(Result::ok).map(|e| e.path()).collect(),
         Err(_) => Vec::new(),
     };
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
+    dirs.sort();
+    dirs
+}
+
+fn repo_relative(root: &Path, abs: &Path) -> Option<String> {
+    let parts: Vec<_> = abs
+        .strip_prefix(root)
+        .ok()?
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy())
+        .collect();
+    Some(parts.join("/"))
+}
+
+/// All lint-scoped source files, as (absolute path, repo-relative path).
+fn source_files(root: &Path) -> Vec<(PathBuf, String)> {
+    let mut files = Vec::new();
+    for crate_dir in package_dirs(root, "crates") {
         walk_rs(&crate_dir.join("src"), &mut files);
     }
     walk_rs(&root.join("src"), &mut files);
     files
         .into_iter()
         .filter_map(|abs| {
-            let rel = abs
-                .strip_prefix(root)
-                .ok()?
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
+            let rel = repo_relative(root, &abs)?;
             Some((abs, rel))
         })
         .collect()
+}
+
+/// `true` when a line of `manifest` inside `[table]` is `setting`
+/// (`key=value`, compared with spaces removed). Not a TOML parser; it
+/// reads the two spellings this check needs.
+fn manifest_sets(manifest: &str, table: &str, setting: &str) -> bool {
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|line| *line != table)
+        .skip(1)
+        .take_while(|line| !line.starts_with('['))
+        .any(|line| line.replace(' ', "") == setting)
+}
+
+/// The `[drift] lints:` line. Panic-freedom, `unsafe` and wall-clock
+/// time are enforced by the toolchain through `[workspace.lints]`; a
+/// member that does not inherit the table silently leaves that
+/// coverage, so inheritance is counted here.
+fn check_lint_inheritance(root: &Path, report: &mut Report) {
+    let mut lints_finding = |file: String, message: &str| {
+        report.findings.push(Finding {
+            kind: "lints",
+            file,
+            line: 1,
+            message: message.to_string(),
+        });
+    };
+    let root_manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
+    if !manifest_sets(
+        &root_manifest,
+        "[workspace.lints.rust]",
+        "unsafe_code=\"forbid\"",
+    ) {
+        lints_finding(
+            "Cargo.toml".to_string(),
+            "[workspace.lints.rust] must set unsafe_code = \"forbid\"",
+        );
+    }
+    let (mut inheriting, mut members) = (0usize, 0usize);
+    for dir in ["crates", "compat"]
+        .iter()
+        .flat_map(|group| package_dirs(root, group))
+    {
+        let manifest = dir.join("Cargo.toml");
+        members += 1;
+        let text = std::fs::read_to_string(&manifest).unwrap_or_default();
+        if manifest_sets(&text, "[lints]", "workspace=true") {
+            inheriting += 1;
+        } else {
+            lints_finding(
+                repo_relative(root, &manifest).unwrap_or_default(),
+                "member manifest must say `[lints] workspace = true`",
+            );
+        }
+    }
+    report.drift.push(format!(
+        "lints: {inheriting}/{members} member manifests inherit [workspace.lints]"
+    ));
 }
 
 fn crate_name(rel: &str) -> &str {
@@ -134,41 +184,21 @@ pub fn run_workspace(root: &Path) -> Report {
         let Ok(src) = std::fs::read_to_string(&abs) else {
             report.findings.push(Finding {
                 kind: "drift",
-                severity: Severity::Error,
                 file: rel.clone(),
                 line: 1,
                 message: "unreadable source file".to_string(),
             });
             continue;
         };
-        let krate = crate_name(&rel).to_string();
+        let krate = crate_name(&rel);
         let sf = lex(&src);
-        let waivers = Waivers::parse(&rel, &sf, &mut report.findings);
-        let mut sink = Sink::new(&rel, &waivers, &mut report.findings, &mut report.waived);
-        if PANIC_FREE_CRATES.contains(&krate.as_str()) {
-            panics::check(&sf, &mut sink);
-        }
-        if krate != "bench" {
-            wallclock::check(&sf, &mut sink);
-        }
         if in_lock_scope(&rel) {
             lock_edges.extend(lockorder::collect(&rel, &sf));
         }
-        if DETERMINISTIC_ITER_CRATES.contains(&krate.as_str()) {
-            detiter::check(&sf, &mut sink);
+        if DETERMINISTIC_ITER_CRATES.contains(&krate) {
+            detiter::check(&rel, &sf, &mut report.findings);
         }
-        atomic_sites.extend(atomics::collect(&krate, &rel, &sf));
-        if FORBID_UNSAFE_CRATES.contains(&krate.as_str())
-            && rel.ends_with("/src/lib.rs")
-            && !forbid_unsafe::has_forbid_unsafe(&sf)
-        {
-            sink.emit(
-                "unsafe",
-                Severity::Error,
-                1,
-                "crate root must carry #![forbid(unsafe_code)]".to_string(),
-            );
-        }
+        atomic_sites.extend(atomics::collect(krate, &rel, &sf));
     }
     report.findings.extend(lockorder::cycles(&lock_edges));
     let (uses_ok, uses, decls_ok, decls, stale) =
@@ -177,6 +207,7 @@ pub fn run_workspace(root: &Path) -> Report {
         "atomics registry: {uses_ok}/{uses} ordering uses sanctioned, \
          {decls_ok}/{decls} declarations registered ({stale} stale rows)"
     ));
+    check_lint_inheritance(root, &mut report);
     drift::run_all(root, &mut report);
     report
 }
@@ -191,7 +222,6 @@ pub fn check_file(path: &Path) -> Report {
     let Ok(src) = std::fs::read_to_string(path) else {
         report.findings.push(Finding {
             kind: "drift",
-            severity: Severity::Error,
             file: rel,
             line: 1,
             message: "unreadable source file".to_string(),
@@ -199,11 +229,7 @@ pub fn check_file(path: &Path) -> Report {
         return report;
     };
     let sf = lex(&src);
-    let waivers = Waivers::parse(&rel, &sf, &mut report.findings);
-    let mut sink = Sink::new(&rel, &waivers, &mut report.findings, &mut report.waived);
-    panics::check(&sf, &mut sink);
-    wallclock::check(&sf, &mut sink);
-    detiter::check(&sf, &mut sink);
+    detiter::check(&rel, &sf, &mut report.findings);
     let edges = lockorder::collect(&rel, &sf);
     report.findings.extend(lockorder::cycles(&edges));
     let sites = atomics::collect(crate_name(&rel), &rel, &sf);
@@ -216,7 +242,6 @@ pub fn check_file(path: &Path) -> Report {
             if spec::rule_by_id(rule_id).is_none() {
                 report.findings.push(Finding {
                     kind: "probe-registry",
-                    severity: Severity::Error,
                     file: "crates/h2check/src/spec.rs".to_string(),
                     line: 1,
                     message: format!("{probe} cites unknown rule {rule_id}"),
@@ -244,6 +269,16 @@ mod tests {
         assert!(in_lock_scope("crates/netsim/src/pipe.rs"));
         assert!(!in_lock_scope("crates/h2wire/src/frame.rs"));
         assert!(!in_lock_scope("crates/bench/src/main.rs"));
+    }
+
+    #[test]
+    fn manifest_settings_are_read_inside_their_table_only() {
+        let inheriting = "[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n";
+        assert!(manifest_sets(inheriting, "[lints]", "workspace=true"));
+        let elsewhere =
+            "[package]\nworkspace = true\n\n[lints]\n\n[dependencies]\nworkspace = true\n";
+        assert!(!manifest_sets(elsewhere, "[lints]", "workspace=true"));
+        assert!(!manifest_sets("[package]\n", "[lints]", "workspace=true"));
     }
 
     #[test]

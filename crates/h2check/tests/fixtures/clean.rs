@@ -1,7 +1,8 @@
-//! Known-good fixture: a panic site covered by a justified waiver.
-//! Expected: zero findings; exactly one waived `panic`.
+//! Known-good fixture: a hash container read only through an
+//! order-free fold. Expected: zero findings.
 
-pub fn first(v: &[u8]) -> u8 {
-    // h2check: allow(panic) — fixture: callers guarantee non-empty input
-    v.iter().copied().next().unwrap()
+use std::collections::HashMap;
+
+pub fn total(counts: &HashMap<String, u64>) -> u64 {
+    counts.values().sum()
 }

@@ -2,7 +2,7 @@
 //! cross-validation counts so silent registry shrinkage (a drift check
 //! covering fewer quirks/probes/transitions than before) fails loudly.
 //!
-//! When a legitimate change shifts the waiver tallies, regenerate with:
+//! When a legitimate change shifts a count, regenerate with:
 //! `cargo run -p h2check -- --workspace > crates/h2check/tests/golden_workspace.txt`
 
 use h2check::workspace::{repo_root, run_workspace};
@@ -18,14 +18,6 @@ fn workspace_run_matches_golden_snapshot() {
         "workspace report drifted from the golden snapshot; \
          if intentional, regenerate golden_workspace.txt"
     );
-}
-
-#[test]
-fn workspace_passes_with_deny_warnings() {
-    let report = run_workspace(&repo_root());
-    assert!(!report.failed(true), "{}", report.render());
-    assert_eq!(report.errors(), 0);
-    assert_eq!(report.warnings(), 0);
 }
 
 /// Regression pins for the cross-validation coverage itself: the spec
@@ -55,6 +47,7 @@ fn cross_validation_counts_are_pinned() {
         "hpack §6.3 size updates: 5/5",
         "atomics registry: 62/62 ordering uses sanctioned, 24/24 declarations registered \
          (0 stale rows)",
+        "lints: 17/17 member manifests",
     ] {
         assert!(
             drift.contains(expected),

@@ -144,7 +144,7 @@ impl HeaderAssembler {
         }
         pending.block.fragment.extend_from_slice(&frame.fragment);
         if frame.end_headers {
-            // h2check: allow(panic) — `pending` was matched Some above
+            #[expect(clippy::expect_used, reason = "`pending` was matched Some above")]
             return Ok(Some(self.pending.take().expect("pending exists").block));
         }
         Ok(None)

@@ -706,7 +706,7 @@ impl ConnectionCore {
             return frames;
         }
         let mut chunks = block.chunks(max);
-        // h2check: allow(panic) — the short-block case returned above
+        #[expect(clippy::expect_used, reason = "the short-block case returned above")]
         let first = chunks.next().expect("block longer than max");
         frames.push(Frame::Headers(HeadersFrame {
             stream_id,
@@ -771,18 +771,16 @@ impl ConnectionCore {
     ///
     /// Panics if `data` exceeds [`ConnectionCore::sendable_on`]; callers
     /// must size chunks first (the scheduler does).
+    #[expect(clippy::expect_used, reason = "documented caller contract (# Panics)")]
     pub fn send_data(&mut self, stream_id: StreamId, data: Bytes, end_stream: bool) -> Frame {
         let len = data.len() as u32;
         self.conn_send
             .consume(len)
-            // h2check: allow(panic) — documented caller contract (# Panics)
             .expect("caller respected connection window");
-        // h2check: allow(panic) — documented caller contract (# Panics)
         let stream = self.streams.get_mut(stream_id).expect("stream exists");
         stream
             .send_window
             .consume(len)
-            // h2check: allow(panic) — documented caller contract (# Panics)
             .expect("caller respected stream window");
         if end_stream {
             stream.send_end_stream();

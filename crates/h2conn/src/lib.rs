@@ -37,7 +37,17 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// Panic-freedom: this crate parses outside input, so a site that can
+// panic needs a reasoned `allow`/`expect` (clippy.toml exempts tests).
+#![warn(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod assembler;

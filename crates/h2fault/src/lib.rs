@@ -22,7 +22,6 @@
 //! Everything here is side-effect free; `h2scope`/`bench` decide how the
 //! injections are wired into targets.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use netsim::{LinkSpec, PipeFaults, SimDuration, SimTime};

@@ -1,6 +1,9 @@
 //! HPACK decoder.
 
-// h2check: allow-file(index) — wire decode hot path; every index follows an explicit length check
+#![allow(
+    clippy::indexing_slicing,
+    reason = "wire decode hot path; every index follows an explicit length check"
+)]
 
 use crate::error::HpackDecodeError;
 use crate::huffman;

@@ -1,6 +1,9 @@
 //! Huffman coding for HPACK string literals (RFC 7541 §5.2, Appendix B).
 
-// h2check: allow-file(index) — table-driven decode; indices bounded by the Appendix B table arity
+#![allow(
+    clippy::indexing_slicing,
+    reason = "table-driven decode; indices bounded by the Appendix B table arity"
+)]
 
 use std::sync::OnceLock;
 
@@ -330,7 +333,10 @@ fn trie() -> &'static DecodeTrie {
                             nodes[node][bit] = Transition::Node(next);
                             next as usize
                         }
-                        // h2check: allow(panic) — Appendix B is a prefix code; collisions cannot occur
+                        #[expect(
+                            clippy::unreachable,
+                            reason = "Appendix B is a prefix code; collisions cannot occur"
+                        )]
                         Transition::Symbol(_) => unreachable!("prefix codes never collide"),
                     };
                 }

@@ -240,7 +240,10 @@ impl DynamicTable {
 
     fn evict_to(&mut self, budget: u32) {
         while self.size > budget {
-            // h2check: allow(panic) — size > budget >= 0 implies a resident entry
+            #[expect(
+                clippy::expect_used,
+                reason = "size > budget >= 0 implies a resident entry"
+            )]
             let evicted = self.entries.pop_back().expect("size > 0 implies entries");
             self.size -= evicted.hpack_size();
             self.evictions += 1;

@@ -166,11 +166,11 @@ impl ProbeConn {
         if self.req_scratch.is_empty() {
             self.req_scratch = self.request_headers(path);
         } else {
+            #[expect(clippy::expect_used, reason = "request_headers() always emits :path")]
             let h = self
                 .req_scratch
                 .iter_mut()
                 .find(|h| h.name == ":path")
-                // h2check: allow(panic) — request_headers() always emits :path
                 .expect("request template always carries :path");
             h.value.clear();
             h.value.push_str(path);
@@ -326,9 +326,9 @@ impl ProbeConn {
     /// The server sent bytes that do not parse. Guarded mode records the
     /// failure; in testbed mode it is an engine bug, not a measurable
     /// behavior (see [`ProbeConn::exchange`]).
+    #[expect(clippy::panic, reason = "testbed mode surfaces engine bugs")]
     fn unparseable(&mut self, what: &dyn std::fmt::Display) {
         if self.deadline.is_none() {
-            // h2check: allow(panic) — testbed mode surfaces engine bugs
             panic!("server output parses: {what}");
         }
         self.fail(ProbeFailure::Malformed);

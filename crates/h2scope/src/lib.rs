@@ -18,7 +18,6 @@
 //! | §IV-A ALPN/NPN | [`probes::negotiation`] |
 //! | §V-C SETTINGS survey | [`probes::settings`] |
 //! | §V-F page-load with/without push | [`pageload`] |
-//! | §VI lossy-link single vs multi connection | [`multi_connection`] |
 //!
 //! ```
 //! use h2scope::{H2Scope, testbed::Testbed};
@@ -31,11 +30,20 @@
 //! assert!(report.push.supported == false); // benchmark site has no manifest
 //! ```
 
-#![forbid(unsafe_code)]
+// Panic-freedom: this crate parses outside input, so a site that can
+// panic needs a reasoned `allow`/`expect` (clippy.toml exempts tests).
+#![warn(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod multi_connection;
 pub mod pageload;
 pub mod probes;
 pub mod report;

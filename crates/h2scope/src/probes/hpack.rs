@@ -3,7 +3,10 @@
 //! frames. A server that indexes response headers drives r toward 1/H; a
 //! server that never does stays at 1.
 
-// h2check: allow-file(index) — indices bounded by the response-count checks above each use
+#![allow(
+    clippy::indexing_slicing,
+    reason = "indices bounded by the response-count checks above each use"
+)]
 
 use h2wire::{Frame, Settings};
 

@@ -2,7 +2,10 @@
 //! a multiplexing server interleaves DATA frames across streams, a
 //! sequential one finishes each response before starting the next.
 
-// h2check: allow-file(index) — indices bounded by the response-count checks above each use
+#![allow(
+    clippy::indexing_slicing,
+    reason = "indices bounded by the response-count checks above each use"
+)]
 
 use h2wire::{Frame, SettingId, Settings};
 

@@ -211,7 +211,7 @@ fn ordering_holds(index: &HashMap<u32, usize>) -> bool {
     if !all.iter().all(|s| index.contains_key(s)) {
         return false;
     }
-    // h2check: allow(index) — contains_key over all six streams checked above
+    // contains_key over all six streams checked above
     let v = |s: u32| index[&s];
     let d_first = all.iter().filter(|&&s| s != D).all(|&s| v(D) < v(s));
     let a_second = all

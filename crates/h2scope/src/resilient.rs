@@ -170,7 +170,10 @@ pub fn survey_with_retries(
                 .retry(attempt + 2, pause.as_nanos(), backoff.as_nanos());
         }
     }
-    // h2check: allow(panic) — max_attempts.max(1) guarantees one loop pass
+    #[expect(
+        clippy::expect_used,
+        reason = "max_attempts.max(1) guarantees one loop pass"
+    )]
     let (mut report, failure) = last.expect("at least one attempt runs");
     let outcome = match failure {
         None => ProbeOutcome::Ok,

@@ -7,7 +7,10 @@
 //! reports. Getting responses onto the wire is `pump.rs`; bytes in and
 //! out (preface, h2c upgrade, byzantine shaping) is `transport.rs`.
 
-// h2check: allow-file(index) — header slots bounded by the cursor that just advanced past them
+#![allow(
+    clippy::indexing_slicing,
+    reason = "header slots bounded by the cursor that just advanced past them"
+)]
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;

@@ -30,7 +30,10 @@ impl ServerProfile {
     /// order, the RFC reference, then the four wild-scan families. The
     /// one list the `h2scope` binary, the robustness proptest and the
     /// DESIGN.md inventory are read from.
-    #[allow(clippy::type_complexity)] // a name/constructor pair; an alias would only add a public name
+    #[allow(
+        clippy::type_complexity,
+        reason = "a name/constructor pair; an alias would only add a public name"
+    )]
     pub fn all() -> [(&'static str, fn() -> ServerProfile); 11] {
         [
             ("nginx", ServerProfile::nginx),

@@ -2,7 +2,10 @@
 //! release of their HEADERS, and the one DATA scheduler whose per-mode
 //! phase table is what the paper's §V-D/§V-E priority findings measure.
 
-// h2check: allow-file(index) — queue indices bounded by the scan loops; byte offsets length-checked
+#![allow(
+    clippy::indexing_slicing,
+    reason = "queue indices bounded by the scan loops; byte offsets length-checked"
+)]
 
 use bytes::Bytes;
 

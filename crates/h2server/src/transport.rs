@@ -3,7 +3,10 @@
 //! HTTP/1.1 → h2c upgrade path, the greeting, and the byzantine shaping
 //! of whatever the engine emits.
 
-// h2check: allow-file(index) — byte offsets length-checked against the preface buffer
+#![allow(
+    clippy::indexing_slicing,
+    reason = "byte offsets length-checked against the preface buffer"
+)]
 
 use std::sync::Arc;
 

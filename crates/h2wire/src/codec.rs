@@ -1,6 +1,9 @@
 //! Streaming frame codec: turns a byte stream into frames and back.
 
-// h2check: allow-file(index) — dense wire codec; lengths verified before fixed-offset reads
+#![allow(
+    clippy::indexing_slicing,
+    reason = "dense wire codec; lengths verified before fixed-offset reads"
+)]
 
 use std::ops::Range;
 
@@ -15,12 +18,10 @@ use crate::header::{FrameHeader, FRAME_HEADER_LEN};
 /// `buf`, and where does it end?" — `Ok(None)` means more bytes are
 /// needed, and a declared length above `max_frame_size` is refused from
 /// the header alone (RFC 7540 §4.2) — then lets `payload` materialise the
-/// frame from its header and payload range, and applies the opt-in
-/// zero-increment check (RFC 7540 §6.9).
+/// frame from its header and payload range.
 fn decode_front(
     buf: &[u8],
     max_frame_size: u32,
-    reject_zero_window_update: bool,
     payload: impl FnOnce(FrameHeader, Range<usize>) -> Result<Frame, DecodeFrameError>,
 ) -> Result<Option<(Frame, usize)>, DecodeFrameError> {
     if buf.len() < FRAME_HEADER_LEN {
@@ -38,9 +39,6 @@ fn decode_front(
         return Ok(None);
     }
     let frame = payload(header, FRAME_HEADER_LEN..total)?;
-    if reject_zero_window_update && matches!(&frame, Frame::WindowUpdate(wu) if wu.increment == 0) {
-        return Err(DecodeFrameError::InvalidWindowIncrement);
-    }
     Ok(Some((frame, total)))
 }
 
@@ -58,7 +56,7 @@ pub fn decode_one(
     buf: &[u8],
     max_frame_size: u32,
 ) -> Result<Option<(Frame, usize)>, DecodeFrameError> {
-    decode_front(buf, max_frame_size, false, |header, range| {
+    decode_front(buf, max_frame_size, |header, range| {
         Frame::decode(header, &buf[range])
     })
 }
@@ -75,7 +73,6 @@ pub struct FrameDecoder {
     /// memmoved on every decoded frame.
     pos: usize,
     max_frame_size: u32,
-    reject_zero_window_update: bool,
 }
 
 impl Default for FrameDecoder {
@@ -91,22 +88,7 @@ impl FrameDecoder {
             buf: Vec::new(),
             pos: 0,
             max_frame_size: crate::settings::DEFAULT_MAX_FRAME_SIZE,
-            reject_zero_window_update: false,
         }
-    }
-
-    /// Opts in to strict RFC 7540 §6.9 handling: a WINDOW_UPDATE whose
-    /// increment is zero becomes a decode error
-    /// ([`DecodeFrameError::InvalidWindowIncrement`], surfacing
-    /// PROTOCOL_ERROR) instead of a decoded frame.
-    ///
-    /// This is off by default on purpose: the paper's §III-B3 probe *sends*
-    /// zero increments to classify server reactions, so the testbed's
-    /// simulated servers must receive them as frames and decide for
-    /// themselves. A conforming endpoint that wants the codec to enforce
-    /// the rule flips this on.
-    pub fn set_reject_zero_window_update(&mut self, strict: bool) {
-        self.reject_zero_window_update = strict;
     }
 
     /// Adjusts the maximum frame size this decoder will accept, typically
@@ -142,8 +124,7 @@ impl FrameDecoder {
     /// errors as connection errors.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeFrameError> {
         let buf = &self.buf[self.pos..];
-        let strict = self.reject_zero_window_update;
-        match decode_front(buf, self.max_frame_size, strict, |header, range| {
+        match decode_front(buf, self.max_frame_size, |header, range| {
             Frame::decode(header, &buf[range])
         }) {
             Ok(Some((frame, consumed))) => {
@@ -196,8 +177,7 @@ impl FrameDecoder {
             return self.next_frame();
         }
         let segment = &*input;
-        let strict = self.reject_zero_window_update;
-        match decode_front(segment, self.max_frame_size, strict, |header, range| {
+        match decode_front(segment, self.max_frame_size, |header, range| {
             Frame::decode_shared(header, segment.slice(range))
         }) {
             Ok(Some((frame, consumed))) => {
@@ -312,36 +292,6 @@ mod tests {
                 max: 16
             }
         );
-    }
-
-    #[test]
-    fn strict_decoder_rejects_zero_window_update() {
-        use crate::frame::WindowUpdateFrame;
-        let zero = Frame::WindowUpdate(WindowUpdateFrame {
-            stream_id: StreamId::new(1),
-            increment: 0,
-        });
-        // Default (probe-friendly) mode: the frame decodes.
-        let mut dec = FrameDecoder::new();
-        dec.feed(&zero.to_bytes());
-        assert_eq!(dec.next_frame().unwrap(), Some(zero.clone()));
-        // Strict mode: PROTOCOL_ERROR per RFC 7540 §6.9, buffer flushed.
-        let mut dec = FrameDecoder::new();
-        dec.set_reject_zero_window_update(true);
-        dec.feed(&zero.to_bytes());
-        let err = dec.next_frame().unwrap_err();
-        assert_eq!(err, DecodeFrameError::InvalidWindowIncrement);
-        assert_eq!(err.h2_error_code(), crate::error::ErrorCode::ProtocolError);
-        assert_eq!(dec.buffered_len(), 0);
-        // Nonzero increments still pass in strict mode.
-        let one = Frame::WindowUpdate(WindowUpdateFrame {
-            stream_id: StreamId::new(1),
-            increment: 1,
-        });
-        let mut dec = FrameDecoder::new();
-        dec.set_reject_zero_window_update(true);
-        dec.feed(&one.to_bytes());
-        assert_eq!(dec.next_frame().unwrap(), Some(one));
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Typed frames for all ten RFC 7540 frame types, with encode/decode.
 
-// h2check: allow-file(index) — dense wire codec; lengths verified before fixed-offset reads
+#![allow(
+    clippy::indexing_slicing,
+    reason = "dense wire codec; lengths verified before fixed-offset reads"
+)]
 
 use std::fmt;
 
@@ -651,8 +654,9 @@ impl Frame {
                 let raw = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
                 // Masking here is RFC-correct: §6.9 reserves the top bit
                 // and receivers MUST ignore it. (Zero increments decode
-                // fine too — a strict endpoint rejects them via
-                // `FrameDecoder::reject_zero_window_update`.)
+                // fine too: §III-B3 probes send them, and the reaction
+                // is the receiver's — `h2conn`'s
+                // `CoreEvent::ZeroWindowUpdate`.)
                 Ok(Frame::WindowUpdate(WindowUpdateFrame {
                     stream_id: header.stream_id,
                     increment: raw & 0x7fff_ffff,

@@ -1,6 +1,9 @@
 //! The 9-octet frame header (RFC 7540 §4.1) and per-type flag bits.
 
-// h2check: allow-file(index) — dense wire codec; lengths verified before fixed-offset reads
+#![allow(
+    clippy::indexing_slicing,
+    reason = "dense wire codec; lengths verified before fixed-offset reads"
+)]
 
 use crate::error::DecodeFrameError;
 use crate::stream_id::StreamId;

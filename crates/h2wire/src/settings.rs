@@ -1,6 +1,9 @@
 //! SETTINGS parameters (RFC 7540 §6.5).
 
-// h2check: allow-file(index) — dense wire codec; lengths verified before fixed-offset reads
+#![allow(
+    clippy::indexing_slicing,
+    reason = "dense wire codec; lengths verified before fixed-offset reads"
+)]
 
 use crate::error::DecodeFrameError;
 

@@ -145,10 +145,9 @@ fn segments<'a>(bytes: &'a [u8], cuts: &[prop::sample::Index]) -> Vec<&'a [u8]> 
 
 /// Runs `segments` through one streaming entry point: `feed` +
 /// `drain_frames`, or `next_frame_shared` over the same bytes.
-fn stream_decode(segments: &[&[u8]], shared: bool, strict: bool) -> Decoded {
+fn stream_decode(segments: &[&[u8]], shared: bool) -> Decoded {
     let mut dec = FrameDecoder::new();
     dec.set_max_frame_size(MAX_MAX_FRAME_SIZE);
-    dec.set_reject_zero_window_update(strict);
     let mut frames = Vec::new();
     for segment in segments {
         let batch = if shared {
@@ -183,8 +182,8 @@ proptest! {
             None => bytes.truncate(at),
         }
         let segments = segments(&bytes, &cuts);
-        let buffered = stream_decode(&segments, false, false);
-        prop_assert_eq!(&buffered, &stream_decode(&segments, true, false));
+        let buffered = stream_decode(&segments, false);
+        prop_assert_eq!(&buffered, &stream_decode(&segments, true));
         prop_assert!(buffered.1.is_none() || buffered.2 == 0, "error left bytes buffered");
     }
 
@@ -202,14 +201,13 @@ proptest! {
 
     /// Splitting the byte stream arbitrarily never changes the decoded
     /// frame sequence, and the two streaming entry points are one
-    /// decoder: over the same segments they yield the same frames, and
-    /// with the zero-increment option on they refuse the same
-    /// WINDOW_UPDATE.
+    /// decoder: over the same segments they yield the same frames, a
+    /// zero-increment WINDOW_UPDATE (which §III-B3 probes send)
+    /// included.
     #[test]
     fn arbitrary_fragmentation_is_transparent(
         frames in prop::collection::vec(arb_frame(), 1..6),
         zero_at in prop::option::of(any::<prop::sample::Index>()),
-        strict in any::<bool>(),
         cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
     ) {
         let mut frames = frames;
@@ -219,13 +217,9 @@ proptest! {
         }
         let bytes = h2wire::encode_all(&frames);
         let segments = segments(&bytes, &cuts);
-        let buffered = stream_decode(&segments, false, strict);
-        prop_assert_eq!(&buffered, &stream_decode(&segments, true, strict));
-        if strict && zero_at.is_some() {
-            prop_assert_eq!(buffered.1, Some(DecodeFrameError::InvalidWindowIncrement));
-        } else {
-            prop_assert_eq!(buffered, (frames, None, 0));
-        }
+        let buffered = stream_decode(&segments, false);
+        prop_assert_eq!(&buffered, &stream_decode(&segments, true));
+        prop_assert_eq!(buffered, (frames, None, 0));
     }
 
     /// Truncated buffers never panic and never produce a frame.

@@ -25,7 +25,6 @@
 //! assert!(report.negotiation.h2());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod marginals;

@@ -3,15 +3,15 @@
 # with the assertions CI gates on. Builds `repro` once, then runs the
 # named section (default: all of them) in a scratch directory.
 #
-#   scripts/cli-smoke.sh [metrics|abuse|resume|push-study|all]
+#   scripts/cli-smoke.sh [metrics|abuse|resume|push-study|examples|all]
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 section="${1:-all}"
 case "$section" in
-    metrics | abuse | resume | push-study | all) ;;
+    metrics | abuse | resume | push-study | examples | all) ;;
     *)
-        echo "unknown section '$section'; use metrics, abuse, resume, push-study or all" >&2
+        echo "unknown section '$section'; use metrics, abuse, resume, push-study, examples or all" >&2
         exit 2
         ;;
 esac
@@ -94,8 +94,22 @@ resume() {
 }
 
 # The push QoE study: a tiny sweep must emit a PUSH_campaign.json that
-# parses with its pinned schema, byte-identical across thread counts.
+# parses with its pinned schema, byte-identical across thread counts. A
+# scale that leaves no site to sample is a usage error naming the
+# smallest one that does; at that scale the one sampled site returns no
+# HEADERS, every load stalls, and the artifact is still JSON (no NaN).
 push_study() {
+    status=0
+    "$repro" push-study --scale 4e-6 --sites 4 --loads 1 --out-dir tiny > tiny.txt 2> tiny.err || status=$?
+    test "$status" -eq 2
+    test ! -s tiny.txt
+    test ! -e tiny/PUSH_campaign.json
+    grep -q -- '--scale needs at least 5.89e-6' tiny.err
+    "$repro" push-study --scale 5.89e-6 --sites 4 --loads 1 --out-dir tiny > tiny.txt
+    if grep -i -w 'nan\|inf' tiny.txt tiny/PUSH_campaign.json; then
+        exit 1
+    fi
+    python3 -c "import json; assert json.load(open('tiny/PUSH_campaign.json'))['sites'] == 1"
     "$repro" push-study --scale 0.002 --sites 6 --loads 2 --threads 4 --out-dir t4 > study.txt
     grep -q 'PUSH QOE STUDY' study.txt
     for policy in push-none push-all push-critical-path over-push; do
@@ -124,11 +138,22 @@ PY
     cmp t4/PUSH_campaign.json t8/PUSH_campaign.json
 }
 
+# Every example under examples/ runs to completion and prints its
+# study; one that cannot is deleted with its doc lines, not left to rot.
+examples() {
+    for source in "$root"/examples/*.rs; do
+        name="$(basename "$source" .rs)"
+        (cd "$root" && cargo run --release --example "$name") > "$name.txt"
+        test -s "$name.txt"
+    done
+}
+
 if [ "$section" = all ]; then
     metrics
     abuse
     resume
     push_study
+    examples
 else
     "${section//-/_}"
 fi

@@ -16,6 +16,11 @@
 //! against coarse regressions, not single allocations. The flat-cost guards compare two windows of one run and
 //! need no calibration.
 
+#![allow(
+    unsafe_code,
+    reason = "a counting GlobalAlloc is an `unsafe impl`; it only forwards to System"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
