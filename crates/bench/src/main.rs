@@ -5,6 +5,9 @@
 //! repro [COMMAND] [--scale S] [--exp 1|2|both] [--threads N] [--loads L]
 //!                 [--faults PROFILE] [--seed N]
 //!
+//! A flag the command does not read (`serve --scale`, `table3 --record`,
+//! `abuse --loads`) is a usage error, exit 2.
+//!
 //! COMMANDS
 //!   table3       Table III  testbed characterization matrix
 //!   concurrency  §V-A       MAX_CONCURRENT_STREAMS enforcement
@@ -42,8 +45,6 @@
 //!
 //! SERVE DAEMON
 //!   --queries N        queries in the seeded trace (default 4096)
-//!   --no-cache         disable the per-shard LRU render cache (the
-//!                      response digest is identical either way)
 //!   --hostile          interleave h2attack slow-read / rapid-reset
 //!                      clients with the query trace
 //!
@@ -124,7 +125,6 @@ struct Options {
     metrics: bool,
     trace_sites: u64,
     queries: u64,
-    no_cache: bool,
     hostile: bool,
     vectors: Vec<h2attack::AttackVector>,
     mix: (u64, u64),
@@ -180,7 +180,6 @@ fn parse_args() -> Options {
         metrics: false,
         trace_sites: 0,
         queries: 4096,
-        no_cache: false,
         hostile: false,
         vectors: h2attack::AttackVector::ALL.to_vec(),
         mix: (3, 1),
@@ -190,8 +189,12 @@ fn parse_args() -> Options {
         kill_after: None,
         out_dir: None,
     };
+    let mut flags: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if arg.starts_with("--") {
+            flags.push(arg.clone());
+        }
         match arg.as_str() {
             "--scale" => {
                 const NEEDS: &str = "--scale needs a number in (0, 1]";
@@ -238,7 +241,6 @@ fn parse_args() -> Options {
             "--queries" => {
                 o.queries = value(&mut args, "--queries needs an unsigned integer");
             }
-            "--no-cache" => o.no_cache = true,
             "--hostile" => o.hostile = true,
             "--vectors" => {
                 let list = args.next().unwrap_or_default();
@@ -294,7 +296,7 @@ fn parse_args() -> Options {
             }
             "--help" | "-h" => {
                 println!(
-                    "see crate docs: repro [{}] [--scale S] [--exp 1|2|both] [--threads N] [--loads L] [--faults PROFILE] [--seed N] [--metrics] [--trace-sites N] [--record PATH | --resume PATH] [--kill-after N] [--out-dir DIR] | repro diff A B | repro serve R... [--queries N] [--no-cache] [--hostile] | repro abuse [--vectors A,B] [--mix B:A] | repro push-study [--sites N]",
+                    "see crate docs: repro [{}] [--scale S] [--exp 1|2|both] [--threads N] [--loads L] [--faults PROFILE] [--seed N] [--metrics] [--trace-sites N] [--record PATH | --resume PATH] [--kill-after N] [--out-dir DIR] | repro diff A B | repro serve R... [--queries N] [--hostile] | repro abuse [--vectors A,B] [--mix B:A] | repro push-study [--sites N]",
                     command_names().join("|")
                 );
                 std::process::exit(0);
@@ -321,6 +323,9 @@ fn parse_args() -> Options {
             o.command,
             command_names().join(", ")
         ));
+    }
+    if let Some(flag) = flags.iter().find(|flag| !reads(&o.command, flag)) {
+        usage_error(&format!("{flag} is not valid for `{}`", o.command));
     }
     o.command_args = positionals.collect();
     o
@@ -412,7 +417,6 @@ fn run_serve(options: &Options) -> ! {
     cfg.workers = options.threads;
     cfg.queries = options.queries;
     cfg.seed = options.seed;
-    cfg.cache = !options.no_cache;
     cfg.hostile = options.hostile;
     cfg.obs = obs.clone();
     println!(
@@ -566,29 +570,50 @@ const SCAN_REPORTS: [(&str, ScanReport); 11] = [
     ("fig5", wild::hpack_figure),
 ];
 
-/// Every other command. With [`SCAN_REPORTS`] this is the one list the
-/// unknown-command check, [`needs_scan`] and `--help` read.
-const OTHER_COMMANDS: [&str; 11] = [
-    "all",
-    "table3",
-    "concurrency",
-    "ablation",
-    "trend",
-    "fig3",
-    "fig6",
-    "diff",
-    "serve",
-    "abuse",
-    "push-study",
+/// The flags every command that scans the population reads.
+#[rustfmt::skip]
+const SCAN_FLAGS: [&str; 11] = [
+    "--scale", "--exp", "--threads", "--faults", "--seed", "--metrics", "--trace-sites",
+    "--record", "--resume", "--kill-after", "--out-dir",
+];
+
+/// Every other command, with the flags it reads (`all` scans as well, so
+/// it reads [`SCAN_FLAGS`] besides). With [`SCAN_REPORTS`] this is the one
+/// list the unknown-command check, [`reads`], [`needs_scan`] and `--help`
+/// read.
+#[rustfmt::skip]
+const OTHER_COMMANDS: [(&str, &[&str]); 11] = [
+    ("all", &["--loads"]),
+    ("table3", &[]),
+    ("concurrency", &[]),
+    ("ablation", &[]),
+    ("trend", &["--scale", "--threads"]),
+    ("fig3", &["--scale", "--exp", "--loads"]),
+    ("fig6", &["--scale", "--exp"]),
+    ("diff", &["--out-dir"]),
+    ("serve", &["--threads", "--queries", "--seed", "--hostile", "--metrics", "--out-dir"]),
+    ("abuse", &["--scale", "--threads", "--seed", "--vectors", "--mix", "--out-dir"]),
+    ("push-study", &["--scale", "--threads", "--seed", "--sites", "--loads", "--out-dir"]),
 ];
 
 fn command_names() -> Vec<&'static str> {
     let scans = SCAN_REPORTS.iter().map(|(name, _)| *name);
-    OTHER_COMMANDS.iter().copied().chain(scans).collect()
+    OTHER_COMMANDS
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(scans)
+        .collect()
 }
 
 fn needs_scan(command: &str) -> bool {
     command == "all" || SCAN_REPORTS.iter().any(|(name, _)| *name == command)
+}
+
+/// Does `command` read `flag`? One it does not read is refused rather
+/// than silently ignored.
+fn reads(command: &str, flag: &str) -> bool {
+    let listed = |(name, flags): &(&str, &[&str])| *name == command && flags.contains(&flag);
+    (needs_scan(command) && SCAN_FLAGS.contains(&flag)) || OTHER_COMMANDS.iter().any(listed)
 }
 
 fn main() {
@@ -645,7 +670,7 @@ fn main() {
     let record_base = options.record.as_deref().or(options.resume.as_deref());
     for spec in &options.experiments {
         let population = Population::new(spec.clone(), options.scale);
-        let records = if needs_scan(command) || record_base.is_some() {
+        let records = if needs_scan(command) {
             let started = Instant::now();
             let campaign = Campaign {
                 population: &population,

@@ -1,9 +1,9 @@
 //! The `repro` binary's usage errors: an unparsable `--threads`/`--loads`
 //! value, `--loads 0`, a flag without its value (`--exp` included), a
-//! `--scale` outside `(0, 1]` or too small to leave the command a site
-//! and an unknown command all exit 2 with a message and no report;
-//! `--threads 0` runs on one worker; an artifact that cannot be written
-//! is exit 2 as well.
+//! `--scale` outside `(0, 1]` or too small to leave the command a site,
+//! an unknown command and a flag the command does not read all exit 2
+//! with a message and no report; `--threads 0` runs on one worker; an
+//! artifact that cannot be written is exit 2 as well.
 
 use std::process::{Command, Output};
 
@@ -54,6 +54,22 @@ fn unknown_commands_and_out_of_range_scales_are_usage_errors() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown command \"tabel4\""), "{stderr:?}");
     assert!(stderr.contains("table4") && stderr.contains("push-study"));
+
+    // A flag the command does not read is refused, not silently ignored:
+    // a scan flag on `serve`, a record flag on `table3` (which used to
+    // run a full scan nobody asked for), a study flag on `abuse`.
+    for (command, flag, value) in [
+        ("serve", "--scale", "0.5"),
+        ("table3", "--record", "x.h2c"),
+        ("abuse", "--loads", "3"),
+    ] {
+        let out = repro(&[command, flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{command} {flag}");
+        assert!(out.stdout.is_empty(), "{command} {flag} still ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let refusal = format!("{flag} is not valid for `{command}`");
+        assert!(stderr.contains(&refusal), "{command} {flag}: {stderr:?}");
+    }
 
     for scale in ["0", "-1", "nan"] {
         let out = repro(&["table4", "--exp", "1", "--scale", scale]);

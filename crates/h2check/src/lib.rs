@@ -1,29 +1,29 @@
 //! # h2check — in-repo static analysis for the HTTP/2 workspace
 //!
-//! A registry-free conformance and lint suite, run in CI as
-//! `cargo run -p h2check -- --workspace`. Three layers:
+//! The RFC as tables, plus the checks that need the repository's source
+//! text. Two halves, two runners:
 //!
-//! 1. **Spec-conformance tables** ([`spec`]): RFC 7540's §5.1
-//!    stream-state machine, §6 frame constraints and §6.5.2 SETTINGS
-//!    bounds as declarative data, cross-validated ([`drift`]) against
-//!    the live implementations — `h2conn`'s transitions, `h2wire`'s
-//!    decoder and error taxonomy, every `ServerProfile` quirk matrix
-//!    and every `h2scope` probe classifier (including running the
-//!    actual simulated probes and comparing the observed reactions
-//!    with the matrix's predictions).
-//! 2. **Source lints** ([`lints`]): a hand-rolled token scanner
-//!    ([`lexer`]) enforcing a cycle-free lock acquisition order in the
-//!    thread-sharing modules, plus a count of the member manifests that
-//!    inherit `[workspace.lints]`.
-//! 3. **HPACK + determinism** ([`spec::hpack`], [`spec::atomics`]):
-//!    RFC 7541's static table, Huffman code (as a canonical length
-//!    profile), prefix-integer boundaries, entry-size arithmetic and
-//!    eviction/size-update rules, cross-validated against the live
-//!    `h2hpack`; a deterministic-iteration lint
-//!    ([`lints::detiter`]) that errors on hash-ordered iteration in
-//!    the output-producing crates; and an atomic-ordering registry
-//!    ([`lints::atomics`]) that makes the fold-at-snapshot
-//!    commutativity argument a checked artifact.
+//! - **`cargo run -p h2check -- --workspace`** (this library and its
+//!   binary; depends on `h2wire` only, for the wire enums the tables
+//!   name). The tables themselves — RFC 7540's §5.1 stream-state
+//!   machine, §6 frame constraints, §6.5.2 SETTINGS bounds and the rule
+//!   registry ([`spec`]); RFC 7541's static table, Huffman length
+//!   profile, prefix-integer boundaries and eviction/size-update
+//!   scenarios ([`spec::hpack`]) — and the source lints over a
+//!   hand-rolled token scanner ([`lexer`], [`lints`]): a cycle-free lock
+//!   acquisition order ([`lints::lockorder`]), no hash-ordered iteration
+//!   in the output-producing crates ([`lints::detiter`]), the
+//!   atomic-ordering registry ([`spec::atomics`], [`lints::atomics`]),
+//!   every `ServerBehavior` field and `h2scope` probe citing a spec rule
+//!   ([`drift`]), and a count of the member manifests that inherit
+//!   `[workspace.lints]`.
+//! - **`cargo test -p h2check`** (`tests/conformance.rs`,
+//!   `tests/conformance_hpack.rs`, `tests/hpack_proptest.rs`): the
+//!   tables asserted against the live stack — `h2conn`'s transitions,
+//!   `h2wire`'s decoder and error taxonomy, `h2hpack`'s tables and
+//!   codecs, and every testbed `ServerProfile`'s quirk matrix against
+//!   the reactions the actual simulated `h2scope` probes observe. The
+//!   protocol crates are dev-dependencies: the binary does not link them.
 //!
 //! What the toolchain already checks is not re-implemented here:
 //! panic-freedom of the crates that parse outside input

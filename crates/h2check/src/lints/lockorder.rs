@@ -1,10 +1,10 @@
 //! Lock acquisition-order lint (Layer 2c).
 //!
-//! The scan scheduler, the observability layer and the simulated pipe
-//! are the only places in the workspace where threads share mutexes. A
-//! deadlock needs two locks acquired in opposite orders on two threads;
-//! this lint extracts a conservative acquisition graph from the token
-//! stream and fails on any cycle.
+//! A deadlock needs two locks acquired in opposite orders on two
+//! threads; this lint extracts a conservative acquisition graph from the
+//! token stream of every crate (a list of "the modules that lock" goes
+//! stale; a file that holds no lock costs one pass over its tokens) and
+//! fails on any cycle.
 //!
 //! Model (heuristic, token-level — documented limits):
 //!

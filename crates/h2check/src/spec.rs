@@ -4,10 +4,11 @@
 //! data form — the §5.1 stream-state machine, the §6 per-frame-type
 //! constraints, the §6.5.2 SETTINGS bounds, and a registry of spec
 //! rules that every `ServerProfile` quirk and every h2scope probe must
-//! reference. [`crate::drift`] cross-validates these tables against the
-//! *implementations* in `h2conn`, `h2wire`, `h2server` and `h2scope`,
-//! so a change to either side that is not mirrored on the other fails
-//! the `static-analysis` CI job.
+//! reference. This crate's `tests/conformance.rs` asserts these tables
+//! against the *implementations* in `h2conn`, `h2wire`, `h2server` and
+//! `h2scope`, and [`crate::drift`] the two registries against their
+//! source text, so a change to either side that is not mirrored on the
+//! other fails `cargo test`.
 
 pub mod atomics;
 pub mod hpack;
@@ -787,7 +788,14 @@ mod tests {
     }
 
     #[test]
-    fn recv_legality_matches_data_capability() {
+    fn recv_legality_cells_are_unique_and_match_data_capability() {
+        let mut seen = BTreeSet::new();
+        for cell in &RECV_LEGALITY {
+            assert!(
+                seen.insert(format!("{:?}/{:?}", cell.state, cell.frame)),
+                "duplicate cell {cell:?}"
+            );
+        }
         for caps in &CAPABILITIES {
             let data_cell = RECV_LEGALITY
                 .iter()
@@ -796,8 +804,7 @@ mod tests {
             assert_eq!(
                 data_cell.outcome == RecvOutcome::Legal,
                 caps.may_recv_data,
-                "DATA legality vs capability in {:?}",
-                caps.state
+                "DATA legality {data_cell:?} vs {caps:?}"
             );
         }
     }

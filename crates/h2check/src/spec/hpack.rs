@@ -6,9 +6,9 @@
 //! canonically, so agreement with the implementation proves the table
 //! is the canonical prefix-free code for those lengths), the §5.1
 //! prefix-integer boundaries, the §4.1 entry-size arithmetic, and the
-//! §4.3/§4.4/§6.3 dynamic-table eviction and size-update rules.
-//! [`crate::drift`] cross-validates each table against the live
-//! `h2hpack` implementation.
+//! §4.3/§4.4/§6.3 dynamic-table eviction and size-update rules. This
+//! crate's `tests/conformance_hpack.rs` asserts each table against the
+//! live `h2hpack` implementation.
 
 // ---------------------------------------------------------------------------
 // Appendix A: the static table
@@ -16,7 +16,7 @@
 
 /// The 61 static-table entries of RFC 7541 Appendix A, transcribed
 /// independently of `h2hpack::STATIC_TABLE` (index 1 is the first
-/// element). The drift check byte-compares the two.
+/// element). The conformance test byte-compares the two.
 pub const STATIC_TABLE: [(&str, &str); 61] = [
     (":authority", ""),
     (":method", "GET"),

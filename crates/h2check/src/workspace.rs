@@ -4,11 +4,15 @@
 //!
 //! | lint | scope |
 //! |---|---|
-//! | `lockorder` | the thread-sharing modules: `bench::sched`, `h2obs`, `netsim::pipe` |
+//! | `lockorder` | every crate (one acquisition graph, merged by lock name) |
 //! | `detiter` | the report/record/response-producing crates (hash-order iteration) |
 //! | `atomics` | every crate (the atomic-ordering registry) |
 //! | `lints` | every member manifest (`crates/*`, `compat/*`) inherits `[workspace.lints]` |
-//! | registries + drift | the spec tables of [`crate::spec`] vs the implementations |
+//! | registries | `ServerBehavior`'s fields and `h2scope`'s probes vs [`crate::spec`]'s rule lists |
+//!
+//! What the spec tables say about running code is not in this table: it
+//! is `cargo test -p h2check` (`tests/conformance*.rs`), which links the
+//! protocol stack so that this library and its binary need not.
 //!
 //! Panic-freedom, `unsafe` and wall-clock time are the toolchain's:
 //! `[workspace.lints]`, the crate-root `#![warn(clippy::…)]` of the
@@ -33,13 +37,6 @@ pub const DETERMINISTIC_ITER_CRATES: &[&str] = &[
     "h2server",
     "h2conn",
     "bench",
-];
-
-/// Modules whose lock acquisitions feed the lock-order graph.
-const LOCK_SCOPE: &[&str] = &[
-    "crates/bench/src/sched.rs",
-    "crates/h2obs/src/",
-    "crates/netsim/src/pipe.rs",
 ];
 
 /// The repository root, resolved from this crate's manifest directory.
@@ -169,12 +166,6 @@ fn crate_name(rel: &str) -> &str {
     }
 }
 
-fn in_lock_scope(rel: &str) -> bool {
-    LOCK_SCOPE
-        .iter()
-        .any(|scope| rel == *scope || rel.starts_with(scope))
-}
-
 /// Runs the full suite over the workspace at `root`.
 pub fn run_workspace(root: &Path) -> Report {
     let mut report = Report::default();
@@ -192,9 +183,7 @@ pub fn run_workspace(root: &Path) -> Report {
         };
         let krate = crate_name(&rel);
         let sf = lex(&src);
-        if in_lock_scope(&rel) {
-            lock_edges.extend(lockorder::collect(&rel, &sf));
-        }
+        lock_edges.extend(lockorder::collect(&rel, &sf));
         if DETERMINISTIC_ITER_CRATES.contains(&krate) {
             detiter::check(&rel, &sf, &mut report.findings);
         }
@@ -260,15 +249,6 @@ mod tests {
     fn crate_name_maps_paths() {
         assert_eq!(crate_name("crates/h2wire/src/frame.rs"), "h2wire");
         assert_eq!(crate_name("src/main.rs"), "h2ready");
-    }
-
-    #[test]
-    fn lock_scope_covers_the_thread_sharing_modules() {
-        assert!(in_lock_scope("crates/bench/src/sched.rs"));
-        assert!(in_lock_scope("crates/h2obs/src/trace.rs"));
-        assert!(in_lock_scope("crates/netsim/src/pipe.rs"));
-        assert!(!in_lock_scope("crates/h2wire/src/frame.rs"));
-        assert!(!in_lock_scope("crates/bench/src/main.rs"));
     }
 
     #[test]

@@ -180,6 +180,20 @@ fn parse_opt_u32(s: &str) -> Result<Option<u32>, String> {
     s.parse().map(Some).map_err(|_| format!("bad u32 {s:?}"))
 }
 
+/// Every key [`write_report`] writes. A line carrying any other key, or
+/// one of these twice, is corrupt: partial campaign records have no
+/// per-row checksum, so nothing else would catch the flipped byte.
+#[rustfmt::skip]
+const KEYS: [&str; 33] = [
+    "site", "alpn", "npn", "hdrs", "server",
+    "st.recv", "st.hts", "st.push", "st.mcs", "st.iws", "st.mfs", "st.mhls", "st.zwtu",
+    "fc.small", "fc.hzw", "fc.zus", "fc.zuc", "fc.lus", "fc.luc",
+    "pr.last", "pr.first", "pr.both", "pr.blocked", "pr.self",
+    "pu.sup", "pu.octets", "pu.paths",
+    "hp.r", "hp.h", "hp.sizes",
+    "pb.out", "pb.att", "pb.bk",
+];
+
 /// Serializes one report as a single record line.
 pub fn write_report(report: &SiteReport) -> String {
     let mut line = String::new();
@@ -284,22 +298,32 @@ pub fn write_reports<'a>(reports: impl IntoIterator<Item = &'a SiteReport>) -> S
 /// # Errors
 ///
 /// Returns [`ParseReportError`] (with `line` set to 0; [`read_reports`]
-/// fills in real line numbers) when a field is missing or malformed.
+/// fills in real line numbers) when a field is missing, malformed,
+/// repeated or not one [`write_report`] writes.
 pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     let err = |message: String| ParseReportError { line: 0, message };
     let mut fields: Vec<(&str, &str)> = Vec::new();
+    // Bit `i` is set once `KEYS[i]` has been read.
+    let mut seen = 0u64;
     for part in split_fields(line) {
-        let pair = part
+        let (key, value) = part
             .split_once('=')
             .ok_or_else(|| err(format!("field without '=': {part:?}")))?;
-        fields.push(pair);
+        let bit = KEYS
+            .iter()
+            .position(|known| *known == key)
+            .map(|i| 1u64 << i)
+            .ok_or_else(|| err(format!("unknown field {key:?}")))?;
+        if seen & bit != 0 {
+            return Err(err(format!("repeated field {key:?}")));
+        }
+        seen |= bit;
+        fields.push((key, value));
     }
-    // Fields are looked up by key, in any order; a repeated key reads as
-    // its last occurrence.
+    // Fields are looked up by key, in any order.
     let find = |key: &str| {
         fields
             .iter()
-            .rev()
             .find(|(k, _)| *k == key)
             .map(|&(_, value)| value)
     };
@@ -488,6 +512,17 @@ mod tests {
         stored.push_str("this is not a record\n");
         let err = read_reports(&stored).unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn unknown_and_repeated_keys_are_parse_errors() {
+        // The H2O row: it carries a `pu.*` section.
+        let line = write_report(&sample_reports()[2]);
+        assert!(read_report(&line).is_ok());
+        let err = read_report(&line.replace("|pu.sup=", "|pu.sux=")).unwrap_err();
+        assert!(err.message.contains("unknown field \"pu.sux\""), "{err}");
+        let err = read_report(&format!("{line}|hdrs=0")).unwrap_err();
+        assert!(err.message.contains("repeated field \"hdrs\""), "{err}");
     }
 
     #[test]

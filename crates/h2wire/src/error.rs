@@ -140,9 +140,6 @@ pub enum DecodeFrameError {
     },
     /// Padding length equals or exceeds the remaining payload.
     InvalidPadding,
-    /// A `WINDOW_UPDATE` carried a reserved bit or otherwise malformed
-    /// increment field.
-    InvalidWindowIncrement,
     /// A SETTINGS frame with the ACK flag carried a payload.
     SettingsAckWithPayload,
     /// A SETTINGS parameter had an illegal value (RFC 7540 §6.5.2).
@@ -172,9 +169,6 @@ impl fmt::Display for DecodeFrameError {
                 write!(f, "invalid stream id {stream_id} for frame type {kind:#x}")
             }
             DecodeFrameError::InvalidPadding => f.write_str("padding length exceeds payload"),
-            DecodeFrameError::InvalidWindowIncrement => {
-                f.write_str("malformed window update increment")
-            }
             DecodeFrameError::SettingsAckWithPayload => {
                 f.write_str("settings ack frame carries a payload")
             }

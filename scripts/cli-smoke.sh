@@ -56,8 +56,8 @@ PY
 # The campaign record's crash-safety contract: a run killed mid-campaign
 # (exit 3) and resumed at a different thread count must finalize a record
 # byte-identical to an uninterrupted one (and must refuse a partial
-# whose row index was flipped, exit 2), `repro diff` and `repro serve`
-# must work from disk alone, and a torn record is exit 5.
+# whose row index or a field key was flipped, exit 2), `repro diff` and
+# `repro serve` must work from disk alone, and a torn record is exit 5.
 resume() {
     "$repro" adoption --exp 1 --scale 0.01 --threads 1 --faults flaky --seed 42 --record golden.h2c
     local status=0
@@ -77,6 +77,16 @@ resume() {
     sed "s/^${victim}/r|i=99999|/" crashed.h2c > flipped.h2c
     status=0
     "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume flipped.h2c || status=$?
+    test "$status" -eq 2
+    # So is a row with one byte of a field key flipped: read leniently,
+    # its resilience fields would default and a different record finalize.
+    sed '0,/|pb\.out=/s//|pb.ouu=/' crashed.h2c > keyflip.h2c
+    if cmp -s crashed.h2c keyflip.h2c; then
+        echo 'no field key to flip in the partial record' >&2
+        exit 1
+    fi
+    status=0
+    "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume keyflip.h2c || status=$?
     test "$status" -eq 2
     "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume crashed.h2c
     cmp golden.h2c crashed.h2c
