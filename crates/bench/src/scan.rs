@@ -169,6 +169,9 @@ impl<'a> Campaign<'a> {
         let todo = missing.map_or(self.population.h2_count(), |m| m.len() as u64);
         let plan = (!self.faults.is_none()).then(|| FaultPlan::new(self.faults, self.seed));
         let plan = plan.as_ref();
+        // A monotonic false → true latch that workers only poll for an
+        // early exit; `Relaxed` suffices, and the last load follows the
+        // join.
         let killed = &AtomicBool::new(false);
         let rows = sweep(self.threads, todo, |_worker| {
             let scope_tool = H2Scope::new();

@@ -11,6 +11,20 @@
 //! sites finish in microseconds, retry-burning flaky sites take orders
 //! of magnitude longer). Each worker keeps its results locally and hands
 //! them back through the join, so nothing else is shared or locked.
+//!
+//! Concurrency rules for everything a worker touches:
+//!
+//! - Every atomic in the workspace uses `Ordering::Relaxed` (a test in
+//!   `h2check` rejects any other ordering). Each one is a `fetch_add`
+//!   counter, a `fetch_min`/`fetch_max` lattice join, this cursor or a
+//!   monotonic latch; none orders other memory, and the join publishes
+//!   every result.
+//! - Every `Mutex` is a leaf lock: no code acquires a second lock while
+//!   holding one, so there is no lock order to violate. The seven are
+//!   the record writer's file, `Obs`'s shard list, trace list and
+//!   per-site event ring, the serve path's per-shard query cache, the
+//!   resilient prober's `FaultLog`, and the worker-count check in this
+//!   module's tests.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,7 +50,9 @@ where
     T: Send,
 {
     // Every worker stops at its first index >= n, so the cursor ends at
-    // most `threads` past `n` and cannot wrap.
+    // most `threads` past `n` and cannot wrap. `Relaxed` suffices: each
+    // value `fetch_add` returns goes to exactly one worker, and results
+    // come back through the join.
     let next = AtomicU64::new(0);
     let threads = threads.max(1);
     let parts: Vec<Vec<(u64, T)>> = std::thread::scope(|scope| {

@@ -11,7 +11,6 @@
 //! identity (`site-<rank>.top1m`), so a site keeps its row across
 //! campaign generations even when its server family or features change.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use h2scope::SiteReport;
@@ -103,16 +102,24 @@ pub fn feature_counts(rows: &[CampaignRow]) -> Vec<u64> {
         .collect()
 }
 
+/// Site authority → row: the join index of [`diff_records`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only join index, never iterated: every output list walks the \
+              records' rows in index order"
+)]
+type SiteIndex<'r> = std::collections::HashMap<&'r str, &'r CampaignRow>;
+
 /// Joins two records on site identity and computes the longitudinal
 /// comparison. Records may come from different campaign generations and
 /// even different scales — identity is the site's rank hostname.
 pub fn diff_records(a: &StoredRecord, b: &StoredRecord) -> CampaignDiff {
-    let index_a: HashMap<&str, &CampaignRow> = a
+    let index_a: SiteIndex = a
         .rows
         .iter()
         .map(|row| (row.report.authority.as_str(), row))
         .collect();
-    let index_b: HashMap<&str, &CampaignRow> = b
+    let index_b: SiteIndex = b
         .rows
         .iter()
         .map(|row| (row.report.authority.as_str(), row))

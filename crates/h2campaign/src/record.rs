@@ -1,10 +1,10 @@
 //! The on-disk campaign record: a versioned, append-only, line-oriented
 //! journal of one scan campaign.
 //!
-//! Layout (`h2campaign-v1`, LF-terminated lines):
+//! Layout (`h2campaign-v2`, LF-terminated lines):
 //!
 //! ```text
-//! h2campaign-v1
+//! h2campaign-v2
 //! meta|campaign=experiment-1|label=Jul. 2016|scale=0.1|scale_bits=3fb999999999999a|faults=none|seed=0|population=59cf9ad2366a3f9d|sites=5230
 //! r|i=0|f=nginx|site=site-0.top1m|alpn=1|npn=1|hdrs=1|…
 //! r|i=1|f=litespeed|…
@@ -14,6 +14,9 @@
 //!
 //! * The two header lines are written first and fsync-free-flushed, so
 //!   any crash leaves at least an identifiable record.
+//! * The `end|` checksum covers lines 1–2 and every row, so a finalized
+//!   record whose schema or meta line was altered is a checksum error,
+//!   not a different campaign.
 //! * Each `r|` row is appended and flushed as soon as a scan worker
 //!   finishes the site, in whatever order workers finish — a killed
 //!   process loses at most its in-flight sites.
@@ -41,7 +44,7 @@ use webpop::{Family, Population};
 /// Schema identifier — the record file's first line. Any change to the
 /// meta line fields, the row layout, the family codes, or the report
 /// line format is a format break and must bump this.
-pub const SCHEMA: &str = "h2campaign-v1";
+pub const SCHEMA: &str = "h2campaign-v2";
 
 /// Error raised by record I/O, parsing, or resume-compatibility checks.
 #[derive(Debug)]
@@ -136,8 +139,9 @@ fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Folds one row line (and its LF) into the record checksum, which runs
-/// over the row lines of a finalized record exactly as they are on disk.
+/// Folds one line (and its LF) into the record checksum, which runs over
+/// the schema, meta and row lines of a finalized record exactly as they
+/// are on disk.
 fn checksum_line(state: u64, line: &str) -> u64 {
     fnv1a(fnv1a(state, line.as_bytes()), b"\n")
 }
@@ -420,7 +424,7 @@ pub fn finalize(path: &Path, meta: &CampaignMeta, rows: &[CampaignRow]) -> Resul
     }
     let tmp = path.with_extension("h2c.tmp");
     let mut content = meta.header();
-    let mut checksum = FNV_OFFSET;
+    let mut checksum = fnv1a(FNV_OFFSET, content.as_bytes());
     for row in rows {
         let line = row.encode();
         checksum = checksum_line(checksum, &line);
@@ -446,9 +450,10 @@ pub fn finalize(path: &Path, meta: &CampaignMeta, rows: &[CampaignRow]) -> Resul
 /// an index below `meta.sites` and the authority of the site that
 /// index names.
 /// Finalized records are held to strict form: the row count must match
-/// the trailer and the checksum must verify over the row lines *as they
-/// are on disk* — so a row that still parses but is not what
-/// [`finalize`] writes (fields reordered, rows out of index order) is a
+/// the trailer and the checksum must verify over the schema, meta and
+/// row lines *as they are on disk* — so a meta line or row that still
+/// parses but is not what [`finalize`] writes (a flipped label or seed,
+/// fields reordered, rows out of index order) is a
 /// [`RecordError::Checksum`], never silently re-canonicalised.
 ///
 /// # Errors
@@ -486,7 +491,7 @@ pub fn read(path: &Path) -> Result<StoredRecord, RecordError> {
     let meta = CampaignMeta::parse_line(meta_line).map_err(|m| parse_err(2, m))?;
 
     let mut rows = Vec::new();
-    let mut computed = FNV_OFFSET;
+    let mut computed = checksum_line(checksum_line(FNV_OFFSET, SCHEMA), meta_line);
     let mut end: Option<(u64, u64)> = None;
     for (number, line) in lines.iter().enumerate().skip(2) {
         let number = number + 1; // 1-based

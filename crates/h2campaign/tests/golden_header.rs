@@ -1,7 +1,7 @@
-//! Schema-stability check: the exact header bytes of the `h2campaign-v1`
+//! Schema-stability check: the exact header bytes of the `h2campaign-v2`
 //! record format, pinned against a committed fixture. If this test
 //! fails, the on-disk format changed — which is only acceptable together
-//! with a schema bump (`h2campaign-v2`) and a deliberate regeneration of
+//! with a schema bump (`h2campaign-v3`) and a deliberate regeneration of
 //! the fixture:
 //!
 //! ```text
@@ -45,13 +45,13 @@ fn header_bytes_are_pinned() {
 
 #[test]
 fn schema_version_is_pinned() {
-    assert_eq!(SCHEMA, "h2campaign-v1");
+    assert_eq!(SCHEMA, "h2campaign-v2");
 }
 
 #[test]
 fn row_layout_is_pinned() {
     // The row prefix (`r|i=<index>|f=<family code>|`) and the embedded
-    // report line's leading field are part of the v1 schema.
+    // report line's leading field are part of the v2 schema.
     let population = Population::new(ExperimentSpec::first(), 0.001);
     let site = population.site(3);
     let row = CampaignRow {
@@ -63,7 +63,7 @@ fn row_layout_is_pinned() {
     let prefix = format!("r|i=3|f={}|site=site-3.top1m|", site.family.code());
     assert!(
         line.starts_with(&prefix),
-        "row line {line:?} lost its v1 prefix {prefix:?}"
+        "row line {line:?} lost its v2 prefix {prefix:?}"
     );
     assert_eq!(CampaignRow::decode(&line).expect("round-trip"), row);
 }

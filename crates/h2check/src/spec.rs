@@ -6,11 +6,10 @@
 //! rules that every `ServerProfile` quirk and every h2scope probe must
 //! reference. This crate's `tests/conformance.rs` asserts these tables
 //! against the *implementations* in `h2conn`, `h2wire`, `h2server` and
-//! `h2scope`, and [`crate::drift`] the two registries against their
-//! source text, so a change to either side that is not mirrored on the
-//! other fails `cargo test`.
+//! `h2scope`, and `tests/workspace.rs` the two registries against the
+//! struct and the probe files they name, so a change to either side that
+//! is not mirrored on the other fails `cargo test`.
 
-pub mod atomics;
 pub mod hpack;
 
 use h2wire::{ErrorCode, FrameKind, SettingId};

@@ -14,9 +14,13 @@ pub const HIST_BUCKETS: usize = 65;
 
 /// A log2-bucketed histogram of `u64` samples (virtual nanoseconds).
 ///
-/// Lock-free: every field is a relaxed atomic. Percentiles reported from
-/// a snapshot are bucket upper bounds, which is plenty for the order-of-
-/// magnitude latency questions the campaign table answers.
+/// Lock-free: every field is a `Relaxed` atomic. `fetch_add` commutes and
+/// `fetch_min`/`fetch_max` are lattice joins, so concurrent recorders may
+/// interleave in any order; [`Histogram::snapshot`] runs after the
+/// workers quiesce and sees the same totals at any thread count.
+/// Percentiles reported from a snapshot are bucket upper bounds, which is
+/// plenty for the order-of-magnitude latency questions the campaign table
+/// answers.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -167,7 +171,8 @@ pub fn frame_slot(kind: u8) -> usize {
     }
 }
 
-/// A fixed array of per-frame-kind counters.
+/// A fixed array of per-frame-kind counters: `Relaxed` `fetch_add`s,
+/// which commute, folded by [`FrameCounters::snapshot`] after quiesce.
 #[derive(Debug)]
 pub struct FrameCounters {
     slots: [AtomicU64; FRAME_KINDS],

@@ -87,7 +87,9 @@ impl ProbeKind {
     }
 }
 
-/// Campaign-wide atomic metric store.
+/// Campaign-wide atomic metric store. Every counter is a `Relaxed`
+/// `fetch_add`, which commutes; a worker shard is folded into the totals
+/// only after its workers quiesce, so totals are thread-count independent.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     /// Frames written by probe clients, by wire kind.
@@ -185,8 +187,12 @@ struct ObsShared {
 #[derive(Debug)]
 struct SiteCtx {
     index: u64,
+    /// Current probe phase; `Relaxed`, written and read only by the
+    /// site's owning worker.
     probe: AtomicU8,
-    /// Virtual nanoseconds accumulated across the site's connections.
+    /// Virtual nanoseconds accumulated across the site's connections;
+    /// `Relaxed`, touched only by the owning worker and folded into the
+    /// site histogram at `finish_site`.
     nanos: AtomicU64,
     ring: Option<Mutex<Ring>>,
 }

@@ -42,7 +42,7 @@ pub fn probe(target: &Target, n: usize) -> MultiplexingReport {
     }
 
     let mut order: Vec<u32> = Vec::new();
-    let mut finished = std::collections::HashSet::new();
+    let mut finished = std::collections::BTreeSet::new();
     loop {
         let frames = conn.exchange();
         if frames.is_empty() {

@@ -17,7 +17,7 @@
 //! 4. reopen the connection window with one huge WINDOW_UPDATE and
 //!    observe the DATA ordering.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use h2wire::{
     Frame, PriorityFrame, PrioritySpec, SettingId, Settings, StreamId, WindowUpdateFrame,
@@ -184,8 +184,8 @@ fn reprioritize(conn: &mut ProbeConn) {
 /// Runs the connection to silence and judges the DATA ordering by each
 /// stream's last and by its first frame: `(by_last, by_first)`.
 fn observe_ordering(conn: &mut ProbeConn) -> (bool, bool) {
-    let mut first: HashMap<u32, usize> = HashMap::new();
-    let mut last: HashMap<u32, usize> = HashMap::new();
+    let mut first: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut last: BTreeMap<u32, usize> = BTreeMap::new();
     let mut index = 0usize;
     loop {
         let frames = conn.exchange();
@@ -206,7 +206,7 @@ fn observe_ordering(conn: &mut ProbeConn) -> (bool, bool) {
 
 /// The §V-E ordering rules on a per-stream index map:
 /// D before everyone; A before everyone but D; C before E.
-fn ordering_holds(index: &HashMap<u32, usize>) -> bool {
+fn ordering_holds(index: &BTreeMap<u32, usize>) -> bool {
     let all = [A, B, C, D, E, F];
     if !all.iter().all(|s| index.contains_key(s)) {
         return false;
@@ -302,7 +302,7 @@ pub fn weight_shares(target: &Target, weights: &[u16], window: u64) -> Vec<f64> 
         stream_id: StreamId::CONNECTION,
         increment: window as u32,
     }));
-    let mut received: HashMap<u32, u64> = HashMap::new();
+    let mut received: BTreeMap<u32, u64> = BTreeMap::new();
     loop {
         let frames = conn.exchange();
         if frames.is_empty() {

@@ -26,7 +26,7 @@ pub fn probe(target: &Target, pages: &[&str]) -> PushReport {
 
     let mut promised_paths = Vec::new();
     let mut pushed_octets = 0u64;
-    let mut promised_streams = std::collections::HashSet::new();
+    let mut promised_streams = std::collections::BTreeSet::new();
 
     for (i, page) in pages.iter().enumerate() {
         let stream = 1 + 2 * i as u32;

@@ -15,7 +15,7 @@
 //! never change a single response byte: cache-on and cache-off runs are
 //! byte-identical by construction, which the determinism suite asserts.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 
@@ -24,7 +24,12 @@ use bytes::Bytes;
 pub struct QueryCache {
     capacity: usize,
     enabled: bool,
-    map: HashMap<String, Bytes>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only, probed per table/diff query on the serve path; \
+                  eviction follows `order`, never the map's iteration"
+    )]
+    map: std::collections::HashMap<String, Bytes>,
     /// Recency order, least-recent first. Small (≤ capacity), so the
     /// O(len) bump-on-hit scan stays cheaper than any linked structure.
     order: VecDeque<String>,
@@ -40,7 +45,7 @@ impl QueryCache {
         QueryCache {
             capacity: capacity.max(1),
             enabled,
-            map: HashMap::new(),
+            map: Default::default(),
             order: VecDeque::new(),
             hits: 0,
             misses: 0,

@@ -7,7 +7,6 @@
 //! is precomputed at build time, so the hot lookup path allocates
 //! nothing.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -51,7 +50,11 @@ pub struct LoadedCampaign {
     /// The full record, shared with diff queries.
     pub record: Arc<StoredRecord>,
     /// Site authority → row position in `record.rows`.
-    by_site: HashMap<String, usize>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only, probed once per site query on the serve path, never iterated"
+    )]
+    by_site: std::collections::HashMap<String, usize>,
     /// Canonical response body per row (the row's record line),
     /// precomputed so a site lookup is a map probe + refcount bump.
     site_lines: Vec<Bytes>,
@@ -205,7 +208,7 @@ pub(crate) mod tests {
         assert_eq!(shard_of("site-0.top1m", 0), 0);
         // The hash actually spreads: 64 ranks over 8 shards should not
         // all collapse onto one shard.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for rank in 0..64u64 {
             seen.insert(shard_of(&format!("site-{rank}.top1m"), 8));
         }

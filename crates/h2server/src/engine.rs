@@ -12,7 +12,7 @@
     reason = "header slots bounded by the cursor that just advanced past them"
 )]
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -87,7 +87,7 @@ pub struct H2Server {
     pub(crate) preface: Vec<u8>,
     pub(crate) preface_done: bool,
     pub(crate) queue: Vec<QueuedResponse>,
-    rejected: HashSet<u32>,
+    rejected: BTreeSet<u32>,
     pub(crate) closed: bool,
     goaway_sent: bool,
     pub(crate) last_delay: SimDuration,
@@ -164,7 +164,7 @@ impl H2Server {
             preface: Vec::new(),
             preface_done: false,
             queue: Vec::new(),
-            rejected: HashSet::new(),
+            rejected: BTreeSet::new(),
             closed: false,
             goaway_sent: false,
             last_delay: SimDuration::ZERO,

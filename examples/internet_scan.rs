@@ -7,7 +7,7 @@
 //! cargo run --release --example internet_scan -- 0.05    # 5%
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use h2ready::scope::H2Scope;
 use h2ready::webpop::{ExperimentSpec, Population};
@@ -33,7 +33,7 @@ fn main() {
         let mut npn = 0u64;
         let mut alpn = 0u64;
         let mut headers = 0u64;
-        let mut by_server: HashMap<String, u64> = HashMap::new();
+        let mut by_server: BTreeMap<String, u64> = BTreeMap::new();
         for site in population.iter_h2_sites() {
             let report = scope.survey(&site.target());
             if report.negotiation.npn_h2 {

@@ -57,7 +57,8 @@ PY
 # (exit 3) and resumed at a different thread count must finalize a record
 # byte-identical to an uninterrupted one (and must refuse a partial
 # whose row index or a field key was flipped, exit 2), `repro diff` and
-# `repro serve` must work from disk alone, and a torn record is exit 5.
+# `repro serve` must work from disk alone, a torn record is exit 5 and a
+# record whose meta line was edited is exit 6.
 resume() {
     "$repro" adoption --exp 1 --scale 0.01 --threads 1 --faults flaky --seed 42 --record golden.h2c
     local status=0
@@ -100,6 +101,16 @@ resume() {
     status=0
     "$repro" serve torn.h2c || status=$?
     test "$status" -eq 5
+    # The checksum covers the meta line too: a relabelled campaign is a
+    # checksum error (exit 6), not a Jan. 2017 record.
+    sed '2s/2016/2017/' golden.h2c > relabelled.h2c
+    if cmp -s golden.h2c relabelled.h2c; then
+        echo 'no 2016 in the meta line to relabel' >&2
+        exit 1
+    fi
+    status=0
+    "$repro" diff relabelled.h2c relabelled.h2c || status=$?
+    test "$status" -eq 6
     (cd "$root" && cargo test -q -p h2campaign)
 }
 

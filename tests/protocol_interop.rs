@@ -97,8 +97,8 @@ fn pushed_responses_arrive_on_even_streams_with_bodies() {
     let mut conn = ProbeConn::establish(&t, Settings::new().with(SettingId::EnablePush, 1), 9);
     conn.exchange();
     let (frames, _) = conn.fetch(1, "/");
-    let mut promised = std::collections::HashSet::new();
-    let mut pushed_bytes: std::collections::HashMap<u32, usize> = Default::default();
+    let mut promised = std::collections::BTreeSet::new();
+    let mut pushed_bytes: std::collections::BTreeMap<u32, usize> = Default::default();
     for tf in &frames {
         match &tf.frame {
             Frame::PushPromise(p) => {
