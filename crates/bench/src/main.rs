@@ -6,7 +6,8 @@
 //!                 [--faults PROFILE] [--seed N]
 //!
 //! A flag the command does not read (`serve --scale`, `table3 --record`,
-//! `abuse --loads`) is a usage error, exit 2.
+//! `abuse --loads`), or a positional argument given to any command but
+//! `diff`, `serve` and `probe`, is a usage error, exit 2.
 //!
 //! COMMANDS
 //!   table3       Table III  testbed characterization matrix
@@ -26,6 +27,8 @@
 //!   fig4         Figure 4/5 HPACK ratio CDFs per family
 //!   fig6         Figure 6   RTT by four estimators
 //!   all          everything above (default)
+//!   probe P      Table III  the column of one `ServerProfile::all()`
+//!                profile P, testbed or wild-scan family (no paper check)
 //!   diff A B     longitudinal diff of two finalized campaign records
 //!                (regenerates the Jul. 2016 → Jan. 2017 comparison from
 //!                disk alone — no rescan)
@@ -296,7 +299,7 @@ fn parse_args() -> Options {
             }
             "--help" | "-h" => {
                 println!(
-                    "see crate docs: repro [{}] [--scale S] [--exp 1|2|both] [--threads N] [--loads L] [--faults PROFILE] [--seed N] [--metrics] [--trace-sites N] [--record PATH | --resume PATH] [--kill-after N] [--out-dir DIR] | repro diff A B | repro serve R... [--queries N] [--hostile] | repro abuse [--vectors A,B] [--mix B:A] | repro push-study [--sites N]",
+                    "see crate docs: repro [{}] [--scale S] [--exp 1|2|both] [--threads N] [--loads L] [--faults PROFILE] [--seed N] [--metrics] [--trace-sites N] [--record PATH | --resume PATH] [--kill-after N] [--out-dir DIR] | repro probe PROFILE | repro diff A B | repro serve R... [--queries N] [--hostile] | repro abuse [--vectors A,B] [--mix B:A] | repro push-study [--sites N]",
                     command_names().join("|")
                 );
                 std::process::exit(0);
@@ -328,6 +331,12 @@ fn parse_args() -> Options {
         usage_error(&format!("{flag} is not valid for `{}`", o.command));
     }
     o.command_args = positionals.collect();
+    if !o.command_args.is_empty() && !matches!(o.command.as_str(), "diff" | "serve" | "probe") {
+        usage_error(&format!(
+            "`{}` takes no arguments, got {:?}",
+            o.command, o.command_args
+        ));
+    }
     o
 }
 
@@ -363,6 +372,23 @@ fn per_experiment_path(base: &Path, spec_name: &str, multi: bool) -> PathBuf {
         Some(ext) => base.with_extension(format!("{spec_name}.{ext}")),
         None => base.with_extension(spec_name),
     }
+}
+
+/// `repro probe <profile>`: one server profile's Table III column.
+fn run_probe(options: &Options) -> ! {
+    let profile = match options.command_args.as_slice() {
+        [name] => h2server::ServerProfile::by_name(name),
+        _ => None,
+    };
+    let Some(profile) = profile else {
+        usage_error(&format!(
+            "probe needs one server profile, got {:?}; known profiles: {}",
+            options.command_args,
+            h2server::ServerProfile::all().map(|(name, _)| name).join(", ")
+        ))
+    };
+    print!("{}", tables::table3_column(profile));
+    std::process::exit(0);
 }
 
 /// `repro diff A B`: regenerate the longitudinal comparison from two
@@ -582,7 +608,7 @@ const SCAN_FLAGS: [&str; 11] = [
 /// list the unknown-command check, [`reads`], [`needs_scan`] and `--help`
 /// read.
 #[rustfmt::skip]
-const OTHER_COMMANDS: [(&str, &[&str]); 11] = [
+const OTHER_COMMANDS: [(&str, &[&str]); 12] = [
     ("all", &["--loads"]),
     ("table3", &[]),
     ("concurrency", &[]),
@@ -590,6 +616,7 @@ const OTHER_COMMANDS: [(&str, &[&str]); 11] = [
     ("trend", &["--scale", "--threads"]),
     ("fig3", &["--scale", "--exp", "--loads"]),
     ("fig6", &["--scale", "--exp"]),
+    ("probe", &[]),
     ("diff", &["--out-dir"]),
     ("serve", &["--threads", "--queries", "--seed", "--hostile", "--metrics", "--out-dir"]),
     ("abuse", &["--scale", "--threads", "--seed", "--vectors", "--mix", "--out-dir"]),
@@ -626,6 +653,7 @@ fn main() {
         }
     }
     match command {
+        "probe" => run_probe(&options),
         "diff" => run_diff(&options),
         "serve" => run_serve(&options),
         "abuse" => run_abuse(&options),

@@ -100,10 +100,10 @@ pub const TABLE_III_EXPECTED: &[TableIiiExpectation] = &[
     },
 ];
 
-/// Characterizes all six testbed servers (one H2Scope run per column).
-pub fn characterize_testbed() -> Vec<ServerCharacterization> {
+/// Characterizes each of `profiles` (one H2Scope run per Table III column).
+pub fn characterize(profiles: Vec<ServerProfile>) -> Vec<ServerCharacterization> {
     let scope = H2Scope::new();
-    ServerProfile::testbed()
+    profiles
         .into_iter()
         .map(|profile| {
             // The push row needs a site with a manifest; everything else
@@ -208,7 +208,7 @@ pub fn measured_cell(row: &str, c: &ServerCharacterization) -> &'static str {
 /// Regenerates Table III and appends a verification footer comparing every
 /// measured cell with the paper.
 pub fn table3() -> String {
-    let characterizations = characterize_testbed();
+    let characterizations = characterize(ServerProfile::testbed());
     let mut out = String::new();
     writeln!(
         out,
@@ -243,6 +243,20 @@ pub fn table3() -> String {
         mismatches
     )
     .unwrap();
+    out
+}
+
+/// `repro probe <profile>`: one profile's Table III column — the rows and
+/// cells of [`table3`], with no paper verification, since only the six
+/// testbed profiles have paper values.
+pub fn table3_column(profile: ServerProfile) -> String {
+    let mut out = String::new();
+    for c in characterize(vec![profile]) {
+        writeln!(out, "TABLE III column — {} {}", c.server, c.version).unwrap();
+        for row in TABLE_III_EXPECTED.iter().map(|e| e.row) {
+            writeln!(out, "{row:<42}{}", measured_cell(row, &c)).unwrap();
+        }
+    }
     out
 }
 
@@ -363,6 +377,25 @@ mod tests {
             rendered.contains("verification vs paper: MATCH"),
             "{rendered}"
         );
+    }
+
+    #[test]
+    fn each_testbed_column_is_its_table3_column() {
+        let table = table3();
+        // Below the title and the server-name line, 42 columns of row
+        // label, then 13 per server.
+        let rows: Vec<&str> = table.lines().skip(2).take(14).collect();
+        for (i, profile) in ServerProfile::testbed().into_iter().enumerate() {
+            let expected: Vec<String> = rows
+                .iter()
+                .map(|row| {
+                    let cell = row.get(42 + 13 * i..).unwrap_or_default();
+                    format!("{}{}", &row[..42], cell.get(..13).unwrap_or(cell).trim_end())
+                })
+                .collect();
+            let column = table3_column(profile);
+            assert_eq!(column.lines().skip(1).collect::<Vec<_>>(), expected);
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The `repro` binary's usage errors: an unparsable `--threads`/`--loads`
 //! value, `--loads 0`, a flag without its value (`--exp` included), a
 //! `--scale` outside `(0, 1]` or too small to leave the command a site,
-//! an unknown command and a flag the command does not read all exit 2
-//! with a message and no report; `--threads 0` runs on one worker; an
+//! an unknown command, a flag the command does not read, a positional
+//! argument a command does not take and an unknown `probe` profile all
+//! exit 2 with a message and no report; `--threads 0` runs on one worker; an
 //! artifact that cannot be written is exit 2 as well.
 
 use std::process::{Command, Output};
@@ -120,6 +121,30 @@ fn unknown_commands_and_out_of_range_scales_are_usage_errors() {
     let report = run("0.0005");
     assert!(String::from_utf8_lossy(&report).contains("TABLE IV"));
     assert_eq!(report, run("5e-4"));
+}
+
+#[test]
+fn stray_positionals_and_unknown_profiles_are_usage_errors() {
+    // Only `diff`, `serve` and `probe` read positionals.
+    for args in [&["table3", "nginx"][..], &["adoption", "x"]] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} still ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("takes no arguments"), "{args:?}: {stderr:?}");
+    }
+    for args in [
+        &["probe"][..],
+        &["probe", "iis"],
+        &["probe", "nginx", "extra"],
+        &["probe", "nginx", "--scale", "0.1"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} still ran");
+    }
+    let stderr = String::from_utf8_lossy(&repro(&["probe", "iis"]).stderr).into_owned();
+    assert!(stderr.contains("nginx, litespeed") && stderr.contains("tengine-aserver"));
 }
 
 #[test]

@@ -51,7 +51,6 @@ pub mod resilient;
 pub mod scope;
 pub mod storage;
 pub mod target;
-pub mod trace;
 
 pub use client::{ProbeConn, TimedFrame};
 pub use h2obs::{Obs, ProbeKind};

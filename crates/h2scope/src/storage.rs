@@ -4,8 +4,8 @@
 //!
 //! The format is a deliberately simple line-oriented `key=value` record
 //! per site: grep-able, diff-able, append-able from parallel scan
-//! shards, and with no external format dependencies. [`write_reports`]
-//! and [`read_reports`] round-trip exactly.
+//! shards, and with no external format dependencies. [`write_report`]
+//! and [`read_report`] round-trip exactly.
 
 use std::fmt::Write as _;
 
@@ -23,15 +23,13 @@ use netsim::time::SimDuration;
 /// Error while parsing a stored report line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseReportError {
-    /// 1-based line number.
-    pub line: usize,
     /// What was wrong.
     pub message: String,
 }
 
 impl std::fmt::Display for ParseReportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+        f.write_str(&self.message)
     }
 }
 
@@ -181,8 +179,10 @@ fn parse_opt_u32(s: &str) -> Result<Option<u32>, String> {
 }
 
 /// Every key [`write_report`] writes. A line carrying any other key, or
-/// one of these twice, is corrupt: partial campaign records have no
-/// per-row checksum, so nothing else would catch the flipped byte.
+/// one of these twice, or only part of a section (the keys sharing a
+/// `fc.`/`pr.`/`pu.`/`hp.`/`pb.` prefix), is corrupt: partial campaign
+/// records have no per-row checksum, so nothing else would catch the
+/// flipped byte.
 #[rustfmt::skip]
 const KEYS: [&str; 33] = [
     "site", "alpn", "npn", "hdrs", "server",
@@ -193,6 +193,14 @@ const KEYS: [&str; 33] = [
     "hp.r", "hp.h", "hp.sizes",
     "pb.out", "pb.att", "pb.bk",
 ];
+
+/// The bits of the [`KEYS`] starting with `prefix`.
+fn section_mask(prefix: &str) -> u64 {
+    KEYS.iter()
+        .enumerate()
+        .filter(|(_, key)| key.starts_with(prefix))
+        .fold(0, |mask, (i, _)| mask | 1 << i)
+}
 
 /// Serializes one report as a single record line.
 pub fn write_report(report: &SiteReport) -> String {
@@ -297,11 +305,11 @@ pub fn write_reports<'a>(reports: impl IntoIterator<Item = &'a SiteReport>) -> S
 ///
 /// # Errors
 ///
-/// Returns [`ParseReportError`] (with `line` set to 0; [`read_reports`]
-/// fills in real line numbers) when a field is missing, malformed,
-/// repeated or not one [`write_report`] writes.
+/// Returns [`ParseReportError`] when a field is missing, malformed,
+/// repeated or not one [`write_report`] writes, or when an optional
+/// section is only partly present.
 pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
-    let err = |message: String| ParseReportError { line: 0, message };
+    let err = |message: String| ParseReportError { message };
     let mut fields: Vec<(&str, &str)> = Vec::new();
     // Bit `i` is set once `KEYS[i]` has been read.
     let mut seen = 0u64;
@@ -341,6 +349,12 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     let text = |value: &str| unescape(value).map_err(&err);
     let bad = |key: &str| err(format!("bad {key}"));
     let reaction = |key: &str| parse_reaction(get(key)?).ok_or_else(|| bad(key));
+    // `write_report` writes each optional section whole or not at all.
+    let present = |prefix: &str| match seen & section_mask(prefix) {
+        0 => Ok(false),
+        some if some == section_mask(prefix) => Ok(true),
+        _ => Err(err(format!("incomplete {prefix}* section"))),
+    };
 
     let settings = SettingsReport {
         received: get_bool("st.recv")?,
@@ -352,7 +366,7 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
         max_header_list_size: get_opt("st.mhls")?,
         zero_window_then_update: get_bool("st.zwtu")?,
     };
-    let flow_control = if find("fc.small").is_some() {
+    let flow_control = if present("fc.")? {
         Some(FlowControlReport {
             small_window: parse_small_window(get("fc.small")?).ok_or_else(|| bad("fc.small"))?,
             headers_at_zero_window: get_bool("fc.hzw")?,
@@ -364,7 +378,7 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     } else {
         None
     };
-    let priority = if find("pr.last").is_some() {
+    let priority = if present("pr.")? {
         Some(PriorityReport {
             by_last_frame: get_bool("pr.last")?,
             by_first_frame: get_bool("pr.first")?,
@@ -375,7 +389,7 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     } else {
         None
     };
-    let push = if find("pu.sup").is_some() {
+    let push = if present("pu.")? {
         let paths = get("pu.paths")?;
         Some(PushReport {
             supported: get_bool("pu.sup")?,
@@ -389,7 +403,7 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     } else {
         None
     };
-    let hpack = if find("hp.r").is_some() {
+    let hpack = if present("hp.")? {
         let sizes = get("hp.sizes")?;
         Some(HpackReport {
             ratio: get("hp.r")?.parse().map_err(|_| bad("hp.r"))?,
@@ -406,16 +420,10 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     } else {
         None
     };
-    // Resilience fields default when absent (records written before fault
-    // campaigns existed remain readable).
-    let probe = if find("pb.out").is_some() {
-        ProbeStats {
-            outcome: parse_outcome(get("pb.out")?).ok_or_else(|| bad("pb.out"))?,
-            attempts: get("pb.att")?.parse().map_err(|_| bad("pb.att"))?,
-            backoff: SimDuration::from_nanos(get("pb.bk")?.parse().map_err(|_| bad("pb.bk"))?),
-        }
-    } else {
-        ProbeStats::default()
+    let probe = ProbeStats {
+        outcome: parse_outcome(get("pb.out")?).ok_or_else(|| bad("pb.out"))?,
+        attempts: get("pb.att")?.parse().map_err(|_| bad("pb.att"))?,
+        backoff: SimDuration::from_nanos(get("pb.bk")?.parse().map_err(|_| bad("pb.bk"))?),
     };
     let server = get("server")?;
     Ok(SiteReport {
@@ -433,24 +441,6 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
         hpack,
         probe,
     })
-}
-
-/// Parses a whole stored campaign.
-///
-/// # Errors
-///
-/// Returns the first malformed line with its 1-based number.
-pub fn read_reports(data: &str) -> Result<Vec<SiteReport>, ParseReportError> {
-    data.lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| {
-            read_report(l).map_err(|mut e| {
-                e.line = i + 1;
-                e
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -479,10 +469,9 @@ mod tests {
 
     #[test]
     fn round_trip_is_exact() {
-        let reports = sample_reports();
-        let stored = write_reports(&reports);
-        let loaded = read_reports(&stored).unwrap();
-        assert_eq!(loaded, reports);
+        for report in sample_reports() {
+            assert_eq!(read_report(&write_report(&report)).unwrap(), report);
+        }
     }
 
     #[test]
@@ -506,15 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_lines_are_reported_with_numbers() {
-        let reports = sample_reports();
-        let mut stored = write_reports(&reports[..1]);
-        stored.push_str("this is not a record\n");
-        let err = read_reports(&stored).unwrap_err();
-        assert_eq!(err.line, 2);
-    }
-
-    #[test]
     fn unknown_and_repeated_keys_are_parse_errors() {
         // The H2O row: it carries a `pu.*` section.
         let line = write_report(&sample_reports()[2]);
@@ -523,11 +503,24 @@ mod tests {
         assert!(err.message.contains("unknown field \"pu.sux\""), "{err}");
         let err = read_report(&format!("{line}|hdrs=0")).unwrap_err();
         assert!(err.message.contains("repeated field \"hdrs\""), "{err}");
-    }
-
-    #[test]
-    fn empty_input_yields_no_reports() {
-        assert_eq!(read_reports("").unwrap(), Vec::new());
-        assert_eq!(read_reports("\n\n").unwrap(), Vec::new());
+        // A section loses a key: the rest of it must not be dropped
+        // silently, and a row without `pb.*` is no 0-attempt probe.
+        let without = |keys: &[&str]| {
+            let kept = split_fields(&line).filter(|field| {
+                let key = field.split_once('=').map_or(*field, |(key, _)| key);
+                !keys.contains(&key)
+            });
+            kept.collect::<Vec<_>>().join("|")
+        };
+        for (keys, message) in [
+            (&["fc.small"][..], "incomplete fc.* section"),
+            (&["pr.last"], "incomplete pr.* section"),
+            (&["pu.sup"], "incomplete pu.* section"),
+            (&["hp.r"], "incomplete hp.* section"),
+            (&["pb.out", "pb.att", "pb.bk"], "missing field pb.out"),
+        ] {
+            let err = read_report(&without(keys)).unwrap_err();
+            assert!(err.message.contains(message), "{keys:?}: {err}");
+        }
     }
 }

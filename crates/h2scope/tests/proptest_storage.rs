@@ -7,9 +7,7 @@ use h2scope::probes::priority::PriorityReport;
 use h2scope::probes::push::PushReport;
 use h2scope::probes::settings::SettingsReport;
 use h2scope::probes::Reaction;
-use h2scope::storage::{
-    escape, read_report, read_reports, split_fields, unescape, write_report, write_reports,
-};
+use h2scope::storage::{escape, read_report, split_fields, unescape, write_report};
 use h2scope::{ProbeOutcome, ProbeStats, SiteReport};
 use netsim::time::SimDuration;
 use proptest::prelude::*;
@@ -138,14 +136,6 @@ proptest! {
         prop_assert_eq!(loaded, report);
     }
 
-    /// Campaign files round-trip with ordering preserved.
-    #[test]
-    fn campaigns_round_trip(reports in prop::collection::vec(arb_report(), 0..12)) {
-        let data = write_reports(&reports);
-        let loaded = read_reports(&data).expect("parses");
-        prop_assert_eq!(loaded, reports);
-    }
-
     /// A flag byte that is neither `0` nor `1` is a parse error, never a
     /// silent `false`: replacing any boolean field's value with another
     /// token makes the whole line unreadable.
@@ -208,6 +198,5 @@ proptest! {
     #[test]
     fn parser_never_panics(noise in "[ -~|=\\\\]{0,120}") {
         let _ = read_report(&noise);
-        let _ = read_reports(&noise);
     }
 }

@@ -28,8 +28,8 @@ impl ServerProfile {
     /// Every profile the engine can impersonate, as `(command-line name,
     /// constructor)`: the six testbed servers in the paper's column
     /// order, the RFC reference, then the four wild-scan families. The
-    /// one list the `h2scope` binary, the robustness proptest and the
-    /// DESIGN.md inventory are read from.
+    /// one list `repro probe`, the robustness proptest and the DESIGN.md
+    /// inventory are read from.
     #[allow(
         clippy::type_complexity,
         reason = "a name/constructor pair; an alias would only add a public name"
@@ -50,21 +50,11 @@ impl ServerProfile {
         ]
     }
 
-    /// The profile with command-line name `name` (ASCII case-insensitive;
-    /// `reference`, `cloudflare`, `ideawebserver` and `aserver` are
-    /// accepted aliases).
+    /// The profile whose [`all`](Self::all) name is exactly `name`.
     pub fn by_name(name: &str) -> Option<ServerProfile> {
-        let lower = name.to_ascii_lowercase();
-        let canonical = match lower.as_str() {
-            "reference" => "rfc7540",
-            "cloudflare" => "cloudflare-nginx",
-            "ideawebserver" => "ideaweb",
-            "aserver" => "tengine-aserver",
-            other => other,
-        };
         Self::all()
             .iter()
-            .find(|(cli_name, _)| *cli_name == canonical)
+            .find(|(cli_name, _)| *cli_name == name)
             .map(|(_, make)| make())
     }
 
@@ -346,22 +336,10 @@ mod tests {
                 "{name} listed twice"
             );
             assert_eq!(ServerProfile::by_name(name), Some(make()), "{name}");
-            assert_eq!(
-                ServerProfile::by_name(&name.to_ascii_uppercase()),
-                Some(make())
-            );
         }
         let display: std::collections::BTreeSet<String> =
             all.iter().map(|(_, make)| make().name).collect();
         assert_eq!(display.len(), 11, "eleven distinct profiles: {display:?}");
-        for (alias, name) in [
-            ("reference", "rfc7540"),
-            ("cloudflare", "cloudflare-nginx"),
-            ("ideawebserver", "ideaweb"),
-            ("aserver", "tengine-aserver"),
-        ] {
-            assert_eq!(ServerProfile::by_name(alias), ServerProfile::by_name(name));
-        }
         assert_eq!(ServerProfile::by_name("iis"), None);
     }
 
