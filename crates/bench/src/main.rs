@@ -37,9 +37,10 @@
 //!                real HTTP/2 connections (site lookups, table
 //!                regeneration, longitudinal diffs); prints the response
 //!                digest, cache and latency summary
-//!   abuse        §VI        mixed benign+attack campaign: robustness
-//!                matrix, per-vector defense counts, detector confusion
-//!                matrix; writes ABUSE_campaign.json (schema h2attack-v1)
+//!   abuse        §VI        robustness matrix (per-profile abuse
+//!                bounds) and attack matrix (every attack vector against
+//!                every profile); writes ABUSE_campaign.json (schema
+//!                h2attack-v2)
 //!   push-study   §V-F++     population-scale push QoE sweep: RTT band ×
 //!                bandwidth × push policy over dependency-graph page
 //!                loads; per-policy load-time distributions and the
@@ -57,12 +58,9 @@
 //!   5  torn tail (crashed mid-append; resumable)
 //!   6  checksum mismatch (rows corrupted after finalization)
 //!
-//! ABUSE CAMPAIGNS
-//!   --vectors A,B,...  restrict the attack rotation (names: rapid-reset,
-//!                      continuation-flood, slow-read, slow-post,
-//!                      settings-flood, table-thrash, priority-churn;
-//!                      default all)
-//!   --mix B:A          benign:attack traffic shares (default 3:1)
+//! ABUSE MATRICES
+//!   Both matrices are fixed by the profiles: `abuse` takes no seed,
+//!   scale or thread count and reads `--out-dir` only.
 //!
 //! PUSH STUDY
 //!   --sites N          cap on stride-sampled sites (default 48)
@@ -129,8 +127,6 @@ struct Options {
     trace_sites: u64,
     queries: u64,
     hostile: bool,
-    vectors: Vec<h2attack::AttackVector>,
-    mix: (u64, u64),
     sites: usize,
     record: Option<PathBuf>,
     resume: Option<PathBuf>,
@@ -184,8 +180,6 @@ fn parse_args() -> Options {
         trace_sites: 0,
         queries: 4096,
         hostile: false,
-        vectors: h2attack::AttackVector::ALL.to_vec(),
-        mix: (3, 1),
         sites: 48,
         record: None,
         resume: None,
@@ -245,40 +239,6 @@ fn parse_args() -> Options {
                 o.queries = value(&mut args, "--queries needs an unsigned integer");
             }
             "--hostile" => o.hostile = true,
-            "--vectors" => {
-                let list = args.next().unwrap_or_default();
-                o.vectors = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|name| {
-                        h2attack::AttackVector::parse(name.trim()).unwrap_or_else(|| {
-                            usage_error(&format!(
-                                "unknown attack vector {name:?}; known vectors: {}",
-                                h2attack::AttackVector::ALL
-                                    .iter()
-                                    .map(|v| v.name())
-                                    .collect::<Vec<_>>()
-                                    .join(", ")
-                            ))
-                        })
-                    })
-                    .collect();
-                if o.vectors.is_empty() {
-                    usage_error("--vectors needs at least one vector name");
-                }
-            }
-            "--mix" => {
-                let spec = args.next().unwrap_or_default();
-                let parsed = spec
-                    .split_once(':')
-                    .and_then(|(b, a)| Some((b.trim().parse().ok()?, a.trim().parse().ok()?)));
-                o.mix = match parsed {
-                    Some((b, a)) if b + a > 0 => (b, a),
-                    _ => {
-                        usage_error("--mix needs BENIGN:ATTACK shares, e.g. 3:1");
-                    }
-                };
-            }
             "--sites" => {
                 o.sites = value(&mut args, "--sites needs an unsigned site count");
                 if o.sites == 0 {
@@ -299,7 +259,7 @@ fn parse_args() -> Options {
             }
             "--help" | "-h" => {
                 println!(
-                    "see crate docs: repro [{}] [--scale S] [--exp 1|2|both] [--threads N] [--loads L] [--faults PROFILE] [--seed N] [--metrics] [--trace-sites N] [--record PATH | --resume PATH] [--kill-after N] [--out-dir DIR] | repro probe PROFILE | repro diff A B | repro serve R... [--queries N] [--hostile] | repro abuse [--vectors A,B] [--mix B:A] | repro push-study [--sites N]",
+                    "see crate docs: repro [{}] [--scale S] [--exp 1|2|both] [--threads N] [--loads L] [--faults PROFILE] [--seed N] [--metrics] [--trace-sites N] [--record PATH | --resume PATH] [--kill-after N] [--out-dir DIR] | repro probe PROFILE | repro diff A B | repro serve R... [--queries N] [--hostile] | repro abuse [--out-dir DIR] | repro push-study [--sites N]",
                     command_names().join("|")
                 );
                 std::process::exit(0);
@@ -496,38 +456,17 @@ fn run_serve(options: &Options) -> ! {
     std::process::exit(0);
 }
 
-/// `repro abuse`: the §VI mixed benign+attack campaign — robustness
-/// matrix, per-vector defense counts, detector confusion matrix, plus
-/// the machine-readable `ABUSE_campaign.json`.
+/// `repro abuse`: the §VI robustness and attack matrices, plus the
+/// machine-readable `ABUSE_campaign.json`.
 fn run_abuse(options: &Options) -> ! {
-    let abuse_options = abuse::AbuseOptions {
-        vectors: options.vectors.clone(),
-        benign_share: options.mix.0,
-        attack_share: options.mix.1,
-        seed: options.seed,
-        scale: options.scale,
-        threads: options.threads,
-    };
-    println!(
-        "repro: command=abuse scale={} threads={} seed={} mix={}:{}\n",
-        abuse_options.scale,
-        abuse_options.threads,
-        abuse_options.seed,
-        abuse_options.benign_share,
-        abuse_options.attack_share
-    );
-    let started = Instant::now();
-    let campaign = abuse::run_campaign(&abuse_options);
-    eprintln!(
-        "[abuse] ran {} connections in {:.1}s",
-        campaign.outcomes.len(),
-        started.elapsed().as_secs_f64()
-    );
-    println!("{}", abuse::render_report(&campaign));
+    println!("repro: command=abuse\n");
+    let robustness = h2attack::robustness_matrix();
+    let attacks = h2attack::attack_matrix();
+    println!("{}", abuse::render_report(&robustness, &attacks));
     write_artifact(
         options.out_dir.as_deref(),
         "ABUSE_campaign.json",
-        abuse::render_json(&abuse_options, &campaign),
+        abuse::render_json(&robustness, &attacks),
         "abuse",
     );
     std::process::exit(0);
@@ -619,7 +558,7 @@ const OTHER_COMMANDS: [(&str, &[&str]); 12] = [
     ("probe", &[]),
     ("diff", &["--out-dir"]),
     ("serve", &["--threads", "--queries", "--seed", "--hostile", "--metrics", "--out-dir"]),
-    ("abuse", &["--scale", "--threads", "--seed", "--vectors", "--mix", "--out-dir"]),
+    ("abuse", &["--out-dir"]),
     ("push-study", &["--scale", "--threads", "--seed", "--sites", "--loads", "--out-dir"]),
 ];
 

@@ -1,5 +1,5 @@
 //! The one fan-out behind every population sweep of the crate (scan,
-//! serve, push study, abuse): the paper's "thread pool with configurable
+//! serve, push study): the paper's "thread pool with configurable
 //! number of threads, each of which will test a web site" (§IV-B).
 //!
 //! [`sweep`] is the only place the crate spawns threads. Workers share

@@ -58,11 +58,15 @@ fn unknown_commands_and_out_of_range_scales_are_usage_errors() {
 
     // A flag the command does not read is refused, not silently ignored:
     // a scan flag on `serve`, a record flag on `table3` (which used to
-    // run a full scan nobody asked for), a study flag on `abuse`.
+    // run a full scan nobody asked for), a study flag on `abuse`, and
+    // the seed, scale and thread count `abuse`'s fixed matrices ignore.
     for (command, flag, value) in [
         ("serve", "--scale", "0.5"),
         ("table3", "--record", "x.h2c"),
         ("abuse", "--loads", "3"),
+        ("abuse", "--seed", "1"),
+        ("abuse", "--threads", "2"),
+        ("abuse", "--scale", "0.5"),
     ] {
         let out = repro(&[command, flag, value]);
         assert_eq!(out.status.code(), Some(2), "{command} {flag}");
@@ -70,6 +74,12 @@ fn unknown_commands_and_out_of_range_scales_are_usage_errors() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         let refusal = format!("{flag} is not valid for `{command}`");
         assert!(stderr.contains(&refusal), "{command} {flag}: {stderr:?}");
+    }
+    // The campaign's traffic-mix and vector-filter flags are gone.
+    for (flag, value) in [("--mix", "3:1"), ("--vectors", "slow-read")] {
+        let out = repro(&["abuse", flag, value]);
+        assert_eq!(out.status.code(), Some(2), "abuse {flag}");
+        assert!(out.stdout.is_empty(), "abuse {flag} still ran");
     }
 
     for scale in ["0", "-1", "nan"] {

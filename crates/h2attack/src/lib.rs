@@ -1,27 +1,25 @@
-//! # h2attack — malicious clients, a robustness matrix, and a detector
+//! # h2attack — malicious clients and the two §VI matrices
 //!
 //! Section VI of *"Are HTTP/2 Servers Ready Yet?"* closes by warning
 //! that the protocol's new machinery — flow control, CONTINUATION,
 //! SETTINGS, HPACK, priorities — is dual-use. This crate extends the
 //! paper's Table III methodology from *conformance* quirks to
-//! *robustness* quirks, in three parts:
+//! *robustness* quirks, in two parts:
 //!
-//! 1. [`vectors`]: a seedable malicious-client generator. Seven attack
-//!    vectors (rapid reset, CONTINUATION flood, slow read, slow POST,
-//!    SETTINGS flood, HPACK table thrash, priority churn) drive the
-//!    deterministic simulator against any [`h2scope::Target`], each run
-//!    a pure function of `(target, seed)`.
+//! 1. [`vectors`]: a malicious-client generator. Seven attack vectors
+//!    (rapid reset, CONTINUATION flood, slow read, slow POST, SETTINGS
+//!    flood, HPACK table thrash, priority churn) drive the
+//!    deterministic simulator against any [`h2scope::Target`]; a
+//!    report depends on the target's profile and site, not on a seed.
 //! 2. [`matrix`]: the per-profile robustness quirk matrix — which
 //!    servers bound each abuse vector, and how they react when the
-//!    bound is crossed — built on the `h2scope::probes::abuse` suite.
-//! 3. [`detect`]: an online event-sequence detector that consumes
-//!    `h2obs` frame traces and labels each connection benign or
-//!    attacked (with the vector), evaluated by precision/recall on
-//!    mixed benign+attack campaigns.
+//!    bound is crossed, built on the `h2scope::probes::abuse` suite —
+//!    and the attack matrix, every vector run once against every
+//!    profile.
 //!
 //! The three §VI capacity experiments in [`dos`] (slow receiver, table
 //! thrash, priority churn) convert into the unified [`AttackReport`]
-//! schema, so `repro abuse` reports every vector in one table.
+//! schema, so `repro abuse` reports every vector in one grid.
 //!
 //! ```
 //! use h2attack::{run, AttackVector};
@@ -38,13 +36,11 @@
 
 #![warn(missing_docs)]
 
-pub mod detect;
 pub mod dos;
 pub mod matrix;
 pub mod report;
 pub mod vectors;
 
-pub use detect::{ConfusionMatrix, Detector};
-pub use matrix::{robustness_matrix, RobustnessRow};
+pub use matrix::{attack_matrix, robustness_matrix, AttackRow, RobustnessRow};
 pub use report::AttackReport;
 pub use vectors::{run, AttackVector};

@@ -1,15 +1,22 @@
-//! The per-profile robustness quirk matrix (§VI).
+//! The two §VI matrices, each over the seven profiles of
+//! [`ServerProfile::testbed_and_reference`].
 //!
 //! Table III asked "which conformance quirks does each server show?";
-//! this matrix asks the same question about abuse hardening: does the
-//! server budget stream resets, cap CONTINUATION blocks, reap stalled
-//! connections, bound header lists — and *how* does it react when the
-//! bound is crossed? Built directly on the `h2scope::probes::abuse`
-//! suite so the answers are measured, not transcribed.
+//! the robustness matrix asks the same question about abuse hardening:
+//! does the server budget stream resets, cap CONTINUATION blocks, reap
+//! stalled connections, bound header lists — and *how* does it react
+//! when the bound is crossed? Built directly on the
+//! `h2scope::probes::abuse` suite so the answers are measured, not
+//! transcribed. The attack matrix runs every [`AttackVector`] once
+//! against every profile and keeps the whole [`AttackReport`]: what
+//! the attacker spent, what it cost the server, how the server reacted.
 
 use h2scope::probes::abuse::{self, AbuseHardeningReport};
 use h2scope::{Reaction, Target};
 use h2server::{ServerProfile, SiteSpec};
+
+use crate::report::AttackReport;
+use crate::vectors::{run, AttackVector};
 
 /// One measured row of the robustness matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,9 +46,7 @@ impl RobustnessRow {
 /// Probes every testbed profile plus the RFC reference and returns the
 /// matrix in testbed order. Pure: same build, same matrix.
 pub fn robustness_matrix() -> Vec<RobustnessRow> {
-    let mut profiles = ServerProfile::testbed();
-    profiles.push(ServerProfile::rfc7540());
-    profiles
+    ServerProfile::testbed_and_reference()
         .into_iter()
         .map(|profile| {
             let server = profile.name.clone();
@@ -50,6 +55,49 @@ pub fn robustness_matrix() -> Vec<RobustnessRow> {
                 server,
                 report: abuse::probe(&target),
             }
+        })
+        .collect()
+}
+
+/// One row of the attack matrix: a vector run once against each profile.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AttackRow {
+    /// The vector every cell ran.
+    pub vector: AttackVector,
+    /// `(server, report)` in testbed order, the RFC reference last.
+    pub cells: Vec<(String, AttackReport)>,
+}
+
+impl AttackRow {
+    /// How many servers pushed back.
+    pub fn defended(&self) -> usize {
+        self.cells.iter().filter(|(_, r)| r.defended).count()
+    }
+
+    /// The largest server cost in the row, in the vector's cost unit.
+    pub fn worst_cost(&self) -> u64 {
+        self.cells.iter().map(|(_, r)| r.server_cost).max().unwrap_or(0)
+    }
+}
+
+/// Runs every vector against every testbed profile plus the RFC
+/// reference at seed 0, one row per vector in [`AttackVector::ALL`]
+/// order. Every report is seed-independent (the vectors' tests pin
+/// that), so this grid is the whole outcome space. Pure: same build,
+/// same matrix.
+pub fn attack_matrix() -> Vec<AttackRow> {
+    let targets: Vec<Target> = ServerProfile::testbed_and_reference()
+        .into_iter()
+        .map(|profile| Target::testbed(profile, SiteSpec::benchmark()))
+        .collect();
+    AttackVector::ALL
+        .into_iter()
+        .map(|vector| AttackRow {
+            vector,
+            cells: targets
+                .iter()
+                .map(|target| (target.profile.name.clone(), run(vector, target, 0)))
+                .collect(),
         })
         .collect()
 }
@@ -80,5 +128,17 @@ mod tests {
         let reference = matrix.last().expect("nonempty");
         assert_eq!(reference.defenses(), 0);
         assert!(matrix.iter().any(|r| r.defenses() >= 3));
+    }
+
+    #[test]
+    fn attack_matrix_is_one_run_per_vector_and_profile() {
+        let matrix = attack_matrix();
+        assert_eq!(matrix.len(), AttackVector::ALL.len());
+        for row in &matrix {
+            assert_eq!(row.cells.len(), 7, "{}", row.vector);
+            assert_eq!(row.cells[6].0, "RFC 7540");
+            assert!(!row.cells[6].1.defended, "the reference defends nothing");
+            assert!(row.cells.iter().all(|(_, r)| r.vector == row.vector));
+        }
     }
 }

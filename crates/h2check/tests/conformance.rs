@@ -150,6 +150,14 @@ fn frame_rules_are_enforced_by_the_decoder() {
         Some(ErrorCode::FrameSizeError),
         "§6.2 HEADERS+PRIORITY with a 3-octet payload"
     );
+    // So is a PADDED frame with no room for its Pad Length octet.
+    for kind in [FrameKind::Data, FrameKind::Headers, FrameKind::PushPromise] {
+        assert_eq!(
+            code(refusal(kind, 0x8, StreamId::new(1), &[])),
+            Some(ErrorCode::FrameSizeError),
+            "§4.2 PADDED {kind:?} with an empty payload"
+        );
+    }
 }
 
 #[test]
@@ -199,13 +207,6 @@ fn decode_errors_map_to_the_taxonomy_codes() {
     }
 }
 
-/// The six testbed profiles plus the RFC reference.
-fn all_profiles() -> Vec<ServerProfile> {
-    let mut profiles = ServerProfile::testbed();
-    profiles.push(ServerProfile::rfc7540());
-    profiles
-}
-
 #[test]
 fn setting_bounds_match_validate_and_every_profile_announces_within_them() {
     for bound in &SETTING_BOUNDS {
@@ -226,7 +227,7 @@ fn setting_bounds_match_validate_and_every_profile_announces_within_them() {
             );
         }
     }
-    for profile in all_profiles() {
+    for profile in ServerProfile::testbed_and_reference() {
         assert_eq!(
             profile.behavior.announced.validate(),
             Ok(()),
@@ -289,7 +290,7 @@ fn predictions_cover_the_action_matrix() {
 fn probes_classify_every_profile_as_its_quirk_matrix_predicts() {
     let site = Arc::new(SiteSpec::benchmark());
     let push_site = Arc::new(SiteSpec::page_with_assets(3, 2_000));
-    for profile in all_profiles() {
+    for profile in ServerProfile::testbed_and_reference() {
         let name = profile.name.clone();
         let b = profile.behavior.clone();
         let profile = Arc::new(profile);

@@ -86,36 +86,6 @@ impl ImpairmentSpec {
         }
     }
 
-    /// Composes two impairments into one: delays, jitter and loss add;
-    /// bandwidth caps and cut points take the stricter of the two; a
-    /// stall from either side stalls the composition. Composing with the
-    /// default spec is the identity, so layering "no extra impairment"
-    /// onto a plan changes nothing. Mixed abuse campaigns use this to
-    /// run *benign-but-degraded* traffic — an honest client on a bad
-    /// link, which a naive rate detector would misflag — on top of
-    /// whatever baseline impairment the campaign already injects.
-    #[must_use]
-    pub fn compose(&self, other: &ImpairmentSpec) -> ImpairmentSpec {
-        let min_opt = |a: Option<u64>, b: Option<u64>| match (a, b) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, None) => x,
-            (None, y) => y,
-        };
-        ImpairmentSpec {
-            extra_delay: self.extra_delay.saturating_add(other.extra_delay),
-            extra_jitter: self.extra_jitter.saturating_add(other.extra_jitter),
-            extra_loss: (self.extra_loss + other.extra_loss).min(0.99),
-            bandwidth_cap_bps: min_opt(self.bandwidth_cap_bps, other.bandwidth_cap_bps),
-            drop_after_bytes: min_opt(self.drop_after_bytes, other.drop_after_bytes),
-            drop_after: match (self.drop_after, other.drop_after) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, None) => x,
-                (None, y) => y,
-            },
-            stalled: self.stalled || other.stalled,
-        }
-    }
-
     /// The transport-level faults this impairment arms on a `Pipe`.
     pub fn pipe_faults(&self) -> PipeFaults {
         PipeFaults {
@@ -535,45 +505,6 @@ mod tests {
         assert_eq!(out.delay, SimDuration::from_millis(30));
         assert_eq!(out.bandwidth_bps, Some(1_000_000));
         assert!((out.loss - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn composing_with_the_default_is_identity() {
-        let imp = ImpairmentSpec {
-            extra_delay: SimDuration::from_millis(10),
-            extra_loss: 0.05,
-            drop_after_bytes: Some(4_096),
-            ..ImpairmentSpec::default()
-        };
-        assert_eq!(imp.compose(&ImpairmentSpec::default()), imp);
-        assert_eq!(ImpairmentSpec::default().compose(&imp), imp);
-    }
-
-    #[test]
-    fn composition_adds_rates_and_takes_stricter_limits() {
-        let a = ImpairmentSpec {
-            extra_delay: SimDuration::from_millis(10),
-            extra_loss: 0.05,
-            bandwidth_cap_bps: Some(2_000_000),
-            drop_after_bytes: Some(8_192),
-            ..ImpairmentSpec::default()
-        };
-        let b = ImpairmentSpec {
-            extra_delay: SimDuration::from_millis(5),
-            extra_loss: 0.02,
-            bandwidth_cap_bps: Some(1_000_000),
-            drop_after: Some(SimDuration::from_secs(2)),
-            stalled: true,
-            ..ImpairmentSpec::default()
-        };
-        let c = a.compose(&b);
-        assert_eq!(c.extra_delay, SimDuration::from_millis(15));
-        assert!((c.extra_loss - 0.07).abs() < 1e-12);
-        assert_eq!(c.bandwidth_cap_bps, Some(1_000_000));
-        assert_eq!(c.drop_after_bytes, Some(8_192));
-        assert_eq!(c.drop_after, Some(SimDuration::from_secs(2)));
-        assert!(c.stalled);
-        assert_eq!(a.compose(&b), b.compose(&a));
     }
 
     #[test]

@@ -38,25 +38,6 @@ impl EventKind {
         }
     }
 
-    /// Wire frame kind for client-sent frames, `None` otherwise. Online
-    /// detectors key their per-vector features off what the *client*
-    /// wrote: a benign page fetch never sends CONTINUATION, rarely sends
-    /// RST_STREAM, and paces DATA by available window.
-    pub fn sent_kind(self) -> Option<u8> {
-        match self {
-            EventKind::Send(k) => Some(k),
-            _ => None,
-        }
-    }
-
-    /// Wire frame kind for received frames, `None` otherwise.
-    pub fn recv_kind(self) -> Option<u8> {
-        match self {
-            EventKind::Recv(k) => Some(k),
-            _ => None,
-        }
-    }
-
     /// Frame-kind name for send/recv events, attempt number for retries.
     pub fn detail(self) -> String {
         match self {
@@ -77,8 +58,7 @@ pub struct TraceEvent {
 }
 
 /// Bounded ring buffer of trace events. When full, the oldest events are
-/// overwritten — the tail of an exchange is what classification (and the
-/// slow-HTTP/2 anomaly work in PAPERS.md) cares about.
+/// overwritten: the tail of an exchange is where a failed probe ends.
 #[derive(Debug)]
 pub struct Ring {
     events: Vec<TraceEvent>,
@@ -138,54 +118,6 @@ pub struct SiteTrace {
     pub dropped: u64,
 }
 
-impl SiteTrace {
-    /// How many frames of wire kind `kind` the client sent. Wrap-adjusted
-    /// counts are not recoverable per kind, so a trace that dropped
-    /// events undercounts — detectors treat `dropped > 0` itself as a
-    /// hyperactivity signal.
-    pub fn sent_count(&self, kind: u8) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.kind.sent_kind() == Some(kind))
-            .count() as u64
-    }
-
-    /// How many frames of wire kind `kind` arrived from the server.
-    pub fn recv_count(&self, kind: u8) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.kind.recv_kind() == Some(kind))
-            .count() as u64
-    }
-
-    /// Span from the first to the last traced event, in nanoseconds
-    /// (0 for traces with fewer than two events).
-    pub fn duration_nanos(&self) -> u64 {
-        match (self.events.first(), self.events.last()) {
-            (Some(first), Some(last)) => last.at_nanos.saturating_sub(first.at_nanos),
-            _ => 0,
-        }
-    }
-
-    /// The largest quiet gap preceding a client send of wire kind
-    /// `kind`, measured from the previous traced event. A slow-POST
-    /// attacker trickles DATA with enormous gaps; a benign upload's gaps
-    /// track the link latency.
-    pub fn max_gap_before_send_nanos(&self, kind: u8) -> u64 {
-        let mut max_gap = 0u64;
-        let mut prev: Option<u64> = None;
-        for e in &self.events {
-            if e.kind.sent_kind() == Some(kind) {
-                if let Some(p) = prev {
-                    max_gap = max_gap.max(e.at_nanos.saturating_sub(p));
-                }
-            }
-            prev = Some(e.at_nanos);
-        }
-        max_gap
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,37 +157,5 @@ mod tests {
         assert_eq!(EventKind::Send(0x8).detail(), "WINDOW_UPDATE");
         assert_eq!(EventKind::Retry(2).detail(), "attempt 2");
         assert_eq!(EventKind::Timeout.tag(), "timeout");
-    }
-
-    #[test]
-    fn site_trace_feature_accessors() {
-        let trace = SiteTrace {
-            site: 0,
-            events: vec![
-                TraceEvent {
-                    at_nanos: 0,
-                    kind: EventKind::Send(0x1),
-                },
-                TraceEvent {
-                    at_nanos: 10,
-                    kind: EventKind::Recv(0x1),
-                },
-                TraceEvent {
-                    at_nanos: 1_000,
-                    kind: EventKind::Send(0x0),
-                },
-                TraceEvent {
-                    at_nanos: 9_000,
-                    kind: EventKind::Send(0x0),
-                },
-            ],
-            dropped: 0,
-        };
-        assert_eq!(trace.sent_count(0x0), 2);
-        assert_eq!(trace.sent_count(0x1), 1);
-        assert_eq!(trace.recv_count(0x1), 1);
-        assert_eq!(trace.duration_nanos(), 9_000);
-        assert_eq!(trace.max_gap_before_send_nanos(0x0), 8_000);
-        assert_eq!(trace.max_gap_before_send_nanos(0x3), 0);
     }
 }

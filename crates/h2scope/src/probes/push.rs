@@ -157,9 +157,7 @@ mod tests {
 
     #[test]
     fn every_testbed_profile_respects_the_pushed_stream_limit() {
-        let mut profiles = ServerProfile::testbed();
-        profiles.push(ServerProfile::rfc7540());
-        for profile in profiles {
+        for profile in ServerProfile::testbed_and_reference() {
             let name = profile.name.clone();
             // Bodies large enough that an undisciplined server would
             // overlap pushed streams across several exchanges.

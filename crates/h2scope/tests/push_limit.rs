@@ -71,9 +71,7 @@ fn promises_serialize_under_max_concurrent_streams_one() {
 
 #[test]
 fn discipline_probe_holds_across_the_testbed() {
-    let mut profiles = ServerProfile::testbed();
-    profiles.push(ServerProfile::rfc7540());
-    for profile in profiles {
+    for profile in ServerProfile::testbed_and_reference() {
         let name = profile.name.clone();
         let target = Target::testbed(profile, SiteSpec::page_with_assets(3, 25_000));
         assert!(probes::push::promise_discipline(&target), "{name}");

@@ -63,6 +63,13 @@ impl ServerProfile {
         Self::all().iter().take(6).map(|(_, make)| make()).collect()
     }
 
+    /// The six testbed profiles followed by the RFC 7540 reference: the
+    /// seven columns the robustness and attack matrices and the
+    /// conformance tests run over.
+    pub fn testbed_and_reference() -> Vec<ServerProfile> {
+        Self::all().iter().take(7).map(|(_, make)| make()).collect()
+    }
+
     /// Nginx v1.9.15 (Table III column 1).
     pub fn nginx() -> ServerProfile {
         let mut b = ServerBehavior::rfc7540();

@@ -688,7 +688,14 @@ fn strip_padding<'a>(
     if !header.has_flag(flags::PADDED) {
         return Ok((None, payload));
     }
-    let (&pad, rest) = payload.split_first().ok_or(DecodeFrameError::Truncated)?;
+    // No room for the Pad Length octet the flag promises: a frame size
+    // error (RFC 7540 §4.2), like every other too-short frame.
+    let (&pad, rest) = payload
+        .split_first()
+        .ok_or(DecodeFrameError::InvalidLength {
+            kind: header.kind.to_u8(),
+            length: header.length,
+        })?;
     if usize::from(pad) > rest.len() {
         return Err(DecodeFrameError::InvalidPadding);
     }

@@ -13,11 +13,8 @@ use h2ready::server::{ServerProfile, SiteSpec};
 
 fn main() {
     let scope = H2Scope::new();
-    let mut profiles = ServerProfile::testbed();
-    profiles.push(ServerProfile::rfc7540());
-
     println!("HTTP/2 conformance audit — deviations from RFC 7540\n");
-    for profile in profiles {
+    for profile in ServerProfile::testbed_and_reference() {
         let name = format!("{} {}", profile.name, profile.version);
         let h2c = h2ready::scope::probes::negotiation::h2c_upgrade(
             &h2ready::scope::Target::testbed(profile.clone(), SiteSpec::benchmark()),

@@ -35,22 +35,27 @@ metrics() {
     diff plain.txt stripped.txt
 }
 
-# The §VI abuse campaign: the robustness matrix must match the committed
-# golden snapshot (it is a pure function of the profiles — any engine or
-# quirk change that moves it must regenerate the snapshot deliberately),
-# and the machine-readable artifact must parse with its pinned schema.
+# The §VI abuse matrices: both grids must match the committed golden
+# snapshot (they are pure functions of the profiles — any engine, quirk
+# or vector change that moves them must regenerate the snapshot
+# deliberately), the machine-readable artifact must parse with its
+# pinned schema, and a second run must write the same bytes.
 abuse() {
-    "$repro" abuse --scale 0.01 --seed 0 --threads 4 > abuse.txt
-    sed -n '/^Robustness matrix/,/^$/p' abuse.txt | sed '/^$/d' > matrix.txt
-    diff "$root/crates/bench/tests/golden_robustness.txt" matrix.txt
+    "$repro" abuse > abuse.txt
+    sed -n '/^Robustness matrix/,$p' abuse.txt | sed '${/^$/d}' > matrices.txt
+    diff "$root/crates/bench/tests/golden_robustness.txt" matrices.txt
     python3 - <<'PY'
 import json
 doc = json.load(open('ABUSE_campaign.json'))
-assert doc['schema'] == 'h2attack-v1', doc['schema']
-assert {'tp', 'fp', 'tn', 'fn'} <= doc['confusion'].keys()
-assert doc['precision'] >= 0.95 and doc['recall'] >= 0.95, doc
+assert doc['schema'] == 'h2attack-v2', doc['schema']
+assert 'confusion' not in doc, sorted(doc)
 assert len(doc['robustness']) == 7
+assert len(doc['vectors']) == 7
+assert all(len(row['cells']) == 7 for row in doc['vectors']), doc['vectors']
 PY
+    mkdir -p again
+    "$repro" abuse --out-dir again > /dev/null
+    cmp ABUSE_campaign.json again/ABUSE_campaign.json
 }
 
 # The campaign record's crash-safety contract: a run killed mid-campaign
