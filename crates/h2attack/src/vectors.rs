@@ -122,7 +122,7 @@ pub fn run(vector: AttackVector, target: &Target, seed: u64) -> AttackReport {
 
 fn rapid_reset(target: &Target, seed: u64) -> AttackReport {
     let mut conn = ProbeConn::establish(target, Settings::new(), seed ^ 0x5e5e7);
-    conn.exchange();
+    let mut received = conn.exchange();
     let mut frames = 1u64;
     let mut octets = PRELUDE_OCTETS;
     for k in 0..RAPID_RESET_STREAMS {
@@ -137,7 +137,7 @@ fn rapid_reset(target: &Target, seed: u64) -> AttackReport {
             break;
         }
     }
-    conn.exchange();
+    received.extend(conn.exchange());
     let canceled = u64::from(conn.server().rst_frames_seen());
     AttackReport::new(
         AttackVector::RapidReset,
@@ -145,13 +145,13 @@ fn rapid_reset(target: &Target, seed: u64) -> AttackReport {
         octets,
         canceled,
         "canceled requests",
-        classify_reaction(&conn.received),
+        classify_reaction(&received),
     )
 }
 
 fn continuation_flood(target: &Target, seed: u64) -> AttackReport {
     let mut conn = ProbeConn::establish(target, Settings::new(), seed ^ 0xc047);
-    conn.exchange();
+    let mut received = conn.exchange();
     let fragment = vec![0u8; 1_024];
     conn.send(Frame::Headers(h2wire::HeadersFrame {
         stream_id: StreamId::new(1),
@@ -175,7 +175,7 @@ fn continuation_flood(target: &Target, seed: u64) -> AttackReport {
         frames = frames.saturating_add(1);
         octets = octets.saturating_add(9 + 1_024);
     }
-    conn.exchange();
+    received.extend(conn.exchange());
     let buffered = conn.server().core().header_block_accumulated() as u64;
     AttackReport::new(
         AttackVector::ContinuationFlood,
@@ -183,14 +183,14 @@ fn continuation_flood(target: &Target, seed: u64) -> AttackReport {
         octets,
         buffered,
         "buffered octets",
-        classify_reaction(&conn.received),
+        classify_reaction(&received),
     )
 }
 
 fn slow_read(target: &Target, seed: u64) -> AttackReport {
     let settings = Settings::new().with(SettingId::InitialWindowSize, 1);
     let mut conn = ProbeConn::establish(target, settings, seed ^ 0x510_ead);
-    conn.exchange();
+    let mut received = conn.exchange();
     let mut frames = 1u64;
     let mut octets = PRELUDE_OCTETS;
     for k in 0..SLOW_READ_STREAMS {
@@ -199,14 +199,14 @@ fn slow_read(target: &Target, seed: u64) -> AttackReport {
         frames = frames.saturating_add(1);
         octets = octets.saturating_add(9 + header_len);
     }
-    conn.exchange();
-    let leaked = data_octets(&conn.received);
+    received.extend(conn.exchange());
+    let leaked = data_octets(&received);
     // Silence: the attacker holds the connection open without reading.
     conn.advance(SimDuration::from_secs(SLOW_READ_STALL_SECS));
     conn.send(Frame::Ping(PingFrame::request([0x51; 8])));
     frames = frames.saturating_add(1);
     octets = octets.saturating_add(17);
-    conn.exchange();
+    received.extend(conn.exchange());
     let folded = dos::SlowReceiverReport {
         attacker_octets: octets,
         pinned_octets: conn.server().pending_response_octets(),
@@ -217,14 +217,14 @@ fn slow_read(target: &Target, seed: u64) -> AttackReport {
             .unwrap_or(0),
         leaked_octets: leaked,
     };
-    let mut report = AttackReport::from_slow_receiver(&folded, classify_reaction(&conn.received));
+    let mut report = AttackReport::from_slow_receiver(&folded, classify_reaction(&received));
     report.attacker_frames = frames;
     report
 }
 
 fn slow_post(target: &Target, seed: u64) -> AttackReport {
     let mut conn = ProbeConn::establish(target, Settings::new(), seed ^ 0x510_0057);
-    conn.exchange();
+    let mut received = conn.exchange();
     let headers = vec![
         Header::new(":method", "POST"),
         Header::new(":scheme", "https"),
@@ -235,7 +235,7 @@ fn slow_post(target: &Target, seed: u64) -> AttackReport {
     let header_len = conn.send_header_block(1, &headers, false) as u64;
     let mut frames = 2u64;
     let mut octets = PRELUDE_OCTETS.saturating_add(9 + header_len);
-    conn.exchange();
+    received.extend(conn.exchange());
     for k in 0..SLOW_POST_TRICKLES {
         if conn.is_dead() {
             break;
@@ -249,7 +249,7 @@ fn slow_post(target: &Target, seed: u64) -> AttackReport {
         }));
         frames = frames.saturating_add(1);
         octets = octets.saturating_add(10);
-        conn.exchange();
+        received.extend(conn.exchange());
     }
     let stalled = conn.server().pending_request_count() as u64;
     AttackReport::new(
@@ -258,13 +258,13 @@ fn slow_post(target: &Target, seed: u64) -> AttackReport {
         octets,
         stalled,
         "stalled requests",
-        classify_reaction(&conn.received),
+        classify_reaction(&received),
     )
 }
 
 fn settings_flood(target: &Target, seed: u64) -> AttackReport {
     let mut conn = ProbeConn::establish(target, Settings::new(), seed ^ 0x5e77f);
-    conn.exchange();
+    let mut received = conn.exchange();
     let mut frames = 1u64;
     let mut octets = PRELUDE_OCTETS;
     let mut batch = Vec::with_capacity(16);
@@ -278,10 +278,9 @@ fn settings_flood(target: &Target, seed: u64) -> AttackReport {
         frames = frames.saturating_add(batch.len() as u64);
         octets = octets.saturating_add(9 * batch.len() as u64);
         conn.send_all(&batch);
-        conn.exchange();
+        received.extend(conn.exchange());
     }
-    let acks = conn
-        .received
+    let acks = received
         .iter()
         .filter(|tf| matches!(&tf.frame, Frame::Settings(s) if s.ack))
         .count() as u64;
@@ -291,7 +290,7 @@ fn settings_flood(target: &Target, seed: u64) -> AttackReport {
         octets,
         acks,
         "acks extorted",
-        classify_reaction(&conn.received),
+        classify_reaction(&received),
     )
 }
 

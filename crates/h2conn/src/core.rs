@@ -301,7 +301,14 @@ pub struct ConnectionCore {
     obs: h2obs::Obs,
     /// HPACK evictions already reported to `obs`, so deltas are exact.
     evictions_reported: u64,
+    /// Spent header lists handed back through
+    /// [`ConnectionCore::recycle_headers`]; the next completed block is
+    /// decoded into one in place (at most [`HEADER_POOL`] are kept).
+    header_pool: Vec<Vec<Header>>,
 }
+
+/// Most spent header lists a [`ConnectionCore`] keeps for reuse.
+const HEADER_POOL: usize = 4;
 
 impl ConnectionCore {
     /// Creates a core for `role` announcing `local` settings, with the
@@ -327,6 +334,16 @@ impl ConnectionCore {
             encoder_table_cap: DEFAULT_HEADER_TABLE_SIZE,
             obs: h2obs::Obs::off(),
             evictions_reported: 0,
+            header_pool: Vec::new(),
+        }
+    }
+
+    /// Hands back a header list from a [`CoreEvent::HeadersReceived`] or
+    /// [`CoreEvent::PushPromiseReceived`] the caller is done with, so a
+    /// later block is decoded into it instead of a fresh allocation.
+    pub fn recycle_headers(&mut self, headers: Vec<Header>) {
+        if self.header_pool.len() < HEADER_POOL {
+            self.header_pool.push(headers);
         }
     }
 
@@ -418,7 +435,7 @@ impl ConnectionCore {
         let mut events = Vec::new();
         loop {
             match self.frame_decoder.next_frame() {
-                Ok(Some(frame)) => events.extend(self.handle_frame(frame)?),
+                Ok(Some(frame)) => self.handle_frame_into(frame, &mut events)?,
                 Ok(None) => break,
                 Err(e) => return Err(ConnError::Decode(e)),
             }
@@ -433,19 +450,29 @@ impl ConnectionCore {
     ///
     /// See [`ConnectionCore::recv_bytes`].
     pub fn handle_frame(&mut self, frame: Frame) -> Result<Vec<CoreEvent>, ConnError> {
+        let mut events = Vec::new();
+        self.handle_frame_into(frame, &mut events)?;
+        Ok(events)
+    }
+
+    /// Applies one received frame, appending its events to `events`.
+    fn handle_frame_into(
+        &mut self,
+        frame: Frame,
+        events: &mut Vec<CoreEvent>,
+    ) -> Result<(), ConnError> {
         self.obs.server_frame(frame.kind().to_u8());
         // CONTINUATION discipline: while a header block is open, only
         // CONTINUATION for the same stream is legal.
         if !matches!(frame, Frame::Continuation(_)) {
             self.assembler.check_interleave()?;
         }
-        let mut events = Vec::new();
         match frame {
             Frame::Settings(f) => {
                 if f.ack {
                     events.push(CoreEvent::SettingsAcked);
                 } else {
-                    self.apply_remote_settings(&f.settings, &mut events);
+                    self.apply_remote_settings(&f.settings, events);
                     events.push(CoreEvent::RemoteSettings {
                         settings: f.settings,
                     });
@@ -498,7 +525,7 @@ impl ConnectionCore {
                     f.end_headers,
                     f.priority,
                 )?;
-                self.block_step(f.stream_id, block, &mut events)?;
+                self.block_step(f.stream_id, block, events)?;
             }
             Frame::PushPromise(f) => {
                 let block = self.assembler.start(
@@ -511,11 +538,11 @@ impl ConnectionCore {
                     f.end_headers,
                     None,
                 )?;
-                self.block_step(f.stream_id, block, &mut events)?;
+                self.block_step(f.stream_id, block, events)?;
             }
             Frame::Continuation(f) => {
                 let block = self.assembler.continuation(&f)?;
-                self.block_step(f.stream_id, block, &mut events)?;
+                self.block_step(f.stream_id, block, events)?;
             }
             Frame::Data(f) => {
                 let fcl = f.flow_controlled_len();
@@ -523,14 +550,14 @@ impl ConnectionCore {
                     events.push(CoreEvent::FlowViolation {
                         scope: WindowScope::Connection,
                     });
-                    return Ok(events);
+                    return Ok(());
                 }
                 let stream = self.stream_entry(f.stream_id);
                 if stream.recv_window.consume(fcl).is_err() {
                     events.push(CoreEvent::FlowViolation {
                         scope: WindowScope::Stream(f.stream_id),
                     });
-                    return Ok(events);
+                    return Ok(());
                 }
                 if f.end_stream {
                     stream.recv_end_stream();
@@ -541,6 +568,7 @@ impl ConnectionCore {
                     end_stream: f.end_stream,
                     flow_controlled_len: fcl,
                 });
+                self.forget_if_closed(f.stream_id);
             }
             Frame::Priority(f) => match self.priority.declare(f.stream_id, f.spec) {
                 Ok(()) => events.push(CoreEvent::PriorityChanged {
@@ -557,6 +585,7 @@ impl ConnectionCore {
                     stream: f.stream_id,
                     code: f.code,
                 });
+                self.forget_if_closed(f.stream_id);
             }
             Frame::Goaway(f) => {
                 self.goaway_received = true;
@@ -568,7 +597,7 @@ impl ConnectionCore {
             }
             Frame::Unknown(f) => events.push(CoreEvent::UnknownFrameIgnored { kind: f.kind }),
         }
-        Ok(events)
+        Ok(())
     }
 
     fn apply_remote_settings(&mut self, settings: &Settings, events: &mut Vec<CoreEvent>) {
@@ -631,7 +660,9 @@ impl ConnectionCore {
             });
             return Ok(());
         };
-        let headers = self.decoder.decode_block(&block.fragment)?;
+        let mut headers = self.header_pool.pop().unwrap_or_default();
+        self.decoder
+            .decode_block_into(&block.fragment, &mut headers)?;
         match block.kind {
             BlockKind::Headers => {
                 let is_new = self.streams.get(block.stream).is_none();
@@ -658,6 +689,7 @@ impl ConnectionCore {
                 }
                 self.stream_entry(block.stream)
                     .recv_headers(block.end_stream);
+                self.forget_if_closed(block.stream);
                 events.push(CoreEvent::HeadersReceived {
                     stream: block.stream,
                     headers,
@@ -693,6 +725,7 @@ impl ConnectionCore {
         self.report_hpack_evictions();
         let max = self.remote.max_frame_size as usize;
         self.stream_entry(stream_id).send_headers(end_stream);
+        self.forget_if_closed(stream_id);
         let mut frames = Vec::new();
         if block.len() <= max {
             frames.push(Frame::Headers(HeadersFrame {
@@ -784,6 +817,7 @@ impl ConnectionCore {
             .expect("caller respected stream window");
         if end_stream {
             stream.send_end_stream();
+            self.forget_if_closed(stream_id);
         }
         Frame::Data(DataFrame {
             stream_id,
@@ -821,6 +855,16 @@ impl ConnectionCore {
     pub fn reset_stream(&mut self, stream_id: StreamId, code: ErrorCode) {
         if let Some(stream) = self.streams.get_mut(stream_id) {
             stream.send_reset(code);
+        }
+        self.forget_if_closed(stream_id);
+    }
+
+    /// Forgets a closed stream's priority node when that changes no
+    /// schedule (see [`PriorityTree::forget_if_default`]), so the tree
+    /// does not grow with every request a long connection carries.
+    fn forget_if_closed(&mut self, id: StreamId) {
+        if self.streams.get(id).is_some_and(Stream::is_closed) {
+            self.priority.forget_if_default(id);
         }
     }
 

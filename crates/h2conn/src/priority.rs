@@ -226,6 +226,22 @@ impl PriorityTree {
         }
     }
 
+    /// Drops `stream` when it is a childless leaf under the root at the
+    /// default weight with no scheduling credit — exactly the node
+    /// [`PriorityTree::declare`] would re-create if the id came up again,
+    /// so forgetting it changes no schedule. Closed streams go this way,
+    /// so a long-lived connection's tree holds only the streams that can
+    /// still shape one (RFC 7540 §5.3.4 lets closed-stream state go).
+    pub fn forget_if_default(&mut self, stream: StreamId) {
+        let default = PrioritySpec::default_spec().weight;
+        let recreatable = self.nodes.get(&stream.value()).is_some_and(|n| {
+            n.parent == 0 && n.weight == default && n.children.is_empty() && n.wrr_credit == 0
+        });
+        if recreatable {
+            self.remove(stream);
+        }
+    }
+
     /// Picks the next stream allowed to transmit among `ready` (the
     /// streams with queued data and window, in any order; ids absent from
     /// the tree are ignored).
@@ -550,5 +566,27 @@ mod tests {
         let mut a_children = t.children_of(sid(1));
         a_children.sort_by_key(|s| s.value());
         assert_eq!(a_children, vec![sid(3), sid(5), sid(9), sid(11)]);
+    }
+
+    #[test]
+    fn only_a_node_declare_would_recreate_is_forgotten() {
+        let mut t = PriorityTree::new();
+        let default = PrioritySpec::default_spec();
+        t.declare(sid(1), default).unwrap(); // default leaf
+        t.declare(sid(3), spec(0, 99, false)).unwrap(); // other weight
+        t.declare(sid(5), default).unwrap();
+        t.declare(sid(7), spec(5, 16, false)).unwrap(); // 5 has a child
+        t.declare(sid(9), default).unwrap();
+        t.declare(sid(11), default).unwrap();
+        // Two ready siblings: the loser keeps a nonzero credit.
+        assert_eq!(t.next_stream(&[sid(9), sid(11)]), Some(sid(9)));
+        for id in [1, 3, 5, 7, 9, 11] {
+            t.forget_if_default(sid(id));
+        }
+        assert_eq!(t.ids(), vec![sid(3), sid(5), sid(7), sid(9), sid(11)]);
+        // A forgotten id comes back exactly as it was.
+        t.declare(sid(13), spec(1, 16, false)).unwrap();
+        assert_eq!(t.parent_of(sid(1)), Some(sid(0)));
+        assert_eq!(t.weight_of(sid(1)), Some(16));
     }
 }

@@ -1,7 +1,5 @@
 //! Per-stream state (RFC 7540 §5.1) and the stream table.
 
-use std::collections::BTreeMap;
-
 use h2wire::{ErrorCode, StreamId};
 
 use crate::window::FlowWindow;
@@ -160,7 +158,11 @@ impl Stream {
 /// The set of streams on one connection.
 #[derive(Debug, Clone, Default)]
 pub struct StreamMap {
-    streams: BTreeMap<u32, Stream>,
+    /// Every stream seen, sorted by id. Ids arrive (nearly) in ascending
+    /// order, so a new stream is an amortized push: the table grows by
+    /// doubling, not by a tree node every few streams, and a request late
+    /// in a long connection allocates no more than an early one.
+    streams: Vec<Stream>,
     highest_client: u32,
     highest_server: u32,
 }
@@ -171,25 +173,28 @@ impl StreamMap {
         StreamMap::default()
     }
 
+    /// Where `id` sits in the sorted table: `Ok` when present, else
+    /// `Err` with its insertion point.
+    fn position(&self, id: StreamId) -> Result<usize, usize> {
+        self.streams
+            .binary_search_by_key(&id.value(), |s| s.id.value())
+    }
+
     /// Gets a stream.
     pub fn get(&self, id: StreamId) -> Option<&Stream> {
-        self.streams.get(&id.value())
+        self.streams.get(self.position(id).ok()?)
     }
 
     /// Gets a stream mutably.
     pub fn get_mut(&mut self, id: StreamId) -> Option<&mut Stream> {
-        self.streams.get_mut(&id.value())
+        let at = self.position(id).ok()?;
+        self.streams.get_mut(at)
     }
 
-    /// Inserts a stream, tracking the highest id seen per initiator.
+    /// Inserts a stream (keeping an existing entry with the same id),
+    /// tracking the highest id seen per initiator.
     pub fn insert(&mut self, stream: Stream) -> &mut Stream {
-        let id = stream.id;
-        if id.is_client_initiated() {
-            self.highest_client = self.highest_client.max(id.value());
-        } else if id.is_server_initiated() {
-            self.highest_server = self.highest_server.max(id.value());
-        }
-        self.streams.entry(id.value()).or_insert(stream)
+        self.entry(stream.id, || stream)
     }
 
     /// Gets or creates a stream with the given initial windows.
@@ -199,14 +204,28 @@ impl StreamMap {
         send_initial: u32,
         recv_initial: u32,
     ) -> &mut Stream {
+        self.entry(id, || Stream::new(id, send_initial, recv_initial))
+    }
+
+    /// The entry for `id`, created by `make` when absent.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`at` is the position just found or just inserted at"
+    )]
+    fn entry(&mut self, id: StreamId, make: impl FnOnce() -> Stream) -> &mut Stream {
         if id.is_client_initiated() {
             self.highest_client = self.highest_client.max(id.value());
         } else if id.is_server_initiated() {
             self.highest_server = self.highest_server.max(id.value());
         }
-        self.streams
-            .entry(id.value())
-            .or_insert_with(|| Stream::new(id, send_initial, recv_initial))
+        let at = match self.position(id) {
+            Ok(at) => at,
+            Err(at) => {
+                self.streams.insert(at, make());
+                at
+            }
+        };
+        &mut self.streams[at]
     }
 
     /// Highest client-initiated stream id seen.
@@ -233,7 +252,7 @@ impl StreamMap {
     /// (open or half-closed; RFC 7540 §5.1.2).
     pub fn active_count(&self) -> usize {
         self.streams
-            .values()
+            .iter()
             .filter(|s| {
                 matches!(
                     s.state,
@@ -253,7 +272,7 @@ impl StreamMap {
     /// promise consumes a concurrency slot.
     pub fn active_server_initiated(&self) -> usize {
         self.streams
-            .values()
+            .iter()
             .filter(|s| {
                 s.id.is_server_initiated()
                     && matches!(
@@ -268,17 +287,18 @@ impl StreamMap {
 
     /// Iterates all streams in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = &Stream> {
-        self.streams.values()
+        self.streams.iter()
     }
 
     /// Iterates all streams mutably.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Stream> {
-        self.streams.values_mut()
+        self.streams.iter_mut()
     }
 
     /// Drops a stream entirely (after both sides have seen it close).
     pub fn remove(&mut self, id: StreamId) -> Option<Stream> {
-        self.streams.remove(&id.value())
+        let at = self.position(id).ok()?;
+        Some(self.streams.remove(at))
     }
 }
 

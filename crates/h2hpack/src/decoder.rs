@@ -8,7 +8,7 @@
 use crate::error::HpackDecodeError;
 use crate::huffman;
 use crate::integer;
-use crate::table::{static_entry, DynamicTable, Header, STATIC_TABLE_LEN};
+use crate::table::{DynamicTable, Header, STATIC_TABLE, STATIC_TABLE_LEN};
 
 /// A stateful HPACK decoder for one direction of one connection.
 #[derive(Debug, Clone)]
@@ -47,33 +47,52 @@ impl Decoder {
         self.table.set_protocol_max_size(max);
     }
 
-    /// Decodes one complete header block into a header list.
+    /// Decodes one complete header block into a fresh header list.
+    ///
+    /// # Errors
+    ///
+    /// See [`Decoder::decode_block_into`].
+    pub fn decode_block(&mut self, buf: &[u8]) -> Result<Vec<Header>, HpackDecodeError> {
+        let mut headers = Vec::new();
+        self.decode_block_into(buf, &mut headers)?;
+        Ok(headers)
+    }
+
+    /// Decodes one complete header block into `out`, overwriting its
+    /// entries in place so every `String` keeps its capacity: a list
+    /// reused from the previous block of a connection costs no
+    /// allocation for fields that fit. `out` grows when the block carries
+    /// more fields and is truncated when it carries fewer.
     ///
     /// # Errors
     ///
     /// Any [`HpackDecodeError`]; per RFC 7541 §2.2 a failure leaves the
     /// compression context undefined, so callers must treat it as a
-    /// connection-level `COMPRESSION_ERROR`.
-    pub fn decode_block(&mut self, mut buf: &[u8]) -> Result<Vec<Header>, HpackDecodeError> {
-        let mut headers = Vec::new();
-        let mut seen_field = false;
+    /// connection-level `COMPRESSION_ERROR`. `out`'s contents are then
+    /// unspecified.
+    pub fn decode_block_into(
+        &mut self,
+        mut buf: &[u8],
+        out: &mut Vec<Header>,
+    ) -> Result<(), HpackDecodeError> {
+        let mut fields = 0;
         while let Some(&first) = buf.first() {
             if first & 0b1000_0000 != 0 {
                 // Indexed header field.
                 let (index, used) = integer::decode(buf, 7)?;
                 buf = &buf[used..];
-                headers.push(self.indexed(index)?);
-                seen_field = true;
+                let (name, value) = self.entry(index)?;
+                let slot = next_slot(out, &mut fields);
+                assign(&mut slot.name, name);
+                assign(&mut slot.value, value);
             } else if first & 0b0100_0000 != 0 {
                 // Literal with incremental indexing.
-                let (header, used) = self.literal(buf, 6)?;
-                buf = &buf[used..];
-                self.table.insert(header.clone());
-                headers.push(header);
-                seen_field = true;
+                let slot = next_slot(out, &mut fields);
+                buf = &buf[self.literal_into(buf, 6, slot)?..];
+                self.table.insert(slot.clone());
             } else if first & 0b0010_0000 != 0 {
                 // Dynamic table size update.
-                if seen_field {
+                if fields > 0 {
                     return Err(HpackDecodeError::LateTableSizeUpdate);
                 }
                 let (size, used) = integer::decode(buf, 5)?;
@@ -88,63 +107,99 @@ impl Decoder {
                 self.table.set_max_size(size as u32);
             } else {
                 // Literal without indexing (0000) or never indexed (0001).
-                let (header, used) = self.literal(buf, 4)?;
-                buf = &buf[used..];
-                headers.push(header);
-                seen_field = true;
+                let slot = next_slot(out, &mut fields);
+                buf = &buf[self.literal_into(buf, 4, slot)?..];
             }
         }
-        Ok(headers)
+        out.truncate(fields);
+        Ok(())
     }
 
-    fn indexed(&self, index: u64) -> Result<Header, HpackDecodeError> {
-        if index == 0 {
-            return Err(HpackDecodeError::InvalidIndex(0));
-        }
+    /// The `(name, value)` at an absolute HPACK index, borrowed from the
+    /// static or dynamic table.
+    fn entry(&self, index: u64) -> Result<(&str, &str), HpackDecodeError> {
         let idx = index as usize;
-        if idx <= STATIC_TABLE_LEN {
-            return static_entry(idx).ok_or(HpackDecodeError::InvalidIndex(index));
-        }
-        self.table
-            .get(idx)
-            .cloned()
-            .ok_or(HpackDecodeError::InvalidIndex(index))
+        let found = if idx <= STATIC_TABLE_LEN {
+            idx.checked_sub(1)
+                .and_then(|i| STATIC_TABLE.get(i))
+                .copied()
+        } else {
+            self.table
+                .get(idx)
+                .map(|h| (h.name.as_str(), h.value.as_str()))
+        };
+        found.ok_or(HpackDecodeError::InvalidIndex(index))
     }
 
-    fn literal(&self, buf: &[u8], prefix: u8) -> Result<(Header, usize), HpackDecodeError> {
+    /// Decodes a literal representation into `slot`, returning the octets
+    /// it spans.
+    fn literal_into(
+        &self,
+        buf: &[u8],
+        prefix: u8,
+        slot: &mut Header,
+    ) -> Result<usize, HpackDecodeError> {
         let (name_index, mut used) = integer::decode(buf, prefix)?;
-        let name = if name_index == 0 {
-            let (name, n) = self.string(&buf[used..])?;
-            used += n;
-            String::from_utf8(name).map_err(|_| HpackDecodeError::InvalidHeaderName)?
+        if name_index == 0 {
+            used += string_into(
+                &buf[used..],
+                &mut slot.name,
+                HpackDecodeError::InvalidHeaderName,
+            )?;
         } else {
-            self.indexed(name_index)?.name
-        };
-        let (value, n) = self.string(&buf[used..])?;
-        used += n;
-        let value = String::from_utf8(value).map_err(|_| HpackDecodeError::InvalidHeaderName)?;
-        Ok((Header::new(name, value), used))
-    }
-
-    fn string(&self, buf: &[u8]) -> Result<(Vec<u8>, usize), HpackDecodeError> {
-        let &first = buf.first().ok_or(HpackDecodeError::Truncated)?;
-        let huffman_coded = first & 0b1000_0000 != 0;
-        let (len, used) = integer::decode(buf, 7)?;
-        let len = len as usize;
-        let end = used
-            .checked_add(len)
-            .ok_or(HpackDecodeError::IntegerOverflow)?;
-        if buf.len() < end {
-            return Err(HpackDecodeError::Truncated);
+            assign(&mut slot.name, self.entry(name_index)?.0);
         }
-        let raw = &buf[used..end];
-        let bytes = if huffman_coded {
-            huffman::decode(raw)?
-        } else {
-            raw.to_vec()
-        };
-        Ok((bytes, end))
+        used += string_into(
+            &buf[used..],
+            &mut slot.value,
+            HpackDecodeError::InvalidHeaderValue,
+        )?;
+        Ok(used)
     }
+}
+
+/// The next slot of a list being decoded in place: an existing entry to
+/// overwrite, or a new empty one when the list is short.
+fn next_slot<'a>(out: &'a mut Vec<Header>, fields: &mut usize) -> &'a mut Header {
+    if *fields == out.len() {
+        out.push(Header::new(String::new(), String::new()));
+    }
+    *fields += 1;
+    &mut out[*fields - 1]
+}
+
+/// Overwrites `s` with `text`, keeping its capacity.
+fn assign(s: &mut String, text: &str) {
+    s.clear();
+    s.push_str(text);
+}
+
+/// Decodes a string literal into `out` (overwritten, capacity kept),
+/// returning the octets it spans; bytes that are not UTF-8 are `invalid`.
+fn string_into(
+    buf: &[u8],
+    out: &mut String,
+    invalid: HpackDecodeError,
+) -> Result<usize, HpackDecodeError> {
+    let &first = buf.first().ok_or(HpackDecodeError::Truncated)?;
+    let huffman_coded = first & 0b1000_0000 != 0;
+    let (len, used) = integer::decode(buf, 7)?;
+    let end = used
+        .checked_add(len as usize)
+        .ok_or(HpackDecodeError::IntegerOverflow)?;
+    if buf.len() < end {
+        return Err(HpackDecodeError::Truncated);
+    }
+    let raw = &buf[used..end];
+    if huffman_coded {
+        let mut bytes = std::mem::take(out).into_bytes();
+        bytes.clear();
+        huffman::decode_into(raw, &mut bytes)?;
+        *out = String::from_utf8(bytes).map_err(|_| invalid)?;
+    } else {
+        assign(out, std::str::from_utf8(raw).map_err(|_| invalid)?);
+    }
+    Ok(end)
 }
 
 #[cfg(test)]
@@ -302,6 +357,36 @@ mod tests {
         // Literal with incremental indexing, name length 10, but no bytes.
         let block = [0x40, 0x0a];
         assert_eq!(dec.decode_block(&block), Err(HpackDecodeError::Truncated));
+    }
+
+    #[test]
+    fn non_utf8_bytes_name_the_field_they_corrupt() {
+        // Literal without indexing, new name "a", raw value 0xff.
+        let mut dec = Decoder::new();
+        assert_eq!(
+            dec.decode_block(&[0x00, 0x01, b'a', 0x01, 0xff]),
+            Err(HpackDecodeError::InvalidHeaderValue)
+        );
+        // The same bytes with name and value swapped.
+        assert_eq!(
+            dec.decode_block(&[0x00, 0x01, 0xff, 0x01, b'a']),
+            Err(HpackDecodeError::InvalidHeaderName)
+        );
+    }
+
+    #[test]
+    fn decode_into_overwrites_grows_and_truncates_in_place() {
+        let mut enc = Encoder::new();
+        let mut dec = Decoder::new();
+        let long = vec![h(":status", "200"), h("server", "x"), h("x-a", "b")];
+        let mut out = vec![h("junk-name", "junk-value"); 5];
+        dec.decode_block_into(&enc.encode_block(&long), &mut out)
+            .unwrap();
+        assert_eq!(out, long);
+        let short = [h(":status", "404")];
+        dec.decode_block_into(&enc.encode_block(&short), &mut out)
+            .unwrap();
+        assert_eq!(out, short);
     }
 
     #[test]

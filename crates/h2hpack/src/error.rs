@@ -31,6 +31,8 @@ pub enum HpackDecodeError {
     LateTableSizeUpdate,
     /// A header name contained bytes outside the token charset.
     InvalidHeaderName,
+    /// A header value was not valid UTF-8 text.
+    InvalidHeaderValue,
 }
 
 impl fmt::Display for HpackDecodeError {
@@ -47,6 +49,7 @@ impl fmt::Display for HpackDecodeError {
                 f.write_str("dynamic table size update after first header field")
             }
             HpackDecodeError::InvalidHeaderName => f.write_str("invalid header field name"),
+            HpackDecodeError::InvalidHeaderValue => f.write_str("invalid header field value"),
         }
     }
 }
@@ -70,6 +73,7 @@ mod tests {
             },
             HpackDecodeError::LateTableSizeUpdate,
             HpackDecodeError::InvalidHeaderName,
+            HpackDecodeError::InvalidHeaderValue,
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

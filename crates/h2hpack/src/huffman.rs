@@ -350,12 +350,26 @@ fn trie() -> &'static DecodeTrie {
 ///
 /// # Errors
 ///
+/// See [`decode_into`].
+pub fn decode(input: &[u8]) -> Result<Vec<u8>, HpackDecodeError> {
+    let mut out = Vec::with_capacity(input.len() * 2);
+    decode_into(input, &mut out)?;
+    Ok(out)
+}
+
+/// Decodes a Huffman-coded string, appending the octets to `out`. Space
+/// for the longest possible result (every symbol 5 bits) is reserved up
+/// front, so a decode grows `out` at most once.
+///
+/// # Errors
+///
 /// Returns [`HpackDecodeError::InvalidHuffman`] when the input contains the
 /// EOS symbol, when padding is longer than seven bits, or when padding does
-/// not match the most significant bits of EOS (RFC 7541 §5.2).
-pub fn decode(input: &[u8]) -> Result<Vec<u8>, HpackDecodeError> {
+/// not match the most significant bits of EOS (RFC 7541 §5.2). `out` may
+/// then hold part of the decoded octets.
+pub fn decode_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), HpackDecodeError> {
     let trie = trie();
-    let mut out = Vec::with_capacity(input.len() * 2);
+    out.reserve(input.len() * 8 / 5);
     let mut node = 0usize;
     let mut bits_since_symbol = 0u32;
     let mut all_ones_since_symbol = true;
@@ -384,7 +398,7 @@ pub fn decode(input: &[u8]) -> Result<Vec<u8>, HpackDecodeError> {
     if bits_since_symbol > 7 || !all_ones_since_symbol {
         return Err(HpackDecodeError::InvalidHuffman);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -30,7 +30,93 @@ fn arb_policy() -> impl Strategy<Value = IndexingPolicy> {
     ]
 }
 
+/// `text` in a `String` with `spare` octets of capacity beyond it.
+fn with_spare(text: &str, spare: usize) -> String {
+    let mut s = String::with_capacity(text.len() + spare);
+    s.push_str(text);
+    s
+}
+
+/// A stale header list a caller hands back for reuse: random length,
+/// random contents, spare capacity in the list and in every string.
+fn arb_junk_list() -> impl Strategy<Value = Vec<Header>> {
+    let field = ("[ -~]{0,30}", "[ -~]{0,30}", 0usize..48);
+    (prop::collection::vec(field, 0..16), 0usize..8).prop_map(|(fields, spare)| {
+        let mut list = Vec::with_capacity(fields.len() + spare);
+        for (name, value, extra) in fields {
+            list.push(Header {
+                name: with_spare(&name, extra),
+                value: with_spare(&value, extra / 2),
+            });
+        }
+        list
+    })
+}
+
 proptest! {
+    /// Decoding in place into one reused list — whatever it held — gives
+    /// exactly what a fresh decode gives, block after block, and leaves
+    /// the dynamic table in the same state; a corrupted block fails (or
+    /// succeeds) the same way on both paths.
+    #[test]
+    fn decode_into_a_reused_list_matches_a_fresh_decode(
+        blocks in prop::collection::vec(prop::collection::vec(arb_header(), 0..12), 1..5),
+        policy in arb_policy(),
+        use_huffman in any::<bool>(),
+        table_size in prop_oneof![Just(0u32), Just(96), Just(4096)],
+        junk in arb_junk_list(),
+        corruption in (any::<prop::sample::Index>(), 1u8..=255),
+    ) {
+        let mut enc = Encoder::with_options(EncoderOptions {
+            indexing: policy,
+            use_huffman,
+            max_table_size: table_size,
+        });
+        let mut fresh = Decoder::with_table_size(table_size);
+        let mut reused = Decoder::with_table_size(table_size);
+        let mut out = junk;
+        for headers in &blocks {
+            let block = enc.encode_block(headers);
+            let want = fresh.decode_block(&block).expect("well-formed block");
+            reused
+                .decode_block_into(&block, &mut out)
+                .expect("well-formed block");
+            prop_assert_eq!(&out, &want);
+            prop_assert_eq!(reused.table().size(), fresh.table().size());
+            prop_assert_eq!(reused.table().len(), fresh.table().len());
+            prop_assert_eq!(reused.table().evictions(), fresh.table().evictions());
+        }
+        let (at, flip) = corruption;
+        let mut block = enc.encode_block(&blocks[0]);
+        if block.is_empty() {
+            block.push(flip);
+        } else {
+            let i = at.index(block.len());
+            block[i] ^= flip;
+        }
+        match fresh.decode_block(&block) {
+            Ok(want) => {
+                prop_assert_eq!(reused.decode_block_into(&block, &mut out), Ok(()));
+                prop_assert_eq!(&out, &want);
+            }
+            Err(e) => prop_assert_eq!(reused.decode_block_into(&block, &mut out), Err(e)),
+        }
+    }
+
+    /// `huffman::decode_into` appends after whatever its output holds.
+    #[test]
+    fn huffman_decode_into_appends(
+        prefix in prop::collection::vec(any::<u8>(), 0..16),
+        data in prop::collection::vec(any::<u8>(), 0..120),
+    ) {
+        let mut coded = Vec::new();
+        huffman::encode(&data, &mut coded);
+        let mut out = prefix.clone();
+        huffman::decode_into(&coded, &mut out).expect("valid");
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&out[prefix.len()..], &data[..]);
+    }
+
     /// Encoder → decoder is the identity on header lists, across multiple
     /// blocks sharing one connection context.
     #[test]

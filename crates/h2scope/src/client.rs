@@ -5,6 +5,14 @@
 //! (zero window updates, self-dependencies, oversized increments) that no
 //! general-purpose HTTP/2 library would emit, and to observe exactly
 //! which frames come back and in what order.
+//!
+//! A connection keeps none of what it receives: [`ProbeConn::exchange`]
+//! hands the new frames to the probe and forgets them, remembering only
+//! the peer's first SETTINGS. Header blocks are HPACK-decoded in place
+//! into the list the previous block was decoded into, once every caller
+//! has let go of it.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 use h2hpack::{Decoder as HpackDecoder, Encoder as HpackEncoder, Header};
@@ -31,11 +39,11 @@ pub struct TimedFrame {
     /// For HEADERS/PUSH_PROMISE frames completing a header block: the
     /// HPACK-decoded list. Decoded eagerly, in arrival order, because
     /// HPACK contexts are stateful — skipping a block would corrupt every
-    /// later decode. Shared (`Arc`) because every frame is retained in
-    /// [`ProbeConn::received`] as well as returned to the probe, and the
-    /// retained copy should be a refcount bump, not a re-allocation of
-    /// every header string.
-    pub headers: Option<std::sync::Arc<Vec<Header>>>,
+    /// later decode. Shared (`Arc`) with the connection, which decodes
+    /// the next block into this same list in place once the probe has
+    /// dropped every handle to it, instead of allocating every header
+    /// string afresh.
+    pub headers: Option<Arc<Vec<Header>>>,
 }
 
 /// DATA payload octets among `frames`: the body a peer managed to emit.
@@ -56,8 +64,11 @@ pub struct ProbeConn {
     hpack_encoder: HpackEncoder,
     assembler: h2conn::HeaderAssembler,
     authority: String,
-    /// Every frame received so far, in arrival order.
-    pub received: Vec<TimedFrame>,
+    /// The peer's first non-ack SETTINGS, captured when it arrives.
+    peer_settings: Option<Settings>,
+    /// The list the last header block was decoded into; reused in place
+    /// for the next block when this is the only handle left.
+    last_headers: Option<Arc<Vec<Header>>>,
     /// Deadline for the whole connection in simulated time (`None` =
     /// testbed mode: run to quiescence, panic on garbage).
     deadline: Option<SimTime>,
@@ -111,7 +122,8 @@ impl ProbeConn {
             hpack_encoder: HpackEncoder::new(),
             assembler: h2conn::HeaderAssembler::new(),
             authority: target.site.authority.clone(),
-            received: Vec::new(),
+            peer_settings: None,
+            last_headers: None,
             deadline: target.patience.map(|p| SimTime::ZERO + p),
             dead: false,
             log: target.fault_log.clone(),
@@ -239,8 +251,10 @@ impl ProbeConn {
         ]
     }
 
-    /// Runs the network and returns (and retains) the newly received
-    /// frames, with header blocks HPACK-decoded in arrival order.
+    /// Runs the network and returns the newly received frames, with
+    /// header blocks HPACK-decoded in arrival order. The connection keeps
+    /// none of them; only the peer's first SETTINGS is remembered (see
+    /// [`ProbeConn::server_settings`]).
     ///
     /// Without a deadline (testbed mode) the pipe runs to quiescence and
     /// unparseable server output panics — bugs in the engine, not
@@ -281,6 +295,11 @@ impl ProbeConn {
                 };
                 self.obs
                     .frame_received(frame.kind().to_u8(), arrival.at.as_nanos());
+                if let Frame::Settings(s) = &frame {
+                    if !s.ack && self.peer_settings.is_none() {
+                        self.peer_settings = Some(s.settings.clone());
+                    }
+                }
                 new_frames.push(TimedFrame {
                     at: arrival.at,
                     frame,
@@ -301,7 +320,6 @@ impl ProbeConn {
                 RunOutcome::ConnectionReset => self.fail(ProbeFailure::ConnReset),
             }
         }
-        self.received.extend(new_frames.iter().cloned());
         new_frames
     }
 
@@ -350,7 +368,7 @@ impl ProbeConn {
     fn try_decode_block_of(
         &mut self,
         frame: &Frame,
-    ) -> Result<Option<std::sync::Arc<Vec<Header>>>, &'static str> {
+    ) -> Result<Option<Arc<Vec<Header>>>, &'static str> {
         use h2conn::BlockKind;
         let complete = match frame {
             Frame::Headers(h) => self.assembler.start(
@@ -375,14 +393,20 @@ impl ProbeConn {
             _ => return Ok(None),
         }
         .map_err(|_| "server respects continuation discipline")?;
-        match complete {
-            Some(block) => Ok(Some(std::sync::Arc::new(
-                self.hpack_decoder
-                    .decode_block(&block.fragment)
-                    .map_err(|_| "server header blocks decode")?,
-            ))),
-            None => Ok(None),
-        }
+        let Some(block) = complete else {
+            return Ok(None);
+        };
+        let decoded = match self.last_headers.as_mut().and_then(Arc::get_mut) {
+            Some(list) => self.hpack_decoder.decode_block_into(&block.fragment, list),
+            None => self
+                .hpack_decoder
+                .decode_block(&block.fragment)
+                .map(|list| {
+                    self.last_headers = Some(Arc::new(list));
+                }),
+        };
+        decoded.map_err(|_| "server header blocks decode")?;
+        Ok(self.last_headers.clone())
     }
 
     /// Sends WINDOW_UPDATE frames replenishing both the connection window
@@ -459,12 +483,10 @@ impl ProbeConn {
         (all, at)
     }
 
-    /// Convenience: the settings frame the server announced, if received.
+    /// Convenience: the settings frame the server announced (its first
+    /// non-ack SETTINGS), if received.
     pub fn server_settings(&self) -> Option<&Settings> {
-        self.received.iter().find_map(|tf| match &tf.frame {
-            Frame::Settings(s) if !s.ack => Some(&s.settings),
-            _ => None,
-        })
+        self.peer_settings.as_ref()
     }
 
     /// Convenience: the announced value of one parameter.
@@ -529,6 +551,43 @@ mod tests {
     }
 
     #[test]
+    fn announced_settings_survive_a_long_connection() {
+        let mut conn = ProbeConn::establish(&target(), Settings::new(), 1);
+        conn.exchange();
+        for k in 0..200 {
+            let (frames, _) = conn.fetch(1 + 2 * k, "/");
+            assert!(!frames.is_empty());
+        }
+        assert_eq!(conn.announced(SettingId::MaxConcurrentStreams), Some(100));
+    }
+
+    #[test]
+    fn a_released_header_list_is_reused_and_a_held_one_is_not() {
+        let mut conn = ProbeConn::establish(&target(), Settings::new(), 1);
+        conn.exchange();
+        let list_of = |frames: &[TimedFrame]| {
+            frames
+                .iter()
+                .find_map(|tf| tf.headers.clone())
+                .expect("a response header block")
+        };
+        let held = list_of(&conn.fetch(1, "/").0);
+        let second = list_of(&conn.fetch(3, "/").0);
+        assert!(
+            !Arc::ptr_eq(&held, &second),
+            "a held list is never overwritten"
+        );
+        assert!(held.iter().any(|h| h.name == ":status"));
+        let at = Arc::as_ptr(&second);
+        drop(second);
+        let third = list_of(&conn.fetch(5, "/").0);
+        assert_eq!(Arc::as_ptr(&third), at, "a released list is decoded into");
+        assert!(third
+            .iter()
+            .any(|h| h.name == ":status" && h.value == "200"));
+    }
+
+    #[test]
     fn guarded_connection_records_one_malformed_and_keeps_earlier_frames() {
         use netsim::time::SimDuration;
         let guarded = |profile: ServerProfile| {
@@ -547,26 +606,33 @@ mod tests {
         let mut conn = ProbeConn::establish(&target, Settings::new(), 1);
         assert!(conn.exchange().is_empty());
         assert!(conn.is_dead());
-        assert!(conn.exchange().is_empty() && conn.received.is_empty());
+        assert!(conn.exchange().is_empty());
+        assert!(conn.server_settings().is_none());
         assert_eq!(target.fault_log.len(), 1);
         assert_eq!(target.fault_log.first(), Some(ProbeFailure::Malformed));
 
         // A segment that goes bad part-way (a DATA frame this decoder
         // refuses, behind the response HEADERS): the frames before the
-        // bad one are returned and retained, the rest is dropped.
+        // bad one are returned, decoded, and the rest is dropped.
         let target = guarded(ServerProfile::rfc7540());
         let mut conn = ProbeConn::establish(&target, Settings::new(), 1);
-        conn.exchange();
-        let handshake = conn.received.len();
+        assert!(!conn.exchange().is_empty());
         conn.decoder.set_max_frame_size(1_024);
         conn.get(1, "/big/0", None);
         let frames = conn.exchange();
-        assert!(matches!(
-            frames.last().map(|tf| &tf.frame),
-            Some(Frame::Headers(h)) if h.stream_id.value() == 1
-        ));
-        assert_eq!(conn.received[handshake..], frames[..]);
+        let Some(last) = frames.last() else {
+            panic!("the response HEADERS arrive before the bad frame");
+        };
+        assert!(matches!(&last.frame, Frame::Headers(h) if h.stream_id.value() == 1));
+        let status = last.headers.as_ref().and_then(|hs| {
+            hs.iter()
+                .find(|h| h.name == ":status")
+                .map(|h| h.value.clone())
+        });
+        assert_eq!(status.as_deref(), Some("200"));
+        assert!(!frames.iter().any(|tf| matches!(tf.frame, Frame::Data(_))));
         assert!(conn.is_dead());
+        assert!(conn.exchange().is_empty());
         assert_eq!(target.fault_log.len(), 1);
         assert_eq!(target.fault_log.first(), Some(ProbeFailure::Malformed));
     }

@@ -479,6 +479,7 @@ impl H2Server {
                         );
                     } else {
                         self.handle_request(stream, &headers, out);
+                        self.core.recycle_headers(headers);
                     }
                 }
                 CoreEvent::HeaderBlockProgress { accumulated, .. } => {

@@ -62,8 +62,10 @@ PY
 # (exit 3) and resumed at a different thread count must finalize a record
 # byte-identical to an uninterrupted one (and must refuse a partial
 # whose row index or a field key was flipped, exit 2), `repro diff` and
-# `repro serve` must work from disk alone, a torn record is exit 5 and a
-# record whose meta line was edited is exit 6.
+# `repro serve` must work from disk alone — the serve response digest the
+# same on one worker as on four, though each connection reuses its
+# decoded header lists — a torn record is exit 5 and a record whose meta
+# line was edited is exit 6.
 resume() {
     "$repro" adoption --exp 1 --scale 0.01 --threads 1 --faults flaky --seed 42 --record golden.h2c
     local status=0
@@ -101,7 +103,10 @@ resume() {
     grep -q 'LONGITUDINAL DIFF' diff.txt
     "$repro" serve golden.h2c second.h2c --threads 4 --queries 2000 --hostile | tee serve.txt
     grep -q '2000 queries answered' serve.txt
-    grep -q 'response digest' serve.txt
+    grep 'response digest' serve.txt > digest4.txt
+    "$repro" serve golden.h2c second.h2c --threads 1 --queries 2000 --hostile > serve1.txt
+    grep 'response digest' serve1.txt > digest1.txt
+    cmp digest1.txt digest4.txt
     sed '3d' golden.h2c > torn.h2c
     status=0
     "$repro" serve torn.h2c || status=$?

@@ -11,10 +11,12 @@
 //! of silently halving throughput.
 //!
 //! The survey budget is calibrated with headroom above the current count
-//! (~2.5k allocations for the testbed survey below; the benchmark's
-//! `h2scope.survey_allocs` measures 2,831 per wild site) — it guards
-//! against coarse regressions, not single allocations. The flat-cost guards compare two windows of one run and
-//! need no calibration.
+//! (~1.9k allocations for the testbed survey below, down from 2,335 once
+//! connections stopped keeping a frame history and header lists were
+//! decoded in place) — it guards against coarse regressions, not single
+//! allocations. The warm-request ceiling sits just above its count
+//! (22.0 per request). The flat-cost guards compare two windows of one
+//! run and need no calibration.
 
 #![allow(
     unsafe_code,
@@ -114,6 +116,36 @@ fn generated_sites_cost_paths_not_bodies() {
         octets < 64 * 1024,
         "{octets} octets per generated site: unrequested bodies are being filled in"
     );
+}
+
+/// A warm request on a long-lived connection allocates only what its
+/// caller keeps: no frame history on the client, and header lists decoded
+/// into the ones the previous request let go of, on both ends.
+#[test]
+fn a_warm_request_stays_under_its_allocation_ceiling() {
+    const REQUESTS: u64 = 100;
+    let mut conn = serve_connection();
+    let mut fetch = |stream: u64| {
+        let (frames, _) = conn.fetch(1 + 2 * stream as u32, "/");
+        assert!(!frames.is_empty(), "request {stream} is answered");
+    };
+    (0..100).for_each(&mut fetch);
+    let ((), calls, _) = spent(|| (100..100 + REQUESTS).for_each(&mut fetch));
+    let per_request = calls as f64 / REQUESTS as f64;
+    eprintln!("warm request: {per_request:.2} allocations");
+    assert!(
+        per_request <= 25.0,
+        "requests 100..200 allocated {per_request:.2} times each (ceiling 25)"
+    );
+}
+
+/// A connection to the `repro serve` daemon's profile.
+fn serve_connection() -> ProbeConn {
+    let mut profile = ServerProfile::nghttpd();
+    profile.behavior.stall_timeout = Some(SimDuration::from_secs(30));
+    profile.behavior.rst_rate_limit = Some(32);
+    let target = Target::testbed(profile, SiteSpec::benchmark());
+    ProbeConn::establish(&target, Settings::new(), 7)
 }
 
 /// A request allocates the same late in a long-lived connection as early
