@@ -23,7 +23,7 @@ fn reaction_cell(reaction: Reaction) -> &'static str {
 }
 
 /// Renders the §V-style robustness matrix: one row per profile, one
-/// column per abuse probe, the measured reaction in each cell.
+/// column per abuse bound, the measured reaction in each cell.
 pub fn render_robustness(rows: &[RobustnessRow]) -> String {
     let mut out = String::new();
     out.push_str("Robustness matrix (reaction when the abuse bound is crossed)\n");

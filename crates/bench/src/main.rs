@@ -344,7 +344,9 @@ fn run_probe(options: &Options) -> ! {
         usage_error(&format!(
             "probe needs one server profile, got {:?}; known profiles: {}",
             options.command_args,
-            h2server::ServerProfile::all().map(|(name, _)| name).join(", ")
+            h2server::ServerProfile::all()
+                .map(|(name, _)| name)
+                .join(", ")
         ))
     };
     print!("{}", tables::table3_column(profile));

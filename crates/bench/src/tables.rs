@@ -390,7 +390,11 @@ mod tests {
                 .iter()
                 .map(|row| {
                     let cell = row.get(42 + 13 * i..).unwrap_or_default();
-                    format!("{}{}", &row[..42], cell.get(..13).unwrap_or(cell).trim_end())
+                    format!(
+                        "{}{}",
+                        &row[..42],
+                        cell.get(..13).unwrap_or(cell).trim_end()
+                    )
                 })
                 .collect();
             let column = table3_column(profile);

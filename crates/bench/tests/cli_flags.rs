@@ -141,7 +141,10 @@ fn stray_positionals_and_unknown_profiles_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} still ran");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("takes no arguments"), "{args:?}: {stderr:?}");
+        assert!(
+            stderr.contains("takes no arguments"),
+            "{args:?}: {stderr:?}"
+        );
     }
     for args in [
         &["probe"][..],

@@ -13,13 +13,12 @@
 //!    report depends on the target's profile and site, not on a seed.
 //! 2. [`matrix`]: the per-profile robustness quirk matrix — which
 //!    servers bound each abuse vector, and how they react when the
-//!    bound is crossed, built on the `h2scope::probes::abuse` suite —
-//!    and the attack matrix, every vector run once against every
-//!    profile.
+//!    bound is crossed, measured by engaging the vectors past every
+//!    profile's bound — and the attack matrix, every vector run once
+//!    at its attacker volume against every profile.
 //!
-//! The three §VI capacity experiments in [`dos`] (slow receiver, table
-//! thrash, priority churn) convert into the unified [`AttackReport`]
-//! schema, so `repro abuse` reports every vector in one grid.
+//! Every engagement reports through one [`AttackReport`] schema, so
+//! `repro abuse` prints every vector in one grid.
 //!
 //! ```
 //! use h2attack::{run, AttackVector};
@@ -36,11 +35,12 @@
 
 #![warn(missing_docs)]
 
-pub mod dos;
 pub mod matrix;
 pub mod report;
 pub mod vectors;
 
-pub use matrix::{attack_matrix, robustness_matrix, AttackRow, RobustnessRow};
+pub use matrix::{
+    attack_matrix, hardening, robustness_matrix, AbuseHardeningReport, AttackRow, RobustnessRow,
+};
 pub use report::AttackReport;
-pub use vectors::{run, AttackVector};
+pub use vectors::{engage, run, AttackVector};

@@ -1,50 +1,36 @@
-//! The malicious-client generator: seven abuse vectors, each running
-//! in virtual time against one target.
+//! The malicious-client generator: seven abuse vectors, each one
+//! engagement in virtual time against one target, at a volume the
+//! caller picks.
 //!
 //! A run takes a seed, but no report depends on it — nor on the
-//! target's own seed: every vector's exchange is fixed by the profile
-//! and the site, which is what lets `repro abuse` print the attack
-//! matrix at seed 0 instead of sampling it. The volumes here are
-//! *attacker* volumes, small enough that the 7 × 7 matrix runs in a
-//! blink. The `h2scope::probes::abuse` suite uses larger,
-//! limit-exceeding volumes for the robustness matrix; both exist so
-//! that probing a bound and simulating an attacker stay distinct jobs.
+//! target's own seed: every vector's exchange is fixed by the profile,
+//! the site and the volume, which is what lets `repro abuse` print its
+//! matrices at seed 0 instead of sampling them. [`run`] engages at each
+//! vector's attacker volume ([`AttackVector::volume`]), small enough
+//! that the 7 × 7 attack matrix runs in a blink; the robustness matrix
+//! ([`crate::matrix`]) engages the same vectors at volumes past every
+//! profile's bound.
 
 use h2hpack::Header;
-use h2scope::client::data_octets;
-use h2scope::{classify_reaction, ProbeConn, Target};
+use h2scope::{classify_reaction, ProbeConn, Reaction, Target};
 use h2wire::{
-    DataFrame, ErrorCode, Frame, PingFrame, RstStreamFrame, SettingId, Settings, SettingsFrame,
-    StreamId,
+    DataFrame, ErrorCode, Frame, PingFrame, PriorityFrame, PrioritySpec, RstStreamFrame, SettingId,
+    Settings, SettingsFrame, StreamId,
 };
 use netsim::time::SimDuration;
 
-use crate::dos;
 use crate::report::AttackReport;
 
 /// Octets of the connection prelude every vector pays: the client
-/// preface (24) plus an empty SETTINGS frame (9 + 6 of padding slack
-/// kept for parity with the [`crate::dos`] ledger).
+/// preface (24) plus an empty SETTINGS frame (9). The last 6 over-count
+/// that frame; they stay because `ABUSE_campaign.json` pins every
+/// `attacker_octets` built on them.
 const PRELUDE_OCTETS: u64 = 24 + 9 + 6;
 
-/// Request+RST pairs in a rapid-reset engagement.
-pub const RAPID_RESET_STREAMS: u32 = 48;
-/// CONTINUATION fragments (1 KiB each) in a flood engagement.
-pub const CONTINUATION_FLOOD_FRAGMENTS: u32 = 32;
-/// Large objects a slow reader pins at a 1-octet window.
-pub const SLOW_READ_STREAMS: u32 = 4;
 /// How long the slow reader goes silent before its liveness PING.
 pub const SLOW_READ_STALL_SECS: u64 = 90;
-/// DATA trickles in a slow-POST engagement.
-pub const SLOW_POST_TRICKLES: u32 = 6;
 /// Quiet gap between slow-POST trickles.
 pub const SLOW_POST_GAP_SECS: u64 = 10;
-/// SETTINGS frames in a flood engagement.
-pub const SETTINGS_FLOOD_FRAMES: u32 = 120;
-/// Requests in a table-thrash engagement.
-pub const TABLE_THRASH_REQUESTS: u32 = 48;
-/// Idle-stream chain depth in a priority-churn engagement.
-pub const PRIORITY_CHURN_DEPTH: u32 = 32;
 /// Chain reversals in a priority-churn engagement.
 pub const PRIORITY_CHURN_ROUNDS: u32 = 8;
 
@@ -58,19 +44,18 @@ pub enum AttackVector {
     /// then CONTINUATION fragments forever (RFC 7540 §4.3 sets no cap).
     ContinuationFlood,
     /// Advertise a 1-octet window, request large objects, go silent —
-    /// the paper's slow-receiver memory pin (reported through the
-    /// [`dos::slow_receiver`] ledger).
+    /// the paper's slow-receiver memory pin.
     SlowRead,
     /// Announce a request body and trickle it an octet at a time with
     /// long quiet gaps, holding request state open indefinitely.
     SlowPost,
     /// SETTINGS frames in bulk: each extorts an ack (RFC 7540 §6.5.3).
     SettingsFlood,
-    /// Announce a huge header table and thrash insertions into it
-    /// (runs [`dos::table_thrash`]).
+    /// Announce a huge header table and request responses that insert
+    /// into it (§VI's `SETTINGS_HEADER_TABLE_SIZE` concern).
     TableThrash,
-    /// Deep idle-stream dependency chains, repeatedly reversed (runs
-    /// [`dos::priority_churn`]).
+    /// Deep idle-stream dependency chains, repeatedly reversed (§VI's
+    /// algorithmic-complexity concern).
     PriorityChurn,
 }
 
@@ -98,6 +83,22 @@ impl AttackVector {
             AttackVector::PriorityChurn => "priority-churn",
         }
     }
+
+    /// The attacker volume [`run`] engages at, in the vector's own unit:
+    /// request+RST pairs, 1 KiB CONTINUATION fragments, large objects
+    /// read at a 1-octet window, body trickles, SETTINGS frames,
+    /// requests, or the depth of the idle-stream chain.
+    pub fn volume(self) -> u32 {
+        match self {
+            AttackVector::RapidReset => 48,
+            AttackVector::ContinuationFlood => 32,
+            AttackVector::SlowRead => 4,
+            AttackVector::SlowPost => 6,
+            AttackVector::SettingsFlood => 120,
+            AttackVector::TableThrash => 48,
+            AttackVector::PriorityChurn => 32,
+        }
+    }
 }
 
 impl std::fmt::Display for AttackVector {
@@ -106,26 +107,33 @@ impl std::fmt::Display for AttackVector {
     }
 }
 
-/// Runs one vector against `target`, seeded so the whole engagement —
-/// connection randomness included — replays deterministically.
+/// Runs one vector against `target` at its attacker volume, seeded so
+/// the whole engagement — connection randomness included — replays
+/// deterministically.
 pub fn run(vector: AttackVector, target: &Target, seed: u64) -> AttackReport {
+    engage(vector, target, seed, vector.volume())
+}
+
+/// Runs one vector against `target` at `volume` (in the unit
+/// [`AttackVector::volume`] names).
+pub fn engage(vector: AttackVector, target: &Target, seed: u64, volume: u32) -> AttackReport {
     match vector {
-        AttackVector::RapidReset => rapid_reset(target, seed),
-        AttackVector::ContinuationFlood => continuation_flood(target, seed),
-        AttackVector::SlowRead => slow_read(target, seed),
-        AttackVector::SlowPost => slow_post(target, seed),
-        AttackVector::SettingsFlood => settings_flood(target, seed),
-        AttackVector::TableThrash => table_thrash(target),
-        AttackVector::PriorityChurn => priority_churn(target),
+        AttackVector::RapidReset => rapid_reset(target, seed, volume),
+        AttackVector::ContinuationFlood => continuation_flood(target, seed, volume),
+        AttackVector::SlowRead => slow_read(target, seed, volume),
+        AttackVector::SlowPost => slow_post(target, seed, volume),
+        AttackVector::SettingsFlood => settings_flood(target, seed, volume),
+        AttackVector::TableThrash => table_thrash(target, seed, volume),
+        AttackVector::PriorityChurn => priority_churn(target, seed, volume),
     }
 }
 
-fn rapid_reset(target: &Target, seed: u64) -> AttackReport {
+fn rapid_reset(target: &Target, seed: u64, streams: u32) -> AttackReport {
     let mut conn = ProbeConn::establish(target, Settings::new(), seed ^ 0x5e5e7);
     let mut received = conn.exchange();
     let mut frames = 1u64;
     let mut octets = PRELUDE_OCTETS;
-    for k in 0..RAPID_RESET_STREAMS {
+    for k in 0..streams {
         let header_len = conn.get(1 + 2 * k, "/", None) as u64;
         conn.send(Frame::RstStream(RstStreamFrame {
             stream_id: StreamId::new(1 + 2 * k),
@@ -149,7 +157,7 @@ fn rapid_reset(target: &Target, seed: u64) -> AttackReport {
     )
 }
 
-fn continuation_flood(target: &Target, seed: u64) -> AttackReport {
+fn continuation_flood(target: &Target, seed: u64, fragments: u32) -> AttackReport {
     let mut conn = ProbeConn::establish(target, Settings::new(), seed ^ 0xc047);
     let mut received = conn.exchange();
     let fragment = vec![0u8; 1_024];
@@ -163,7 +171,7 @@ fn continuation_flood(target: &Target, seed: u64) -> AttackReport {
     }));
     let mut frames = 2u64;
     let mut octets = PRELUDE_OCTETS.saturating_add(9 + 1_024);
-    for _ in 0..CONTINUATION_FLOOD_FRAGMENTS {
+    for _ in 0..fragments {
         if conn.is_dead() {
             break;
         }
@@ -187,42 +195,39 @@ fn continuation_flood(target: &Target, seed: u64) -> AttackReport {
     )
 }
 
-fn slow_read(target: &Target, seed: u64) -> AttackReport {
+/// Flow control as a memory pin (Sherwood et al.'s misbehaving TCP
+/// receiver lifted to HTTP/2): the server commits the response bodies
+/// to its send queue, where they sit for as long as the reader stalls.
+fn slow_read(target: &Target, seed: u64, streams: u32) -> AttackReport {
     let settings = Settings::new().with(SettingId::InitialWindowSize, 1);
     let mut conn = ProbeConn::establish(target, settings, seed ^ 0x510_ead);
     let mut received = conn.exchange();
     let mut frames = 1u64;
     let mut octets = PRELUDE_OCTETS;
-    for k in 0..SLOW_READ_STREAMS {
+    for k in 0..streams {
         let path = format!("/big/{}", 1 + (k % 7));
         let header_len = conn.get(1 + 2 * k, &path, None) as u64;
         frames = frames.saturating_add(1);
         octets = octets.saturating_add(9 + header_len);
     }
     received.extend(conn.exchange());
-    let leaked = data_octets(&received);
     // Silence: the attacker holds the connection open without reading.
     conn.advance(SimDuration::from_secs(SLOW_READ_STALL_SECS));
     conn.send(Frame::Ping(PingFrame::request([0x51; 8])));
     frames = frames.saturating_add(1);
     octets = octets.saturating_add(17);
     received.extend(conn.exchange());
-    let folded = dos::SlowReceiverReport {
-        attacker_octets: octets,
-        pinned_octets: conn.server().pending_response_octets(),
-        amplification: conn
-            .server()
-            .pending_response_octets()
-            .checked_div(octets)
-            .unwrap_or(0),
-        leaked_octets: leaked,
-    };
-    let mut report = AttackReport::from_slow_receiver(&folded, classify_reaction(&received));
-    report.attacker_frames = frames;
-    report
+    AttackReport::new(
+        AttackVector::SlowRead,
+        frames,
+        octets,
+        conn.server().pending_response_octets(),
+        "pinned octets",
+        classify_reaction(&received),
+    )
 }
 
-fn slow_post(target: &Target, seed: u64) -> AttackReport {
+fn slow_post(target: &Target, seed: u64, trickles: u32) -> AttackReport {
     let mut conn = ProbeConn::establish(target, Settings::new(), seed ^ 0x510_0057);
     let mut received = conn.exchange();
     let headers = vec![
@@ -236,7 +241,7 @@ fn slow_post(target: &Target, seed: u64) -> AttackReport {
     let mut frames = 2u64;
     let mut octets = PRELUDE_OCTETS.saturating_add(9 + header_len);
     received.extend(conn.exchange());
-    for k in 0..SLOW_POST_TRICKLES {
+    for k in 0..trickles {
         if conn.is_dead() {
             break;
         }
@@ -262,16 +267,16 @@ fn slow_post(target: &Target, seed: u64) -> AttackReport {
     )
 }
 
-fn settings_flood(target: &Target, seed: u64) -> AttackReport {
+fn settings_flood(target: &Target, seed: u64, count: u32) -> AttackReport {
     let mut conn = ProbeConn::establish(target, Settings::new(), seed ^ 0x5e77f);
     let mut received = conn.exchange();
     let mut frames = 1u64;
     let mut octets = PRELUDE_OCTETS;
     let mut batch = Vec::with_capacity(16);
     let mut sent = 0u32;
-    while sent < SETTINGS_FLOOD_FRAMES && !conn.is_dead() {
+    while sent < count && !conn.is_dead() {
         batch.clear();
-        while batch.len() < 16 && sent < SETTINGS_FLOOD_FRAMES {
+        while batch.len() < 16 && sent < count {
             batch.push(Frame::Settings(SettingsFrame::from(Settings::new())));
             sent = sent.saturating_add(1);
         }
@@ -294,17 +299,70 @@ fn settings_flood(target: &Target, seed: u64) -> AttackReport {
     )
 }
 
-fn table_thrash(target: &Target) -> AttackReport {
-    let r = dos::table_thrash::attack(target, 1 << 26, TABLE_THRASH_REQUESTS);
+/// HPACK memory pressure: announce a 64 MiB header table, then request
+/// responses whose changing headers the server's encoder inserts. The
+/// cost is the octets the server's encoder table holds afterwards.
+fn table_thrash(target: &Target, seed: u64, requests: u32) -> AttackReport {
+    let settings = Settings::new().with(SettingId::HeaderTableSize, 1 << 26);
+    let mut conn = ProbeConn::establish(target, settings, seed ^ 0x7ab1e);
+    conn.exchange();
+    for k in 0..requests {
+        conn.fetch(1 + 2 * k, "/");
+    }
     // The thrash's wire cost is its requests: ~40 octets of HEADERS each
     // once the static entries are table hits, plus the prelude.
-    let octets = PRELUDE_OCTETS.saturating_add(u64::from(r.requests).saturating_mul(49));
-    AttackReport::from_table_thrash(&r, octets)
+    let octets = PRELUDE_OCTETS.saturating_add(u64::from(requests).saturating_mul(49));
+    AttackReport::new(
+        AttackVector::TableThrash,
+        u64::from(requests),
+        octets,
+        conn.server().encoder_table_octets(),
+        "table octets",
+        Reaction::Ignored,
+    )
 }
 
-fn priority_churn(target: &Target) -> AttackReport {
-    let r = dos::priority_churn::attack(target, PRIORITY_CHURN_DEPTH, PRIORITY_CHURN_ROUNDS);
-    AttackReport::from_priority_churn(&r)
+/// Priority-tree churn: chain `depth` idle streams with PRIORITY frames
+/// (legal on idle streams, and no request is ever sent), then reverse
+/// the chain [`PRIORITY_CHURN_ROUNDS`] times — each round yanks the tail
+/// to the root exclusively and pushes it back under the head, the most
+/// subtree movement per frame. The cost is the nodes the server's
+/// dependency tree retains.
+fn priority_churn(target: &Target, seed: u64, depth: u32) -> AttackReport {
+    let mut conn = ProbeConn::establish(target, Settings::new(), seed ^ 0xc4);
+    conn.exchange();
+    let dep = |stream: u32, parent: u32, exclusive: bool| {
+        Frame::Priority(PriorityFrame {
+            stream_id: StreamId::new(stream),
+            spec: PrioritySpec {
+                exclusive,
+                dependency: StreamId::new(parent),
+                weight: 256,
+            },
+        })
+    };
+    let (head, tail) = (1, 2 * depth.max(1) - 1);
+    let mut frames: Vec<Frame> = (head..tail)
+        .step_by(2)
+        .map(|parent| dep(parent + 2, parent, false))
+        .collect();
+    conn.send_all(&frames);
+    conn.exchange();
+    let mut sent = frames.len() as u64;
+    for _ in 0..PRIORITY_CHURN_ROUNDS {
+        frames = vec![dep(tail, 0, true), dep(tail, head, false)];
+        conn.send_all(&frames);
+        conn.exchange();
+        sent = sent.saturating_add(2);
+    }
+    AttackReport::new(
+        AttackVector::PriorityChurn,
+        sent,
+        PRELUDE_OCTETS.saturating_add(sent.saturating_mul(14)),
+        conn.server().core().priority().len() as u64,
+        "tree nodes",
+        Reaction::Ignored,
+    )
 }
 
 #[cfg(test)]
@@ -327,7 +385,7 @@ mod tests {
     #[test]
     fn rapid_reset_counts_canceled_requests() {
         let r = run(AttackVector::RapidReset, &reference(), 0);
-        assert_eq!(r.server_cost, u64::from(RAPID_RESET_STREAMS));
+        assert_eq!(r.server_cost, u64::from(AttackVector::RapidReset.volume()));
         assert!(!r.defended, "the RFC reference has no reset budget");
     }
 
@@ -378,7 +436,10 @@ mod tests {
     #[test]
     fn settings_flood_extorts_acks() {
         let r = run(AttackVector::SettingsFlood, &reference(), 0);
-        assert_eq!(r.server_cost, u64::from(SETTINGS_FLOOD_FRAMES) + 1);
+        assert_eq!(
+            r.server_cost,
+            u64::from(AttackVector::SettingsFlood.volume()) + 1
+        );
         assert!(!r.defended);
 
         let apache = Target::testbed(ServerProfile::apache(), SiteSpec::benchmark());
@@ -388,12 +449,57 @@ mod tests {
     }
 
     #[test]
-    fn folded_vectors_report_through_the_same_schema() {
-        let thrash = run(AttackVector::TableThrash, &reference(), 0);
-        assert_eq!(thrash.cost_unit, "table octets");
-        let churn = run(AttackVector::PriorityChurn, &reference(), 0);
-        assert_eq!(churn.cost_unit, "tree nodes");
-        assert_eq!(churn.server_cost, u64::from(PRIORITY_CHURN_DEPTH));
+    fn slow_read_leaks_one_octet_per_stream_unless_headers_are_flow_controlled() {
+        let site = SiteSpec::benchmark();
+        for streams in [2, 8] {
+            let bodies: u64 = (0..streams)
+                .filter_map(|k| site.resource(&format!("/big/{}", 1 + (k % 7))))
+                .map(|r| r.body_len() as u64)
+                .sum();
+            let r = engage(AttackVector::SlowRead, &reference(), 0, streams);
+            assert_eq!(r.server_cost, bodies - u64::from(streams), "{r:?}");
+            // LiteSpeed withholds HEADERS too: nothing escapes at all.
+            let litespeed = Target::testbed(ServerProfile::litespeed(), SiteSpec::benchmark());
+            let r = engage(AttackVector::SlowRead, &litespeed, 0, streams);
+            assert_eq!(r.server_cost, bodies, "{r:?}");
+        }
+    }
+
+    /// A profile that inserts a fresh `set-cookie` into its encoder table
+    /// on every response, honouring or capping the peer's table size.
+    fn cookie_jar(mut profile: ServerProfile, honor: bool) -> Target {
+        profile.behavior.honor_peer_header_table_size = honor;
+        profile.behavior.cookie_injection = true;
+        Target::testbed(profile, SiteSpec::benchmark())
+    }
+
+    #[test]
+    fn table_thrash_grows_only_an_obedient_indexing_table() {
+        let thrash = |target: &Target| engage(AttackVector::TableThrash, target, 0, 200);
+        let r = thrash(&cookie_jar(ServerProfile::rfc7540(), true));
+        assert_eq!(r.cost_unit, "table octets");
+        assert!(r.server_cost > 10_000, "the table balloons: {r:?}");
+        let r = thrash(&cookie_jar(ServerProfile::rfc7540(), false));
+        assert!(r.server_cost <= 4_096, "capped at the default: {r:?}");
+        // Nginx never inserts response headers into the table at all.
+        let r = thrash(&cookie_jar(ServerProfile::nginx(), true));
+        assert_eq!(r.server_cost, 0, "{r:?}");
+    }
+
+    #[test]
+    fn priority_churn_leaves_one_node_per_idle_stream() {
+        // Even FCFS servers (Nginx) keep the tree: the attack surface is
+        // the state, not the scheduler.
+        for (profile, depth) in [(ServerProfile::h2o(), 64), (ServerProfile::nginx(), 32)] {
+            let target = Target::testbed(profile, SiteSpec::benchmark());
+            let r = engage(AttackVector::PriorityChurn, &target, 0, depth);
+            assert_eq!(r.cost_unit, "tree nodes");
+            assert_eq!(r.server_cost, u64::from(depth), "{r:?}");
+            assert_eq!(
+                r.attacker_frames,
+                u64::from(depth - 1 + 2 * PRIORITY_CHURN_ROUNDS)
+            );
+        }
     }
 
     /// The premise of the attack matrix: on every profile, a vector's

@@ -736,21 +736,6 @@ pub const PROBE_RULES: &[(&str, &[&str])] = &[
     ("push::probe", &["push"]),
     ("push::promise_discipline", &["push-stream-limit"]),
     ("settings::probe", &["settings-bounds"]),
-    ("abuse::rst_rate", &["rst-rate"]),
-    ("abuse::settings_rate", &["settings-rate"]),
-    ("abuse::continuation_bound", &["continuation-cap"]),
-    ("abuse::stalled_stream", &["abuse-timeout"]),
-    ("abuse::header_list_bound", &["max-header-list-size"]),
-    (
-        "abuse::probe",
-        &[
-            "rst-rate",
-            "settings-rate",
-            "continuation-cap",
-            "abuse-timeout",
-            "max-header-list-size",
-        ],
-    ),
 ];
 
 #[cfg(test)]

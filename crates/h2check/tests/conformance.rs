@@ -2,20 +2,26 @@
 //! what running code must do, asserted against that code. One test per
 //! table, each walking the whole fixed-length table: the §5.1 table
 //! drives an actual `h2conn::Stream`, the §6 table decodes real frames
-//! through `h2wire`, and the quirk test runs the simulated probes
-//! against every testbed `ServerProfile` and compares the observed
-//! reaction with what the profile's quirk matrix predicts.
+//! through `h2wire`, §5.1's idle row is sent to the reference server,
+//! and the quirk test runs the simulated probes and the `h2attack`
+//! engagements against every testbed `ServerProfile` and compares the
+//! observed reaction with what the profile's quirk matrix predicts.
 
 use std::sync::Arc;
 
 use h2check::spec::{
-    SpecEvent, SpecState, StreamIdRule, CAPABILITIES, FRAME_RULES, SETTING_BOUNDS, TRANSITIONS,
+    RecvOutcome, SpecEvent, SpecState, StreamIdRule, CAPABILITIES, FRAME_RULES, RECV_LEGALITY,
+    SETTING_BOUNDS, TRANSITIONS,
 };
 use h2conn::{Stream, StreamState};
 use h2scope::probes::{self, Reaction};
 use h2scope::target::Target;
+use h2scope::ProbeConn;
 use h2server::{QuirkAction, ServerProfile, SiteSpec};
-use h2wire::{DecodeFrameError, ErrorCode, Frame, FrameHeader, FrameKind, Settings, StreamId};
+use h2wire::{
+    DataFrame, DecodeFrameError, ErrorCode, Frame, FrameHeader, FrameKind, PriorityFrame,
+    PrioritySpec, RstStreamFrame, Settings, StreamId, WindowUpdateFrame,
+};
 
 // ---------------------------------------------------------------------------
 // §5.1 vs h2conn
@@ -60,6 +66,55 @@ fn capabilities_match_can_send_and_can_recv() {
         let may_recv = caps.may_recv_data || caps.state == SpecState::ReservedRemote;
         assert_eq!(state.can_send(), may_send, "can_send vs {caps:?}");
         assert_eq!(state.can_recv(), may_recv, "can_recv vs {caps:?}");
+    }
+}
+
+/// §5.1's idle row, received by the RFC reference server: each frame
+/// names stream 1 before anything has opened it, and the server's
+/// answer (GOAWAY, RST_STREAM or neither) must be the row's outcome.
+#[test]
+fn idle_stream_frames_draw_the_outcome_recv_legality_states() {
+    let target = Target::testbed(ServerProfile::rfc7540(), SiteSpec::benchmark());
+    let idle = StreamId::new(1);
+    for cell in RECV_LEGALITY.iter().filter(|c| c.state == SpecState::Idle) {
+        let mut conn = ProbeConn::establish(&target, Settings::new(), 0);
+        conn.exchange();
+        match cell.frame {
+            FrameKind::Headers => {
+                conn.get(1, "/", None);
+            }
+            FrameKind::Data => conn.send(Frame::Data(DataFrame {
+                stream_id: idle,
+                data: vec![b'x'].into(),
+                end_stream: false,
+                pad_len: None,
+            })),
+            FrameKind::Priority => conn.send(Frame::Priority(PriorityFrame {
+                stream_id: idle,
+                spec: PrioritySpec::default_spec(),
+            })),
+            FrameKind::RstStream => conn.send(Frame::RstStream(RstStreamFrame {
+                stream_id: idle,
+                code: ErrorCode::Cancel,
+            })),
+            FrameKind::WindowUpdate => conn.send(Frame::WindowUpdate(WindowUpdateFrame {
+                stream_id: idle,
+                increment: 1,
+            })),
+            // A server refuses any PUSH_PROMISE from a client (§8.2),
+            // whatever the stream's state; that rule is not this row's.
+            _ => continue,
+        }
+        let observed = conn
+            .exchange()
+            .iter()
+            .find_map(|tf| match &tf.frame {
+                Frame::Goaway(g) => Some(RecvOutcome::ConnectionError(g.code)),
+                Frame::RstStream(r) => Some(RecvOutcome::StreamError(r.code)),
+                _ => None,
+            })
+            .unwrap_or(RecvOutcome::Legal);
+        assert_eq!(observed, cell.outcome, "§5.1 {cell:?}");
     }
 }
 
@@ -297,6 +352,7 @@ fn probes_classify_every_profile_as_its_quirk_matrix_predicts() {
         let target = Target::testbed(profile.clone(), site.clone());
         let push_target = Target::testbed(profile, push_site.clone());
         let debug = b.zero_window_debug.is_some();
+        let abuse = h2attack::hardening(&target);
         // (probe, observed, predicted)
         let reactions = [
             (
@@ -326,27 +382,27 @@ fn probes_classify_every_profile_as_its_quirk_matrix_predicts() {
             ),
             (
                 "abuse.rst_rate",
-                probes::abuse::rst_rate(&target),
+                abuse.rst_rate,
                 predict_abuse(b.rst_rate_limit.is_some()),
             ),
             (
                 "abuse.settings_rate",
-                probes::abuse::settings_rate(&target),
+                abuse.settings_rate,
                 predict_abuse(b.settings_rate_limit.is_some()),
             ),
             (
                 "abuse.continuation_bound",
-                probes::abuse::continuation_bound(&target),
+                abuse.continuation_bound,
                 predict_abuse(b.continuation_cap.is_some()),
             ),
             (
                 "abuse.stalled_stream",
-                probes::abuse::stalled_stream(&target),
+                abuse.stalled_stream,
                 predict_abuse(b.stall_timeout.is_some()),
             ),
             (
                 "abuse.header_list_bound",
-                probes::abuse::header_list_bound(&target),
+                abuse.header_list_bound,
                 if b.header_list_limit.is_some() {
                     predict(b.oversized_header_list, true, false)
                 } else {

@@ -20,8 +20,8 @@ use h2wire::settings::{
     DEFAULT_HEADER_TABLE_SIZE, DEFAULT_INITIAL_WINDOW_SIZE, DEFAULT_MAX_FRAME_SIZE,
 };
 use h2wire::{
-    ContinuationFrame, DataFrame, DecodeFrameError, ErrorCode, Frame, FrameDecoder, HeadersFrame,
-    PrioritySpec, PushPromiseFrame, SettingId, Settings, StreamId,
+    ContinuationFrame, DataFrame, DecodeFrameError, ErrorCode, Frame, FrameDecoder, FrameKind,
+    HeadersFrame, PrioritySpec, PushPromiseFrame, SettingId, Settings, StreamId,
 };
 
 use crate::assembler::{AssemblyError, BlockKind, CompleteBlock, HeaderAssembler};
@@ -230,6 +230,14 @@ pub enum ConnError {
     Compression(h2hpack::HpackDecodeError),
     /// CONTINUATION discipline violated.
     Assembly(AssemblyError),
+    /// DATA, RST_STREAM or WINDOW_UPDATE named an idle stream (RFC 7540
+    /// §5.1: a connection error of type PROTOCOL_ERROR).
+    IdleStream {
+        /// The offending frame's type.
+        kind: FrameKind,
+        /// The idle stream it named.
+        stream: StreamId,
+    },
 }
 
 impl std::fmt::Display for ConnError {
@@ -238,6 +246,9 @@ impl std::fmt::Display for ConnError {
             ConnError::Decode(e) => write!(f, "frame decode error: {e}"),
             ConnError::Compression(e) => write!(f, "header compression error: {e}"),
             ConnError::Assembly(e) => write!(f, "header block assembly error: {e}"),
+            ConnError::IdleStream { kind, stream } => {
+                write!(f, "{kind:?} on idle stream {}", stream.value())
+            }
         }
     }
 }
@@ -268,7 +279,7 @@ impl ConnError {
         match self {
             ConnError::Decode(e) => e.h2_error_code(),
             ConnError::Compression(_) => ErrorCode::CompressionError,
-            ConnError::Assembly(_) => ErrorCode::ProtocolError,
+            ConnError::Assembly(_) | ConnError::IdleStream { .. } => ErrorCode::ProtocolError,
         }
     }
 }
@@ -497,7 +508,7 @@ impl ConnectionCore {
                         }),
                     }
                 } else {
-                    let stream = self.stream_entry(f.stream_id);
+                    let stream = self.recv_stream_entry(f.stream_id, FrameKind::WindowUpdate)?;
                     match stream.send_window.expand(f.increment) {
                         Ok(()) => events.push(CoreEvent::WindowUpdated {
                             scope: WindowScope::Stream(f.stream_id),
@@ -552,7 +563,7 @@ impl ConnectionCore {
                     });
                     return Ok(());
                 }
-                let stream = self.stream_entry(f.stream_id);
+                let stream = self.recv_stream_entry(f.stream_id, FrameKind::Data)?;
                 if stream.recv_window.consume(fcl).is_err() {
                     events.push(CoreEvent::FlowViolation {
                         scope: WindowScope::Stream(f.stream_id),
@@ -579,7 +590,7 @@ impl ConnectionCore {
                 }),
             },
             Frame::RstStream(f) => {
-                let stream = self.stream_entry(f.stream_id);
+                let stream = self.recv_stream_entry(f.stream_id, FrameKind::RstStream)?;
                 stream.recv_reset(f.code);
                 events.push(CoreEvent::RstStreamReceived {
                     stream: f.stream_id,
@@ -643,6 +654,22 @@ impl ConnectionCore {
             self.remote.initial_window_size,
             self.local.initial_window_size,
         )
+    }
+
+    /// The entry of the stream a received DATA, RST_STREAM or
+    /// WINDOW_UPDATE names; an idle stream is a connection error.
+    fn recv_stream_entry(
+        &mut self,
+        id: StreamId,
+        kind: FrameKind,
+    ) -> Result<&mut Stream, ConnError> {
+        self.streams
+            .get_or_create_unless_idle(
+                id,
+                self.remote.initial_window_size,
+                self.local.initial_window_size,
+            )
+            .ok_or(ConnError::IdleStream { kind, stream: id })
     }
 
     /// The tail of every header-block frame: a completed block is
@@ -895,7 +922,7 @@ impl ConnectionCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2wire::{PingFrame, SettingsFrame, WindowUpdateFrame};
+    use h2wire::{PingFrame, RstStreamFrame, SettingsFrame, WindowUpdateFrame};
 
     fn sid(v: u32) -> StreamId {
         StreamId::new(v)
@@ -1103,6 +1130,44 @@ mod tests {
             err,
             ConnError::Assembly(AssemblyError::InterleavedFrame)
         ));
+    }
+
+    #[test]
+    fn frames_on_idle_streams_are_protocol_errors() {
+        let mut core = server();
+        let mut client = ConnectionCore::new(
+            Role::Client,
+            EffectiveSettings::default(),
+            EncoderOptions::default(),
+        );
+        for frame in client.encode_headers(sid(3), &client_headers(), true, None) {
+            feed(&mut core, frame);
+        }
+        // Stream 1 was skipped: implicitly closed (§5.1.1), not idle.
+        feed(
+            &mut core,
+            Frame::RstStream(RstStreamFrame {
+                stream_id: sid(1),
+                code: ErrorCode::Cancel,
+            }),
+        );
+        let err = core
+            .recv_bytes(
+                &Frame::WindowUpdate(WindowUpdateFrame {
+                    stream_id: sid(5),
+                    increment: 1,
+                })
+                .to_bytes(),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConnError::IdleStream {
+                kind: FrameKind::WindowUpdate,
+                stream: sid(5)
+            }
+        );
+        assert_eq!(err.h2_error_code(), ErrorCode::ProtocolError);
     }
 
     #[test]

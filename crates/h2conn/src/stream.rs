@@ -207,25 +207,56 @@ impl StreamMap {
         self.entry(id, || Stream::new(id, send_initial, recv_initial))
     }
 
+    /// Like [`StreamMap::get_or_create`], but `None` when `id` is idle:
+    /// absent and above the highest id its initiator has used (RFC 7540
+    /// §5.1). Only HEADERS and PRIORITY may name an idle stream.
+    pub fn get_or_create_unless_idle(
+        &mut self,
+        id: StreamId,
+        send_initial: u32,
+        recv_initial: u32,
+    ) -> Option<&mut Stream> {
+        self.slot(id, false, || Stream::new(id, send_initial, recv_initial))
+    }
+
     /// The entry for `id`, created by `make` when absent.
+    fn entry(&mut self, id: StreamId, make: impl FnOnce() -> Stream) -> &mut Stream {
+        #[expect(clippy::expect_used, reason = "an entry that may open is always made")]
+        self.slot(id, true, make)
+            .expect("opening entries always exist")
+    }
+
+    /// The entry for `id`; when absent, made by `make` unless `id` is idle
+    /// and `may_open` is false. One search either way.
     #[expect(
         clippy::indexing_slicing,
         reason = "`at` is the position just found or just inserted at"
     )]
-    fn entry(&mut self, id: StreamId, make: impl FnOnce() -> Stream) -> &mut Stream {
-        if id.is_client_initiated() {
-            self.highest_client = self.highest_client.max(id.value());
-        } else if id.is_server_initiated() {
-            self.highest_server = self.highest_server.max(id.value());
-        }
+    fn slot(
+        &mut self,
+        id: StreamId,
+        may_open: bool,
+        make: impl FnOnce() -> Stream,
+    ) -> Option<&mut Stream> {
         let at = match self.position(id) {
             Ok(at) => at,
             Err(at) => {
+                let highest = if id.is_client_initiated() {
+                    &mut self.highest_client
+                } else {
+                    &mut self.highest_server
+                };
+                if id.value() > *highest {
+                    if !may_open {
+                        return None;
+                    }
+                    *highest = id.value();
+                }
                 self.streams.insert(at, make());
                 at
             }
         };
-        &mut self.streams[at]
+        Some(&mut self.streams[at])
     }
 
     /// Highest client-initiated stream id seen.

@@ -46,15 +46,6 @@ pub struct TimedFrame {
     pub headers: Option<Arc<Vec<Header>>>,
 }
 
-/// DATA payload octets among `frames`: the body a peer managed to emit.
-pub fn data_octets(frames: &[TimedFrame]) -> u64 {
-    let data = frames.iter().filter_map(|tf| match &tf.frame {
-        Frame::Data(d) => Some(d.data.len() as u64),
-        _ => None,
-    });
-    data.sum()
-}
-
 /// A frame-level HTTP/2 client connection to one [`Target`].
 #[derive(Debug)]
 pub struct ProbeConn {
@@ -145,7 +136,7 @@ impl ProbeConn {
     }
 
     /// Advances the virtual clock without sending traffic (think
-    /// `sleep`). Abuse probes use this to model a client that goes
+    /// `sleep`). Slow attack clients use this to model a client that goes
     /// quiet mid-request and waits out the server's patience.
     pub fn advance(&mut self, d: netsim::time::SimDuration) {
         self.pipe.advance(d);

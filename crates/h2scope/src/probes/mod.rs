@@ -1,7 +1,6 @@
 //! The probe suite: one module per measurement method in the paper's
 //! Section III.
 
-pub mod abuse;
 pub mod flow_control;
 pub mod hpack;
 pub mod multiplexing;

@@ -711,11 +711,14 @@ mod tests {
 
     #[test]
     fn rst_flood_past_budget_draws_enhance_your_calm() {
-        // H2O budgets 400 client resets; nginx has no budget.
+        // H2O budgets 400 client resets; nginx has no budget. Each reset
+        // cancels a request just opened: a reset of an idle stream would
+        // be a protocol error, not churn.
         let (mut server, mut client) = serve(ServerProfile::h2o());
         server.on_bytes_vec(SimTime::ZERO, &client.preface_and_settings());
         let mut bytes = Vec::new();
         for k in 0..401u32 {
+            bytes.extend(client.request(1 + 2 * k, "/"));
             Frame::RstStream(RstStreamFrame {
                 stream_id: StreamId::new(1 + 2 * k),
                 code: ErrorCode::Cancel,
@@ -730,7 +733,11 @@ mod tests {
         let (mut server, _client) = serve(ServerProfile::nginx());
         server.on_bytes_vec(SimTime::ZERO, &TestClient::new().preface_and_settings());
         let reply = server.on_bytes_vec(SimTime::ZERO, &bytes);
-        assert!(reply.is_empty(), "nginx ignores unbounded RST churn");
+        let frames = TestClient::new().parse(&reply);
+        assert!(
+            !frames.iter().any(|f| matches!(f, Frame::Goaway(_))),
+            "nginx ignores unbounded RST churn"
+        );
         assert_eq!(server.rst_frames_seen(), 401);
     }
 

@@ -455,32 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn hardening_limits_stay_under_the_probe_volumes() {
-        // The abuse probes send fixed volumes (1,200 resets, 1,200
-        // SETTINGS, ~98 KiB of CONTINUATION, a 120 s stall, a ~17 KiB
-        // header list); every configured limit must sit below those
-        // volumes or the probe cannot discriminate yes from no.
-        for profile in ServerProfile::testbed() {
-            let b = &profile.behavior;
-            if let Some(limit) = b.rst_rate_limit {
-                assert!(limit < 1_200, "{}", profile.name);
-            }
-            if let Some(limit) = b.settings_rate_limit {
-                assert!(limit < 1_200, "{}", profile.name);
-            }
-            if let Some(cap) = b.continuation_cap {
-                assert!(cap < 98_304, "{}", profile.name);
-            }
-            if let Some(timeout) = b.stall_timeout {
-                assert!(timeout < SimDuration::from_secs(120), "{}", profile.name);
-            }
-            if let Some(limit) = b.header_list_limit {
-                assert!(limit < 17_000, "{}", profile.name);
-            }
-        }
-    }
-
-    #[test]
     fn nginx_family_announces_zero_window_then_updates() {
         assert_eq!(
             ServerProfile::nginx().behavior.zero_window_then_update,

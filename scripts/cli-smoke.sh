@@ -35,15 +35,16 @@ metrics() {
     diff plain.txt stripped.txt
 }
 
-# The §VI abuse matrices: both grids must match the committed golden
-# snapshot (they are pure functions of the profiles — any engine, quirk
-# or vector change that moves them must regenerate the snapshot
-# deliberately), the machine-readable artifact must parse with its
-# pinned schema, and a second run must write the same bytes.
+# The §VI abuse matrices: both grids and the machine-readable artifact
+# must match their committed golden snapshots (they are pure functions
+# of the profiles — any engine, quirk or vector change that moves them
+# must regenerate the snapshots deliberately), the artifact must parse
+# with its pinned schema, and a second run must write the same bytes.
 abuse() {
     "$repro" abuse > abuse.txt
     sed -n '/^Robustness matrix/,$p' abuse.txt | sed '${/^$/d}' > matrices.txt
     diff "$root/crates/bench/tests/golden_robustness.txt" matrices.txt
+    diff "$root/crates/bench/tests/golden_abuse.json" ABUSE_campaign.json
     python3 - <<'PY'
 import json
 doc = json.load(open('ABUSE_campaign.json'))

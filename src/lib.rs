@@ -28,7 +28,6 @@
 //! assert!(!report.push.supported); // Nginx 1.9.15 did not implement push
 //! ```
 
-pub use h2attack::dos;
 pub use h2conn as conn;
 pub use h2hpack as hpack;
 pub use h2scope as scope;
