@@ -13,7 +13,6 @@
 //!   table3       Table III  testbed characterization matrix
 //!   concurrency  §V-A       MAX_CONCURRENT_STREAMS enforcement
 //!   ablation     §III-C     naive ordering check vs Algorithm 1
-//!   trend        future wk  simulated monthly adoption series
 //!   adoption     §V-B1      NPN/ALPN/HEADERS adoption counts
 //!   table4       Table IV   server families
 //!   table5       Table V    SETTINGS_INITIAL_WINDOW_SIZE
@@ -549,12 +548,11 @@ const SCAN_FLAGS: [&str; 11] = [
 /// list the unknown-command check, [`reads`], [`needs_scan`] and `--help`
 /// read.
 #[rustfmt::skip]
-const OTHER_COMMANDS: [(&str, &[&str]); 12] = [
+const OTHER_COMMANDS: [(&str, &[&str]); 11] = [
     ("all", &["--loads"]),
     ("table3", &[]),
     ("concurrency", &[]),
     ("ablation", &[]),
-    ("trend", &["--scale", "--threads"]),
     ("fig3", &["--scale", "--exp", "--loads"]),
     ("fig6", &["--scale", "--exp"]),
     ("probe", &[]),
@@ -625,9 +623,6 @@ fn main() {
     }
     if matches!(command, "ablation" | "all") {
         println!("{}", tables::priority_ablation());
-    }
-    if command == "trend" {
-        println!("{}", wild::trend(options.scale, options.threads));
     }
 
     let obs = if options.metrics {

@@ -9,7 +9,7 @@ use h2scope::probes::flow_control::SmallWindowOutcome;
 use h2scope::{ProbeOutcome, ProbeStats, Reaction};
 use webpop::Population;
 
-use crate::scan::{headers_records, Campaign};
+use crate::scan::headers_records;
 use crate::stats::{apportion, spark_cdf};
 
 /// Upscales a group of rows that partition (a subset of) `total` sites.
@@ -76,63 +76,6 @@ fn paper_table(
             &fmt_count(*paper),
         );
     }
-}
-
-/// Future work made runnable: a monthly adoption-trend series between
-/// the two campaigns, each month a freshly generated and scanned
-/// population (the paper: "we will perform regular scanning on popular
-/// web sites to characterize how HTTP/2 and its features are adopted").
-pub fn trend(scale: f64, threads: usize) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "Adoption trend — simulated monthly scans, Jul. 2016 → Jan. 2017"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  {:<8}{:>10}{:>10}{:>10}{:>12}{:>12}",
-        "month", "NPN", "ALPN", "HEADERS", "prio(last)", "push sites"
-    )
-    .unwrap();
-    for (month, spec) in webpop::monthly_series().into_iter().enumerate() {
-        let population = Population::new(spec, scale);
-        let records = Campaign::new(&population, threads).scan();
-        let npn = records
-            .iter()
-            .filter(|r| r.report.negotiation.npn_h2)
-            .count();
-        let alpn = records
-            .iter()
-            .filter(|r| r.report.negotiation.alpn_h2)
-            .count();
-        let headers = records.iter().filter(|r| r.report.headers_received).count();
-        let prio = records
-            .iter()
-            .filter(|r| r.report.priority.as_ref().is_some_and(|p| p.by_last_frame))
-            .count();
-        let push = records
-            .iter()
-            .filter(|r| r.report.push.as_ref().is_some_and(|p| p.supported))
-            .count();
-        writeln!(
-            out,
-            "  {:<8}{:>10}{:>10}{:>10}{:>12}{:>12}",
-            format!("+{month}mo"),
-            fmt_count(upscale(npn as u64, scale)),
-            fmt_count(upscale(alpn as u64, scale)),
-            fmt_count(upscale(headers as u64, scale)),
-            fmt_count(upscale(prio as u64, scale)),
-            push,
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "  (paper endpoints: NPN 49,334 → 78,714; HEADERS 44,390 → 64,299)"
-    )
-    .unwrap();
-    out
 }
 
 /// §V-B1: ALPN/NPN adoption counts.
@@ -720,6 +663,7 @@ pub fn hpack_figure(records: &[CampaignRow], population: &Population) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::Campaign;
     use webpop::ExperimentSpec;
 
     /// Scales exercised by the consistency tests: the paper's own 1.0

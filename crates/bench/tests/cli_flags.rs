@@ -49,12 +49,19 @@ fn unparsable_threads_and_loads_are_usage_errors() {
 
 #[test]
 fn unknown_commands_and_out_of_range_scales_are_usage_errors() {
-    let out = repro(&["tabel4", "--scale", "0.0005"]);
-    assert_eq!(out.status.code(), Some(2), "a typo must not succeed");
-    assert!(out.stdout.is_empty(), "typo still printed a report header");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown command \"tabel4\""), "{stderr:?}");
-    assert!(stderr.contains("table4") && stderr.contains("push-study"));
+    // A typo, and `trend`, which read an interpolation back and is gone.
+    for command in ["tabel4", "trend"] {
+        let out = repro(&[command, "--scale", "0.0005"]);
+        assert_eq!(out.status.code(), Some(2), "{command} must not succeed");
+        assert!(
+            out.stdout.is_empty(),
+            "{command} still printed a report header"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let refusal = format!("unknown command \"{command}\"");
+        assert!(stderr.contains(&refusal), "{stderr:?}");
+        assert!(stderr.contains("table4") && stderr.contains("push-study"));
+    }
 
     // A flag the command does not read is refused, not silently ignored:
     // a scan flag on `serve`, a record flag on `table3` (which used to

@@ -1,47 +1,10 @@
-//! Schema-stability check: the exact header bytes of the `h2campaign-v2`
-//! record format, pinned against a committed fixture. If this test
-//! fails, the on-disk format changed — which is only acceptable together
-//! with a schema bump (`h2campaign-v3`) and a deliberate regeneration of
-//! the fixture:
-//!
-//! ```text
-//! H2CAMPAIGN_BLESS=1 cargo test -p h2campaign --test golden_header
-//! ```
+//! Schema-stability checks of the `h2campaign-v2` record format: the
+//! schema name and the row layout. The full bytes of three finalized
+//! records (header, rows and trailer) are pinned by the `rec-*` rows of
+//! `golden/MANIFEST`.
 
-use h2campaign::{CampaignMeta, CampaignRow, SCHEMA};
+use h2campaign::{CampaignRow, SCHEMA};
 use webpop::{ExperimentSpec, Population};
-
-fn fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_header.txt")
-}
-
-fn golden_headers() -> String {
-    let mut out = String::new();
-    for (spec, faults, seed) in [
-        (ExperimentSpec::first(), "none", 0u64),
-        (ExperimentSpec::first(), "flaky", 0xfa17),
-        (ExperimentSpec::second(), "chaos", 7),
-    ] {
-        let population = Population::new(spec, 0.001);
-        out.push_str(&CampaignMeta::describe(&population, faults, seed).header());
-    }
-    out
-}
-
-#[test]
-fn header_bytes_are_pinned() {
-    let got = golden_headers();
-    if std::env::var_os("H2CAMPAIGN_BLESS").is_some() {
-        std::fs::write(fixture_path(), &got).expect("write fixture");
-    }
-    let want = std::fs::read_to_string(fixture_path())
-        .expect("golden_header.txt fixture missing — run with H2CAMPAIGN_BLESS=1 to create it");
-    assert_eq!(
-        got, want,
-        "h2campaign record header changed; this is a format break — bump SCHEMA \
-         and re-bless the fixture only if the break is intentional"
-    );
-}
 
 #[test]
 fn schema_version_is_pinned() {

@@ -309,37 +309,6 @@ impl PriorityTree {
         winner
     }
 
-    /// All stream ids currently in the tree (excluding the root), in
-    /// ascending id order.
-    pub fn ids(&self) -> Vec<StreamId> {
-        self.nodes
-            .keys()
-            .filter(|&&id| id != 0)
-            .map(|&id| StreamId::new(id))
-            .collect()
-    }
-
-    /// Removes every stream for which `is_active` returns `false`,
-    /// reparenting children per [`PriorityTree::remove`].
-    ///
-    /// RFC 7540 §5.3.4 notes that retaining closed-stream prioritization
-    /// state uses memory and lets it be discarded; this is the mitigation
-    /// for the priority-churn attack surface the paper's discussion
-    /// raises ("force the server to frequently reconstruct the dependency
-    /// tree").
-    pub fn prune(&mut self, is_active: impl Fn(StreamId) -> bool) -> usize {
-        let stale: Vec<StreamId> = self
-            .ids()
-            .into_iter()
-            .filter(|&id| !is_active(id))
-            .collect();
-        let count = stale.len();
-        for id in stale {
-            self.remove(id);
-        }
-        count
-    }
-
     fn attach(&mut self, id: u32, parent: u32, weight: u16) {
         self.nodes.insert(id, Node::new(parent, weight));
         self.nodes
@@ -583,7 +552,8 @@ mod tests {
         for id in [1, 3, 5, 7, 9, 11] {
             t.forget_if_default(sid(id));
         }
-        assert_eq!(t.ids(), vec![sid(3), sid(5), sid(7), sid(9), sid(11)]);
+        assert!(!t.contains(sid(1)));
+        assert!([3, 5, 7, 9, 11].into_iter().all(|id| t.contains(sid(id))));
         // A forgotten id comes back exactly as it was.
         t.declare(sid(13), spec(1, 16, false)).unwrap();
         assert_eq!(t.parent_of(sid(1)), Some(sid(0)));

@@ -1,13 +1,11 @@
 //! Integration tests for connection-core corners not covered by the
 //! per-module unit tests: local settings changes, GOAWAY bookkeeping,
-//! stream teardown, and priority-tree pruning under load.
+//! and stream teardown.
 
 use bytes::Bytes;
-use h2conn::{
-    CloseReason, ConnectionCore, CoreEvent, EffectiveSettings, PriorityTree, Role, StreamState,
-};
+use h2conn::{CloseReason, ConnectionCore, CoreEvent, EffectiveSettings, Role, StreamState};
 use h2hpack::{EncoderOptions, Header};
-use h2wire::{DataFrame, ErrorCode, Frame, PrioritySpec, RstStreamFrame, StreamId};
+use h2wire::{DataFrame, ErrorCode, Frame, RstStreamFrame, StreamId};
 
 fn pair() -> (ConnectionCore, ConnectionCore) {
     (
@@ -143,34 +141,6 @@ fn stream_map_removal_and_recreation() {
     assert!(server.streams().get(sid(1)).is_none());
     // Highest-id tracking is monotonic even after removal.
     assert_eq!(server.streams().highest_client_id(), sid(1));
-}
-
-#[test]
-fn prune_keeps_active_subtrees_intact() {
-    let mut tree = PriorityTree::new();
-    let spec = |dep: u32| PrioritySpec {
-        exclusive: false,
-        dependency: StreamId::new(dep),
-        weight: 16,
-    };
-    // Chain 1 <- 3 <- 5 <- 7 with a side branch 3 <- 9.
-    tree.declare(sid(1), spec(0)).unwrap();
-    tree.declare(sid(3), spec(1)).unwrap();
-    tree.declare(sid(5), spec(3)).unwrap();
-    tree.declare(sid(7), spec(5)).unwrap();
-    tree.declare(sid(9), spec(3)).unwrap();
-    // Only 7 and 9 are still active.
-    let active = [7u32, 9];
-    let pruned = tree.prune(|s| active.contains(&s.value()));
-    assert_eq!(pruned, 3);
-    assert_eq!(tree.len(), 2);
-    assert!(tree.contains(sid(7)));
-    assert!(tree.contains(sid(9)));
-    // Both were reparented onto the root.
-    assert_eq!(tree.parent_of(sid(7)), Some(sid(0)));
-    assert_eq!(tree.parent_of(sid(9)), Some(sid(0)));
-    // Scheduling still works.
-    assert!(tree.next_stream(&[sid(7), sid(9)]).is_some());
 }
 
 #[test]

@@ -30,9 +30,7 @@
 pub mod marginals;
 pub mod population;
 pub mod spec;
-pub mod timeline;
 
 pub use marginals::Family;
 pub use population::{Population, SiteSample};
 pub use spec::{ExperimentSpec, ReactionCounts};
-pub use timeline::{interpolate, monthly_series};
