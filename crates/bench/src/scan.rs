@@ -312,6 +312,7 @@ pub fn fault_summary(records: &[CampaignRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use webpop::ExperimentSpec;
 
     fn scan(population: &Population, threads: usize) -> Vec<CampaignRow> {
@@ -342,6 +343,100 @@ mod tests {
 
     fn serialize(records: &[CampaignRow]) -> String {
         h2scope::storage::write_reports(records.iter().map(|r| &r.report))
+    }
+
+    /// A probe connection hands its storage to the next one its thread
+    /// opens, and that storage carries no state: surveying a mixed list of
+    /// sites one after another on one thread gives, site by site, the
+    /// report and the metrics (traces included) that a newly spawned
+    /// thread — which has no spare — gives for the site alone. The list
+    /// holds several families, a mute site, a push site, a site whose
+    /// SETTINGS shrink the server's HPACK table, connections that `flaky`
+    /// cuts, servers that `byzantine` resets or truncates mid-stream, and
+    /// a trickling server whose connections reach their deadline with
+    /// deliveries still queued.
+    #[test]
+    fn recycled_connection_storage_carries_no_state() {
+        const SEED: u64 = 3;
+        let population = Population::new(ExperimentSpec::first(), 0.002);
+        let flaky = FaultPlan::new(FaultProfile::flaky(), SEED);
+        let byzantine = FaultPlan::new(FaultProfile::byzantine(), SEED);
+        let sites = 0..population.h2_count();
+        let first = |keep: &dyn Fn(&SiteSample) -> bool| {
+            sites
+                .clone()
+                .find(|&i| keep(&population.site(i)))
+                .expect("the population has such a site")
+        };
+        let first_attempt = |plan: &FaultPlan, keep: &dyn Fn(h2fault::FaultInjection) -> bool| {
+            sites
+                .clone()
+                .find(|&i| keep(plan.injection(i, 0)))
+                .expect("the plan injects such a fault")
+        };
+        let mut cases: Vec<(u64, Option<&FaultPlan>, bool)> = Vec::new();
+        let mut families = Vec::new();
+        for i in sites.clone() {
+            let family = population.site(i).family;
+            if families.len() < 4 && !families.contains(&family) {
+                families.push(family);
+                cases.push((i, None, false));
+            }
+        }
+        cases.push((first(&|s| s.profile.behavior.mute), None, false));
+        cases.push((first(&|s| s.profile.behavior.push), None, false));
+        cases.push((cases[0].0, None, true));
+        let cut = first_attempt(&flaky, &|f| f.impairment.drop_after_bytes.is_some());
+        let reset = first_attempt(&byzantine, &|f| f.byzantine.reset_after_bytes.is_some());
+        let truncated = first_attempt(&byzantine, &|f| f.byzantine.truncate_after.is_some());
+        // Trickled DATA runs into the deadline with the server's next
+        // chunk still in flight.
+        let trickled = first_attempt(&byzantine, &|f| f.byzantine.trickle_data.is_some());
+        cases.push((cut, Some(&flaky), false));
+        cases.push((cases[1].0, None, false));
+        cases.push((reset, Some(&byzantine), false));
+        cases.push((cases[2].0, None, false));
+        cases.push((truncated, Some(&byzantine), false));
+        cases.push((cases[3].0, None, false));
+        cases.push((trickled, Some(&byzantine), false));
+        cases.push((cases[0].0, None, false));
+
+        let survey = |(i, plan, shrunk): (u64, Option<&FaultPlan>, bool)| {
+            let mut site = population.site(i);
+            if shrunk {
+                let announced = &mut Arc::make_mut(&mut site.profile).behavior.announced;
+                *announced = announced
+                    .clone()
+                    .with(h2wire::SettingId::HeaderTableSize, 1_024);
+            }
+            let obs = Obs::campaign(u64::MAX);
+            let site_obs = obs.for_site(i);
+            let report = survey_one(&H2Scope::new(), &site, plan, SEED, &site_obs);
+            site_obs.finish_site();
+            (report, format!("{:?}", obs.snapshot()))
+        };
+        let one_thread: Vec<_> = cases.iter().map(|&case| survey(case)).collect();
+        for (&case, warm) in cases.iter().zip(&one_thread) {
+            let cold = std::thread::scope(|s| {
+                s.spawn(|| survey(case))
+                    .join()
+                    .expect("the survey thread finishes")
+            });
+            assert_eq!(
+                &cold,
+                warm,
+                "site {} (plan, shrunk table) {:?}",
+                case.0,
+                (case.1.map(|p| p.profile().name), case.2)
+            );
+        }
+        assert!(
+            one_thread
+                .iter()
+                .any(|(report, _)| report.probe.outcome != ProbeOutcome::Ok
+                    || report.probe.attempts > 1),
+            "the faulted sites fail or retry"
+        );
     }
 
     #[test]

@@ -123,7 +123,7 @@ fn eviction_scenarios_match_dynamic_table() {
         for op in scenario.ops {
             match *op {
                 TableOp::SetMaxSize(max) => table.set_max_size(max),
-                TableOp::Insert(name, value) => table.insert(Header::new(name, value)),
+                TableOp::Insert(name, value) => table.insert(name, value),
             }
         }
         // (len, size, evictions, name of the newest entry)
@@ -132,7 +132,7 @@ fn eviction_scenarios_match_dynamic_table() {
                 table.len(),
                 table.size(),
                 table.evictions(),
-                table.get(62).map(|h| h.name.as_str()),
+                table.get(62).map(|(name, _)| name),
             ),
             (
                 scenario.expect_len,

@@ -15,7 +15,9 @@
 
 use bytes::Bytes;
 
-use h2hpack::{Decoder as HpackDecoder, Encoder as HpackEncoder, EncoderOptions, Header};
+use h2hpack::{
+    Decoder as HpackDecoder, Encoder as HpackEncoder, EncoderOptions, Header, TableScratch,
+};
 use h2wire::settings::{
     DEFAULT_HEADER_TABLE_SIZE, DEFAULT_INITIAL_WINDOW_SIZE, DEFAULT_MAX_FRAME_SIZE,
 };
@@ -321,21 +323,44 @@ pub struct ConnectionCore {
 /// Most spent header lists a [`ConnectionCore`] keeps for reuse.
 const HEADER_POOL: usize = 4;
 
+/// The storage a [`ConnectionCore`] leaves behind for the next one: both
+/// HPACK tables, the frame buffer, the stream table and the spent header
+/// lists, all emptied. Only [`Default`] and
+/// [`ConnectionCore::take_scratch`] make one.
+#[derive(Debug, Default)]
+pub struct CoreScratch {
+    encoder: TableScratch,
+    decoder: TableScratch,
+    frames: Vec<u8>,
+    streams: Vec<Stream>,
+    header_pool: Vec<Vec<Header>>,
+}
+
 impl ConnectionCore {
     /// Creates a core for `role` announcing `local` settings, with the
     /// given HPACK encoder options (the `h2server` engine uses the options
     /// to model per-server indexing policies).
     pub fn new(role: Role, local: EffectiveSettings, encoder: EncoderOptions) -> ConnectionCore {
-        let mut frame_decoder = FrameDecoder::new();
+        ConnectionCore::new_in(role, local, encoder, CoreScratch::default())
+    }
+
+    /// [`ConnectionCore::new`] in the storage another core left behind.
+    pub fn new_in(
+        role: Role,
+        local: EffectiveSettings,
+        encoder: EncoderOptions,
+        scratch: CoreScratch,
+    ) -> ConnectionCore {
+        let mut frame_decoder = FrameDecoder::new_in(scratch.frames);
         frame_decoder.set_max_frame_size(local.max_frame_size);
         ConnectionCore {
             role,
             local,
             remote: EffectiveSettings::default(),
-            encoder: HpackEncoder::with_options(encoder),
-            decoder: HpackDecoder::with_table_size(local.header_table_size),
+            encoder: HpackEncoder::new_in(encoder, scratch.encoder),
+            decoder: HpackDecoder::new_in(local.header_table_size, scratch.decoder),
             frame_decoder,
-            streams: StreamMap::new(),
+            streams: StreamMap::new_in(scratch.streams),
             priority: PriorityTree::new(),
             conn_send: FlowWindow::new(DEFAULT_INITIAL_WINDOW_SIZE),
             conn_recv: FlowWindow::new(DEFAULT_INITIAL_WINDOW_SIZE),
@@ -345,7 +370,23 @@ impl ConnectionCore {
             encoder_table_cap: DEFAULT_HEADER_TABLE_SIZE,
             obs: h2obs::Obs::off(),
             evictions_reported: 0,
-            header_pool: Vec::new(),
+            header_pool: scratch.header_pool,
+        }
+    }
+
+    /// Hands back the connection's storage, emptied, for
+    /// [`ConnectionCore::new_in`]: the tables lose their entries, the
+    /// frame buffer its bytes, the stream table its streams, and every
+    /// spent header list its text (each string keeps its capacity).
+    pub fn take_scratch(&mut self) -> CoreScratch {
+        let mut header_pool = std::mem::take(&mut self.header_pool);
+        header_pool.iter_mut().flatten().for_each(Header::clear);
+        CoreScratch {
+            encoder: self.encoder.take_scratch(),
+            decoder: self.decoder.take_scratch(),
+            frames: self.frame_decoder.take_scratch(),
+            streams: self.streams.take_scratch(),
+            header_pool,
         }
     }
 

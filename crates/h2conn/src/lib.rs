@@ -56,7 +56,9 @@ pub mod priority;
 pub mod stream;
 pub mod window;
 
-pub use crate::core::{ConnError, ConnectionCore, CoreEvent, EffectiveSettings, Role, WindowScope};
+pub use crate::core::{
+    ConnError, ConnectionCore, CoreEvent, CoreScratch, EffectiveSettings, Role, WindowScope,
+};
 pub use assembler::{AssemblyError, BlockKind, CompleteBlock, HeaderAssembler};
 pub use priority::{PriorityTree, SelfDependencyError};
 pub use stream::{CloseReason, Stream, StreamMap, StreamState};

@@ -173,6 +173,22 @@ impl StreamMap {
         StreamMap::default()
     }
 
+    /// [`StreamMap::new`] in the table storage another map handed back
+    /// through [`StreamMap::take_scratch`].
+    pub(crate) fn new_in(streams: Vec<Stream>) -> StreamMap {
+        StreamMap {
+            streams,
+            ..StreamMap::default()
+        }
+    }
+
+    /// Forgets every stream and hands back the table's storage, empty.
+    pub(crate) fn take_scratch(&mut self) -> Vec<Stream> {
+        let mut streams = std::mem::take(&mut self.streams);
+        streams.clear();
+        streams
+    }
+
     /// Where `id` sits in the sorted table: `Ok` when present, else
     /// `Err` with its insertion point.
     fn position(&self, id: StreamId) -> Result<usize, usize> {

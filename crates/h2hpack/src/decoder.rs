@@ -8,7 +8,7 @@
 use crate::error::HpackDecodeError;
 use crate::huffman;
 use crate::integer;
-use crate::table::{DynamicTable, Header, STATIC_TABLE, STATIC_TABLE_LEN};
+use crate::table::{DynamicTable, Header, TableScratch, STATIC_TABLE, STATIC_TABLE_LEN};
 
 /// A stateful HPACK decoder for one direction of one connection.
 #[derive(Debug, Clone)]
@@ -32,9 +32,21 @@ impl Decoder {
     /// octets (the value this endpoint announced in
     /// `SETTINGS_HEADER_TABLE_SIZE`).
     pub fn with_table_size(max_size: u32) -> Decoder {
+        Decoder::new_in(max_size, TableScratch::default())
+    }
+
+    /// [`Decoder::with_table_size`] in the table storage another decoder
+    /// or encoder left behind.
+    pub fn new_in(max_size: u32, scratch: TableScratch) -> Decoder {
         Decoder {
-            table: DynamicTable::new(max_size),
+            table: DynamicTable::new_in(max_size, scratch),
         }
+    }
+
+    /// Empties the dynamic table and hands back its storage for
+    /// [`Decoder::new_in`].
+    pub fn take_scratch(&mut self) -> TableScratch {
+        self.table.take_scratch()
     }
 
     /// Read-only view of the dynamic table.
@@ -82,14 +94,12 @@ impl Decoder {
                 let (index, used) = integer::decode(buf, 7)?;
                 buf = &buf[used..];
                 let (name, value) = self.entry(index)?;
-                let slot = next_slot(out, &mut fields);
-                assign(&mut slot.name, name);
-                assign(&mut slot.value, value);
+                next_slot(out, &mut fields).set(name, value);
             } else if first & 0b0100_0000 != 0 {
                 // Literal with incremental indexing.
                 let slot = next_slot(out, &mut fields);
                 buf = &buf[self.literal_into(buf, 6, slot)?..];
-                self.table.insert(slot.clone());
+                self.table.insert(&slot.name, &slot.value);
             } else if first & 0b0010_0000 != 0 {
                 // Dynamic table size update.
                 if fields > 0 {
@@ -124,9 +134,7 @@ impl Decoder {
                 .and_then(|i| STATIC_TABLE.get(i))
                 .copied()
         } else {
-            self.table
-                .get(idx)
-                .map(|h| (h.name.as_str(), h.value.as_str()))
+            self.table.get(idx)
         };
         found.ok_or(HpackDecodeError::InvalidIndex(index))
     }

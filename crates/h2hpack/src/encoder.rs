@@ -2,7 +2,7 @@
 
 use crate::huffman;
 use crate::integer;
-use crate::table::{static_lookup, DynamicTable, Header};
+use crate::table::{static_lookup, DynamicTable, Header, TableScratch};
 
 /// How the encoder uses the dynamic table.
 ///
@@ -70,11 +70,23 @@ impl Encoder {
 
     /// Creates an encoder with explicit options.
     pub fn with_options(options: EncoderOptions) -> Encoder {
+        Encoder::new_in(options, TableScratch::default())
+    }
+
+    /// [`Encoder::with_options`] in the table storage another encoder or
+    /// decoder left behind.
+    pub fn new_in(options: EncoderOptions, scratch: TableScratch) -> Encoder {
         Encoder {
-            table: DynamicTable::new(options.max_table_size),
+            table: DynamicTable::new_in(options.max_table_size, scratch),
             options,
             pending_size_update: None,
         }
+    }
+
+    /// Empties the dynamic table and hands back its storage for
+    /// [`Encoder::new_in`].
+    pub fn take_scratch(&mut self) -> TableScratch {
+        self.table.take_scratch()
     }
 
     /// The indexing policy in force.
@@ -150,13 +162,18 @@ impl Encoder {
         }
         self.encode_string(header.value.as_bytes(), out);
         if add_to_table {
-            self.table.insert(header.clone());
+            self.table.insert(&header.name, &header.value);
         }
     }
 
     fn encode_string(&self, data: &[u8], out: &mut Vec<u8>) {
-        if self.options.use_huffman && huffman::encoded_len(data) < data.len() {
-            integer::encode(huffman::encoded_len(data) as u64, 7, 0b1000_0000, out);
+        let coded_len = if self.options.use_huffman {
+            huffman::encoded_len(data)
+        } else {
+            data.len()
+        };
+        if coded_len < data.len() {
+            integer::encode(coded_len as u64, 7, 0b1000_0000, out);
             huffman::encode(data, out);
         } else {
             integer::encode(data.len() as u64, 7, 0, out);

@@ -301,48 +301,111 @@ pub fn encode(input: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-/// A flattened binary trie for decoding; `nodes[i]` holds the children for
-/// bit 0 and bit 1, each either another node index or a decoded symbol.
-struct DecodeTrie {
-    nodes: Vec<[Transition; 2]>,
+/// One step of the decoder: what reading one 4-bit nibble does from one
+/// state. States 0–255 are the internal nodes of the code's binary trie,
+/// state 0 (the root) being "at a symbol boundary" — the code is complete,
+/// so the trie has exactly 256 of them; state 256 is "EOS was read", which
+/// no input leaves and no input may end in.
+#[derive(Clone, Copy)]
+struct Step {
+    /// The state after the nibble, times 16: where its row of steps
+    /// starts in the table.
+    next: u16,
+    /// The symbol the nibble completed (when `flags & EMIT`). Codes are at
+    /// least 5 bits long, so a nibble completes at most one.
+    symbol: u8,
+    flags: u8,
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Transition {
-    Missing,
-    Node(u16),
-    Symbol(u16),
-}
+/// The nibble completed `Step::symbol`.
+const EMIT: u8 = 1;
+/// The input may end after this step: the bits since the last symbol are
+/// at most seven ones, a strict prefix of EOS (RFC 7541 §5.2).
+const ACCEPT: u8 = 2;
 
-fn trie() -> &'static DecodeTrie {
-    static TRIE: OnceLock<DecodeTrie> = OnceLock::new();
-    TRIE.get_or_init(|| {
-        let mut nodes = vec![[Transition::Missing; 2]];
+/// The state EOS leads to.
+const FAILED: usize = 256;
+
+/// Every state's 16 steps, one row per state.
+type DecodeTable = [Step; (FAILED + 1) * 16];
+
+/// The nibble table, built once from [`CODES`]: first the binary trie
+/// (each internal node's children, a node index or a symbol), then every
+/// state's walk over each of the 16 nibbles.
+fn decode_table() -> &'static DecodeTable {
+    static TABLE: OnceLock<Box<DecodeTable>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        #[derive(Clone, Copy)]
+        enum Child {
+            Missing,
+            Node(usize),
+            Symbol(usize),
+        }
+        let mut trie = vec![[Child::Missing; 2]];
         for (symbol, &(code, len)) in CODES.iter().enumerate() {
-            let mut node = 0usize;
+            let mut node = 0;
             for depth in (0..len).rev() {
                 let bit = ((code >> depth) & 1) as usize;
                 if depth == 0 {
-                    nodes[node][bit] = Transition::Symbol(symbol as u16);
+                    trie[node][bit] = Child::Symbol(symbol);
                 } else {
-                    node = match nodes[node][bit] {
-                        Transition::Node(next) => next as usize,
-                        Transition::Missing => {
-                            nodes.push([Transition::Missing; 2]);
-                            let next = (nodes.len() - 1) as u16;
-                            nodes[node][bit] = Transition::Node(next);
-                            next as usize
+                    node = match trie[node][bit] {
+                        Child::Node(next) => next,
+                        Child::Missing => {
+                            trie.push([Child::Missing; 2]);
+                            trie[node][bit] = Child::Node(trie.len() - 1);
+                            trie.len() - 1
                         }
                         #[expect(
                             clippy::unreachable,
                             reason = "Appendix B is a prefix code; collisions cannot occur"
                         )]
-                        Transition::Symbol(_) => unreachable!("prefix codes never collide"),
+                        Child::Symbol(_) => unreachable!("prefix codes never collide"),
                     };
                 }
             }
         }
-        DecodeTrie { nodes }
+        assert_eq!(trie.len(), FAILED, "a complete code has 256 internal nodes");
+        // The states the input may end in: the root and the first seven
+        // nodes down the all-ones path.
+        let mut accepting = [false; FAILED + 1];
+        let mut node = 0;
+        for _ in 0..8 {
+            accepting[node] = true;
+            if let Child::Node(next) = trie[node][1] {
+                node = next;
+            }
+        }
+        let failed = Step {
+            next: (FAILED * 16) as u16,
+            symbol: 0,
+            flags: 0,
+        };
+        let mut table = Box::new([failed; (FAILED + 1) * 16]);
+        for (state, row) in table.chunks_exact_mut(16).take(FAILED).enumerate() {
+            for (nibble, step) in row.iter_mut().enumerate() {
+                let mut node = state;
+                for shift in (0..4).rev() {
+                    match trie[node][(nibble >> shift) & 1] {
+                        Child::Node(next) => node = next,
+                        Child::Symbol(symbol) if symbol != EOS => {
+                            step.flags |= EMIT;
+                            step.symbol = symbol as u8;
+                            node = 0;
+                        }
+                        Child::Symbol(_) | Child::Missing => {
+                            node = FAILED;
+                            break;
+                        }
+                    }
+                }
+                step.next = (node * 16) as u16;
+                if accepting[node] {
+                    step.flags |= ACCEPT;
+                }
+            }
+        }
+        table
     })
 }
 
@@ -368,37 +431,27 @@ pub fn decode(input: &[u8]) -> Result<Vec<u8>, HpackDecodeError> {
 /// not match the most significant bits of EOS (RFC 7541 §5.2). `out` may
 /// then hold part of the decoded octets.
 pub fn decode_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), HpackDecodeError> {
-    let trie = trie();
+    let table = decode_table();
     out.reserve(input.len() * 8 / 5);
-    let mut node = 0usize;
-    let mut bits_since_symbol = 0u32;
-    let mut all_ones_since_symbol = true;
+    // The current state's row; the failed state absorbs the rest of the
+    // input, so EOS needs no check of its own.
+    let mut row = 0;
+    let mut flags = ACCEPT;
     for &byte in input {
-        for shift in (0..8).rev() {
-            let bit = usize::from((byte >> shift) & 1);
-            bits_since_symbol += 1;
-            all_ones_since_symbol &= bit == 1;
-            match trie.nodes[node][bit] {
-                Transition::Symbol(sym) => {
-                    if sym as usize == EOS {
-                        return Err(HpackDecodeError::InvalidHuffman);
-                    }
-                    out.push(sym as u8);
-                    node = 0;
-                    bits_since_symbol = 0;
-                    all_ones_since_symbol = true;
-                }
-                Transition::Node(next) => node = next as usize,
-                Transition::Missing => return Err(HpackDecodeError::InvalidHuffman),
+        for nibble in [byte >> 4, byte & 0x0f] {
+            let step = table[row | usize::from(nibble)];
+            if step.flags & EMIT != 0 {
+                out.push(step.symbol);
             }
+            row = usize::from(step.next);
+            flags = step.flags;
         }
     }
-    // Whatever remains must be a strict prefix of EOS: at most 7 bits, all
-    // ones.
-    if bits_since_symbol > 7 || !all_ones_since_symbol {
-        return Err(HpackDecodeError::InvalidHuffman);
+    if flags & ACCEPT != 0 {
+        Ok(())
+    } else {
+        Err(HpackDecodeError::InvalidHuffman)
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ pub use decoder::Decoder;
 pub use encoder::{Encoder, EncoderOptions, IndexingPolicy};
 pub use error::HpackDecodeError;
 pub use table::{
-    static_entry, static_lookup, DynamicTable, Header, STATIC_TABLE, STATIC_TABLE_LEN,
+    static_entry, static_lookup, DynamicTable, Header, TableScratch, STATIC_TABLE, STATIC_TABLE_LEN,
 };
 
 /// Protocol-default dynamic table size (RFC 7540 §6.5.2).

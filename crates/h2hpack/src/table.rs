@@ -22,6 +22,20 @@ impl Header {
         }
     }
 
+    /// Overwrites both fields in place, keeping their capacity.
+    pub fn set(&mut self, name: &str, value: &str) {
+        self.name.clear();
+        self.name.push_str(name);
+        self.value.clear();
+        self.value.push_str(value);
+    }
+
+    /// Empties both fields, keeping their capacity: a list of cleared
+    /// fields is storage a later header list is written into.
+    pub fn clear(&mut self) {
+        self.set("", "");
+    }
+
     /// The HPACK size of this entry: name + value + 32 octets of overhead
     /// (RFC 7541 §4.1).
     pub fn hpack_size(&self) -> u32 {
@@ -129,9 +143,18 @@ pub fn static_lookup(name: &str, value: &str) -> Option<(usize, bool)> {
 
 /// The HPACK dynamic table: a FIFO of recently indexed fields with a size
 /// budget. Newest entry is index 62.
+///
+/// Field text lives in one arena, oldest entry first: an insert appends
+/// its name and value, an eviction only moves the arena's start past the
+/// evicted text, and the dead prefix is dropped when the arena would
+/// otherwise have to grow.
 #[derive(Debug, Clone)]
 pub struct DynamicTable {
-    entries: VecDeque<Header>,
+    /// Newest entry first.
+    entries: VecDeque<Entry>,
+    text: String,
+    /// Start of the oldest entry's text: everything before it is evicted.
+    head: usize,
     size: u32,
     max_size: u32,
     /// Upper bound the decoder's peer fixed via SETTINGS; size updates may
@@ -142,16 +165,58 @@ pub struct DynamicTable {
     evictions: u64,
 }
 
+/// One entry: its name is `text[start..name_end]`, its value
+/// `text[name_end..end]`.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    start: usize,
+    name_end: usize,
+    end: usize,
+}
+
+impl Entry {
+    /// The entry's HPACK size (RFC 7541 §4.1).
+    fn hpack_size(&self) -> u32 {
+        (self.end - self.start + 32) as u32
+    }
+}
+
+/// The storage a [`DynamicTable`] leaves behind: its entry list and text
+/// arena, both empty. Only [`Default`] and [`DynamicTable::take_scratch`]
+/// make one, so a table built from it starts as empty as a new one.
+#[derive(Debug, Default)]
+pub struct TableScratch {
+    entries: VecDeque<Entry>,
+    text: String,
+}
+
 impl DynamicTable {
     /// Creates a table with the given maximum size (both current and
     /// protocol ceiling).
     pub fn new(max_size: u32) -> DynamicTable {
+        DynamicTable::new_in(max_size, TableScratch::default())
+    }
+
+    /// [`DynamicTable::new`] in the storage another table left behind.
+    pub fn new_in(max_size: u32, scratch: TableScratch) -> DynamicTable {
         DynamicTable {
-            entries: VecDeque::new(),
+            entries: scratch.entries,
+            text: scratch.text,
+            head: 0,
             size: 0,
             max_size,
             protocol_max_size: max_size,
             evictions: 0,
+        }
+    }
+
+    /// Empties the table and hands back its storage for
+    /// [`DynamicTable::new_in`].
+    pub fn take_scratch(&mut self) -> TableScratch {
+        self.clear();
+        TableScratch {
+            entries: std::mem::take(&mut self.entries),
+            text: std::mem::take(&mut self.text),
         }
     }
 
@@ -204,30 +269,44 @@ impl DynamicTable {
     /// Inserts a field at the head of the table (index 62), evicting from
     /// the tail. An entry larger than the whole table empties it
     /// (RFC 7541 §4.4).
-    pub fn insert(&mut self, header: Header) {
-        let entry_size = header.hpack_size();
+    pub fn insert(&mut self, name: &str, value: &str) {
+        let entry_size = (name.len() + value.len() + 32) as u32;
         if entry_size > self.max_size {
             self.evictions += self.entries.len() as u64;
-            self.entries.clear();
-            self.size = 0;
+            self.clear();
             return;
         }
         self.evict_to(self.max_size - entry_size);
+        if self.entries.is_empty() {
+            self.text.clear();
+            self.head = 0;
+        } else if self.head > 0 && self.text.len() + name.len() + value.len() > self.text.capacity()
+        {
+            self.compact();
+        }
+        let start = self.text.len();
+        self.text.push_str(name);
+        self.text.push_str(value);
+        self.entries.push_front(Entry {
+            start,
+            name_end: start + name.len(),
+            end: self.text.len(),
+        });
         self.size += entry_size;
-        self.entries.push_front(header);
     }
 
-    /// Looks up an entry by absolute HPACK index (62-based).
-    pub fn get(&self, index: usize) -> Option<&Header> {
-        self.entries.get(index.checked_sub(STATIC_TABLE_LEN + 1)?)
+    /// The `(name, value)` at an absolute HPACK index (62-based).
+    pub fn get(&self, index: usize) -> Option<(&str, &str)> {
+        self.field(self.entries.get(index.checked_sub(STATIC_TABLE_LEN + 1)?)?)
     }
 
     /// Finds the best dynamic match: `(absolute_index, value_matched)`.
     pub fn lookup(&self, name: &str, value: &str) -> Option<(usize, bool)> {
+        let text = self.text.as_bytes();
         let mut name_only = None;
-        for (i, h) in self.entries.iter().enumerate() {
-            if h.name == name {
-                if h.value == value {
+        for (i, entry) in self.entries.iter().enumerate() {
+            if text.get(entry.start..entry.name_end) == Some(name.as_bytes()) {
+                if text.get(entry.name_end..entry.end) == Some(value.as_bytes()) {
                     return Some((STATIC_TABLE_LEN + 1 + i, true));
                 }
                 if name_only.is_none() {
@@ -238,6 +317,35 @@ impl DynamicTable {
         name_only
     }
 
+    /// An entry's text. Always `Some`: every entry's bounds lie on the
+    /// boundaries of the `&str`s it was inserted from.
+    fn field(&self, entry: &Entry) -> Option<(&str, &str)> {
+        Some((
+            self.text.get(entry.start..entry.name_end)?,
+            self.text.get(entry.name_end..entry.end)?,
+        ))
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.text.clear();
+        self.head = 0;
+        self.size = 0;
+    }
+
+    /// Drops the evicted text before `head`, moving the live text to the
+    /// arena's start.
+    fn compact(&mut self) {
+        let dead = self.head;
+        self.text.drain(..dead);
+        for entry in &mut self.entries {
+            entry.start -= dead;
+            entry.name_end -= dead;
+            entry.end -= dead;
+        }
+        self.head = 0;
+    }
+
     fn evict_to(&mut self, budget: u32) {
         while self.size > budget {
             #[expect(
@@ -246,6 +354,7 @@ impl DynamicTable {
             )]
             let evicted = self.entries.pop_back().expect("size > 0 implies entries");
             self.size -= evicted.hpack_size();
+            self.head = evicted.end;
             self.evictions += 1;
         }
     }
@@ -274,17 +383,17 @@ mod tests {
         let mut table = DynamicTable::new(100);
         assert_eq!(table.evictions(), 0);
         // Header::hpack_size = name + value + 32; "aa"+"bbbb" = 38 octets.
-        table.insert(Header::new("aa", "bbbb"));
-        table.insert(Header::new("aa", "bbbb"));
+        table.insert("aa", "bbbb");
+        table.insert("aa", "bbbb");
         assert_eq!(table.evictions(), 0);
         // Third insert (38*3 = 114 > 100) evicts one from the tail.
-        table.insert(Header::new("aa", "bbbb"));
+        table.insert("aa", "bbbb");
         assert_eq!(table.evictions(), 1);
         // A size update shrinking to one entry evicts one more.
         table.set_max_size(40);
         assert_eq!(table.evictions(), 2);
         // An entry larger than the table clears it (§4.4): +1 eviction.
-        table.insert(Header::new("xxxxxxxxxxxxxxxx", "yyyyyyyyyyyyyyyy"));
+        table.insert("xxxxxxxxxxxxxxxx", "yyyyyyyyyyyyyyyy");
         assert_eq!(table.len(), 0);
         assert_eq!(table.evictions(), 3);
     }
@@ -308,21 +417,21 @@ mod tests {
     #[test]
     fn insert_evicts_oldest_first() {
         let mut table = DynamicTable::new(100);
-        table.insert(Header::new("a", "1")); // 34
-        table.insert(Header::new("b", "2")); // 34
-        table.insert(Header::new("c", "3")); // 34 -> would be 102, evict "a"
+        table.insert("a", "1"); // 34
+        table.insert("b", "2"); // 34
+        table.insert("c", "3"); // 34 -> would be 102, evict "a"
         assert_eq!(table.len(), 2);
-        assert_eq!(table.get(62).unwrap().name, "c");
-        assert_eq!(table.get(63).unwrap().name, "b");
+        assert_eq!(table.get(62).unwrap().0, "c");
+        assert_eq!(table.get(63).unwrap().0, "b");
         assert_eq!(table.get(64), None);
     }
 
     #[test]
     fn oversized_entry_clears_table() {
         let mut table = DynamicTable::new(40);
-        table.insert(Header::new("a", "1"));
+        table.insert("a", "1");
         assert_eq!(table.len(), 1);
-        table.insert(Header::new("long-name", "long-value-that-overflows"));
+        table.insert("long-name", "long-value-that-overflows");
         assert!(table.is_empty());
         assert_eq!(table.size(), 0);
     }
@@ -330,27 +439,58 @@ mod tests {
     #[test]
     fn size_update_evicts() {
         let mut table = DynamicTable::new(200);
-        table.insert(Header::new("a", "1"));
-        table.insert(Header::new("b", "2"));
+        table.insert("a", "1");
+        table.insert("b", "2");
         table.set_max_size(40);
         assert_eq!(table.len(), 1);
-        assert_eq!(table.get(62).unwrap().name, "b");
+        assert_eq!(table.get(62).unwrap().0, "b");
     }
 
     #[test]
     fn lookup_returns_newest_exact_match() {
         let mut table = DynamicTable::new(1000);
-        table.insert(Header::new("k", "old"));
-        table.insert(Header::new("k", "new"));
+        table.insert("k", "old");
+        table.insert("k", "new");
         assert_eq!(table.lookup("k", "new"), Some((62, true)));
         assert_eq!(table.lookup("k", "old"), Some((63, true)));
         assert_eq!(table.lookup("k", "other"), Some((62, false)));
     }
 
+    /// The arena under inserts, evictions, compactions, size updates and
+    /// a storage handoff reads the same as a list of owned fields.
+    #[test]
+    fn arena_reads_like_a_list_of_owned_fields() {
+        let mut table = DynamicTable::new(300);
+        let mut model: VecDeque<Header> = VecDeque::new();
+        for i in 0..600usize {
+            if i % 150 == 149 {
+                table = DynamicTable::new_in(300, table.take_scratch());
+                model.clear();
+            }
+            let max = if i % 50 < 40 { 300 } else { 120 };
+            if max != table.max_size() {
+                table.set_max_size(max);
+            }
+            let field = Header::new("n".repeat(1 + i % 7), "v\u{e9}".repeat(i * 13 % 23));
+            table.insert(&field.name, &field.value);
+            model.push_front(field);
+            while model.iter().map(Header::hpack_size).sum::<u32>() > max {
+                model.pop_back();
+            }
+            assert_eq!(table.len(), model.len(), "insert {i}");
+            assert_eq!(table.size(), model.iter().map(Header::hpack_size).sum());
+            for (at, field) in model.iter().enumerate() {
+                let got = table.get(62 + at);
+                assert_eq!(got, Some((field.name.as_str(), field.value.as_str())));
+            }
+        }
+        assert!(table.text.capacity() < 4 * 300, "evicted text is reclaimed");
+    }
+
     #[test]
     fn protocol_ceiling_clamps_current_max() {
         let mut table = DynamicTable::new(4096);
-        table.insert(Header::new("a", "1"));
+        table.insert("a", "1");
         table.set_protocol_max_size(0);
         assert_eq!(table.max_size(), 0);
         assert!(table.is_empty());

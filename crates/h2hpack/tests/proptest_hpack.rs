@@ -3,8 +3,10 @@
 //! octet strings.
 
 use h2hpack::encoder::{Encoder, EncoderOptions, IndexingPolicy};
-use h2hpack::{huffman, integer, Decoder, Header};
+use h2hpack::{huffman, integer, Decoder, Header, HpackDecodeError};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 fn arb_header() -> impl Strategy<Value = Header> {
     let name = prop_oneof![
@@ -51,6 +53,89 @@ fn arb_junk_list() -> impl Strategy<Value = Vec<Header>> {
         }
         list
     })
+}
+
+/// The bit-serial reference decoder: one bit at a time, a symbol
+/// whenever the bits since the last one spell a codeword of RFC 7541
+/// Appendix B, and at the end at most seven bits of EOS prefix (§5.2).
+fn reference_decode(input: &[u8]) -> Result<Vec<u8>, HpackDecodeError> {
+    static SYMBOLS: OnceLock<BTreeMap<(u32, u8), usize>> = OnceLock::new();
+    let symbols = SYMBOLS.get_or_init(|| {
+        (0..huffman::CODES.len())
+            .map(|s| (huffman::CODES[s], s))
+            .collect()
+    });
+    let mut out = Vec::new();
+    let (mut code, mut len) = (0u32, 0u8);
+    for &byte in input {
+        for shift in (0..8).rev() {
+            code = (code << 1) | u32::from((byte >> shift) & 1);
+            len += 1;
+            match symbols.get(&(code, len)).copied() {
+                Some(huffman::EOS) => return Err(HpackDecodeError::InvalidHuffman),
+                Some(symbol) => {
+                    out.push(symbol as u8);
+                    (code, len) = (0, 0);
+                }
+                None => {}
+            }
+        }
+    }
+    if len > 7 || code != (1 << len) - 1 {
+        return Err(HpackDecodeError::InvalidHuffman);
+    }
+    Ok(out)
+}
+
+/// `bits` packed into octets, the last one filled up with `fill`.
+fn pack(bits: &[bool], fill: bool) -> Vec<u8> {
+    bits.chunks(8)
+        .map(|chunk| {
+            (0..8).fold(0u8, |byte, i| {
+                byte << 1 | u8::from(chunk.get(i).copied().unwrap_or(fill))
+            })
+        })
+        .collect()
+}
+
+/// Both decoders give the same octets, or both refuse the input.
+fn assert_decoders_agree(input: &[u8]) {
+    assert_eq!(
+        huffman::decode(input),
+        reference_decode(input),
+        "input {input:02x?}"
+    );
+}
+
+/// Every codeword alone, after a symbol, and followed by 0 to 16 bits of
+/// EOS prefix, its last octet filled with ones or zeros; and every
+/// truncation of each of those.
+#[test]
+fn huffman_decode_matches_the_bit_serial_reference_on_every_codeword() {
+    let bits = |(code, len): (u32, u8)| (0..len).rev().map(move |i| (code >> i) & 1 == 1);
+    let mut checked = 0;
+    for &codeword in &huffman::CODES {
+        for lead in [&[][..], &[huffman::CODES[usize::from(b'a')]]] {
+            for padding in 0..=16 {
+                let mut stream: Vec<bool> = lead.iter().copied().flat_map(bits).collect();
+                stream.extend(bits(codeword));
+                stream.extend(std::iter::repeat_n(true, padding));
+                for fill in [true, false] {
+                    let input = pack(&stream, fill);
+                    for end in 0..=input.len() {
+                        assert_decoders_agree(&input[..end]);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 257 * 2 * 17 * 2, "{checked} inputs");
+    // Whole strings decode to themselves on both sides.
+    let mut coded = Vec::new();
+    huffman::encode(b"www.example.com", &mut coded);
+    assert_eq!(reference_decode(&coded), Ok(b"www.example.com".to_vec()));
+    assert_decoders_agree(&coded);
 }
 
 proptest! {
@@ -146,6 +231,15 @@ proptest! {
         huffman::encode(&data, &mut coded);
         prop_assert_eq!(coded.len(), huffman::encoded_len(&data));
         prop_assert_eq!(huffman::decode(&coded).expect("valid"), data);
+    }
+
+    /// On arbitrary octets the table decoder and the bit-serial reference
+    /// agree: the same octets, or both `InvalidHuffman`.
+    #[test]
+    fn huffman_decode_matches_the_bit_serial_reference_on_noise(
+        noise in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        prop_assert_eq!(huffman::decode(&noise), reference_decode(&noise));
     }
 
     /// Huffman decoding of arbitrary noise never panics.

@@ -11,18 +11,28 @@
 //! the peer's first SETTINGS. Header blocks are HPACK-decoded in place
 //! into the list the previous block was decoded into, once every caller
 //! has let go of it.
+//!
+//! A dropped connection leaves its storage — the pipe's, the server's and
+//! its own, every container emptied — to the next connection its thread
+//! establishes, so a fresh connection starts with warm buffers, tables
+//! and header lists.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use h2hpack::{Decoder as HpackDecoder, Encoder as HpackEncoder, Header};
+use h2hpack::{
+    Decoder as HpackDecoder, Encoder as HpackEncoder, EncoderOptions, Header, TableScratch,
+    DEFAULT_TABLE_SIZE,
+};
 use h2obs::Obs;
-use h2server::H2Server;
+use h2server::{H2Server, ServerScratch};
 use h2wire::settings::MAX_MAX_FRAME_SIZE;
 use h2wire::{
     encode_all_into, Frame, FrameDecoder, HeadersFrame, PrioritySpec, SettingId, Settings,
     SettingsFrame, StreamId, WindowUpdateFrame, CONNECTION_PREFACE,
 };
+use netsim::pipe::BytesPool;
 use netsim::time::SimTime;
 use netsim::{Pipe, RunOutcome};
 
@@ -44,6 +54,31 @@ pub struct TimedFrame {
     /// dropped every handle to it, instead of allocating every header
     /// string afresh.
     pub headers: Option<Arc<Vec<Header>>>,
+}
+
+/// What a dropped [`ProbeConn`] leaves for the next one on its thread:
+/// the pipe's storage, the server's, and the client's frame buffers,
+/// HPACK tables, decode list and request template. Every container is
+/// emptied (header lists keep their strings' capacity, not their text),
+/// so a connection built in it behaves exactly as a cold one.
+#[derive(Default)]
+struct Spare {
+    pool: BytesPool,
+    server: ServerScratch,
+    frames: Vec<u8>,
+    wire: Vec<u8>,
+    encoder: TableScratch,
+    decoder: TableScratch,
+    decoded: Option<Arc<Vec<Header>>>,
+    request: Vec<Header>,
+}
+
+thread_local! {
+    /// The calling thread's spare: [`ProbeConn::establish`] takes it and
+    /// the drop of a connection puts one back. It follows the worker
+    /// thread, never the (shared) `Target`, so no two threads share
+    /// storage; a second connection alive on the same thread starts cold.
+    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
 }
 
 /// A frame-level HTTP/2 client connection to one [`Target`].
@@ -84,9 +119,28 @@ impl Drop for ProbeConn {
         // every probe opens a fresh connection at t=0 and drops it when
         // done, so `now()` at drop is the whole exchange.
         self.obs.conn_finished(self.pipe.now().as_nanos());
-        // Hand the warmed buffer pool back to this worker thread so the
-        // next connection starts allocation-free.
-        crate::target::reclaim_pool(self.pipe.take_pool());
+        // A decode list a probe still holds stays with the probe.
+        let mut decoded = self.last_headers.take();
+        match decoded.as_mut().and_then(Arc::get_mut) {
+            Some(list) => list.iter_mut().for_each(Header::clear),
+            None => decoded = None,
+        }
+        let mut request = std::mem::take(&mut self.req_scratch);
+        request.iter_mut().for_each(Header::clear);
+        let mut wire = std::mem::take(&mut self.wire_scratch);
+        wire.clear();
+        let spare = Spare {
+            pool: self.pipe.take_pool(),
+            server: self.pipe.server_mut().take_scratch(),
+            frames: self.decoder.take_scratch(),
+            wire,
+            encoder: self.hpack_encoder.take_scratch(),
+            decoder: self.hpack_decoder.take_scratch(),
+            decoded,
+            request,
+        };
+        // Ignored when the thread is already tearing its locals down.
+        let _ = SPARE.try_with(|cell| cell.set(Some(spare)));
     }
 }
 
@@ -94,12 +148,13 @@ impl ProbeConn {
     /// Opens a connection and performs the HTTP/2 prelude: preface plus
     /// the client's SETTINGS (the knob most probes customize).
     pub fn establish(target: &Target, client_settings: Settings, seed: u64) -> ProbeConn {
-        let pipe = target.connect(seed);
-        let mut decoder = FrameDecoder::new();
+        let spare = SPARE.take().unwrap_or_default();
+        let pipe = target.connect(seed, spare.pool, spare.server);
+        let mut decoder = FrameDecoder::new_in(spare.frames);
         // The probe accepts any frame size: it must observe rather than
         // police what servers send.
         decoder.set_max_frame_size(MAX_MAX_FRAME_SIZE);
-        let mut hpack_decoder = HpackDecoder::new();
+        let mut hpack_decoder = HpackDecoder::new_in(DEFAULT_TABLE_SIZE, spare.decoder);
         // Our announced SETTINGS govern what the server may do to us: a
         // larger HEADER_TABLE_SIZE permits larger table-size updates in
         // the server's header blocks.
@@ -110,17 +165,17 @@ impl ProbeConn {
             pipe,
             decoder,
             hpack_decoder,
-            hpack_encoder: HpackEncoder::new(),
+            hpack_encoder: HpackEncoder::new_in(EncoderOptions::default(), spare.encoder),
             assembler: h2conn::HeaderAssembler::new(),
             authority: target.site.authority.clone(),
             peer_settings: None,
-            last_headers: None,
+            last_headers: spare.decoded,
             deadline: target.patience.map(|p| SimTime::ZERO + p),
             dead: false,
             log: target.fault_log.clone(),
             obs: target.obs.clone(),
-            wire_scratch: Vec::new(),
-            req_scratch: Vec::new(),
+            wire_scratch: spare.wire,
+            req_scratch: spare.request,
         };
         conn.wire_scratch.extend_from_slice(CONNECTION_PREFACE);
         Frame::Settings(SettingsFrame::from(client_settings)).encode(&mut conn.wire_scratch);
@@ -166,19 +221,14 @@ impl ProbeConn {
     /// Sends a GET request on `stream`, optionally with priority fields,
     /// returning the encoded HEADERS frame size for reference.
     pub fn get(&mut self, stream: u32, path: &str, priority: Option<PrioritySpec>) -> usize {
-        if self.req_scratch.is_empty() {
-            self.req_scratch = self.request_headers(path);
-        } else {
-            #[expect(clippy::expect_used, reason = "request_headers() always emits :path")]
-            let h = self
-                .req_scratch
-                .iter_mut()
-                .find(|h| h.name == ":path")
-                .expect("request template always carries :path");
-            h.value.clear();
-            h.value.push_str(path);
+        let mut request = std::mem::take(&mut self.req_scratch);
+        match request.iter_mut().find(|h| h.name == ":path") {
+            Some(h) => h.set(":path", path),
+            // Not built yet on this connection (empty, or cleared storage).
+            None => self.request_headers_into(path, &mut request),
         }
-        let block = self.hpack_encoder.encode_block(&self.req_scratch);
+        let block = self.hpack_encoder.encode_block(&request);
+        self.req_scratch = request;
         let len = block.len();
         self.send(Frame::Headers(HeadersFrame {
             stream_id: StreamId::new(stream),
@@ -231,15 +281,27 @@ impl ProbeConn {
 
     /// The standard request header list the probe sends.
     pub fn request_headers(&self, path: &str) -> Vec<Header> {
-        vec![
-            Header::new(":method", "GET"),
-            Header::new(":scheme", "https"),
-            Header::new(":path", path),
-            Header::new(":authority", self.authority.clone()),
-            Header::new("user-agent", "h2scope/0.1"),
-            Header::new("accept", "*/*"),
-            Header::new("accept-encoding", "gzip, deflate"),
-        ]
+        let mut headers = Vec::with_capacity(7);
+        self.request_headers_into(path, &mut headers);
+        headers
+    }
+
+    /// Overwrites `out` with [`ProbeConn::request_headers`], reusing its
+    /// entries' capacity.
+    fn request_headers_into(&self, path: &str, out: &mut Vec<Header>) {
+        let fields = [
+            (":method", "GET"),
+            (":scheme", "https"),
+            (":path", path),
+            (":authority", &self.authority),
+            ("user-agent", "h2scope/0.1"),
+            ("accept", "*/*"),
+            ("accept-encoding", "gzip, deflate"),
+        ];
+        out.resize_with(fields.len(), || Header::new(String::new(), String::new()));
+        for (header, (name, value)) in out.iter_mut().zip(fields) {
+            header.set(name, value);
+        }
     }
 
     /// Runs the network and returns the newly received frames, with
@@ -258,12 +320,12 @@ impl ProbeConn {
         if self.dead {
             return Vec::new();
         }
-        let (arrivals, outcome) = match self.deadline {
+        let (mut arrivals, outcome) = match self.deadline {
             Some(deadline) => self.pipe.run_until(deadline),
             None => (self.pipe.run_to_quiescence(), RunOutcome::Quiescent),
         };
         let mut new_frames = Vec::new();
-        'arrivals: for arrival in arrivals {
+        'arrivals: for arrival in arrivals.drain(..) {
             // Wrapping the delivery in `Bytes` is free (the Vec's heap
             // block is adopted, not copied) and lets every DATA payload
             // below be a refcounted slice of the segment.
@@ -304,6 +366,7 @@ impl ProbeConn {
                 self.pipe.recycle(buf);
             }
         }
+        self.pipe.recycle_arrivals(arrivals);
         if !self.dead {
             match outcome {
                 RunOutcome::Quiescent => {}

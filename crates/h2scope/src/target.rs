@@ -1,41 +1,18 @@
 //! Probe targets: something H2Scope can open HTTP/2 connections to.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use h2obs::Obs;
-use h2server::{H2Server, RequestHandler, ServerProfile, SiteSpec};
+use h2server::{H2Server, RequestHandler, ServerProfile, ServerScratch, SiteSpec};
 use netsim::pipe::BytesPool;
 use netsim::time::SimDuration;
 use netsim::{LinkSpec, Pipe, PipeFaults, TlsConfig};
 
 use crate::resilient::FaultLog;
 
-thread_local! {
-    /// Per-thread warmed buffer pool, carried from one probe connection
-    /// to the next. A scan worker surveys thousands of sites with ~8
-    /// connections each; seeding every [`Pipe`] with the previous
-    /// connection's buffers keeps the transport path allocation-free in
-    /// steady state — with zero cross-thread sharing, because the pool
-    /// follows the worker thread, never the (shared) `Target`. Pooled
-    /// buffers are cleared on return, so reuse cannot change any bytes a
-    /// probe observes.
-    static WORKER_POOL: RefCell<BytesPool> = RefCell::new(BytesPool::default());
-}
-
-/// Takes the calling thread's warmed pool (leaving an empty one).
-pub(crate) fn lease_pool() -> BytesPool {
-    WORKER_POOL.with(|pool| std::mem::take(&mut *pool.borrow_mut()))
-}
-
-/// Returns a connection's pool to the calling thread for reuse.
-pub(crate) fn reclaim_pool(pool: BytesPool) {
-    WORKER_POOL.with(|cell| cell.borrow_mut().absorb(pool));
-}
-
 /// A factory for per-connection [`RequestHandler`]s, shared across the
-/// `Target` clones handed to worker threads. Each [`Target::connect`]
-/// call invokes it once so every server instance gets its own handler
+/// `Target` clones handed to worker threads. Each connection a target
+/// opens invokes it once, so every server instance gets its own handler
 /// (handlers are `Send` but stateful — e.g. `repro serve`'s query
 /// dispatcher holds a shard-local cache handle).
 #[derive(Clone)]
@@ -122,15 +99,22 @@ impl Target {
     }
 
     /// Opens a fresh transport connection (new server instance, new pipe),
-    /// as every probe in the paper does.
-    pub fn connect(&self, conn_seed: u64) -> Pipe<H2Server> {
+    /// as every probe in the paper does, in the storage an earlier
+    /// connection left behind.
+    pub(crate) fn connect(
+        &self,
+        conn_seed: u64,
+        pool: BytesPool,
+        scratch: ServerScratch,
+    ) -> Pipe<H2Server> {
         // `Arc` clones: no profile/site deep copy on the per-probe path.
-        let mut server = H2Server::new(Arc::clone(&self.profile), Arc::clone(&self.site));
+        let mut server =
+            H2Server::new_in(Arc::clone(&self.profile), Arc::clone(&self.site), scratch);
         server.set_obs(self.obs.clone());
         if let Some(hook) = &self.handler {
             server.set_handler(hook.make());
         }
-        let mut pipe = Pipe::connect_pooled(server, self.link, self.seed ^ conn_seed, lease_pool());
+        let mut pipe = Pipe::connect_pooled(server, self.link, self.seed ^ conn_seed, pool);
         pipe.set_faults(self.pipe_faults);
         pipe.set_obs(self.obs.clone());
         self.obs.conn_opened();
@@ -174,8 +158,8 @@ mod tests {
     #[test]
     fn connect_creates_independent_connections() {
         let target = Target::testbed(ServerProfile::nginx(), SiteSpec::benchmark());
-        let mut a = target.connect(1);
-        let mut b = target.connect(2);
+        let mut a = target.connect(1, BytesPool::default(), ServerScratch::default());
+        let mut b = target.connect(2, BytesPool::default(), ServerScratch::default());
         // Each connection gets its own greeting.
         assert!(!a.run_to_quiescence().is_empty());
         assert!(!b.run_to_quiescence().is_empty());

@@ -37,8 +37,8 @@
 //! (precomputed per site row, LRU-cached per table/diff), so a lookup is
 //! a refcount bump; the render scratch behind uncached responses leases
 //! from a [`netsim::pipe::BytesPool`] and reclaims after the copy, and
-//! the wire path carrying the bodies is the existing pooled-pipe
-//! lease/reclaim route (`Pipe::connect_pooled`).
+//! the wire path carrying the bodies runs in the storage each worker
+//! hands from one probe connection to the next (`Pipe::connect_pooled`).
 
 // Panic-freedom: this crate parses outside input, so a site that can
 // panic needs a reasoned `allow`/`expect` (clippy.toml exempts tests).

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use h2conn::{ConnectionCore, CoreEvent, EffectiveSettings, Role, WindowScope};
+use h2conn::{ConnectionCore, CoreEvent, CoreScratch, EffectiveSettings, Role, WindowScope};
 use h2hpack::{EncoderOptions, Header, IndexingPolicy};
 use h2wire::{ErrorCode, Frame, GoawayFrame, PingFrame, RstStreamFrame, SettingsFrame, StreamId};
 use netsim::time::{SimDuration, SimTime};
@@ -128,11 +128,26 @@ pub struct H2Server {
     /// (`repro serve` query dispatch); `None` for pure static serving.
     handler: Option<Box<dyn RequestHandler>>,
     /// Reusable ready-stream list for the DATA scheduler, so a chunk does
-    /// not allocate. Allocated with the connection rather than at the
-    /// first chunk: a long-lived block first allocated after a response
-    /// body sits above it on the heap and keeps that space from being
-    /// returned when the body goes (+0.4 MB peak RSS on a scan).
+    /// not allocate. Reserved with the connection (or carried over from
+    /// the previous one) rather than at the first chunk: a long-lived
+    /// block first allocated after a response body sits above it on the
+    /// heap and keeps that space from being returned when the body goes
+    /// (+0.4 MB peak RSS on a scan).
     pub(crate) ready_scratch: Vec<StreamId>,
+}
+
+/// The storage an [`H2Server`] leaves behind for the next one: its
+/// connection core's, its spent header lists, frame scratch, response
+/// queue, preface buffer and ready-stream list, all emptied. Only
+/// [`Default`] and [`H2Server::take_scratch`] make one.
+#[derive(Debug, Default)]
+pub struct ServerScratch {
+    core: CoreScratch,
+    frames: Vec<Frame>,
+    hdr_pool: Vec<Vec<Header>>,
+    queue: Vec<QueuedResponse>,
+    preface: Vec<u8>,
+    ready: Vec<StreamId>,
 }
 
 impl H2Server {
@@ -140,6 +155,15 @@ impl H2Server {
     /// values or `Arc`s; scan campaigns pass `Arc`s so every connection is
     /// a pointer-bump instead of a deep clone.
     pub fn new(profile: impl Into<Arc<ServerProfile>>, site: impl Into<Arc<SiteSpec>>) -> H2Server {
+        H2Server::new_in(profile, site, ServerScratch::default())
+    }
+
+    /// [`H2Server::new`] in the storage another server left behind.
+    pub fn new_in(
+        profile: impl Into<Arc<ServerProfile>>,
+        site: impl Into<Arc<SiteSpec>>,
+        scratch: ServerScratch,
+    ) -> H2Server {
         let profile = profile.into();
         let site = site.into();
         let behavior = &profile.behavior;
@@ -153,17 +177,19 @@ impl H2Server {
             },
             ..EncoderOptions::default()
         };
-        let mut core = ConnectionCore::new(Role::Server, local, encoder);
+        let mut core = ConnectionCore::new_in(Role::Server, local, encoder, scratch.core);
         if behavior.honor_peer_header_table_size {
             core.set_encoder_table_cap(u32::MAX);
         }
+        let mut ready_scratch = scratch.ready;
+        ready_scratch.reserve(4);
         H2Server {
             profile,
             site,
             core,
-            preface: Vec::new(),
+            preface: scratch.preface,
             preface_done: false,
-            queue: Vec::new(),
+            queue: scratch.queue,
             rejected: BTreeSet::new(),
             closed: false,
             goaway_sent: false,
@@ -175,14 +201,39 @@ impl H2Server {
             emitted: 0,
             silenced: false,
             reset_pending: false,
-            frame_scratch: Vec::new(),
-            hdr_pool: Vec::new(),
+            frame_scratch: scratch.frames,
+            hdr_pool: scratch.hdr_pool,
             now: SimTime::ZERO,
             rst_seen: 0,
             settings_seen: 0,
             pending_posts: BTreeMap::new(),
             handler: None,
-            ready_scratch: Vec::with_capacity(4),
+            ready_scratch,
+        }
+    }
+
+    /// Hands back the connection's storage, emptied, for
+    /// [`H2Server::new_in`]. Spent header lists keep their strings'
+    /// capacity but lose their text; queued responses and frames are
+    /// dropped.
+    pub fn take_scratch(&mut self) -> ServerScratch {
+        let mut hdr_pool = std::mem::take(&mut self.hdr_pool);
+        hdr_pool.iter_mut().flatten().for_each(Header::clear);
+        let mut frames = std::mem::take(&mut self.frame_scratch);
+        frames.clear();
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.clear();
+        let mut preface = std::mem::take(&mut self.preface);
+        preface.clear();
+        let mut ready = std::mem::take(&mut self.ready_scratch);
+        ready.clear();
+        ServerScratch {
+            core: self.core.take_scratch(),
+            frames,
+            hdr_pool,
+            queue,
+            preface,
+            ready,
         }
     }
 
@@ -369,10 +420,7 @@ impl H2Server {
     /// shorter than this response. Advances the slot cursor.
     fn set_hdr(headers: &mut Vec<Header>, slot: &mut usize, name: &str, value: &str) {
         if let Some(h) = headers.get_mut(*slot) {
-            h.name.clear();
-            h.name.push_str(name);
-            h.value.clear();
-            h.value.push_str(value);
+            h.set(name, value);
         } else {
             headers.push(Header::new(name, value));
         }

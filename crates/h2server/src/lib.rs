@@ -42,6 +42,6 @@ pub mod site;
 mod transport;
 
 pub use behavior::{PushPolicy, QuirkAction, ServerBehavior};
-pub use engine::{H2Server, HandlerResponse, RequestHandler};
+pub use engine::{H2Server, HandlerResponse, RequestHandler, ServerScratch};
 pub use profiles::ServerProfile;
 pub use site::{Resource, SiteSpec};

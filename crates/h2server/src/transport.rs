@@ -268,6 +268,9 @@ impl H2Server {
             }
         }
         self.pump(&mut frames);
+        // One allocation for the whole segment, not growth by doubling:
+        // a bulk segment runs to hundreds of KB.
+        out.reserve_exact(frames.iter().map(Frame::encoded_len).sum());
         encode_all_into(&frames, out);
         self.frame_scratch = frames;
     }

@@ -84,11 +84,27 @@ impl Default for FrameDecoder {
 impl FrameDecoder {
     /// Creates a decoder with the protocol-default max frame size (16,384).
     pub fn new() -> FrameDecoder {
+        FrameDecoder::new_in(Vec::new())
+    }
+
+    /// [`FrameDecoder::new`] buffering into `buf`, the storage another
+    /// decoder handed back through [`FrameDecoder::take_scratch`].
+    pub fn new_in(mut buf: Vec<u8>) -> FrameDecoder {
+        buf.clear();
         FrameDecoder {
-            buf: Vec::new(),
+            buf,
             pos: 0,
             max_frame_size: crate::settings::DEFAULT_MAX_FRAME_SIZE,
         }
+    }
+
+    /// Drops whatever is buffered and hands back the buffer, empty, for
+    /// [`FrameDecoder::new_in`].
+    pub fn take_scratch(&mut self) -> Vec<u8> {
+        self.pos = 0;
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        buf
     }
 
     /// Adjusts the maximum frame size this decoder will accept, typically

@@ -344,6 +344,33 @@ impl Frame {
         }
     }
 
+    /// The octets [`Frame::encode`] appends: the nine-octet header plus
+    /// the payload, padding included.
+    pub fn encoded_len(&self) -> usize {
+        let padding = |pad: Option<u8>| pad.map_or(0, |pad| 1 + usize::from(pad));
+        let payload = match self {
+            Frame::Data(f) => padding(f.pad_len) + f.data.len(),
+            Frame::Headers(f) => {
+                padding(f.pad_len) + f.priority.map_or(0, |_| 5) + f.fragment.len()
+            }
+            Frame::Priority(_) => 5,
+            Frame::RstStream(_) | Frame::WindowUpdate(_) => 4,
+            Frame::Settings(f) => {
+                if f.ack {
+                    0
+                } else {
+                    6 * f.settings.len()
+                }
+            }
+            Frame::PushPromise(f) => padding(f.pad_len) + 4 + f.fragment.len(),
+            Frame::Ping(_) => 8,
+            Frame::Goaway(f) => 8 + f.debug_data.len(),
+            Frame::Continuation(f) => f.fragment.len(),
+            Frame::Unknown(f) => f.payload.len(),
+        };
+        FRAME_HEADER_LEN + payload
+    }
+
     /// Serializes the frame (header and payload) onto `out`.
     ///
     /// The payload streams straight into `out` — the nine-octet header

@@ -188,10 +188,11 @@ proptest! {
     }
 
     /// Every encodable frame decodes back to itself, consuming exactly its
-    /// own bytes.
+    /// own bytes, and `encoded_len` counts those bytes.
     #[test]
     fn frame_round_trips(frame in arb_frame()) {
         let bytes = frame.to_bytes();
+        prop_assert_eq!(frame.encoded_len(), bytes.len());
         let (decoded, consumed) = decode_one(&bytes, MAX_MAX_FRAME_SIZE)
             .expect("decode")
             .expect("complete frame");

@@ -57,12 +57,16 @@ pub trait ByteEndpoint {
     }
 }
 
-/// A small free-list of byte buffers, reused across deliveries so the
-/// steady-state transport path stops allocating. Buffers handed out keep
-/// their capacity; buffers put back are cleared.
+/// The storage a [`Pipe`] leaves behind: a small free-list of byte
+/// buffers, reused across deliveries so the steady-state transport path
+/// stops allocating, plus the pipe's delivery-queue and inbox storage.
+/// Buffers handed out keep their capacity; buffers put back are cleared,
+/// and the queue and inbox travel empty.
 #[derive(Debug, Default)]
 pub struct BytesPool {
     free: Vec<Vec<u8>>,
+    queue: Vec<Delivery>,
+    inbox: Vec<Arrival>,
 }
 
 impl BytesPool {
@@ -91,19 +95,6 @@ impl BytesPool {
     /// True when no buffers are pooled.
     pub fn is_empty(&self) -> bool {
         self.free.is_empty()
-    }
-
-    /// Drains another pool's buffers into this one (up to the depth
-    /// cap). Lets a connection's warmed pool outlive the connection:
-    /// a scan worker seeds each new [`Pipe`] with the previous pipe's
-    /// pool instead of re-growing allocations from nothing.
-    pub fn absorb(&mut self, other: BytesPool) {
-        for buf in other.free {
-            if self.free.len() >= Self::MAX_POOLED {
-                break;
-            }
-            self.free.push(buf);
-        }
     }
 }
 
@@ -222,23 +213,24 @@ impl<E: ByteEndpoint> Pipe<E> {
         Pipe::connect_pooled(server, link, seed, BytesPool::default())
     }
 
-    /// [`Pipe::connect`] seeded with an existing (typically warmed)
-    /// buffer pool — see [`BytesPool::absorb`]. The pool's buffers are
-    /// all cleared ([`BytesPool::put`] clears on return), so a warmed
-    /// pool changes allocation behavior only, never delivered bytes.
-    pub fn connect_pooled(server: E, link: LinkSpec, seed: u64, pool: BytesPool) -> Pipe<E> {
+    /// [`Pipe::connect`] in the storage an earlier pipe left behind (see
+    /// [`Pipe::take_pool`]). The pool's buffers are all cleared
+    /// ([`BytesPool::put`] clears on return) and its queue and inbox are
+    /// empty, so a warmed pool changes allocation behavior only, never
+    /// delivered bytes.
+    pub fn connect_pooled(server: E, link: LinkSpec, seed: u64, mut pool: BytesPool) -> Pipe<E> {
         let mut pipe = Pipe {
             server,
             link,
             clock: SimTime::ZERO,
-            queue: BinaryHeap::new(),
+            queue: BinaryHeap::from(std::mem::take(&mut pool.queue)),
             seq: 0,
             up_busy: SimTime::ZERO,
             down_busy: SimTime::ZERO,
             up_last_arrival: SimTime::ZERO,
             down_last_arrival: SimTime::ZERO,
             rng: StdRng::seed_from_u64(seed),
-            inbox: Vec::new(),
+            inbox: std::mem::take(&mut pool.inbox),
             pool,
             faults: PipeFaults::default(),
             reset: false,
@@ -265,6 +257,12 @@ impl<E: ByteEndpoint> Pipe<E> {
     /// testbed mode).
     pub fn server(&self) -> &E {
         &self.server
+    }
+
+    /// Mutable access to the server endpoint (taking its storage when the
+    /// connection is torn down).
+    pub fn server_mut(&mut self) -> &mut E {
+        &mut self.server
     }
 
     /// Arms transport-level fault injection. A default [`PipeFaults`] is a
@@ -307,11 +305,28 @@ impl<E: ByteEndpoint> Pipe<E> {
         self.pool.put(bytes);
     }
 
-    /// Takes the pipe's buffer pool, leaving an empty one behind — called
-    /// when tearing a connection down so the warmed buffers can seed the
-    /// worker's next connection (see [`Pipe::connect_pooled`]).
+    /// Hands back an arrivals list a run returned, so the next run fills
+    /// it instead of allocating; payloads still in it go to the pool.
+    pub fn recycle_arrivals(&mut self, mut arrivals: Vec<Arrival>) {
+        for arrival in arrivals.drain(..) {
+            self.pool.put(arrival.bytes);
+        }
+        self.inbox = arrivals;
+    }
+
+    /// Takes the pipe's storage — its buffer pool and its delivery-queue
+    /// and inbox storage — leaving empty ones behind. Called when tearing
+    /// a connection down, so the warmed storage can seed the next
+    /// connection (see [`Pipe::connect_pooled`]); segments still in
+    /// flight are dropped, their buffers pooled.
     pub fn take_pool(&mut self) -> BytesPool {
-        std::mem::take(&mut self.pool)
+        while let Some(delivery) = self.queue.pop() {
+            self.pool.put(delivery.bytes);
+        }
+        let mut pool = std::mem::take(&mut self.pool);
+        pool.queue = std::mem::take(&mut self.queue).into_vec();
+        pool.inbox = std::mem::take(&mut self.inbox);
+        pool
     }
 
     /// Runs the delivery loop until no deliveries remain, returning every

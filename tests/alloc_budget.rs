@@ -3,20 +3,23 @@
 //! The campaign scheduler's throughput lives and dies on how much heap
 //! churn one site causes: at scan scale every stray `Vec` clone in the
 //! frame path multiplies by millions of sites. These tests pin the
-//! allocation calls and octets of the three per-operation paths — one
-//! survey, one generated site, one request late in a long connection —
-//! so a regression (a dropped scratch buffer, a deep profile clone on the
-//! connect path, a body filled in that nobody asked for, a scheduler that
-//! walks every stream the connection ever carried) fails loudly instead
+//! allocation calls and octets of the per-operation paths — one survey,
+//! one generated site, one fresh connection, one request late in a long
+//! connection — so a regression (a dropped scratch buffer, a deep profile
+//! clone on the connect path, a body filled in that nobody asked for, a
+//! scheduler that walks every stream the connection ever carried, storage
+//! no longer handed from one connection to the next) fails loudly instead
 //! of silently halving throughput.
 //!
 //! The survey budget is calibrated with headroom above the current count
-//! (~1.9k allocations for the testbed survey below, down from 2,335 once
+//! (838 allocations for the testbed survey below, down from 2,335 once
 //! connections stopped keeping a frame history and header lists were
-//! decoded in place) — it guards against coarse regressions, not single
-//! allocations. The warm-request ceiling sits just above its count
-//! (22.0 per request). The flat-cost guards compare two windows of one
-//! run and need no calibration.
+//! decoded in place, and from ~1.9k once each connection started in the
+//! storage the previous one on its thread left behind) — it guards
+//! against coarse regressions, not single allocations. The fresh-connection
+//! and warm-request ceilings sit just above their counts (42 per
+//! connection, down from 137; 18.0 per request, down from 22.0). The flat-cost guards compare two windows
+//! of one run and need no calibration.
 
 #![allow(
     unsafe_code,
@@ -87,7 +90,7 @@ fn single_site_survey_stays_under_allocation_budget() {
 
     assert_eq!(report, warmup, "warmup and measured surveys agree");
     eprintln!("survey allocations: {calls}");
-    const BUDGET: u64 = 6_000;
+    const BUDGET: u64 = 1_500;
     assert!(
         calls <= BUDGET,
         "one site survey allocated {calls} times (budget {BUDGET}); \
@@ -118,6 +121,30 @@ fn generated_sites_cost_paths_not_bodies() {
     );
 }
 
+/// A fresh connection starts warm: once one connection on the thread has
+/// come and gone, the next one's establish, first exchange, first
+/// `fetch("/")` and drop run in the storage it left behind — buffers,
+/// HPACK tables and header lists on both ends — so they allocate little
+/// more than what the caller keeps.
+#[test]
+fn a_fresh_connection_stays_under_its_allocation_ceiling() {
+    let population = Population::new(ExperimentSpec::first(), 0.01);
+    let target = population.site(0).target();
+    let connection = || {
+        let mut conn = ProbeConn::establish(&target, Settings::new(), 1);
+        assert!(!conn.exchange().is_empty(), "the site greets");
+        let (frames, _) = conn.fetch(1, "/");
+        assert!(!frames.is_empty(), "the site answers");
+    };
+    connection();
+    let ((), calls, _) = spent(connection);
+    eprintln!("fresh connection: {calls} allocations");
+    assert!(
+        calls <= 60,
+        "a fresh connection allocated {calls} times (ceiling 60)"
+    );
+}
+
 /// A warm request on a long-lived connection allocates only what its
 /// caller keeps: no frame history on the client, and header lists decoded
 /// into the ones the previous request let go of, on both ends.
@@ -134,8 +161,8 @@ fn a_warm_request_stays_under_its_allocation_ceiling() {
     let per_request = calls as f64 / REQUESTS as f64;
     eprintln!("warm request: {per_request:.2} allocations");
     assert!(
-        per_request <= 25.0,
-        "requests 100..200 allocated {per_request:.2} times each (ceiling 25)"
+        per_request <= 20.0,
+        "requests 100..200 allocated {per_request:.2} times each (ceiling 20)"
     );
 }
 
