@@ -19,6 +19,7 @@ fn reaction_cell(reaction: Reaction) -> &'static str {
         Reaction::RstStream => "RST_STREAM",
         Reaction::Goaway => "GOAWAY",
         Reaction::GoawayWithDebug => "GOAWAY+debug",
+        Reaction::Unknown => "unknown",
     }
 }
 

@@ -439,6 +439,53 @@ mod tests {
         );
     }
 
+    /// Ground truth: every site of both experiments, surveyed through the
+    /// campaign path with no faults and under every fault preset, reports
+    /// what it was built to be. A survey that ended `Ok` matches
+    /// `expected` on every verdict. One that did not may lack follow-up
+    /// verdicts (the funnel stops where a probe failed), but every
+    /// reaction it does report is the built one or `unknown`: a probe
+    /// whose connection failed never reports a behavior it did not see.
+    #[test]
+    fn surveys_recover_every_site_as_built() {
+        use h2scope::expected::{expected, Verdicts};
+        use h2scope::Reaction;
+        const SCALE: f64 = 0.02;
+        let reactions = |v: &Verdicts| {
+            [
+                ("zero_update_stream", v.zero_update_stream),
+                ("zero_update_conn", v.zero_update_conn),
+                ("large_update_stream", v.large_update_stream),
+                ("large_update_conn", v.large_update_conn),
+                ("self_dependency", v.self_dependency),
+            ]
+        };
+        for spec in ExperimentSpec::both() {
+            let population = Population::new(spec, SCALE);
+            let label = population.spec().label;
+            for name in FaultProfile::names() {
+                let faults = FaultProfile::parse(name).expect("a preset name");
+                for row in scan_faulted(&population, 2, faults, 7) {
+                    let site = population.site(row.index);
+                    let want = expected(&site.profile.behavior, &site.site);
+                    let got = Verdicts::of(&row.report);
+                    let at = format!("{label} site {} under {name}", row.index);
+                    if row.report.probe.outcome == ProbeOutcome::Ok {
+                        assert_eq!(got, want, "{at}");
+                        continue;
+                    }
+                    let pairs = reactions(&got).into_iter().zip(reactions(&want));
+                    for ((field, got), (_, want)) in pairs {
+                        assert!(
+                            got.is_none() || got == want || got == Some(Reaction::Unknown),
+                            "{at}: {field} reads {got:?}, built {want:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn scan_covers_the_population_in_order() {
         let population = Population::new(ExperimentSpec::first(), 0.001);

@@ -14,11 +14,11 @@
 //!
 //! Concurrency rules for everything a worker touches:
 //!
-//! - Every atomic in the workspace uses `Ordering::Relaxed` (a test in
-//!   `h2check` rejects any other ordering). Each one is a `fetch_add`
-//!   counter, a `fetch_min`/`fetch_max` lattice join, this cursor or a
-//!   monotonic latch; none orders other memory, and the join publishes
-//!   every result.
+//! - Every atomic in the workspace uses `Ordering::Relaxed` (the root
+//!   `tests/repository.rs` rejects any other ordering). Each one is a
+//!   `fetch_add` counter, a `fetch_min`/`fetch_max` lattice join, this
+//!   cursor or a monotonic latch; none orders other memory, and the join
+//!   publishes every result.
 //! - Every `Mutex` is a leaf lock: no code acquires a second lock while
 //!   holding one, so there is no lock order to violate. The seven are
 //!   the record writer's file, `Obs`'s shard list, trace list and

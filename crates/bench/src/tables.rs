@@ -124,6 +124,7 @@ fn reaction_cell(reaction: Reaction) -> &'static str {
         Reaction::Ignored => "ignore",
         Reaction::RstStream => "RST_STREAM",
         Reaction::Goaway | Reaction::GoawayWithDebug => "GOAWAY",
+        Reaction::Unknown => "unknown",
     }
 }
 

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use h2campaign::{fmt_count, upscale, CampaignRow};
-use h2scope::probes::flow_control::SmallWindowOutcome;
+use h2scope::probes::flow_control::{FlowControlReport, SmallWindowOutcome};
 use h2scope::{ProbeOutcome, ProbeStats, Reaction};
 use webpop::Population;
 
@@ -46,6 +46,23 @@ fn paper_row(
         out,
         "{:indent$}{label:<pad$} measured {measured:>width$}  paper-scale {scaled:>wide$}  paper {paper:>wide$}",
         ""
+    )
+    .unwrap();
+}
+
+/// Appends the `label` row of a reaction table that counts probes whose
+/// connection failed before any reaction came back — unless there were
+/// none. A testbed connection never fails, so only a fault campaign can
+/// print this row; the paper has no such row.
+fn unknown_row(out: &mut String, indent: usize, label: &str, pad: usize, width: usize, count: u64) {
+    if count == 0 {
+        return;
+    }
+    writeln!(
+        out,
+        "{:indent$}{label:<pad$} measured {:>width$}  (connection failed before a reaction)",
+        "",
+        fmt_count(count)
     )
     .unwrap();
 }
@@ -408,6 +425,7 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
     let mut goaway = 0;
     let mut debug = 0;
     let mut ignored = 0;
+    let mut unknown = 0;
     for r in &with_headers {
         match r
             .report
@@ -419,6 +437,7 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
             Some(Reaction::Goaway) => goaway += 1,
             Some(Reaction::GoawayWithDebug) => debug += 1,
             Some(Reaction::Ignored) => ignored += 1,
+            Some(Reaction::Unknown) => unknown += 1,
             None => {}
         }
     }
@@ -443,6 +462,7 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
     {
         paper_row(&mut out, 4, label, 18, 8, [measured, scaled, paper]);
     }
+    unknown_row(&mut out, 4, "unknown", 18, 8, unknown);
     let conn_goaway = with_headers
         .iter()
         .filter(|r| {
@@ -499,6 +519,21 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
         let counts = [measured as u64, upscale(measured as u64, scale), paper];
         paper_row(&mut out, 4, label, 18, 8, counts);
     }
+    let unknown = |scope: fn(&FlowControlReport) -> Reaction| {
+        with_headers
+            .iter()
+            .filter(|r| {
+                r.report
+                    .flow_control
+                    .as_ref()
+                    .is_some_and(|fc| scope(fc) == Reaction::Unknown)
+            })
+            .count() as u64
+    };
+    let conn = unknown(|fc| fc.large_update_conn);
+    unknown_row(&mut out, 4, "connection unknown", 18, 8, conn);
+    let stream = unknown(|fc| fc.large_update_stream);
+    unknown_row(&mut out, 4, "stream unknown", 18, 8, stream);
     out
 }
 
@@ -513,6 +548,7 @@ pub fn priority(records: &[CampaignRow], population: &Population) -> String {
     let mut self_rst = 0;
     let mut self_goaway = 0;
     let mut self_ignore = 0;
+    let mut self_unknown = 0;
     for r in &with_headers {
         if let Some(p) = &r.report.priority {
             if p.by_last_frame {
@@ -528,6 +564,7 @@ pub fn priority(records: &[CampaignRow], population: &Population) -> String {
                 Reaction::RstStream => self_rst += 1,
                 Reaction::Goaway | Reaction::GoawayWithDebug => self_goaway += 1,
                 Reaction::Ignored => self_ignore += 1,
+                Reaction::Unknown => self_unknown += 1,
             }
         }
     }
@@ -562,6 +599,7 @@ pub fn priority(records: &[CampaignRow], population: &Population) -> String {
     {
         paper_row(&mut out, 4, label, 20, 7, [measured, scaled, paper]);
     }
+    unknown_row(&mut out, 4, "unknown", 20, 7, self_unknown);
     out
 }
 

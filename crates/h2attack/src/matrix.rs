@@ -234,6 +234,39 @@ mod tests {
         }
     }
 
+    /// Each measured cell is what the profile's abuse bounds predict: a
+    /// configured budget, cap or timeout tears the connection down with
+    /// an explanatory GOAWAY; no bound means the abuse is absorbed. The
+    /// header-list column reacts as the profile's quirk action says.
+    #[test]
+    fn robustness_matrix_is_what_each_profile_declares() {
+        use h2scope::expected::reaction;
+        let bounded = |limit: bool| {
+            if limit {
+                Reaction::GoawayWithDebug
+            } else {
+                Reaction::Ignored
+            }
+        };
+        for (row, profile) in robustness_matrix()
+            .into_iter()
+            .zip(ServerProfile::testbed_and_reference())
+        {
+            let b = &profile.behavior;
+            let declared = AbuseHardeningReport {
+                rst_rate: bounded(b.rst_rate_limit.is_some()),
+                settings_rate: bounded(b.settings_rate_limit.is_some()),
+                continuation_bound: bounded(b.continuation_cap.is_some()),
+                stalled_stream: bounded(b.stall_timeout.is_some()),
+                header_list_bound: match b.header_list_limit {
+                    Some(_) => reaction(b.oversized_header_list, true, false),
+                    None => Reaction::Ignored,
+                },
+            };
+            assert_eq!(row.report, declared, "{}", row.server);
+        }
+    }
+
     #[test]
     fn attack_matrix_is_one_run_per_vector_and_profile() {
         let matrix = attack_matrix();

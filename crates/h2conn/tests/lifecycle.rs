@@ -1,11 +1,18 @@
 //! Integration tests for connection-core corners not covered by the
 //! per-module unit tests: local settings changes, GOAWAY bookkeeping,
-//! and stream teardown.
+//! stream teardown, and RFC 7540 §5.1's stream-state machine as a
+//! reference table.
 
 use bytes::Bytes;
-use h2conn::{CloseReason, ConnectionCore, CoreEvent, EffectiveSettings, Role, StreamState};
+use h2conn::{
+    CloseReason, ConnectionCore, CoreEvent, EffectiveSettings, Role, Stream, StreamState,
+};
 use h2hpack::{EncoderOptions, Header};
 use h2wire::{DataFrame, ErrorCode, Frame, RstStreamFrame, StreamId};
+use Event::{RecvEndStream, RecvHeaders, RecvReset, SendEndStream, SendHeaders, SendReset};
+use StreamState::{
+    Closed, HalfClosedLocal, HalfClosedRemote, Idle, Open, ReservedLocal, ReservedRemote,
+};
 
 fn pair() -> (ConnectionCore, ConnectionCore) {
     (
@@ -160,5 +167,152 @@ fn goaway_state_blocks_nothing_mechanical() {
         assert!(events
             .iter()
             .any(|e| matches!(e, CoreEvent::HeadersReceived { .. })));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// RFC 7540 §5.1: the stream-state machine of Figure 2, as a reference table
+// ---------------------------------------------------------------------------
+
+/// The transition-triggering inputs of Figure 2, from this endpoint's
+/// side, each one of `Stream`'s own methods. The PUSH_PROMISE arcs are the
+/// reserved entry states themselves.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// Send HEADERS; `true` sets END_STREAM.
+    SendHeaders(bool),
+    /// Receive HEADERS; `true` carries END_STREAM.
+    RecvHeaders(bool),
+    /// Send END_STREAM on a later frame (DATA).
+    SendEndStream,
+    /// Receive END_STREAM on a later frame (DATA).
+    RecvEndStream,
+    /// Send RST_STREAM.
+    SendReset,
+    /// Receive RST_STREAM.
+    RecvReset,
+}
+
+impl Event {
+    fn apply(self, stream: &mut Stream) {
+        match self {
+            Event::SendHeaders(end_stream) => stream.send_headers(end_stream),
+            Event::RecvHeaders(end_stream) => stream.recv_headers(end_stream),
+            Event::SendEndStream => stream.send_end_stream(),
+            Event::RecvEndStream => stream.recv_end_stream(),
+            Event::SendReset => stream.send_reset(ErrorCode::Cancel),
+            Event::RecvReset => stream.recv_reset(ErrorCode::Cancel),
+        }
+    }
+}
+
+/// The complete §5.1 transition table: 7 states × 8 events. Arcs Figure 2
+/// does not draw keep the stream in place (whether such a frame may
+/// arrive at all is the receive-legality table's concern, not the state
+/// function's).
+#[rustfmt::skip]
+const TRANSITIONS: [(StreamState, Event, StreamState); 56] = [
+    (Idle, SendHeaders(false), Open),
+    (ReservedLocal, SendHeaders(false), HalfClosedRemote),
+    (ReservedRemote, SendHeaders(false), ReservedRemote),
+    (Open, SendHeaders(false), Open),
+    (HalfClosedLocal, SendHeaders(false), HalfClosedLocal),
+    (HalfClosedRemote, SendHeaders(false), HalfClosedRemote),
+    (Closed, SendHeaders(false), Closed),
+    (Idle, SendHeaders(true), HalfClosedLocal),
+    (ReservedLocal, SendHeaders(true), Closed),
+    (ReservedRemote, SendHeaders(true), ReservedRemote),
+    (Open, SendHeaders(true), HalfClosedLocal),
+    (HalfClosedLocal, SendHeaders(true), HalfClosedLocal),
+    (HalfClosedRemote, SendHeaders(true), Closed),
+    (Closed, SendHeaders(true), Closed),
+    (Idle, RecvHeaders(false), Open),
+    (ReservedLocal, RecvHeaders(false), ReservedLocal),
+    (ReservedRemote, RecvHeaders(false), HalfClosedLocal),
+    (Open, RecvHeaders(false), Open),
+    (HalfClosedLocal, RecvHeaders(false), HalfClosedLocal),
+    (HalfClosedRemote, RecvHeaders(false), HalfClosedRemote),
+    (Closed, RecvHeaders(false), Closed),
+    (Idle, RecvHeaders(true), HalfClosedRemote),
+    (ReservedLocal, RecvHeaders(true), ReservedLocal),
+    (ReservedRemote, RecvHeaders(true), Closed),
+    (Open, RecvHeaders(true), HalfClosedRemote),
+    (HalfClosedLocal, RecvHeaders(true), Closed),
+    (HalfClosedRemote, RecvHeaders(true), HalfClosedRemote),
+    (Closed, RecvHeaders(true), Closed),
+    (Idle, SendEndStream, Idle),
+    (ReservedLocal, SendEndStream, ReservedLocal),
+    (ReservedRemote, SendEndStream, ReservedRemote),
+    (Open, SendEndStream, HalfClosedLocal),
+    (HalfClosedLocal, SendEndStream, HalfClosedLocal),
+    (HalfClosedRemote, SendEndStream, Closed),
+    (Closed, SendEndStream, Closed),
+    (Idle, RecvEndStream, Idle),
+    (ReservedLocal, RecvEndStream, ReservedLocal),
+    (ReservedRemote, RecvEndStream, ReservedRemote),
+    (Open, RecvEndStream, HalfClosedRemote),
+    (HalfClosedLocal, RecvEndStream, Closed),
+    (HalfClosedRemote, RecvEndStream, HalfClosedRemote),
+    (Closed, RecvEndStream, Closed),
+    (Idle, SendReset, Closed),
+    (ReservedLocal, SendReset, Closed),
+    (ReservedRemote, SendReset, Closed),
+    (Open, SendReset, Closed),
+    (HalfClosedLocal, SendReset, Closed),
+    (HalfClosedRemote, SendReset, Closed),
+    (Closed, SendReset, Closed),
+    (Idle, RecvReset, Closed),
+    (ReservedLocal, RecvReset, Closed),
+    (ReservedRemote, RecvReset, Closed),
+    (Open, RecvReset, Closed),
+    (HalfClosedLocal, RecvReset, Closed),
+    (HalfClosedRemote, RecvReset, Closed),
+    (Closed, RecvReset, Closed),
+];
+
+/// §5.1 prose: `(state, may send DATA, may receive DATA)`.
+const CAPABILITIES: [(StreamState, bool, bool); 7] = [
+    (Idle, false, false),
+    (ReservedLocal, false, false),
+    (ReservedRemote, false, false),
+    (Open, true, true),
+    (HalfClosedLocal, false, true),
+    (HalfClosedRemote, true, false),
+    (Closed, false, false),
+];
+
+#[test]
+fn transitions_match_the_section_5_1_table() {
+    let arcs: std::collections::BTreeSet<String> = TRANSITIONS
+        .iter()
+        .map(|(from, event, _)| format!("{from:?}/{event:?}"))
+        .collect();
+    assert_eq!(arcs.len(), TRANSITIONS.len(), "one arc per (state, event)");
+    for &(from, event, to) in &TRANSITIONS {
+        if from == Closed || matches!(event, SendReset | RecvReset) {
+            assert_eq!(to, Closed, "closed is terminal; a reset closes");
+        }
+        let mut stream = Stream::new(sid(1), 65_535, 65_535);
+        stream.state = from;
+        event.apply(&mut stream);
+        assert_eq!(stream.state, to, "§5.1 {from:?} --{event:?}-->");
+    }
+}
+
+#[test]
+fn data_capabilities_match_can_send_and_can_recv() {
+    for (state, may_send, may_recv) in CAPABILITIES {
+        // `can_send`/`can_recv` also admit the reserved state about to
+        // take up the sending/receiving role.
+        assert_eq!(
+            state.can_send(),
+            may_send || state == ReservedLocal,
+            "{state:?}"
+        );
+        assert_eq!(
+            state.can_recv(),
+            may_recv || state == ReservedRemote,
+            "{state:?}"
+        );
     }
 }

@@ -1,9 +1,10 @@
 //! Property-based tests for HPACK: the decoder must invert the encoder
-//! under every policy, and the Huffman coder must round-trip arbitrary
-//! octet strings.
+//! under every policy, both ends' dynamic tables must keep RFC 7541
+//! §4.1's size arithmetic, and the Huffman coder must round-trip
+//! arbitrary octet strings.
 
 use h2hpack::encoder::{Encoder, EncoderOptions, IndexingPolicy};
-use h2hpack::{huffman, integer, Decoder, Header, HpackDecodeError};
+use h2hpack::{huffman, integer, Decoder, DynamicTable, Header, HpackDecodeError};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -30,6 +31,25 @@ fn arb_policy() -> impl Strategy<Value = IndexingPolicy> {
         Just(IndexingPolicy::Never),
         Just(IndexingPolicy::NeverIndexed),
     ]
+}
+
+/// The table's claimed occupancy equals the sum of RFC 7541 §4.1 entry
+/// sizes over its live entries — name octets plus value octets plus 32,
+/// computed here independently of `Header::hpack_size` — and respects
+/// the configured maximum.
+fn audit_table(table: &DynamicTable) {
+    let mut total = 0u32;
+    for i in 0..table.len() {
+        let entry = table.get(62 + i);
+        assert!(entry.is_some(), "entry {i} of {} missing", table.len());
+        if let Some((name, value)) = entry {
+            let size = name.len() as u32 + value.len() as u32 + 32;
+            assert_eq!(size, Header::new(name, value).hpack_size(), "§4.1 size");
+            total += size;
+        }
+    }
+    assert_eq!(total, table.size(), "summed §4.1 sizes vs table.size()");
+    assert!(table.size() <= table.max_size());
 }
 
 /// `text` in a `String` with `spare` octets of capacity beyond it.
@@ -203,7 +223,8 @@ proptest! {
     }
 
     /// Encoder → decoder is the identity on header lists, across multiple
-    /// blocks sharing one connection context.
+    /// blocks sharing one connection context; after every block both
+    /// ends' dynamic tables agree with each other and with §4.1.
     #[test]
     fn hpack_round_trips(
         blocks in prop::collection::vec(prop::collection::vec(arb_header(), 0..12), 1..5),
@@ -221,6 +242,10 @@ proptest! {
             let block = enc.encode_block(headers);
             let decoded = dec.decode_block(&block).expect("well-formed block");
             prop_assert_eq!(&decoded, headers);
+            audit_table(enc.table());
+            audit_table(dec.table());
+            prop_assert_eq!(enc.table().len(), dec.table().len());
+            prop_assert_eq!(enc.table().size(), dec.table().size());
         }
     }
 
@@ -265,7 +290,8 @@ proptest! {
         let _ = dec.decode_block(&noise);
     }
 
-    /// The dynamic table never exceeds its budget.
+    /// The dynamic table never exceeds its budget: an entry larger than
+    /// the whole table empties it instead (§4.4).
     #[test]
     fn table_size_respects_budget(
         headers in prop::collection::vec(arb_header(), 0..64),
@@ -278,6 +304,7 @@ proptest! {
         for h in &headers {
             let _ = enc.encode_block(std::slice::from_ref(h));
             prop_assert!(enc.table().size() <= budget);
+            audit_table(enc.table());
         }
     }
 }

@@ -369,6 +369,14 @@ impl ProbeConn {
         self.pipe.recycle_arrivals(arrivals);
         if !self.dead {
             match outcome {
+                // A guarded link that fell silent part-way through a frame
+                // will never finish it: the peer stopped mid-frame, and
+                // waiting for the rest runs into the deadline.
+                RunOutcome::Quiescent
+                    if self.deadline.is_some() && self.decoder.buffered_len() > 0 =>
+                {
+                    self.fail(ProbeFailure::Timeout);
+                }
                 RunOutcome::Quiescent => {}
                 RunOutcome::DeadlineExpired => self.fail(ProbeFailure::Timeout),
                 RunOutcome::ConnectionReset => self.fail(ProbeFailure::ConnReset),

@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod expected;
 pub mod pageload;
 pub mod probes;
 pub mod report;

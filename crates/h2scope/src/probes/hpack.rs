@@ -33,6 +33,8 @@ impl HpackReport {
 }
 
 /// Sends `h` identical GETs for `/` and computes the ratio.
+///
+/// Classifies RFC 7540 §4.3: the HPACK context spans the connection.
 pub fn probe(target: &Target, h: usize) -> HpackReport {
     target.obs.enter_probe(h2obs::ProbeKind::Hpack);
     assert!(h >= 2, "the ratio needs at least two samples");

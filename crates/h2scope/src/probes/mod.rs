@@ -10,7 +10,7 @@ pub mod priority;
 pub mod push;
 pub mod settings;
 
-use crate::client::TimedFrame;
+use crate::client::{ProbeConn, TimedFrame};
 use h2wire::Frame;
 
 /// How a server reacted to a deliberately offending frame — the
@@ -27,6 +27,11 @@ pub enum Reaction {
     /// GOAWAY with human-readable debug data (a small population in §V-D3
     /// explained themselves: "the window update shouldn't be zero").
     GoawayWithDebug,
+    /// The probe connection failed (timeout, reset, unparseable bytes)
+    /// before any RST_STREAM or GOAWAY came back, so the server's
+    /// reaction was never observed — the timeout §V-D warns must not be
+    /// read as "ignored".
+    Unknown,
 }
 
 impl std::fmt::Display for Reaction {
@@ -36,6 +41,7 @@ impl std::fmt::Display for Reaction {
             Reaction::RstStream => "RST_STREAM",
             Reaction::Goaway => "GOAWAY",
             Reaction::GoawayWithDebug => "GOAWAY+debug",
+            Reaction::Unknown => "unknown",
         };
         f.write_str(s)
     }
@@ -44,20 +50,36 @@ impl std::fmt::Display for Reaction {
 /// Classifies the frames received after sending an offending frame: the
 /// first defensive frame wins.
 pub fn classify_reaction(frames: &[TimedFrame]) -> Reaction {
+    classify(frames).unwrap_or(Reaction::Ignored)
+}
+
+/// [`classify_reaction`] for a probe that owns its connection: silence
+/// on a connection that failed is [`Reaction::Unknown`], not
+/// [`Reaction::Ignored`]. The first defensive frame still wins.
+pub(crate) fn observed_reaction(conn: &ProbeConn, frames: &[TimedFrame]) -> Reaction {
+    match classify(frames) {
+        Some(reaction) => reaction,
+        None if conn.is_dead() => Reaction::Unknown,
+        None => Reaction::Ignored,
+    }
+}
+
+/// The first RST_STREAM or GOAWAY among `frames`, if any.
+fn classify(frames: &[TimedFrame]) -> Option<Reaction> {
     for tf in frames {
         match &tf.frame {
-            Frame::RstStream(_) => return Reaction::RstStream,
+            Frame::RstStream(_) => return Some(Reaction::RstStream),
             Frame::Goaway(g) => {
-                return if g.debug_data.is_empty() {
+                return Some(if g.debug_data.is_empty() {
                     Reaction::Goaway
                 } else {
                     Reaction::GoawayWithDebug
-                };
+                });
             }
             _ => {}
         }
     }
-    Reaction::Ignored
+    None
 }
 
 #[cfg(test)]
@@ -108,5 +130,6 @@ mod tests {
         assert_eq!(Reaction::Ignored.to_string(), "ignore");
         assert_eq!(Reaction::RstStream.to_string(), "RST_STREAM");
         assert_eq!(Reaction::Goaway.to_string(), "GOAWAY");
+        assert_eq!(Reaction::Unknown.to_string(), "unknown");
     }
 }

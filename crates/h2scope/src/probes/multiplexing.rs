@@ -30,6 +30,9 @@ pub struct MultiplexingReport {
 /// frame ordering. The objects must be large (several DATA frames each) or
 /// the probe cannot discriminate — the reason the paper only runs this in
 /// the testbed.
+///
+/// Classifies RFC 7540 §5.1.2: concurrent streams up to
+/// MAX_CONCURRENT_STREAMS.
 pub fn probe(target: &Target, n: usize) -> MultiplexingReport {
     target.obs.enter_probe(h2obs::ProbeKind::Multiplexing);
     let mut conn = ProbeConn::establish(&with_big_objects(target), Settings::new(), 0x0a11);

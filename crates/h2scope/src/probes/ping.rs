@@ -35,6 +35,9 @@ pub struct RttComparison {
 }
 
 /// Sends `n` PING frames, one at a time, measuring each round trip.
+///
+/// Classifies RFC 7540 §6.7: PING is acknowledged with an identical
+/// payload.
 pub fn probe(target: &Target, n: usize) -> PingReport {
     target.obs.enter_probe(h2obs::ProbeKind::Ping);
     let mut conn = ProbeConn::establish(target, Settings::new(), 0x9196);
@@ -59,6 +62,9 @@ pub fn probe(target: &Target, n: usize) -> PingReport {
 }
 
 /// Runs all four estimators against one target, `n` samples each.
+///
+/// Classifies RFC 7540 §6.7: PING is acknowledged with an identical
+/// payload.
 pub fn compare_rtt(target: &Target, n: usize, seed: u64) -> RttComparison {
     let mut comparison = RttComparison {
         // HTTP/2 PING over a live h2 connection.

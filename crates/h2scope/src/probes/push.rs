@@ -18,6 +18,8 @@ pub struct PushReport {
 }
 
 /// Enables push, fetches the given pages, and records every promise.
+///
+/// Classifies RFC 7540 §8.2: server push via PUSH_PROMISE.
 pub fn probe(target: &Target, pages: &[&str]) -> PushReport {
     target.obs.enter_probe(h2obs::ProbeKind::Push);
     let settings = Settings::new().with(SettingId::EnablePush, 1);
@@ -121,17 +123,6 @@ mod tests {
 
     fn push_site() -> SiteSpec {
         SiteSpec::page_with_assets(3, 2_000)
-    }
-
-    #[test]
-    fn table_iii_push_row() {
-        let expected = [false, false, true, true, false, true];
-        for (profile, expect) in ServerProfile::testbed().into_iter().zip(expected) {
-            let name = profile.name.clone();
-            let target = Target::testbed(profile, push_site());
-            let report = probe(&target, &["/"]);
-            assert_eq!(report.supported, expect, "{name}");
-        }
     }
 
     #[test]

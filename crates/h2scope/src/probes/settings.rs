@@ -48,6 +48,8 @@ impl SettingsReport {
 }
 
 /// Connects and records the server's announced SETTINGS.
+///
+/// Classifies RFC 7540 §6.5.2: SETTINGS values within their bounds.
 pub fn probe(target: &Target) -> SettingsReport {
     target.obs.enter_probe(h2obs::ProbeKind::Settings);
     let mut conn = ProbeConn::establish(target, Settings::new(), 0x5e77);

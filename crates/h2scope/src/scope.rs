@@ -106,24 +106,6 @@ mod tests {
     use h2server::{ServerProfile, SiteSpec};
 
     #[test]
-    fn characterize_nginx_reproduces_its_table_iii_column() {
-        let scope = H2Scope::new();
-        let testbed = Testbed::new(ServerProfile::nginx(), SiteSpec::benchmark());
-        let report = scope.characterize(&testbed);
-        assert_eq!(report.server, "Nginx");
-        assert!(report.negotiation.alpn_h2 && report.negotiation.npn_h2);
-        assert!(report.multiplexing.parallel);
-        assert_eq!(
-            report.flow_control.zero_update_stream,
-            crate::probes::Reaction::Ignored
-        );
-        assert!(!report.priority.passes());
-        assert!(!report.push.supported);
-        assert!((report.hpack.ratio - 1.0).abs() < 1e-9);
-        assert!(report.ping.supported);
-    }
-
-    #[test]
     fn survey_funnels_non_h2_sites_out_early() {
         let mut profile = ServerProfile::nginx();
         profile.behavior.tls = netsim::TlsConfig::http1_only();

@@ -112,6 +112,7 @@ fn reaction_code(r: Reaction) -> &'static str {
         Reaction::RstStream => "rst",
         Reaction::Goaway => "ga",
         Reaction::GoawayWithDebug => "gad",
+        Reaction::Unknown => "unk",
     }
 }
 
@@ -121,6 +122,7 @@ fn parse_reaction(s: &str) -> Option<Reaction> {
         "rst" => Reaction::RstStream,
         "ga" => Reaction::Goaway,
         "gad" => Reaction::GoawayWithDebug,
+        "unk" => Reaction::Unknown,
         _ => return None,
     })
 }

@@ -28,6 +28,7 @@ fn arb_reaction() -> impl Strategy<Value = Reaction> {
         Just(Reaction::RstStream),
         Just(Reaction::Goaway),
         Just(Reaction::GoawayWithDebug),
+        Just(Reaction::Unknown),
     ]
 }
 

@@ -104,87 +104,141 @@ impl PushPolicy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerBehavior {
     /// `Server:` response header value, e.g. `"nginx/1.9.15"`.
+    ///
+    /// Modeling: no RFC 7540 rule involved.
     pub server_name: String,
     /// TLS negotiation support (ALPN and/or NPN lists).
+    ///
+    /// Rule: RFC 7540 §3.3 (h2 is negotiated via ALPN over TLS).
     pub tls: TlsConfig,
     /// Processes concurrent streams in parallel; `false` means strictly
     /// sequential request handling (responses never interleave).
+    ///
+    /// Rule: RFC 7540 §5.1.2 (concurrent streams up to
+    /// MAX_CONCURRENT_STREAMS).
     pub multiplexing: bool,
     /// Applies flow control to HEADERS frames as well as DATA — the
     /// LiteSpeed deviation (Table III row 5): response HEADERS are
     /// withheld until the stream window can cover the header block.
+    ///
+    /// Deviates from RFC 7540 §6.9 (only DATA is flow-controlled).
     pub fc_on_headers: bool,
     /// A weaker variant seen in the wild (§V-D2): HEADERS are withheld
     /// only while the stream window is exactly zero. Such sites answer the
     /// 1-octet-window probe normally but fail the zero-initial-window
     /// compliance test — the reason the paper's two flow-control tests
     /// disagree on counts.
+    ///
+    /// Deviates from RFC 7540 §6.9 (only DATA is flow-controlled).
     pub headers_gated_at_zero_window: bool,
     /// Negotiates h2 but never answers requests — the gap between the
     /// paper's negotiation counts (49,334 NPN / 47,966 ALPN sites) and its
     /// HEADERS-returning count (44,390).
+    ///
+    /// Modeling: no RFC 7540 rule involved.
     pub mute: bool,
     /// Site-specific response headers appended to every response (drives
     /// natural dispersion in the HPACK ratio CDFs of Figures 4/5).
+    ///
+    /// Modeling: no RFC 7540 rule involved.
     pub extra_response_headers: Vec<(String, String)>,
     /// Reaction to a zero-increment WINDOW_UPDATE on a stream
     /// (RFC says RST_STREAM).
+    ///
+    /// Rule: RFC 7540 §6.9 (a zero increment is PROTOCOL_ERROR).
     pub zero_window_update_stream: QuirkAction,
     /// Reaction to a zero-increment WINDOW_UPDATE on the connection
     /// (RFC says GOAWAY).
+    ///
+    /// Rule: RFC 7540 §6.9 (a zero increment is PROTOCOL_ERROR).
     pub zero_window_update_conn: QuirkAction,
     /// Debug text placed in GOAWAY frames for zero window updates (a few
     /// dozen sites in the paper sent "the window update shouldn't be
     /// zero" style messages).
+    ///
+    /// Rule: RFC 7540 §6.8 (GOAWAY may carry opaque debug data).
     pub zero_window_debug: Option<String>,
     /// Reaction to a stream window exceeding 2^31-1 (RFC says RST_STREAM).
+    ///
+    /// Rule: RFC 7540 §6.9.1 (a window above 2^31-1 is FLOW_CONTROL_ERROR).
     pub large_window_update_stream: QuirkAction,
     /// Reaction to the connection window exceeding 2^31-1 (RFC says
     /// GOAWAY).
+    ///
+    /// Rule: RFC 7540 §6.9.1 (a window above 2^31-1 is FLOW_CONTROL_ERROR).
     pub large_window_update_conn: QuirkAction,
     /// Server push implemented.
+    ///
+    /// Rule: RFC 7540 §8.2 (server push).
     pub push: bool,
     /// What a push-capable server promises per page (meaningless while
     /// [`ServerBehavior::push`] is `false`).
+    ///
+    /// Rule: RFC 7540 §8.2 (what to push is the server's choice).
     pub push_policy: PushPolicy,
     /// Scheduling discipline with respect to the priority tree.
+    ///
+    /// Rule: RFC 7540 §5.3 (parent before children, siblings by weight).
     pub priority_mode: PriorityMode,
     /// Reaction to a self-dependent stream (RFC says RST_STREAM; H2O,
     /// nghttpd and Apache send GOAWAY; LiteSpeed ignores).
+    ///
+    /// Rule: RFC 7540 §5.3.1 (a stream cannot depend on itself).
     pub self_dependency: QuirkAction,
     /// Inserts *response* header fields into the HPACK dynamic table.
     /// `false` models Nginx/Tengine, whose repeated response header
     /// blocks never shrink (compression ratio 1 in Figures 4/5).
+    ///
+    /// Rule: RFC 7540 §4.3 (the HPACK context spans the connection).
     pub hpack_index_responses: bool,
     /// Responds to PING (all measured servers do).
+    ///
+    /// Rule: RFC 7540 §6.7 (PING is acknowledged with its payload).
     pub ping: bool,
     /// The SETTINGS parameters announced at connection start.
+    ///
+    /// Rule: RFC 7540 §6.5.2 (SETTINGS values within their bounds).
     pub announced: Settings,
     /// Announce `INITIAL_WINDOW_SIZE = 0` and immediately re-open windows
     /// with WINDOW_UPDATE frames — the Nginx pattern behind the 3,072 /
     /// 7,499 zero entries in Table V.
+    ///
+    /// Rule: RFC 7540 §6.9.2 (SETTINGS_INITIAL_WINDOW_SIZE retunes stream
+    /// windows).
     pub zero_window_then_update: Option<u32>,
     /// Sends zero-length DATA frames when flow-control-blocked instead of
     /// staying silent (a small population in §V-D1 did this).
+    ///
+    /// Rule: RFC 7540 §6.9.1 (a sender stays within the advertised window).
     pub zero_len_data_when_blocked: bool,
     /// Adds a fresh `set-cookie` to every response, which makes the HPACK
     /// ratio exceed 1 (the paper filters r > 1; we must generate them to
     /// exercise that filter).
+    ///
+    /// Modeling: no RFC 7540 rule involved.
     pub cookie_injection: bool,
     /// Per-request application processing time (drives the HTTP/1.1 RTT
     /// estimator gap in Figure 6; PING replies skip it).
+    ///
+    /// Modeling: no RFC 7540 rule involved.
     pub processing_delay: SimDuration,
     /// Accept the HTTP/1.1 `Upgrade: h2c` cleartext upgrade (§IV-A of the
     /// paper; RFC 7540 §3.2). Browsers never use it, but H2Scope probes
     /// it on port 80.
+    ///
+    /// Rule: RFC 7540 §3.2 (cleartext h2 starts with an HTTP/1.1 Upgrade).
     pub h2c_upgrade: bool,
     /// Honor any `SETTINGS_HEADER_TABLE_SIZE` the peer announces when
     /// sizing the response-header encoder table, instead of capping it at
     /// the 4,096-octet default. Obedient servers expose the HPACK
     /// memory-pressure vector sketched in the paper's discussion (§VI).
+    ///
+    /// Rule: RFC 7540 §6.5.2 (SETTINGS_HEADER_TABLE_SIZE).
     pub honor_peer_header_table_size: bool,
     /// Injected byzantine misbehavior (fault campaigns only; `None` for
     /// every testbed profile). See [`h2fault::ByzantineSpec`].
+    ///
+    /// Modeling: no RFC 7540 rule involved.
     pub byzantine: Option<ByzantineSpec>,
     // ----- abuse-hardening quirks (robustness matrix, §VI) --------------
     //
@@ -196,28 +250,41 @@ pub struct ServerBehavior {
     /// Client RST_STREAM budget per connection: once exceeded the server
     /// sends GOAWAY(ENHANCE_YOUR_CALM). `None` = unbounded churn allowed
     /// (the rapid-reset exposure).
+    ///
+    /// Rule: RFC 7540 §10.5 (an endpoint may police RST_STREAM churn).
     pub rst_rate_limit: Option<u32>,
     /// Non-ack SETTINGS budget per connection, each of which costs the
     /// server an ack. `None` = unbounded (the SETTINGS-flood exposure).
+    ///
+    /// Rule: RFC 7540 §10.5 (an endpoint may police SETTINGS floods).
     pub settings_rate_limit: Option<u32>,
     /// Cap on the octets buffered for one in-progress header block across
     /// HEADERS + CONTINUATION fragments; exceeding it tears the
     /// connection down. `None` = unbounded assembly (the
     /// CONTINUATION-flood exposure; §4.3 never bounds a block).
+    ///
+    /// Rule: RFC 7540 §10.5 (an endpoint may cap an unbounded header block).
     pub continuation_cap: Option<u32>,
     /// How long a response may sit flow-control-blocked (or a request
     /// body may trickle) before the server gives up on the connection
     /// with GOAWAY(ENHANCE_YOUR_CALM). `None` = waits forever (the
     /// slow-read / slow-POST exposure).
+    ///
+    /// Rule: RFC 7540 §10.5 (an endpoint may reap stalled connections).
     pub stall_timeout: Option<SimDuration>,
     /// Bound on a received request header list, measured as RFC 7540
     /// §6.5.2 defines `SETTINGS_MAX_HEADER_LIST_SIZE` (name + value + 32
     /// per field). Enforced internally rather than announced, matching
     /// the advisory nature of the setting. `None` = unbounded.
+    ///
+    /// Rule: RFC 7540 §10.5.1 (a header list above the limit should be a
+    /// stream error).
     pub header_list_limit: Option<u32>,
     /// Reaction when [`ServerBehavior::header_list_limit`] is exceeded
     /// (§10.5.1 leaves the choice open: stream error or connection
     /// error). Meaningless while the limit is `None`.
+    ///
+    /// Rule: RFC 7540 §10.5.1 (stream error or connection error).
     pub oversized_header_list: QuirkAction,
 }
 
@@ -280,21 +347,6 @@ impl ServerBehavior {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rfc_reference_matches_table_iii_last_column() {
-        let b = ServerBehavior::rfc7540();
-        assert!(!b.fc_on_headers, "flow control must not gate HEADERS");
-        assert_eq!(b.zero_window_update_stream, QuirkAction::RstStream);
-        assert_eq!(b.zero_window_update_conn, QuirkAction::Goaway);
-        assert_eq!(b.large_window_update_stream, QuirkAction::RstStream);
-        assert_eq!(b.large_window_update_conn, QuirkAction::Goaway);
-        assert!(b.push);
-        assert_eq!(b.priority_mode, PriorityMode::Strict);
-        assert_eq!(b.self_dependency, QuirkAction::RstStream);
-        assert!(b.hpack_index_responses);
-        assert!(b.ping);
-    }
 
     #[test]
     fn rfc_reference_has_no_abuse_hardening() {

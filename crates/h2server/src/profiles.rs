@@ -351,71 +351,9 @@ mod tests {
     }
 
     #[test]
-    fn table_iii_zero_window_update_row() {
-        use QuirkAction::*;
-        let expected_stream = [Ignore, RstStream, RstStream, Goaway, Ignore, Goaway];
-        let expected_conn = [Ignore, Goaway, Goaway, Goaway, Ignore, Goaway];
-        for (profile, (s, c)) in ServerProfile::testbed()
-            .iter()
-            .zip(expected_stream.iter().zip(expected_conn.iter()))
-        {
-            assert_eq!(
-                &profile.behavior.zero_window_update_stream, s,
-                "{}",
-                profile.name
-            );
-            assert_eq!(
-                &profile.behavior.zero_window_update_conn, c,
-                "{}",
-                profile.name
-            );
-        }
-    }
-
-    #[test]
-    fn table_iii_push_and_priority_rows() {
-        let push = [false, false, true, true, false, true];
-        let priority = [false, false, true, true, false, true];
-        for (profile, (p, pr)) in ServerProfile::testbed()
-            .iter()
-            .zip(push.iter().zip(priority.iter()))
-        {
-            assert_eq!(&profile.behavior.push, p, "{} push", profile.name);
-            assert_eq!(
-                &profile.behavior.priority_mode.passes_table_iii(),
-                pr,
-                "{} priority",
-                profile.name
-            );
-        }
-    }
-
-    #[test]
-    fn table_iii_self_dependency_row() {
-        use QuirkAction::*;
-        let expected = [RstStream, Ignore, Goaway, Goaway, RstStream, Goaway];
-        for (profile, e) in ServerProfile::testbed().iter().zip(expected.iter()) {
-            assert_eq!(&profile.behavior.self_dependency, e, "{}", profile.name);
-        }
-    }
-
-    #[test]
-    fn only_apache_lacks_npn() {
-        for profile in ServerProfile::testbed() {
-            let has_npn = profile.behavior.tls.npn.is_some();
-            assert_eq!(has_npn, profile.name != "Apache", "{}", profile.name);
-        }
-    }
-
-    #[test]
-    fn only_litespeed_flow_controls_headers() {
-        for profile in ServerProfile::testbed() {
-            assert_eq!(
-                profile.behavior.fc_on_headers,
-                profile.name == "LiteSpeed",
-                "{}",
-                profile.name
-            );
+    fn every_profile_announces_settings_within_the_section_6_5_2_bounds() {
+        for (name, make) in ServerProfile::all() {
+            assert_eq!(make().behavior.announced.validate(), Ok(()), "{name}");
         }
     }
 

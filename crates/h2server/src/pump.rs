@@ -261,11 +261,10 @@ impl H2Server {
         // The buggy population from §V-D1: instead of trickling data
         // through a *small* window, emit one zero-length DATA and stall
         // until the window grows. A window big enough for a useful chunk
-        // (or the whole remainder) is used normally.
+        // (or the whole remainder) is used normally. The quirk is the
+        // site's own behavior, so it wins over an injected trickle.
         const TRICKLE_THRESHOLD: usize = 1_024;
-        if trickle.is_none()
-            && self.behavior().zero_len_data_when_blocked
-            && sendable < remaining.min(TRICKLE_THRESHOLD)
+        if self.behavior().zero_len_data_when_blocked && sendable < remaining.min(TRICKLE_THRESHOLD)
         {
             if !self.queue[index].sent_zero_marker {
                 self.queue[index].sent_zero_marker = true;
@@ -618,6 +617,29 @@ mod tests {
         assert!(data[0].data.len() <= 16);
         assert!(!data[0].end_stream);
         assert!(server.processing_delay() >= SimDuration::from_millis(300));
+    }
+
+    #[test]
+    fn zero_length_quirk_wins_over_an_injected_trickle() {
+        let mut profile = ServerProfile::rfc7540();
+        profile.behavior.zero_len_data_when_blocked = true;
+        profile.behavior.byzantine = Some(h2fault::ByzantineSpec {
+            trickle_data: Some(16),
+            trickle_delay: SimDuration::from_millis(300),
+            ..h2fault::ByzantineSpec::default()
+        });
+        let (mut server, mut client) = serve(profile);
+        server.on_bytes_vec(
+            SimTime::ZERO,
+            &client.preface_with(Settings::new().with(SettingId::InitialWindowSize, 1)),
+        );
+        let reply = server.on_bytes_vec(SimTime::ZERO, &client.request(1, "/big/0"));
+        let frames = client.parse(&reply);
+        let first_data = frames.iter().find_map(|f| match f {
+            Frame::Data(d) => Some(d.data.len()),
+            _ => None,
+        });
+        assert_eq!(first_data, Some(0), "{frames:?}");
     }
 
     #[test]
