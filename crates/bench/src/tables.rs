@@ -4,8 +4,7 @@
 use std::fmt::Write as _;
 
 use h2scope::probes::flow_control::SmallWindowOutcome;
-use h2scope::testbed::Testbed;
-use h2scope::{H2Scope, Reaction, ServerCharacterization};
+use h2scope::{H2Scope, Reaction, ServerCharacterization, Target};
 use h2server::{ServerProfile, SiteSpec};
 
 /// The paper's Table III expectations, row-major, one entry per server
@@ -109,9 +108,10 @@ pub fn characterize(profiles: Vec<ServerProfile>) -> Vec<ServerCharacterization>
             // The push row needs a site with a manifest; everything else
             // uses the benchmark site. Run characterize on the benchmark
             // and overwrite the push verdict from a manifest-bearing site.
-            let report = scope.characterize(&Testbed::new(profile.clone(), SiteSpec::benchmark()));
+            let report =
+                scope.characterize(&Target::testbed(profile.clone(), SiteSpec::benchmark()));
             let push = h2scope::probes::push::probe(
-                &h2scope::Target::testbed(profile, SiteSpec::page_with_assets(3, 2_000)),
+                &Target::testbed(profile, SiteSpec::page_with_assets(3, 2_000)),
                 &["/"],
             );
             ServerCharacterization { push, ..report }

@@ -129,6 +129,8 @@ pub fn adoption(records: &[CampaignRow], population: &Population) -> String {
 
 /// §V-B2 / Table IV: server families by `server` response header.
 pub fn table4(records: &[CampaignRow], population: &Population) -> String {
+    use webpop::marginals::{FAMILIES, SERVER_KINDS};
+    use webpop::Family;
     let scale = population.scale();
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
     for record in headers_records(records) {
@@ -156,36 +158,34 @@ pub fn table4(records: &[CampaignRow], population: &Population) -> String {
     }
     let distinct = counts.len();
     let headers_total: u64 = counts.values().map(|&c| c as u64).sum();
-    let mut rows: Vec<(String, usize)> = counts.into_iter().collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
-    let paper: &[(&str, u64, u64)] = &[
-        ("Litespeed", 12_637, 13_626),
-        ("Nginx", 11_293, 27_394),
-        ("GSE", 9_928, 9_929),
-        ("Tengine", 2_535, 674),
-        ("cloudflare-nginx", 1_197, 1_766),
-        ("IdeaWebServer/v0.80", 1_128, 1_261),
-        ("Tengine/Aserver", 0, 2_620),
-    ];
     let second = population.spec().second;
+    let paper_kinds = if second {
+        SERVER_KINDS.1
+    } else {
+        SERVER_KINDS.0
+    };
     let mut out = String::new();
     writeln!(
         out,
-        "TABLE IV — Top server families ({}; {} distinct names seen, paper {})",
+        "TABLE IV — Top server families ({}; {distinct} distinct names seen, paper {paper_kinds})",
         population.spec().label,
-        distinct,
-        if second { 345 } else { 223 }
     )
     .unwrap();
-    let table: Vec<(String, u64, u64)> = paper
+    let table: Vec<(String, u64, u64)> = FAMILIES
         .iter()
-        .map(|&(name, exp1, exp2)| {
-            let measured = rows
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |(_, c)| *c as u64);
-            (name.to_string(), measured, if second { exp2 } else { exp1 })
+        .filter_map(|&(family, exp1, exp2)| {
+            let name = match family {
+                Family::Litespeed => "Litespeed",
+                Family::Nginx => "Nginx",
+                Family::Gse => "GSE",
+                Family::Tengine => "Tengine",
+                Family::CloudflareNginx => "cloudflare-nginx",
+                Family::IdeaWeb => "IdeaWebServer/v0.80",
+                Family::TengineAserver => "Tengine/Aserver",
+                Family::Tail => return None,
+            };
+            let measured = counts.get(name).map_or(0, |&c| c as u64);
+            Some((name.to_string(), measured, if second { exp2 } else { exp1 }))
         })
         .collect();
     paper_table(&mut out, "Server", 22, &table, headers_total, scale);

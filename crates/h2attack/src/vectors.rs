@@ -21,12 +21,6 @@ use netsim::time::SimDuration;
 
 use crate::report::AttackReport;
 
-/// Octets of the connection prelude every vector pays: the client
-/// preface (24) plus an empty SETTINGS frame (9). The last 6 over-count
-/// that frame; they stay because `ABUSE_campaign.json` pins every
-/// `attacker_octets` built on them.
-const PRELUDE_OCTETS: u64 = 24 + 9 + 6;
-
 /// How long the slow reader goes silent before its liveness PING.
 pub const SLOW_READ_STALL_SECS: u64 = 90;
 /// Quiet gap between slow-POST trickles.
@@ -131,22 +125,19 @@ pub fn engage(vector: AttackVector, target: &Target, seed: u64, volume: u32) -> 
 fn rapid_reset(target: &Target, seed: u64, streams: u32) -> AttackReport {
     let mut conn = ProbeConn::establish(target, Settings::new(), seed ^ 0x5e5e7);
     let mut received = conn.exchange();
-    let mut frames = 1u64;
-    let mut octets = PRELUDE_OCTETS;
     for k in 0..streams {
-        let header_len = conn.get(1 + 2 * k, "/", None) as u64;
+        conn.get(1 + 2 * k, "/", None);
         conn.send(Frame::RstStream(RstStreamFrame {
             stream_id: StreamId::new(1 + 2 * k),
             code: ErrorCode::Cancel,
         }));
-        frames = frames.saturating_add(2);
-        octets = octets.saturating_add(9 + header_len).saturating_add(13);
         if conn.is_dead() {
             break;
         }
     }
     received.extend(conn.exchange());
     let canceled = u64::from(conn.server().rst_frames_seen());
+    let (frames, octets) = conn.sent();
     AttackReport::new(
         AttackVector::RapidReset,
         frames,
@@ -169,8 +160,6 @@ fn continuation_flood(target: &Target, seed: u64, fragments: u32) -> AttackRepor
         priority: None,
         pad_len: None,
     }));
-    let mut frames = 2u64;
-    let mut octets = PRELUDE_OCTETS.saturating_add(9 + 1_024);
     for _ in 0..fragments {
         if conn.is_dead() {
             break;
@@ -180,11 +169,10 @@ fn continuation_flood(target: &Target, seed: u64, fragments: u32) -> AttackRepor
             fragment: bytes::Bytes::copy_from_slice(&fragment),
             end_headers: false,
         }));
-        frames = frames.saturating_add(1);
-        octets = octets.saturating_add(9 + 1_024);
     }
     received.extend(conn.exchange());
     let buffered = conn.server().core().header_block_accumulated() as u64;
+    let (frames, octets) = conn.sent();
     AttackReport::new(
         AttackVector::ContinuationFlood,
         frames,
@@ -202,21 +190,16 @@ fn slow_read(target: &Target, seed: u64, streams: u32) -> AttackReport {
     let settings = Settings::new().with(SettingId::InitialWindowSize, 1);
     let mut conn = ProbeConn::establish(target, settings, seed ^ 0x510_ead);
     let mut received = conn.exchange();
-    let mut frames = 1u64;
-    let mut octets = PRELUDE_OCTETS;
     for k in 0..streams {
         let path = format!("/big/{}", 1 + (k % 7));
-        let header_len = conn.get(1 + 2 * k, &path, None) as u64;
-        frames = frames.saturating_add(1);
-        octets = octets.saturating_add(9 + header_len);
+        conn.get(1 + 2 * k, &path, None);
     }
     received.extend(conn.exchange());
     // Silence: the attacker holds the connection open without reading.
     conn.advance(SimDuration::from_secs(SLOW_READ_STALL_SECS));
     conn.send(Frame::Ping(PingFrame::request([0x51; 8])));
-    frames = frames.saturating_add(1);
-    octets = octets.saturating_add(17);
     received.extend(conn.exchange());
+    let (frames, octets) = conn.sent();
     AttackReport::new(
         AttackVector::SlowRead,
         frames,
@@ -237,9 +220,7 @@ fn slow_post(target: &Target, seed: u64, trickles: u32) -> AttackReport {
         Header::new(":authority", target.site.authority.clone()),
         Header::new("content-type", "application/x-www-form-urlencoded"),
     ];
-    let header_len = conn.send_header_block(1, &headers, false) as u64;
-    let mut frames = 2u64;
-    let mut octets = PRELUDE_OCTETS.saturating_add(9 + header_len);
+    conn.send_header_block(1, &headers, false);
     received.extend(conn.exchange());
     for k in 0..trickles {
         if conn.is_dead() {
@@ -252,11 +233,10 @@ fn slow_post(target: &Target, seed: u64, trickles: u32) -> AttackReport {
             end_stream: false,
             pad_len: None,
         }));
-        frames = frames.saturating_add(1);
-        octets = octets.saturating_add(10);
         received.extend(conn.exchange());
     }
     let stalled = conn.server().pending_request_count() as u64;
+    let (frames, octets) = conn.sent();
     AttackReport::new(
         AttackVector::SlowPost,
         frames,
@@ -270,8 +250,6 @@ fn slow_post(target: &Target, seed: u64, trickles: u32) -> AttackReport {
 fn settings_flood(target: &Target, seed: u64, count: u32) -> AttackReport {
     let mut conn = ProbeConn::establish(target, Settings::new(), seed ^ 0x5e77f);
     let mut received = conn.exchange();
-    let mut frames = 1u64;
-    let mut octets = PRELUDE_OCTETS;
     let mut batch = Vec::with_capacity(16);
     let mut sent = 0u32;
     while sent < count && !conn.is_dead() {
@@ -280,8 +258,6 @@ fn settings_flood(target: &Target, seed: u64, count: u32) -> AttackReport {
             batch.push(Frame::Settings(SettingsFrame::from(Settings::new())));
             sent = sent.saturating_add(1);
         }
-        frames = frames.saturating_add(batch.len() as u64);
-        octets = octets.saturating_add(9 * batch.len() as u64);
         conn.send_all(&batch);
         received.extend(conn.exchange());
     }
@@ -289,6 +265,7 @@ fn settings_flood(target: &Target, seed: u64, count: u32) -> AttackReport {
         .iter()
         .filter(|tf| matches!(&tf.frame, Frame::Settings(s) if s.ack))
         .count() as u64;
+    let (frames, octets) = conn.sent();
     AttackReport::new(
         AttackVector::SettingsFlood,
         frames,
@@ -309,12 +286,10 @@ fn table_thrash(target: &Target, seed: u64, requests: u32) -> AttackReport {
     for k in 0..requests {
         conn.fetch(1 + 2 * k, "/");
     }
-    // The thrash's wire cost is its requests: ~40 octets of HEADERS each
-    // once the static entries are table hits, plus the prelude.
-    let octets = PRELUDE_OCTETS.saturating_add(u64::from(requests).saturating_mul(49));
+    let (frames, octets) = conn.sent();
     AttackReport::new(
         AttackVector::TableThrash,
-        u64::from(requests),
+        frames,
         octets,
         conn.server().encoder_table_octets(),
         "table octets",
@@ -348,17 +323,16 @@ fn priority_churn(target: &Target, seed: u64, depth: u32) -> AttackReport {
         .collect();
     conn.send_all(&frames);
     conn.exchange();
-    let mut sent = frames.len() as u64;
     for _ in 0..PRIORITY_CHURN_ROUNDS {
         frames = vec![dep(tail, 0, true), dep(tail, head, false)];
         conn.send_all(&frames);
         conn.exchange();
-        sent = sent.saturating_add(2);
     }
+    let (frames, octets) = conn.sent();
     AttackReport::new(
         AttackVector::PriorityChurn,
-        sent,
-        PRELUDE_OCTETS.saturating_add(sent.saturating_mul(14)),
+        frames,
+        octets,
         conn.server().core().priority().len() as u64,
         "tree nodes",
         Reaction::Ignored,
@@ -495,10 +469,27 @@ mod tests {
             let r = engage(AttackVector::PriorityChurn, &target, 0, depth);
             assert_eq!(r.cost_unit, "tree nodes");
             assert_eq!(r.server_cost, u64::from(depth), "{r:?}");
+            // The prelude SETTINGS, the chain's depth − 1 links, then two
+            // per reversal.
             assert_eq!(
                 r.attacker_frames,
-                u64::from(depth - 1 + 2 * PRIORITY_CHURN_ROUNDS)
+                u64::from(depth + 2 * PRIORITY_CHURN_ROUNDS)
             );
+        }
+    }
+
+    /// A report's attacker octets are what its connection carried to the
+    /// server, as the pipe counts them, on every vector and profile.
+    #[test]
+    fn attacker_octets_are_the_octets_the_pipe_carried() {
+        for (name, make) in ServerProfile::all() {
+            for v in AttackVector::ALL {
+                let mut target = Target::testbed(make(), SiteSpec::benchmark());
+                target.obs = h2scope::Obs::campaign(0);
+                let r = run(v, &target, 0);
+                let carried = target.obs.snapshot().expect("enabled handle");
+                assert_eq!(r.attacker_octets, carried.bytes_to_server, "{v} on {name}");
+            }
         }
     }
 

@@ -424,11 +424,6 @@ impl ConnectionCore {
         self.role
     }
 
-    /// Our announced settings.
-    pub fn local_settings(&self) -> &EffectiveSettings {
-        &self.local
-    }
-
     /// The peer's most recent settings.
     pub fn remote_settings(&self) -> &EffectiveSettings {
         &self.remote

@@ -238,7 +238,8 @@ impl FaultProfile {
         }
     }
 
-    /// A custom uniform-loss profile (benchmark sweeps).
+    /// A custom uniform-loss profile. `h2fault/tests/proptest_impairment.rs`
+    /// draws plans from it; no `repro` preset uses it.
     pub fn uniform_loss(loss: f64) -> FaultProfile {
         FaultProfile {
             name: "loss",

@@ -111,6 +111,8 @@ pub struct ProbeConn {
     /// first use, then only the `:path` value is rewritten in place, so
     /// repeat GETs stop re-allocating seven headers' worth of `String`s.
     req_scratch: Vec<Header>,
+    /// Frames and octets handed to the pipe so far, prelude included.
+    sent: (u64, u64),
 }
 
 impl Drop for ProbeConn {
@@ -176,11 +178,13 @@ impl ProbeConn {
             obs: target.obs.clone(),
             wire_scratch: spare.wire,
             req_scratch: spare.request,
+            sent: (0, 0),
         };
         conn.wire_scratch.extend_from_slice(CONNECTION_PREFACE);
         Frame::Settings(SettingsFrame::from(client_settings)).encode(&mut conn.wire_scratch);
         // The prelude SETTINGS bypasses `send`, so count it here.
         conn.obs.frame_sent(0x4, conn.pipe.now().as_nanos());
+        conn.sent = (1, conn.wire_scratch.len() as u64);
         conn.pipe.client_send(&conn.wire_scratch);
         conn
     }
@@ -202,6 +206,12 @@ impl ProbeConn {
         self.pipe.server()
     }
 
+    /// Frames and octets this connection has handed to the wire: the
+    /// preface and SETTINGS of the prelude plus everything sent since.
+    pub fn sent(&self) -> (u64, u64) {
+        self.sent
+    }
+
     /// Sends one frame.
     pub fn send(&mut self, frame: Frame) {
         self.send_all(std::slice::from_ref(&frame));
@@ -215,12 +225,13 @@ impl ProbeConn {
         }
         self.wire_scratch.clear();
         encode_all_into(frames, &mut self.wire_scratch);
+        self.sent.0 += frames.len() as u64;
+        self.sent.1 += self.wire_scratch.len() as u64;
         self.pipe.client_send(&self.wire_scratch);
     }
 
-    /// Sends a GET request on `stream`, optionally with priority fields,
-    /// returning the encoded HEADERS frame size for reference.
-    pub fn get(&mut self, stream: u32, path: &str, priority: Option<PrioritySpec>) -> usize {
+    /// Sends a GET request on `stream`, optionally with priority fields.
+    pub fn get(&mut self, stream: u32, path: &str, priority: Option<PrioritySpec>) {
         let mut request = std::mem::take(&mut self.req_scratch);
         match request.iter_mut().find(|h| h.name == ":path") {
             Some(h) => h.set(":path", path),
@@ -229,7 +240,6 @@ impl ProbeConn {
         }
         let block = self.hpack_encoder.encode_block(&request);
         self.req_scratch = request;
-        let len = block.len();
         self.send(Frame::Headers(HeadersFrame {
             stream_id: StreamId::new(stream),
             fragment: block.into(),
@@ -238,23 +248,17 @@ impl ProbeConn {
             priority,
             pad_len: None,
         }));
-        len
     }
 
     /// Encodes `headers` through the connection's HPACK context and
     /// sends the block as HEADERS plus however many CONTINUATION frames
     /// the fragment needs (split at 16 000 octets, under the default
-    /// SETTINGS_MAX_FRAME_SIZE). Returns the total block size in octets.
+    /// SETTINGS_MAX_FRAME_SIZE).
     ///
     /// Unlike [`ProbeConn::get`] this takes an arbitrary header list, so
     /// probes can build oversized lists (SETTINGS_MAX_HEADER_LIST_SIZE
     /// probing) or bodied requests (slow-POST) on any stream.
-    pub fn send_header_block(
-        &mut self,
-        stream: u32,
-        headers: &[Header],
-        end_stream: bool,
-    ) -> usize {
+    pub fn send_header_block(&mut self, stream: u32, headers: &[Header], end_stream: bool) {
         const FRAGMENT: usize = 16_000;
         let block: Bytes = self.hpack_encoder.encode_block(headers).into();
         let len = block.len();
@@ -276,7 +280,6 @@ impl ProbeConn {
             }));
             offset = next;
         }
-        len
     }
 
     /// The standard request header list the probe sends.

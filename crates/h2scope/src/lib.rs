@@ -20,11 +20,11 @@
 //! | §V-F page-load with/without push | [`pageload`] |
 //!
 //! ```
-//! use h2scope::{H2Scope, testbed::Testbed};
+//! use h2scope::{H2Scope, Target};
 //! use h2server::{ServerProfile, SiteSpec};
 //!
 //! let scope = H2Scope::new();
-//! let report = scope.characterize(&Testbed::new(
+//! let report = scope.characterize(&Target::testbed(
 //!     ServerProfile::h2o(), SiteSpec::benchmark()));
 //! assert!(report.priority.passes());   // H2O honors priorities
 //! assert!(report.push.supported == false); // benchmark site has no manifest
@@ -61,5 +61,4 @@ pub use resilient::{
     survey_with_retries, FaultLog, ProbeFailure, ProbeOutcome, ProbeStats, MAX_RETRY_BACKOFF,
 };
 pub use scope::{H2Scope, ScopeConfig};
-pub use target::testbed;
 pub use target::{HandlerHook, Target};

@@ -261,76 +261,6 @@ pub fn naive_order_check(target: &Target) -> PriorityReport {
     }
 }
 
-/// Ablation probe: measure how a server divides bandwidth between
-/// sibling streams of different weights (RFC 7540 §5.3.2 says resources
-/// are allocated "proportionally based on the weight").
-///
-/// Opens one large download per weight, drains the connection window so
-/// the dependency tree settles, reopens it, and returns each stream's
-/// share of the first `window` DATA octets. A weight-proportional
-/// scheduler yields shares ≈ weight/Σweights; FCFS servers yield roughly
-/// equal shares regardless of weights.
-pub fn weight_shares(target: &Target, weights: &[u16], window: u64) -> Vec<f64> {
-    assert!(
-        !weights.is_empty() && weights.len() <= 7,
-        "1..=7 weighted streams"
-    );
-    let settings = Settings::new().with(SettingId::InitialWindowSize, 0x7fff_ffff);
-    let mut conn = ProbeConn::establish(target, settings, 0x3e19);
-    conn.exchange();
-
-    // Drain the connection window with a throwaway download, then reset.
-    conn.get(1, "/big/7", None);
-    conn.exchange();
-    conn.send(Frame::RstStream(h2wire::RstStreamFrame {
-        stream_id: StreamId::new(1),
-        code: h2wire::ErrorCode::Cancel,
-    }));
-    conn.exchange();
-
-    // One request per weight, all siblings under the root.
-    let streams: Vec<u32> = (0..weights.len() as u32).map(|k| 3 + 2 * k).collect();
-    for (k, (&stream, &weight)) in streams.iter().zip(weights).enumerate() {
-        let spec = PrioritySpec {
-            exclusive: false,
-            dependency: StreamId::CONNECTION,
-            weight,
-        };
-        conn.get(stream, &format!("/big/{}", 1 + k as u32 % 6), Some(spec));
-    }
-    conn.exchange();
-
-    // Reopen exactly `window` octets of connection window and count what
-    // each stream received within it.
-    conn.send(Frame::WindowUpdate(WindowUpdateFrame {
-        stream_id: StreamId::CONNECTION,
-        increment: window as u32,
-    }));
-    let mut received: BTreeMap<u32, u64> = BTreeMap::new();
-    loop {
-        let frames = conn.exchange();
-        if frames.is_empty() {
-            break;
-        }
-        for tf in &frames {
-            if let Frame::Data(d) = &tf.frame {
-                *received.entry(d.stream_id.value()).or_default() += d.data.len() as u64;
-            }
-        }
-    }
-    let total: u64 = received.values().sum();
-    streams
-        .iter()
-        .map(|s| {
-            if total == 0 {
-                0.0
-            } else {
-                *received.get(s).unwrap_or(&0) as f64 / total as f64
-            }
-        })
-        .collect()
-}
-
 /// §III-C2: send a PRIORITY frame making a stream depend on itself.
 ///
 /// Classifies RFC 7540 §5.3.1: a stream cannot depend on itself.
@@ -454,35 +384,5 @@ mod tests {
         );
         let proper = algorithm1(&target);
         assert!(proper.by_both, "Algorithm 1 recovers the true verdict");
-    }
-
-    #[test]
-    fn weight_shares_follow_weights_on_priority_servers() {
-        // Weighted siblings share bandwidth ∝ weight on a WRR scheduler.
-        // NOTE: all-sibling trees serve the *whole window* proportionally,
-        // so shares track 192:48:16 ≈ 0.75:0.19:0.06.
-        let shares = weight_shares(
-            &target_for(ServerProfile::h2o()),
-            &[192, 48, 16],
-            192 * 1024,
-        );
-        assert!((shares[0] - 0.75).abs() < 0.08, "{shares:?}");
-        assert!((shares[1] - 0.1875).abs() < 0.08, "{shares:?}");
-        assert!((shares[2] - 0.0625).abs() < 0.05, "{shares:?}");
-    }
-
-    #[test]
-    fn weight_shares_are_flat_on_fcfs_servers() {
-        let shares = weight_shares(
-            &target_for(ServerProfile::nginx()),
-            &[192, 48, 16],
-            192 * 1024,
-        );
-        for share in &shares {
-            assert!(
-                (share - 1.0 / 3.0).abs() < 0.1,
-                "FCFS ignores weights: {shares:?}"
-            );
-        }
     }
 }

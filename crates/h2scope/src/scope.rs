@@ -4,7 +4,6 @@ use crate::probes::{
     flow_control, hpack, multiplexing, negotiation, ping, priority, push, settings,
 };
 use crate::report::{ServerCharacterization, SiteReport};
-use crate::target::testbed::Testbed;
 use crate::target::Target;
 
 /// Configuration for a probe campaign.
@@ -47,8 +46,7 @@ impl H2Scope {
 
     /// Runs every probe against a testbed server — regenerating one column
     /// of Table III.
-    pub fn characterize(&self, testbed: &Testbed) -> ServerCharacterization {
-        let target = testbed.target();
+    pub fn characterize(&self, target: &Target) -> ServerCharacterization {
         ServerCharacterization {
             server: target.profile.name.clone(),
             version: target.profile.version.clone(),

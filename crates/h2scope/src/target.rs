@@ -122,35 +122,6 @@ impl Target {
     }
 }
 
-/// Convenience namespace mirroring the paper's testbed setup.
-pub mod testbed {
-    use super::*;
-
-    /// A testbed wrapper so examples read like the paper: install a
-    /// server, point H2Scope at it.
-    #[derive(Debug, Clone)]
-    pub struct Testbed {
-        target: Target,
-    }
-
-    impl Testbed {
-        /// Installs `profile` serving `site` in the testbed.
-        pub fn new(
-            profile: impl Into<Arc<ServerProfile>>,
-            site: impl Into<Arc<SiteSpec>>,
-        ) -> Testbed {
-            Testbed {
-                target: Target::testbed(profile, site),
-            }
-        }
-
-        /// The probe target.
-        pub fn target(&self) -> &Target {
-            &self.target
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

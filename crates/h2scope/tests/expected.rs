@@ -7,7 +7,6 @@
 use std::sync::Arc;
 
 use h2scope::expected::{expected, Verdicts};
-use h2scope::testbed::Testbed;
 use h2scope::{probes, H2Scope, Target};
 use h2server::{ServerProfile, SiteSpec};
 
@@ -32,7 +31,7 @@ fn every_profile_surveys_as_its_behavior_predicts() {
             expected(b, &site),
             "{name}"
         );
-        let c = scope.characterize(&Testbed::new(Arc::clone(&profile), Arc::clone(&site)));
+        let c = scope.characterize(&target);
         assert_eq!(c.ping.supported, b.ping, "{name}: PING");
         assert_eq!(
             c.multiplexing.parallel, b.multiplexing,

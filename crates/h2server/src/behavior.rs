@@ -222,12 +222,6 @@ pub struct ServerBehavior {
     ///
     /// Modeling: no RFC 7540 rule involved.
     pub processing_delay: SimDuration,
-    /// Accept the HTTP/1.1 `Upgrade: h2c` cleartext upgrade (§IV-A of the
-    /// paper; RFC 7540 §3.2). Browsers never use it, but H2Scope probes
-    /// it on port 80.
-    ///
-    /// Rule: RFC 7540 §3.2 (cleartext h2 starts with an HTTP/1.1 Upgrade).
-    pub h2c_upgrade: bool,
     /// Honor any `SETTINGS_HEADER_TABLE_SIZE` the peer announces when
     /// sizing the response-header encoder table, instead of capping it at
     /// the 4,096-octet default. Obedient servers expose the HPACK
@@ -318,7 +312,6 @@ impl ServerBehavior {
             zero_len_data_when_blocked: false,
             cookie_injection: false,
             processing_delay: SimDuration::from_micros(500),
-            h2c_upgrade: true,
             honor_peer_header_table_size: false,
             byzantine: None,
             // The reference endpoint implements RFC 7540 and nothing

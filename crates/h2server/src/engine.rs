@@ -5,7 +5,7 @@
 //! This module holds the state and the *policy*: what to answer to a
 //! request and how to react to each condition the connection core
 //! reports. Getting responses onto the wire is `pump.rs`; bytes in and
-//! out (preface, h2c upgrade, byzantine shaping) is `transport.rs`.
+//! out (preface, greeting, byzantine shaping) is `transport.rs`.
 
 #![allow(
     clippy::indexing_slicing,
@@ -52,7 +52,7 @@ pub struct HandlerResponse {
 }
 
 /// Body of the static site's 404 response.
-pub(crate) const NOT_FOUND: &[u8] = b"not found";
+const NOT_FOUND: &[u8] = b"not found";
 
 /// `true` when a request head announces a body (POST/PUT-style methods);
 /// such requests are answered only after END_STREAM.
@@ -94,12 +94,6 @@ pub struct H2Server {
     cookie_counter: u64,
     /// Round-robin cursor for non-priority scheduling.
     pub(crate) rr_cursor: usize,
-    /// Cleartext (port-80) mode: no greeting until an h2c upgrade or a
-    /// prior-knowledge preface arrives (RFC 7540 §3.2/§3.4).
-    pub(crate) cleartext: bool,
-    /// Request headers carried by an accepted h2c upgrade, served on
-    /// stream 1 once the preface completes.
-    pub(crate) pending_upgrade: Option<Vec<Header>>,
     /// Total octets emitted so far (byzantine truncation/reset bookkeeping).
     pub(crate) emitted: u64,
     /// A byzantine truncation fired: the server says nothing more, ever.
@@ -196,8 +190,6 @@ impl H2Server {
             last_delay: SimDuration::ZERO,
             cookie_counter: 0,
             rr_cursor: 0,
-            cleartext: false,
-            pending_upgrade: None,
             emitted: 0,
             silenced: false,
             reset_pending: false,
@@ -339,12 +331,7 @@ impl H2Server {
         }
     }
 
-    pub(crate) fn handle_request(
-        &mut self,
-        stream: StreamId,
-        headers: &[Header],
-        out: &mut Vec<Frame>,
-    ) {
+    fn handle_request(&mut self, stream: StreamId, headers: &[Header], out: &mut Vec<Frame>) {
         if self.rejected.contains(&stream.value()) || self.behavior().mute {
             return;
         }

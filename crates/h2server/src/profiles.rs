@@ -86,10 +86,9 @@ impl ServerProfile {
             .with(SettingId::InitialWindowSize, 0)
             .with(SettingId::MaxFrameSize, 16_384);
         b.zero_window_then_update = Some(65_535);
-        b.h2c_upgrade = false; // stock nginx 1.9 had no h2c upgrade path
-                               // Robustness row: nginx bounds header growth and reaps stalled
-                               // connections (http2_recv_timeout-style), but has no RST or
-                               // SETTINGS budget — the rapid-reset exposure.
+        // Robustness row: nginx bounds header growth and reaps stalled
+        // connections (http2_recv_timeout-style), but has no RST or
+        // SETTINGS budget — the rapid-reset exposure.
         b.continuation_cap = Some(32_768);
         b.stall_timeout = Some(SimDuration::from_secs(60));
         b.header_list_limit = Some(8_192);
@@ -117,7 +116,6 @@ impl ServerProfile {
             .with(SettingId::MaxConcurrentStreams, 100)
             .with(SettingId::InitialWindowSize, 65_536)
             .with(SettingId::MaxFrameSize, 16_384);
-        b.h2c_upgrade = false;
         // Robustness row: LiteSpeed only reaps stalled connections;
         // everything else is unbounded.
         b.stall_timeout = Some(SimDuration::from_secs(45));
@@ -252,7 +250,6 @@ impl ServerProfile {
             .with(SettingId::InitialWindowSize, 1_048_576)
             .with(SettingId::MaxFrameSize, 16_777_215)
             .with(SettingId::MaxHeaderListSize, 16_384);
-        b.h2c_upgrade = false;
         // GSE actually enforces the header-list bound it announces.
         b.header_list_limit = Some(16_384);
         b.oversized_header_list = QuirkAction::RstStream;

@@ -1,31 +1,19 @@
 //! The transport shell around the engine: the [`ByteEndpoint`] impl the
-//! simulator drives, the connection preface and the cleartext
-//! HTTP/1.1 → h2c upgrade path, the greeting, and the byzantine shaping
-//! of whatever the engine emits.
+//! simulator drives, the connection preface of TLS-negotiated h2, the
+//! greeting, and the byzantine shaping of whatever the engine emits.
 
 #![allow(
     clippy::indexing_slicing,
     reason = "byte offsets length-checked against the preface buffer"
 )]
 
-use std::sync::Arc;
-
-use h2hpack::Header;
 use h2wire::{
     encode_all_into, Frame, SettingsFrame, StreamId, WindowUpdateFrame, CONNECTION_PREFACE,
 };
-use netsim::http1::write_response_head;
 use netsim::pipe::ByteEndpoint;
 use netsim::time::{SimDuration, SimTime};
 
-use crate::engine::{H2Server, NOT_FOUND};
-use crate::profiles::ServerProfile;
-use crate::site::SiteSpec;
-
-/// Index of the first `\r\n\r\n` in `buf`, if complete.
-fn find_double_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
+use crate::engine::H2Server;
 
 /// A greeting that cannot parse as HTTP/2: a SETTINGS frame whose length
 /// is not a multiple of six — FRAME_SIZE_ERROR per RFC 7540 §6.5.
@@ -42,11 +30,6 @@ impl ByteEndpoint for H2Server {
         if byz.garbage_preface {
             self.silenced = true;
             out.extend_from_slice(&GARBAGE_GREETING);
-            return;
-        }
-        if self.cleartext {
-            // Nothing to say until the client upgrades (§3.2) or sends
-            // the prior-knowledge preface (§3.4).
             return;
         }
         let start = out.len();
@@ -75,19 +58,6 @@ impl ByteEndpoint for H2Server {
 }
 
 impl H2Server {
-    /// Creates a *cleartext* server (the port-80 deployment): it stays
-    /// silent on connect and speaks HTTP/1.1 until the client either
-    /// upgrades via `Upgrade: h2c` or opens with the HTTP/2 preface
-    /// directly (prior knowledge).
-    pub fn new_cleartext(
-        profile: impl Into<Arc<ServerProfile>>,
-        site: impl Into<Arc<SiteSpec>>,
-    ) -> H2Server {
-        let mut server = H2Server::new(profile, site);
-        server.cleartext = true;
-        server
-    }
-
     /// Applies output-side byzantine faults (truncation, scheduled reset)
     /// to the batch of octets the engine appended to `out` past `start`.
     /// A no-op spec passes bytes through untouched.
@@ -127,21 +97,10 @@ impl H2Server {
                 self.preface_done = true;
                 let leftover = self.preface.split_off(CONNECTION_PREFACE.len());
                 self.preface.clear();
-                if self.cleartext {
-                    // Prior-knowledge or post-upgrade h2: announce now.
-                    self.announce_bytes(out);
-                }
-                if let Some(headers) = self.pending_upgrade.take() {
-                    self.serve_upgraded_request(&headers, out);
-                }
                 self.ingest(&leftover, out);
                 return;
             }
-            if self.cleartext {
-                self.try_h1(out);
-                return;
-            }
-            // TLS-negotiated h2 with a bad preface: drop the connection.
+            // A bad preface: drop the connection.
             self.closed = true;
             return;
         }
@@ -161,99 +120,6 @@ impl H2Server {
                 increment,
             })
             .encode(out);
-        }
-    }
-
-    /// RFC 7540 §3.2: the request that carried the upgrade is served as
-    /// HTTP/2 stream 1, already half-closed from the client side.
-    fn serve_upgraded_request(&mut self, headers: &[Header], out: &mut Vec<u8>) {
-        let stream = StreamId::new(1);
-        let (send_init, recv_init) = (
-            self.core.remote_settings().initial_window_size,
-            self.core.local_settings().initial_window_size,
-        );
-        self.core
-            .streams_mut()
-            .get_or_create(stream, send_init, recv_init)
-            .recv_headers(true);
-        let mut frames = std::mem::take(&mut self.frame_scratch);
-        frames.clear();
-        self.handle_request(stream, headers, &mut frames);
-        self.pump(&mut frames);
-        encode_all_into(&frames, out);
-        self.frame_scratch = frames;
-    }
-
-    /// Speaks just enough HTTP/1.1 to run the §IV-A upgrade dance: a
-    /// request with `Upgrade: h2c` gets `101 Switching Protocols` when the
-    /// profile supports it; anything else gets a plain HTTP/1.1 response.
-    fn try_h1(&mut self, out: &mut Vec<u8>) {
-        let Some(end) = find_double_crlf(&self.preface) else {
-            // Wait for the rest of the request head — unless this cannot
-            // be HTTP at all.
-            if self.preface.len() > 16_384 {
-                self.closed = true;
-            }
-            return;
-        };
-        let head = String::from_utf8_lossy(&self.preface[..end]).to_string();
-        let leftover = self.preface.split_off(end + 4);
-        self.preface.clear();
-        let mut lines = head.lines();
-        let request_line = lines.next().unwrap_or_default().to_string();
-        let mut parts = request_line.split_whitespace();
-        let method = parts.next().unwrap_or("GET").to_string();
-        let path = parts.next().unwrap_or("/").to_string();
-        let mut wants_h2c = false;
-        let mut host = self.site.authority.clone();
-        for line in lines {
-            let lower = line.to_ascii_lowercase();
-            if lower.starts_with("upgrade:") && lower.contains("h2c") {
-                wants_h2c = true;
-            }
-            if let Some(value) = lower.strip_prefix("host:") {
-                host = value.trim().to_string();
-            }
-        }
-        if wants_h2c && self.behavior().h2c_upgrade {
-            self.pending_upgrade = Some(vec![
-                Header::new(":method", method),
-                Header::new(":scheme", "http"),
-                Header::new(":path", path),
-                Header::new(":authority", host),
-            ]);
-            self.preface = leftover; // may already hold the preface
-            write_response_head(
-                out,
-                "101 Switching Protocols",
-                &[("Connection", &"Upgrade"), ("Upgrade", &"h2c")],
-            );
-            if !self.preface.is_empty() {
-                let buffered = std::mem::take(&mut self.preface);
-                self.on_bytes_inner(&buffered, out);
-            }
-            return;
-        }
-        // No upgrade: serve it as ordinary HTTP/1.1 and close.
-        self.last_delay = self.behavior().processing_delay;
-        let resource = self.site.resource(&path);
-        let (status, length) = match resource {
-            Some(r) => ("200 OK", r.body_len()),
-            None => ("404 Not Found", NOT_FOUND.len()),
-        };
-        self.closed = true;
-        write_response_head(
-            out,
-            status,
-            &[
-                ("Server", &self.behavior().server_name),
-                ("Content-Length", &length),
-                ("Connection", &"close"),
-            ],
-        );
-        // RFC 7231 §4.3.2: a HEAD response ends with its header section.
-        if method != "HEAD" {
-            out.extend_from_slice(resource.map_or(NOT_FOUND, |r| r.body()));
         }
     }
 
@@ -279,8 +145,10 @@ impl H2Server {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::profiles::ServerProfile;
+    use crate::site::SiteSpec;
     use h2conn::{ConnectionCore, EffectiveSettings, Role};
-    use h2hpack::EncoderOptions;
+    use h2hpack::{EncoderOptions, Header};
     use h2wire::{FrameDecoder, PingFrame, SettingId, Settings};
 
     /// A minimal hand-rolled client for driving the server byte for byte
@@ -474,27 +342,6 @@ pub(crate) mod tests {
         let b = shaped.on_bytes_vec(SimTime::ZERO, &client_b.request(1, "/"));
         assert_eq!(a, b);
         assert!(!plain.wants_reset() && !shaped.wants_reset());
-    }
-
-    #[test]
-    fn http1_head_gets_the_real_content_length_and_no_body() {
-        let reply_to = |request: &[u8]| {
-            let mut server =
-                H2Server::new_cleartext(ServerProfile::rfc7540(), SiteSpec::benchmark());
-            let reply = server.on_bytes_vec(SimTime::ZERO, request);
-            assert!(server.is_closed(), "Connection: close");
-            let end = find_double_crlf(&reply).expect("complete head") + 4;
-            (
-                String::from_utf8_lossy(&reply[..end]).to_string(),
-                reply.len() - end,
-            )
-        };
-        let (get_head, get_body) = reply_to(b"GET /big/0 HTTP/1.1\r\nHost: x\r\n\r\n");
-        let (head_head, head_body) = reply_to(b"HEAD /big/0 HTTP/1.1\r\nHost: x\r\n\r\n");
-        assert!(get_head.contains("Content-Length: 262144\r\n"));
-        assert_eq!(get_body, 256 * 1024);
-        assert_eq!(head_head, get_head, "same header section as the GET");
-        assert_eq!(head_body, 0);
     }
 
     #[test]

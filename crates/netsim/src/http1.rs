@@ -46,7 +46,6 @@ impl ByteEndpoint for Http1Server {
             "" => return,
             _ => ("405 Method Not Allowed", b""),
         };
-        let body: &[u8] = if method == "HEAD" { b"" } else { body };
         write_response_head(
             out,
             status,
@@ -56,7 +55,11 @@ impl ByteEndpoint for Http1Server {
                 ("Connection", &"keep-alive"),
             ],
         );
-        out.extend_from_slice(body);
+        // RFC 7231 §4.3.2: a HEAD response is the GET's header section
+        // and ends there.
+        if method != "HEAD" {
+            out.extend_from_slice(body);
+        }
     }
 
     fn processing_delay(&self) -> SimDuration {
@@ -66,9 +69,8 @@ impl ByteEndpoint for Http1Server {
 
 /// Appends an HTTP/1.1 response head to `out`: the status line, one line
 /// per `(name, value)` field and the terminating blank line, each ended
-/// by CRLF (RFC 7230 §3). Every HTTP/1.1 response in the workspace is
-/// written through here.
-pub fn write_response_head(out: &mut Vec<u8>, status: &str, fields: &[(&str, &dyn fmt::Display)]) {
+/// by CRLF (RFC 7230 §3).
+fn write_response_head(out: &mut Vec<u8>, status: &str, fields: &[(&str, &dyn fmt::Display)]) {
     use std::io::Write as _;
     // Writing into a `Vec` cannot fail.
     let _ = write!(out, "HTTP/1.1 {status}\r\n");
@@ -127,10 +129,17 @@ mod tests {
     #[test]
     fn head_omits_body() {
         let mut server = Http1Server::new("test/1.0", SimDuration::ZERO);
-        let response = server.on_bytes_vec(SimTime::ZERO, b"HEAD / HTTP/1.1\r\n\r\n");
-        let text = String::from_utf8(response).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK"));
+        let get = server.on_bytes_vec(SimTime::ZERO, b"GET / HTTP/1.1\r\n\r\n");
+        let head = server.on_bytes_vec(SimTime::ZERO, b"HEAD / HTTP/1.1\r\n\r\n");
+        let (get_head, get_body) = get.split_at(get.len() - server.body.len());
+        assert_eq!(get_body, server.body.as_slice());
+        assert_eq!(head, get_head, "the GET's header section, no body");
+        let text = String::from_utf8(head).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(text.contains(&format!("Content-Length: {}\r\n", server.body.len())));
         assert!(text.ends_with("\r\n\r\n"));
+        // Every line ends in CRLF, never a bare LF (RFC 7230 §3).
+        assert_eq!(text.matches('\n').count(), text.matches("\r\n").count());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use h2ready::scope::testbed::Testbed;
-use h2ready::scope::H2Scope;
+use h2ready::scope::{H2Scope, Target};
 use h2ready::server::{ServerProfile, SiteSpec};
 
 fn main() {
@@ -14,7 +13,7 @@ fn main() {
 
     // Pick a server implementation — here H2O, one of the three servers
     // the paper found to implement priorities and push.
-    let testbed = Testbed::new(ServerProfile::h2o(), SiteSpec::benchmark());
+    let testbed = Target::testbed(ServerProfile::h2o(), SiteSpec::benchmark());
     let report = scope.characterize(&testbed);
 
     println!("server          : {} {}", report.server, report.version);

@@ -3,15 +3,15 @@
 # with the assertions CI gates on. Builds `repro` once, then runs the
 # named section (default: all of them) in a scratch directory.
 #
-#   scripts/cli-smoke.sh [metrics|resume|push-study|probe|examples|all]
+#   scripts/cli-smoke.sh [metrics|resume|push-study|examples|all]
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 section="${1:-all}"
 case "$section" in
-    metrics | resume | push-study | probe | examples | all) ;;
+    metrics | resume | push-study | examples | all) ;;
     *)
-        echo "unknown section '$section'; use metrics, resume, push-study, probe, examples or all" >&2
+        echo "unknown section '$section'; use metrics, resume, push-study, examples or all" >&2
         exit 2
         ;;
 esac
@@ -145,19 +145,6 @@ PY
     cmp t4/PUSH_campaign.json t8/PUSH_campaign.json
 }
 
-# `repro probe` prints one profile's Table III column, wild-scan
-# families included: a title line and the 14 rows. A name outside
-# `ServerProfile::all()` is a usage error.
-probe() {
-    "$repro" probe gse > gse.txt
-    test "$(wc -l < gse.txt)" -eq 15
-    local status=0
-    "$repro" probe iis > iis.txt 2> iis.err || status=$?
-    test "$status" -eq 2
-    test ! -s iis.txt
-    grep -q 'known profiles' iis.err
-}
-
 # Every example under examples/ runs to completion and prints its
 # study; one that cannot is deleted with its doc lines, not left to rot.
 examples() {
@@ -172,7 +159,6 @@ if [ "$section" = all ]; then
     metrics
     resume
     push_study
-    probe
     examples
 else
     "${section//-/_}"

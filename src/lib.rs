@@ -19,9 +19,9 @@
 //!
 //! ```
 //! use h2ready::server::{ServerProfile, SiteSpec};
-//! use h2ready::scope::{H2Scope, testbed::Testbed};
+//! use h2ready::scope::{H2Scope, Target};
 //!
-//! let testbed = Testbed::new(ServerProfile::nginx(), SiteSpec::benchmark());
+//! let testbed = Target::testbed(ServerProfile::nginx(), SiteSpec::benchmark());
 //! let scope = H2Scope::new();
 //! let report = scope.characterize(&testbed);
 //! assert!(report.negotiation.alpn_h2);
