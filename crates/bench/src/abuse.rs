@@ -11,6 +11,7 @@
 use std::fmt::Write as _;
 
 use h2attack::{AttackRow, RobustnessRow};
+use h2obs::json;
 use h2scope::Reaction;
 
 fn reaction_cell(reaction: Reaction) -> &'static str {
@@ -89,48 +90,40 @@ pub fn render_report(robustness: &[RobustnessRow], attacks: &[AttackRow]) -> Str
 /// Renders the machine-readable `ABUSE_campaign.json` document (schema
 /// `h2attack-v2`) with a fixed key order.
 pub fn render_json(robustness: &[RobustnessRow], attacks: &[AttackRow]) -> String {
-    let separator = |i: usize, len: usize| if i + 1 < len { ",\n" } else { "\n" };
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"h2attack-v2\",\n");
-    out.push_str("  \"robustness\": [\n");
-    for (i, row) in robustness.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"server\":\"{}\",\"rst_rate\":\"{}\",\"settings_rate\":\"{}\",\"continuation\":\"{}\",\"stall\":\"{}\",\"header_list\":\"{}\",\"defenses\":{}}}",
-            row.server,
-            row.report.rst_rate,
-            row.report.settings_rate,
-            row.report.continuation_bound,
-            row.report.stalled_stream,
-            row.report.header_list_bound,
-            row.defenses(),
-        );
-        out.push_str(separator(i, robustness.len()));
-    }
-    out.push_str("  ],\n  \"vectors\": [\n");
-    for (i, row) in attacks.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"vector\":\"{}\",\"cells\":[",
-            row.vector.name()
-        );
-        for (j, (server, r)) in row.cells.iter().enumerate() {
-            let _ = write!(
-                out,
-                "      {{\"server\":\"{server}\",\"reaction\":\"{}\",\"defended\":{},\"server_cost\":{},\"cost_unit\":\"{}\",\"attacker_frames\":{},\"attacker_octets\":{},\"amplification\":{}}}",
-                r.reaction,
-                r.defended,
-                r.server_cost,
-                r.cost_unit,
-                r.attacker_frames,
-                r.attacker_octets,
-                r.amplification,
-            );
-            out.push_str(separator(j, row.cells.len()));
-        }
-        out.push_str("    ]}");
-        out.push_str(separator(i, attacks.len()));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    json::document(|doc| {
+        doc.str("schema", "h2attack-v2")
+            .lines("robustness", |a| {
+                for row in robustness {
+                    a.object(|o| {
+                        o.str("server", &row.server)
+                            .str("rst_rate", row.report.rst_rate)
+                            .str("settings_rate", row.report.settings_rate)
+                            .str("continuation", row.report.continuation_bound)
+                            .str("stall", row.report.stalled_stream)
+                            .str("header_list", row.report.header_list_bound)
+                            .num("defenses", row.defenses());
+                    });
+                }
+            })
+            .lines("vectors", |a| {
+                for row in attacks {
+                    a.object(|o| {
+                        o.str("vector", row.vector.name()).lines("cells", |cells| {
+                            for (server, r) in &row.cells {
+                                cells.object(|o| {
+                                    o.str("server", server)
+                                        .str("reaction", r.reaction)
+                                        .num("defended", r.defended)
+                                        .num("server_cost", r.server_cost)
+                                        .str("cost_unit", r.cost_unit)
+                                        .num("attacker_frames", r.attacker_frames)
+                                        .num("attacker_octets", r.attacker_octets)
+                                        .num("amplification", r.amplification);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+    })
 }

@@ -453,6 +453,12 @@ fn run_serve(options: &Options) -> ! {
     );
     if let Some(snapshot) = obs.snapshot() {
         println!("{}", h2obs::render_table(&snapshot));
+        write_artifact(
+            out_dir,
+            "OBS_campaign.json",
+            h2obs::render_json(&snapshot),
+            "obs",
+        );
     }
     std::process::exit(0);
 }

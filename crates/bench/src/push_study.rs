@@ -24,6 +24,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use h2fault::splitmix64;
+use h2obs::json;
 use h2scope::pageload::{page_load_with, LoadOptions, PageLoad};
 use h2scope::Target;
 use h2server::PushPolicy;
@@ -529,66 +530,63 @@ pub fn render_report(report: &StudyReport) -> String {
 /// `(options, cells)`, so the file is byte-identical at any thread
 /// count.
 pub fn render_json(report: &StudyReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"h2push-study-v1\",\n");
-    let _ = writeln!(out, "  \"seed\": {},", report.options.seed);
-    let _ = writeln!(out, "  \"scale\": {},", report.options.scale);
-    let _ = writeln!(out, "  \"loads\": {},", report.options.loads);
     let links = RTT_BANDS.len() * BANDWIDTHS.len();
-    let _ = writeln!(out, "  \"sites\": {},", report.cells.len() / links);
-    let _ = writeln!(out, "  \"cells\": {},", report.cells.len());
-    let rtts: Vec<String> = RTT_BANDS
-        .iter()
-        .map(|(l, ms)| format!("{{\"band\":\"{l}\",\"rtt_ms\":{ms}}}"))
-        .collect();
-    let _ = writeln!(out, "  \"rtt_bands\": [{}],", rtts.join(","));
-    let bws: Vec<String> = BANDWIDTHS
-        .iter()
-        .map(|(l, bps)| format!("{{\"leg\":\"{l}\",\"bps\":{bps}}}"))
-        .collect();
-    let _ = writeln!(out, "  \"bandwidths\": [{}],", bws.join(","));
-    out.push_str("  \"policies\": [\n");
-    let summaries = policy_summaries(report);
-    for (i, s) in summaries.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"policy\":\"{}\",\"loads\":{},\"stalled\":{},\"promised\":{},\"delivered\":{},\"mean_ms\":{:.3},\"p10_ms\":{:.3},\"p50_ms\":{:.3},\"p90_ms\":{:.3}}}",
-            s.policy.name(),
-            s.samples,
-            s.stalled,
-            s.promised,
-            s.delivered,
-            s.mean_ms,
-            s.p10_ms,
-            s.p50_ms,
-            s.p90_ms
-        );
-        out.push_str(if i + 1 < summaries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"breakdowns\": [\n");
-    let all = breakdowns(report);
-    for (bi, b) in all.iter().enumerate() {
-        let _ = writeln!(out, "    {{\"dimension\":\"{}\",\"rows\":[", b.dimension);
-        let mut rows = Vec::new();
-        for (policy, counts) in &b.rows {
-            for (band, c) in b.bands.iter().zip(counts) {
-                rows.push(format!(
-                    "      {{\"policy\":\"{}\",\"band\":\"{}\",\"helped\":{},\"hurt\":{},\"neutral\":{}}}",
-                    policy.name(),
-                    band,
-                    c.helped,
-                    c.hurt,
-                    c.neutral
-                ));
-            }
-        }
-        let _ = writeln!(out, "{}", rows.join(",\n"));
-        out.push_str("    ]}");
-        out.push_str(if bi + 1 < all.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    json::document(|doc| {
+        doc.str("schema", "h2push-study-v1")
+            .num("seed", report.options.seed)
+            .num("scale", report.options.scale)
+            .num("loads", report.options.loads)
+            .num("sites", report.cells.len() / links)
+            .num("cells", report.cells.len())
+            .array("rtt_bands", |a| {
+                for (band, ms) in RTT_BANDS {
+                    a.object(|o| {
+                        o.str("band", band).num("rtt_ms", ms);
+                    });
+                }
+            })
+            .array("bandwidths", |a| {
+                for (leg, bps) in BANDWIDTHS {
+                    a.object(|o| {
+                        o.str("leg", leg).num("bps", bps);
+                    });
+                }
+            })
+            .lines("policies", |a| {
+                for s in policy_summaries(report) {
+                    a.object(|o| {
+                        o.str("policy", s.policy.name())
+                            .num("loads", s.samples)
+                            .num("stalled", s.stalled)
+                            .num("promised", s.promised)
+                            .num("delivered", s.delivered)
+                            .num("mean_ms", format_args!("{:.3}", s.mean_ms))
+                            .num("p10_ms", format_args!("{:.3}", s.p10_ms))
+                            .num("p50_ms", format_args!("{:.3}", s.p50_ms))
+                            .num("p90_ms", format_args!("{:.3}", s.p90_ms));
+                    });
+                }
+            })
+            .lines("breakdowns", |a| {
+                for b in breakdowns(report) {
+                    a.object(|o| {
+                        o.str("dimension", b.dimension).lines("rows", |rows| {
+                            for (policy, counts) in &b.rows {
+                                for (band, c) in b.bands.iter().zip(counts) {
+                                    rows.object(|o| {
+                                        o.str("policy", policy.name())
+                                            .str("band", band)
+                                            .num("helped", c.helped)
+                                            .num("hurt", c.hurt)
+                                            .num("neutral", c.neutral);
+                                    });
+                                }
+                            }
+                        });
+                    });
+                }
+            });
+    })
 }
 
 #[cfg(test)]

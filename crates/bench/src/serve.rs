@@ -30,10 +30,9 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use h2attack::{run as run_attack, AttackVector};
-use h2campaign::LoadError;
+use h2campaign::{fnv1a, LoadError, FNV_OFFSET};
 use h2obs::Obs;
 use h2scope::{HandlerHook, ProbeConn, Target};
-use h2serve::index::{fnv1a_fold, FNV_OFFSET};
 use h2serve::{generate_trace, Query, QueryCache, QueryHandler, ServeIndex};
 use h2server::{ServerProfile, SiteSpec};
 use h2wire::{Frame, Settings};
@@ -179,7 +178,7 @@ fn response_for(stream: u32, frames: &[h2scope::TimedFrame]) -> (String, Vec<u8>
 
 /// FNV-1a over every response, in trace order.
 fn digest_responses(responses: &[QueryResult]) -> u64 {
-    let eat = |hash, bytes| fnv1a_fold(fnv1a_fold(hash, bytes), &[0xff]);
+    let eat = |hash, bytes| fnv1a(fnv1a(hash, bytes), &[0xff]);
     responses.iter().fold(FNV_OFFSET, |hash, r| {
         eat(eat(hash, r.status.as_bytes()), &r.body)
     })

@@ -7,13 +7,40 @@ use h2scope::probes::flow_control::SmallWindowOutcome;
 use h2scope::{H2Scope, Reaction, ServerCharacterization, Target};
 use h2server::{ServerProfile, SiteSpec};
 
-/// The paper's Table III expectations, row-major, one entry per server
-/// (Nginx, LiteSpeed, H2O, nghttpd, Tengine, Apache).
+/// One row of the paper's Table III.
 pub struct TableIiiExpectation {
     /// Row label as printed.
     pub row: &'static str,
-    /// Expected cell per server column.
+    /// The paper's cell per server column (Nginx, LiteSpeed, H2O,
+    /// nghttpd, Tengine, Apache).
     pub cells: [&'static str; 6],
+    /// The measured cell of a characterization.
+    pub measured: fn(&ServerCharacterization) -> &'static str,
+}
+
+fn support(yes: bool) -> &'static str {
+    if yes {
+        "support"
+    } else {
+        "no support"
+    }
+}
+
+fn yes_no(yes: bool) -> &'static str {
+    if yes {
+        "yes"
+    } else {
+        "no"
+    }
+}
+
+fn reaction_cell(reaction: Reaction) -> &'static str {
+    match reaction {
+        Reaction::Ignored => "ignore",
+        Reaction::RstStream => "RST_STREAM",
+        Reaction::Goaway | Reaction::GoawayWithDebug => "GOAWAY",
+        Reaction::Unknown => "unknown",
+    }
 }
 
 /// Every row of the paper's Table III.
@@ -21,6 +48,7 @@ pub const TABLE_III_EXPECTED: &[TableIiiExpectation] = &[
     TableIiiExpectation {
         row: "ALPN",
         cells: ["support"; 6],
+        measured: |c| support(c.negotiation.alpn_h2),
     },
     TableIiiExpectation {
         row: "NPN",
@@ -32,18 +60,27 @@ pub const TABLE_III_EXPECTED: &[TableIiiExpectation] = &[
             "support",
             "no support",
         ],
+        measured: |c| support(c.negotiation.npn_h2),
     },
     TableIiiExpectation {
         row: "Request Multiplexing",
         cells: ["support"; 6],
+        measured: |c| support(c.multiplexing.parallel),
     },
     TableIiiExpectation {
         row: "Flow Control on DATA Frames",
         cells: ["yes"; 6],
+        measured: |c| {
+            yes_no(matches!(
+                c.flow_control.small_window,
+                SmallWindowOutcome::OneByteData | SmallWindowOutcome::NoResponse
+            ))
+        },
     },
     TableIiiExpectation {
         row: "Flow Control on HEADERS Frames",
         cells: ["no", "yes", "no", "no", "no", "no"],
+        measured: |c| yes_no(!c.flow_control.headers_at_zero_window),
     },
     TableIiiExpectation {
         row: "Zero Window Update on stream",
@@ -55,26 +92,32 @@ pub const TABLE_III_EXPECTED: &[TableIiiExpectation] = &[
             "ignore",
             "GOAWAY",
         ],
+        measured: |c| reaction_cell(c.flow_control.zero_update_stream),
     },
     TableIiiExpectation {
         row: "Zero Window Update on connection",
         cells: ["ignore", "GOAWAY", "GOAWAY", "GOAWAY", "ignore", "GOAWAY"],
+        measured: |c| reaction_cell(c.flow_control.zero_update_conn),
     },
     TableIiiExpectation {
         row: "Large Window Update (Connection)",
         cells: ["GOAWAY"; 6],
+        measured: |c| reaction_cell(c.flow_control.large_update_conn),
     },
     TableIiiExpectation {
         row: "Large Window Update (Stream)",
         cells: ["RST_STREAM"; 6],
+        measured: |c| reaction_cell(c.flow_control.large_update_stream),
     },
     TableIiiExpectation {
         row: "Server Push",
         cells: ["no", "no", "yes", "yes", "no", "yes"],
+        measured: |c| yes_no(c.push.supported),
     },
     TableIiiExpectation {
         row: "Priority Mechanism Testing (Algorithm 1)",
         cells: ["fail", "fail", "pass", "pass", "fail", "pass"],
+        measured: |c| if c.priority.passes() { "pass" } else { "fail" },
     },
     TableIiiExpectation {
         row: "Self-dependent Stream",
@@ -86,16 +129,25 @@ pub const TABLE_III_EXPECTED: &[TableIiiExpectation] = &[
             "RST_STREAM",
             "GOAWAY",
         ],
+        measured: |c| reaction_cell(c.priority.self_dependency),
     },
     TableIiiExpectation {
         row: "Header Compression",
         cells: [
             "support*", "support", "support", "support", "support*", "support",
         ],
+        measured: |c| {
+            if (c.hpack.ratio - 1.0).abs() < 1e-9 {
+                "support*"
+            } else {
+                "support"
+            }
+        },
     },
     TableIiiExpectation {
         row: "HTTP/2 PING",
         cells: ["support"; 6],
+        measured: |c| support(c.ping.supported),
     },
 ];
 
@@ -119,93 +171,6 @@ pub fn characterize(profiles: Vec<ServerProfile>) -> Vec<ServerCharacterization>
         .collect()
 }
 
-fn reaction_cell(reaction: Reaction) -> &'static str {
-    match reaction {
-        Reaction::Ignored => "ignore",
-        Reaction::RstStream => "RST_STREAM",
-        Reaction::Goaway | Reaction::GoawayWithDebug => "GOAWAY",
-        Reaction::Unknown => "unknown",
-    }
-}
-
-/// Extracts the measured cell for `(row, characterization)`.
-pub fn measured_cell(row: &str, c: &ServerCharacterization) -> &'static str {
-    match row {
-        "ALPN" => {
-            if c.negotiation.alpn_h2 {
-                "support"
-            } else {
-                "no support"
-            }
-        }
-        "NPN" => {
-            if c.negotiation.npn_h2 {
-                "support"
-            } else {
-                "no support"
-            }
-        }
-        "Request Multiplexing" => {
-            if c.multiplexing.parallel {
-                "support"
-            } else {
-                "no support"
-            }
-        }
-        "Flow Control on DATA Frames" => {
-            if matches!(
-                c.flow_control.small_window,
-                SmallWindowOutcome::OneByteData | SmallWindowOutcome::NoResponse
-            ) {
-                "yes"
-            } else {
-                "no"
-            }
-        }
-        "Flow Control on HEADERS Frames" => {
-            if c.flow_control.headers_at_zero_window {
-                "no"
-            } else {
-                "yes"
-            }
-        }
-        "Zero Window Update on stream" => reaction_cell(c.flow_control.zero_update_stream),
-        "Zero Window Update on connection" => reaction_cell(c.flow_control.zero_update_conn),
-        "Large Window Update (Connection)" => reaction_cell(c.flow_control.large_update_conn),
-        "Large Window Update (Stream)" => reaction_cell(c.flow_control.large_update_stream),
-        "Server Push" => {
-            if c.push.supported {
-                "yes"
-            } else {
-                "no"
-            }
-        }
-        "Priority Mechanism Testing (Algorithm 1)" => {
-            if c.priority.passes() {
-                "pass"
-            } else {
-                "fail"
-            }
-        }
-        "Self-dependent Stream" => reaction_cell(c.priority.self_dependency),
-        "Header Compression" => {
-            if (c.hpack.ratio - 1.0).abs() < 1e-9 {
-                "support*"
-            } else {
-                "support"
-            }
-        }
-        "HTTP/2 PING" => {
-            if c.ping.supported {
-                "support"
-            } else {
-                "no support"
-            }
-        }
-        other => panic!("unknown Table III row {other}"),
-    }
-}
-
 /// Regenerates Table III and appends a verification footer comparing every
 /// measured cell with the paper.
 pub fn table3() -> String {
@@ -225,7 +190,7 @@ pub fn table3() -> String {
     for expectation in TABLE_III_EXPECTED {
         write!(out, "{:<42}", expectation.row).unwrap();
         for (c, expected) in characterizations.iter().zip(expectation.cells.iter()) {
-            let measured = measured_cell(expectation.row, c);
+            let measured = (expectation.measured)(c);
             let marker = if measured == *expected {
                 ""
             } else {
@@ -254,8 +219,8 @@ pub fn table3_column(profile: ServerProfile) -> String {
     let mut out = String::new();
     for c in characterize(vec![profile]) {
         writeln!(out, "TABLE III column — {} {}", c.server, c.version).unwrap();
-        for row in TABLE_III_EXPECTED.iter().map(|e| e.row) {
-            writeln!(out, "{row:<42}{}", measured_cell(row, &c)).unwrap();
+        for row in TABLE_III_EXPECTED {
+            writeln!(out, "{:<42}{}", row.row, (row.measured)(&c)).unwrap();
         }
     }
     out

@@ -35,5 +35,6 @@ pub use diff::{
 };
 pub use load::{load_finalized, LoadError};
 pub use record::{
-    finalize, read, CampaignMeta, CampaignRow, RecordError, RecordWriter, StoredRecord, SCHEMA,
+    finalize, fnv1a, read, CampaignMeta, CampaignRow, RecordError, RecordWriter, StoredRecord,
+    FNV_OFFSET, SCHEMA,
 };

@@ -125,10 +125,11 @@ fn io_err(path: &Path, source: std::io::Error) -> RecordError {
     }
 }
 
-/// FNV-1a 64-bit — the record checksum and population hash primitive.
-/// Dependency-free and stable across platforms, which is all a
+/// Folds `bytes` into `state` with FNV-1a 64 — the record checksum, the
+/// population hash, h2serve's shard hash and the serve driver's response
+/// digest. Dependency-free and stable across platforms, which is all a
 /// corruption tripwire needs (this is not a cryptographic seal).
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     let mut h = state;
     for &b in bytes {
         h ^= u64::from(b);
@@ -137,7 +138,8 @@ fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The state every [`fnv1a`] stream starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds one line (and its LF) into the record checksum, which runs over
 /// the schema, meta and row lines of a finalized record exactly as they

@@ -280,11 +280,6 @@ impl StreamMap {
         StreamId::new(self.highest_client)
     }
 
-    /// Highest server-initiated stream id seen.
-    pub fn highest_server_id(&self) -> StreamId {
-        StreamId::new(self.highest_server)
-    }
-
     /// Number of streams currently tracked.
     pub fn len(&self) -> usize {
         self.streams.len()
@@ -416,7 +411,6 @@ mod tests {
         map.get_or_create(sid(3), 100, 100).recv_headers(true);
         map.get_or_create(sid(2), 100, 100);
         assert_eq!(map.highest_client_id(), sid(5));
-        assert_eq!(map.highest_server_id(), sid(2));
         assert_eq!(map.len(), 3);
         assert_eq!(map.active_count(), 2, "idle pushed stream not counted");
     }

@@ -72,11 +72,6 @@ impl FlowWindow {
         self.available
     }
 
-    /// `true` when at least one octet may be sent.
-    pub fn is_open(&self) -> bool {
-        self.available > 0
-    }
-
     /// Grows the window by a WINDOW_UPDATE increment.
     ///
     /// # Errors
@@ -189,7 +184,6 @@ mod tests {
         let mut w = FlowWindow::new(100);
         w.adjust(-150).unwrap();
         assert_eq!(w.available(), -50);
-        assert!(!w.is_open());
         assert_eq!(w.sendable(100), 0);
         w.expand(60).unwrap();
         assert_eq!(w.available(), 10);

@@ -11,9 +11,13 @@
 //!   send/recv/timeout/reset/retry events per traced site.
 //! * [`Obs`] — the cheap cloneable handle threaded through
 //!   `netsim::pipe`, `h2conn::core`, `h2scope` and `bench::scan`.
-//!   `Obs::off()` (the default) is a strict no-op: one branch per call
-//!   site, no allocation, and campaign output stays bit-identical to the
-//!   uninstrumented baseline.
+//!   `Obs::off()` (the default) records nothing: each recording call is
+//!   one branch that allocates nothing, and campaign output stays
+//!   bit-identical to the uninstrumented baseline. Making a handle does
+//!   allocate: `Obs::off()` builds its detached site context in an
+//!   `Arc`, and `for_site` on an off handle builds another per site.
+//! * [`json`] — the one ordered JSON writer behind `OBS_campaign.json`,
+//!   `PUSH_campaign.json` and `ABUSE_campaign.json`.
 //!
 //! Determinism contract (same as `h2fault`): every recorded quantity is
 //! either an order-independent sum or flushed in per-site batches and
@@ -25,6 +29,7 @@
 //! Zero dependencies by design — the crates it instruments must be able
 //! to depend on it without cycles or registry access.
 
+pub mod json;
 pub mod metrics;
 pub mod obs;
 pub mod render;

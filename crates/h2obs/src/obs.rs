@@ -2,9 +2,11 @@
 //! simulation, connection, probing and bench layers.
 //!
 //! When observability is disabled (`Obs::off()`, the default everywhere)
-//! every method is a no-op on a `None` inner — no allocation, no atomics,
-//! no locks — so the instrumented hot paths cost one branch and campaign
-//! output stays bit-identical to the uninstrumented baseline.
+//! every recording method is a no-op on a `None` inner — no allocation,
+//! no atomics, no locks — so the instrumented hot paths cost one branch
+//! and campaign output stays bit-identical to the uninstrumented
+//! baseline. Making an off handle (`Obs::off()`, or `for_site` on one)
+//! still allocates its detached site context.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};

@@ -1,9 +1,9 @@
-//! Human-readable table and hand-rolled JSON rendering of a
-//! [`CampaignSnapshot`]. Written by hand: the schema is small, stable and
-//! fully under our control (same precedent as `h2scope::storage`).
+//! Human-readable table and JSON rendering of a [`CampaignSnapshot`]; the
+//! JSON layout is [`crate::json`]'s.
 
 use std::fmt::Write as _;
 
+use crate::json::{self, Object};
 use crate::metrics::{HistogramSnapshot, FRAME_KINDS, FRAME_KIND_NAMES};
 use crate::obs::CampaignSnapshot;
 
@@ -126,142 +126,93 @@ pub fn render_table(snap: &CampaignSnapshot) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+fn json_hist(o: &mut Object<'_>, h: &HistogramSnapshot) {
+    o.num("count", h.count);
+    if !h.is_empty() {
+        o.num("sum", h.sum)
+            .num("min", h.min)
+            .num("max", h.max)
+            .num("mean", h.mean())
+            .num("p50", h.percentile(50))
+            .num("p90", h.percentile(90))
+            .num("p99", h.percentile(99));
+    }
+}
+
+fn json_frames(o: &mut Object<'_>, counts: &[u64; FRAME_KINDS]) {
+    for (name, &n) in FRAME_KIND_NAMES.iter().zip(counts) {
+        if n > 0 {
+            o.num(name, n);
         }
     }
-    out
-}
-
-fn json_frames(counts: &[u64; FRAME_KINDS]) -> String {
-    let fields: Vec<String> = (0..FRAME_KINDS)
-        .filter(|&i| counts[i] > 0)
-        .map(|i| format!("\"{}\":{}", FRAME_KIND_NAMES[i], counts[i]))
-        .collect();
-    format!("{{{}}}", fields.join(","))
-}
-
-fn json_hist(h: &HistogramSnapshot) -> String {
-    if h.is_empty() {
-        return "{\"count\":0}".to_string();
-    }
-    format!(
-        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-        h.count,
-        h.sum,
-        h.min,
-        h.max,
-        h.mean(),
-        h.percentile(50),
-        h.percentile(90),
-        h.percentile(99),
-    )
 }
 
 /// Renders the `OBS_campaign.json` document. Key order is fixed and all
 /// inputs are order-independent aggregates (traces pre-sorted by site),
 /// so the output is byte-identical at any worker thread count.
 pub fn render_json(snap: &CampaignSnapshot) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"h2obs-campaign-v2\",\n");
-    let _ = writeln!(out, "  \"sites_finished\": {},", snap.sites_finished);
-    let _ = writeln!(out, "  \"sites_resumed\": {},", snap.sites_resumed);
-    let _ = writeln!(out, "  \"conns_opened\": {},", snap.conns_opened);
-    let _ = writeln!(
-        out,
-        "  \"wire_bytes\": {{\"to_server\":{},\"to_client\":{}}},",
-        snap.bytes_to_server, snap.bytes_to_client
-    );
-    let _ = writeln!(out, "  \"hpack_evictions\": {},", snap.hpack_evictions);
-    let _ = writeln!(
-        out,
-        "  \"failures\": {{\"timeouts\":{},\"resets\":{},\"malformed\":{}}},",
-        snap.timeouts, snap.resets, snap.malformed
-    );
-    let _ = writeln!(
-        out,
-        "  \"retries\": {{\"total\":{},\"backoff_nanos\":{}}},",
-        snap.retries,
-        json_hist(&snap.backoff_nanos)
-    );
-    let _ = writeln!(
-        out,
-        "  \"frames\": {{\"client_sent\":{},\"client_received\":{},\"server_handled\":{}}},",
-        json_frames(&snap.client_sent),
-        json_frames(&snap.client_received),
-        json_frames(&snap.server_handled)
-    );
-    out.push_str("  \"probe_latency_nanos\": {");
-    let probe_fields: Vec<String> = snap
-        .probe_latency
-        .iter()
-        .filter(|(_, h)| !h.is_empty())
-        .map(|(p, h)| format!("\"{}\":{}", p.name(), json_hist(h)))
-        .collect();
-    out.push_str(&probe_fields.join(","));
-    out.push_str("},\n");
-    let _ = writeln!(
-        out,
-        "  \"site_latency_nanos\": {},",
-        json_hist(&snap.site_latency)
-    );
-    // Elided on pure-scan campaigns so pre-serve JSON stays byte-stable.
-    if snap.lookups > 0 {
-        let _ = writeln!(
-            out,
-            "  \"serve\": {{\"lookups\":{},\"cache_hits\":{},\"cache_misses\":{},\"bytes_served\":{},\"query_latency_nanos\":{}}},",
-            snap.lookups,
-            snap.cache_hits,
-            snap.cache_misses,
-            snap.bytes_served,
-            json_hist(&snap.query_latency)
-        );
-    }
-    out.push_str("  \"traces\": [\n");
-    for (i, t) in snap.traces.iter().enumerate() {
-        let events: Vec<String> = t
-            .events
-            .iter()
-            .map(|e| {
-                let detail = e.kind.detail();
-                if detail.is_empty() {
-                    format!("{{\"at\":{},\"ev\":\"{}\"}}", e.at_nanos, e.kind.tag())
-                } else {
-                    format!(
-                        "{{\"at\":{},\"ev\":\"{}\",\"detail\":\"{}\"}}",
-                        e.at_nanos,
-                        e.kind.tag(),
-                        json_escape(&detail)
-                    )
+    json::document(|doc| {
+        doc.str("schema", "h2obs-campaign-v2")
+            .num("sites_finished", snap.sites_finished)
+            .num("sites_resumed", snap.sites_resumed)
+            .num("conns_opened", snap.conns_opened)
+            .object("wire_bytes", |o| {
+                o.num("to_server", snap.bytes_to_server)
+                    .num("to_client", snap.bytes_to_client);
+            })
+            .num("hpack_evictions", snap.hpack_evictions)
+            .object("failures", |o| {
+                o.num("timeouts", snap.timeouts)
+                    .num("resets", snap.resets)
+                    .num("malformed", snap.malformed);
+            })
+            .object("retries", |o| {
+                o.num("total", snap.retries)
+                    .object("backoff_nanos", |h| json_hist(h, &snap.backoff_nanos));
+            })
+            .object("frames", |o| {
+                o.object("client_sent", |f| json_frames(f, &snap.client_sent))
+                    .object("client_received", |f| json_frames(f, &snap.client_received))
+                    .object("server_handled", |f| json_frames(f, &snap.server_handled));
+            })
+            .object("probe_latency_nanos", |o| {
+                for (probe, h) in &snap.probe_latency {
+                    if !h.is_empty() {
+                        o.object(probe.name(), |o| json_hist(o, h));
+                    }
                 }
             })
-            .collect();
-        let _ = write!(
-            out,
-            "    {{\"site\":{},\"dropped\":{},\"events\":[{}]}}",
-            t.site,
-            t.dropped,
-            events.join(",")
-        );
-        out.push_str(if i + 1 < snap.traces.len() {
-            ",\n"
-        } else {
-            "\n"
+            .object("site_latency_nanos", |h| json_hist(h, &snap.site_latency));
+        // Elided on pure-scan campaigns so pre-serve JSON stays byte-stable.
+        if snap.lookups > 0 {
+            doc.object("serve", |o| {
+                o.num("lookups", snap.lookups)
+                    .num("cache_hits", snap.cache_hits)
+                    .num("cache_misses", snap.cache_misses)
+                    .num("bytes_served", snap.bytes_served)
+                    .object("query_latency_nanos", |h| json_hist(h, &snap.query_latency));
+            });
+        }
+        doc.lines("traces", |traces| {
+            for t in &snap.traces {
+                traces.object(|o| {
+                    o.num("site", t.site)
+                        .num("dropped", t.dropped)
+                        .array("events", |events| {
+                            for e in &t.events {
+                                events.object(|o| {
+                                    o.num("at", e.at_nanos).str("ev", e.kind.tag());
+                                    let detail = e.kind.detail();
+                                    if !detail.is_empty() {
+                                        o.str("detail", detail);
+                                    }
+                                });
+                            }
+                        });
+                });
+            }
         });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    })
 }
 
 #[cfg(test)]
@@ -359,10 +310,28 @@ mod tests {
         let table = render_table(&snap);
         assert!(table.contains("serve lookups         3 (cache hits 2, misses 1; 1050 body bytes)"));
         assert!(table.contains("all queries"));
-        let json = render_json(&snap);
-        assert!(json.contains(
-            "\"serve\": {\"lookups\":3,\"cache_hits\":2,\"cache_misses\":1,\"bytes_served\":1050,"
-        ));
+        // The whole document: the serve member with its latency tail, and
+        // the empty-traces form no golden row pins.
+        assert_eq!(
+            render_json(&snap),
+            r#"{
+  "schema": "h2obs-campaign-v2",
+  "sites_finished": 0,
+  "sites_resumed": 0,
+  "conns_opened": 0,
+  "wire_bytes": {"to_server":0,"to_client":0},
+  "hpack_evictions": 0,
+  "failures": {"timeouts":0,"resets":0,"malformed":0},
+  "retries": {"total":0,"backoff_nanos":{"count":0}},
+  "frames": {"client_sent":{},"client_received":{},"server_handled":{}},
+  "probe_latency_nanos": {},
+  "site_latency_nanos": {"count":0},
+  "serve": {"lookups":3,"cache_hits":2,"cache_misses":1,"bytes_served":1050,"query_latency_nanos":{"count":3,"sum":15000,"min":1000,"max":9000,"mean":5000,"p50":8191,"p90":9000,"p99":9000}},
+  "traces": [
+  ]
+}
+"#
+        );
     }
 
     #[test]

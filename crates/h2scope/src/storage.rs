@@ -106,67 +106,46 @@ pub fn split_fields(line: &str) -> impl Iterator<Item = &str> {
     })
 }
 
-fn reaction_code(r: Reaction) -> &'static str {
-    match r {
-        Reaction::Ignored => "ign",
-        Reaction::RstStream => "rst",
-        Reaction::Goaway => "ga",
-        Reaction::GoawayWithDebug => "gad",
-        Reaction::Unknown => "unk",
-    }
+/// The record code of each [`Reaction`].
+const REACTIONS: [(Reaction, &str); 5] = [
+    (Reaction::Ignored, "ign"),
+    (Reaction::RstStream, "rst"),
+    (Reaction::Goaway, "ga"),
+    (Reaction::GoawayWithDebug, "gad"),
+    (Reaction::Unknown, "unk"),
+];
+
+/// The record code of each [`SmallWindowOutcome`].
+const SMALL_WINDOWS: [(SmallWindowOutcome, &str); 5] = [
+    (SmallWindowOutcome::OneByteData, "one"),
+    (SmallWindowOutcome::ZeroLenData, "zero"),
+    (SmallWindowOutcome::HeadersOnly, "hdr"),
+    (SmallWindowOutcome::NoResponse, "none"),
+    (SmallWindowOutcome::Oversized, "over"),
+];
+
+/// The record code of each [`ProbeOutcome`].
+const OUTCOMES: [(ProbeOutcome, &str); 5] = [
+    (ProbeOutcome::Ok, "ok"),
+    (ProbeOutcome::Timeout, "to"),
+    (ProbeOutcome::ConnReset, "rst"),
+    (ProbeOutcome::Malformed, "mal"),
+    (ProbeOutcome::GaveUpAfterRetries, "gave"),
+];
+
+/// The code `table` gives `variant`.
+#[expect(clippy::expect_used, reason = "each table lists every variant")]
+fn code<T: PartialEq>(table: &[(T, &'static str)], variant: T) -> &'static str {
+    table
+        .iter()
+        .find(|(v, _)| *v == variant)
+        .map(|&(_, code)| code)
+        .expect("every variant has a code")
 }
 
-fn parse_reaction(s: &str) -> Option<Reaction> {
-    Some(match s {
-        "ign" => Reaction::Ignored,
-        "rst" => Reaction::RstStream,
-        "ga" => Reaction::Goaway,
-        "gad" => Reaction::GoawayWithDebug,
-        "unk" => Reaction::Unknown,
-        _ => return None,
-    })
-}
-
-fn small_window_code(o: SmallWindowOutcome) -> &'static str {
-    match o {
-        SmallWindowOutcome::OneByteData => "one",
-        SmallWindowOutcome::ZeroLenData => "zero",
-        SmallWindowOutcome::HeadersOnly => "hdr",
-        SmallWindowOutcome::NoResponse => "none",
-        SmallWindowOutcome::Oversized => "over",
-    }
-}
-
-fn parse_small_window(s: &str) -> Option<SmallWindowOutcome> {
-    Some(match s {
-        "one" => SmallWindowOutcome::OneByteData,
-        "zero" => SmallWindowOutcome::ZeroLenData,
-        "hdr" => SmallWindowOutcome::HeadersOnly,
-        "none" => SmallWindowOutcome::NoResponse,
-        "over" => SmallWindowOutcome::Oversized,
-        _ => return None,
-    })
-}
-
-fn outcome_code(o: ProbeOutcome) -> &'static str {
-    match o {
-        ProbeOutcome::Ok => "ok",
-        ProbeOutcome::Timeout => "to",
-        ProbeOutcome::ConnReset => "rst",
-        ProbeOutcome::Malformed => "mal",
-        ProbeOutcome::GaveUpAfterRetries => "gave",
-    }
-}
-
-fn parse_outcome(s: &str) -> Option<ProbeOutcome> {
-    Some(match s {
-        "ok" => ProbeOutcome::Ok,
-        "to" => ProbeOutcome::Timeout,
-        "rst" => ProbeOutcome::ConnReset,
-        "mal" => ProbeOutcome::Malformed,
-        "gave" => ProbeOutcome::GaveUpAfterRetries,
-        _ => return None,
-    })
+/// The variant `table` gives `code`, if any.
+fn variant<T: Copy>(table: &[(T, &str)], code: &str) -> Option<T> {
+    table.iter().find(|(_, c)| *c == code).map(|&(v, _)| v)
 }
 
 fn opt_u32(v: Option<u32>) -> String {
@@ -238,12 +217,12 @@ pub fn write_report(report: &SiteReport) -> String {
         let _ = write!(
             line,
             "|fc.small={}|fc.hzw={}|fc.zus={}|fc.zuc={}|fc.lus={}|fc.luc={}",
-            small_window_code(fc.small_window),
+            code(&SMALL_WINDOWS, fc.small_window),
             fc.headers_at_zero_window as u8,
-            reaction_code(fc.zero_update_stream),
-            reaction_code(fc.zero_update_conn),
-            reaction_code(fc.large_update_stream),
-            reaction_code(fc.large_update_conn),
+            code(&REACTIONS, fc.zero_update_stream),
+            code(&REACTIONS, fc.zero_update_conn),
+            code(&REACTIONS, fc.large_update_stream),
+            code(&REACTIONS, fc.large_update_conn),
         );
     }
     if let Some(p) = &report.priority {
@@ -254,7 +233,7 @@ pub fn write_report(report: &SiteReport) -> String {
             p.by_first_frame as u8,
             p.by_both as u8,
             p.headers_blocked_at_zero_conn_window as u8,
-            reaction_code(p.self_dependency),
+            code(&REACTIONS, p.self_dependency),
         );
     }
     if let Some(push) = &report.push {
@@ -286,7 +265,7 @@ pub fn write_report(report: &SiteReport) -> String {
     let _ = write!(
         line,
         "|pb.out={}|pb.att={}|pb.bk={}",
-        outcome_code(report.probe.outcome),
+        code(&OUTCOMES, report.probe.outcome),
         report.probe.attempts,
         report.probe.backoff.as_nanos(),
     );
@@ -350,7 +329,7 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     };
     let text = |value: &str| unescape(value).map_err(&err);
     let bad = |key: &str| err(format!("bad {key}"));
-    let reaction = |key: &str| parse_reaction(get(key)?).ok_or_else(|| bad(key));
+    let reaction = |key: &str| variant(&REACTIONS, get(key)?).ok_or_else(|| bad(key));
     // `write_report` writes each optional section whole or not at all.
     let present = |prefix: &str| match seen & section_mask(prefix) {
         0 => Ok(false),
@@ -370,7 +349,8 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     };
     let flow_control = if present("fc.")? {
         Some(FlowControlReport {
-            small_window: parse_small_window(get("fc.small")?).ok_or_else(|| bad("fc.small"))?,
+            small_window: variant(&SMALL_WINDOWS, get("fc.small")?)
+                .ok_or_else(|| bad("fc.small"))?,
             headers_at_zero_window: get_bool("fc.hzw")?,
             zero_update_stream: reaction("fc.zus")?,
             zero_update_conn: reaction("fc.zuc")?,
@@ -423,7 +403,7 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
         None
     };
     let probe = ProbeStats {
-        outcome: parse_outcome(get("pb.out")?).ok_or_else(|| bad("pb.out"))?,
+        outcome: variant(&OUTCOMES, get("pb.out")?).ok_or_else(|| bad("pb.out"))?,
         attempts: get("pb.att")?.parse().map_err(|_| bad("pb.att"))?,
         backoff: SimDuration::from_nanos(get("pb.bk")?.parse().map_err(|_| bad("pb.bk"))?),
     };
@@ -474,6 +454,19 @@ mod tests {
         for report in sample_reports() {
             assert_eq!(read_report(&write_report(&report)).unwrap(), report);
         }
+    }
+
+    #[test]
+    fn each_code_names_one_variant() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(table: &[(T, &'static str)]) {
+            for &(v, c) in table {
+                assert_eq!(variant(table, c), Some(v));
+                assert_eq!(code(table, v), c);
+            }
+        }
+        check(&REACTIONS);
+        check(&SMALL_WINDOWS);
+        check(&OUTCOMES);
     }
 
     #[test]

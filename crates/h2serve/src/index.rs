@@ -12,34 +12,14 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use h2campaign::{load_finalized, LoadError, StoredRecord};
-
-/// The state every [`fnv1a_fold`] stream starts from.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into `state`, FNV-1a style — the shard hash and the
-/// serve driver's response digest. Its multiplier is 2^32 + 0x1b3, not
-/// the FNV-64 prime (2^40 + 0x1b3) of h2campaign's record checksum;
-/// shard placement and the digest are pinned outputs, so the two
-/// functions cannot be folded into one.
-pub fn fnv1a_fold(state: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(state, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
-    })
-}
-
-/// [`fnv1a_fold`] over `bytes` alone: a cheap stable hash to spread
-/// site-rank hostnames across shards.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_OFFSET, bytes)
-}
+use h2campaign::{fnv1a, load_finalized, LoadError, StoredRecord, FNV_OFFSET};
 
 /// The home shard of `key` among `shards` workers. Pure and stable, so
 /// the same query lands on the same shard for the lifetime of a run —
 /// which keeps every per-shard cache's eviction order deterministic.
 pub fn shard_of(key: &str, shards: usize) -> usize {
     let shards = shards.max(1);
-    (fnv1a(key.as_bytes()) % shards as u64) as usize
+    (fnv1a(FNV_OFFSET, key.as_bytes()) % shards as u64) as usize
 }
 
 /// One finalized campaign record, indexed for serving.

@@ -191,10 +191,6 @@ pub struct ServerBehavior {
     ///
     /// Rule: RFC 7540 §4.3 (the HPACK context spans the connection).
     pub hpack_index_responses: bool,
-    /// Responds to PING (all measured servers do).
-    ///
-    /// Rule: RFC 7540 §6.7 (PING is acknowledged with its payload).
-    pub ping: bool,
     /// The SETTINGS parameters announced at connection start.
     ///
     /// Rule: RFC 7540 §6.5.2 (SETTINGS values within their bounds).
@@ -303,7 +299,6 @@ impl ServerBehavior {
             priority_mode: PriorityMode::Strict,
             self_dependency: QuirkAction::RstStream,
             hpack_index_responses: true,
-            ping: true,
             announced: Settings::new()
                 .with(SettingId::MaxConcurrentStreams, 100)
                 .with(SettingId::InitialWindowSize, DEFAULT_INITIAL_WINDOW_SIZE)

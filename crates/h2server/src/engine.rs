@@ -529,9 +529,7 @@ impl H2Server {
                     }
                 }
                 CoreEvent::PingReceived { payload } => {
-                    if self.behavior().ping {
-                        out.push(Frame::Ping(PingFrame { ack: true, payload }));
-                    }
+                    out.push(Frame::Ping(PingFrame { ack: true, payload }));
                 }
                 CoreEvent::ZeroWindowUpdate { scope } => {
                     let action = match scope {

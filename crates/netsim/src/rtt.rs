@@ -32,14 +32,6 @@ pub fn tcp_handshake_rtt(link: &LinkSpec, rng: &mut impl Rng) -> SimDuration {
     syn + syn_ack
 }
 
-/// Collects `n` RTT samples with an estimator, discarding losses.
-pub fn sample_rtts(
-    n: usize,
-    mut estimator: impl FnMut() -> Option<SimDuration>,
-) -> Vec<SimDuration> {
-    (0..n).filter_map(|_| estimator()).collect()
-}
-
 fn jitter(link: &LinkSpec, rng: &mut impl Rng) -> SimDuration {
     if link.jitter == SimDuration::ZERO {
         SimDuration::ZERO
@@ -89,7 +81,8 @@ mod tests {
             ..clean(10)
         };
         let mut rng = StdRng::seed_from_u64(9);
-        let samples = sample_rtts(200, || icmp_rtt(&link, &mut rng));
+        let samples: Vec<SimDuration> =
+            (0..200).filter_map(|_| icmp_rtt(&link, &mut rng)).collect();
         assert!(samples.len() < 200, "some losses expected");
         assert!(samples.len() > 50, "not everything lost");
     }

@@ -22,17 +22,27 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 cd "$work"
 
+# Parses each named file as JSON; the golden manifest pins the bytes of
+# these artifacts, not their validity.
+json_ok() {
+    python3 -c 'import json, sys; [json.load(open(f)) for f in sys.argv[1:]]' "$@"
+}
+
 # --metrics must observe without perturbing: a faulted campaign's
 # experiment output (everything above the h2obs marker) has to be
-# byte-identical with and without instrumentation.
+# byte-identical with and without instrumentation. The traced
+# OBS_campaign.json and `repro abuse`'s ABUSE_campaign.json parse.
 metrics() {
     "$repro" all --scale 0.01 --threads 4 --faults flaky --seed 42 > plain.txt
     "$repro" all --scale 0.01 --threads 4 --faults flaky --seed 42 --metrics --trace-sites 3 > metrics.txt
     grep -q '^=== h2obs campaign metrics ===$' metrics.txt
     test -s OBS_campaign.json
     grep -q '"schema": "h2obs-campaign-v2"' OBS_campaign.json
+    json_ok OBS_campaign.json
     sed '/^=== h2obs campaign metrics ===$/,$d' metrics.txt > stripped.txt
     diff plain.txt stripped.txt
+    "$repro" abuse --out-dir abuse > /dev/null
+    json_ok abuse/ABUSE_campaign.json
 }
 
 # The campaign record's crash-safety contract: a run killed mid-campaign
@@ -41,8 +51,8 @@ metrics() {
 # whose row index or a field key was flipped, exit 2), `repro diff` and
 # `repro serve` must work from disk alone — the serve response digest the
 # same on one worker as on four, though each connection reuses its
-# decoded header lists — a torn record is exit 5 and a record whose meta
-# line was edited is exit 6.
+# decoded header lists, and its --metrics JSON valid — a torn record is
+# exit 5 and a record whose meta line was edited is exit 6.
 resume() {
     "$repro" adoption --exp 1 --scale 0.01 --threads 1 --faults flaky --seed 42 --record golden.h2c
     local status=0
@@ -84,6 +94,11 @@ resume() {
     "$repro" serve golden.h2c second.h2c --threads 1 --queries 2000 --hostile > serve1.txt
     grep 'response digest' serve1.txt > digest1.txt
     cmp digest1.txt digest4.txt
+    # With --metrics, serve's OBS_campaign.json carries the serve member
+    # (--out-dir routes relative record paths too).
+    "$repro" serve "$work/golden.h2c" "$work/second.h2c" --threads 2 --queries 200 --metrics --out-dir served > /dev/null
+    grep -q '"serve": {"lookups":200,' served/OBS_campaign.json
+    json_ok served/OBS_campaign.json
     sed '3d' golden.h2c > torn.h2c
     status=0
     "$repro" serve torn.h2c || status=$?
