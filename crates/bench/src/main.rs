@@ -94,8 +94,10 @@
 //!                      byte-identical to a --metrics-less run.
 //!   --trace-sites N    additionally keep frame-level event traces for
 //!                      the first N sites of each experiment (default 0)
-//!   --out-dir DIR      route OBS_campaign.json and relative --record /
-//!                      --resume / diff paths into DIR (created if absent)
+//!   --out-dir DIR      route what the run writes into DIR (created if
+//!                      absent): OBS_campaign.json and relative --record /
+//!                      --resume paths; diff and serve read their record
+//!                      paths as given
 //! ```
 
 #![allow(
@@ -362,13 +364,11 @@ fn run_diff(options: &Options) -> ! {
             std::process::exit(2);
         }
     };
-    let out_dir = options.out_dir.as_deref();
     let mut stored = Vec::new();
     for path in [a, b] {
-        let path = resolve(out_dir, Path::new(path));
         // The same validated disk→memory path the serve index uses:
         // distinct exit codes per failure class, one-line diagnosis.
-        match h2campaign::load_finalized(&path) {
+        match h2campaign::load_finalized(Path::new(path)) {
             Ok(record) => stored.push(record),
             Err(err) => {
                 eprintln!("{err}");
@@ -394,13 +394,7 @@ fn run_serve(options: &Options) -> ! {
     } else {
         Obs::off()
     };
-    let mut cfg = serve::ServeConfig::new(
-        options
-            .command_args
-            .iter()
-            .map(|p| resolve(out_dir, Path::new(p)))
-            .collect(),
-    );
+    let mut cfg = serve::ServeConfig::new(options.command_args.iter().map(PathBuf::from).collect());
     cfg.workers = options.threads;
     cfg.queries = options.queries;
     cfg.seed = options.seed;

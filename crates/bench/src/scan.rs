@@ -312,6 +312,7 @@ pub fn fault_summary(records: &[CampaignRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::CutAction;
     use std::sync::Arc;
     use webpop::ExperimentSpec;
 
@@ -386,9 +387,12 @@ mod tests {
         cases.push((first(&|s| s.profile.behavior.mute), None, false));
         cases.push((first(&|s| s.profile.behavior.push), None, false));
         cases.push((cases[0].0, None, true));
-        let cut = first_attempt(&flaky, &|f| f.impairment.drop_after_bytes.is_some());
-        let reset = first_attempt(&byzantine, &|f| f.byzantine.reset_after_bytes.is_some());
-        let truncated = first_attempt(&byzantine, &|f| f.byzantine.truncate_after.is_some());
+        let has = |f: h2fault::FaultInjection, action| {
+            f.impairment.cuts.iter().any(|c| c.action == action)
+        };
+        let cut = first_attempt(&flaky, &|f| has(f, CutAction::Drop));
+        let reset = first_attempt(&byzantine, &|f| has(f, CutAction::Reset));
+        let truncated = first_attempt(&byzantine, &|f| has(f, CutAction::Truncate));
         // Trickled DATA runs into the deadline with the server's next
         // chunk still in flight.
         let trickled = first_attempt(&byzantine, &|f| f.byzantine.trickle_data.is_some());

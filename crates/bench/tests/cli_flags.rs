@@ -4,7 +4,8 @@
 //! an unknown command, a flag the command does not read, a positional
 //! argument a command does not take and an unknown `probe` profile all
 //! exit 2 with a message and no report; `--threads 0` runs on one worker; an
-//! artifact that cannot be written is exit 2 as well.
+//! artifact that cannot be written is exit 2 as well; `--out-dir` routes
+//! what a run writes, never the records `diff` and `serve` read.
 
 use std::process::{Command, Output};
 
@@ -210,4 +211,24 @@ fn an_unwritable_metrics_artifact_is_exit_2() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("[obs] failed to write"), "{stderr:?}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn out_dir_leaves_the_records_diff_and_serve_read_alone() {
+    let cwd = std::env::temp_dir().join(format!("h2ready-cli-read-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("scratch dir");
+    for args in [
+        "adoption --exp 1 --scale 0.0005 --threads 1 --record a.h2c",
+        "diff a.h2c a.h2c --out-dir d",
+        "serve a.h2c --queries 20 --threads 1 --out-dir d",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args.split(' '))
+            .current_dir(&cwd)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args}: {stderr}");
+    }
+    std::fs::remove_dir_all(&cwd).ok();
 }

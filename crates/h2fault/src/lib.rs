@@ -6,12 +6,14 @@
 //! those populations — it can only fake them with quirk flags. This crate
 //! supplies the missing adversity:
 //!
-//! * [`ImpairmentSpec`] — extra latency, jitter, loss, bandwidth caps and
-//!   scheduled connection drops layered onto a [`netsim::LinkSpec`] /
-//!   [`netsim::PipeFaults`]. A default spec is a strict no-op.
-//! * [`ByzantineSpec`] — server-side misbehavior (garbage preface,
-//!   handshake stall, truncated frames, trickled DATA, mid-stream TCP
-//!   reset) that `h2server` applies when installed on a behavior matrix.
+//! * [`ImpairmentSpec`] — extra latency, jitter, loss, bandwidth caps, a
+//!   scheduled connection drop, and octet [`netsim::Cut`]s (drop, stall,
+//!   truncated server output, mid-stream TCP reset) layered onto a
+//!   [`netsim::LinkSpec`] / [`netsim::PipeFaults`]; the pipe applies
+//!   them. A default spec is a strict no-op.
+//! * [`ByzantineSpec`] — server-side misbehavior the engine itself
+//!   performs (garbage preface, handshake stall, trickled DATA) when
+//!   `h2server` installs it on a behavior matrix.
 //! * [`FaultProfile`] — named, CLI-selectable intensity presets.
 //! * [`FaultPlan`] — the deterministic materialization: faults for one
 //!   probe are a pure function of `(campaign seed, site index, attempt)`,
@@ -24,7 +26,7 @@
 
 #![warn(missing_docs)]
 
-use netsim::{LinkSpec, PipeFaults, SimDuration, SimTime};
+use netsim::{Cut, CutAction, Cuts, LinkSpec, PipeFaults, SimDuration, SimTime};
 
 /// SplitMix64: the stateless mixing function every fault derivation is
 /// built from (one u64 in, one well-scrambled u64 out).
@@ -55,13 +57,11 @@ pub struct ImpairmentSpec {
     pub extra_loss: f64,
     /// Cap on the link's serialization bandwidth, bits per second.
     pub bandwidth_cap_bps: Option<u64>,
-    /// Cut the connection after this many octets total.
-    pub drop_after_bytes: Option<u64>,
     /// Cut the connection at this time after connect.
     pub drop_after: Option<SimDuration>,
-    /// Black-hole every delivery from the first byte: the connection
-    /// looks open forever but nothing arrives.
-    pub stalled: bool,
+    /// Octet cuts: a drop after so many octets, a black hole from the
+    /// first octet, a truncated or reset server.
+    pub cuts: Cuts,
 }
 
 impl ImpairmentSpec {
@@ -89,30 +89,26 @@ impl ImpairmentSpec {
     /// The transport-level faults this impairment arms on a `Pipe`.
     pub fn pipe_faults(&self) -> PipeFaults {
         PipeFaults {
-            drop_after_bytes: self.drop_after_bytes,
             drop_at: self.drop_after.map(|d| SimTime::ZERO + d),
-            stall_after_bytes: if self.stalled { Some(0) } else { None },
+            cuts: self.cuts,
         }
     }
 }
 
 /// Server-side misbehavior injected into the `h2server` engine — the
 /// population a hardened scanner must classify rather than hang on.
+/// Byzantine truncation and resets are octet [`Cut`]s the pipe applies,
+/// drawn into the [`ImpairmentSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ByzantineSpec {
     /// The greeting is garbage that cannot parse as HTTP/2 frames.
     pub garbage_preface: bool,
     /// The server accepts the connection but never says anything.
     pub handshake_stall: bool,
-    /// Output is cut mid-frame once this many octets have been emitted;
-    /// the server goes silent afterwards.
-    pub truncate_after: Option<u64>,
     /// DATA is trickled: at most this many payload octets per exchange.
     pub trickle_data: Option<usize>,
     /// Extra processing delay charged per trickled chunk.
     pub trickle_delay: SimDuration,
-    /// Demand a TCP reset once this many octets have been emitted.
-    pub reset_after_bytes: Option<u64>,
 }
 
 impl ByzantineSpec {
@@ -400,15 +396,16 @@ impl FaultPlan {
             imp.extra_delay =
                 SimDuration::from_micros((unit(next()) * p.delay_ms as f64 * 1_000.0) as u64);
         }
+        let mut cut = |octet, action| imp.cuts.push(Cut { octet, action });
         if p.drop_rate > 0.0 && unit(next()) < p.drop_rate {
             if unit(next()) < 0.5 {
-                imp.drop_after_bytes = Some(1_024 + next() % 65_536);
+                cut(1_024 + next() % 65_536, CutAction::Drop);
             } else {
                 imp.drop_after = Some(SimDuration::from_millis(50 + next() % 1_000));
             }
         }
         if p.stall_rate > 0.0 && unit(next()) < p.stall_rate {
-            imp.stalled = true;
+            cut(0, CutAction::Stall);
         }
 
         let mut byz = ByzantineSpec::default();
@@ -416,12 +413,12 @@ impl FaultPlan {
             match next() % 5 {
                 0 => byz.garbage_preface = true,
                 1 => byz.handshake_stall = true,
-                2 => byz.truncate_after = Some(64 + next() % 4_096),
+                2 => cut(64 + next() % 4_096, CutAction::Truncate),
                 3 => {
                     byz.trickle_data = Some(64 + (next() % 448) as usize);
                     byz.trickle_delay = SimDuration::from_millis(200 + next() % 600);
                 }
-                _ => byz.reset_after_bytes = Some(256 + next() % 32_768),
+                _ => cut(256 + next() % 32_768, CutAction::Reset),
             }
         }
 
@@ -577,10 +574,35 @@ mod tests {
     fn byzantine_population_appears_at_the_configured_rate() {
         let plan = FaultPlan::new(FaultProfile::byzantine(), 0xabc);
         let n = 2_000;
-        let byz = (0..n)
-            .filter(|s| !plan.injection(*s, 0).byzantine.is_noop())
-            .count();
+        // The profile draws nothing else, so every armed attempt is one.
+        let byz = (0..n).filter(|s| !plan.injection(*s, 0).is_noop()).count();
         let rate = byz as f64 / n as f64;
         assert!((0.18..0.32).contains(&rate), "≈25%: {rate}");
+    }
+
+    /// The action and octet of every cut drawn for sites 0..1000 ×
+    /// attempts 0..3, folded in draw order. The pins predate [`Cut`]: they
+    /// were computed from the four fields the cuts replaced, so they
+    /// prove each draw still lands on the same action and octet.
+    #[test]
+    fn cut_draws_are_pinned() {
+        let fold = |profile| {
+            let plan = FaultPlan::new(profile, 0x5eed);
+            let mut h = 0u64;
+            for site in 0..1_000 {
+                for attempt in 0..3 {
+                    for cut in plan.injection(site, attempt).impairment.cuts.iter() {
+                        // Drop, Stall, Truncate, Reset fold as 1, 2, 3, 4.
+                        let action = cut.action as u64 + 1;
+                        h = splitmix64(splitmix64(h ^ action) ^ cut.octet);
+                    }
+                    h = splitmix64(h);
+                }
+            }
+            h
+        };
+        assert_eq!(fold(FaultProfile::flaky()), 0xec69_b3a6_53e1_d80b);
+        assert_eq!(fold(FaultProfile::byzantine()), 0x1bd6_0fc3_dc69_d320);
+        assert_eq!(fold(FaultProfile::chaos()), 0x9dda_dab0_929e_b5af);
     }
 }

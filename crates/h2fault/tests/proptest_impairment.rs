@@ -5,6 +5,7 @@
 
 use h2fault::{FaultPlan, FaultProfile, ImpairmentSpec};
 use netsim::link::LinkSpec;
+use netsim::pipe::BytesPool;
 use netsim::time::{SimDuration, SimTime};
 use netsim::{ByteEndpoint, Pipe};
 use proptest::prelude::*;
@@ -102,9 +103,9 @@ proptest! {
         let noop = ImpairmentSpec::default();
         let mut plain = Pipe::connect(
             Echo { delay: SimDuration::from_millis(delay_ms) }, link, seed);
-        let mut impaired = Pipe::connect(
-            Echo { delay: SimDuration::from_millis(delay_ms) }, noop.apply(link), seed);
-        impaired.set_faults(noop.pipe_faults());
+        let mut impaired = Pipe::connect_faulted(
+            Echo { delay: SimDuration::from_millis(delay_ms) }, noop.apply(link), seed,
+            BytesPool::default(), noop.pipe_faults());
         for payload in &payloads {
             plain.client_send(payload);
             impaired.client_send(payload);

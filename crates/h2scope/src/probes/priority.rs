@@ -296,10 +296,7 @@ mod tests {
         let cut_after = |octets| {
             let mut target = target_for(ServerProfile::rfc7540());
             target.patience = Some(netsim::time::SimDuration::from_secs(5));
-            target.pipe_faults = netsim::PipeFaults {
-                drop_after_bytes: Some(octets),
-                ..netsim::PipeFaults::none()
-            };
+            target.pipe_faults = netsim::PipeFaults::cut(octets, netsim::CutAction::Drop);
             target
         };
         // The exchange is under 120 octets: the last cut lets it finish.

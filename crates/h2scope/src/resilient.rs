@@ -192,7 +192,7 @@ pub fn survey_with_retries(
 mod tests {
     use super::*;
     use h2server::{ServerProfile, SiteSpec};
-    use netsim::PipeFaults;
+    use netsim::{CutAction, PipeFaults};
 
     fn patient_target(profile: ServerProfile) -> Target {
         let mut target = Target::testbed(profile, SiteSpec::benchmark());
@@ -217,10 +217,7 @@ mod tests {
         let scope = H2Scope::new();
         let report = survey_with_retries(&scope, RetryPolicy::standard(), 9, |_| {
             let mut target = patient_target(ServerProfile::nginx());
-            target.pipe_faults = PipeFaults {
-                stall_after_bytes: Some(0),
-                ..PipeFaults::none()
-            };
+            target.pipe_faults = PipeFaults::cut(0, CutAction::Stall);
             target
         });
         assert_eq!(report.probe.outcome, ProbeOutcome::GaveUpAfterRetries);
@@ -233,10 +230,7 @@ mod tests {
         let scope = H2Scope::new();
         let report = survey_with_retries(&scope, RetryPolicy::no_retry(), 9, |_| {
             let mut target = patient_target(ServerProfile::nginx());
-            target.pipe_faults = PipeFaults {
-                stall_after_bytes: Some(0),
-                ..PipeFaults::none()
-            };
+            target.pipe_faults = PipeFaults::cut(0, CutAction::Stall);
             target
         });
         assert_eq!(report.probe.outcome, ProbeOutcome::Timeout);
@@ -249,10 +243,7 @@ mod tests {
         let report = survey_with_retries(&scope, RetryPolicy::standard(), 9, |attempt| {
             let mut target = patient_target(ServerProfile::nginx());
             if attempt == 0 {
-                target.pipe_faults = PipeFaults {
-                    stall_after_bytes: Some(0),
-                    ..PipeFaults::none()
-                };
+                target.pipe_faults = PipeFaults::cut(0, CutAction::Stall);
             }
             target
         });
@@ -267,10 +258,7 @@ mod tests {
         let scope = H2Scope::new();
         let report = survey_with_retries(&scope, RetryPolicy::no_retry(), 9, |_| {
             let mut target = patient_target(ServerProfile::nginx());
-            target.pipe_faults = PipeFaults {
-                drop_after_bytes: Some(64),
-                ..PipeFaults::none()
-            };
+            target.pipe_faults = PipeFaults::cut(64, CutAction::Drop);
             target
         });
         assert_eq!(report.probe.outcome, ProbeOutcome::ConnReset);
@@ -322,10 +310,7 @@ mod tests {
         let scope = H2Scope::new();
         let report = survey_with_retries(&scope, policy, 9, |_| {
             let mut target = patient_target(ServerProfile::nginx());
-            target.pipe_faults = PipeFaults {
-                stall_after_bytes: Some(0),
-                ..PipeFaults::none()
-            };
+            target.pipe_faults = PipeFaults::cut(0, CutAction::Stall);
             target
         });
         assert_eq!(report.probe.outcome, ProbeOutcome::GaveUpAfterRetries);

@@ -114,8 +114,13 @@ impl Target {
         if let Some(hook) = &self.handler {
             server.set_handler(hook.make());
         }
-        let mut pipe = Pipe::connect_pooled(server, self.link, self.seed ^ conn_seed, pool);
-        pipe.set_faults(self.pipe_faults);
+        let mut pipe = Pipe::connect_faulted(
+            server,
+            self.link,
+            self.seed ^ conn_seed,
+            pool,
+            self.pipe_faults,
+        );
         pipe.set_obs(self.obs.clone());
         self.obs.conn_opened();
         pipe

@@ -5,7 +5,7 @@
 //! This module holds the state and the *policy*: what to answer to a
 //! request and how to react to each condition the connection core
 //! reports. Getting responses onto the wire is `pump.rs`; bytes in and
-//! out (preface, greeting, byzantine shaping) is `transport.rs`.
+//! out (preface, greeting, byzantine greetings) is `transport.rs`.
 
 #![allow(
     clippy::indexing_slicing,
@@ -94,12 +94,6 @@ pub struct H2Server {
     cookie_counter: u64,
     /// Round-robin cursor for non-priority scheduling.
     pub(crate) rr_cursor: usize,
-    /// Total octets emitted so far (byzantine truncation/reset bookkeeping).
-    pub(crate) emitted: u64,
-    /// A byzantine truncation fired: the server says nothing more, ever.
-    pub(crate) silenced: bool,
-    /// A byzantine reset is due: the transport should cut the connection.
-    pub(crate) reset_pending: bool,
     /// Reusable frame buffer for [`H2Server::ingest`], so steady-state
     /// exchanges stop allocating a fresh `Vec<Frame>` per segment.
     pub(crate) frame_scratch: Vec<Frame>,
@@ -190,9 +184,6 @@ impl H2Server {
             last_delay: SimDuration::ZERO,
             cookie_counter: 0,
             rr_cursor: 0,
-            emitted: 0,
-            silenced: false,
-            reset_pending: false,
             frame_scratch: scratch.frames,
             hdr_pool: scratch.hdr_pool,
             now: SimTime::ZERO,

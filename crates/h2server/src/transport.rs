@@ -1,6 +1,6 @@
 //! The transport shell around the engine: the [`ByteEndpoint`] impl the
 //! simulator drives, the connection preface of TLS-negotiated h2, the
-//! greeting, and the byzantine shaping of whatever the engine emits.
+//! greeting, and the byzantine greetings (garbage, or none at all).
 
 #![allow(
     clippy::indexing_slicing,
@@ -28,60 +28,29 @@ impl ByteEndpoint for H2Server {
             return;
         }
         if byz.garbage_preface {
-            self.silenced = true;
             out.extend_from_slice(&GARBAGE_GREETING);
             return;
         }
-        let start = out.len();
         self.announce_bytes(out);
-        self.shape_output(out, start);
     }
 
     fn on_bytes(&mut self, now: SimTime, bytes: &[u8], out: &mut Vec<u8>) {
         self.now = now;
-        if self.byz().handshake_stall || self.silenced {
+        let byz = self.byz();
+        if byz.handshake_stall || byz.garbage_preface {
+            // Neither ever got as far as speaking HTTP/2.
             self.last_delay = SimDuration::ZERO;
             return;
         }
-        let start = out.len();
         self.on_bytes_inner(bytes, out);
-        self.shape_output(out, start);
     }
 
     fn processing_delay(&self) -> SimDuration {
         self.last_delay
     }
-
-    fn wants_reset(&self) -> bool {
-        self.reset_pending
-    }
 }
 
 impl H2Server {
-    /// Applies output-side byzantine faults (truncation, scheduled reset)
-    /// to the batch of octets the engine appended to `out` past `start`.
-    /// A no-op spec passes bytes through untouched.
-    fn shape_output(&mut self, out: &mut Vec<u8>, start: usize) {
-        if self.silenced {
-            out.truncate(start);
-            return;
-        }
-        let byz = self.byz();
-        if let Some(limit) = byz.truncate_after {
-            let budget = limit.saturating_sub(self.emitted) as usize;
-            if out.len() - start > budget {
-                out.truncate(start + budget);
-                self.silenced = true;
-            }
-        }
-        self.emitted += (out.len() - start) as u64;
-        if let Some(limit) = byz.reset_after_bytes {
-            if self.emitted >= limit {
-                self.reset_pending = true;
-            }
-        }
-    }
-
     fn on_bytes_inner(&mut self, bytes: &[u8], out: &mut Vec<u8>) {
         self.last_delay = SimDuration::ZERO;
         if self.closed {
@@ -293,40 +262,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn byzantine_truncation_cuts_output_then_goes_silent() {
-        let mut profile = ServerProfile::rfc7540();
-        profile.behavior.byzantine = Some(h2fault::ByzantineSpec {
-            truncate_after: Some(16),
-            ..h2fault::ByzantineSpec::default()
-        });
-        let (mut server, mut client) = serve(profile);
-        let greeting = server.on_connect_vec(SimTime::ZERO);
-        let reply = server.on_bytes_vec(SimTime::ZERO, &client.preface_and_settings());
-        assert!(greeting.len() + reply.len() <= 16);
-        assert!(server
-            .on_bytes_vec(SimTime::ZERO, &client.request(1, "/"))
-            .is_empty());
-    }
-
-    #[test]
-    fn byzantine_reset_raises_wants_reset_after_budget() {
-        let mut profile = ServerProfile::rfc7540();
-        profile.behavior.byzantine = Some(h2fault::ByzantineSpec {
-            reset_after_bytes: Some(64),
-            ..h2fault::ByzantineSpec::default()
-        });
-        let (mut server, mut client) = serve(profile);
-        server.on_connect_vec(SimTime::ZERO);
-        server.on_bytes_vec(SimTime::ZERO, &client.preface_and_settings());
-        assert!(!server.wants_reset(), "greeting alone is under budget");
-        server.on_bytes_vec(SimTime::ZERO, &client.request(1, "/"));
-        assert!(
-            server.wants_reset(),
-            "response pushes emitted past 64 octets"
-        );
-    }
-
-    #[test]
     fn no_byzantine_spec_means_identical_output() {
         let (mut plain, mut client_a) = serve(ServerProfile::nginx());
         let mut noop = ServerProfile::nginx();
@@ -341,7 +276,6 @@ pub(crate) mod tests {
         let a = plain.on_bytes_vec(SimTime::ZERO, &client_a.request(1, "/"));
         let b = shaped.on_bytes_vec(SimTime::ZERO, &client_b.request(1, "/"));
         assert_eq!(a, b);
-        assert!(!plain.wants_reset() && !shaped.wants_reset());
     }
 
     #[test]

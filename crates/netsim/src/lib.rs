@@ -7,7 +7,8 @@
 //! * [`link`] — propagation delay, serialization bandwidth, jitter, and
 //!   loss-as-retransmission-delay ([`LinkSpec`]).
 //! * [`pipe`] — the client↔server byte transport with a time-ordered
-//!   delivery loop ([`Pipe`], [`ByteEndpoint`]).
+//!   delivery loop ([`Pipe`], [`ByteEndpoint`]), and the one place
+//!   faults at an octet fire ([`Cut`]).
 //! * [`tls`] — ALPN/NPN application-protocol negotiation semantics
 //!   (crypto-free; only the negotiation direction matters to H2Scope).
 //! * [`rtt`] — ICMP echo and TCP-handshake RTT estimators (Figure 6
@@ -39,7 +40,7 @@ pub mod time;
 pub mod tls;
 
 pub use link::LinkSpec;
-pub use pipe::{Arrival, ByteEndpoint, Pipe, PipeFaults, RunOutcome};
+pub use pipe::{Arrival, ByteEndpoint, Cut, CutAction, Cuts, Pipe, PipeFaults, RunOutcome};
 pub use time::{SimDuration, SimTime};
 pub use tls::{handshake, TlsConfig, TlsHandshake};
 

@@ -35,13 +35,6 @@ pub trait ByteEndpoint {
         SimDuration::ZERO
     }
 
-    /// `true` when the endpoint wants the transport torn down with a TCP
-    /// reset (byzantine mid-stream resets). Checked after every
-    /// [`ByteEndpoint::on_bytes`] call.
-    fn wants_reset(&self) -> bool {
-        false
-    }
-
     /// Allocating convenience wrapper around [`ByteEndpoint::on_connect`].
     fn on_connect_vec(&mut self, now: SimTime) -> Vec<u8> {
         let mut out = Vec::new();
@@ -86,38 +79,83 @@ impl BytesPool {
             self.free.push(buf);
         }
     }
+}
 
-    /// Buffers currently pooled.
-    pub fn len(&self) -> usize {
-        self.free.len()
+/// What a [`Cut`] does to the connection once its octet is reached.
+/// Each action fixes the counter it reads:
+///
+/// | action | counts | fires |
+/// |---|---|---|
+/// | `Drop` | octets delivered, both directions | after the delivery that brings the total to ≥ `octet`: that segment is delivered, then the connection resets |
+/// | `Stall` | octets delivered, both directions | from the point where the total is ≥ `octet`, every delivery vanishes; the connection looks open |
+/// | `Truncate` | octets the server endpoint hands the pipe, greeting included | the output that crosses `octet` is cut to exactly `octet`; after that the server is never called again and sends nothing, while client octets still count as delivered. An output cut to zero length is not transmitted, so it draws no link randomness |
+/// | `Reset` | octets the server endpoint hands the pipe, greeting included | checked after each [`ByteEndpoint::on_bytes`]: once the total is ≥ `octet`, that output is discarded and the connection resets at that virtual time |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CutAction {
+    /// A TCP reset after the crossing delivery.
+    Drop,
+    /// A black hole: the stalled-forever link.
+    Stall,
+    /// The server's output ends mid-stream, and the server falls silent.
+    Truncate,
+    /// A TCP reset in place of the crossing server output.
+    Reset,
+}
+
+/// One octet-offset fault: `action` at `octet` of the counter the action
+/// reads (see [`CutAction`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cut {
+    /// Where the cut fires.
+    pub octet: u64,
+    /// What it does there.
+    pub action: CutAction,
+}
+
+/// The cuts armed on one connection, held inline in the order they were
+/// armed. A fault campaign arms at most three on one attempt: a `Drop`, a
+/// `Stall` and a server-side `Truncate` or `Reset`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Cuts([Option<Cut>; 3]);
+
+impl Cuts {
+    /// Arms `cut` after those already armed.
+    ///
+    /// # Panics
+    /// When three cuts are armed already.
+    pub fn push(&mut self, cut: Cut) {
+        let slot = self.0.iter_mut().find(|slot| slot.is_none());
+        *slot.expect("at most three cuts per connection") = Some(cut);
     }
 
-    /// True when no buffers are pooled.
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
+    /// The armed cuts, in the order they were armed.
+    pub fn iter(&self) -> impl Iterator<Item = Cut> + '_ {
+        self.0.iter().map_while(|slot| *slot)
     }
 }
 
-/// Transport-level fault injection: scheduled connection cuts and
-/// black-hole stalls, layered onto a [`Pipe`] without disturbing its
+/// Transport-level fault injection: a cut at a virtual time and cuts at
+/// octets, armed on a [`Pipe`] when it connects without disturbing its
 /// random stream (a default `PipeFaults` is a strict no-op).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipeFaults {
-    /// Cut the connection (TCP reset) once this many octets have crossed
-    /// it, in both directions combined.
-    pub drop_after_bytes: Option<u64>,
     /// Cut the connection at this virtual time.
     pub drop_at: Option<SimTime>,
-    /// Silently discard every delivery after this many octets have
-    /// crossed: the connection looks open but nothing ever arrives (the
-    /// stalled-forever link; `Some(0)` black-holes from the first byte).
-    pub stall_after_bytes: Option<u64>,
+    /// Cuts at octets of the exchange.
+    pub cuts: Cuts,
 }
 
 impl PipeFaults {
     /// No injected faults (the default).
     pub fn none() -> PipeFaults {
         PipeFaults::default()
+    }
+
+    /// Exactly one cut: `action` at `octet`.
+    pub fn cut(octet: u64, action: CutAction) -> PipeFaults {
+        let mut faults = PipeFaults::none();
+        faults.cuts.push(Cut { octet, action });
+        faults
     }
 
     /// `true` when no fault is armed.
@@ -133,8 +171,8 @@ pub enum RunOutcome {
     Quiescent,
     /// Deliveries remain, but the next one is past the caller's deadline.
     DeadlineExpired,
-    /// The connection was cut (scheduled fault or endpoint-requested
-    /// reset); nothing further will ever arrive.
+    /// The connection was cut by a [`PipeFaults`] time or a `Drop` or
+    /// `Reset` [`Cut`]; nothing further will ever arrive.
     ConnectionReset,
 }
 
@@ -197,8 +235,17 @@ pub struct Pipe<E> {
     rng: StdRng,
     inbox: Vec<Arrival>,
     pool: BytesPool,
-    faults: PipeFaults,
+    /// [`PipeFaults::drop_at`].
+    drop_at: Option<SimTime>,
+    /// Where each action's cut fires, indexed by [`CutAction`]: `u64::MAX`
+    /// when none is armed, so an unfaulted pipe pays one compare per check.
+    cut_at: [u64; 4],
     reset: bool,
+    /// Octets the server endpoint has handed the pipe, greeting included
+    /// (what `Truncate` and `Reset` cuts count).
+    server_octets: u64,
+    /// A `Truncate` cut fired: the server is never called again.
+    truncated: bool,
     obs: Obs,
     /// Total octets delivered to the client (response volume accounting).
     pub bytes_to_client: u64,
@@ -218,7 +265,26 @@ impl<E: ByteEndpoint> Pipe<E> {
     /// ([`BytesPool::put`] clears on return) and its queue and inbox are
     /// empty, so a warmed pool changes allocation behavior only, never
     /// delivered bytes.
-    pub fn connect_pooled(server: E, link: LinkSpec, seed: u64, mut pool: BytesPool) -> Pipe<E> {
+    pub fn connect_pooled(server: E, link: LinkSpec, seed: u64, pool: BytesPool) -> Pipe<E> {
+        Pipe::connect_faulted(server, link, seed, pool, PipeFaults::none())
+    }
+
+    /// [`Pipe::connect_pooled`] with `faults` armed from the first octet,
+    /// so a `Truncate` cut applies to the greeting too. A default
+    /// [`PipeFaults`] is a strict no-op: it consumes no randomness and
+    /// changes no delivery timing.
+    pub fn connect_faulted(
+        server: E,
+        link: LinkSpec,
+        seed: u64,
+        mut pool: BytesPool,
+        faults: PipeFaults,
+    ) -> Pipe<E> {
+        let mut cut_at = [u64::MAX; 4];
+        for cut in faults.cuts.iter() {
+            let at = &mut cut_at[cut.action as usize];
+            *at = cut.octet.min(*at);
+        }
         let mut pipe = Pipe {
             server,
             link,
@@ -232,14 +298,18 @@ impl<E: ByteEndpoint> Pipe<E> {
             rng: StdRng::seed_from_u64(seed),
             inbox: std::mem::take(&mut pool.inbox),
             pool,
-            faults: PipeFaults::default(),
+            drop_at: faults.drop_at,
+            cut_at,
             reset: false,
+            server_octets: 0,
+            truncated: false,
             obs: Obs::off(),
             bytes_to_client: 0,
             bytes_to_server: 0,
         };
         let mut greeting = pipe.pool.take();
         pipe.server.on_connect(SimTime::ZERO, &mut greeting);
+        pipe.truncate(&mut greeting);
         if greeting.is_empty() {
             pipe.pool.put(greeting);
         } else {
@@ -265,22 +335,14 @@ impl<E: ByteEndpoint> Pipe<E> {
         &mut self.server
     }
 
-    /// Arms transport-level fault injection. A default [`PipeFaults`] is a
-    /// strict no-op: it adds no checks that consume randomness and changes
-    /// no delivery timing.
-    pub fn set_faults(&mut self, faults: PipeFaults) {
-        self.faults = faults;
-    }
-
-    /// Attaches an observability handle. Like [`Pipe::set_faults`], the
+    /// Attaches an observability handle. Like an empty [`PipeFaults`], the
     /// default (`Obs::off()`) is a strict no-op: recording wire bytes never
     /// consumes randomness or perturbs delivery timing.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
 
-    /// `true` once the connection has been cut by a fault or an
-    /// endpoint-requested reset.
+    /// `true` once the connection has been cut by a fault.
     pub fn is_reset(&self) -> bool {
         self.reset
     }
@@ -362,29 +424,30 @@ impl<E: ByteEndpoint> Pipe<E> {
                 }
             }
             let delivery = self.queue.pop().expect("peeked above");
-            if let Some(cut_at) = self.faults.drop_at {
-                if delivery.at >= cut_at {
-                    self.clock = self.clock.max(cut_at);
+            if let Some(drop_at) = self.drop_at {
+                if delivery.at >= drop_at {
+                    self.clock = self.clock.max(drop_at);
                     self.cut();
                     outcome = RunOutcome::ConnectionReset;
                     break;
                 }
             }
             self.clock = self.clock.max(delivery.at);
-            if let Some(limit) = self.faults.stall_after_bytes {
-                if self.bytes_to_server + self.bytes_to_client >= limit {
-                    self.pool.put(delivery.bytes);
-                    continue; // black hole: the segment never arrives
-                }
+            if self.crossed(CutAction::Stall) {
+                self.pool.put(delivery.bytes);
+                continue; // black hole: the segment never arrives
             }
             if delivery.to_server {
                 self.bytes_to_server += delivery.bytes.len() as u64;
                 self.obs.wire_bytes(true, delivery.bytes.len() as u64);
                 let mut response = self.pool.take();
-                self.server
-                    .on_bytes(self.clock, &delivery.bytes, &mut response);
+                if !self.truncated {
+                    self.server
+                        .on_bytes(self.clock, &delivery.bytes, &mut response);
+                    self.truncate(&mut response);
+                }
                 self.pool.put(delivery.bytes);
-                if self.server.wants_reset() {
+                if self.server_octets >= self.cut_at[CutAction::Reset as usize] {
                     self.pool.put(response);
                     self.cut();
                     outcome = RunOutcome::ConnectionReset;
@@ -404,15 +467,30 @@ impl<E: ByteEndpoint> Pipe<E> {
                     bytes: delivery.bytes,
                 });
             }
-            if let Some(limit) = self.faults.drop_after_bytes {
-                if self.bytes_to_server + self.bytes_to_client >= limit {
-                    self.cut();
-                    outcome = RunOutcome::ConnectionReset;
-                    break;
-                }
+            if self.crossed(CutAction::Drop) {
+                self.cut();
+                outcome = RunOutcome::ConnectionReset;
+                break;
             }
         }
         (std::mem::take(&mut self.inbox), outcome)
+    }
+
+    /// `true` once the octets delivered, both directions, reach an armed
+    /// `action` cut (`Drop` and `Stall` read this counter).
+    fn crossed(&self, action: CutAction) -> bool {
+        self.bytes_to_server + self.bytes_to_client >= self.cut_at[action as usize]
+    }
+
+    /// Counts `out`, the output the server endpoint just handed the pipe,
+    /// cutting it to an armed `Truncate` cut's octet when it crosses it.
+    fn truncate(&mut self, out: &mut Vec<u8>) {
+        let octet = self.cut_at[CutAction::Truncate as usize];
+        if self.server_octets + out.len() as u64 > octet {
+            out.truncate((octet - self.server_octets) as usize);
+            self.truncated = true;
+        }
+        self.server_octets += out.len() as u64;
     }
 
     fn cut(&mut self) {
@@ -470,25 +548,25 @@ mod tests {
         }
     }
 
-    fn clean_link(delay_ms: u64) -> LinkSpec {
-        LinkSpec {
-            delay: SimDuration::from_millis(delay_ms),
+    /// An echo server `link_ms` from the client over a clean link, taking
+    /// `processing_ms` per exchange, with `faults` armed.
+    fn echo(link_ms: u64, processing_ms: u64, faults: PipeFaults) -> Pipe<Echo> {
+        let echo = Echo {
+            delay: SimDuration::from_millis(processing_ms),
+        };
+        let link = LinkSpec {
+            delay: SimDuration::from_millis(link_ms),
             jitter: SimDuration::ZERO,
             bandwidth_bps: None,
             loss: 0.0,
             retransmit_penalty: SimDuration::ZERO,
-        }
+        };
+        Pipe::connect_faulted(echo, link, 1, BytesPool::default(), faults)
     }
 
     #[test]
     fn greeting_arrives_after_one_way_delay() {
-        let mut pipe = Pipe::connect(
-            Echo {
-                delay: SimDuration::ZERO,
-            },
-            clean_link(10),
-            1,
-        );
+        let mut pipe = echo(10, 0, PipeFaults::none());
         let arrivals = pipe.run_to_quiescence();
         assert_eq!(arrivals.len(), 1);
         assert_eq!(arrivals[0].bytes, b"hello");
@@ -497,13 +575,7 @@ mod tests {
 
     #[test]
     fn echo_round_trip_takes_two_one_way_delays() {
-        let mut pipe = Pipe::connect(
-            Echo {
-                delay: SimDuration::ZERO,
-            },
-            clean_link(10),
-            1,
-        );
+        let mut pipe = echo(10, 0, PipeFaults::none());
         pipe.run_to_quiescence(); // drain greeting
         let t0 = pipe.now();
         pipe.client_send(b"ping");
@@ -514,13 +586,7 @@ mod tests {
 
     #[test]
     fn processing_delay_adds_to_round_trip() {
-        let mut pipe = Pipe::connect(
-            Echo {
-                delay: SimDuration::from_millis(7),
-            },
-            clean_link(10),
-            1,
-        );
+        let mut pipe = echo(10, 7, PipeFaults::none());
         pipe.run_to_quiescence();
         let t0 = pipe.now();
         pipe.client_send(b"ping");
@@ -530,13 +596,7 @@ mod tests {
 
     #[test]
     fn deliveries_are_time_ordered() {
-        let mut pipe = Pipe::connect(
-            Echo {
-                delay: SimDuration::ZERO,
-            },
-            clean_link(5),
-            1,
-        );
+        let mut pipe = echo(5, 0, PipeFaults::none());
         pipe.run_to_quiescence();
         pipe.client_send(b"a");
         pipe.client_send(b"b");
@@ -550,13 +610,7 @@ mod tests {
 
     #[test]
     fn run_until_leaves_late_deliveries_queued() {
-        let mut pipe = Pipe::connect(
-            Echo {
-                delay: SimDuration::ZERO,
-            },
-            clean_link(10),
-            1,
-        );
+        let mut pipe = echo(10, 0, PipeFaults::none());
         // The greeting arrives at t=10ms; a 5ms deadline misses it.
         let deadline = SimTime::ZERO + SimDuration::from_millis(5);
         let (arrivals, outcome) = pipe.run_until(deadline);
@@ -571,15 +625,7 @@ mod tests {
 
     #[test]
     fn run_until_matches_quiescence_when_deadline_is_generous() {
-        let mk = || {
-            Pipe::connect(
-                Echo {
-                    delay: SimDuration::ZERO,
-                },
-                clean_link(10),
-                9,
-            )
-        };
+        let mk = || echo(10, 0, PipeFaults::none());
         let mut a = mk();
         let mut b = mk();
         a.client_send(b"ping");
@@ -591,46 +637,97 @@ mod tests {
         assert_eq!(a.now(), b.now());
     }
 
+    /// Greets with five octets, then sends twenty and four octets, one
+    /// exchange at a time, through `faults` over a 1 ms link. Returns
+    /// every octet that reached the client, how the last run ended,
+    /// whether the connection was cut, and the octets delivered to the
+    /// server and to the client.
+    fn exchange(faults: PipeFaults) -> (Vec<u8>, RunOutcome, bool, u64, u64) {
+        let mut pipe = echo(1, 0, faults);
+        let mut received = Vec::new();
+        let mut outcome = RunOutcome::Quiescent;
+        for send in [&b""[..], b"0123456789abcdefghij", b"wxyz"] {
+            pipe.client_send(send);
+            let (arrivals, ended) = pipe.run_until(pipe.now() + SimDuration::from_secs(1));
+            received.extend(arrivals.into_iter().flat_map(|a| a.bytes));
+            outcome = ended;
+        }
+        let counters = (pipe.bytes_to_server, pipe.bytes_to_client);
+        (received, outcome, pipe.is_reset(), counters.0, counters.1)
+    }
+
+    /// Each action at octet 0, in the middle of a segment (15) and at a
+    /// segment's end (25). Octets 15 and 25 fall in the twenty-octet
+    /// request for the delivered count and in its echo for the server's.
     #[test]
-    fn drop_after_bytes_cuts_the_connection() {
-        let mut pipe = Pipe::connect(
-            Echo {
-                delay: SimDuration::ZERO,
-            },
-            clean_link(1),
-            1,
-        );
-        pipe.set_faults(PipeFaults {
-            drop_after_bytes: Some(10),
-            ..PipeFaults::none()
+    fn each_cut_fires_at_its_octet() {
+        use CutAction::{Drop, Reset, Stall, Truncate};
+        use RunOutcome::{ConnectionReset as Cut, Quiescent as Open};
+        const ECHOED: &[u8] = b"hello0123456789abcdefghij";
+        // Action, octet, then what `exchange` returns.
+        type Row = (CutAction, u64, &'static [u8], RunOutcome, bool, u64, u64);
+        #[rustfmt::skip]
+        let rows: [Row; 12] = [
+            // Delivered once the greeting arrives, then reset.
+            (Drop, 0, b"hello", Cut, true, 0, 5),
+            // Delivered once the request reaches the server: its echo dies.
+            (Drop, 15, b"hello", Cut, true, 20, 5),
+            (Drop, 25, b"hello", Cut, true, 20, 5),
+            // Nothing ever arrives, and the connection looks open.
+            (Stall, 0, b"", Open, false, 0, 0),
+            // The request arrives; from then on everything vanishes.
+            (Stall, 15, b"hello", Open, false, 20, 5),
+            (Stall, 25, b"hello", Open, false, 20, 5),
+            // The greeting is cut to nothing, and the server never speaks.
+            (Truncate, 0, b"", Open, false, 24, 0),
+            // The echo is cut to ten octets; the second request is still
+            // delivered, but nothing answers it.
+            (Truncate, 15, ECHOED.split_at(15).0, Open, false, 24, 15),
+            // The echo fits exactly; the second echo is cut to nothing.
+            (Truncate, 25, ECHOED, Open, false, 24, 25),
+            // The greeting passes: only an answer to the client can reset.
+            (Reset, 0, b"hello", Cut, true, 20, 5),
+            // The echo crosses the octet, so it is replaced by the reset.
+            (Reset, 15, b"hello", Cut, true, 20, 5),
+            (Reset, 25, b"hello", Cut, true, 20, 5),
+        ];
+        for (action, octet, received, outcome, reset, to_server, to_client) in rows {
+            assert_eq!(
+                exchange(PipeFaults::cut(octet, action)),
+                (received.to_vec(), outcome, reset, to_server, to_client),
+                "{action:?} at {octet}"
+            );
+        }
+    }
+
+    /// A fault campaign arms a delivered-count cut and a server-output cut
+    /// on one attempt: both fire, each at its own counter.
+    #[test]
+    fn a_drop_and_a_truncate_act_on_one_pipe() {
+        let mut faults = PipeFaults::cut(38, CutAction::Drop);
+        faults.cuts.push(Cut {
+            octet: 15,
+            action: CutAction::Truncate,
         });
-        pipe.run_to_quiescence(); // greeting: 5 octets, under the limit
-        assert!(!pipe.is_reset());
-        pipe.client_send(&[0u8; 20]);
-        let (arrivals, outcome) = pipe.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-        assert_eq!(outcome, RunOutcome::ConnectionReset);
-        assert!(arrivals.is_empty(), "the echo died with the connection");
-        assert!(pipe.is_reset());
-        // Sends after the reset are swallowed.
-        pipe.client_send(b"more");
-        let (arrivals, outcome) = pipe.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-        assert!(arrivals.is_empty());
-        assert_eq!(outcome, RunOutcome::ConnectionReset);
+        assert_eq!(
+            exchange(faults),
+            (
+                b"hello0123456789".to_vec(),
+                RunOutcome::ConnectionReset,
+                true,
+                24,
+                15
+            )
+        );
     }
 
     #[test]
     fn drop_at_cuts_at_the_scheduled_time() {
-        let mut pipe = Pipe::connect(
-            Echo {
-                delay: SimDuration::ZERO,
-            },
-            clean_link(10),
-            1,
-        );
-        pipe.set_faults(PipeFaults {
+        let faults = PipeFaults {
             drop_at: Some(SimTime::ZERO + SimDuration::from_millis(5)),
             ..PipeFaults::none()
-        });
+        };
+        let mut pipe = echo(10, 0, faults);
         let (arrivals, outcome) = pipe.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         assert!(arrivals.is_empty());
         assert_eq!(outcome, RunOutcome::ConnectionReset);
@@ -638,67 +735,21 @@ mod tests {
     }
 
     #[test]
-    fn stalled_link_black_holes_without_resetting() {
-        let mut pipe = Pipe::connect(
-            Echo {
-                delay: SimDuration::ZERO,
-            },
-            clean_link(10),
-            1,
-        );
-        pipe.set_faults(PipeFaults {
-            stall_after_bytes: Some(0),
-            ..PipeFaults::none()
-        });
-        pipe.client_send(b"ping");
-        let (arrivals, outcome) = pipe.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-        assert!(arrivals.is_empty(), "everything vanished in transit");
-        assert_eq!(outcome, RunOutcome::Quiescent, "the connection looks open");
-        assert!(!pipe.is_reset());
-        assert_eq!(pipe.bytes_to_server + pipe.bytes_to_client, 0);
-    }
-
-    /// Endpoint that demands a TCP reset after its first reply.
-    struct ResettingEcho {
-        replied: bool,
-    }
-
-    impl ByteEndpoint for ResettingEcho {
-        fn on_bytes(&mut self, _now: SimTime, bytes: &[u8], out: &mut Vec<u8>) {
-            self.replied = true;
-            out.extend_from_slice(bytes);
-        }
-        fn wants_reset(&self) -> bool {
-            self.replied
-        }
-    }
-
-    #[test]
-    fn endpoint_requested_reset_cuts_the_connection() {
-        let mut pipe = Pipe::connect(ResettingEcho { replied: false }, clean_link(1), 1);
-        pipe.client_send(b"hello");
-        let (arrivals, outcome) = pipe.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-        assert!(arrivals.is_empty(), "the reset beat the reply");
-        assert_eq!(outcome, RunOutcome::ConnectionReset);
-    }
-
-    #[test]
     fn default_faults_are_a_noop() {
         let mk = |faulted: bool| {
-            let mut pipe = Pipe::connect(
-                Echo {
-                    delay: SimDuration::from_millis(2),
-                },
-                LinkSpec {
-                    loss: 0.3,
-                    jitter: SimDuration::from_millis(4),
-                    ..LinkSpec::wan(15)
-                },
-                77,
-            );
-            if faulted {
-                pipe.set_faults(PipeFaults::none());
-            }
+            let echo = Echo {
+                delay: SimDuration::from_millis(2),
+            };
+            let link = LinkSpec {
+                loss: 0.3,
+                jitter: SimDuration::from_millis(4),
+                ..LinkSpec::wan(15)
+            };
+            let mut pipe = if faulted {
+                Pipe::connect_faulted(echo, link, 77, BytesPool::default(), PipeFaults::none())
+            } else {
+                Pipe::connect(echo, link, 77)
+            };
             pipe.client_send(&[1u8; 3_000]);
             pipe.client_send(&[2u8; 500]);
             pipe.run_to_quiescence()
@@ -708,13 +759,7 @@ mod tests {
 
     #[test]
     fn byte_counters_accumulate() {
-        let mut pipe = Pipe::connect(
-            Echo {
-                delay: SimDuration::ZERO,
-            },
-            clean_link(1),
-            1,
-        );
+        let mut pipe = echo(1, 0, PipeFaults::none());
         pipe.run_to_quiescence();
         pipe.client_send(&[0u8; 100]);
         pipe.run_to_quiescence();

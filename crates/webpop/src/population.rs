@@ -23,6 +23,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use h2fault::splitmix64;
 use h2server::behavior::PriorityMode;
 use h2server::{QuirkAction, Resource, ServerProfile, SiteSpec};
 use h2wire::{SettingId, Settings};
@@ -143,14 +144,6 @@ fn page_mixture(family: Family) -> PageMixture {
             img_bytes: (4_000, 40_000),
         },
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {

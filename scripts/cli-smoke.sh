@@ -95,8 +95,8 @@ resume() {
     grep 'response digest' serve1.txt > digest1.txt
     cmp digest1.txt digest4.txt
     # With --metrics, serve's OBS_campaign.json carries the serve member
-    # (--out-dir routes relative record paths too).
-    "$repro" serve "$work/golden.h2c" "$work/second.h2c" --threads 2 --queries 200 --metrics --out-dir served > /dev/null
+    # (--out-dir routes what serve writes; it reads record paths as given).
+    "$repro" serve golden.h2c second.h2c --threads 2 --queries 200 --metrics --out-dir served > /dev/null
     grep -q '"serve": {"lookups":200,' served/OBS_campaign.json
     json_ok served/OBS_campaign.json
     sed '3d' golden.h2c > torn.h2c
