@@ -11,9 +11,7 @@
 
 #![warn(missing_docs)]
 
-use std::borrow::Borrow;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::{Arc, OnceLock};
 
@@ -139,12 +137,6 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
-impl Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        self.as_ref()
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     /// Takes ownership of the vector's heap block; no bytes are copied.
     fn from(v: Vec<u8>) -> Bytes {
@@ -169,100 +161,12 @@ impl From<String> for Bytes {
     }
 }
 
-impl From<&str> for Bytes {
-    fn from(s: &str) -> Bytes {
-        Bytes::from(s.as_bytes().to_vec())
-    }
-}
-
-impl FromIterator<u8> for Bytes {
-    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Bytes {
-        Bytes::from(iter.into_iter().collect::<Vec<u8>>())
-    }
-}
-
-impl IntoIterator for Bytes {
-    type Item = u8;
-    type IntoIter = std::vec::IntoIter<u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.to_vec().into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a Bytes {
-    type Item = &'a u8;
-    type IntoIter = std::slice::Iter<'a, u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        Bytes::as_ref(self).iter()
-    }
-}
-
 impl PartialEq for Bytes {
     fn eq(&self, other: &Bytes) -> bool {
         self.as_ref() == other.as_ref()
     }
 }
 impl Eq for Bytes {}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_ref() == other
-    }
-}
-
-impl PartialEq<Bytes> for [u8] {
-    fn eq(&self, other: &Bytes) -> bool {
-        self == other.as_ref()
-    }
-}
-
-impl<const N: usize> PartialEq<[u8; N]> for Bytes {
-    fn eq(&self, other: &[u8; N]) -> bool {
-        self.as_ref() == other
-    }
-}
-
-impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
-    fn eq(&self, other: &&[u8; N]) -> bool {
-        self.as_ref() == *other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_ref() == other.as_slice()
-    }
-}
-
-impl PartialEq<Bytes> for Vec<u8> {
-    fn eq(&self, other: &Bytes) -> bool {
-        self.as_slice() == other.as_ref()
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_ref() == *other
-    }
-}
-
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Bytes) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Bytes {
-    fn cmp(&self, other: &Bytes) -> std::cmp::Ordering {
-        self.as_ref().cmp(other.as_ref())
-    }
-}
-
-impl Hash for Bytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_ref().hash(state);
-    }
-}
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -294,14 +198,7 @@ mod tests {
         assert_eq!(s.len(), 3);
         let s2 = s.slice(1..);
         assert_eq!(&s2[..], &[3, 4]);
-    }
-
-    #[test]
-    fn equality_across_reprs() {
-        let b = Bytes::from_static(b"hello");
-        assert_eq!(b, *b"hello");
-        assert_eq!(b, b"hello");
-        assert_eq!(b, b"hello".to_vec());
+        assert_eq!(Bytes::from_static(b"\x03\x04"), s2);
         assert!(Bytes::new().is_empty());
     }
 

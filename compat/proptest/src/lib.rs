@@ -10,15 +10,13 @@
 //! name) makes every failure reproducible by rerunning the same test.
 //!
 //! Case count defaults to 64 and can be overridden per test with
-//! `#![proptest_config(ProptestConfig::with_cases(n))]` or globally with
-//! the `PROPTEST_CASES` environment variable.
+//! `#![proptest_config(ProptestConfig::with_cases(n))]`.
 
 #![warn(missing_docs)]
 
 /// Test-runner configuration and the deterministic RNG.
 pub mod test_runner {
-    use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::StdRng;
 
     /// Subset of proptest's configuration: the number of cases per test.
     #[derive(Debug, Clone)]
@@ -38,52 +36,29 @@ pub mod test_runner {
         pub fn with_cases(cases: u32) -> Self {
             ProptestConfig { cases }
         }
-
-        /// Case count after applying the `PROPTEST_CASES` env override.
-        pub fn effective_cases(&self) -> u32 {
-            match std::env::var("PROPTEST_CASES") {
-                Ok(v) => v.parse().unwrap_or(self.cases),
-                Err(_) => self.cases,
-            }
-        }
     }
 
-    /// Deterministic RNG driving value generation. Seeded from the test's
-    /// fully qualified name so each property gets a stable, distinct
+    /// The generator driving value generation: the workspace's one
+    /// seeded generator.
+    pub type TestRng = StdRng;
+
+    /// The generator for the named test: FNV-1a of the test's fully
+    /// qualified name seeds it, so each property gets a stable, distinct
     /// stream.
-    pub struct TestRng(StdRng);
-
-    impl TestRng {
-        /// RNG for the named test (FNV-1a of the name seeds the stream).
-        pub fn for_test(name: &str) -> Self {
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in name.bytes() {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            TestRng(StdRng::seed_from_u64(hash))
+    pub fn for_test(name: &str) -> TestRng {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in name.bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    }
-
-    impl RngCore for TestRng {
-        fn next_u32(&mut self) -> u32 {
-            self.0.next_u32()
-        }
-
-        fn next_u64(&mut self) -> u64 {
-            self.0.next_u64()
-        }
-
-        fn fill_bytes(&mut self, dest: &mut [u8]) {
-            self.0.fill_bytes(dest);
-        }
+        StdRng::seed_from_u64(hash)
     }
 }
 
 /// The `Strategy` trait and core combinators.
 pub mod strategy {
     use crate::test_runner::TestRng;
-    use rand::Rng;
+    use rand::SampleRange;
 
     /// A recipe for generating random values of one type.
     ///
@@ -146,14 +121,7 @@ pub mod strategy {
     }
 
     /// Strategy defined by a generation closure; backs `prop_compose!`.
-    pub struct FnStrategy<F>(F);
-
-    impl<F> FnStrategy<F> {
-        /// Wraps a generation closure.
-        pub fn new(f: F) -> Self {
-            FnStrategy(f)
-        }
-    }
+    pub struct FnStrategy<F>(pub F);
 
     impl<T, F> Strategy for FnStrategy<F>
     where
@@ -205,27 +173,22 @@ pub mod strategy {
         (weight, Box::new(strategy))
     }
 
-    macro_rules! numeric_range_strategies {
-        ($($t:ty),+) => {$(
-            impl Strategy for std::ops::Range<$t> {
-                type Value = $t;
+    macro_rules! range_strategies {
+        ($($range:ident),+) => {$(
+            impl<T> Strategy for std::ops::$range<T>
+            where
+                Self: SampleRange<T> + Clone,
+            {
+                type Value = T;
 
-                fn gen_value(&self, rng: &mut TestRng) -> $t {
-                    rng.gen_range(self.clone())
-                }
-            }
-
-            impl Strategy for std::ops::RangeInclusive<$t> {
-                type Value = $t;
-
-                fn gen_value(&self, rng: &mut TestRng) -> $t {
+                fn gen_value(&self, rng: &mut TestRng) -> T {
                     rng.gen_range(self.clone())
                 }
             }
         )+};
     }
 
-    numeric_range_strategies!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
+    range_strategies!(Range, RangeInclusive);
 
     macro_rules! tuple_strategies {
         ($(($($s:ident),+))+) => {$(
@@ -247,8 +210,6 @@ pub mod strategy {
         (A, B, C, D)
         (A, B, C, D, E)
         (A, B, C, D, E, F)
-        (A, B, C, D, E, F, G)
-        (A, B, C, D, E, F, G, H)
     }
 
     impl Strategy for &'static str {
@@ -264,7 +225,6 @@ pub mod strategy {
 /// like), the only regex subset the workspace uses.
 pub mod string {
     use crate::test_runner::TestRng;
-    use rand::Rng;
 
     struct Segment {
         chars: Vec<char>,
@@ -356,7 +316,6 @@ pub mod string {
 pub mod arbitrary {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
-    use rand::Rng;
     use std::marker::PhantomData;
 
     /// Types with a canonical whole-domain strategy.
@@ -381,24 +340,24 @@ pub mod arbitrary {
         }
     }
 
-    macro_rules! arbitrary_via_gen {
-        ($($t:ty),+) => {$(
+    macro_rules! arbitrary {
+        ($($t:ty => |$rng:ident| $draw:expr),+ $(,)?) => {$(
             impl Arbitrary for $t {
-                fn arbitrary_value(rng: &mut TestRng) -> $t {
-                    rng.gen()
+                fn arbitrary_value($rng: &mut TestRng) -> $t {
+                    $draw
                 }
             }
         )+};
     }
 
-    arbitrary_via_gen!(bool, u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, f32, f64);
-
-    impl<const N: usize> Arbitrary for [u8; N] {
-        fn arbitrary_value(rng: &mut TestRng) -> [u8; N] {
-            let mut out = [0u8; N];
-            rng.fill(&mut out[..]);
-            out
-        }
+    // `bool`, `u8` and `u32` are cut from a word's high half; `[u8; 8]`
+    // is one word in little-endian order.
+    arbitrary! {
+        bool => |rng| (rng.next_u64() >> 32) & 1 == 1,
+        u8 => |rng| (rng.next_u64() >> 32) as u8,
+        u32 => |rng| (rng.next_u64() >> 32) as u32,
+        u64 => |rng| rng.next_u64(),
+        [u8; 8] => |rng| rng.next_u64().to_le_bytes(),
     }
 }
 
@@ -409,37 +368,16 @@ pub mod prop {
     pub mod collection {
         use crate::strategy::Strategy;
         use crate::test_runner::TestRng;
-        use rand::Rng;
+        use std::ops::{Range, RangeInclusive};
 
         /// Inclusive length range for generated collections.
-        #[derive(Debug, Clone, Copy)]
-        pub struct SizeRange {
-            min: usize,
-            max: usize,
-        }
+        #[derive(Debug, Clone)]
+        pub struct SizeRange(RangeInclusive<usize>);
 
-        impl From<usize> for SizeRange {
-            fn from(n: usize) -> Self {
-                SizeRange { min: n, max: n }
-            }
-        }
-
-        impl From<std::ops::Range<usize>> for SizeRange {
-            fn from(r: std::ops::Range<usize>) -> Self {
+        impl From<Range<usize>> for SizeRange {
+            fn from(r: Range<usize>) -> Self {
                 assert!(r.end > r.start, "empty collection size range");
-                SizeRange {
-                    min: r.start,
-                    max: r.end - 1,
-                }
-            }
-        }
-
-        impl From<std::ops::RangeInclusive<usize>> for SizeRange {
-            fn from(r: std::ops::RangeInclusive<usize>) -> Self {
-                SizeRange {
-                    min: *r.start(),
-                    max: *r.end(),
-                }
+                SizeRange(r.start..=r.end - 1)
             }
         }
 
@@ -461,7 +399,7 @@ pub mod prop {
             type Value = Vec<S::Value>;
 
             fn gen_value(&self, rng: &mut TestRng) -> Vec<S::Value> {
-                let len = rng.gen_range(self.size.min..=self.size.max);
+                let len = rng.gen_range(self.size.0.clone());
                 (0..len).map(|_| self.elem.gen_value(rng)).collect()
             }
         }
@@ -471,7 +409,6 @@ pub mod prop {
     pub mod option {
         use crate::strategy::Strategy;
         use crate::test_runner::TestRng;
-        use rand::Rng;
 
         /// Strategy for `Option<S::Value>`.
         pub struct OptionStrategy<S>(S);
@@ -498,7 +435,6 @@ pub mod prop {
     pub mod sample {
         use crate::arbitrary::Arbitrary;
         use crate::test_runner::TestRng;
-        use rand::Rng;
 
         /// An index into a collection whose length is only known inside
         /// the test body.
@@ -515,7 +451,7 @@ pub mod prop {
 
         impl Arbitrary for Index {
             fn arbitrary_value(rng: &mut TestRng) -> Self {
-                Index(rng.gen())
+                Index(rng.next_u64())
             }
         }
     }
@@ -573,7 +509,7 @@ macro_rules! prop_compose {
         ($($arg:ident in $strat:expr),+ $(,)?) -> $ret:ty $body:block) => {
         $(#[$meta])*
         $vis fn $name($($param)*) -> impl $crate::strategy::Strategy<Value = $ret> {
-            $crate::strategy::FnStrategy::new(
+            $crate::strategy::FnStrategy(
                 move |__rng: &mut $crate::test_runner::TestRng| {
                     $(let $arg = $crate::strategy::Strategy::gen_value(&($strat), __rng);)+
                     $body
@@ -609,10 +545,10 @@ macro_rules! __proptest_impl {
         $(#[$meta])*
         fn $name() {
             let __config: $crate::test_runner::ProptestConfig = $cfg;
-            let mut __rng = $crate::test_runner::TestRng::for_test(
+            let mut __rng = $crate::test_runner::for_test(
                 concat!(module_path!(), "::", stringify!($name)),
             );
-            for __case in 0..__config.effective_cases() {
+            for __case in 0..__config.cases {
                 let _ = __case;
                 $(let $arg = $crate::strategy::Strategy::gen_value(&($strat), &mut __rng);)+
                 $body
@@ -625,11 +561,11 @@ macro_rules! __proptest_impl {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-    use crate::test_runner::TestRng;
+    use crate::test_runner::for_test;
 
     #[test]
     fn string_patterns_respect_class_and_length() {
-        let mut rng = TestRng::for_test("string_patterns");
+        let mut rng = for_test("string_patterns");
         for _ in 0..200 {
             let s = crate::string::generate("[a-z][a-z0-9-]{0,20}", &mut rng);
             assert!((1..=21).contains(&s.len()));
@@ -649,21 +585,32 @@ mod tests {
             4 => (0u32..1).prop_map(|_| true),
             1 => (0u32..1).prop_map(|_| false),
         ];
-        let mut rng = TestRng::for_test("union_weights");
+        let mut rng = for_test("union_weights");
         let hits = (0..5_000)
             .filter(|_| Strategy::gen_value(&strat, &mut rng))
             .count();
         assert!((3_500..=4_500).contains(&hits), "got {hits}");
     }
 
+    /// `any::<T>()` for every `T` the workspace draws, folded over 400
+    /// rounds: the constant fixes how each type is cut from the stream.
     #[test]
-    fn generation_is_deterministic_per_test_name() {
-        let strat = prop::collection::vec(any::<u64>(), 3..6);
-        let mut a = TestRng::for_test("determinism");
-        let mut b = TestRng::for_test("determinism");
-        for _ in 0..50 {
-            assert_eq!(strat.gen_value(&mut a), strat.gen_value(&mut b));
+    fn arbitrary_draws_are_pinned() {
+        let mut rng = for_test("arbitrary_pin");
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(29);
+        for _ in 0..400 {
+            mix(any::<u8>().gen_value(&mut rng).into());
+            mix(any::<bool>().gen_value(&mut rng).into());
+            mix(any::<u32>().gen_value(&mut rng).into());
+            mix(any::<u64>().gen_value(&mut rng));
+            mix(u64::from_le_bytes(any::<[u8; 8]>().gen_value(&mut rng)));
+            let index = any::<prop::sample::Index>().gen_value(&mut rng);
+            mix(index.index(1_000) as u64);
+            mix((0u8..=200).gen_value(&mut rng).into());
+            mix((1.5f64..2.5).gen_value(&mut rng).to_bits());
         }
+        assert_eq!(h, 0x7b1d_d7b7_f1fb_b15d);
     }
 
     prop_compose! {

@@ -96,8 +96,8 @@
 //!                      the first N sites of each experiment (default 0)
 //!   --out-dir DIR      route what the run writes into DIR (created if
 //!                      absent): OBS_campaign.json and relative --record /
-//!                      --resume paths; diff and serve read their record
-//!                      paths as given
+//!                      --resume paths; serve reads its record paths as
+//!                      given, and diff, which writes nothing, refuses it
 //! ```
 
 #![allow(
@@ -556,7 +556,7 @@ const OTHER_COMMANDS: [(&str, &[&str]); 11] = [
     ("fig3", &["--scale", "--exp", "--loads"]),
     ("fig6", &["--scale", "--exp"]),
     ("probe", &[]),
-    ("diff", &["--out-dir"]),
+    ("diff", &[]),
     ("serve", &["--threads", "--queries", "--seed", "--hostile", "--metrics", "--out-dir"]),
     ("abuse", &["--out-dir"]),
     ("push-study", &["--scale", "--threads", "--seed", "--sites", "--loads", "--out-dir"]),

@@ -490,6 +490,20 @@ mod tests {
         }
     }
 
+    /// Site 281 of experiment 1 at scale 0.2, under `flaky` with seed 1,
+    /// returns HEADERS to the headers probe, but its HPACK probe sees
+    /// none. That probe measured no ratio, so its verdict is unknown: a
+    /// NaN ratio would read "does not index" to `expected` and panic
+    /// Figure 4's median.
+    #[test]
+    fn an_hpack_probe_that_saw_no_headers_abstains() {
+        let pop = Population::new(ExperimentSpec::first(), 0.2);
+        let plan = FaultPlan::new(FaultProfile::flaky(), 1);
+        let row = scan_one(&H2Scope::new(), &pop, 281, Some(&plan), 1, &Obs::off());
+        assert!(row.report.headers_received);
+        assert_eq!(row.report.hpack, None);
+    }
+
     #[test]
     fn scan_covers_the_population_in_order() {
         let population = Population::new(ExperimentSpec::first(), 0.001);

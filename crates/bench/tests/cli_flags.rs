@@ -5,7 +5,8 @@
 //! argument a command does not take and an unknown `probe` profile all
 //! exit 2 with a message and no report; `--threads 0` runs on one worker; an
 //! artifact that cannot be written is exit 2 as well; `--out-dir` routes
-//! what a run writes, never the records `diff` and `serve` read.
+//! what a run writes, never the records `serve` reads, and `diff`, which
+//! writes nothing, refuses it.
 
 use std::process::{Command, Output};
 
@@ -217,18 +218,25 @@ fn an_unwritable_metrics_artifact_is_exit_2() {
 fn out_dir_leaves_the_records_diff_and_serve_read_alone() {
     let cwd = std::env::temp_dir().join(format!("h2ready-cli-read-{}", std::process::id()));
     std::fs::create_dir_all(&cwd).expect("scratch dir");
-    for args in [
-        "adoption --exp 1 --scale 0.0005 --threads 1 --record a.h2c",
-        "diff a.h2c a.h2c --out-dir d",
-        "serve a.h2c --queries 20 --threads 1 --out-dir d",
-    ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+    let run = |args: &str| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args.split(' '))
             .current_dir(&cwd)
             .output()
-            .expect("spawn repro");
+            .expect("spawn repro")
+    };
+    for args in [
+        "adoption --exp 1 --scale 0.0005 --threads 1 --record a.h2c",
+        "diff a.h2c a.h2c",
+        "serve a.h2c --queries 20 --threads 1 --out-dir d",
+    ] {
+        let out = run(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{args}: {stderr}");
     }
+    // `diff` writes nothing, so it takes no `--out-dir`.
+    let out = run("diff a.h2c a.h2c --out-dir dd");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(!cwd.join("dd").exists(), "a refused diff made dd");
     std::fs::remove_dir_all(&cwd).ok();
 }

@@ -27,20 +27,11 @@
 #![warn(missing_docs)]
 
 use netsim::{Cut, CutAction, Cuts, LinkSpec, PipeFaults, SimDuration, SimTime};
+use rand::unit_f64;
 
-/// SplitMix64: the stateless mixing function every fault derivation is
-/// built from (one u64 in, one well-scrambled u64 out).
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Maps a mixed u64 onto the unit interval `[0, 1)`.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
+/// Re-exported for the code that derives seeds beside its fault plans
+/// (`bench`, and the benchmark's layer adapter, which imports it from here).
+pub use rand::splitmix64;
 
 /// Extra network impairment layered onto one probe connection.
 ///
@@ -386,30 +377,30 @@ impl FaultPlan {
         let mut imp = ImpairmentSpec::default();
         if p.loss > 0.0 {
             // 0.5–1.5× the profile mean, per connection.
-            imp.extra_loss = (p.loss * (0.5 + unit(next()))).min(0.9);
+            imp.extra_loss = (p.loss * (0.5 + unit_f64(next()))).min(0.9);
         }
         if p.jitter_ms > 0 {
             imp.extra_jitter =
-                SimDuration::from_micros((unit(next()) * p.jitter_ms as f64 * 1_000.0) as u64);
+                SimDuration::from_micros((unit_f64(next()) * p.jitter_ms as f64 * 1_000.0) as u64);
         }
         if p.delay_ms > 0 {
             imp.extra_delay =
-                SimDuration::from_micros((unit(next()) * p.delay_ms as f64 * 1_000.0) as u64);
+                SimDuration::from_micros((unit_f64(next()) * p.delay_ms as f64 * 1_000.0) as u64);
         }
         let mut cut = |octet, action| imp.cuts.push(Cut { octet, action });
-        if p.drop_rate > 0.0 && unit(next()) < p.drop_rate {
-            if unit(next()) < 0.5 {
+        if p.drop_rate > 0.0 && unit_f64(next()) < p.drop_rate {
+            if unit_f64(next()) < 0.5 {
                 cut(1_024 + next() % 65_536, CutAction::Drop);
             } else {
                 imp.drop_after = Some(SimDuration::from_millis(50 + next() % 1_000));
             }
         }
-        if p.stall_rate > 0.0 && unit(next()) < p.stall_rate {
+        if p.stall_rate > 0.0 && unit_f64(next()) < p.stall_rate {
             cut(0, CutAction::Stall);
         }
 
         let mut byz = ByzantineSpec::default();
-        if p.byzantine_rate > 0.0 && unit(next()) < p.byzantine_rate {
+        if p.byzantine_rate > 0.0 && unit_f64(next()) < p.byzantine_rate {
             match next() % 5 {
                 0 => byz.garbage_preface = true,
                 1 => byz.handshake_stall = true,

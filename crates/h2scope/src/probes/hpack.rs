@@ -32,7 +32,8 @@ impl HpackReport {
     }
 }
 
-/// Sends `h` identical GETs for `/` and computes the ratio.
+/// Sends `h` identical GETs for `/` and computes the ratio, NaN when no
+/// response HEADERS came back (`sizes` empty; a survey keeps no report).
 ///
 /// Classifies RFC 7540 §4.3: the HPACK context spans the connection.
 pub fn probe(target: &Target, h: usize) -> HpackReport {

@@ -1,8 +1,7 @@
 //! HTTP/2 PING probe (§III-F) and the four-way RTT comparison behind
 //! Figure 6: h2-ping vs ICMP vs TCP-handshake vs HTTP/1.1 request.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::StdRng;
 
 use h2wire::{Frame, PingFrame, Settings};
 use netsim::http1::{get_request, Http1Server};

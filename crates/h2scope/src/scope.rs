@@ -93,7 +93,10 @@ impl H2Scope {
         report.flow_control = Some(flow_control::probe(target));
         report.priority = Some(priority::algorithm1(target));
         report.push = Some(push::probe(target, &["/"]));
-        report.hpack = Some(hpack::probe(target, self.config.hpack_requests));
+        // A probe that saw no response HEADERS measured no ratio: its
+        // verdict is unknown, not "does not index".
+        let hpack = hpack::probe(target, self.config.hpack_requests);
+        report.hpack = (!hpack.sizes.is_empty()).then_some(hpack);
         report
     }
 }

@@ -6,8 +6,7 @@
 //! 0→1, longitudinal diff). Keeping key == path means the wire request,
 //! the dispatch, and the cache all agree on identity by construction.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::StdRng;
 
 use crate::index::{shard_of, ServeIndex};
 

@@ -1,7 +1,7 @@
 //! Link model: propagation delay, serialization bandwidth, jitter, and
 //! loss-induced retransmission delay.
 
-use rand::Rng;
+use rand::StdRng;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -78,20 +78,33 @@ impl LinkSpec {
 
     /// Total one-way latency for a transmission of `bytes` octets,
     /// sampling jitter and loss from `rng`.
-    pub fn transit_time(&self, bytes: usize, rng: &mut impl Rng) -> SimDuration {
-        let mut total = self.delay + self.serialization_time(bytes);
-        if self.jitter > SimDuration::ZERO {
-            total = total + SimDuration::from_nanos(rng.gen_range(0..=self.jitter.as_nanos()));
+    pub fn transit_time(&self, bytes: usize, rng: &mut StdRng) -> SimDuration {
+        self.delay + self.serialization_time(bytes) + self.random_delay(rng)
+    }
+
+    /// One jitter sample, uniform over `[0, jitter]`; a jitter-free link
+    /// draws nothing.
+    pub(crate) fn sample_jitter(&self, rng: &mut StdRng) -> SimDuration {
+        if self.jitter == SimDuration::ZERO {
+            return SimDuration::ZERO;
         }
-        if self.loss > 0.0 && rng.gen_bool(self.loss.min(0.999_999)) {
-            total = total + self.retransmit_penalty;
-        }
-        total
+        SimDuration::from_nanos(rng.gen_range(0..=self.jitter.as_nanos()))
     }
 
     /// Whether a single datagram is dropped outright (ICMP-style).
-    pub fn datagram_lost(&self, rng: &mut impl Rng) -> bool {
+    pub fn datagram_lost(&self, rng: &mut StdRng) -> bool {
         self.loss > 0.0 && rng.gen_bool(self.loss.min(0.999_999))
+    }
+
+    /// The random part of one reliable transmission: a jitter sample, plus
+    /// the retransmit penalty when the first copy is lost.
+    fn random_delay(&self, rng: &mut StdRng) -> SimDuration {
+        let jitter = self.sample_jitter(rng);
+        if self.datagram_lost(rng) {
+            jitter + self.retransmit_penalty
+        } else {
+            jitter
+        }
     }
 
     /// Schedules a transmission on a serialized link: given the link is
@@ -102,26 +115,17 @@ impl LinkSpec {
         now: SimTime,
         busy_until: SimTime,
         bytes: usize,
-        rng: &mut impl Rng,
+        rng: &mut StdRng,
     ) -> (SimTime, SimTime) {
         let start = now.max(busy_until);
         let tx_done = start + self.serialization_time(bytes);
-        let mut arrival = tx_done + self.delay;
-        if self.jitter > SimDuration::ZERO {
-            arrival += SimDuration::from_nanos(rng.gen_range(0..=self.jitter.as_nanos()));
-        }
-        if self.loss > 0.0 && rng.gen_bool(self.loss.min(0.999_999)) {
-            arrival += self.retransmit_penalty;
-        }
-        (arrival, tx_done)
+        (tx_done + self.delay + self.random_delay(rng), tx_done)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn serialization_time_scales_with_bytes() {

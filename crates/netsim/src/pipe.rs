@@ -5,8 +5,7 @@
 use std::collections::BinaryHeap;
 
 use h2obs::Obs;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::StdRng;
 
 use crate::link::LinkSpec;
 use crate::time::{SimDuration, SimTime};

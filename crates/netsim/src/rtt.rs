@@ -6,45 +6,35 @@
 //! them nearly identical to h2-ping and systematically below the
 //! HTTP/1.1 request estimator.
 
-use rand::Rng;
+use rand::StdRng;
 
 use crate::link::LinkSpec;
 use crate::time::SimDuration;
 
 /// ICMP echo: one datagram out, one back. Returns `None` on packet loss
 /// (ICMP has no retransmission).
-pub fn icmp_rtt(link: &LinkSpec, rng: &mut impl Rng) -> Option<SimDuration> {
+pub fn icmp_rtt(link: &LinkSpec, rng: &mut StdRng) -> Option<SimDuration> {
     if link.datagram_lost(rng) || link.datagram_lost(rng) {
         return None;
     }
     // 64-byte echo payload each way; kernel echo turnaround is immediate.
-    let out = link.delay + link.serialization_time(64) + jitter(link, rng);
-    let back = link.delay + link.serialization_time(64) + jitter(link, rng);
+    let out = link.delay + link.serialization_time(64) + link.sample_jitter(rng);
+    let back = link.delay + link.serialization_time(64) + link.sample_jitter(rng);
     Some(out + back)
 }
 
 /// TCP handshake RTT: SYN out, SYN/ACK back (kernel responds, no
 /// application involvement). Loss is absorbed by retransmission delay as
 /// in any reliable transport.
-pub fn tcp_handshake_rtt(link: &LinkSpec, rng: &mut impl Rng) -> SimDuration {
+pub fn tcp_handshake_rtt(link: &LinkSpec, rng: &mut StdRng) -> SimDuration {
     let syn = link.transit_time(60, rng);
     let syn_ack = link.transit_time(60, rng);
     syn + syn_ack
 }
 
-fn jitter(link: &LinkSpec, rng: &mut impl Rng) -> SimDuration {
-    if link.jitter == SimDuration::ZERO {
-        SimDuration::ZERO
-    } else {
-        SimDuration::from_nanos(rng.gen_range(0..=link.jitter.as_nanos()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn clean(delay_ms: u64) -> LinkSpec {
         LinkSpec {

@@ -20,10 +20,8 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{splitmix64, StdRng};
 
-use h2fault::splitmix64;
 use h2server::behavior::PriorityMode;
 use h2server::{QuirkAction, Resource, ServerProfile, SiteSpec};
 use h2wire::{SettingId, Settings};
@@ -286,9 +284,9 @@ impl Population {
         self.apply_negotiation(i, &mut profile);
 
         // Site-specific response headers: natural HPACK-ratio dispersion.
-        let extras = rng.gen_range(0..=8);
+        let extras = rng.gen_range(0..=8usize);
         for j in 0..extras {
-            let len = rng.gen_range(4..=40);
+            let len = rng.gen_range(4..=40usize);
             let value: String = (0..len)
                 .map(|k| (b'a' + ((k * 7 + j) % 26) as u8) as char)
                 .collect();
@@ -386,15 +384,15 @@ impl Population {
             .with(SettingId::HeaderTableSize, 4_096)
             .with(
                 SettingId::MaxConcurrentStreams,
-                draw_non_null(MAX_CONCURRENT_STREAMS, second, rng.gen()),
+                draw_non_null(MAX_CONCURRENT_STREAMS, second, rng.next_f64()),
             );
-        let iws = draw_non_null(INITIAL_WINDOW_SIZE, second, rng.gen());
+        let iws = draw_non_null(INITIAL_WINDOW_SIZE, second, rng.next_f64());
         settings.push(SettingId::InitialWindowSize, iws);
         settings.push(
             SettingId::MaxFrameSize,
-            draw_non_null(MAX_FRAME_SIZE, second, rng.gen()),
+            draw_non_null(MAX_FRAME_SIZE, second, rng.next_f64()),
         );
-        let mhl = draw_non_null(MAX_HEADER_LIST_SIZE, second, rng.gen());
+        let mhl = draw_non_null(MAX_HEADER_LIST_SIZE, second, rng.next_f64());
         settings.push(
             SettingId::MaxHeaderListSize,
             if mhl == UNLIMITED { u32::MAX } else { mhl },
@@ -563,7 +561,7 @@ impl Population {
             ));
         }
         if push_site {
-            let assets = rng.gen_range(5..=15);
+            let assets = rng.gen_range(5..=15usize);
             let mut pushed = Vec::new();
             for a in 0..assets {
                 let path = format!("/asset/{a}");
@@ -645,7 +643,7 @@ impl Population {
         // Log-normal-ish RTT distribution: median ~30 ms one-way,
         // clamped to [2, 400] ms (Box-Muller from two uniforms).
         let u1: f64 = rng.gen_range(1e-9..1.0);
-        let u2: f64 = rng.gen();
+        let u2 = rng.next_f64();
         let normal = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         let delay_ms = (3.4 + 0.8 * normal).exp().clamp(2.0, 400.0);
         LinkSpec {

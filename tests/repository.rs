@@ -1,7 +1,8 @@
 //! Facts about the repository itself rather than about running code:
-//! every member crate inherits `[workspace.lints]`, and every atomic is
-//! `Relaxed`.
+//! every member crate inherits `[workspace.lints]`, every declared
+//! dependency is used, and every atomic is `Relaxed`.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -21,17 +22,61 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// `true` when a line of `manifest` inside `[table]` is `setting`
-/// (`key=value`, compared with spaces removed). Not a TOML parser; it
-/// reads the two spellings this check needs.
-fn manifest_sets(manifest: &str, table: &str, setting: &str) -> bool {
+/// The trimmed lines of `manifest` inside `[table]`. Not a TOML parser;
+/// it reads the spellings these checks need.
+fn table_lines<'a>(manifest: &'a str, table: &'a str) -> impl Iterator<Item = &'a str> {
     manifest
         .lines()
         .map(str::trim)
-        .skip_while(|line| *line != table)
+        .skip_while(move |line| *line != table)
         .skip(1)
         .take_while(|line| !line.starts_with('['))
-        .any(|line| line.replace(' ', "") == setting)
+}
+
+/// `true` when a line of `manifest` inside `[table]` is `setting`
+/// (`key=value`, compared with spaces removed).
+fn manifest_sets(manifest: &str, table: &str, setting: &str) -> bool {
+    table_lines(manifest, table).any(|line| line.replace(' ', "") == setting)
+}
+
+/// A dependency nothing names is build time and lockfile churn that
+/// reads as a real edge: every `[dependencies]` and `[dev-dependencies]`
+/// entry of the root package and of each member must appear as an
+/// identifier on a code line (not a `//` comment) of that package's
+/// `src/`, `tests/` or `examples/`.
+#[test]
+fn every_declared_dependency_is_used() {
+    let root = repo_root();
+    let mut packages = vec![root.clone()];
+    for group in ["crates", "compat"] {
+        packages.extend(sorted_entries(&root.join(group)));
+    }
+    let mut unused = Vec::new();
+    for package in &packages {
+        let manifest = read(&package.join("Cargo.toml"));
+        let mut files = Vec::new();
+        for dir in ["src", "tests", "examples"] {
+            rust_files(&package.join(dir), &mut files);
+        }
+        let sources: Vec<String> = files.iter().map(|f| read(f)).collect();
+        let identifiers: BTreeSet<&str> = sources
+            .iter()
+            .flat_map(|source| source.lines())
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .flat_map(|line| line.split(|c: char| c != '_' && !c.is_alphanumeric()))
+            .collect();
+        for table in ["[dependencies]", "[dev-dependencies]"] {
+            let lines =
+                table_lines(&manifest, table).filter(|l| !l.is_empty() && !l.starts_with('#'));
+            // The crate name is the key before `.workspace`, `=` or a space.
+            for name in lines.filter_map(|line| line.split(['.', '=', ' ']).next()) {
+                if !identifiers.contains(name.replace('-', "_").as_str()) {
+                    unused.push(format!("{} {table} {name}", package.display()));
+                }
+            }
+        }
+    }
+    assert!(unused.is_empty(), "declared but never used: {unused:#?}");
 }
 
 /// Panic-freedom, `unsafe` and wall-clock time are enforced through
