@@ -6,10 +6,10 @@
 //! A [`Campaign`] names what to scan and how; its two runs — in-memory
 //! [`Campaign::scan`] and persisted/resumable [`Campaign::scan_recorded`]
 //! — share one worker loop on [`sweep`]. Each worker is a
-//! shared-nothing simulator shard: it owns its [`H2Scope`] scratch state,
-//! an [`Obs::worker_shard`] counter registry, and (per connection) a
-//! private netsim event loop, touching shared state only to claim the
-//! next site index. Because every record depends only on
+//! shared-nothing simulator: it owns its [`H2Scope`] scratch state and
+//! (per connection) a private netsim event loop, touching shared state
+//! only to claim the next site index and, when observed, to bump the
+//! campaign's `Relaxed` counters. Because every record depends only on
 //! `(population, index, fault plan, seed)` — never on which worker ran
 //! it or when — all outputs are byte-identical at any thread count.
 
@@ -60,8 +60,8 @@ pub struct Campaign<'a> {
     pub seed: u64,
     /// Observability handle: per-site metrics and (for sites under the
     /// `--trace-sites` limit) frame-level traces are recorded into it,
-    /// each worker through its own [`Obs::worker_shard`]. All of a
-    /// site's retry attempts share one per-site context.
+    /// through one [`Obs::for_site`] context per site that all of the
+    /// site's retry attempts share.
     pub obs: Obs,
 }
 
@@ -175,13 +175,12 @@ impl<'a> Campaign<'a> {
         let killed = &AtomicBool::new(false);
         let rows = sweep(self.threads, todo, |_worker| {
             let scope_tool = H2Scope::new();
-            let obs = self.obs.worker_shard();
             move |pos| {
                 if killed.load(Ordering::Relaxed) {
                     return None;
                 }
                 let i = missing.map_or(pos, |m| m[pos as usize]);
-                let record = scan_one(&scope_tool, self.population, i, plan, self.seed, &obs);
+                let record = scan_one(&scope_tool, self.population, i, plan, self.seed, &self.obs);
                 let crash = journal.is_some_and(|(writer, kill)| {
                     // A record that cannot persist its rows has lost
                     // its crash-safety contract; stop the campaign.

@@ -20,9 +20,9 @@
 //!   cursor or a monotonic latch; none orders other memory, and the join
 //!   publishes every result.
 //! - Every `Mutex` is a leaf lock: no code acquires a second lock while
-//!   holding one, so there is no lock order to violate. The seven are
-//!   the record writer's file, `Obs`'s shard list, trace list and
-//!   per-site event ring, the serve path's per-shard query cache, the
+//!   holding one, so there is no lock order to violate. The six are
+//!   the record writer's file, `Obs`'s trace list and per-site event
+//!   ring, the serve path's per-shard query cache, the
 //!   resilient prober's `FaultLog`, and the worker-count check in this
 //!   module's tests.
 

@@ -70,16 +70,6 @@ impl LoadError {
             LoadError::Checksum { .. } => 6,
         }
     }
-
-    /// The record path the failure concerns.
-    pub fn path(&self) -> &str {
-        match self {
-            LoadError::Unfinalized { path, .. }
-            | LoadError::Torn { path, .. }
-            | LoadError::Checksum { path, .. }
-            | LoadError::Unreadable { path, .. } => path,
-        }
-    }
 }
 
 impl std::fmt::Display for LoadError {

@@ -3,19 +3,19 @@
 //! The paper classifies servers purely from which frames come back and
 //! when; this crate makes that frame exchange *visible*. It provides:
 //!
-//! * [`MetricsRegistry`] — lock-free-ish campaign-wide counters and
-//!   log2-bucketed histograms over **simulated** time: frames sent and
-//!   received by kind, bytes on the wire, HPACK table evictions, retries
-//!   and backoff waits, per-probe and per-site latency percentiles.
+//! * one metrics registry per campaign — `Relaxed` atomic counters and
+//!   log2-bucketed [`Histogram`]s over **simulated** time: frames sent
+//!   and received by kind, bytes on the wire, HPACK table evictions,
+//!   retries and backoff waits, per-probe and per-site latency
+//!   percentiles, read as a [`CampaignSnapshot`].
 //! * [`trace::Ring`]-buffered frame-level event traces — timestamped
 //!   send/recv/timeout/reset/retry events per traced site.
 //! * [`Obs`] — the cheap cloneable handle threaded through
 //!   `netsim::pipe`, `h2conn::core`, `h2scope` and `bench::scan`.
-//!   `Obs::off()` (the default) records nothing: each recording call is
-//!   one branch that allocates nothing, and campaign output stays
-//!   bit-identical to the uninstrumented baseline. Making a handle does
-//!   allocate: `Obs::off()` builds its detached site context in an
-//!   `Arc`, and `for_site` on an off handle builds another per site.
+//!   An off handle (`Obs::off()`, the default) is `None`: making,
+//!   cloning or deriving it allocates nothing, each recording call is
+//!   one branch, and campaign output stays bit-identical to the
+//!   uninstrumented baseline.
 //! * [`json`] — the one ordered JSON writer behind `OBS_campaign.json`,
 //!   `PUSH_campaign.json` and `ABUSE_campaign.json`.
 //!
@@ -38,6 +38,6 @@ pub mod trace;
 pub use metrics::{
     frame_slot, FrameCounters, Histogram, HistogramSnapshot, FRAME_KINDS, FRAME_KIND_NAMES,
 };
-pub use obs::{CampaignSnapshot, MetricsRegistry, Obs, ProbeKind, PROBE_KINDS, TRACE_RING_CAP};
+pub use obs::{CampaignSnapshot, Obs, ProbeKind, PROBE_KINDS, TRACE_RING_CAP};
 pub use render::{render_json, render_table, TABLE_MARKER};
 pub use trace::{EventKind, SiteTrace, TraceEvent};

@@ -94,22 +94,6 @@ impl HistogramSnapshot {
         self.count == 0
     }
 
-    /// Folds another snapshot into this one. Addition over buckets,
-    /// count and sum plus min/max lattice joins — commutative and
-    /// associative, so per-worker histogram shards merge to the same
-    /// result in any order (the snapshot-time guarantee behind
-    /// thread-count-independent metrics output). An empty snapshot is
-    /// the identity: its `min` is `u64::MAX` and everything else 0.
-    pub fn absorb(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Mean sample value, rounded down (0 when empty).
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
@@ -172,26 +156,13 @@ pub fn frame_slot(kind: u8) -> usize {
 }
 
 /// A fixed array of per-frame-kind counters: `Relaxed` `fetch_add`s,
-/// which commute, folded by [`FrameCounters::snapshot`] after quiesce.
-#[derive(Debug)]
+/// which commute, read by [`FrameCounters::snapshot`] after quiesce.
+#[derive(Debug, Default)]
 pub struct FrameCounters {
     slots: [AtomicU64; FRAME_KINDS],
 }
 
-impl Default for FrameCounters {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FrameCounters {
-    /// Creates all-zero counters.
-    pub fn new() -> Self {
-        FrameCounters {
-            slots: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
     /// Bumps the counter for wire frame kind `kind`.
     pub fn bump(&self, kind: u8) {
         self.slots[frame_slot(kind)].fetch_add(1, Ordering::Relaxed);
@@ -206,32 +177,6 @@ impl FrameCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_absorb_is_a_commutative_sum() {
-        let a = Histogram::new();
-        for v in [1u64, 8, 1000] {
-            a.record(v);
-        }
-        let b = Histogram::new();
-        for v in [2u64, 4, 1_000_000] {
-            b.record(v);
-        }
-        let combined = Histogram::new();
-        for v in [1u64, 8, 1000, 2, 4, 1_000_000] {
-            combined.record(v);
-        }
-        let mut ab = a.snapshot();
-        ab.absorb(&b.snapshot());
-        let mut ba = b.snapshot();
-        ba.absorb(&a.snapshot());
-        assert_eq!(ab, ba, "absorb must be commutative");
-        assert_eq!(ab, combined.snapshot(), "fold equals single registry");
-        // Empty is the identity.
-        let mut with_empty = a.snapshot();
-        with_empty.absorb(&Histogram::new().snapshot());
-        assert_eq!(with_empty, a.snapshot());
-    }
 
     #[test]
     fn histogram_percentiles_bracket_samples() {
@@ -262,7 +207,7 @@ mod tests {
 
     #[test]
     fn frame_counters_clamp_unknown_kinds() {
-        let c = FrameCounters::new();
+        let c = FrameCounters::default();
         c.bump(0x4);
         c.bump(0x4);
         c.bump(0xff);

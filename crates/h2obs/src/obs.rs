@@ -1,12 +1,11 @@
 //! The `Obs` handle: a cheap, cloneable recorder threaded through the
 //! simulation, connection, probing and bench layers.
 //!
-//! When observability is disabled (`Obs::off()`, the default everywhere)
-//! every recording method is a no-op on a `None` inner — no allocation,
-//! no atomics, no locks — so the instrumented hot paths cost one branch
-//! and campaign output stays bit-identical to the uninstrumented
-//! baseline. Making an off handle (`Obs::off()`, or `for_site` on one)
-//! still allocates its detached site context.
+//! An off handle (`Obs::off()`, the default everywhere) is `None`:
+//! making, cloning and deriving it allocate nothing, and every recording
+//! method on it is one branch — no atomics, no locks — so campaign output
+//! stays bit-identical to the uninstrumented baseline. An on handle
+//! records into its campaign's one metrics registry.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -89,105 +88,78 @@ impl ProbeKind {
     }
 }
 
-/// Campaign-wide atomic metric store. Every counter is a `Relaxed`
-/// `fetch_add`, which commutes; a worker shard is folded into the totals
-/// only after its workers quiesce, so totals are thread-count independent.
-#[derive(Debug)]
-pub struct MetricsRegistry {
+/// Campaign-wide atomic metric store: every handle of a campaign records
+/// into the one registry. Every counter is a `Relaxed` `fetch_add`,
+/// `fetch_min` or `fetch_max`, which commute, and it is read only after
+/// the workers join, so totals are thread-count independent.
+#[derive(Debug, Default)]
+struct MetricsRegistry {
     /// Frames written by probe clients, by wire kind.
-    pub client_sent: FrameCounters,
+    client_sent: FrameCounters,
     /// Frames observed arriving at probe clients, by wire kind.
-    pub client_received: FrameCounters,
+    client_received: FrameCounters,
     /// Frames handled by simulated server connection cores, by wire kind.
-    pub server_handled: FrameCounters,
+    server_handled: FrameCounters,
     /// Bytes delivered client → server across all pipes.
-    pub bytes_to_server: AtomicU64,
+    bytes_to_server: AtomicU64,
     /// Bytes delivered server → client across all pipes.
-    pub bytes_to_client: AtomicU64,
+    bytes_to_client: AtomicU64,
     /// HPACK dynamic-table entries evicted (encoder + decoder sides).
-    pub hpack_evictions: AtomicU64,
+    hpack_evictions: AtomicU64,
     /// Simulated connections opened.
-    pub conns_opened: AtomicU64,
+    conns_opened: AtomicU64,
     /// Probe attempts retried after a failure.
-    pub retries: AtomicU64,
+    retries: AtomicU64,
     /// Backoff pauses between retries, in virtual nanoseconds.
-    pub backoff_nanos: Histogram,
+    backoff_nanos: Histogram,
     /// Probe attempts that hit the patience deadline.
-    pub timeouts: AtomicU64,
+    timeouts: AtomicU64,
     /// Probe attempts killed by a connection reset.
-    pub resets: AtomicU64,
+    resets: AtomicU64,
     /// Probe attempts aborted on malformed peer bytes.
-    pub malformed: AtomicU64,
+    malformed: AtomicU64,
     /// Connection lifetimes per probe kind, in virtual nanoseconds.
-    pub probe_latency: [Histogram; PROBE_KINDS],
+    probe_latency: [Histogram; PROBE_KINDS],
     /// Total per-site virtual time across all of a site's connections.
-    pub site_latency: Histogram,
+    site_latency: Histogram,
     /// Sites fully surveyed.
-    pub sites_finished: AtomicU64,
+    sites_finished: AtomicU64,
     /// Sites whose reports were preloaded from a persisted campaign
     /// record instead of being scanned (`repro --resume`).
-    pub sites_resumed: AtomicU64,
+    sites_resumed: AtomicU64,
     /// Serve-path queries answered (`repro serve` index lookups).
-    pub lookups: AtomicU64,
+    lookups: AtomicU64,
     /// Serve-path queries answered from the per-shard render cache.
-    pub cache_hits: AtomicU64,
+    cache_hits: AtomicU64,
     /// Serve-path queries that had to regenerate their response.
-    pub cache_misses: AtomicU64,
+    cache_misses: AtomicU64,
     /// Response-body bytes produced by the serve path.
-    pub bytes_served: AtomicU64,
+    bytes_served: AtomicU64,
     /// Per-query virtual latency (request sent → response complete).
-    pub query_latency: Histogram,
+    query_latency: Histogram,
 }
 
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MetricsRegistry {
-    /// Creates an all-zero registry.
-    pub fn new() -> Self {
-        MetricsRegistry {
-            client_sent: FrameCounters::new(),
-            client_received: FrameCounters::new(),
-            server_handled: FrameCounters::new(),
-            bytes_to_server: AtomicU64::new(0),
-            bytes_to_client: AtomicU64::new(0),
-            hpack_evictions: AtomicU64::new(0),
-            conns_opened: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            backoff_nanos: Histogram::new(),
-            timeouts: AtomicU64::new(0),
-            resets: AtomicU64::new(0),
-            malformed: AtomicU64::new(0),
-            probe_latency: std::array::from_fn(|_| Histogram::new()),
-            site_latency: Histogram::new(),
-            sites_finished: AtomicU64::new(0),
-            sites_resumed: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            bytes_served: AtomicU64::new(0),
-            query_latency: Histogram::new(),
-        }
-    }
-}
-
+/// What every handle of one campaign shares.
 #[derive(Debug)]
-struct ObsShared {
+struct Campaign {
     metrics: MetricsRegistry,
-    /// Per-worker counter shards (see [`Obs::worker_shard`]), folded
-    /// into the campaign totals at snapshot time.
-    shards: Mutex<Vec<Arc<MetricsRegistry>>>,
     traces: Mutex<Vec<SiteTrace>>,
     /// Sites with population index below this limit get an event ring.
     trace_limit: u64,
 }
 
-/// Per-site mutable context shared by every `Obs` clone for that site.
+/// One recording handle: its campaign plus the site context that every
+/// clone of the handle shares.
+#[derive(Debug)]
+struct Handle {
+    campaign: Arc<Campaign>,
+    site: SiteCtx,
+}
+
+/// Per-site mutable context.
 #[derive(Debug)]
 struct SiteCtx {
+    /// Population index; `u64::MAX` for a context tied to no site.
     index: u64,
     /// Current probe phase; `Relaxed`, written and read only by the
     /// site's owning worker.
@@ -199,195 +171,143 @@ struct SiteCtx {
     ring: Option<Mutex<Ring>>,
 }
 
-impl SiteCtx {
-    fn detached() -> Arc<SiteCtx> {
-        Arc::new(SiteCtx {
-            index: u64::MAX,
-            probe: AtomicU8::new(ProbeKind::Other as u8),
-            nanos: AtomicU64::new(0),
-            ring: None,
-        })
-    }
-}
-
-/// Cheap observability handle. Cloning shares the underlying campaign
-/// registry and per-site context; `Obs::off()` handles record nothing.
-///
-/// A handle derived with [`Obs::worker_shard`] routes its counter
-/// traffic to a private [`MetricsRegistry`] instead of the shared
-/// campaign one — scan workers each take a shard so the hot path never
-/// contends on shared counter cache lines — and [`Obs::snapshot`] folds
-/// every shard back into the campaign totals.
-#[derive(Debug, Clone)]
-pub struct Obs {
-    inner: Option<Arc<ObsShared>>,
-    shard: Option<Arc<MetricsRegistry>>,
-    site: Arc<SiteCtx>,
-}
-
-impl Default for Obs {
-    fn default() -> Self {
-        Obs::off()
-    }
-}
-
-impl Obs {
-    /// The disabled handle: every recording method is a no-op.
-    pub fn off() -> Obs {
-        Obs {
-            inner: None,
-            shard: None,
-            site: SiteCtx::detached(),
-        }
-    }
-
-    /// Creates an enabled campaign-wide handle. Sites with index below
-    /// `trace_sites` additionally collect a frame-level event trace.
-    pub fn campaign(trace_sites: u64) -> Obs {
-        Obs {
-            inner: Some(Arc::new(ObsShared {
-                metrics: MetricsRegistry::new(),
-                shards: Mutex::new(Vec::new()),
-                traces: Mutex::new(Vec::new()),
-                trace_limit: trace_sites,
-            })),
-            shard: None,
-            site: SiteCtx::detached(),
-        }
-    }
-
-    /// True when this handle actually records.
-    pub fn is_on(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Derives a handle whose counters land in a fresh private registry
-    /// (registered with the campaign and folded back in at
-    /// [`Obs::snapshot`] time). One shard per scan worker keeps the
-    /// counter cache lines thread-local; because every fold operation is
-    /// a commutative sum (or a min/max lattice join), the folded
-    /// snapshot is identical at any thread count and any shard-to-site
-    /// assignment. On an off handle this stays off.
-    pub fn worker_shard(&self) -> Obs {
-        let Some(shared) = &self.inner else {
-            return Obs::off();
-        };
-        let shard = Arc::new(MetricsRegistry::new());
-        shared
-            .shards
-            .lock()
-            .expect("shard list poisoned")
-            .push(Arc::clone(&shard));
-        Obs {
-            inner: Some(Arc::clone(shared)),
-            shard: Some(shard),
-            site: SiteCtx::detached(),
-        }
-    }
-
-    /// Derives the handle for site `index`, attaching a trace ring when
-    /// the site falls under the campaign's `--trace-sites` limit. A
-    /// worker-shard handle passes its shard on to the site handle.
-    pub fn for_site(&self, index: u64) -> Obs {
-        let Some(shared) = &self.inner else {
-            return Obs::off();
-        };
-        let ring = if index < shared.trace_limit {
-            Some(Mutex::new(Ring::new(TRACE_RING_CAP)))
-        } else {
-            None
-        };
-        Obs {
-            inner: Some(Arc::clone(shared)),
-            shard: self.shard.clone(),
-            site: Arc::new(SiteCtx {
+impl Handle {
+    /// A handle on `campaign` for site `index`, with an event ring when
+    /// the index falls under the `--trace-sites` limit.
+    fn new(campaign: Arc<Campaign>, index: u64) -> Arc<Handle> {
+        let ring = (index < campaign.trace_limit).then(|| Mutex::new(Ring::new(TRACE_RING_CAP)));
+        Arc::new(Handle {
+            campaign,
+            site: SiteCtx {
                 index,
                 probe: AtomicU8::new(ProbeKind::Other as u8),
                 nanos: AtomicU64::new(0),
                 ring,
-            }),
-        }
-    }
-
-    /// The registry this handle's counters land in: its worker shard
-    /// when it has one, the shared campaign registry otherwise.
-    fn registry<'a>(&'a self, shared: &'a ObsShared) -> &'a MetricsRegistry {
-        self.shard.as_deref().unwrap_or(&shared.metrics)
-    }
-
-    /// Marks subsequent connections as belonging to `probe`.
-    pub fn enter_probe(&self, probe: ProbeKind) {
-        if self.inner.is_some() {
-            self.site.probe.store(probe as u8, Ordering::Relaxed);
-        }
-    }
-
-    /// The probe most recently entered on this site (Other by default).
-    pub fn current_probe(&self) -> ProbeKind {
-        ProbeKind::from_u8(self.site.probe.load(Ordering::Relaxed))
+            },
+        })
     }
 
     fn trace(&self, at_nanos: u64, kind: EventKind) {
-        if self.inner.is_none() {
-            return;
-        }
         if let Some(ring) = &self.site.ring {
             ring.lock()
                 .expect("trace ring poisoned")
                 .push(TraceEvent { at_nanos, kind });
         }
     }
+}
+
+/// Cheap observability handle. Cloning shares the campaign registry and
+/// the site context; the off handle (`Obs::off()`, the default) is
+/// `None`, so making, cloning and deriving it allocate nothing and every
+/// recording method on it is one branch.
+#[derive(Debug, Clone, Default)]
+pub struct Obs(Option<Arc<Handle>>);
+
+impl Obs {
+    /// The disabled handle: every recording method is a no-op.
+    pub fn off() -> Obs {
+        Obs(None)
+    }
+
+    /// Creates an enabled campaign-wide handle. Sites with index below
+    /// `trace_sites` additionally collect a frame-level event trace.
+    pub fn campaign(trace_sites: u64) -> Obs {
+        let campaign = Arc::new(Campaign {
+            metrics: MetricsRegistry::default(),
+            traces: Mutex::new(Vec::new()),
+            trace_limit: trace_sites,
+        });
+        Obs(Some(Handle::new(campaign, u64::MAX)))
+    }
+
+    /// True when this handle actually records.
+    pub fn is_on(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Derives a worker's handle: the same campaign registry, with a
+    /// probe context of its own so that workers entering probes never
+    /// race on one. Its index, `u64::MAX`, is under no `--trace-sites`
+    /// limit, so it keeps no trace. On an off handle this stays off.
+    pub fn worker_shard(&self) -> Obs {
+        self.for_site(u64::MAX)
+    }
+
+    /// Derives the handle for site `index`, attaching a trace ring when
+    /// the site falls under the campaign's `--trace-sites` limit. On an
+    /// off handle this stays off.
+    pub fn for_site(&self, index: u64) -> Obs {
+        Obs(self
+            .0
+            .as_ref()
+            .map(|h| Handle::new(Arc::clone(&h.campaign), index)))
+    }
+
+    /// Marks subsequent connections as belonging to `probe`.
+    pub fn enter_probe(&self, probe: ProbeKind) {
+        if let Some(h) = &self.0 {
+            h.site.probe.store(probe as u8, Ordering::Relaxed);
+        }
+    }
+
+    /// The probe most recently entered on this site (Other by default).
+    pub fn current_probe(&self) -> ProbeKind {
+        self.0.as_ref().map_or(ProbeKind::Other, |h| {
+            ProbeKind::from_u8(h.site.probe.load(Ordering::Relaxed))
+        })
+    }
 
     /// Records a frame written by the probe client.
     pub fn frame_sent(&self, kind: u8, at_nanos: u64) {
-        if let Some(shared) = &self.inner {
-            self.registry(shared).client_sent.bump(kind);
-            self.trace(at_nanos, EventKind::Send(kind));
+        if let Some(h) = &self.0 {
+            h.campaign.metrics.client_sent.bump(kind);
+            h.trace(at_nanos, EventKind::Send(kind));
         }
     }
 
     /// Records a frame observed arriving at the probe client.
     pub fn frame_received(&self, kind: u8, at_nanos: u64) {
-        if let Some(shared) = &self.inner {
-            self.registry(shared).client_received.bump(kind);
-            self.trace(at_nanos, EventKind::Recv(kind));
+        if let Some(h) = &self.0 {
+            h.campaign.metrics.client_received.bump(kind);
+            h.trace(at_nanos, EventKind::Recv(kind));
         }
     }
 
     /// Records a frame handled by a simulated server core.
     pub fn server_frame(&self, kind: u8) {
-        if let Some(shared) = &self.inner {
-            self.registry(shared).server_handled.bump(kind);
+        if let Some(h) = &self.0 {
+            h.campaign.metrics.server_handled.bump(kind);
         }
     }
 
     /// Records bytes delivered across a pipe in the given direction.
     pub fn wire_bytes(&self, to_server: bool, n: u64) {
-        if let Some(shared) = &self.inner {
-            let m = self.registry(shared);
-            if to_server {
-                m.bytes_to_server.fetch_add(n, Ordering::Relaxed);
+        if let Some(h) = &self.0 {
+            let m = &h.campaign.metrics;
+            let counter = if to_server {
+                &m.bytes_to_server
             } else {
-                m.bytes_to_client.fetch_add(n, Ordering::Relaxed);
-            }
+                &m.bytes_to_client
+            };
+            counter.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// Records `delta` HPACK dynamic-table evictions.
     pub fn hpack_evictions(&self, delta: u64) {
-        if let Some(shared) = &self.inner {
-            if delta > 0 {
-                self.registry(shared)
-                    .hpack_evictions
-                    .fetch_add(delta, Ordering::Relaxed);
-            }
+        if let Some(h) = self.0.as_ref().filter(|_| delta > 0) {
+            h.campaign
+                .metrics
+                .hpack_evictions
+                .fetch_add(delta, Ordering::Relaxed);
         }
     }
 
     /// Records a simulated connection being opened.
     pub fn conn_opened(&self) {
-        if let Some(shared) = &self.inner {
-            self.registry(shared)
+        if let Some(h) = &self.0 {
+            h.campaign
+                .metrics
                 .conns_opened
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -396,72 +316,66 @@ impl Obs {
     /// Records a finished connection's virtual lifetime against the
     /// current probe's latency histogram and the site accumulator.
     pub fn conn_finished(&self, nanos: u64) {
-        if let Some(shared) = &self.inner {
+        if let Some(h) = &self.0 {
             let probe = self.current_probe();
-            self.registry(shared).probe_latency[probe as usize].record(nanos);
-            self.site.nanos.fetch_add(nanos, Ordering::Relaxed);
+            h.campaign.metrics.probe_latency[probe as usize].record(nanos);
+            h.site.nanos.fetch_add(nanos, Ordering::Relaxed);
         }
     }
 
     /// Records a retry of probe attempt `attempt` after a backoff pause.
     pub fn retry(&self, attempt: u32, pause_nanos: u64, at_nanos: u64) {
-        if let Some(shared) = &self.inner {
-            let m = self.registry(shared);
+        if let Some(h) = &self.0 {
+            let m = &h.campaign.metrics;
             m.retries.fetch_add(1, Ordering::Relaxed);
             m.backoff_nanos.record(pause_nanos);
-            self.trace(at_nanos, EventKind::Retry(attempt));
+            h.trace(at_nanos, EventKind::Retry(attempt));
         }
     }
 
     /// Records a probe attempt expiring at its patience deadline.
     pub fn timeout(&self, at_nanos: u64) {
-        if let Some(shared) = &self.inner {
-            self.registry(shared)
-                .timeouts
-                .fetch_add(1, Ordering::Relaxed);
-            self.trace(at_nanos, EventKind::Timeout);
+        if let Some(h) = &self.0 {
+            h.campaign.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+            h.trace(at_nanos, EventKind::Timeout);
         }
     }
 
     /// Records a probe attempt dying to a connection reset.
     pub fn reset(&self, at_nanos: u64) {
-        if let Some(shared) = &self.inner {
-            self.registry(shared).resets.fetch_add(1, Ordering::Relaxed);
-            self.trace(at_nanos, EventKind::Reset);
+        if let Some(h) = &self.0 {
+            h.campaign.metrics.resets.fetch_add(1, Ordering::Relaxed);
+            h.trace(at_nanos, EventKind::Reset);
         }
     }
 
     /// Records a probe attempt aborting on malformed peer bytes.
     pub fn malformed(&self, at_nanos: u64) {
-        if let Some(shared) = &self.inner {
-            self.registry(shared)
-                .malformed
-                .fetch_add(1, Ordering::Relaxed);
-            self.trace(at_nanos, EventKind::Malformed);
+        if let Some(h) = &self.0 {
+            h.campaign.metrics.malformed.fetch_add(1, Ordering::Relaxed);
+            h.trace(at_nanos, EventKind::Malformed);
         }
     }
 
     /// Finalizes this site: records its accumulated latency and flushes
     /// its trace ring (if any) into the campaign trace store.
     pub fn finish_site(&self) {
-        let Some(shared) = &self.inner else {
-            return;
-        };
-        let m = self.registry(shared);
-        m.site_latency
-            .record(self.site.nanos.load(Ordering::Relaxed));
-        m.sites_finished.fetch_add(1, Ordering::Relaxed);
-        if let Some(ring) = &self.site.ring {
-            let (events, dropped) = ring.lock().expect("trace ring poisoned").drain();
-            shared
-                .traces
-                .lock()
-                .expect("trace store poisoned")
-                .push(SiteTrace {
-                    site: self.site.index,
-                    events,
-                    dropped,
-                });
+        if let Some(h) = &self.0 {
+            let m = &h.campaign.metrics;
+            m.site_latency.record(h.site.nanos.load(Ordering::Relaxed));
+            m.sites_finished.fetch_add(1, Ordering::Relaxed);
+            if let Some(ring) = &h.site.ring {
+                let (events, dropped) = ring.lock().expect("trace ring poisoned").drain();
+                h.campaign
+                    .traces
+                    .lock()
+                    .expect("trace store poisoned")
+                    .push(SiteTrace {
+                        site: h.site.index,
+                        events,
+                        dropped,
+                    });
+            }
         }
     }
 
@@ -471,8 +385,9 @@ impl Obs {
     /// process that died, not this one, so folding them into the
     /// histograms would make resumed and uninterrupted runs disagree.
     pub fn sites_resumed(&self, n: u64) {
-        if let Some(shared) = &self.inner {
-            self.registry(shared)
+        if let Some(h) = &self.0 {
+            h.campaign
+                .metrics
                 .sites_resumed
                 .fetch_add(n, Ordering::Relaxed);
         }
@@ -482,8 +397,8 @@ impl Obs {
     /// answered it, the response-body bytes produced, and its virtual
     /// latency (request sent → response complete) in nanoseconds.
     pub fn query_served(&self, cache_hit: bool, bytes: u64, latency_nanos: u64) {
-        if let Some(shared) = &self.inner {
-            let m = self.registry(shared);
+        if let Some(h) = &self.0 {
+            let m = &h.campaign.metrics;
             m.lookups.fetch_add(1, Ordering::Relaxed);
             if cache_hit {
                 m.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -495,54 +410,46 @@ impl Obs {
         }
     }
 
-    /// Takes a campaign snapshot, or `None` when the handle is off.
-    /// Worker shards are folded into the campaign totals (a pure
-    /// commutative sum, so the result is the same at any thread count)
-    /// and traces are sorted by site index, so nothing in the snapshot
-    /// depends on worker scheduling.
+    /// Takes a campaign snapshot, or `None` when the handle is off. It
+    /// reads the one registry (exact once the workers have joined) and
+    /// sorts the traces by site index, so nothing in it depends on
+    /// worker scheduling.
     pub fn snapshot(&self) -> Option<CampaignSnapshot> {
-        let shared = self.inner.as_ref()?;
-        let shards: Vec<Arc<MetricsRegistry>> =
-            shared.shards.lock().expect("shard list poisoned").clone();
-        let mut snap = registry_snapshot(&shared.metrics, Vec::new());
-        for shard in &shards {
-            snap.absorb_registry(shard);
-        }
-        let mut traces = shared.traces.lock().expect("trace store poisoned").clone();
+        let campaign = &self.0.as_ref()?.campaign;
+        let m = &campaign.metrics;
+        let mut traces = campaign
+            .traces
+            .lock()
+            .expect("trace store poisoned")
+            .clone();
         traces.sort_by_key(|t| t.site);
-        snap.traces = traces;
-        Some(snap)
-    }
-}
-
-/// Snapshots one registry into a [`CampaignSnapshot`] shell.
-fn registry_snapshot(m: &MetricsRegistry, traces: Vec<SiteTrace>) -> CampaignSnapshot {
-    CampaignSnapshot {
-        client_sent: m.client_sent.snapshot(),
-        client_received: m.client_received.snapshot(),
-        server_handled: m.server_handled.snapshot(),
-        bytes_to_server: m.bytes_to_server.load(Ordering::Relaxed),
-        bytes_to_client: m.bytes_to_client.load(Ordering::Relaxed),
-        hpack_evictions: m.hpack_evictions.load(Ordering::Relaxed),
-        conns_opened: m.conns_opened.load(Ordering::Relaxed),
-        retries: m.retries.load(Ordering::Relaxed),
-        backoff_nanos: m.backoff_nanos.snapshot(),
-        timeouts: m.timeouts.load(Ordering::Relaxed),
-        resets: m.resets.load(Ordering::Relaxed),
-        malformed: m.malformed.load(Ordering::Relaxed),
-        probe_latency: ProbeKind::ALL
-            .iter()
-            .map(|&p| (p, m.probe_latency[p as usize].snapshot()))
-            .collect(),
-        site_latency: m.site_latency.snapshot(),
-        sites_finished: m.sites_finished.load(Ordering::Relaxed),
-        sites_resumed: m.sites_resumed.load(Ordering::Relaxed),
-        lookups: m.lookups.load(Ordering::Relaxed),
-        cache_hits: m.cache_hits.load(Ordering::Relaxed),
-        cache_misses: m.cache_misses.load(Ordering::Relaxed),
-        bytes_served: m.bytes_served.load(Ordering::Relaxed),
-        query_latency: m.query_latency.snapshot(),
-        traces,
+        Some(CampaignSnapshot {
+            client_sent: m.client_sent.snapshot(),
+            client_received: m.client_received.snapshot(),
+            server_handled: m.server_handled.snapshot(),
+            bytes_to_server: m.bytes_to_server.load(Ordering::Relaxed),
+            bytes_to_client: m.bytes_to_client.load(Ordering::Relaxed),
+            hpack_evictions: m.hpack_evictions.load(Ordering::Relaxed),
+            conns_opened: m.conns_opened.load(Ordering::Relaxed),
+            retries: m.retries.load(Ordering::Relaxed),
+            backoff_nanos: m.backoff_nanos.snapshot(),
+            timeouts: m.timeouts.load(Ordering::Relaxed),
+            resets: m.resets.load(Ordering::Relaxed),
+            malformed: m.malformed.load(Ordering::Relaxed),
+            probe_latency: ProbeKind::ALL
+                .iter()
+                .map(|&p| (p, m.probe_latency[p as usize].snapshot()))
+                .collect(),
+            site_latency: m.site_latency.snapshot(),
+            sites_finished: m.sites_finished.load(Ordering::Relaxed),
+            sites_resumed: m.sites_resumed.load(Ordering::Relaxed),
+            lookups: m.lookups.load(Ordering::Relaxed),
+            cache_hits: m.cache_hits.load(Ordering::Relaxed),
+            cache_misses: m.cache_misses.load(Ordering::Relaxed),
+            bytes_served: m.bytes_served.load(Ordering::Relaxed),
+            query_latency: m.query_latency.snapshot(),
+            traces,
+        })
     }
 }
 
@@ -596,42 +503,6 @@ pub struct CampaignSnapshot {
     pub traces: Vec<SiteTrace>,
 }
 
-impl CampaignSnapshot {
-    /// Folds one worker-shard registry into these totals. Every field is
-    /// an addition or a min/max join, so folding is commutative and the
-    /// result is independent of shard order (i.e. of worker scheduling).
-    fn absorb_registry(&mut self, m: &MetricsRegistry) {
-        fn add_frames(mine: &mut [u64; FRAME_KINDS], theirs: [u64; FRAME_KINDS]) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                *a += b;
-            }
-        }
-        add_frames(&mut self.client_sent, m.client_sent.snapshot());
-        add_frames(&mut self.client_received, m.client_received.snapshot());
-        add_frames(&mut self.server_handled, m.server_handled.snapshot());
-        self.bytes_to_server += m.bytes_to_server.load(Ordering::Relaxed);
-        self.bytes_to_client += m.bytes_to_client.load(Ordering::Relaxed);
-        self.hpack_evictions += m.hpack_evictions.load(Ordering::Relaxed);
-        self.conns_opened += m.conns_opened.load(Ordering::Relaxed);
-        self.retries += m.retries.load(Ordering::Relaxed);
-        self.backoff_nanos.absorb(&m.backoff_nanos.snapshot());
-        self.timeouts += m.timeouts.load(Ordering::Relaxed);
-        self.resets += m.resets.load(Ordering::Relaxed);
-        self.malformed += m.malformed.load(Ordering::Relaxed);
-        for (probe, hist) in &mut self.probe_latency {
-            hist.absorb(&m.probe_latency[*probe as usize].snapshot());
-        }
-        self.site_latency.absorb(&m.site_latency.snapshot());
-        self.sites_finished += m.sites_finished.load(Ordering::Relaxed);
-        self.sites_resumed += m.sites_resumed.load(Ordering::Relaxed);
-        self.lookups += m.lookups.load(Ordering::Relaxed);
-        self.cache_hits += m.cache_hits.load(Ordering::Relaxed);
-        self.cache_misses += m.cache_misses.load(Ordering::Relaxed);
-        self.bytes_served += m.bytes_served.load(Ordering::Relaxed);
-        self.query_latency.absorb(&m.query_latency.snapshot());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,52 +553,26 @@ mod tests {
     }
 
     #[test]
-    fn worker_shards_fold_into_campaign_totals() {
-        // The same event stream recorded (a) straight into the campaign
-        // registry and (b) split across two worker shards must snapshot
-        // identically — the guarantee that lets scan workers go
-        // shared-nothing without changing any rendered output.
-        let record = |handles: &[&Obs]| {
-            let a = handles[0].for_site(0);
-            a.enter_probe(ProbeKind::Headers);
-            a.frame_sent(0x1, 5);
-            a.conn_opened();
-            a.conn_finished(1_000);
-            a.finish_site();
-            let b = handles[handles.len() - 1].for_site(3);
-            b.frame_received(0x4, 7);
-            b.timeout(9);
-            b.conn_finished(4_000);
-            b.retry(1, 250, 11);
-            b.finish_site();
-        };
-        let direct = Obs::campaign(1);
-        record(&[&direct, &direct]);
-        let sharded = Obs::campaign(1);
-        let w0 = sharded.worker_shard();
-        let w1 = sharded.worker_shard();
-        record(&[&w0, &w1]);
-        let a = direct.snapshot().expect("on");
-        let b = sharded.snapshot().expect("on");
-        assert_eq!(a.client_sent, b.client_sent);
-        assert_eq!(a.client_received, b.client_received);
-        assert_eq!(a.timeouts, b.timeouts);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.conns_opened, b.conns_opened);
-        assert_eq!(a.sites_finished, b.sites_finished);
-        assert_eq!(a.backoff_nanos, b.backoff_nanos);
-        assert_eq!(a.site_latency, b.site_latency);
-        assert_eq!(a.probe_latency, b.probe_latency);
-        assert_eq!(a.traces.len(), b.traces.len());
-    }
-
-    #[test]
-    fn worker_shard_of_off_handle_stays_off() {
-        let off = Obs::off();
-        let shard = off.worker_shard();
-        assert!(!shard.is_on());
-        shard.conn_opened();
-        assert!(shard.snapshot().is_none());
+    fn worker_handles_record_into_the_campaign_registry() {
+        // Handles derived per worker and per site all land in the one
+        // registry, and each keeps a probe context of its own.
+        let obs = Obs::campaign(1);
+        let (w0, w1) = (obs.worker_shard(), obs.worker_shard());
+        w0.enter_probe(ProbeKind::Headers);
+        assert_eq!(w1.current_probe(), ProbeKind::Other);
+        w0.conn_opened();
+        w0.conn_finished(1_000);
+        let site = w1.for_site(0);
+        site.retry(1, 250, 11);
+        site.finish_site();
+        let snap = obs.snapshot().expect("on");
+        assert_eq!(snap.conns_opened, 1);
+        assert_eq!(snap.retries, 1);
+        assert_eq!(snap.sites_finished, 1);
+        assert_eq!(snap.probe_latency[ProbeKind::Headers as usize].1.sum, 1_000);
+        assert_eq!(snap.traces.len(), 1);
+        // An off handle derives only off handles.
+        assert!(!Obs::off().worker_shard().is_on());
     }
 
     #[test]

@@ -286,20 +286,21 @@ mod tests {
     }
 
     #[test]
-    fn serve_metrics_render_gated_and_fold_across_shards() {
+    fn serve_metrics_render_gated_and_sum_across_workers() {
         // A pure-scan snapshot shows no serve block at all.
         let scan_only = sample_snapshot();
         assert_eq!(scan_only.lookups, 0);
         assert!(!render_table(&scan_only).contains("serve lookups"));
         assert!(!render_json(&scan_only).contains("\"serve\""));
 
-        // Queries recorded on different worker shards fold commutatively.
+        // Queries recorded through different worker handles sum in the one
+        // campaign registry.
         let obs = Obs::campaign(0);
-        let shard_a = obs.worker_shard();
-        let shard_b = obs.worker_shard();
-        shard_a.query_served(true, 100, 5_000);
-        shard_a.query_served(false, 900, 9_000);
-        shard_b.query_served(true, 50, 1_000);
+        let worker_a = obs.worker_shard();
+        let worker_b = obs.worker_shard();
+        worker_a.query_served(true, 100, 5_000);
+        worker_a.query_served(false, 900, 9_000);
+        worker_b.query_served(true, 50, 1_000);
         let snap = obs.snapshot().expect("on");
         assert_eq!(snap.lookups, 3);
         assert_eq!(snap.cache_hits, 2);

@@ -385,19 +385,18 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     } else {
         None
     };
+    // `write_report` writes an `hp.*` section only for a measurement: a
+    // finite ratio over at least one response size.
     let hpack = if present("hp.")? {
-        let sizes = get("hp.sizes")?;
         Some(HpackReport {
-            ratio: get("hp.r")?.parse().map_err(|_| bad("hp.r"))?,
+            ratio: (get("hp.r")?.parse().ok())
+                .filter(|r: &f64| r.is_finite())
+                .ok_or_else(|| bad("hp.r"))?,
             h: get("hp.h")?.parse().map_err(|_| bad("hp.h"))?,
-            sizes: if sizes.is_empty() {
-                Vec::new()
-            } else {
-                sizes
-                    .split(',')
-                    .map(|s| s.parse().map_err(|_| bad("hp.sizes")))
-                    .collect::<Result<_, _>>()?
-            },
+            sizes: get("hp.sizes")?
+                .split(',')
+                .map(|s| s.parse().map_err(|_| bad("hp.sizes")))
+                .collect::<Result<_, _>>()?,
         })
     } else {
         None
@@ -507,15 +506,24 @@ mod tests {
             });
             kept.collect::<Vec<_>>().join("|")
         };
-        for (keys, message) in [
-            (&["fc.small"][..], "incomplete fc.* section"),
-            (&["pr.last"], "incomplete pr.* section"),
-            (&["pu.sup"], "incomplete pu.* section"),
-            (&["hp.r"], "incomplete hp.* section"),
-            (&["pb.out", "pb.att", "pb.bk"], "missing field pb.out"),
+        // An HPACK section without a measurement (written by releases
+        // that stored a NaN ratio when no response HEADERS came back) or
+        // with an empty size list is refused, naming the field.
+        let hpack = |section: &str| format!("{}|{section}", without(&["hp.r", "hp.h", "hp.sizes"]));
+        for (row, message) in [
+            (without(&["fc.small"]), "incomplete fc.* section"),
+            (without(&["pr.last"]), "incomplete pr.* section"),
+            (without(&["pu.sup"]), "incomplete pu.* section"),
+            (without(&["hp.r"]), "incomplete hp.* section"),
+            (
+                without(&["pb.out", "pb.att", "pb.bk"]),
+                "missing field pb.out",
+            ),
+            (hpack("hp.r=NaN|hp.h=8|hp.sizes="), "bad hp.r"),
+            (hpack("hp.r=0.5|hp.h=8|hp.sizes="), "bad hp.sizes"),
         ] {
-            let err = read_report(&without(keys)).unwrap_err();
-            assert!(err.message.contains(message), "{keys:?}: {err}");
+            let err = read_report(&row).unwrap_err();
+            assert!(err.message.contains(message), "{row}: {err}");
         }
     }
 }

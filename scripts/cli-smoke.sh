@@ -48,7 +48,8 @@ metrics() {
 # The campaign record's crash-safety contract: a run killed mid-campaign
 # (exit 3) and resumed at a different thread count must finalize a record
 # byte-identical to an uninterrupted one (and must refuse a partial
-# whose row index or a field key was flipped, exit 2), `repro diff` and
+# whose row index or a field key was flipped, or whose HPACK section
+# holds no measurement, exit 2), `repro diff` and
 # `repro serve` must work from disk alone — the serve response digest the
 # same on one worker as on four, though each connection reuses its
 # decoded header lists, and its --metrics JSON valid — a torn record is
@@ -82,6 +83,17 @@ resume() {
     fi
     status=0
     "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume keyflip.h2c || status=$?
+    test "$status" -eq 2
+    # So is an HPACK section without a measurement, as records written
+    # before the HPACK probe abstained could hold: read as a NaN ratio,
+    # it would reach Figure 4's quantiles.
+    sed -E '0,/\|hp\.r=[^|]*\|hp\.h=[^|]*\|hp\.sizes=[^|]*/s//|hp.r=NaN|hp.h=8|hp.sizes=/' crashed.h2c > legacy.h2c
+    if cmp -s crashed.h2c legacy.h2c; then
+        echo 'no HPACK section to rewrite in the partial record' >&2
+        exit 1
+    fi
+    status=0
+    "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume legacy.h2c || status=$?
     test "$status" -eq 2
     "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume crashed.h2c
     cmp golden.h2c crashed.h2c

@@ -12,14 +12,16 @@
 //! of silently halving throughput.
 //!
 //! The budgets are a ratchet: each sits at most 3 % above its measured
-//! count — 838 allocations for the testbed survey below (down from 2,335
+//! count — 814 allocations for the testbed survey below (down from 2,335
 //! once connections stopped keeping a frame history and header lists were
-//! decoded in place, and from ~1.9k once each connection started in the
-//! storage the previous one on its thread left behind), 42 per fresh
-//! connection (down from 137), 18.01 per warm request (down from 22.0)
-//! and 150.6 per generated site. A change that lowers a count lowers its
-//! budget with it. The flat-cost guards compare two windows of one run
-//! and need no calibration.
+//! decoded in place, from ~1.9k once each connection started in the
+//! storage the previous one on its thread left behind, and from 838 once
+//! an off observability handle stopped allocating), 40 per fresh
+//! connection (down from 137, and from 42 with the off handle), 18.01 per
+//! warm request (down from 22.0) and 150.6 per generated site. A change
+//! that lowers a count lowers its budget with it. The flat-cost guards
+//! compare two windows of one run and need no calibration; an off
+//! observability handle must cost nothing at all.
 
 #![allow(
     unsafe_code,
@@ -29,7 +31,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use h2scope::{H2Scope, ProbeConn, Target};
+use h2scope::{H2Scope, Obs, ProbeConn, ProbeKind, Target};
 use h2server::{ServerProfile, SiteSpec};
 use h2wire::Settings;
 use netsim::time::SimDuration;
@@ -90,12 +92,45 @@ fn single_site_survey_stays_under_allocation_budget() {
 
     assert_eq!(report, warmup, "warmup and measured surveys agree");
     eprintln!("survey allocations: {calls}");
-    const BUDGET: u64 = 863;
+    const BUDGET: u64 = 838;
     assert!(
         calls <= BUDGET,
         "one site survey allocated {calls} times (budget {BUDGET}); \
          the zero-copy probe path has regressed"
     );
+}
+
+/// Observation is free when off: the off handle is `None`, so making,
+/// cloning, deriving and snapshotting it, and every recording call on it,
+/// allocate nothing.
+#[test]
+fn an_off_handle_allocates_nothing() {
+    let (snapshot, calls, _) = spent(|| {
+        let off = Obs::off();
+        let copy = off.clone();
+        let site = Obs::default().for_site(0);
+        let worker = copy.worker_shard();
+        for obs in [&off, &copy, &site, &worker] {
+            obs.enter_probe(ProbeKind::Headers);
+            obs.frame_sent(0x1, 1);
+            obs.frame_received(0x4, 2);
+            obs.server_frame(0x1);
+            obs.wire_bytes(true, 100);
+            obs.hpack_evictions(3);
+            obs.conn_opened();
+            obs.conn_finished(1_000);
+            obs.retry(1, 250, 3);
+            obs.timeout(4);
+            obs.reset(5);
+            obs.malformed(6);
+            obs.finish_site();
+            obs.sites_resumed(1);
+            obs.query_served(true, 10, 7);
+        }
+        off.snapshot()
+    });
+    assert!(snapshot.is_none(), "an off handle has nothing to snapshot");
+    assert_eq!(calls, 0, "an off handle allocated {calls} times");
 }
 
 /// Generating a wild site costs its object graph's *paths*, not its
@@ -140,8 +175,8 @@ fn a_fresh_connection_stays_under_its_allocation_ceiling() {
     let ((), calls, _) = spent(connection);
     eprintln!("fresh connection: {calls} allocations");
     assert!(
-        calls <= 43,
-        "a fresh connection allocated {calls} times (ceiling 43)"
+        calls <= 41,
+        "a fresh connection allocated {calls} times (ceiling 41)"
     );
 }
 
