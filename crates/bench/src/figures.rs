@@ -56,14 +56,17 @@ pub fn fig3(population: &Population, loads: usize) -> String {
     out
 }
 
-/// Figure 6: RTT CDFs from the four estimators over a sample of sites
-/// (the paper samples 10 sites per popular server).
+/// Figure 6: RTT CDFs from the four estimators over up to `sites`
+/// HEADERS-returning sites (the paper samples 10 sites per popular
+/// server); the header names how many were sampled.
 pub fn fig6(population: &Population, sites: usize, samples_per_site: usize) -> String {
     let mut h2_ping = Vec::new();
     let mut icmp = Vec::new();
     let mut tcp = Vec::new();
     let mut h1 = Vec::new();
+    let mut sampled = 0;
     for (k, sample) in population.iter_headers_sites().take(sites).enumerate() {
+        sampled += 1;
         let comparison = compare_rtt(&sample.target(), samples_per_site, 0xf16 ^ k as u64);
         h2_ping.extend(comparison.h2_ping);
         icmp.extend(comparison.icmp);
@@ -74,7 +77,7 @@ pub fn fig6(population: &Population, sites: usize, samples_per_site: usize) -> S
     let mut out = String::new();
     writeln!(
         out,
-        "FIGURE 6 — RTT measured by ICMP, TCP, HTTP/1.1 and HTTP/2 PING ({sites} sites)",
+        "FIGURE 6 — RTT measured by ICMP, TCP, HTTP/1.1 and HTTP/2 PING ({sampled} sites)",
     )
     .unwrap();
     for (label, samples) in [
@@ -143,5 +146,16 @@ mod tests {
             .and_then(|s| s.trim().parse().ok())
             .expect("parse gap");
         assert!(gap > 0.0, "{rendered}");
+    }
+
+    #[test]
+    fn fig6_names_the_sites_it_sampled_not_the_sites_it_asked_for() {
+        let population = Population::new(ExperimentSpec::first(), 0.00003);
+        let available = population.headers_count();
+        assert!(available < 60, "{available} HEADERS-returning sites");
+        let rendered = fig6(&population, 60, 2);
+        let header = rendered.lines().next().expect("a header line");
+        let sampled = format!("({available} sites)");
+        assert!(header.ends_with(&sampled), "{header}");
     }
 }

@@ -1,16 +1,112 @@
 //! Wild-scan generators: adoption (§V-B), Table IV, Tables V–VII, Figure
 //! 2, the §V-D flow-control aggregates and the §V-E priority aggregates.
+//!
+//! Each §V-B1, §V-D and §V-E count is a `Row`: a predicate over the
+//! [`Verdicts`] a survey measured, against the paper's count. `tally`
+//! counts a section's rows in one pass and `Table::render` prints them.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use h2campaign::{fmt_count, upscale, CampaignRow};
-use h2scope::probes::flow_control::{FlowControlReport, SmallWindowOutcome};
+use h2scope::expected::Verdicts;
+use h2scope::probes::flow_control::SmallWindowOutcome;
+use h2scope::probes::settings::SettingsReport;
 use h2scope::{ProbeOutcome, ProbeStats, Reaction};
-use webpop::Population;
+use webpop::marginals::{
+    ValueCount, INITIAL_WINDOW_SIZE, MAX_FRAME_SIZE, MAX_HEADER_LIST_SIZE, UNLIMITED,
+};
+use webpop::{ExperimentSpec, Population};
 
-use crate::scan::headers_records;
 use crate::stats::{apportion, spark_cdf};
+
+/// One count a §V table prints: the sites whose [`Verdicts`] satisfy
+/// `holds`, against the paper's count. A row the paper has no count for
+/// counts the probes whose connection failed before any reaction came
+/// back, and prints only when non-zero ([`unknown_row`]).
+pub(crate) struct Row {
+    pub(crate) label: &'static str,
+    pub(crate) holds: fn(&Verdicts) -> bool,
+    pub(crate) paper: Option<u64>,
+}
+
+fn row(label: &'static str, holds: fn(&Verdicts) -> bool, paper: impl Into<Option<u64>>) -> Row {
+    let paper = paper.into();
+    Row {
+        label,
+        holds,
+        paper,
+    }
+}
+
+/// Rows printed in one [`paper_row`] layout, under an optional heading.
+pub(crate) struct Table {
+    heading: Option<&'static str>,
+    /// `indent`, label `pad` and count `width`, as [`paper_row`] takes them.
+    layout: [usize; 3],
+    /// The rows with a paper count partition (a subset of) the
+    /// HEADERS-returning sites, so their paper-scale column is apportioned
+    /// against that total; otherwise each row is upscaled on its own.
+    partition: bool,
+    pub(crate) rows: Vec<Row>,
+}
+
+impl Table {
+    /// Appends the heading and one line per row, given the rows' counts
+    /// in order and the number of HEADERS-returning sites.
+    fn render(&self, out: &mut String, counts: &[u64], headers: u64, scale: f64) {
+        if let Some(heading) = self.heading {
+            writeln!(out, "  {heading}").unwrap();
+        }
+        let listed: Vec<u64> = self
+            .rows
+            .iter()
+            .zip(counts)
+            .filter_map(|(row, &count)| row.paper.map(|_| count))
+            .collect();
+        let scaled = if self.partition {
+            upscaled_rows(&listed, headers, scale)
+        } else {
+            listed.iter().map(|&count| upscale(count, scale)).collect()
+        };
+        let mut scaled = scaled.into_iter();
+        for (row, &measured) in self.rows.iter().zip(counts) {
+            match row.paper {
+                Some(paper) => {
+                    let counts = [measured, scaled.next().expect("one per paper row"), paper];
+                    paper_row(out, self.layout, row.label, counts);
+                }
+                None => unknown_row(out, self.layout, row.label, measured),
+            }
+        }
+    }
+}
+
+/// How many records each row holds for (`counts[i][j]` is `lists[i][j]`'s
+/// count) and how many returned HEADERS: one pass, one [`Verdicts::of`]
+/// per record.
+fn tally(records: &[CampaignRow], lists: &[&[Row]]) -> (Vec<Vec<u64>>, u64) {
+    let mut counts: Vec<Vec<u64>> = lists.iter().map(|rows| vec![0; rows.len()]).collect();
+    let mut headers = 0;
+    for record in records {
+        let verdicts = Verdicts::of(&record.report);
+        headers += u64::from(verdicts.headers_received);
+        for (counts, rows) in counts.iter_mut().zip(lists) {
+            for (count, row) in counts.iter_mut().zip(rows.iter()) {
+                *count += u64::from((row.holds)(&verdicts));
+            }
+        }
+    }
+    (counts, headers)
+}
+
+/// The verdicts of every survey that got HEADERS back.
+fn headers_verdicts(records: &[CampaignRow]) -> impl Iterator<Item = Verdicts> + '_ {
+    records
+        .iter()
+        .map(|record| Verdicts::of(&record.report))
+        .filter(|verdicts| verdicts.headers_received)
+}
 
 /// Upscales a group of rows that partition (a subset of) `total` sites.
 /// Independent per-row rounding lets the upscaled rows drift from the
@@ -32,14 +128,7 @@ fn upscaled_rows(counts: &[u64], total: u64, scale: f64) -> Vec<u64> {
 /// Appends one `measured / paper-scale / paper` comparison row: `label`
 /// behind `indent` spaces and padded to `pad` columns, then the three
 /// counts right-aligned in `width`, `width + 1` and `width + 1` columns.
-fn paper_row(
-    out: &mut String,
-    indent: usize,
-    label: &str,
-    pad: usize,
-    width: usize,
-    counts: [u64; 3],
-) {
+fn paper_row(out: &mut String, [indent, pad, width]: [usize; 3], label: &str, counts: [u64; 3]) {
     let [measured, scaled, paper] = counts.map(fmt_count);
     let wide = width + 1;
     writeln!(
@@ -54,7 +143,7 @@ fn paper_row(
 /// connection failed before any reaction came back — unless there were
 /// none. A testbed connection never fails, so only a fault campaign can
 /// print this row; the paper has no such row.
-fn unknown_row(out: &mut String, indent: usize, label: &str, pad: usize, width: usize, count: u64) {
+fn unknown_row(out: &mut String, [indent, pad, width]: [usize; 3], label: &str, count: u64) {
     if count == 0 {
         return;
     }
@@ -95,32 +184,32 @@ fn paper_table(
     }
 }
 
+/// §V-B1's rows, over all h2 sites.
+#[rustfmt::skip]
+pub(crate) fn adoption_rows(spec: &ExperimentSpec) -> [Row; 3] {
+    [
+        row("NPN h2 sites", |v| v.npn_h2, spec.npn_sites),
+        row("ALPN h2 sites", |v| v.alpn_h2, spec.alpn_sites),
+        row("HEADERS-returning sites", |v| v.headers_received, spec.headers_sites),
+    ]
+}
+
 /// §V-B1: ALPN/NPN adoption counts.
 pub fn adoption(records: &[CampaignRow], population: &Population) -> String {
     let spec = population.spec();
     let scale = population.scale();
-    let npn = records
-        .iter()
-        .filter(|r| r.report.negotiation.npn_h2)
-        .count();
-    let alpn = records
-        .iter()
-        .filter(|r| r.report.negotiation.alpn_h2)
-        .count();
-    let headers = records.iter().filter(|r| r.report.headers_received).count();
+    let rows = adoption_rows(spec);
+    let (counts, _) = tally(records, &[&rows]);
     let mut out = String::new();
     writeln!(out, "§V-B1 — Adoption ({}; scale {scale})", spec.label).unwrap();
-    for (name, measured, paper) in [
-        ("NPN h2 sites", npn, spec.npn_sites),
-        ("ALPN h2 sites", alpn, spec.alpn_sites),
-        ("HEADERS-returning sites", headers, spec.headers_sites),
-    ] {
+    for (row, &measured) in rows.iter().zip(&counts[0]) {
         writeln!(
             out,
-            "  {name:<26} measured {:>9}  (paper-scale est. {:>9}, paper {:>9})",
-            fmt_count(measured as u64),
-            fmt_count(upscale(measured as u64, scale)),
-            fmt_count(paper)
+            "  {:<26} measured {:>9}  (paper-scale est. {:>9}, paper {:>9})",
+            row.label,
+            fmt_count(measured),
+            fmt_count(upscale(measured, scale)),
+            fmt_count(row.paper.unwrap_or_default())
         )
         .unwrap();
     }
@@ -131,29 +220,25 @@ pub fn adoption(records: &[CampaignRow], population: &Population) -> String {
 pub fn table4(records: &[CampaignRow], population: &Population) -> String {
     use webpop::marginals::{FAMILIES, SERVER_KINDS};
     use webpop::Family;
+    // Versioned names collapse into families the way the paper's table
+    // does; the first matching prefix wins.
+    const FAMILY_PREFIXES: [(&str, &str); 5] = [
+        ("nginx", "Nginx"),
+        ("Tengine/Aserver", "Tengine/Aserver"),
+        ("Tengine", "Tengine"),
+        ("LiteSpeed", "Litespeed"),
+        ("IdeaWebServer", "IdeaWebServer/v0.80"),
+    ];
     let scale = population.scale();
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    for record in headers_records(records) {
-        let name = record
-            .report
+    for verdicts in headers_verdicts(records) {
+        let name = verdicts
             .server_name
-            .clone()
             .unwrap_or_else(|| "(no server header)".to_string());
-        // Collapse versioned names into families the way the paper's
-        // table does.
-        let family = if name.starts_with("nginx") {
-            "Nginx".to_string()
-        } else if name.starts_with("Tengine/Aserver") {
-            "Tengine/Aserver".to_string()
-        } else if name.starts_with("Tengine") {
-            "Tengine".to_string()
-        } else if name.starts_with("LiteSpeed") {
-            "Litespeed".to_string()
-        } else if name.starts_with("IdeaWebServer") {
-            "IdeaWebServer/v0.80".to_string()
-        } else {
-            name
-        };
+        let family = FAMILY_PREFIXES
+            .iter()
+            .find(|(prefix, _)| name.starts_with(prefix))
+            .map_or(name, |(_, family)| family.to_string());
         *counts.entry(family).or_default() += 1;
     }
     let distinct = counts.len();
@@ -192,35 +277,36 @@ pub fn table4(records: &[CampaignRow], population: &Population) -> String {
     out
 }
 
-/// A generic SETTINGS distribution table (Tables V–VII).
+/// A SETTINGS distribution table (Tables V–VII): the HEADERS-returning
+/// sites by the value `extract` reads, against the paper's `marginal`.
 fn settings_table(
     title: &str,
     records: &[CampaignRow],
     population: &Population,
-    paper_rows: &[(Option<u32>, u64, u64)],
-    extract: impl Fn(&CampaignRow) -> Option<u32>,
-    render_value: impl Fn(Option<u32>) -> String,
+    marginal: &[ValueCount],
+    extract: fn(&SettingsReport) -> Option<u32>,
 ) -> String {
     let scale = population.scale();
     let second = population.spec().second;
-    let mut counts: BTreeMap<Option<u32>, usize> = BTreeMap::new();
-    for record in headers_records(records) {
-        *counts.entry(extract(record)).or_default() += 1;
+    let mut counts: BTreeMap<Option<u32>, u64> = BTreeMap::new();
+    for verdicts in headers_verdicts(records) {
+        *counts.entry(extract(&verdicts.settings)).or_default() += 1;
     }
     let mut out = String::new();
     writeln!(out, "{title} ({})", population.spec().label).unwrap();
     // Each listed value is a distinct key, so the rows partition (a
     // subset of) the headers-returning sites.
-    let total: u64 = counts.values().map(|&c| c as u64).sum();
-    let table: Vec<(String, u64, u64)> = paper_rows
+    let total: u64 = counts.values().sum();
+    let table: Vec<(String, u64, u64)> = marginal
         .iter()
-        .map(|&(value, exp1, exp2)| {
-            let measured = counts.get(&value).copied().unwrap_or(0) as u64;
-            (
-                render_value(value),
-                measured,
-                if second { exp2 } else { exp1 },
-            )
+        .map(|vc| {
+            let value = match vc.value {
+                None => "NULL".to_string(),
+                Some(UNLIMITED) => "unlimited".to_string(),
+                Some(x) => fmt_count(u64::from(x)),
+            };
+            let paper = if second { vc.exp2 } else { vc.exp1 };
+            (value, counts.get(&vc.value).copied().unwrap_or(0), paper)
         })
         .collect();
     paper_table(&mut out, "Value", 16, &table, total, scale);
@@ -229,76 +315,37 @@ fn settings_table(
 
 /// Table V: `SETTINGS_INITIAL_WINDOW_SIZE` distribution.
 pub fn table5(records: &[CampaignRow], population: &Population) -> String {
-    let rows: Vec<(Option<u32>, u64, u64)> = webpop::marginals::INITIAL_WINDOW_SIZE
-        .iter()
-        .map(|vc| (vc.value, vc.exp1, vc.exp2))
-        .collect();
-    settings_table(
-        "TABLE V — SETTINGS_INITIAL_WINDOW_SIZE",
-        records,
-        population,
-        &rows,
-        |r| r.report.settings.initial_window_size,
-        |v| v.map_or("NULL".to_string(), |x| fmt_count(u64::from(x))),
-    )
+    let title = "TABLE V — SETTINGS_INITIAL_WINDOW_SIZE";
+    settings_table(title, records, population, INITIAL_WINDOW_SIZE, |s| {
+        s.initial_window_size
+    })
 }
 
 /// Table VI: `SETTINGS_MAX_FRAME_SIZE` distribution.
 pub fn table6(records: &[CampaignRow], population: &Population) -> String {
-    let rows: Vec<(Option<u32>, u64, u64)> = webpop::marginals::MAX_FRAME_SIZE
-        .iter()
-        .map(|vc| (vc.value, vc.exp1, vc.exp2))
-        .collect();
-    settings_table(
-        "TABLE VI — SETTINGS_MAX_FRAME_SIZE",
-        records,
-        population,
-        &rows,
-        |r| r.report.settings.max_frame_size,
-        |v| v.map_or("NULL".to_string(), |x| fmt_count(u64::from(x))),
-    )
+    let title = "TABLE VI — SETTINGS_MAX_FRAME_SIZE";
+    settings_table(title, records, population, MAX_FRAME_SIZE, |s| {
+        s.max_frame_size
+    })
 }
 
 /// Table VII: `SETTINGS_MAX_HEADER_LIST_SIZE` distribution.
 pub fn table7(records: &[CampaignRow], population: &Population) -> String {
-    let rows: Vec<(Option<u32>, u64, u64)> = webpop::marginals::MAX_HEADER_LIST_SIZE
-        .iter()
-        .map(|vc| {
-            let value = vc.value.map(|v| {
-                if v == webpop::marginals::UNLIMITED {
-                    u32::MAX
-                } else {
-                    v
-                }
-            });
-            (value, vc.exp1, vc.exp2)
-        })
-        .collect();
-    settings_table(
-        "TABLE VII — SETTINGS_MAX_HEADER_LIST_SIZE",
-        records,
-        population,
-        &rows,
-        |r| r.report.settings.max_header_list_size,
-        |v| match v {
-            None => "NULL".to_string(),
-            Some(u32::MAX) => "unlimited".to_string(),
-            Some(x) => fmt_count(u64::from(x)),
-        },
-    )
+    let title = "TABLE VII — SETTINGS_MAX_HEADER_LIST_SIZE";
+    settings_table(title, records, population, MAX_HEADER_LIST_SIZE, |s| {
+        s.max_header_list_size
+    })
 }
 
 /// Figure 2: CDF of `SETTINGS_MAX_CONCURRENT_STREAMS`.
 pub fn fig2(records: &[CampaignRow], population: &Population) -> String {
-    let samples: Vec<f64> = headers_records(records)
-        .iter()
-        .filter_map(|r| r.report.settings.max_concurrent_streams)
+    let samples: Vec<f64> = headers_verdicts(records)
+        .filter_map(|v| v.settings.max_concurrent_streams)
         .map(f64::from)
         .collect();
-    let ticks: Vec<f64> = [
+    let ticks = [
         1.0, 3.0, 10.0, 30.0, 100.0, 128.0, 300.0, 1_000.0, 3_000.0, 10_000.0, 100_000.0,
-    ]
-    .to_vec();
+    ];
     let mut out = String::new();
     writeln!(
         out,
@@ -306,6 +353,14 @@ pub fn fig2(records: &[CampaignRow], population: &Population) -> String {
         population.spec().label
     )
     .unwrap();
+    if samples.is_empty() {
+        writeln!(
+            out,
+            "  (no HEADERS-returning site announced SETTINGS_MAX_CONCURRENT_STREAMS)"
+        )
+        .unwrap();
+        return out;
+    }
     for (x, f) in crate::stats::cdf_points(&samples, &ticks) {
         writeln!(out, "  x = {:>9}   F(x) = {:.3}", fmt_count(x as u64), f).unwrap();
     }
@@ -320,70 +375,83 @@ pub fn fig2(records: &[CampaignRow], population: &Population) -> String {
     out
 }
 
+/// §V-D's tables, D1 to D4, and the D3 connection-scope row (GOAWAY,
+/// with or without debug data). D1 lists "no response" last.
+#[rustfmt::skip]
+pub(crate) fn flow_control_tables(spec: &ExperimentSpec) -> ([Table; 4], Row) {
+    use Reaction::{Goaway, GoawayWithDebug, Ignored, RstStream, Unknown};
+    use SmallWindowOutcome::{HeadersOnly, NoResponse, OneByteData, ZeroLenData};
+    let table = |heading, layout, partition, rows| Table { heading, layout, partition, rows };
+    let stream = &spec.zero_update_stream;
+    let tables = [
+        table(Some("[V-D1] SETTINGS_INITIAL_WINDOW_SIZE = 1:"), [4, 18, 8], true, vec![
+            row("1-byte DATA", |v| v.small_window == Some(OneByteData),
+                spec.small_window_one_byte),
+            row("zero-length DATA", |v| v.small_window == Some(ZeroLenData),
+                spec.small_window_zero_len),
+            row("no response", |v| matches!(v.small_window, Some(NoResponse | HeadersOnly)),
+                spec.small_window_no_response),
+        ]),
+        table(None, [2, 0, 8], false, vec![
+            row("[V-D2] HEADERS under zero window:", |v| v.headers_at_zero_window == Some(true),
+                spec.headers_at_zero_window),
+        ]),
+        table(Some("[V-D3] zero WINDOW_UPDATE on a stream:"), [4, 18, 8], true, vec![
+            row("RST_STREAM", |v| v.zero_update_stream == Some(RstStream), stream.rst),
+            row("ignored", |v| v.zero_update_stream == Some(Ignored), stream.ignored),
+            row("GOAWAY", |v| v.zero_update_stream == Some(Goaway), stream.goaway),
+            row("GOAWAY + debug", |v| v.zero_update_stream == Some(GoawayWithDebug),
+                stream.goaway_debug),
+            row("unknown", |v| v.zero_update_stream == Some(Unknown), None),
+        ]),
+        table(Some("[V-D4] window increment overflowing 2^31-1:"), [4, 18, 8], false, vec![
+            row("connection GOAWAY",
+                |v| matches!(v.large_update_conn, Some(Goaway | GoawayWithDebug)),
+                spec.large_update_conn_goaway),
+            row("stream RST_STREAM", |v| v.large_update_stream == Some(RstStream),
+                spec.large_update_stream_rst),
+            row("connection unknown", |v| v.large_update_conn == Some(Unknown), None),
+            row("stream unknown", |v| v.large_update_stream == Some(Unknown), None),
+        ]),
+    ];
+    let scope = row("connection scope GOAWAY",
+        |v| matches!(v.zero_update_conn, Some(Goaway | GoawayWithDebug)),
+        spec.zero_update_conn_goaway);
+    (tables, scope)
+}
+
 /// §V-D: the four flow-control aggregates.
 pub fn flow_control(records: &[CampaignRow], population: &Population) -> String {
     let spec = population.spec();
     let scale = population.scale();
-    let with_headers = headers_records(records);
+    let (tables, scope) = flow_control_tables(spec);
+    let mut lists: Vec<&[Row]> = tables.iter().map(|table| &table.rows[..]).collect();
+    lists.push(std::slice::from_ref(&scope));
+    let (counts, headers) = tally(records, &lists);
+    let [d1, d2, d3, d4] = &tables;
     let mut out = String::new();
     writeln!(out, "§V-D — Flow control in the wild ({})", spec.label).unwrap();
-
-    // V-D1: small window outcomes.
-    let mut one_byte = 0;
-    let mut zero_len = 0;
-    let mut no_resp = 0;
-    for r in &with_headers {
-        match r.report.flow_control.as_ref().map(|fc| fc.small_window) {
-            Some(SmallWindowOutcome::OneByteData) => one_byte += 1,
-            Some(SmallWindowOutcome::ZeroLenData) => zero_len += 1,
-            Some(SmallWindowOutcome::NoResponse | SmallWindowOutcome::HeadersOnly) => no_resp += 1,
-            _ => {}
-        }
-    }
-    writeln!(out, "  [V-D1] SETTINGS_INITIAL_WINDOW_SIZE = 1:").unwrap();
-    let d1_scaled = upscaled_rows(
-        &[one_byte, zero_len, no_resp],
-        with_headers.len() as u64,
-        scale,
-    );
-    for ((label, measured, paper), scaled) in [
-        ("1-byte DATA", one_byte, spec.small_window_one_byte),
-        ("zero-length DATA", zero_len, spec.small_window_zero_len),
-        ("no response", no_resp, spec.small_window_no_response),
-    ]
-    .into_iter()
-    .zip(d1_scaled)
-    {
-        paper_row(&mut out, 4, label, 18, 8, [measured, scaled, paper]);
-    }
-    // Under a fault campaign, break the "no response" row down by how it
-    // was established: a probe that actually waited out its deadline
-    // (timeout-derived) vs a server quirk observed on a healthy link
-    // (quirk-derived). Absent faults every probe carries default stats
-    // and this section — like the campaign itself — is byte-identical to
-    // the pre-fault pipeline.
+    d1.render(&mut out, &counts[0], headers, scale);
+    // Under a fault campaign, split the "no response" row into probes that
+    // waited out their deadline (timeout-derived) and server quirks seen
+    // on a healthy link (quirk-derived). A faultless campaign has no split.
     let faulted = records
         .iter()
         .any(|r| r.report.probe != ProbeStats::default());
     if faulted {
-        let timeout_derived = with_headers
+        let (no_response, no_resp) = (&d1.rows[2], counts[0][2]);
+        let timeout_derived = records
             .iter()
             .filter(|r| {
                 matches!(
-                    r.report.flow_control.as_ref().map(|fc| fc.small_window),
-                    Some(SmallWindowOutcome::NoResponse | SmallWindowOutcome::HeadersOnly)
-                ) && matches!(
                     r.report.probe.outcome,
                     ProbeOutcome::Timeout | ProbeOutcome::GaveUpAfterRetries
-                )
+                ) && (no_response.holds)(&Verdicts::of(&r.report))
             })
-            .count();
+            .count() as u64;
         // A timeout-derived row is by construction also a no-response
-        // row, so the subtraction cannot underflow — but the previous
-        // `saturating_sub` would have silently printed "0 quirk-derived"
-        // if that invariant ever broke, hiding the accounting bug.
-        // Surface it in the report instead.
-        match no_resp.checked_sub(timeout_derived as u64) {
+        // row; if that ever broke, say so rather than print 0.
+        match no_resp.checked_sub(timeout_derived) {
             Some(quirk_derived) => writeln!(
                 out,
                 "    no-response rows: {timeout_derived} timeout-derived (deadline expired), {quirk_derived} quirk-derived"
@@ -396,178 +464,49 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
             .unwrap(),
         }
     }
-
-    // V-D2: HEADERS at a zero window.
-    let compliant = with_headers
-        .iter()
-        .filter(|r| {
-            r.report
-                .flow_control
-                .as_ref()
-                .is_some_and(|fc| fc.headers_at_zero_window)
-        })
-        .count();
-    paper_row(
-        &mut out,
-        2,
-        "[V-D2] HEADERS under zero window:",
-        0,
-        8,
-        [
-            compliant as u64,
-            upscale(compliant as u64, scale),
-            spec.headers_at_zero_window,
-        ],
-    );
-
-    // V-D3: zero window update reactions.
-    let mut rst = 0;
-    let mut goaway = 0;
-    let mut debug = 0;
-    let mut ignored = 0;
-    let mut unknown = 0;
-    for r in &with_headers {
-        match r
-            .report
-            .flow_control
-            .as_ref()
-            .map(|fc| fc.zero_update_stream)
-        {
-            Some(Reaction::RstStream) => rst += 1,
-            Some(Reaction::Goaway) => goaway += 1,
-            Some(Reaction::GoawayWithDebug) => debug += 1,
-            Some(Reaction::Ignored) => ignored += 1,
-            Some(Reaction::Unknown) => unknown += 1,
-            None => {}
-        }
-    }
-    writeln!(out, "  [V-D3] zero WINDOW_UPDATE on a stream:").unwrap();
-    let d3_scaled = upscaled_rows(
-        &[rst, ignored, goaway, debug],
-        with_headers.len() as u64,
-        scale,
-    );
-    for ((label, measured, paper), scaled) in [
-        ("RST_STREAM", rst, spec.zero_update_stream.rst),
-        ("ignored", ignored, spec.zero_update_stream.ignored),
-        ("GOAWAY", goaway, spec.zero_update_stream.goaway),
-        (
-            "GOAWAY + debug",
-            debug,
-            spec.zero_update_stream.goaway_debug,
-        ),
-    ]
-    .into_iter()
-    .zip(d3_scaled)
-    {
-        paper_row(&mut out, 4, label, 18, 8, [measured, scaled, paper]);
-    }
-    unknown_row(&mut out, 4, "unknown", 18, 8, unknown);
-    let conn_goaway = with_headers
-        .iter()
-        .filter(|r| {
-            r.report.flow_control.as_ref().is_some_and(|fc| {
-                matches!(
-                    fc.zero_update_conn,
-                    Reaction::Goaway | Reaction::GoawayWithDebug
-                )
-            })
-        })
-        .count();
+    d2.render(&mut out, &counts[1], headers, scale);
+    d3.render(&mut out, &counts[2], headers, scale);
     writeln!(
         out,
         "    connection scope: {} GOAWAY of {} (paper: \"nearly all\")",
-        fmt_count(conn_goaway as u64),
-        fmt_count(with_headers.len() as u64)
+        fmt_count(counts[4][0]),
+        fmt_count(headers)
     )
     .unwrap();
-
-    // V-D4: large window update reactions.
-    let large_conn = with_headers
-        .iter()
-        .filter(|r| {
-            r.report.flow_control.as_ref().is_some_and(|fc| {
-                matches!(
-                    fc.large_update_conn,
-                    Reaction::Goaway | Reaction::GoawayWithDebug
-                )
-            })
-        })
-        .count();
-    let large_stream = with_headers
-        .iter()
-        .filter(|r| {
-            r.report
-                .flow_control
-                .as_ref()
-                .is_some_and(|fc| fc.large_update_stream == Reaction::RstStream)
-        })
-        .count();
-    writeln!(out, "  [V-D4] window increment overflowing 2^31-1:").unwrap();
-    for (label, measured, paper) in [
-        (
-            "connection GOAWAY",
-            large_conn,
-            spec.large_update_conn_goaway,
-        ),
-        (
-            "stream RST_STREAM",
-            large_stream,
-            spec.large_update_stream_rst,
-        ),
-    ] {
-        let counts = [measured as u64, upscale(measured as u64, scale), paper];
-        paper_row(&mut out, 4, label, 18, 8, counts);
-    }
-    let unknown = |scope: fn(&FlowControlReport) -> Reaction| {
-        with_headers
-            .iter()
-            .filter(|r| {
-                r.report
-                    .flow_control
-                    .as_ref()
-                    .is_some_and(|fc| scope(fc) == Reaction::Unknown)
-            })
-            .count() as u64
-    };
-    let conn = unknown(|fc| fc.large_update_conn);
-    unknown_row(&mut out, 4, "connection unknown", 18, 8, conn);
-    let stream = unknown(|fc| fc.large_update_stream);
-    unknown_row(&mut out, 4, "stream unknown", 18, 8, stream);
+    d4.render(&mut out, &counts[3], headers, scale);
     out
+}
+
+/// §V-E's tables: the Algorithm 1 orderings, then the self-dependency
+/// reactions.
+#[rustfmt::skip]
+pub(crate) fn priority_tables(spec: &ExperimentSpec) -> [Table; 2] {
+    use Reaction::{Goaway, GoawayWithDebug, Ignored, RstStream, Unknown};
+    let table = |heading, layout, partition, rows| Table { heading, layout, partition, rows };
+    let reactions = &spec.self_dependency;
+    [
+        table(None, [2, 22, 7], false, vec![
+            row("last-DATA-frame rule", |v| v.by_last_frame == Some(true), spec.priority_by_last),
+            row("first-DATA-frame rule", |v| v.by_first_frame == Some(true),
+                spec.priority_by_first),
+            row("both rules", |v| v.by_both == Some(true), spec.priority_by_both),
+        ]),
+        table(Some("self-dependent stream reactions:"), [4, 20, 7], true, vec![
+            row("RST_STREAM", |v| v.self_dependency == Some(RstStream), reactions.rst),
+            row("GOAWAY", |v| matches!(v.self_dependency, Some(Goaway | GoawayWithDebug)),
+                reactions.goaway),
+            row("ignored", |v| v.self_dependency == Some(Ignored), reactions.ignored),
+            row("unknown", |v| v.self_dependency == Some(Unknown), None),
+        ]),
+    ]
 }
 
 /// §V-E: priority orderings and self-dependency reactions.
 pub fn priority(records: &[CampaignRow], population: &Population) -> String {
     let spec = population.spec();
-    let scale = population.scale();
-    let with_headers = headers_records(records);
-    let mut by_last = 0;
-    let mut by_first = 0;
-    let mut by_both = 0;
-    let mut self_rst = 0;
-    let mut self_goaway = 0;
-    let mut self_ignore = 0;
-    let mut self_unknown = 0;
-    for r in &with_headers {
-        if let Some(p) = &r.report.priority {
-            if p.by_last_frame {
-                by_last += 1;
-            }
-            if p.by_first_frame {
-                by_first += 1;
-            }
-            if p.by_both {
-                by_both += 1;
-            }
-            match p.self_dependency {
-                Reaction::RstStream => self_rst += 1,
-                Reaction::Goaway | Reaction::GoawayWithDebug => self_goaway += 1,
-                Reaction::Ignored => self_ignore += 1,
-                Reaction::Unknown => self_unknown += 1,
-            }
-        }
-    }
+    let tables = priority_tables(spec);
+    let lists: Vec<&[Row]> = tables.iter().map(|table| &table.rows[..]).collect();
+    let (counts, headers) = tally(records, &lists);
     let mut out = String::new();
     writeln!(
         out,
@@ -575,39 +514,17 @@ pub fn priority(records: &[CampaignRow], population: &Population) -> String {
         spec.label
     )
     .unwrap();
-    for (label, measured, paper) in [
-        ("last-DATA-frame rule", by_last, spec.priority_by_last),
-        ("first-DATA-frame rule", by_first, spec.priority_by_first),
-        ("both rules", by_both, spec.priority_by_both),
-    ] {
-        let counts = [measured, upscale(measured, scale), paper];
-        paper_row(&mut out, 2, label, 22, 7, counts);
+    for (table, counts) in tables.iter().zip(&counts) {
+        table.render(&mut out, counts, headers, population.scale());
     }
-    writeln!(out, "  self-dependent stream reactions:").unwrap();
-    let self_scaled = upscaled_rows(
-        &[self_rst, self_goaway, self_ignore],
-        with_headers.len() as u64,
-        scale,
-    );
-    for ((label, measured, paper), scaled) in [
-        ("RST_STREAM", self_rst, spec.self_dependency.rst),
-        ("GOAWAY", self_goaway, spec.self_dependency.goaway),
-        ("ignored", self_ignore, spec.self_dependency.ignored),
-    ]
-    .into_iter()
-    .zip(self_scaled)
-    {
-        paper_row(&mut out, 4, label, 20, 7, [measured, scaled, paper]);
-    }
-    unknown_row(&mut out, 4, "unknown", 20, 7, self_unknown);
     out
 }
 
 /// §V-F (counts only; Figure 3 timing lives in `figures`).
 pub fn push_adoption(records: &[CampaignRow], population: &Population) -> String {
     let spec = population.spec();
-    let with_headers = headers_records(records);
-    let push_sites: Vec<&&CampaignRow> = with_headers
+    // A push report exists only where HEADERS came back.
+    let push_sites: Vec<&CampaignRow> = records
         .iter()
         .filter(|r| r.report.push.as_ref().is_some_and(|p| p.supported))
         .collect();
@@ -658,10 +575,8 @@ pub fn hpack_figure(records: &[CampaignRow], population: &Population) -> String 
     for (family, label) in families {
         let mut ratios: Vec<f64> = Vec::new();
         let mut filtered = 0usize;
-        for r in headers_records(records) {
-            if r.family != family {
-                continue;
-            }
+        // An HPACK report exists only where HEADERS came back.
+        for r in records.iter().filter(|r| r.family == family) {
             if let Some(h) = &r.report.hpack {
                 if h.filtered() {
                     filtered += 1; // the paper's r > 1 cookie filter
@@ -701,7 +616,7 @@ pub fn hpack_figure(records: &[CampaignRow], population: &Population) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::Campaign;
+    use crate::scan::{headers_records, Campaign};
     use webpop::ExperimentSpec;
 
     /// Scales exercised by the consistency tests: the paper's own 1.0
@@ -810,5 +725,112 @@ mod tests {
         let timeout_derived = num_after(&report, "no-response rows:", "no-response rows:");
         let quirk_derived = num_after(&report, "no-response rows:", "(deadline expired),");
         assert_eq!(timeout_derived + quirk_derived, no_resp);
+    }
+
+    #[test]
+    fn fig2_abstains_when_no_site_announced_max_concurrent_streams() {
+        let population = Population::new(ExperimentSpec::first(), 0.01);
+        let site = population.site(0);
+        let mut report = h2scope::H2Scope::new().survey(&site.target());
+        assert!(report.headers_received);
+        report.settings.max_concurrent_streams = None;
+        let family = site.family;
+        let rendered = fig2(
+            &[CampaignRow {
+                index: 0,
+                family,
+                report,
+            }],
+            &population,
+        );
+        assert!(
+            rendered.contains("(no HEADERS-returning site announced"),
+            "{rendered}"
+        );
+        assert!(!rendered.contains("NaN"), "{rendered}");
+        assert!(!rendered.contains("majority"), "{rendered}");
+    }
+
+    /// Table III × Table IV: every §V-D and §V-E row evaluated on the
+    /// `expected` verdicts of each Table IV family's profile, weighted by
+    /// the family's site count. Tail sites split in equal thirds over the
+    /// three tail profiles. Rows whose prediction is far from the paper
+    /// are what server identity alone does not explain.
+    fn predicted(spec: &ExperimentSpec) -> Vec<(String, u64, u64)> {
+        use h2scope::expected::expected;
+        use webpop::marginals::FAMILIES;
+        use webpop::Family;
+        let site = h2server::SiteSpec::benchmark();
+        // Weights in thirds of a site, so that a tail third stays whole.
+        let mut weighted: Vec<(Verdicts, u64)> = Vec::new();
+        for &(family, exp1, exp2) in FAMILIES {
+            let sites = if spec.second { exp2 } else { exp1 };
+            let kinds = if family == Family::Tail { 0..3 } else { 0..1 };
+            let weight = 3 * sites / kinds.end;
+            for kind in kinds {
+                let behavior = family.profile(kind).behavior;
+                weighted.push((expected(&behavior, &site), weight));
+            }
+        }
+        let ([d1, d2, mut d3, d4], scope) = flow_control_tables(spec);
+        d3.rows.push(scope);
+        let [orderings, self_dependency] = priority_tables(spec);
+        let sections = [
+            ("[V-D1]", d1),
+            ("", d2),
+            ("[V-D3]", d3),
+            ("[V-D4]", d4),
+            ("[V-E]", orderings),
+            ("[V-E] self-dependency", self_dependency),
+        ];
+        sections
+            .into_iter()
+            .flat_map(|(section, table)| table.rows.into_iter().map(move |row| (section, row)))
+            .filter_map(|(section, row)| {
+                let thirds: u64 = weighted
+                    .iter()
+                    .filter(|(verdicts, _)| (row.holds)(verdicts))
+                    .map(|(_, weight)| weight)
+                    .sum();
+                let label = format!("{section} {}", row.label.trim_end_matches(':'));
+                Some((label, (thirds + 1) / 3, row.paper?))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn server_identity_predicts_the_section_v_counts() {
+        let first = predicted(&ExperimentSpec::first());
+        let second = predicted(&ExperimentSpec::second());
+        let mut table = format!(
+            "{:<40}{:>9}{:>8}{:>9}{:>8}\n",
+            "row", "exp. 1", "paper", "exp. 2", "paper"
+        );
+        for ((label, p1, paper1), (_, p2, paper2)) in first.iter().zip(&second) {
+            let [p1, paper1, p2, paper2] = [p1, paper1, p2, paper2].map(|&n| fmt_count(n));
+            let label = label.trim_start();
+            writeln!(table, "{label:<40}{p1:>9}{paper1:>8}{p2:>9}{paper2:>8}").unwrap();
+        }
+        let pinned = "\
+row                                        exp. 1   paper   exp. 2   paper\n\
+[V-D1] 1-byte DATA                         31,753  37,525   50,673  44,204\n\
+[V-D1] zero-length DATA                         0   2,433        0   8,056\n\
+[V-D1] no response                         12,637   4,432   13,626  12,039\n\
+[V-D2] HEADERS under zero window           31,753  17,191   50,673  23,834\n\
+[V-D3] RST_STREAM                          26,346  23,673   28,241  26,156\n\
+[V-D3] ignored                             16,153  20,660   33,715  37,939\n\
+[V-D3] GOAWAY                               1,891      31    2,343     162\n\
+[V-D3] GOAWAY + debug                           0      26        0      42\n\
+[V-D3] connection scope GOAWAY             28,237  44,200   30,584  64,000\n\
+[V-D4] connection GOAWAY                   44,390  40,567   64,299  62,668\n\
+[V-D4] stream RST_STREAM                   44,390  36,619   64,299  44,057\n\
+[V-E] last-DATA-frame rule                 15,600   1,147   16,958   2,187\n\
+[V-E] first-DATA-frame rule                15,600      46   16,958     117\n\
+[V-E] both rules                           15,600      38   16,958     111\n\
+[V-E] self-dependency RST_STREAM           27,972  18,237   45,987  53,379\n\
+[V-E] self-dependency GOAWAY                3,781  15,692    4,686   6,552\n\
+[V-E] self-dependency ignored              12,637  10,461   13,626   4,368\n\
+";
+        assert_eq!(table, pinned, "\n{table}");
     }
 }

@@ -8,6 +8,10 @@
 //! compared. After the last row, the files left in the directory must be
 //! exactly the other files in `golden/`, byte for byte.
 //!
+//! No pinned stdout or artifact may hold a whole-word `NaN`, `inf` or
+//! `-inf`: such a number was computed over nothing, and pinning it would
+//! bless it.
+//!
 //! On a mismatch the test leaves every actual output in the scratch
 //! directory, names the first row that differs and prints the one `cp`
 //! command that re-blesses. A re-bless gives its reason in CHANGES.md.
@@ -61,6 +65,14 @@ fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
+/// Does `bytes` hold a whole-word `NaN`, `inf` or `-inf` (as `grep -w`
+/// reads words: letters, digits and `_`)?
+fn non_finite(bytes: &[u8]) -> bool {
+    String::from_utf8_lossy(bytes)
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .any(|word| word == "NaN" || word == "inf")
+}
+
 #[test]
 fn every_manifest_row_reproduces_its_golden_bytes() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -109,6 +121,9 @@ fn every_manifest_row_reproduces_its_golden_bytes() {
     let actual = files(&work);
     let mut expected = files(&golden);
     expected.remove("MANIFEST");
+    for (file, bytes) in &expected {
+        assert!(!non_finite(bytes), "golden/{file} pins a non-finite number");
+    }
     // (row index, what differs); a golden no row writes sorts last.
     let mut mismatches: Vec<(usize, String)> = Vec::new();
     let names: BTreeSet<&String> = actual.keys().chain(expected.keys()).collect();

@@ -7,7 +7,7 @@
 
 use std::path::{Path, PathBuf};
 
-use h2fault::{FaultProfile, KillPoint};
+use h2fault::{splitmix64, FaultProfile, KillPoint};
 use h2obs::Obs;
 use h2ready_bench::scan::{Campaign, RecordedScan};
 use webpop::{ExperimentSpec, Population};
@@ -53,9 +53,13 @@ fn killed_and_resumed_records_are_byte_identical_to_uninterrupted() {
     let golden = std::fs::read(&golden_path).expect("golden bytes");
 
     let total = population().h2_count();
-    // Three seeded kill points (early / middle / last-but-one), each
-    // killed at one thread count and resumed at another.
-    for (k, kill) in KillPoint::seeded(total, SEED).into_iter().enumerate() {
+    // Three kill points — early, midway and one row short of complete,
+    // where resume bookkeeping is most likely to be wrong — each killed at
+    // one thread count and resumed at another. The seed moves the early
+    // point, so different campaigns don't all crash on the same row.
+    let early = 1 + splitmix64(SEED ^ 0x4b11) % (total / 4).max(1);
+    let kills = [early, (total / 2).max(1), total.saturating_sub(1).max(1)];
+    for (k, kill) in kills.map(KillPoint::after).into_iter().enumerate() {
         for (kill_threads, resume_threads) in [(1, 4), (4, 1)] {
             let path = scratch(&format!("kill{k}-t{kill_threads}"));
             let outcome = flaky(&population(), kill_threads)

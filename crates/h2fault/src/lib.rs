@@ -225,16 +225,6 @@ impl FaultProfile {
         }
     }
 
-    /// A custom uniform-loss profile. `h2fault/tests/proptest_impairment.rs`
-    /// draws plans from it; no `repro` preset uses it.
-    pub fn uniform_loss(loss: f64) -> FaultProfile {
-        FaultProfile {
-            name: "loss",
-            loss,
-            ..FaultProfile::default_faulted("loss")
-        }
-    }
-
     fn default_faulted(name: &'static str) -> FaultProfile {
         FaultProfile {
             name,
@@ -440,21 +430,6 @@ impl KillPoint {
     /// A kill point firing after `n` persisted rows.
     pub fn after(n: u64) -> KillPoint {
         KillPoint { after_rows: n }
-    }
-
-    /// Three seeded kill points spread across a campaign of `total`
-    /// sites — early, midway, and one row short of complete — the spots
-    /// where resume bookkeeping is most likely to be wrong. `seed`
-    /// perturbs the early point so different campaigns don't all crash
-    /// on the same row.
-    pub fn seeded(total: u64, seed: u64) -> [KillPoint; 3] {
-        let early_max = (total / 4).max(1);
-        let early = 1 + splitmix64(seed ^ 0x4b11) % early_max;
-        [
-            KillPoint::after(early),
-            KillPoint::after((total / 2).max(1)),
-            KillPoint::after(total.saturating_sub(1).max(1)),
-        ]
     }
 }
 

@@ -3,7 +3,7 @@
 //! impairment is a *strict* no-op — a pipe driven through it produces
 //! byte- and time-identical arrivals to an unimpaired pipe.
 
-use h2fault::{FaultPlan, FaultProfile, ImpairmentSpec};
+use h2fault::{FaultPlan, FaultProfile, ImpairmentSpec, RetryPolicy};
 use netsim::link::LinkSpec;
 use netsim::pipe::BytesPool;
 use netsim::time::{SimDuration, SimTime};
@@ -81,7 +81,12 @@ proptest! {
         attempt in 0u32..4,
         link in arb_link(),
     ) {
-        let plan = FaultPlan::new(FaultProfile::uniform_loss(0.0), seed);
+        let zero_loss = FaultProfile {
+            name: "loss",
+            retry: RetryPolicy::standard(),
+            ..FaultProfile::none()
+        };
+        let plan = FaultPlan::new(zero_loss, seed);
         let injection = plan.injection(site, attempt);
         prop_assert!(injection.is_noop());
         prop_assert_eq!(injection.impairment.apply(link), link);

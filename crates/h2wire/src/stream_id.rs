@@ -40,16 +40,6 @@ impl StreamId {
     pub fn is_server_initiated(self) -> bool {
         self.0 != 0 && self.0.is_multiple_of(2)
     }
-
-    /// The next stream id initiated by the same endpoint, if any remain.
-    pub fn next_for_same_peer(self) -> Option<StreamId> {
-        let next = self.0.checked_add(2)?;
-        if next > Self::MAX.0 {
-            None
-        } else {
-            Some(StreamId(next))
-        }
-    }
 }
 
 impl From<u32> for StreamId {
@@ -87,18 +77,5 @@ mod tests {
         assert!(!StreamId::CONNECTION.is_client_initiated());
         assert!(!StreamId::CONNECTION.is_server_initiated());
         assert!(StreamId::CONNECTION.is_connection());
-    }
-
-    #[test]
-    fn next_for_same_peer_steps_by_two() {
-        assert_eq!(
-            StreamId::new(1).next_for_same_peer(),
-            Some(StreamId::new(3))
-        );
-        assert_eq!(
-            StreamId::new(2).next_for_same_peer(),
-            Some(StreamId::new(4))
-        );
-        assert_eq!(StreamId::MAX.next_for_same_peer(), None);
     }
 }

@@ -34,6 +34,29 @@ use crate::marginals::{
 };
 use crate::spec::ExperimentSpec;
 
+impl Family {
+    /// The server profile a site of this family is generated from, before
+    /// its SETTINGS and quirks are drawn. Tail server kinds run rfc7540,
+    /// nghttpd and h2o in turn; `tail_kind` picks one (other families
+    /// ignore it).
+    pub fn profile(self, tail_kind: u64) -> ServerProfile {
+        match self {
+            Family::Litespeed => ServerProfile::litespeed(),
+            Family::Nginx => ServerProfile::nginx(),
+            Family::Gse => ServerProfile::gse(),
+            Family::Tengine => ServerProfile::tengine(),
+            Family::CloudflareNginx => ServerProfile::cloudflare_nginx(),
+            Family::IdeaWeb => ServerProfile::ideaweb(),
+            Family::TengineAserver => ServerProfile::tengine_aserver(),
+            Family::Tail => match tail_kind % 3 {
+                0 => ServerProfile::rfc7540(),
+                1 => ServerProfile::nghttpd(),
+                _ => ServerProfile::h2o(),
+            },
+        }
+    }
+}
+
 /// One generated site, ready to be probed.
 #[derive(Debug, Clone)]
 pub struct SiteSample {
@@ -233,12 +256,6 @@ impl Population {
         self.scaled(self.spec.headers_sites)
     }
 
-    /// Iterates every h2 site (headers-returning sites first, then the
-    /// mute population).
-    pub fn iter_h2_sites(&self) -> impl Iterator<Item = SiteSample> + '_ {
-        (0..self.h2_count()).map(move |i| self.site(i))
-    }
-
     /// Iterates only the HEADERS-returning sites.
     pub fn iter_headers_sites(&self) -> impl Iterator<Item = SiteSample> + '_ {
         (0..self.headers_count()).map(move |i| self.site(i))
@@ -339,34 +356,22 @@ impl Population {
     }
 
     fn base_profile(&self, family: Family, i: u64) -> ServerProfile {
-        match family {
-            Family::Litespeed => ServerProfile::litespeed(),
-            Family::Nginx => ServerProfile::nginx(),
-            Family::Gse => ServerProfile::gse(),
-            Family::Tengine => ServerProfile::tengine(),
-            Family::CloudflareNginx => ServerProfile::cloudflare_nginx(),
-            Family::IdeaWeb => ServerProfile::ideaweb(),
-            Family::TengineAserver => ServerProfile::tengine_aserver(),
-            Family::Tail => {
-                let kinds = if self.spec.second {
-                    SERVER_KINDS.1
-                } else {
-                    SERVER_KINDS.0
-                };
-                let kind = splitmix64(self.spec.seed ^ i ^ 0x7a11) % kinds.max(1);
-                let mut profile = match kind % 3 {
-                    0 => ServerProfile::rfc7540(),
-                    1 => ServerProfile::nghttpd(),
-                    _ => ServerProfile::h2o(),
-                };
-                profile.name = format!("tail-{kind}");
-                // The name must depend on the *kind* only, so the number
-                // of distinct server strings the scanner sees tracks the
-                // paper's 223/345 counts.
-                profile.behavior.server_name = format!("srv-{kind}/{}.{}", kind % 4, kind % 10);
-                profile
-            }
+        if family != Family::Tail {
+            return family.profile(0);
         }
+        let kinds = if self.spec.second {
+            SERVER_KINDS.1
+        } else {
+            SERVER_KINDS.0
+        };
+        let kind = splitmix64(self.spec.seed ^ i ^ 0x7a11) % kinds.max(1);
+        let mut profile = family.profile(kind);
+        profile.name = format!("tail-{kind}");
+        // The name must depend on the *kind* only, so the number of
+        // distinct server strings the scanner sees tracks the paper's
+        // 223/345 counts.
+        profile.behavior.server_name = format!("srv-{kind}/{}.{}", kind % 4, kind % 10);
+        profile
     }
 
     fn apply_settings(&self, i: u64, profile: &mut ServerProfile, rng: &mut StdRng) {

@@ -1,6 +1,7 @@
 //! Integration test: a miniature scan campaign end-to-end — population
 //! generation, surveys, and the aggregate shapes the paper reports.
 
+use h2ready::scope::expected::Verdicts;
 use h2ready::scope::probes::flow_control::SmallWindowOutcome;
 use h2ready::scope::probes::Reaction;
 use h2ready::scope::H2Scope;
@@ -12,16 +13,20 @@ const SCALE: f64 = 0.004; // ~209 h2 sites of experiment 1
 fn scan_campaign_reproduces_the_papers_shapes() {
     let population = Population::new(ExperimentSpec::first(), SCALE);
     let scope = H2Scope::new();
-    let reports: Vec<(Family, h2ready::scope::SiteReport)> = population
-        .iter_h2_sites()
+    let reports: Vec<(Family, h2ready::scope::SiteReport)> = (0..population.h2_count())
+        .map(|i| population.site(i))
         .map(|site| (site.family, scope.survey(&site.target())))
         .collect();
 
     let total = reports.len() as f64;
     assert!(total > 150.0, "population too small to be meaningful");
 
+    let count = |holds: fn(Family, &Verdicts) -> bool| {
+        let holds = |(family, report): &&(Family, _)| holds(*family, &Verdicts::of(report));
+        reports.iter().filter(holds).count() as f64
+    };
     // Funnel: headers-returning sites are ~85% of h2 sites (44,390/52,300).
-    let headers = reports.iter().filter(|(_, r)| r.headers_received).count() as f64;
+    let headers = count(|_, v| v.headers_received);
     let ratio = headers / total;
     assert!(
         (0.78..=0.92).contains(&ratio),
@@ -29,14 +34,7 @@ fn scan_campaign_reproduces_the_papers_shapes() {
     );
 
     // §V-D1: the large majority respects the 1-octet window.
-    let one_byte = reports
-        .iter()
-        .filter(|(_, r)| {
-            r.flow_control
-                .as_ref()
-                .is_some_and(|fc| fc.small_window == SmallWindowOutcome::OneByteData)
-        })
-        .count() as f64;
+    let one_byte = count(|_, v| v.small_window == Some(SmallWindowOutcome::OneByteData));
     assert!(
         (0.75..=0.95).contains(&(one_byte / headers)),
         "paper: 37,525 of 44,390 ≈ 0.85, got {}",
@@ -44,14 +42,7 @@ fn scan_campaign_reproduces_the_papers_shapes() {
     );
 
     // §V-D3: RST vs ignore split is roughly half/half, RST slightly ahead.
-    let rst = reports
-        .iter()
-        .filter(|(_, r)| {
-            r.flow_control
-                .as_ref()
-                .is_some_and(|fc| fc.zero_update_stream == Reaction::RstStream)
-        })
-        .count() as f64;
+    let rst = count(|_, v| v.zero_update_stream == Some(Reaction::RstStream));
     assert!(
         (0.4..=0.68).contains(&(rst / headers)),
         "zero-WU RST share {}",
@@ -59,10 +50,7 @@ fn scan_campaign_reproduces_the_papers_shapes() {
     );
 
     // §V-E: priority support is rare (~2.6% by the last-frame rule).
-    let by_last = reports
-        .iter()
-        .filter(|(_, r)| r.priority.as_ref().is_some_and(|p| p.by_last_frame))
-        .count() as f64;
+    let by_last = count(|_, v| v.by_last_frame == Some(true));
     assert!(
         (0.005..=0.06).contains(&(by_last / headers)),
         "priority pass share {}",
@@ -92,19 +80,11 @@ fn scan_campaign_reproduces_the_papers_shapes() {
     );
 
     // Server names drive Table IV: families identify themselves.
-    let litespeed_named = reports
-        .iter()
-        .filter(|(f, r)| {
-            *f == Family::Litespeed
-                && r.server_name
-                    .as_deref()
-                    .is_some_and(|n| n.starts_with("LiteSpeed"))
-        })
-        .count();
-    let litespeed_total = reports
-        .iter()
-        .filter(|(f, r)| *f == Family::Litespeed && r.headers_received)
-        .count();
+    let litespeed_named = count(|f, v| {
+        let name = v.server_name.as_deref();
+        f == Family::Litespeed && name.is_some_and(|n| n.starts_with("LiteSpeed"))
+    });
+    let litespeed_total = count(|f, v| f == Family::Litespeed && v.headers_received);
     assert_eq!(litespeed_named, litespeed_total);
 }
 
