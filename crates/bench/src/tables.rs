@@ -3,19 +3,61 @@
 
 use std::fmt::Write as _;
 
-use h2scope::probes::flow_control::SmallWindowOutcome;
-use h2scope::{H2Scope, Reaction, ServerCharacterization, Target};
+use h2scope::expected::Verdicts;
+use h2scope::probes::flow_control::SmallWindowOutcome::{NoResponse, OneByteData};
+use h2scope::probes::{multiplexing, ping};
+use h2scope::{H2Scope, Reaction, Target};
 use h2server::{ServerProfile, SiteSpec};
 
+/// One server's Table III column as measured: the survey's verdicts plus
+/// the two probes the paper runs only in its testbed.
+struct Column {
+    server: String,
+    version: String,
+    verdicts: Verdicts,
+    multiplexing: bool,
+    ping: bool,
+}
+
+impl Column {
+    /// Surveys `profile` serving [`SiteSpec::testbed`], then runs the
+    /// multiplexing and PING probes against it.
+    fn measure(profile: ServerProfile) -> Column {
+        let target = Target::testbed(profile, SiteSpec::testbed());
+        Column {
+            server: target.profile.name.clone(),
+            version: target.profile.version.clone(),
+            verdicts: Verdicts::of(&H2Scope::new().survey(&target)),
+            multiplexing: multiplexing::probe(&target, 4).parallel,
+            ping: ping::probe(&target, 5).supported,
+        }
+    }
+
+    /// The title line and one line per Table III row.
+    fn render(&self) -> String {
+        let mut out = format!("TABLE III column — {} {}\n", self.server, self.version);
+        for row in TABLE_III_EXPECTED {
+            writeln!(out, "{:<42}{}", row.row, (row.measured)(self)).unwrap();
+        }
+        out
+    }
+}
+
 /// One row of the paper's Table III.
-pub struct TableIiiExpectation {
+struct TableIiiExpectation {
     /// Row label as printed.
-    pub row: &'static str,
+    row: &'static str,
     /// The paper's cell per server column (Nginx, LiteSpeed, H2O,
     /// nghttpd, Tengine, Apache).
-    pub cells: [&'static str; 6],
-    /// The measured cell of a characterization.
-    pub measured: fn(&ServerCharacterization) -> &'static str,
+    cells: [&'static str; 6],
+    /// The measured cell of a column.
+    measured: fn(&Column) -> &'static str,
+}
+
+/// A verdict's cell, or `unknown` where the survey did not reach it (no
+/// HTTP/2, or no HEADERS came back).
+fn known<T>(verdict: Option<T>, cell: fn(T) -> &'static str) -> &'static str {
+    verdict.map_or("unknown", cell)
 }
 
 fn support(yes: bool) -> &'static str {
@@ -43,138 +85,62 @@ fn reaction_cell(reaction: Reaction) -> &'static str {
     }
 }
 
-/// Every row of the paper's Table III.
-pub const TABLE_III_EXPECTED: &[TableIiiExpectation] = &[
+const fn row(
+    row: &'static str,
+    cells: [&'static str; 6],
+    measured: fn(&Column) -> &'static str,
+) -> TableIiiExpectation {
     TableIiiExpectation {
-        row: "ALPN",
-        cells: ["support"; 6],
-        measured: |c| support(c.negotiation.alpn_h2),
-    },
-    TableIiiExpectation {
-        row: "NPN",
-        cells: [
-            "support",
-            "support",
-            "support",
-            "support",
-            "support",
-            "no support",
-        ],
-        measured: |c| support(c.negotiation.npn_h2),
-    },
-    TableIiiExpectation {
-        row: "Request Multiplexing",
-        cells: ["support"; 6],
-        measured: |c| support(c.multiplexing.parallel),
-    },
-    TableIiiExpectation {
-        row: "Flow Control on DATA Frames",
-        cells: ["yes"; 6],
-        measured: |c| {
-            yes_no(matches!(
-                c.flow_control.small_window,
-                SmallWindowOutcome::OneByteData | SmallWindowOutcome::NoResponse
-            ))
-        },
-    },
-    TableIiiExpectation {
-        row: "Flow Control on HEADERS Frames",
-        cells: ["no", "yes", "no", "no", "no", "no"],
-        measured: |c| yes_no(!c.flow_control.headers_at_zero_window),
-    },
-    TableIiiExpectation {
-        row: "Zero Window Update on stream",
-        cells: [
-            "ignore",
-            "RST_STREAM",
-            "RST_STREAM",
-            "GOAWAY",
-            "ignore",
-            "GOAWAY",
-        ],
-        measured: |c| reaction_cell(c.flow_control.zero_update_stream),
-    },
-    TableIiiExpectation {
-        row: "Zero Window Update on connection",
-        cells: ["ignore", "GOAWAY", "GOAWAY", "GOAWAY", "ignore", "GOAWAY"],
-        measured: |c| reaction_cell(c.flow_control.zero_update_conn),
-    },
-    TableIiiExpectation {
-        row: "Large Window Update (Connection)",
-        cells: ["GOAWAY"; 6],
-        measured: |c| reaction_cell(c.flow_control.large_update_conn),
-    },
-    TableIiiExpectation {
-        row: "Large Window Update (Stream)",
-        cells: ["RST_STREAM"; 6],
-        measured: |c| reaction_cell(c.flow_control.large_update_stream),
-    },
-    TableIiiExpectation {
-        row: "Server Push",
-        cells: ["no", "no", "yes", "yes", "no", "yes"],
-        measured: |c| yes_no(c.push.supported),
-    },
-    TableIiiExpectation {
-        row: "Priority Mechanism Testing (Algorithm 1)",
-        cells: ["fail", "fail", "pass", "pass", "fail", "pass"],
-        measured: |c| if c.priority.passes() { "pass" } else { "fail" },
-    },
-    TableIiiExpectation {
-        row: "Self-dependent Stream",
-        cells: [
-            "RST_STREAM",
-            "ignore",
-            "GOAWAY",
-            "GOAWAY",
-            "RST_STREAM",
-            "GOAWAY",
-        ],
-        measured: |c| reaction_cell(c.priority.self_dependency),
-    },
-    TableIiiExpectation {
-        row: "Header Compression",
-        cells: [
-            "support*", "support", "support", "support", "support*", "support",
-        ],
-        measured: |c| {
-            if (c.hpack.ratio - 1.0).abs() < 1e-9 {
-                "support*"
-            } else {
-                "support"
-            }
-        },
-    },
-    TableIiiExpectation {
-        row: "HTTP/2 PING",
-        cells: ["support"; 6],
-        measured: |c| support(c.ping.supported),
-    },
-];
-
-/// Characterizes each of `profiles` (one H2Scope run per Table III column).
-pub fn characterize(profiles: Vec<ServerProfile>) -> Vec<ServerCharacterization> {
-    let scope = H2Scope::new();
-    profiles
-        .into_iter()
-        .map(|profile| {
-            // The push row needs a site with a manifest; everything else
-            // uses the benchmark site. Run characterize on the benchmark
-            // and overwrite the push verdict from a manifest-bearing site.
-            let report =
-                scope.characterize(&Target::testbed(profile.clone(), SiteSpec::benchmark()));
-            let push = h2scope::probes::push::probe(
-                &Target::testbed(profile, SiteSpec::page_with_assets(3, 2_000)),
-                &["/"],
-            );
-            ServerCharacterization { push, ..report }
-        })
-        .collect()
+        row,
+        cells,
+        measured,
+    }
 }
+
+/// Every row of the paper's Table III. "support*" under Header
+/// Compression: HPACK is spoken, but response headers are never indexed.
+#[rustfmt::skip]
+const TABLE_III_EXPECTED: &[TableIiiExpectation] = &[
+    row("ALPN", ["support"; 6], |c| support(c.verdicts.alpn_h2)),
+    row("NPN", ["support", "support", "support", "support", "support", "no support"],
+        |c| support(c.verdicts.npn_h2)),
+    row("Request Multiplexing", ["support"; 6], |c| support(c.multiplexing)),
+    row("Flow Control on DATA Frames", ["yes"; 6],
+        |c| known(c.verdicts.small_window, |o| yes_no(matches!(o, OneByteData | NoResponse)))),
+    row("Flow Control on HEADERS Frames", ["no", "yes", "no", "no", "no", "no"],
+        |c| known(c.verdicts.headers_at_zero_window, |sent| yes_no(!sent))),
+    row("Zero Window Update on stream",
+        ["ignore", "RST_STREAM", "RST_STREAM", "GOAWAY", "ignore", "GOAWAY"],
+        |c| known(c.verdicts.zero_update_stream, reaction_cell)),
+    row("Zero Window Update on connection",
+        ["ignore", "GOAWAY", "GOAWAY", "GOAWAY", "ignore", "GOAWAY"],
+        |c| known(c.verdicts.zero_update_conn, reaction_cell)),
+    row("Large Window Update (Connection)", ["GOAWAY"; 6],
+        |c| known(c.verdicts.large_update_conn, reaction_cell)),
+    row("Large Window Update (Stream)", ["RST_STREAM"; 6],
+        |c| known(c.verdicts.large_update_stream, reaction_cell)),
+    row("Server Push", ["no", "no", "yes", "yes", "no", "yes"],
+        |c| known(c.verdicts.push, yes_no)),
+    row("Priority Mechanism Testing (Algorithm 1)",
+        ["fail", "fail", "pass", "pass", "fail", "pass"],
+        |c| known(c.verdicts.by_last_frame, |pass| if pass { "pass" } else { "fail" })),
+    row("Self-dependent Stream",
+        ["RST_STREAM", "ignore", "GOAWAY", "GOAWAY", "RST_STREAM", "GOAWAY"],
+        |c| known(c.verdicts.self_dependency, reaction_cell)),
+    row("Header Compression",
+        ["support*", "support", "support", "support", "support*", "support"],
+        |c| known(c.verdicts.hpack_indexes_responses,
+                  |yes| if yes { "support" } else { "support*" })),
+    row("HTTP/2 PING", ["support"; 6], |c| support(c.ping)),
+];
 
 /// Regenerates Table III and appends a verification footer comparing every
 /// measured cell with the paper.
 pub fn table3() -> String {
-    let characterizations = characterize(ServerProfile::testbed());
+    let columns: Vec<Column> = ServerProfile::testbed()
+        .into_iter()
+        .map(Column::measure)
+        .collect();
     let mut out = String::new();
     writeln!(
         out,
@@ -182,14 +148,14 @@ pub fn table3() -> String {
     )
     .unwrap();
     write!(out, "{:<42}", "").unwrap();
-    for c in &characterizations {
+    for c in &columns {
         write!(out, "{:<13}", c.server).unwrap();
     }
     writeln!(out).unwrap();
     let mut mismatches = 0;
     for expectation in TABLE_III_EXPECTED {
         write!(out, "{:<42}", expectation.row).unwrap();
-        for (c, expected) in characterizations.iter().zip(expectation.cells.iter()) {
+        for (c, expected) in columns.iter().zip(expectation.cells.iter()) {
             let measured = (expectation.measured)(c);
             let marker = if measured == *expected {
                 ""
@@ -216,14 +182,7 @@ pub fn table3() -> String {
 /// cells of [`table3`], with no paper verification, since only the six
 /// testbed profiles have paper values.
 pub fn table3_column(profile: ServerProfile) -> String {
-    let mut out = String::new();
-    for c in characterize(vec![profile]) {
-        writeln!(out, "TABLE III column — {} {}", c.server, c.version).unwrap();
-        for row in TABLE_III_EXPECTED {
-            writeln!(out, "{:<42}{}", row.row, (row.measured)(&c)).unwrap();
-        }
-    }
-    out
+    Column::measure(profile).render()
 }
 
 /// §V-A: announce MAX_CONCURRENT_STREAMS of 0 and 1 on Nginx/Tengine and
@@ -281,6 +240,7 @@ pub fn concurrency_experiment() -> String {
 /// (drain the connection window, RST the throwaway streams, reprioritize
 /// while blocked) are load-bearing.
 pub fn priority_ablation() -> String {
+    use h2scope::expected::expected;
     use h2scope::probes::priority::{algorithm1, naive_order_check};
     let mut out = String::new();
     writeln!(out, "Ablation — naive ordering check vs Algorithm 1").unwrap();
@@ -293,10 +253,11 @@ pub fn priority_ablation() -> String {
     let mut naive_errors = 0;
     let mut algo_errors = 0;
     for profile in ServerProfile::testbed() {
-        let truth = profile.behavior.priority_mode.passes_table_iii();
-        let target = h2scope::Target::testbed(profile.clone(), SiteSpec::benchmark());
+        let site = SiteSpec::benchmark();
+        let truth = expected(&profile.behavior, &site).by_last_frame == Some(true);
+        let target = Target::testbed(profile.clone(), site);
         let naive = naive_order_check(&target).by_last_frame;
-        let algo = algorithm1(&target).passes();
+        let algo = algorithm1(&target).by_last_frame;
         if naive != truth {
             naive_errors += 1;
         }
@@ -365,6 +326,23 @@ mod tests {
                 .collect();
             let column = table3_column(profile);
             assert_eq!(column.lines().skip(1).collect::<Vec<_>>(), expected);
+        }
+    }
+
+    #[test]
+    fn every_profile_column_is_its_expected_column() {
+        use h2scope::expected::expected;
+        for (name, make) in ServerProfile::all() {
+            let profile = make();
+            let b = &profile.behavior;
+            let predicted = Column {
+                server: profile.name.clone(),
+                version: profile.version.clone(),
+                verdicts: expected(b, &SiteSpec::testbed()),
+                multiplexing: b.multiplexing,
+                ping: true,
+            };
+            assert_eq!(table3_column(profile), predicted.render(), "{name}");
         }
     }
 

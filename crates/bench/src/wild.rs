@@ -108,6 +108,17 @@ fn headers_verdicts(records: &[CampaignRow]) -> impl Iterator<Item = Verdicts> +
         .filter(|verdicts| verdicts.headers_received)
 }
 
+/// Appends the abstention line when no surveyed site returned HEADERS,
+/// and says whether it did: every row of the tables that call it counts
+/// HEADERS-returning sites, and zeros over none would read as sites that
+/// lack each behaviour.
+fn abstains(out: &mut String, headers: u64) -> bool {
+    if headers == 0 {
+        writeln!(out, "  (no HEADERS-returning site was surveyed)").unwrap();
+    }
+    headers == 0
+}
+
 /// Upscales a group of rows that partition (a subset of) `total` sites.
 /// Independent per-row rounding lets the upscaled rows drift from the
 /// upscaled total at scale < 1 (each row rounds on its own); instead the
@@ -256,6 +267,9 @@ pub fn table4(records: &[CampaignRow], population: &Population) -> String {
         population.spec().label,
     )
     .unwrap();
+    if abstains(&mut out, headers_total) {
+        return out;
+    }
     let table: Vec<(String, u64, u64)> = FAMILIES
         .iter()
         .filter_map(|&(family, exp1, exp2)| {
@@ -297,6 +311,9 @@ fn settings_table(
     // Each listed value is a distinct key, so the rows partition (a
     // subset of) the headers-returning sites.
     let total: u64 = counts.values().sum();
+    if abstains(&mut out, total) {
+        return out;
+    }
     let table: Vec<(String, u64, u64)> = marginal
         .iter()
         .map(|vc| {
@@ -431,6 +448,9 @@ pub fn flow_control(records: &[CampaignRow], population: &Population) -> String 
     let [d1, d2, d3, d4] = &tables;
     let mut out = String::new();
     writeln!(out, "§V-D — Flow control in the wild ({})", spec.label).unwrap();
+    if abstains(&mut out, headers) {
+        return out;
+    }
     d1.render(&mut out, &counts[0], headers, scale);
     // Under a fault campaign, split the "no response" row into probes that
     // waited out their deadline (timeout-derived) and server quirks seen
@@ -514,6 +534,9 @@ pub fn priority(records: &[CampaignRow], population: &Population) -> String {
         spec.label
     )
     .unwrap();
+    if abstains(&mut out, headers) {
+        return out;
+    }
     for (table, counts) in tables.iter().zip(&counts) {
         table.render(&mut out, counts, headers, population.scale());
     }
@@ -530,6 +553,10 @@ pub fn push_adoption(records: &[CampaignRow], population: &Population) -> String
         .collect();
     let mut out = String::new();
     writeln!(out, "§V-F — Server push in the wild ({})", spec.label).unwrap();
+    let headers = records.iter().filter(|r| r.report.headers_received).count();
+    if abstains(&mut out, headers as u64) {
+        return out;
+    }
     writeln!(
         out,
         "  sites pushing on the front page: measured {} (paper {} at full scale)",
@@ -749,6 +776,48 @@ mod tests {
         );
         assert!(!rendered.contains("NaN"), "{rendered}");
         assert!(!rendered.contains("majority"), "{rendered}");
+    }
+
+    #[test]
+    fn section_v_tables_abstain_when_no_site_returned_headers() {
+        let population = Population::new(ExperimentSpec::first(), 0.01);
+        let site = population.site(0);
+        let survey = h2scope::H2Scope::new().survey(&site.target());
+        assert!(survey.headers_received);
+        // What the survey funnel keeps of a site whose HEADERS never came.
+        let report = h2scope::SiteReport {
+            headers_received: false,
+            server_name: None,
+            flow_control: None,
+            priority: None,
+            push: None,
+            hpack: None,
+            ..survey
+        };
+        let family = site.family;
+        let records = [CampaignRow {
+            index: 0,
+            family,
+            report,
+        }];
+        let sections: [fn(&[CampaignRow], &Population) -> String; 7] = [
+            table4,
+            table5,
+            table6,
+            table7,
+            flow_control,
+            priority,
+            push_adoption,
+        ];
+        for section in sections {
+            let rendered = section(&records, &population);
+            assert!(
+                rendered.contains("(no HEADERS-returning site was surveyed)"),
+                "{rendered}"
+            );
+            // The title, then the abstention: no row of zeros.
+            assert_eq!(rendered.lines().count(), 2, "{rendered}");
+        }
     }
 
     /// Table III × Table IV: every §V-D and §V-E row evaluated on the

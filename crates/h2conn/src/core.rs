@@ -419,11 +419,6 @@ impl ConnectionCore {
         self.encoder_table_cap = cap;
     }
 
-    /// This endpoint's role.
-    pub fn role(&self) -> Role {
-        self.role
-    }
-
     /// The peer's most recent settings.
     pub fn remote_settings(&self) -> &EffectiveSettings {
         &self.remote
@@ -452,11 +447,6 @@ impl ConnectionCore {
     /// Octets we may still send at connection scope.
     pub fn connection_send_window(&self) -> i64 {
         self.conn_send.available()
-    }
-
-    /// Octets the peer may still send at connection scope.
-    pub fn connection_recv_window(&self) -> i64 {
-        self.conn_recv.available()
     }
 
     /// `true` after GOAWAY arrived.
@@ -1231,7 +1221,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(core.connection_recv_window(), 65_535 - 1_000);
+        assert_eq!(core.conn_recv.available(), 65_535 - 1_000);
         assert_eq!(
             core.streams().get(sid(1)).unwrap().recv_window.available(),
             65_535 - 1_000
@@ -1410,7 +1400,7 @@ mod tests {
         feed(&mut core, data);
         let updates = core.replenish_recv_windows(sid(1), 100);
         assert_eq!(updates.len(), 2);
-        assert_eq!(core.connection_recv_window(), 65_535);
+        assert_eq!(core.conn_recv.available(), 65_535);
     }
 
     #[test]

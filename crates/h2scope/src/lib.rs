@@ -19,15 +19,21 @@
 //! | §V-C SETTINGS survey | [`probes::settings`] |
 //! | §V-F page-load with/without push | [`pageload`] |
 //!
+//! One instrument serves the testbed and the wild scans alike:
+//! [`H2Scope::survey`] runs the probe funnel on a site and
+//! [`expected::Verdicts::of`] projects its [`SiteReport`] onto the
+//! verdicts Table III and the §V tables count. The multiplexing and PING
+//! probes are the paper's testbed-only pair and stay outside the funnel.
+//!
 //! ```
+//! use h2scope::expected::Verdicts;
 //! use h2scope::{H2Scope, Target};
 //! use h2server::{ServerProfile, SiteSpec};
 //!
-//! let scope = H2Scope::new();
-//! let report = scope.characterize(&Target::testbed(
-//!     ServerProfile::h2o(), SiteSpec::benchmark()));
-//! assert!(report.priority.passes());   // H2O honors priorities
-//! assert!(report.push.supported == false); // benchmark site has no manifest
+//! let target = Target::testbed(ServerProfile::h2o(), SiteSpec::testbed());
+//! let verdicts = Verdicts::of(&H2Scope::new().survey(&target));
+//! assert_eq!(verdicts.by_last_frame, Some(true)); // H2O honors priorities
+//! assert_eq!(verdicts.push, Some(true)); // ...and pushes the manifest
 //! ```
 
 // Panic-freedom: this crate parses outside input, so a site that can
@@ -56,7 +62,7 @@ pub mod target;
 pub use client::{ProbeConn, TimedFrame};
 pub use h2obs::{Obs, ProbeKind};
 pub use probes::{classify_reaction, Reaction};
-pub use report::{ServerCharacterization, SiteReport};
+pub use report::SiteReport;
 pub use resilient::{
     survey_with_retries, FaultLog, ProbeFailure, ProbeOutcome, ProbeStats, MAX_RETRY_BACKOFF,
 };

@@ -44,7 +44,7 @@ const F: u32 = 13;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PriorityReport {
     /// Expected ordering holds judging by each stream's *last* DATA frame
-    /// (the paper's 1,147 / 2,187 sites).
+    /// (Table III's "pass"; the paper's 1,147 / 2,187 sites).
     pub by_last_frame: bool,
     /// Expected ordering holds judging by each stream's *first* DATA
     /// frame (46 / 117 sites).
@@ -56,14 +56,6 @@ pub struct PriorityReport {
     pub headers_blocked_at_zero_conn_window: bool,
     /// Reaction to a self-dependent PRIORITY frame (§III-C2).
     pub self_dependency: Reaction,
-}
-
-impl PriorityReport {
-    /// The paper's pass/fail verdict for Table III: the server passes
-    /// Algorithm 1 if the last-DATA-frame ordering holds.
-    pub fn passes(&self) -> bool {
-        self.by_last_frame
-    }
 }
 
 /// Runs Algorithm 1 against the target.
@@ -320,7 +312,7 @@ mod tests {
         ] {
             let name = profile.name.clone();
             let report = algorithm1(&target_for(profile));
-            assert!(report.passes(), "{name} must pass Algorithm 1");
+            assert!(report.by_last_frame, "{name} must pass Algorithm 1");
             assert!(report.by_first_frame, "{name} first-frame rule");
             assert!(report.by_both, "{name}");
         }
@@ -335,7 +327,7 @@ mod tests {
         ] {
             let name = profile.name.clone();
             let report = algorithm1(&target_for(profile));
-            assert!(!report.passes(), "{name} must fail Algorithm 1");
+            assert!(!report.by_last_frame, "{name} must fail Algorithm 1");
         }
     }
 
@@ -347,7 +339,6 @@ mod tests {
         assert!(report.by_last_frame, "completion follows priority");
         assert!(!report.by_first_frame, "first frames flush FCFS");
         assert!(!report.by_both);
-        assert!(report.passes(), "Table III's test uses the last-frame rule");
     }
 
     #[test]

@@ -1,47 +1,20 @@
-//! Reports: the per-server characterization (Table III) and the per-site
-//! scan record (the paper's measurement "database").
+//! The per-site survey record (the paper's measurement "database"), for
+//! a testbed server (Table III) and a scanned site (§V) alike.
 
 use h2wire::{Frame, Settings};
 
 use crate::client::ProbeConn;
 use crate::probes::flow_control::FlowControlReport;
 use crate::probes::hpack::HpackReport;
-use crate::probes::multiplexing::MultiplexingReport;
 use crate::probes::negotiation::NegotiationReport;
-use crate::probes::ping::PingReport;
 use crate::probes::priority::PriorityReport;
 use crate::probes::push::PushReport;
 use crate::probes::settings::SettingsReport;
 use crate::resilient::ProbeStats;
 use crate::target::Target;
 
-/// A full characterization of one server — a column of Table III.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerCharacterization {
-    /// Profile name ("Nginx", "LiteSpeed", ...).
-    pub server: String,
-    /// Version tested.
-    pub version: String,
-    /// ALPN / NPN support.
-    pub negotiation: NegotiationReport,
-    /// Announced SETTINGS.
-    pub settings: SettingsReport,
-    /// Request multiplexing verdict.
-    pub multiplexing: MultiplexingReport,
-    /// The four flow-control probes.
-    pub flow_control: FlowControlReport,
-    /// Algorithm 1 plus self-dependency.
-    pub priority: PriorityReport,
-    /// Server push detection.
-    pub push: PushReport,
-    /// HPACK compression ratio.
-    pub hpack: HpackReport,
-    /// PING support and RTTs.
-    pub ping: PingReport,
-}
-
-/// One scanned site's record — what H2Scope stores per site during the
-/// top-1M campaigns.
+/// One surveyed site's record — a testbed server's Table III column, or
+/// what H2Scope stores per site during the top-1M campaigns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteReport {
     /// The site's authority (synthetic rank-derived hostname in scans).
@@ -106,11 +79,6 @@ pub fn headers_probe(target: &Target) -> HeadersProbe {
     }
 }
 
-/// Convenience wrapper returning only the `server` header.
-pub fn server_name(target: &Target) -> Option<String> {
-    headers_probe(target).server
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,8 +87,11 @@ mod tests {
     #[test]
     fn server_name_comes_from_response_headers() {
         let target = Target::testbed(ServerProfile::nginx(), SiteSpec::benchmark());
-        assert_eq!(server_name(&target).as_deref(), Some("nginx/1.9.15"));
+        assert_eq!(
+            headers_probe(&target).server.as_deref(),
+            Some("nginx/1.9.15")
+        );
         let target = Target::testbed(ServerProfile::gse(), SiteSpec::benchmark());
-        assert_eq!(server_name(&target).as_deref(), Some("GSE"));
+        assert_eq!(headers_probe(&target).server.as_deref(), Some("GSE"));
     }
 }

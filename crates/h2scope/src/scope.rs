@@ -1,29 +1,20 @@
-//! The top-level H2Scope tool: testbed characterization and site surveys.
+//! The top-level H2Scope tool: one survey per site, for the testbed
+//! (Table III) and the wild scans (§V) alike.
 
-use crate::probes::{
-    flow_control, hpack, multiplexing, negotiation, ping, priority, push, settings,
-};
-use crate::report::{ServerCharacterization, SiteReport};
+use crate::probes::{flow_control, hpack, negotiation, priority, push, settings};
+use crate::report::SiteReport;
 use crate::target::Target;
 
 /// Configuration for a probe campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScopeConfig {
-    /// Parallel requests in the multiplexing probe (the paper's N).
-    pub multiplex_streams: usize,
     /// Identical requests in the HPACK probe (the paper's H).
     pub hpack_requests: usize,
-    /// PING samples per site.
-    pub ping_samples: usize,
 }
 
 impl Default for ScopeConfig {
     fn default() -> ScopeConfig {
-        ScopeConfig {
-            multiplex_streams: 4,
-            hpack_requests: 8,
-            ping_samples: 5,
-        }
+        ScopeConfig { hpack_requests: 8 }
     }
 }
 
@@ -42,23 +33,6 @@ impl H2Scope {
     /// The configuration in force.
     pub fn config(&self) -> &ScopeConfig {
         &self.config
-    }
-
-    /// Runs every probe against a testbed server — regenerating one column
-    /// of Table III.
-    pub fn characterize(&self, target: &Target) -> ServerCharacterization {
-        ServerCharacterization {
-            server: target.profile.name.clone(),
-            version: target.profile.version.clone(),
-            negotiation: negotiation::probe(target),
-            settings: settings::probe(target),
-            multiplexing: multiplexing::probe(target, self.config.multiplex_streams),
-            flow_control: flow_control::probe(target),
-            priority: priority::algorithm1(target),
-            push: push::probe(target, &["/"]),
-            hpack: hpack::probe(target, self.config.hpack_requests),
-            ping: ping::probe(target, self.config.ping_samples),
-        }
     }
 
     /// Surveys one site as the scan campaigns do: negotiation first, then

@@ -10,17 +10,9 @@ use h2scope::expected::{expected, Verdicts};
 use h2scope::{probes, H2Scope, Target};
 use h2server::{ServerProfile, SiteSpec};
 
-/// The benchmark site with a push manifest on its front page, so one
-/// site answers every probe: large objects for the flow-control,
-/// multiplexing and priority probes, promised assets for the push probe.
-fn site() -> SiteSpec {
-    let assets = ["/style.css", "/app.js", "/logo.png"];
-    SiteSpec::benchmark().push_on("/", assets.map(String::from).to_vec())
-}
-
 #[test]
 fn every_profile_surveys_as_its_behavior_predicts() {
-    let site = Arc::new(site());
+    let site = Arc::new(SiteSpec::testbed());
     let scope = H2Scope::new();
     for (name, make) in ServerProfile::all() {
         let profile = Arc::new(make());
@@ -31,10 +23,11 @@ fn every_profile_surveys_as_its_behavior_predicts() {
             expected(b, &site),
             "{name}"
         );
-        let c = scope.characterize(&target);
-        assert!(c.ping.supported, "{name}: PING");
+        // The testbed-only probes, outside the survey funnel.
+        assert!(probes::ping::probe(&target, 5).supported, "{name}: PING");
         assert_eq!(
-            c.multiplexing.parallel, b.multiplexing,
+            probes::multiplexing::probe(&target, 4).parallel,
+            b.multiplexing,
             "{name}: multiplexing"
         );
         // §5.1.2 is protocol mechanics, not a quirk: every profile gates

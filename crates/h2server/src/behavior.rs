@@ -51,14 +51,6 @@ pub enum PriorityMode {
     FirstFrameOnly,
 }
 
-impl PriorityMode {
-    /// Whether this mode would pass the paper's Table III priority test
-    /// (which uses the last-DATA-frame rule).
-    pub fn passes_table_iii(self) -> bool {
-        matches!(self, PriorityMode::Strict | PriorityMode::CompletionOrder)
-    }
-}
-
 /// Which subset of a page's object tree a push-capable server promises —
 /// the experimental axis of the push QoE study. RFC 7540 §8.2 leaves
 /// the *choice* of what to push entirely to the server, and deployed

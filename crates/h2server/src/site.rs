@@ -232,6 +232,15 @@ impl SiteSpec {
         site
     }
 
+    /// The [`benchmark`](SiteSpec::benchmark) site with a push manifest on
+    /// its front page, so one site answers every H2Scope probe: large
+    /// objects for the flow-control, multiplexing and priority probes,
+    /// promised assets for the push probe. Table III surveys it.
+    pub fn testbed() -> SiteSpec {
+        let assets = ["/style.css", "/app.js", "/logo.png"];
+        SiteSpec::benchmark().push_on("/", assets.map(String::from).to_vec())
+    }
+
     /// A front page with `assets` subresources of `asset_size` octets each
     /// and a push manifest covering all of them — the page-load experiment
     /// site (Figure 3).

@@ -341,11 +341,6 @@ impl<E: ByteEndpoint> Pipe<E> {
         self.obs = obs;
     }
 
-    /// `true` once the connection has been cut by a fault.
-    pub fn is_reset(&self) -> bool {
-        self.reset
-    }
-
     /// Queues client bytes for delivery to the server at the appropriate
     /// link-modeled time. Silently dropped once the connection is reset.
     /// Borrows: the payload is copied into a pooled buffer, so callers can
@@ -652,7 +647,7 @@ mod tests {
             outcome = ended;
         }
         let counters = (pipe.bytes_to_server, pipe.bytes_to_client);
-        (received, outcome, pipe.is_reset(), counters.0, counters.1)
+        (received, outcome, pipe.reset, counters.0, counters.1)
     }
 
     /// Each action at octet 0, in the middle of a segment (15) and at a

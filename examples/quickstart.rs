@@ -1,50 +1,49 @@
-//! Quickstart: install a simulated server in the testbed and characterize
-//! it with H2Scope — the paper's core workflow in a dozen lines.
+//! Quickstart: install a simulated server in the testbed, survey it with
+//! H2Scope and read its verdicts — the paper's core workflow in a dozen
+//! lines.
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
 
+use h2ready::scope::expected::Verdicts;
+use h2ready::scope::probes::{multiplexing, ping};
 use h2ready::scope::{H2Scope, Target};
 use h2ready::server::{ServerProfile, SiteSpec};
 
 fn main() {
-    let scope = H2Scope::new();
-
     // Pick a server implementation — here H2O, one of the three servers
     // the paper found to implement priorities and push.
-    let testbed = Target::testbed(ServerProfile::h2o(), SiteSpec::benchmark());
-    let report = scope.characterize(&testbed);
+    let target = Target::testbed(ServerProfile::h2o(), SiteSpec::testbed());
+    let report = H2Scope::new().survey(&target);
+    let v = Verdicts::of(&report);
+    let show = |reaction: Option<_>| reaction.map_or("unknown".to_string(), |r| format!("{r}"));
 
-    println!("server          : {} {}", report.server, report.version);
+    println!("server          : {:?}", v.server_name);
+    println!("ALPN / NPN      : {} / {}", v.alpn_h2, v.npn_h2);
+    println!("max concurrent  : {:?}", v.settings.max_concurrent_streams);
+    println!("1-octet window  : {:?}", v.small_window);
+    println!("zero WU (stream): {}", show(v.zero_update_stream));
+    println!("zero WU (conn)  : {}", show(v.zero_update_conn));
     println!(
-        "ALPN / NPN      : {} / {}",
-        report.negotiation.alpn_h2, report.negotiation.npn_h2
+        "priority test   : {:?} (last-DATA-frame rule)",
+        v.by_last_frame
     );
-    println!("multiplexing    : {}", report.multiplexing.parallel);
+    println!("self-dependency : {}", show(v.self_dependency));
+    println!("server push     : {:?}", v.push);
+    if let Some(hpack) = &report.hpack {
+        println!("HPACK ratio     : {:.3}", hpack.ratio);
+    }
+
+    // The two probes the paper runs only in its testbed.
     println!(
-        "max concurrent  : {:?}",
-        report.multiplexing.max_concurrent_streams
+        "multiplexing    : {}",
+        multiplexing::probe(&target, 4).parallel
     );
-    println!("1-octet window  : {:?}", report.flow_control.small_window);
-    println!(
-        "zero WU (stream): {}",
-        report.flow_control.zero_update_stream
-    );
-    println!("zero WU (conn)  : {}", report.flow_control.zero_update_conn);
-    println!(
-        "priority test   : {}",
-        if report.priority.passes() {
-            "pass"
-        } else {
-            "fail"
-        }
-    );
-    println!("self-dependency : {}", report.priority.self_dependency);
-    println!("HPACK ratio     : {:.3}", report.hpack.ratio);
+    let rtt_ms = ping::probe(&target, 5).rtt_ms;
     println!(
         "PING RTT        : {:.3} ms median over {} samples",
-        h2ready::scope::probes::ping::median(&report.ping.rtt_ms),
-        report.ping.rtt_ms.len()
+        ping::median(&rtt_ms),
+        rtt_ms.len()
     );
 }

@@ -18,14 +18,14 @@
 //! Probe a simulated Nginx server exactly as the paper probes its testbed:
 //!
 //! ```
-//! use h2ready::server::{ServerProfile, SiteSpec};
+//! use h2ready::scope::expected::Verdicts;
 //! use h2ready::scope::{H2Scope, Target};
+//! use h2ready::server::{ServerProfile, SiteSpec};
 //!
-//! let testbed = Target::testbed(ServerProfile::nginx(), SiteSpec::benchmark());
-//! let scope = H2Scope::new();
-//! let report = scope.characterize(&testbed);
-//! assert!(report.negotiation.alpn_h2);
-//! assert!(!report.push.supported); // Nginx 1.9.15 did not implement push
+//! let testbed = Target::testbed(ServerProfile::nginx(), SiteSpec::testbed());
+//! let verdicts = Verdicts::of(&H2Scope::new().survey(&testbed));
+//! assert!(verdicts.alpn_h2);
+//! assert_eq!(verdicts.push, Some(false)); // Nginx 1.9.15 did not implement push
 //! ```
 
 pub use h2conn as conn;
