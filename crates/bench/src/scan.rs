@@ -489,7 +489,7 @@ mod tests {
         }
     }
 
-    /// Site 281 of experiment 1 at scale 0.2, under `flaky` with seed 1,
+    /// Site 2404 of experiment 1 at scale 0.2, under `flaky` with seed 2,
     /// returns HEADERS to the headers probe, but its HPACK probe sees
     /// none. That probe measured no ratio, so its verdict is unknown: a
     /// NaN ratio would read "does not index" to `expected` and panic
@@ -497,8 +497,8 @@ mod tests {
     #[test]
     fn an_hpack_probe_that_saw_no_headers_abstains() {
         let pop = Population::new(ExperimentSpec::first(), 0.2);
-        let plan = FaultPlan::new(FaultProfile::flaky(), 1);
-        let row = scan_one(&H2Scope::new(), &pop, 281, Some(&plan), 1, &Obs::off());
+        let plan = FaultPlan::new(FaultProfile::flaky(), 2);
+        let row = scan_one(&H2Scope::new(), &pop, 2404, Some(&plan), 1, &Obs::off());
         assert!(row.report.headers_received);
         assert_eq!(row.report.hpack, None);
     }

@@ -28,7 +28,7 @@ impl Column {
             server: target.profile.name.clone(),
             version: target.profile.version.clone(),
             verdicts: Verdicts::of(&H2Scope::new().survey(&target)),
-            multiplexing: multiplexing::probe(&target, 4).parallel,
+            multiplexing: multiplexing::probe(&target, 4),
             ping: ping::probe(&target, 5).supported,
         }
     }

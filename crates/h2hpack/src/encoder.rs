@@ -2,7 +2,7 @@
 
 use crate::huffman;
 use crate::integer;
-use crate::table::{static_lookup, DynamicTable, Header, TableScratch};
+use crate::table::{static_lookup, DynamicTable, Header, Key, TableScratch};
 
 /// How the encoder uses the dynamic table.
 ///
@@ -137,7 +137,8 @@ impl Encoder {
             integer::encode(index as u64, 7, 0b1000_0000, out);
             return;
         }
-        let dynamic_hit = self.table.lookup(&header.name, &header.value);
+        let key = Key::of(&header.name, &header.value);
+        let dynamic_hit = self.table.lookup_keyed(&header.name, &header.value, key);
         if let Some((index, true)) = dynamic_hit {
             integer::encode(index as u64, 7, 0b1000_0000, out);
             return;
@@ -162,7 +163,7 @@ impl Encoder {
         }
         self.encode_string(header.value.as_bytes(), out);
         if add_to_table {
-            self.table.insert(&header.name, &header.value);
+            self.table.insert_keyed(&header.name, &header.value, key);
         }
     }
 

@@ -127,18 +127,74 @@ pub fn static_entry(index: usize) -> Option<Header> {
 
 /// Finds the best static match for a field: `(index, value_matched)`.
 pub fn static_lookup(name: &str, value: &str) -> Option<(usize, bool)> {
-    let mut name_only = None;
-    for (i, &(n, v)) in STATIC_TABLE.iter().enumerate() {
-        if n == name {
-            if v == value {
-                return Some((i + 1, true));
-            }
-            if name_only.is_none() {
-                name_only = Some((i + 1, false));
-            }
-        }
-    }
-    name_only
+    let range = static_range(name)?;
+    let first = range.start;
+    let exact = STATIC_TABLE
+        .get(first - 1..range.end - 1)?
+        .iter()
+        .position(|&(_, v)| v == value);
+    Some(exact.map_or((first, false), |at| (first + at, true)))
+}
+
+/// The static indices holding `name`: every entry of one name is
+/// adjacent in Appendix A, so a `match` on the name replaces a scan of
+/// all 61 entries, and values are compared only inside the range.
+fn static_range(name: &str) -> Option<std::ops::Range<usize>> {
+    Some(match name {
+        ":authority" => 1..2,
+        ":method" => 2..4,
+        ":path" => 4..6,
+        ":scheme" => 6..8,
+        ":status" => 8..15,
+        "accept-charset" => 15..16,
+        "accept-encoding" => 16..17,
+        "accept-language" => 17..18,
+        "accept-ranges" => 18..19,
+        "accept" => 19..20,
+        "access-control-allow-origin" => 20..21,
+        "age" => 21..22,
+        "allow" => 22..23,
+        "authorization" => 23..24,
+        "cache-control" => 24..25,
+        "content-disposition" => 25..26,
+        "content-encoding" => 26..27,
+        "content-language" => 27..28,
+        "content-length" => 28..29,
+        "content-location" => 29..30,
+        "content-range" => 30..31,
+        "content-type" => 31..32,
+        "cookie" => 32..33,
+        "date" => 33..34,
+        "etag" => 34..35,
+        "expect" => 35..36,
+        "expires" => 36..37,
+        "from" => 37..38,
+        "host" => 38..39,
+        "if-match" => 39..40,
+        "if-modified-since" => 40..41,
+        "if-none-match" => 41..42,
+        "if-range" => 42..43,
+        "if-unmodified-since" => 43..44,
+        "last-modified" => 44..45,
+        "link" => 45..46,
+        "location" => 46..47,
+        "max-forwards" => 47..48,
+        "proxy-authenticate" => 48..49,
+        "proxy-authorization" => 49..50,
+        "range" => 50..51,
+        "referer" => 51..52,
+        "refresh" => 52..53,
+        "retry-after" => 53..54,
+        "server" => 54..55,
+        "set-cookie" => 55..56,
+        "strict-transport-security" => 56..57,
+        "transfer-encoding" => 57..58,
+        "user-agent" => 58..59,
+        "vary" => 59..60,
+        "via" => 60..61,
+        "www-authenticate" => 61..62,
+        _ => return None,
+    })
 }
 
 /// The HPACK dynamic table: a FIFO of recently indexed fields with a size
@@ -166,12 +222,13 @@ pub struct DynamicTable {
 }
 
 /// One entry: its name is `text[start..name_end]`, its value
-/// `text[name_end..end]`.
+/// `text[name_end..end]`, and its fingerprints are taken once, at insert.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     start: usize,
     name_end: usize,
     end: usize,
+    key: Key,
 }
 
 impl Entry {
@@ -179,6 +236,58 @@ impl Entry {
     fn hpack_size(&self) -> u32 {
         (self.end - self.start + 32) as u32
     }
+}
+
+/// 32-bit fingerprints of a field's name and of the whole field. Equal
+/// text has equal fingerprints, so [`DynamicTable::lookup`] compares text
+/// only where a fingerprint matches. They sit inline in each entry: on
+/// tables of a few dozen entries a hash index costs more than it saves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Key {
+    name: u32,
+    field: u32,
+}
+
+impl Key {
+    pub(crate) fn of(name: &str, value: &str) -> Key {
+        let name = fold(name.as_bytes());
+        // Two independent folds, then one step joining them.
+        let field = step(name, fold(value.as_bytes()));
+        Key {
+            name: (name >> 32) as u32,
+            field: (field >> 32) as u32,
+        }
+    }
+}
+
+/// One Fx hash step: rotate, mix in a word, multiply.
+fn step(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// Folds `bytes` into a hash eight octets at a time, seeded with their
+/// length; the high half of the result is the best mixed. A tail shorter
+/// than a word is read whole: as the last eight octets (overlapping the
+/// last whole word), in text of four to seven octets as two overlapping
+/// halves, and only in shorter text octet by octet.
+fn fold(bytes: &[u8]) -> u64 {
+    let word = |c: &[u8; 8]| u64::from_le_bytes(*c);
+    let half = |c: &[u8; 4]| u64::from(u32::from_le_bytes(*c));
+    let (words, tail) = bytes.as_chunks::<8>();
+    let h = words
+        .iter()
+        .fold(bytes.len() as u64, |h, c| step(h, word(c)));
+    let last = match (
+        bytes.last_chunk::<8>(),
+        bytes.first_chunk(),
+        bytes.last_chunk(),
+    ) {
+        _ if tail.is_empty() => return h,
+        (Some(last), ..) => word(last),
+        (None, Some(first), Some(last)) => half(first) << 32 | half(last),
+        _ => tail.iter().fold(0, |w, &b| w << 8 | u64::from(b)),
+    };
+    step(h, last)
 }
 
 /// The storage a [`DynamicTable`] leaves behind: its entry list and text
@@ -270,6 +379,12 @@ impl DynamicTable {
     /// the tail. An entry larger than the whole table empties it
     /// (RFC 7541 §4.4).
     pub fn insert(&mut self, name: &str, value: &str) {
+        self.insert_keyed(name, value, Key::of(name, value));
+    }
+
+    /// [`DynamicTable::insert`] with the field's fingerprints already
+    /// taken (the encoder took them for its lookup).
+    pub(crate) fn insert_keyed(&mut self, name: &str, value: &str, key: Key) {
         let entry_size = (name.len() + value.len() + 32) as u32;
         if entry_size > self.max_size {
             self.evictions += self.entries.len() as u64;
@@ -291,6 +406,7 @@ impl DynamicTable {
             start,
             name_end: start + name.len(),
             end: self.text.len(),
+            key,
         });
         self.size += entry_size;
     }
@@ -302,16 +418,26 @@ impl DynamicTable {
 
     /// Finds the best dynamic match: `(absolute_index, value_matched)`.
     pub fn lookup(&self, name: &str, value: &str) -> Option<(usize, bool)> {
+        self.lookup_keyed(name, value, Key::of(name, value))
+    }
+
+    /// [`DynamicTable::lookup`] with the field's fingerprints already
+    /// taken: text is compared only where a fingerprint matches.
+    pub(crate) fn lookup_keyed(&self, name: &str, value: &str, key: Key) -> Option<(usize, bool)> {
         let text = self.text.as_bytes();
         let mut name_only = None;
+        // Equal names have equal name fingerprints, so one compare skips
+        // every entry that can match neither way.
         for (i, entry) in self.entries.iter().enumerate() {
-            if text.get(entry.start..entry.name_end) == Some(name.as_bytes()) {
-                if text.get(entry.name_end..entry.end) == Some(value.as_bytes()) {
-                    return Some((STATIC_TABLE_LEN + 1 + i, true));
-                }
-                if name_only.is_none() {
-                    name_only = Some((STATIC_TABLE_LEN + 1 + i, false));
-                }
+            if entry.key.name != key.name {
+                continue;
+            }
+            if entry.key.field == key.field && self.field(entry) == Some((name, value)) {
+                return Some((STATIC_TABLE_LEN + 1 + i, true));
+            }
+            if name_only.is_none() && text.get(entry.start..entry.name_end) == Some(name.as_bytes())
+            {
+                name_only = Some((STATIC_TABLE_LEN + 1 + i, false));
             }
         }
         name_only

@@ -4,7 +4,9 @@
 //! arbitrary octet strings.
 
 use h2hpack::encoder::{Encoder, EncoderOptions, IndexingPolicy};
-use h2hpack::{huffman, integer, Decoder, DynamicTable, Header, HpackDecodeError};
+use h2hpack::{
+    huffman, integer, static_lookup, Decoder, DynamicTable, Header, HpackDecodeError, STATIC_TABLE,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -158,7 +160,111 @@ fn huffman_decode_matches_the_bit_serial_reference_on_every_codeword() {
     assert_decoders_agree(&coded);
 }
 
+/// The static lookup as a scan of all 61 entries: the first exact match,
+/// else the first entry with the name.
+fn scan_static(name: &str, value: &str) -> Option<(usize, bool)> {
+    let index = |found: Option<usize>| found.map(|at| at + 1);
+    let exact = index(STATIC_TABLE.iter().position(|&e| e == (name, value)));
+    let named = index(STATIC_TABLE.iter().position(|&(n, _)| n == name));
+    exact.map(|i| (i, true)).or(named.map(|i| (i, false)))
+}
+
+/// The dynamic lookup as a text scan of the table's entries, newest
+/// first, read back through `get`.
+fn scan_dynamic(table: &DynamicTable, name: &str, value: &str) -> Option<(usize, bool)> {
+    let fields: Vec<_> = (62..62 + table.len()).map(|i| table.get(i)).collect();
+    let exact = fields.iter().position(|&f| f == Some((name, value)));
+    let named = fields
+        .iter()
+        .position(|f| f.is_some_and(|(n, _)| n == name));
+    exact
+        .map(|at| (62 + at, true))
+        .or(named.map(|at| (62 + at, false)))
+}
+
+#[test]
+fn static_lookup_equals_a_scan_of_every_static_field() {
+    for &(name, value) in &STATIC_TABLE {
+        for value in [value, "", "GET", "200", "a foreign value"] {
+            assert_eq!(
+                static_lookup(name, value),
+                scan_static(name, value),
+                "{name}: {value}"
+            );
+        }
+    }
+}
+
+/// A table operation: insert a field, or apply a size update (which may
+/// evict or clear).
+#[derive(Debug, Clone)]
+enum TableOp {
+    Insert(String, String),
+    Resize(u32),
+}
+
+/// Field text from small alphabets, so that equal names, equal fields
+/// and unequal text of equal length all recur, with some text longer
+/// than one eight-octet fingerprint word.
+fn arb_field() -> impl Strategy<Value = (String, String)> {
+    let name = prop_oneof![3 => "[ab]{1,3}", 1 => "[ab]{7,10}"];
+    let value = prop_oneof![3 => "[xy]{0,3}", 1 => "[xy]{8,17}"];
+    (name, value)
+}
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        6 => arb_field().prop_map(|(n, v)| TableOp::Insert(n, v)),
+        1 => (0u32..400).prop_map(TableOp::Resize),
+    ]
+}
+
 proptest! {
+    /// The static lookup's `match` agrees with a scan for names in and
+    /// out of the table, with values in and out of it.
+    #[test]
+    fn static_lookup_equals_a_scan_for_any_name(
+        name in prop_oneof![
+            Just(":method".to_string()),
+            Just(":status".to_string()),
+            Just("accept".to_string()),
+            "[a-z:-]{0,12}",
+        ],
+        value in prop_oneof![Just("GET".to_string()), Just("200".to_string()), "[ -~]{0,8}"],
+    ) {
+        prop_assert_eq!(static_lookup(&name, &value), scan_static(&name, &value));
+    }
+
+    /// After any sequence of inserts, size updates and evictions, the
+    /// fingerprinted lookup answers what a text scan answers: for every
+    /// resident field, for its name with a foreign value, and for a
+    /// field that may never have been inserted.
+    #[test]
+    fn dynamic_lookup_equals_a_scan(
+        ops in prop::collection::vec(arb_table_op(), 1..60),
+        probes in prop::collection::vec(arb_field(), 1..8),
+    ) {
+        let mut table = DynamicTable::new(300);
+        for op in &ops {
+            match op {
+                TableOp::Insert(name, value) => table.insert(name, value),
+                TableOp::Resize(max) => table.set_max_size(*max),
+            }
+            let resident: Vec<(String, String)> = (62..62 + table.len())
+                .filter_map(|i| table.get(i))
+                .map(|(n, v)| (n.to_string(), v.to_string()))
+                .collect();
+            for (name, value) in resident.iter().chain(&probes) {
+                for value in [value.as_str(), "zz"] {
+                    prop_assert_eq!(
+                        table.lookup(name, value),
+                        scan_dynamic(&table, name, value)
+                    );
+                }
+            }
+        }
+    }
+
     /// Decoding in place into one reused list — whatever it held — gives
     /// exactly what a fresh decode gives, block after block, and leaves
     /// the dynamic table in the same state; a corrupted block fails (or

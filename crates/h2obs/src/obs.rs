@@ -104,6 +104,8 @@ struct MetricsRegistry {
     bytes_to_server: AtomicU64,
     /// Bytes delivered server → client across all pipes.
     bytes_to_client: AtomicU64,
+    /// Header-block octets probe clients received and decoded.
+    header_block_octets: AtomicU64,
     /// HPACK dynamic-table entries evicted (encoder + decoder sides).
     hpack_evictions: AtomicU64,
     /// Simulated connections opened.
@@ -293,6 +295,17 @@ impl Obs {
         }
     }
 
+    /// Records a complete header block of `octets` received and decoded
+    /// by a probe client (HEADERS or PUSH_PROMISE plus CONTINUATIONs).
+    pub fn header_block(&self, octets: u64) {
+        if let Some(h) = &self.0 {
+            h.campaign
+                .metrics
+                .header_block_octets
+                .fetch_add(octets, Ordering::Relaxed);
+        }
+    }
+
     /// Records `delta` HPACK dynamic-table evictions.
     pub fn hpack_evictions(&self, delta: u64) {
         if let Some(h) = self.0.as_ref().filter(|_| delta > 0) {
@@ -429,6 +442,7 @@ impl Obs {
             server_handled: m.server_handled.snapshot(),
             bytes_to_server: m.bytes_to_server.load(Ordering::Relaxed),
             bytes_to_client: m.bytes_to_client.load(Ordering::Relaxed),
+            header_block_octets: m.header_block_octets.load(Ordering::Relaxed),
             hpack_evictions: m.hpack_evictions.load(Ordering::Relaxed),
             conns_opened: m.conns_opened.load(Ordering::Relaxed),
             retries: m.retries.load(Ordering::Relaxed),
@@ -466,6 +480,9 @@ pub struct CampaignSnapshot {
     pub bytes_to_server: u64,
     /// Bytes delivered server → client.
     pub bytes_to_client: u64,
+    /// Header-block octets received and decoded by probe clients (part
+    /// of `bytes_to_client`).
+    pub header_block_octets: u64,
     /// HPACK dynamic-table evictions.
     pub hpack_evictions: u64,
     /// Simulated connections opened.

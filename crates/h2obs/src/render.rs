@@ -59,8 +59,8 @@ pub fn render_table(snap: &CampaignSnapshot) -> String {
     let _ = writeln!(out, "connections opened    {}", snap.conns_opened);
     let _ = writeln!(
         out,
-        "wire bytes            {} to-server / {} to-client",
-        snap.bytes_to_server, snap.bytes_to_client
+        "wire bytes            {} to-server / {} to-client ({} in header blocks)",
+        snap.bytes_to_server, snap.bytes_to_client, snap.header_block_octets
     );
     let _ = writeln!(out, "hpack evictions       {}", snap.hpack_evictions);
     let _ = writeln!(
@@ -158,7 +158,8 @@ pub fn render_json(snap: &CampaignSnapshot) -> String {
             .num("conns_opened", snap.conns_opened)
             .object("wire_bytes", |o| {
                 o.num("to_server", snap.bytes_to_server)
-                    .num("to_client", snap.bytes_to_client);
+                    .num("to_client", snap.bytes_to_client)
+                    .num("header_blocks_to_client", snap.header_block_octets);
             })
             .num("hpack_evictions", snap.hpack_evictions)
             .object("failures", |o| {
@@ -320,7 +321,7 @@ mod tests {
   "sites_finished": 0,
   "sites_resumed": 0,
   "conns_opened": 0,
-  "wire_bytes": {"to_server":0,"to_client":0},
+  "wire_bytes": {"to_server":0,"to_client":0,"header_blocks_to_client":0},
   "hpack_evictions": 0,
   "failures": {"timeouts":0,"resets":0,"malformed":0},
   "retries": {"total":0,"backoff_nanos":{"count":0}},

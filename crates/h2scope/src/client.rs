@@ -108,8 +108,9 @@ pub struct ProbeConn {
     /// fresh `Vec<u8>` per outgoing segment.
     wire_scratch: Vec<u8>,
     /// Reusable request-header template for [`ProbeConn::get`]: built on
-    /// first use, then only the `:path` value is rewritten in place, so
-    /// repeat GETs stop re-allocating seven headers' worth of `String`s.
+    /// first use, then only the `:method` and `:path` values are rewritten
+    /// in place, so repeat requests stop re-allocating seven headers'
+    /// worth of `String`s.
     req_scratch: Vec<Header>,
     /// Frames and octets handed to the pipe so far, prelude included.
     sent: (u64, u64),
@@ -232,11 +233,19 @@ impl ProbeConn {
 
     /// Sends a GET request on `stream`, optionally with priority fields.
     pub fn get(&mut self, stream: u32, path: &str, priority: Option<PrioritySpec>) {
+        self.request(stream, "GET", path, priority);
+    }
+
+    /// Sends a bodiless `method` request (GET or HEAD) on `stream`.
+    fn request(&mut self, stream: u32, method: &str, path: &str, priority: Option<PrioritySpec>) {
         let mut request = std::mem::take(&mut self.req_scratch);
-        match request.iter_mut().find(|h| h.name == ":path") {
-            Some(h) => h.set(":path", path),
+        match request.as_mut_slice() {
+            [m, _, p, ..] if p.name == ":path" => {
+                m.set(":method", method);
+                p.set(":path", path);
+            }
             // Not built yet on this connection (empty, or cleared storage).
-            None => self.request_headers_into(path, &mut request),
+            _ => self.request_headers_into(method, path, &mut request),
         }
         let block = self.hpack_encoder.encode_block(&request);
         self.req_scratch = request;
@@ -285,15 +294,15 @@ impl ProbeConn {
     /// The standard request header list the probe sends.
     pub fn request_headers(&self, path: &str) -> Vec<Header> {
         let mut headers = Vec::with_capacity(7);
-        self.request_headers_into(path, &mut headers);
+        self.request_headers_into("GET", path, &mut headers);
         headers
     }
 
-    /// Overwrites `out` with [`ProbeConn::request_headers`], reusing its
-    /// entries' capacity.
-    fn request_headers_into(&self, path: &str, out: &mut Vec<Header>) {
+    /// Overwrites `out` with [`ProbeConn::request_headers`] for `method`,
+    /// reusing its entries' capacity.
+    fn request_headers_into(&self, method: &str, path: &str, out: &mut Vec<Header>) {
         let fields = [
-            (":method", "GET"),
+            (":method", method),
             (":scheme", "https"),
             (":path", path),
             (":authority", &self.authority),
@@ -471,6 +480,7 @@ impl ProbeConn {
                 }),
         };
         decoded.map_err(|_| "server header blocks decode")?;
+        self.obs.header_block(block.fragment.len() as u64);
         Ok(self.last_headers.clone())
     }
 
@@ -497,8 +507,19 @@ impl ProbeConn {
     /// data arrives. Returns all frames received during the fetch and the
     /// completion time.
     pub fn fetch(&mut self, stream: u32, path: &str) -> (Vec<TimedFrame>, SimTime) {
+        self.fetch_as(stream, "GET", path)
+    }
+
+    /// [`ProbeConn::fetch`] with `method` (GET or HEAD): a HEAD response
+    /// is complete at its HEADERS, which carry END_STREAM.
+    pub(crate) fn fetch_as(
+        &mut self,
+        stream: u32,
+        method: &str,
+        path: &str,
+    ) -> (Vec<TimedFrame>, SimTime) {
         let guarded = self.deadline.is_some();
-        self.get(stream, path, None);
+        self.request(stream, method, path, None);
         let mut all = Vec::new();
         let mut completed = false;
         loop {

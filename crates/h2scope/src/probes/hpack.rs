@@ -10,7 +10,7 @@
 
 use h2wire::{Frame, Settings};
 
-use crate::client::ProbeConn;
+use crate::client::{ProbeConn, TimedFrame};
 use crate::target::Target;
 
 /// Result of the HPACK probe.
@@ -32,8 +32,10 @@ impl HpackReport {
     }
 }
 
-/// Sends `h` identical GETs for `/` and computes the ratio, NaN when no
-/// response HEADERS came back (`sizes` empty; a survey keeps no report).
+/// Sends `h` identical HEAD requests for `/` and computes the ratio, NaN
+/// when no response HEADERS came back (`sizes` empty; a survey keeps no
+/// report). A HEAD response carries the GET's header block without the
+/// body (RFC 7231 §4.3.2), and the ratio reads only the header blocks.
 ///
 /// Classifies RFC 7540 §4.3: the HPACK context spans the connection.
 pub fn probe(target: &Target, h: usize) -> HpackReport {
@@ -44,14 +46,8 @@ pub fn probe(target: &Target, h: usize) -> HpackReport {
     let mut sizes = Vec::with_capacity(h);
     for i in 0..h {
         let stream = 1 + 2 * i as u32;
-        let (frames, _) = conn.fetch(stream, "/");
-        for tf in &frames {
-            if let Frame::Headers(hf) = &tf.frame {
-                if hf.stream_id.value() == stream {
-                    sizes.push(hf.fragment.len() + h2wire::FRAME_HEADER_LEN);
-                }
-            }
-        }
+        let (frames, _) = conn.fetch_as(stream, "HEAD", "/");
+        sizes.extend(headers_sizes(&frames, stream));
     }
     let ratio = if sizes.is_empty() || sizes[0] == 0 {
         f64::NAN
@@ -59,6 +55,16 @@ pub fn probe(target: &Target, h: usize) -> HpackReport {
         sizes.iter().sum::<usize>() as f64 / (sizes[0] * sizes.len()) as f64
     };
     HpackReport { ratio, sizes, h }
+}
+
+/// The sizes (frame header + block) of the HEADERS frames on `stream`.
+fn headers_sizes(frames: &[TimedFrame], stream: u32) -> impl Iterator<Item = usize> + '_ {
+    frames.iter().filter_map(move |tf| match &tf.frame {
+        Frame::Headers(hf) if hf.stream_id.value() == stream => {
+            Some(hf.fragment.len() + h2wire::FRAME_HEADER_LEN)
+        }
+        _ => None,
+    })
 }
 
 #[cfg(test)]
@@ -109,6 +115,25 @@ mod tests {
         let report = ratio_for(ServerProfile::tengine_aserver());
         assert!(report.ratio > 1.0, "r = {}", report.ratio);
         assert!(report.filtered(), "§V-G filters these sites out");
+    }
+
+    /// The probe's HEAD requests read the header blocks GETs read: on
+    /// every profile (the cookie-injecting ones and the pushing ones
+    /// included) the sizes equal those of the same eight requests sent
+    /// as GETs, bodies and all.
+    #[test]
+    fn head_measures_what_get_measured() {
+        for (name, profile) in ServerProfile::all() {
+            let target = Target::testbed(profile(), SiteSpec::testbed());
+            let mut conn = ProbeConn::establish(&target, Settings::new(), 0x4bac);
+            conn.exchange();
+            let mut get_sizes = Vec::new();
+            for stream in (1..16).step_by(2) {
+                get_sizes.extend(headers_sizes(&conn.fetch(stream, "/").0, stream));
+            }
+            assert_eq!(get_sizes.len(), 8, "{name}");
+            assert_eq!(probe(&target, 8).sizes, get_sizes, "{name}");
+        }
     }
 
     #[test]

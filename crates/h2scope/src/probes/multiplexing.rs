@@ -7,37 +7,23 @@
     reason = "indices bounded by the response-count checks above each use"
 )]
 
-use h2wire::{Frame, SettingId, Settings};
+use h2wire::{Frame, Settings};
 
 use crate::client::ProbeConn;
 use crate::target::Target;
 
-/// Result of the multiplexing probe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiplexingReport {
-    /// Responses interleaved — the server processes requests in parallel.
-    pub parallel: bool,
-    /// Number of concurrent requests issued (the paper's N).
-    pub streams_tested: usize,
-    /// Number of stream switches observed in the DATA sequence; a
-    /// sequential server shows exactly `streams_tested - 1`.
-    pub stream_switches: usize,
-    /// Announced `SETTINGS_MAX_CONCURRENT_STREAMS` (§III-A2).
-    pub max_concurrent_streams: Option<u32>,
-}
-
 /// Issues `n` parallel downloads of large objects and inspects the DATA
-/// frame ordering. The objects must be large (several DATA frames each) or
-/// the probe cannot discriminate — the reason the paper only runs this in
-/// the testbed.
+/// frame ordering: `true` when the responses interleave, i.e. the server
+/// processes requests in parallel. The objects must be large (several
+/// DATA frames each) or the probe cannot discriminate — the reason the
+/// paper only runs this in the testbed.
 ///
 /// Classifies RFC 7540 §5.1.2: concurrent streams up to
 /// MAX_CONCURRENT_STREAMS.
-pub fn probe(target: &Target, n: usize) -> MultiplexingReport {
+pub fn probe(target: &Target, n: usize) -> bool {
     target.obs.enter_probe(h2obs::ProbeKind::Multiplexing);
     let mut conn = ProbeConn::establish(&with_big_objects(target), Settings::new(), 0x0a11);
     conn.exchange();
-    let max_concurrent_streams = conn.announced(SettingId::MaxConcurrentStreams);
 
     // Fire all requests in one segment so they arrive simultaneously.
     for i in 0..n {
@@ -68,13 +54,7 @@ pub fn probe(target: &Target, n: usize) -> MultiplexingReport {
     let stream_switches = order.windows(2).filter(|w| w[0] != w[1]).count();
     // Sequential service yields exactly n-1 switches (each stream is one
     // contiguous run); anything more means interleaving.
-    let parallel = stream_switches > n.saturating_sub(1);
-    MultiplexingReport {
-        parallel,
-        streams_tested: n,
-        stream_switches,
-        max_concurrent_streams,
-    }
+    stream_switches > n.saturating_sub(1)
 }
 
 /// The probe needs multi-frame objects; reuse the target but make sure the
@@ -101,9 +81,7 @@ mod tests {
         for profile in ServerProfile::testbed() {
             let name = profile.name.clone();
             let target = Target::testbed(profile, SiteSpec::benchmark());
-            let report = probe(&target, 4);
-            assert!(report.parallel, "{name} must interleave");
-            assert_eq!(report.streams_tested, 4);
+            assert!(probe(&target, 4), "{name} must interleave");
         }
     }
 
@@ -112,15 +90,6 @@ mod tests {
         let mut profile = ServerProfile::rfc7540();
         profile.behavior.multiplexing = false;
         let target = Target::testbed(profile, SiteSpec::benchmark());
-        let report = probe(&target, 4);
-        assert!(!report.parallel);
-        assert_eq!(report.stream_switches, 3, "one contiguous run per stream");
-    }
-
-    #[test]
-    fn max_concurrent_streams_is_read_from_settings() {
-        let target = Target::testbed(ServerProfile::nginx(), SiteSpec::benchmark());
-        let report = probe(&target, 2);
-        assert_eq!(report.max_concurrent_streams, Some(128));
+        assert!(!probe(&target, 4));
     }
 }

@@ -36,10 +36,7 @@ fn main() {
     }
 
     // The two probes the paper runs only in its testbed.
-    println!(
-        "multiplexing    : {}",
-        multiplexing::probe(&target, 4).parallel
-    );
+    println!("multiplexing    : {}", multiplexing::probe(&target, 4));
     let rtt_ms = ping::probe(&target, 5).rtt_ms;
     println!(
         "PING RTT        : {:.3} ms median over {} samples",
