@@ -721,7 +721,7 @@ impl ConnectionCore {
                 let is_new = self.streams.get(block.stream).is_none();
                 if is_new && self.role == Role::Server {
                     if let Some(max) = self.local.max_concurrent_streams {
-                        if self.streams.active_count() as u32 >= max {
+                        if self.streams.active_client_initiated() as u32 >= max {
                             events.push(CoreEvent::ConcurrencyExceeded {
                                 stream: block.stream,
                             });
