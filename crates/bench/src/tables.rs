@@ -203,7 +203,6 @@ pub fn concurrency_experiment() -> String {
             profile.behavior.announced = Settings::new()
                 .with(SettingId::MaxConcurrentStreams, mcs)
                 .with(SettingId::InitialWindowSize, 65_535);
-            profile.behavior.zero_window_then_update = None;
             let target = h2scope::Target::testbed(profile, SiteSpec::benchmark());
             let mut conn = ProbeConn::establish(&target, Settings::new(), 0x5a01);
             conn.exchange();

@@ -13,8 +13,9 @@
 //! the server, how the server reacted.
 
 use h2hpack::Header;
+use h2scope::expected::reaction;
 use h2scope::{classify_reaction, ProbeConn, Reaction, Target};
-use h2server::{ServerProfile, SiteSpec};
+use h2server::{ServerBehavior, ServerProfile, SiteSpec};
 use h2wire::Settings;
 
 use crate::report::AttackReport;
@@ -44,6 +45,36 @@ pub struct AbuseHardeningReport {
     pub stalled_stream: Reaction,
     /// Reaction to a header list far above SETTINGS_MAX_HEADER_LIST_SIZE.
     pub header_list_bound: Reaction,
+}
+
+impl AbuseHardeningReport {
+    /// The row a server behaving as `b` should measure — the robustness
+    /// matrix's counterpart of [`h2scope::expected::expected`]. A
+    /// configured budget, cap or timeout tears the connection down with
+    /// an explanatory GOAWAY; no bound means the abuse is absorbed. A
+    /// mute server never has a response to stall, so its stall timeout
+    /// never fires. The header-list column reacts as the limit's quirk
+    /// action says.
+    pub fn declared(b: &ServerBehavior) -> AbuseHardeningReport {
+        let bounded = |limit: bool| {
+            if limit {
+                Reaction::GoawayWithDebug
+            } else {
+                Reaction::Ignored
+            }
+        };
+        AbuseHardeningReport {
+            rst_rate: bounded(b.rst_rate_limit.is_some()),
+            settings_rate: bounded(b.settings_rate_limit.is_some()),
+            continuation_bound: bounded(b.continuation_cap.is_some()),
+            stalled_stream: bounded(b.stall_timeout.is_some() && !b.mute),
+            header_list_bound: b
+                .header_list_limit
+                .map_or(Reaction::Ignored, |(_, action)| {
+                    reaction(action, true, false)
+                }),
+        }
+    }
 }
 
 /// Measures one server's robustness row. The stall column is the
@@ -228,41 +259,19 @@ mod tests {
             if let Some(timeout) = b.stall_timeout {
                 assert!(timeout < stall, "{name}");
             }
-            if let Some(limit) = b.header_list_limit {
+            if let Some((limit, _)) = b.header_list_limit {
                 assert!((limit as usize) < header_list, "{name}");
             }
         }
     }
 
-    /// Each measured cell is what the profile's abuse bounds predict: a
-    /// configured budget, cap or timeout tears the connection down with
-    /// an explanatory GOAWAY; no bound means the abuse is absorbed. The
-    /// header-list column reacts as the profile's quirk action says.
     #[test]
     fn robustness_matrix_is_what_each_profile_declares() {
-        use h2scope::expected::reaction;
-        let bounded = |limit: bool| {
-            if limit {
-                Reaction::GoawayWithDebug
-            } else {
-                Reaction::Ignored
-            }
-        };
         for (row, profile) in robustness_matrix()
             .into_iter()
             .zip(ServerProfile::testbed_and_reference())
         {
-            let b = &profile.behavior;
-            let declared = AbuseHardeningReport {
-                rst_rate: bounded(b.rst_rate_limit.is_some()),
-                settings_rate: bounded(b.settings_rate_limit.is_some()),
-                continuation_bound: bounded(b.continuation_cap.is_some()),
-                stalled_stream: bounded(b.stall_timeout.is_some()),
-                header_list_bound: match b.header_list_limit {
-                    Some(_) => reaction(b.oversized_header_list, true, false),
-                    None => Reaction::Ignored,
-                },
-            };
+            let declared = AbuseHardeningReport::declared(&profile.behavior);
             assert_eq!(row.report, declared, "{}", row.server);
         }
     }

@@ -10,7 +10,7 @@
 //! profiles.
 
 use h2server::behavior::PriorityMode;
-use h2server::{QuirkAction, ServerBehavior, SiteSpec};
+use h2server::{HeadersFlowControl, QuirkAction, ServerBehavior, SiteSpec};
 use h2wire::SettingId;
 use netsim::tls::{PROTO_H2, PROTO_HTTP11};
 
@@ -141,20 +141,21 @@ pub fn expected(b: &ServerBehavior, site: &SiteSpec) -> Verdicts {
             initial_window_size: announced(SettingId::InitialWindowSize),
             max_frame_size: announced(SettingId::MaxFrameSize),
             max_header_list_size: announced(SettingId::MaxHeaderListSize),
-            zero_window_then_update: announced(SettingId::InitialWindowSize) == Some(0)
-                && b.zero_window_then_update.is_some(),
+            zero_window_then_update: announced(SettingId::InitialWindowSize) == Some(0),
             received: true,
         }
     } else {
         SettingsReport::default()
     };
     let probed = headers_received;
-    let debug = b.zero_window_debug.is_some();
+    let debug = b.zero_window_debug;
     let (by_last_frame, by_first_frame) = match b.priority_mode {
         // Algorithm 1 asks for its six streams (Table I's A–F) at once: a
         // server that admits fewer refuses the rest, and with streams
         // missing neither ordering rule can hold.
         _ if b.max_concurrent_streams().is_some_and(|n| n < 6) => (false, false),
+        // A sequential server answers in request order, whatever the tree.
+        _ if !b.multiplexing => (false, false),
         PriorityMode::Strict => (true, true),
         PriorityMode::CompletionOrder => (true, false),
         PriorityMode::FirstFrameOnly => (false, true),
@@ -167,9 +168,7 @@ pub fn expected(b: &ServerBehavior, site: &SiteSpec) -> Verdicts {
         server_name: probed.then_some(b.server_name.clone()),
         settings,
         small_window: probed.then_some(small_window(b)),
-        // Flow control on HEADERS, or on HEADERS at a zero window only.
-        headers_at_zero_window: probed
-            .then_some(!(b.fc_on_headers || b.headers_gated_at_zero_window)),
+        headers_at_zero_window: probed.then_some(b.headers_flow_control == HeadersFlowControl::Off),
         zero_update_stream: probed.then_some(reaction(b.zero_window_update_stream, true, debug)),
         zero_update_conn: probed.then_some(reaction(b.zero_window_update_conn, false, debug)),
         large_update_stream: probed.then_some(reaction(b.large_window_update_stream, true, false)),
@@ -179,7 +178,8 @@ pub fn expected(b: &ServerBehavior, site: &SiteSpec) -> Verdicts {
         by_both: probed.then_some(by_last_frame && by_first_frame),
         // Algorithm 1 drains the connection window before it asks: a
         // server that flow-controls HEADERS then holds them back.
-        headers_blocked_at_zero_conn_window: probed.then_some(b.fc_on_headers),
+        headers_blocked_at_zero_conn_window: probed
+            .then_some(b.headers_flow_control == HeadersFlowControl::Full),
         self_dependency: probed.then_some(reaction(b.self_dependency, true, false)),
         push: probed.then_some(b.push && pushes_on_front_page(b, site)),
         hpack_indexes_responses: probed.then_some(b.hpack_index_responses),
@@ -191,7 +191,7 @@ pub fn expected(b: &ServerBehavior, site: &SiteSpec) -> Verdicts {
 /// quirk answers with an empty DATA frame; everyone else sends exactly
 /// one octet.
 fn small_window(b: &ServerBehavior) -> SmallWindowOutcome {
-    if b.fc_on_headers {
+    if b.headers_flow_control == HeadersFlowControl::Full {
         SmallWindowOutcome::NoResponse
     } else if b.zero_len_data_when_blocked {
         SmallWindowOutcome::ZeroLenData

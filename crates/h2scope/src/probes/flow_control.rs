@@ -124,6 +124,10 @@ pub fn zero_window_update(target: &Target, on_stream: bool) -> Reaction {
 }
 
 /// §III-B4: two WINDOW_UPDATE frames whose increments sum past 2^31-1.
+/// The second increment is 2^31-1 itself, so the window overflows
+/// whatever the server sent between the two — a server pushing DATA
+/// after the first would otherwise drain the window back under the
+/// bound.
 ///
 /// Classifies RFC 7540 §6.9.1: a window above 2^31-1 is FLOW_CONTROL_ERROR.
 pub fn large_window_update(target: &Target, on_stream: bool) -> Reaction {
@@ -143,7 +147,7 @@ pub fn large_window_update(target: &Target, on_stream: bool) -> Reaction {
     conn.exchange();
     conn.send(Frame::WindowUpdate(WindowUpdateFrame {
         stream_id,
-        increment: 0x4000_0000,
+        increment: 0x7fff_ffff,
     }));
     let frames = conn.exchange();
     observed_reaction(&conn, &frames)
@@ -210,11 +214,21 @@ mod tests {
     #[test]
     fn goaway_debug_data_is_classified() {
         let mut profile = ServerProfile::nghttpd();
-        profile.behavior.zero_window_debug = Some("the window update shouldn't be zero".into());
+        profile.behavior.zero_window_debug = true;
         assert_eq!(
             zero_window_update(&target_for(profile), false),
             Reaction::GoawayWithDebug
         );
+    }
+
+    #[test]
+    fn connection_overflow_is_seen_past_pushed_data() {
+        // Over-push sends pushed DATA after the first increment; the
+        // window must still overflow on the second.
+        let mut profile = ServerProfile::h2o();
+        profile.behavior.push_policy = h2server::PushPolicy::OverPush;
+        let target = Target::testbed(profile, SiteSpec::testbed());
+        assert_eq!(large_window_update(&target, false), Reaction::Goaway);
     }
 
     #[test]

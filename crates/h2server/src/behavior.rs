@@ -26,6 +26,29 @@ pub enum QuirkAction {
     Goaway,
 }
 
+/// The GOAWAY debug text of a server whose
+/// [`ServerBehavior::zero_window_debug`] is set.
+pub const ZERO_WINDOW_DEBUG: &str = "the window update shouldn't be zero";
+
+/// Whether response HEADERS wait for flow-control window. RFC 7540 §6.9
+/// flow-controls only DATA; the paper found servers that gate HEADERS
+/// too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeadersFlowControl {
+    /// HEADERS go out whatever the windows (RFC 7540).
+    Off,
+    /// A weaker variant seen in the wild (§V-D2): HEADERS are withheld
+    /// only while the stream window is exactly zero. Such sites answer
+    /// the 1-octet-window probe normally but fail the zero-initial-window
+    /// compliance test — the reason the paper's two flow-control tests
+    /// disagree on counts.
+    AtZeroWindow,
+    /// The LiteSpeed deviation (Table III row 5): response HEADERS are
+    /// withheld until both the stream and the connection window can
+    /// cover the header block.
+    Full,
+}
+
 /// How (and whether) the server's DATA scheduler honors the priority
 /// tree.
 ///
@@ -109,20 +132,12 @@ pub struct ServerBehavior {
     /// Rule: RFC 7540 §5.1.2 (concurrent streams up to
     /// MAX_CONCURRENT_STREAMS).
     pub multiplexing: bool,
-    /// Applies flow control to HEADERS frames as well as DATA — the
-    /// LiteSpeed deviation (Table III row 5): response HEADERS are
-    /// withheld until the stream window can cover the header block.
+    /// Whether response HEADERS wait for flow-control window (see
+    /// [`HeadersFlowControl`]).
     ///
-    /// Deviates from RFC 7540 §6.9 (only DATA is flow-controlled).
-    pub fc_on_headers: bool,
-    /// A weaker variant seen in the wild (§V-D2): HEADERS are withheld
-    /// only while the stream window is exactly zero. Such sites answer the
-    /// 1-octet-window probe normally but fail the zero-initial-window
-    /// compliance test — the reason the paper's two flow-control tests
-    /// disagree on counts.
-    ///
-    /// Deviates from RFC 7540 §6.9 (only DATA is flow-controlled).
-    pub headers_gated_at_zero_window: bool,
+    /// Deviates from RFC 7540 §6.9 (only DATA is flow-controlled) unless
+    /// [`HeadersFlowControl::Off`].
+    pub headers_flow_control: HeadersFlowControl,
     /// Negotiates h2 but never answers requests — the gap between the
     /// paper's negotiation counts (49,334 NPN / 47,966 ALPN sites) and its
     /// HEADERS-returning count (44,390).
@@ -144,12 +159,12 @@ pub struct ServerBehavior {
     ///
     /// Rule: RFC 7540 §6.9 (a zero increment is PROTOCOL_ERROR).
     pub zero_window_update_conn: QuirkAction,
-    /// Debug text placed in GOAWAY frames for zero window updates (a few
-    /// dozen sites in the paper sent "the window update shouldn't be
-    /// zero" style messages).
+    /// A GOAWAY sent for a zero window update carries
+    /// [`ZERO_WINDOW_DEBUG`] as debug text (a few dozen sites in the
+    /// paper sent that message).
     ///
     /// Rule: RFC 7540 §6.8 (GOAWAY may carry opaque debug data).
-    pub zero_window_debug: Option<String>,
+    pub zero_window_debug: bool,
     /// Reaction to a stream window exceeding 2^31-1 (RFC says RST_STREAM).
     ///
     /// Rule: RFC 7540 §6.9.1 (a window above 2^31-1 is FLOW_CONTROL_ERROR).
@@ -183,17 +198,14 @@ pub struct ServerBehavior {
     ///
     /// Rule: RFC 7540 §4.3 (the HPACK context spans the connection).
     pub hpack_index_responses: bool,
-    /// The SETTINGS parameters announced at connection start.
+    /// The SETTINGS parameters announced at connection start. A server
+    /// that announces `INITIAL_WINDOW_SIZE = 0` follows the SETTINGS with
+    /// `WINDOW_UPDATE(connection, 65,535)` — the Nginx pattern behind the
+    /// 3,072 / 7,499 zero entries in Table V.
     ///
-    /// Rule: RFC 7540 §6.5.2 (SETTINGS values within their bounds).
+    /// Rule: RFC 7540 §6.5.2 (SETTINGS values within their bounds) and
+    /// §6.9.2 (SETTINGS_INITIAL_WINDOW_SIZE retunes stream windows).
     pub announced: Settings,
-    /// Announce `INITIAL_WINDOW_SIZE = 0` and immediately re-open windows
-    /// with WINDOW_UPDATE frames — the Nginx pattern behind the 3,072 /
-    /// 7,499 zero entries in Table V.
-    ///
-    /// Rule: RFC 7540 §6.9.2 (SETTINGS_INITIAL_WINDOW_SIZE retunes stream
-    /// windows).
-    pub zero_window_then_update: Option<u32>,
     /// Sends zero-length DATA frames when flow-control-blocked instead of
     /// staying silent (a small population in §V-D1 did this).
     ///
@@ -256,18 +268,14 @@ pub struct ServerBehavior {
     pub stall_timeout: Option<SimDuration>,
     /// Bound on a received request header list, measured as RFC 7540
     /// §6.5.2 defines `SETTINGS_MAX_HEADER_LIST_SIZE` (name + value + 32
-    /// per field). Enforced internally rather than announced, matching
-    /// the advisory nature of the setting. `None` = unbounded.
+    /// per field), and the reaction when a list exceeds it (§10.5.1
+    /// leaves the choice open: stream error or connection error).
+    /// Enforced internally rather than announced, matching the advisory
+    /// nature of the setting. `None` = unbounded.
     ///
     /// Rule: RFC 7540 §10.5.1 (a header list above the limit should be a
     /// stream error).
-    pub header_list_limit: Option<u32>,
-    /// Reaction when [`ServerBehavior::header_list_limit`] is exceeded
-    /// (§10.5.1 leaves the choice open: stream error or connection
-    /// error). Meaningless while the limit is `None`.
-    ///
-    /// Rule: RFC 7540 §10.5.1 (stream error or connection error).
-    pub oversized_header_list: QuirkAction,
+    pub header_list_limit: Option<(u32, QuirkAction)>,
 }
 
 impl ServerBehavior {
@@ -277,13 +285,12 @@ impl ServerBehavior {
             server_name: "rfc7540-reference".into(),
             tls: TlsConfig::h2_full(),
             multiplexing: true,
-            fc_on_headers: false,
-            headers_gated_at_zero_window: false,
+            headers_flow_control: HeadersFlowControl::Off,
             mute: false,
             extra_response_headers: Vec::new(),
             zero_window_update_stream: QuirkAction::RstStream,
             zero_window_update_conn: QuirkAction::Goaway,
-            zero_window_debug: None,
+            zero_window_debug: false,
             large_window_update_stream: QuirkAction::RstStream,
             large_window_update_conn: QuirkAction::Goaway,
             push: true,
@@ -295,7 +302,6 @@ impl ServerBehavior {
                 .with(SettingId::MaxConcurrentStreams, 100)
                 .with(SettingId::InitialWindowSize, DEFAULT_INITIAL_WINDOW_SIZE)
                 .with(SettingId::MaxFrameSize, DEFAULT_MAX_FRAME_SIZE),
-            zero_window_then_update: None,
             zero_len_data_when_blocked: false,
             cookie_injection: false,
             processing_delay: SimDuration::from_micros(500),
@@ -309,7 +315,6 @@ impl ServerBehavior {
             continuation_cap: None,
             stall_timeout: None,
             header_list_limit: None,
-            oversized_header_list: QuirkAction::Ignore,
         }
     }
 
@@ -340,7 +345,6 @@ mod tests {
         assert_eq!(b.continuation_cap, None);
         assert_eq!(b.stall_timeout, None);
         assert_eq!(b.header_list_limit, None);
-        assert_eq!(b.oversized_header_list, QuirkAction::Ignore);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use h2hpack::{EncoderOptions, Header, IndexingPolicy};
 use h2wire::{ErrorCode, Frame, GoawayFrame, PingFrame, RstStreamFrame, SettingsFrame, StreamId};
 use netsim::time::{SimDuration, SimTime};
 
-use crate::behavior::{QuirkAction, ServerBehavior};
+use crate::behavior::{QuirkAction, ServerBehavior, ZERO_WINDOW_DEBUG};
 use crate::profiles::ServerProfile;
 use crate::pump::QueuedResponse;
 use crate::site::SiteSpec;
@@ -309,7 +309,7 @@ impl H2Server {
         action: QuirkAction,
         scope: WindowScope,
         code: ErrorCode,
-        debug: Option<String>,
+        debug: Option<&'static str>,
         out: &mut Vec<Frame>,
     ) {
         match (action, scope) {
@@ -317,7 +317,7 @@ impl H2Server {
             (QuirkAction::RstStream, WindowScope::Stream(stream)) => self.rst(stream, code, out),
             // A "reset" reaction at connection scope degrades to GOAWAY.
             (QuirkAction::RstStream, WindowScope::Connection) | (QuirkAction::Goaway, _) => {
-                self.goaway(code, debug.as_deref(), out);
+                self.goaway(code, debug, out);
             }
         }
     }
@@ -471,7 +471,7 @@ impl H2Server {
                     end_stream,
                     ..
                 } => {
-                    if let Some(limit) = self.behavior().header_list_limit {
+                    if let Some((limit, action)) = self.behavior().header_list_limit {
                         // §6.5.2's size definition: name + value + 32
                         // per field.
                         let size: u64 = headers
@@ -481,7 +481,7 @@ impl H2Server {
                         if size > u64::from(limit) {
                             self.rejected.insert(stream.value());
                             self.apply_quirk(
-                                self.behavior().oversized_header_list,
+                                action,
                                 WindowScope::Stream(stream),
                                 ErrorCode::EnhanceYourCalm,
                                 None,
@@ -527,7 +527,10 @@ impl H2Server {
                         WindowScope::Connection => self.behavior().zero_window_update_conn,
                         WindowScope::Stream(_) => self.behavior().zero_window_update_stream,
                     };
-                    let debug = self.behavior().zero_window_debug.clone();
+                    let debug = self
+                        .behavior()
+                        .zero_window_debug
+                        .then_some(ZERO_WINDOW_DEBUG);
                     self.apply_quirk(action, scope, ErrorCode::ProtocolError, debug, out);
                 }
                 CoreEvent::WindowOverflow { scope } => {
@@ -697,7 +700,6 @@ mod tests {
         profile.behavior.announced = Settings::new()
             .with(SettingId::MaxConcurrentStreams, 0)
             .with(SettingId::InitialWindowSize, 65_535);
-        profile.behavior.zero_window_then_update = None;
         let (mut server, mut client) = serve(profile);
         server.on_bytes_vec(SimTime::ZERO, &client.preface_and_settings());
         let reply = server.on_bytes_vec(SimTime::ZERO, &client.request(1, "/"));
@@ -713,7 +715,6 @@ mod tests {
         profile.behavior.announced = Settings::new()
             .with(SettingId::MaxConcurrentStreams, 1)
             .with(SettingId::InitialWindowSize, 65_535);
-        profile.behavior.zero_window_then_update = None;
         let (mut server, mut client) = serve(profile);
         server.on_bytes_vec(SimTime::ZERO, &client.preface_and_settings());
         // Two requests in one segment; /big/0 keeps stream 1 active.
@@ -857,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn oversized_header_list_reactions_differ() {
+    fn header_list_limit_reactions_differ() {
         // ~17 KiB list: above every configured limit. Apache resets the
         // stream; nginx tears the connection down; LiteSpeed (no limit)
         // answers normally.

@@ -41,7 +41,7 @@ mod pump;
 pub mod site;
 mod transport;
 
-pub use behavior::{PushPolicy, QuirkAction, ServerBehavior};
+pub use behavior::{HeadersFlowControl, PushPolicy, QuirkAction, ServerBehavior};
 pub use engine::{H2Server, HandlerResponse, RequestHandler, ServerScratch};
 pub use profiles::ServerProfile;
 pub use site::{Resource, SiteSpec};

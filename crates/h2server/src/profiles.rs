@@ -11,7 +11,7 @@ use h2wire::{SettingId, Settings};
 use netsim::time::SimDuration;
 use netsim::TlsConfig;
 
-use crate::behavior::{PriorityMode, QuirkAction, ServerBehavior};
+use crate::behavior::{HeadersFlowControl, PriorityMode, QuirkAction, ServerBehavior};
 
 /// A named server profile: behavior matrix plus display metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,14 +85,12 @@ impl ServerProfile {
             .with(SettingId::MaxConcurrentStreams, 128)
             .with(SettingId::InitialWindowSize, 0)
             .with(SettingId::MaxFrameSize, 16_384);
-        b.zero_window_then_update = Some(65_535);
         // Robustness row: nginx bounds header growth and reaps stalled
         // connections (http2_recv_timeout-style), but has no RST or
         // SETTINGS budget — the rapid-reset exposure.
         b.continuation_cap = Some(32_768);
         b.stall_timeout = Some(SimDuration::from_secs(60));
-        b.header_list_limit = Some(8_192);
-        b.oversized_header_list = QuirkAction::Goaway;
+        b.header_list_limit = Some((8_192, QuirkAction::Goaway));
         ServerProfile {
             name: "Nginx".into(),
             version: "1.9.15".into(),
@@ -105,7 +103,7 @@ impl ServerProfile {
         let mut b = ServerBehavior::rfc7540();
         b.server_name = "LiteSpeed".into();
         b.tls = TlsConfig::h2_full();
-        b.fc_on_headers = true; // the paper's headline LiteSpeed deviation
+        b.headers_flow_control = HeadersFlowControl::Full; // the paper's headline LiteSpeed deviation
         b.zero_window_update_stream = QuirkAction::RstStream;
         b.zero_window_update_conn = QuirkAction::Goaway;
         b.push = false;
@@ -144,8 +142,7 @@ impl ServerProfile {
         // Robustness row: H2O budgets client resets and bounds request
         // header lists per stream, but never reaps stalled windows.
         b.rst_rate_limit = Some(400);
-        b.header_list_limit = Some(10_240);
-        b.oversized_header_list = QuirkAction::RstStream;
+        b.header_list_limit = Some((10_240, QuirkAction::RstStream));
         ServerProfile {
             name: "H2O".into(),
             version: "1.6.2".into(),
@@ -174,8 +171,7 @@ impl ServerProfile {
         b.rst_rate_limit = Some(1_000);
         b.settings_rate_limit = Some(1_000);
         b.continuation_cap = Some(65_536);
-        b.header_list_limit = Some(10_240);
-        b.oversized_header_list = QuirkAction::Goaway;
+        b.header_list_limit = Some((10_240, QuirkAction::Goaway));
         ServerProfile {
             name: "nghttpd".into(),
             version: "1.12.0".into(),
@@ -216,8 +212,7 @@ impl ServerProfile {
         b.settings_rate_limit = Some(100);
         b.continuation_cap = Some(16_384);
         b.stall_timeout = Some(SimDuration::from_secs(30));
-        b.header_list_limit = Some(8_192);
-        b.oversized_header_list = QuirkAction::RstStream;
+        b.header_list_limit = Some((8_192, QuirkAction::RstStream));
         ServerProfile {
             name: "Apache".into(),
             version: "2.4.23".into(),
@@ -251,8 +246,7 @@ impl ServerProfile {
             .with(SettingId::MaxFrameSize, 16_777_215)
             .with(SettingId::MaxHeaderListSize, 16_384);
         // GSE actually enforces the header-list bound it announces.
-        b.header_list_limit = Some(16_384);
-        b.oversized_header_list = QuirkAction::RstStream;
+        b.header_list_limit = Some((16_384, QuirkAction::RstStream));
         ServerProfile {
             name: "GSE".into(),
             version: "-".into(),
@@ -272,7 +266,6 @@ impl ServerProfile {
             .with(SettingId::MaxConcurrentStreams, 256)
             .with(SettingId::InitialWindowSize, 2_147_483_647)
             .with(SettingId::MaxFrameSize, 16_777_215);
-        profile.behavior.zero_window_then_update = None;
         profile
     }
 
@@ -307,11 +300,6 @@ impl ServerProfile {
         profile.behavior.server_name = "Tengine/Aserver".into();
         profile.behavior.cookie_injection = true; // tmall sets per-response cookies
         profile
-    }
-
-    /// A convenience: the server's processing delay, used by RTT probes.
-    pub fn processing_delay(&self) -> SimDuration {
-        self.behavior.processing_delay
     }
 }
 
@@ -368,7 +356,6 @@ mod tests {
                 b.continuation_cap,
                 b.stall_timeout,
                 b.header_list_limit,
-                b.oversized_header_list,
             ));
         }
         for (i, a) in rows.iter().enumerate() {
@@ -390,18 +377,11 @@ mod tests {
     }
 
     #[test]
-    fn nginx_family_announces_zero_window_then_updates() {
-        assert_eq!(
-            ServerProfile::nginx().behavior.zero_window_then_update,
-            Some(65_535)
-        );
-        assert_eq!(
-            ServerProfile::tengine().behavior.zero_window_then_update,
-            Some(65_535)
-        );
-        assert_eq!(
-            ServerProfile::apache().behavior.zero_window_then_update,
-            None
-        );
+    fn nginx_family_announces_a_zero_initial_window() {
+        // The greeting's WINDOW_UPDATE follows from a zero initial window.
+        let iws = |p: ServerProfile| p.behavior.announced.get(SettingId::InitialWindowSize);
+        assert_eq!(iws(ServerProfile::nginx()), Some(0));
+        assert_eq!(iws(ServerProfile::tengine()), Some(0));
+        assert_eq!(iws(ServerProfile::apache()), Some(65_535));
     }
 }

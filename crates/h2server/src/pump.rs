@@ -13,7 +13,7 @@ use h2hpack::Header;
 use h2wire::{DataFrame, ErrorCode, Frame, StreamId};
 use netsim::time::SimTime;
 
-use crate::behavior::PriorityMode;
+use crate::behavior::{HeadersFlowControl, PriorityMode};
 use crate::engine::H2Server;
 
 #[derive(Debug)]
@@ -176,7 +176,7 @@ impl H2Server {
             return;
         }
         // Phase 1: release response HEADERS.
-        let fc_on_headers = self.behavior().fc_on_headers;
+        let headers_flow_control = self.behavior().headers_flow_control;
         let sequential = !self.behavior().multiplexing;
         let mut i = 0;
         while i < self.queue.len() {
@@ -201,11 +201,13 @@ impl H2Server {
                     |s| s.send_window.available(),
                 )
             };
-            let permitted = if fc_on_headers {
-                let estimate = Self::estimate_block_size(headers);
-                stream_window() >= estimate && self.core.connection_send_window() >= estimate
-            } else {
-                !self.behavior().headers_gated_at_zero_window || stream_window() > 0
+            let permitted = match headers_flow_control {
+                HeadersFlowControl::Off => true,
+                HeadersFlowControl::AtZeroWindow => stream_window() > 0,
+                HeadersFlowControl::Full => {
+                    let estimate = Self::estimate_block_size(headers);
+                    stream_window() >= estimate && self.core.connection_send_window() >= estimate
+                }
             };
             if permitted {
                 if let Some(headers) = self.queue[i].headers.take() {

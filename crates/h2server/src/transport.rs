@@ -8,7 +8,8 @@
 )]
 
 use h2wire::{
-    encode_all_into, Frame, SettingsFrame, StreamId, WindowUpdateFrame, CONNECTION_PREFACE,
+    encode_all_into, Frame, SettingId, SettingsFrame, StreamId, WindowUpdateFrame,
+    CONNECTION_PREFACE,
 };
 use netsim::pipe::ByteEndpoint;
 use netsim::time::{SimDuration, SimTime};
@@ -79,14 +80,16 @@ impl H2Server {
         self.ingest(bytes, out);
     }
 
-    /// The connection-start frames (announced SETTINGS plus the Nginx
-    /// zero-window-then-update pattern), appended to `out`.
+    /// The connection-start frames, appended to `out`: the announced
+    /// SETTINGS, then — when they announce a zero initial window — the
+    /// Nginx pattern's WINDOW_UPDATE re-opening the connection window.
     fn announce_bytes(&self, out: &mut Vec<u8>) {
-        Frame::Settings(SettingsFrame::from(self.behavior().announced.clone())).encode(out);
-        if let Some(increment) = self.behavior().zero_window_then_update {
+        let announced = &self.behavior().announced;
+        Frame::Settings(SettingsFrame::from(announced.clone())).encode(out);
+        if announced.get(SettingId::InitialWindowSize) == Some(0) {
             Frame::WindowUpdate(WindowUpdateFrame {
                 stream_id: StreamId::CONNECTION,
-                increment,
+                increment: 65_535,
             })
             .encode(out);
         }
@@ -203,6 +206,10 @@ pub(crate) mod tests {
             if s.settings.get(SettingId::InitialWindowSize) == Some(0)));
         assert!(matches!(&frames[1], Frame::WindowUpdate(wu)
             if wu.stream_id.is_connection() && wu.increment == 65_535));
+        // A non-zero initial window needs no re-opening.
+        let (mut server, mut client) = serve(ServerProfile::apache());
+        let frames = client.parse(&server.on_connect_vec(SimTime::ZERO));
+        assert_eq!(frames.len(), 1, "{frames:?}");
     }
 
     #[test]

@@ -79,7 +79,6 @@ fn round_robin_servers_interleave_fairly() {
     profile.behavior.announced = Settings::new()
         .with(SettingId::MaxConcurrentStreams, 128)
         .with(SettingId::InitialWindowSize, 65_535);
-    profile.behavior.zero_window_then_update = None;
     let mut server = H2Server::new(profile, SiteSpec::benchmark());
     let mut client = Client::new();
     server.on_bytes_vec(SimTime::ZERO, &client.hello(Settings::new()));

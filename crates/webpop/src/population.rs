@@ -23,7 +23,7 @@ use bytes::Bytes;
 use rand::{splitmix64, StdRng};
 
 use h2server::behavior::PriorityMode;
-use h2server::{QuirkAction, Resource, ServerProfile, SiteSpec};
+use h2server::{HeadersFlowControl, QuirkAction, Resource, ServerProfile, SiteSpec};
 use h2wire::{SettingId, Settings};
 use netsim::time::SimDuration;
 use netsim::{LinkSpec, TlsConfig};
@@ -324,8 +324,7 @@ impl Population {
             // work (Figure 3 measures them in a real browser); a push
             // site therefore sheds the pathological flow-control quirks.
             profile.behavior.push = true;
-            profile.behavior.fc_on_headers = false;
-            profile.behavior.headers_gated_at_zero_window = false;
+            profile.behavior.headers_flow_control = HeadersFlowControl::Off;
             profile.behavior.zero_len_data_when_blocked = false;
             profile.behavior.mute = false;
         } else {
@@ -381,7 +380,6 @@ impl Population {
         let announces_nothing = self.quota_category(i, dim::SETTINGS_NULL, &[null_count]) == 0;
         if announces_nothing {
             profile.behavior.announced = Settings::new();
-            profile.behavior.zero_window_then_update = None;
             return;
         }
         let second = self.spec.second;
@@ -402,7 +400,6 @@ impl Population {
             SettingId::MaxHeaderListSize,
             if mhl == UNLIMITED { u32::MAX } else { mhl },
         );
-        profile.behavior.zero_window_then_update = if iws == 0 { Some(65_535) } else { None };
         profile.behavior.announced = settings;
     }
 
@@ -419,7 +416,7 @@ impl Population {
             .find(|(f, _, _)| *f == Family::Litespeed)
             .map(|(_, a, b)| if spec.second { *b } else { *a })
             .expect("litespeed row exists");
-        b.fc_on_headers = if family == Family::Litespeed {
+        let fc_on_headers = if family == Family::Litespeed {
             // Local quota within the LiteSpeed slice.
             let p = litespeed_fc as f64 / litespeed_total as f64;
             rng.gen_bool(p.min(1.0))
@@ -427,7 +424,12 @@ impl Population {
             let others_total = spec.headers_sites - litespeed_total;
             rng.gen_bool((other_fc as f64 / others_total as f64).min(1.0))
         };
-        if !b.fc_on_headers {
+        b.headers_flow_control = if fc_on_headers {
+            HeadersFlowControl::Full
+        } else {
+            HeadersFlowControl::Off
+        };
+        if !fc_on_headers {
             let zero_len_pool = spec.headers_sites - spec.small_window_no_response;
             b.zero_len_data_when_blocked = self.quota_category(
                 i,
@@ -445,8 +447,9 @@ impl Population {
                 spec.headers_sites - spec.small_window_no_response - spec.headers_at_zero_window;
             let fc_share = spec.small_window_no_response as f64 / spec.headers_sites as f64;
             let inflated = (gated as f64 / (1.0 - fc_share)).round() as u64;
-            b.headers_gated_at_zero_window =
-                self.quota_category(i, dim::HEADERS_ZERO, &[inflated]) == 0;
+            if self.quota_category(i, dim::HEADERS_ZERO, &[inflated]) == 0 {
+                b.headers_flow_control = HeadersFlowControl::AtZeroWindow;
+            }
         }
 
         // §V-D3: zero WINDOW_UPDATE reactions.
@@ -456,7 +459,7 @@ impl Population {
                 0 => QuirkAction::RstStream,
                 1 => QuirkAction::Goaway,
                 2 => {
-                    b.zero_window_debug = Some("the window update shouldn't be zero".to_string());
+                    b.zero_window_debug = true;
                     QuirkAction::Goaway
                 }
                 _ => QuirkAction::Ignore,
@@ -766,7 +769,7 @@ mod tests {
                 .get(SettingId::InitialWindowSize)
                 == Some(0)
             {
-                assert!(site.profile.behavior.zero_window_then_update.is_some());
+                assert!(h2scope::probes::settings::probe(&site.target()).zero_window_then_update);
                 checked += 1;
             }
         }
