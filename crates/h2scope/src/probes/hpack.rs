@@ -8,7 +8,7 @@
     reason = "indices bounded by the response-count checks above each use"
 )]
 
-use h2wire::{Frame, Settings};
+use h2wire::{Frame, SettingId, Settings};
 
 use crate::client::{ProbeConn, TimedFrame};
 use crate::target::Target;
@@ -35,13 +35,15 @@ impl HpackReport {
 /// Sends `h` identical HEAD requests for `/` and computes the ratio, NaN
 /// when no response HEADERS came back (`sizes` empty; a survey keeps no
 /// report). A HEAD response carries the GET's header block without the
-/// body (RFC 7231 §4.3.2), and the ratio reads only the header blocks.
+/// body (RFC 7231 §4.3.2), and the ratio reads only the header blocks —
+/// so the connection announces `SETTINGS_ENABLE_PUSH = 0`: pushed
+/// responses are octets the ratio never reads.
 ///
 /// Classifies RFC 7540 §4.3: the HPACK context spans the connection.
 pub fn probe(target: &Target, h: usize) -> HpackReport {
     target.obs.enter_probe(h2obs::ProbeKind::Hpack);
     assert!(h >= 2, "the ratio needs at least two samples");
-    let mut conn = ProbeConn::establish(target, Settings::new(), 0x4bac);
+    let mut conn = ProbeConn::establish(target, no_push(), 0x4bac);
     conn.exchange();
     let mut sizes = Vec::with_capacity(h);
     for i in 0..h {
@@ -55,6 +57,11 @@ pub fn probe(target: &Target, h: usize) -> HpackReport {
         sizes.iter().sum::<usize>() as f64 / (sizes[0] * sizes.len()) as f64
     };
     HpackReport { ratio, sizes, h }
+}
+
+/// The probe connection's SETTINGS: push disabled.
+fn no_push() -> Settings {
+    Settings::new().with(SettingId::EnablePush, 0)
 }
 
 /// The sizes (frame header + block) of the HEADERS frames on `stream`.
@@ -118,14 +125,13 @@ mod tests {
     }
 
     /// The probe's HEAD requests read the header blocks GETs read: on
-    /// every profile (the cookie-injecting ones and the pushing ones
-    /// included) the sizes equal those of the same eight requests sent
-    /// as GETs, bodies and all.
+    /// every profile (the cookie-injecting ones included) the sizes equal
+    /// those of the same eight requests sent as GETs, bodies and all.
     #[test]
     fn head_measures_what_get_measured() {
         for (name, profile) in ServerProfile::all() {
             let target = Target::testbed(profile(), SiteSpec::testbed());
-            let mut conn = ProbeConn::establish(&target, Settings::new(), 0x4bac);
+            let mut conn = ProbeConn::establish(&target, no_push(), 0x4bac);
             conn.exchange();
             let mut get_sizes = Vec::new();
             for stream in (1..16).step_by(2) {

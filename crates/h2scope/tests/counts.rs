@@ -16,17 +16,17 @@ type Counts = [u64; 5];
 /// probe's one connection within it (its eight HEAD requests for `/`).
 #[rustfmt::skip]
 const PINS: [(&str, Counts, Counts); 11] = [
-    ("nginx",            [51, 1357, 181, 1912820, 2179], [9, 191, 11, 833, 712]),
-    ("litespeed",        [51, 1357, 167, 1911276, 802], [9, 191, 10, 239, 131]),
-    ("h2o",              [131, 2397, 277, 2486709, 1664], [73, 1023, 90, 460152, 476]),
-    ("nghttpd",          [131, 2397, 277, 2486803, 1754], [73, 1023, 90, 460161, 485]),
-    ("tengine",          [51, 1357, 181, 1912843, 2202], [9, 191, 11, 841, 720]),
-    ("apache",           [131, 2397, 277, 2486743, 1694], [73, 1023, 90, 460155, 479]),
-    ("rfc7540",          [131, 2397, 277, 2486755, 1714], [73, 1023, 90, 460157, 481]),
-    ("gse",              [51, 1357, 171, 1911524, 937], [9, 191, 10, 241, 127]),
-    ("cloudflare-nginx", [131, 2397, 275, 2491186, 6175], [73, 1023, 90, 463268, 3592]),
-    ("ideaweb",          [51, 1357, 169, 1912851, 2294], [9, 191, 10, 866, 752]),
-    ("tengine-aserver",  [51, 1357, 181, 1913200, 2559], [9, 191, 11, 1029, 908]),
+    ("nginx",            [51, 1363, 181, 1912820, 2179], [9, 197, 11, 833, 712]),
+    ("litespeed",        [51, 1363, 167, 1911276, 802], [9, 197, 10, 239, 131]),
+    ("h2o",              [67, 1571, 197, 2026796, 1319], [9, 197, 10, 239, 131]),
+    ("nghttpd",          [67, 1571, 197, 2026890, 1409], [9, 197, 10, 248, 140]),
+    ("tengine",          [51, 1363, 181, 1912843, 2202], [9, 197, 11, 841, 720]),
+    ("apache",           [67, 1571, 197, 2026830, 1349], [9, 197, 10, 242, 134]),
+    ("rfc7540",          [67, 1571, 197, 2026842, 1369], [9, 197, 10, 244, 136]),
+    ("gse",              [51, 1363, 171, 1911524, 937], [9, 197, 10, 241, 127]),
+    ("cloudflare-nginx", [67, 1571, 195, 2028762, 3319], [9, 197, 10, 844, 736]),
+    ("ideaweb",          [51, 1363, 169, 1912851, 2294], [9, 197, 10, 866, 752]),
+    ("tengine-aserver",  [51, 1363, 181, 1913200, 2559], [9, 197, 11, 1029, 908]),
 ];
 
 fn counts(s: &CampaignSnapshot) -> Counts {
