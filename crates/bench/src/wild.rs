@@ -509,7 +509,8 @@ pub(crate) fn priority_tables(spec: &ExperimentSpec) -> [Table; 2] {
             row("last-DATA-frame rule", |v| v.by_last_frame == Some(true), spec.priority_by_last),
             row("first-DATA-frame rule", |v| v.by_first_frame == Some(true),
                 spec.priority_by_first),
-            row("both rules", |v| v.by_both == Some(true), spec.priority_by_both),
+            row("both rules", |v| v.by_last_frame == Some(true) && v.by_first_frame == Some(true),
+                spec.priority_by_both),
         ]),
         table(Some("self-dependent stream reactions:"), [4, 20, 7], true, vec![
             row("RST_STREAM", |v| v.self_dependency == Some(RstStream), reactions.rst),
@@ -549,7 +550,7 @@ pub fn push_adoption(records: &[CampaignRow], population: &Population) -> String
     // A push report exists only where HEADERS came back.
     let push_sites: Vec<&CampaignRow> = records
         .iter()
-        .filter(|r| r.report.push.as_ref().is_some_and(|p| p.supported))
+        .filter(|r| r.report.push.as_ref().is_some_and(|p| p.supported()))
         .collect();
     let mut out = String::new();
     writeln!(out, "§V-F — Server push in the wild ({})", spec.label).unwrap();
@@ -608,7 +609,7 @@ pub fn hpack_figure(records: &[CampaignRow], population: &Population) -> String 
                 if h.filtered() {
                     filtered += 1; // the paper's r > 1 cookie filter
                 } else {
-                    ratios.push(h.ratio);
+                    ratios.push(h.ratio());
                 }
             }
         }

@@ -4,10 +4,14 @@
 //! time. Every such server must survey as `h2scope::expected` predicts;
 //! on the seven profiles of the robustness matrix, it must also harden
 //! as `AbuseHardeningReport::declared` predicts. Every field must move
-//! its named observer on at least one profile.
+//! its named observer on at least one profile, and every verdict a
+//! survey reports must be moved by at least one mutation: a verdict
+//! nothing moves is a probe that cannot fail.
 //!
 //! `mutations` destructures `ServerBehavior` without `..`: a new field
-//! does not compile until it has a row here.
+//! does not compile until it has a row here. `verdict_values`
+//! destructures `Verdicts` and `SettingsReport` the same way: a new
+//! verdict does not compile until it is listed, and then must move.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
@@ -15,6 +19,7 @@ use std::sync::Mutex;
 use h2attack::{engage, hardening, AbuseHardeningReport, AttackVector};
 use h2fault::{ByzantineSpec, RetryPolicy};
 use h2scope::expected::{expected, Verdicts};
+use h2scope::probes::settings::SettingsReport;
 use h2scope::{probes, survey_with_retries, H2Scope, ProbeOutcome, Target};
 use h2server::behavior::PriorityMode;
 use h2server::{
@@ -162,6 +167,8 @@ fn mutations(b: &ServerBehavior) -> Vec<Mutation> {
             Settings::new(),
             announced.clone().with(SettingId::InitialWindowSize, 0),
             announced.clone().with(SettingId::MaxConcurrentStreams, 4),
+            announced.clone().with(SettingId::HeaderTableSize, 8_192),
+            announced.clone().with(SettingId::EnablePush, 0),
         ]
     );
     vary!(
@@ -269,19 +276,87 @@ fn check(b: &ServerBehavior, robustness: bool) -> Checked {
     }
 }
 
+/// Every value of a survey's verdicts by name, rendered so two readings
+/// compare as strings: the fields of `Verdicts`, with its
+/// `SettingsReport` taken field by field (field names do not repeat
+/// between the two).
+fn verdict_values(v: &Verdicts) -> Vec<(&'static str, String)> {
+    let Verdicts {
+        alpn_h2,
+        npn_h2,
+        headers_received,
+        server_name,
+        settings,
+        small_window,
+        headers_at_zero_window,
+        zero_update_stream,
+        zero_update_conn,
+        large_update_stream,
+        large_update_conn,
+        by_last_frame,
+        by_first_frame,
+        headers_blocked_at_zero_conn_window,
+        self_dependency,
+        push,
+        hpack_indexes_responses,
+    } = v;
+    let SettingsReport {
+        header_table_size,
+        enable_push,
+        max_concurrent_streams,
+        initial_window_size,
+        max_frame_size,
+        max_header_list_size,
+        received,
+    } = settings;
+    macro_rules! values {
+        ($($field:ident),*) => {
+            vec![$((stringify!($field), format!("{:?}", $field))),*]
+        };
+    }
+    values![
+        alpn_h2,
+        npn_h2,
+        headers_received,
+        server_name,
+        small_window,
+        headers_at_zero_window,
+        zero_update_stream,
+        zero_update_conn,
+        large_update_stream,
+        large_update_conn,
+        by_last_frame,
+        by_first_frame,
+        headers_blocked_at_zero_conn_window,
+        self_dependency,
+        push,
+        hpack_indexes_responses,
+        header_table_size,
+        enable_push,
+        max_concurrent_streams,
+        initial_window_size,
+        max_frame_size,
+        max_header_list_size,
+        received
+    ]
+}
+
 /// What sweeping one profile found: the fields it varied, those whose
-/// observer moved, and the mutations an oracle got wrong.
+/// observer moved, the verdicts some mutation moved, and the mutations
+/// an oracle got wrong.
 #[derive(Default)]
 struct Sweep {
     mutations: usize,
     fields: BTreeSet<&'static str>,
     moved: BTreeSet<&'static str>,
+    moved_verdicts: BTreeSet<&'static str>,
     disagreements: Vec<String>,
 }
 
 fn sweep(name: &str, base: &ServerBehavior, robustness: bool) -> Sweep {
     let site = SiteSpec::testbed();
     let base_checked = check(base, robustness);
+    let base_verdicts = verdict_values(&base_checked.verdicts);
     let mut before = BTreeMap::new();
     let mut sweep = Sweep::default();
     for m in mutations(base) {
@@ -298,6 +373,12 @@ fn sweep(name: &str, base: &ServerBehavior, robustness: bool) -> Sweep {
                     .disagreements
                     .push(format!("{name} {}: survey", m.field));
             }
+            let moved = verdict_values(&checked.verdicts)
+                .into_iter()
+                .zip(&base_verdicts)
+                .filter(|(after, before)| after != *before)
+                .map(|((verdict, _), _)| verdict);
+            sweep.moved_verdicts.extend(moved);
             if checked
                 .hardening
                 .is_some_and(|h| h != AbuseHardeningReport::declared(&m.behavior))
@@ -339,6 +420,7 @@ fn every_quirk_moves_its_observer_as_the_oracles_predict() {
                 total.mutations += sweep.mutations;
                 total.fields.extend(sweep.fields);
                 total.moved.extend(sweep.moved);
+                total.moved_verdicts.extend(sweep.moved_verdicts);
                 total.disagreements.extend(sweep.disagreements);
             });
         }
@@ -347,6 +429,20 @@ fn every_quirk_moves_its_observer_as_the_oracles_predict() {
     assert!(total.disagreements.is_empty(), "{:#?}", total.disagreements);
     let unmoved: Vec<_> = total.fields.difference(&total.moved).collect();
     assert!(unmoved.is_empty(), "fields no observer sees: {unmoved:?}");
+    let verdicts = verdict_values(&expected(
+        &ServerProfile::rfc7540().behavior,
+        &SiteSpec::testbed(),
+    ));
+    let unmoved: Vec<_> = verdicts
+        .iter()
+        .map(|&(verdict, _)| verdict)
+        .filter(|verdict| !total.moved_verdicts.contains(verdict))
+        .collect();
+    assert!(
+        unmoved.is_empty(),
+        "verdicts no mutation moves: {unmoved:?}"
+    );
+    assert_eq!(verdicts.len(), 23, "{verdicts:?}");
     assert_eq!(
         total.fields.len(),
         27,

@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use h2scope::SiteReport;
+use h2scope::expected::Verdicts;
 
 use crate::record::{CampaignRow, StoredRecord};
 
@@ -70,22 +70,35 @@ pub struct CampaignDiff {
     pub family_flips: u64,
 }
 
-/// A feature predicate over one site's stored report.
-type FeatureProbe = fn(&SiteReport) -> bool;
+/// A feature predicate over one site's verdicts.
+type Feature = fn(&Verdicts) -> bool;
 
 /// The boolean feature vector the transition analysis tracks, in render
 /// order. Kept in one place so counts and transitions can't drift apart.
-const FEATURES: &[(&str, FeatureProbe)] = &[
-    ("NPN h2", |r| r.negotiation.npn_h2),
-    ("ALPN h2", |r| r.negotiation.alpn_h2),
-    ("HEADERS returned", |r| r.headers_received),
-    ("server push", |r| {
-        r.push.as_ref().is_some_and(|p| p.supported)
-    }),
-    ("priority (last-frame)", |r| {
-        r.priority.as_ref().is_some_and(|p| p.by_last_frame)
-    }),
+const FEATURES: [(&str, Feature); 5] = [
+    ("NPN h2", |v| v.npn_h2),
+    ("ALPN h2", |v| v.alpn_h2),
+    ("HEADERS returned", |v| v.headers_received),
+    ("server push", |v| v.push == Some(true)),
+    ("priority (last-frame)", |v| v.by_last_frame == Some(true)),
 ];
+
+/// Which tracked features each row exhibits, in [`FEATURES`] order.
+fn features(rows: &[CampaignRow]) -> Vec<[bool; FEATURES.len()]> {
+    rows.iter()
+        .map(|row| {
+            let verdicts = Verdicts::of(&row.report);
+            FEATURES.map(|(_, f)| f(&verdicts))
+        })
+        .collect()
+}
+
+/// How many rows exhibit each feature.
+fn tally(features: &[[bool; FEATURES.len()]]) -> Vec<u64> {
+    (0..FEATURES.len())
+        .map(|i| features.iter().filter(|has| has[i]).count() as u64)
+        .collect()
+}
 
 /// The feature labels of [`feature_counts`], in the same order.
 pub fn feature_names() -> Vec<&'static str> {
@@ -96,19 +109,16 @@ pub fn feature_names() -> Vec<&'static str> {
 /// adoption table the paper reports; exposed so `repro serve` can
 /// regenerate it from an in-memory record without rescanning.
 pub fn feature_counts(rows: &[CampaignRow]) -> Vec<u64> {
-    FEATURES
-        .iter()
-        .map(|(_, f)| rows.iter().filter(|row| f(&row.report)).count() as u64)
-        .collect()
+    tally(&features(rows))
 }
 
-/// Site authority → row: the join index of [`diff_records`].
+/// Site authority → row position: the join index of [`diff_records`].
 #[expect(
     clippy::disallowed_types,
     reason = "lookup-only join index, never iterated: every output list walks the \
               records' rows in index order"
 )]
-type SiteIndex<'r> = std::collections::HashMap<&'r str, &'r CampaignRow>;
+type SiteIndex<'r> = std::collections::HashMap<&'r str, usize>;
 
 /// Joins two records on site identity and computes the longitudinal
 /// comparison. Records may come from different campaign generations and
@@ -117,12 +127,14 @@ pub fn diff_records(a: &StoredRecord, b: &StoredRecord) -> CampaignDiff {
     let index_a: SiteIndex = a
         .rows
         .iter()
-        .map(|row| (row.report.authority.as_str(), row))
+        .enumerate()
+        .map(|(i, row)| (row.report.authority.as_str(), i))
         .collect();
     let index_b: SiteIndex = b
         .rows
         .iter()
-        .map(|row| (row.report.authority.as_str(), row))
+        .enumerate()
+        .map(|(i, row)| (row.report.authority.as_str(), i))
         .collect();
 
     let mut appeared: Vec<String> = b
@@ -140,8 +152,10 @@ pub fn diff_records(a: &StoredRecord, b: &StoredRecord) -> CampaignDiff {
         .collect();
     disappeared.sort();
 
-    let counts_a = feature_counts(&a.rows);
-    let counts_b = feature_counts(&b.rows);
+    let features_a = features(&a.rows);
+    let features_b = features(&b.rows);
+    let counts_a = tally(&features_a);
+    let counts_b = tally(&features_b);
     let adoption = FEATURES
         .iter()
         .zip(counts_a.iter().zip(&counts_b))
@@ -159,16 +173,16 @@ pub fn diff_records(a: &StoredRecord, b: &StoredRecord) -> CampaignDiff {
             stable: 0,
         })
         .collect();
-    for row_a in &a.rows {
-        let Some(row_b) = index_b.get(row_a.report.authority.as_str()) else {
+    for (row_a, has_a) in a.rows.iter().zip(&features_a) {
+        let Some(&j) = index_b.get(row_a.report.authority.as_str()) else {
             continue;
         };
         common += 1;
-        if row_a.family != row_b.family {
+        if row_a.family != b.rows[j].family {
             family_flips += 1;
         }
-        for ((_, f), t) in FEATURES.iter().zip(&mut transitions) {
-            match (f(&row_a.report), f(&row_b.report)) {
+        for ((&in_a, &in_b), t) in has_a.iter().zip(&features_b[j]).zip(&mut transitions) {
+            match (in_a, in_b) {
                 (false, true) => t.gained += 1,
                 (true, false) => t.lost += 1,
                 (true, true) => t.stable += 1,

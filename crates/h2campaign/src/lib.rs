@@ -5,7 +5,7 @@
 //! site-by-site. That only works if per-site scan records outlive the
 //! scanning process. This crate is that durability layer:
 //!
-//! * [`record`] — the versioned (`h2campaign-v2`), append-only on-disk
+//! * [`record`] — the versioned (`h2campaign-v3`), append-only on-disk
 //!   record: a schema header carrying the campaign seed, fault config
 //!   and population hash, one compact line per scanned site with the
 //!   full feature vector and [`h2scope::ProbeOutcome`] accounting, and a

@@ -1,10 +1,10 @@
 //! The on-disk campaign record: a versioned, append-only, line-oriented
 //! journal of one scan campaign.
 //!
-//! Layout (`h2campaign-v2`, LF-terminated lines):
+//! Layout (`h2campaign-v3`, LF-terminated lines):
 //!
 //! ```text
-//! h2campaign-v2
+//! h2campaign-v3
 //! meta|campaign=experiment-1|label=Jul. 2016|scale=0.1|scale_bits=3fb999999999999a|faults=none|seed=0|population=59cf9ad2366a3f9d|sites=5230
 //! r|i=0|f=nginx|site=site-0.top1m|alpn=1|npn=1|hdrs=1|…
 //! r|i=1|f=litespeed|…
@@ -12,6 +12,13 @@
 //! end|rows=5230|checksum=8aa4c2f10b93e77d
 //! ```
 //!
+//! * Each `r|` row carries the site's index and family code, then one
+//!   [`h2scope::storage`] report line of at most 28 keys: `site`,
+//!   `alpn`, `npn`, `hdrs`, `server`, seven `st.*` SETTINGS values, the
+//!   optional `fc.*` (6), `pr.*` (4), `pu.*` (2) and `hp.sizes`
+//!   sections, and `pb.*` (3). Each measurement is stored once: the
+//!   HPACK ratio, "both priority rules" and "push supported" are
+//!   computed from the stored fields on load.
 //! * The two header lines are written first and fsync-free-flushed, so
 //!   any crash leaves at least an identifiable record.
 //! * The `end|` checksum covers lines 1–2 and every row, so a finalized
@@ -44,7 +51,7 @@ use webpop::{Family, Population};
 /// Schema identifier — the record file's first line. Any change to the
 /// meta line fields, the row layout, the family codes, or the report
 /// line format is a format break and must bump this.
-pub const SCHEMA: &str = "h2campaign-v2";
+pub const SCHEMA: &str = "h2campaign-v3";
 
 /// Error raised by record I/O, parsing, or resume-compatibility checks.
 #[derive(Debug)]

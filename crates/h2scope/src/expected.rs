@@ -73,8 +73,6 @@ pub struct Verdicts {
     pub by_last_frame: Option<bool>,
     /// Algorithm 1, judged by each stream's first DATA frame.
     pub by_first_frame: Option<bool>,
-    /// Both ordering rules hold.
-    pub by_both: Option<bool>,
     /// HEADERS withheld while the connection window was zero.
     pub headers_blocked_at_zero_conn_window: Option<bool>,
     /// §III-C2: a self-dependent PRIORITY frame.
@@ -104,12 +102,11 @@ impl Verdicts {
             large_update_conn: fc.map(|fc| fc.large_update_conn),
             by_last_frame: priority.map(|p| p.by_last_frame),
             by_first_frame: priority.map(|p| p.by_first_frame),
-            by_both: priority.map(|p| p.by_both),
             headers_blocked_at_zero_conn_window: priority
                 .map(|p| p.headers_blocked_at_zero_conn_window),
             self_dependency: priority.map(|p| p.self_dependency),
-            push: report.push.as_ref().map(|p| p.supported),
-            hpack_indexes_responses: report.hpack.as_ref().map(|h| h.ratio < 1.0),
+            push: report.push.as_ref().map(|p| p.supported()),
+            hpack_indexes_responses: report.hpack.as_ref().map(|h| h.ratio() < 1.0),
         }
     }
 }
@@ -141,7 +138,6 @@ pub fn expected(b: &ServerBehavior, site: &SiteSpec) -> Verdicts {
             initial_window_size: announced(SettingId::InitialWindowSize),
             max_frame_size: announced(SettingId::MaxFrameSize),
             max_header_list_size: announced(SettingId::MaxHeaderListSize),
-            zero_window_then_update: announced(SettingId::InitialWindowSize) == Some(0),
             received: true,
         }
     } else {
@@ -175,7 +171,6 @@ pub fn expected(b: &ServerBehavior, site: &SiteSpec) -> Verdicts {
         large_update_conn: probed.then_some(reaction(b.large_window_update_conn, false, false)),
         by_last_frame: probed.then_some(by_last_frame),
         by_first_frame: probed.then_some(by_first_frame),
-        by_both: probed.then_some(by_last_frame && by_first_frame),
         // Algorithm 1 drains the connection window before it asks: a
         // server that flow-controls HEADERS then holds them back.
         headers_blocked_at_zero_conn_window: probed

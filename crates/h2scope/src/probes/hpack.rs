@@ -3,41 +3,47 @@
 //! frames. A server that indexes response headers drives r toward 1/H; a
 //! server that never does stays at 1.
 
-#![allow(
-    clippy::indexing_slicing,
-    reason = "indices bounded by the response-count checks above each use"
-)]
-
 use h2wire::{Frame, SettingId, Settings};
 
 use crate::client::{ProbeConn, TimedFrame};
 use crate::target::Target;
 
 /// Result of the HPACK probe.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HpackReport {
-    /// Compression ratio r (equation 1 in the paper).
-    pub ratio: f64,
-    /// Response HEADERS frame sizes S₁..S_H (frame header + block).
+    /// Response HEADERS frame sizes S₁..S_H (frame header + block), one
+    /// per response that came back.
     pub sizes: Vec<usize>,
-    /// Number of identical requests sent (the paper's H).
-    pub h: usize,
 }
 
 impl HpackReport {
+    /// The compression ratio r = Σ Sᵢ / (S₁ · H) (equation 1 in the
+    /// paper), H being the number of responses measured. NaN when there
+    /// is no S₁ to divide by: `sizes` empty (a survey keeps no such
+    /// report) or S₁ = 0.
+    pub fn ratio(&self) -> f64 {
+        match self.sizes.first() {
+            Some(&first) if first > 0 => {
+                self.sizes.iter().sum::<usize>() as f64 / (first * self.sizes.len()) as f64
+            }
+            _ => f64::NAN,
+        }
+    }
+
     /// Whether the measurement should be discarded per §V-G (sites that
     /// inject cookies make r exceed 1).
     pub fn filtered(&self) -> bool {
-        self.ratio > 1.0
+        self.ratio() > 1.0
     }
 }
 
-/// Sends `h` identical HEAD requests for `/` and computes the ratio, NaN
-/// when no response HEADERS came back (`sizes` empty; a survey keeps no
-/// report). A HEAD response carries the GET's header block without the
-/// body (RFC 7231 §4.3.2), and the ratio reads only the header blocks —
-/// so the connection announces `SETTINGS_ENABLE_PUSH = 0`: pushed
-/// responses are octets the ratio never reads.
+/// Sends `h` identical HEAD requests for `/` and records the response
+/// header sizes the ratio reads ([`HpackReport::ratio`]); `sizes` is
+/// empty when no response HEADERS came back (a survey keeps no report).
+/// A HEAD response carries the GET's header block without the body (RFC
+/// 7231 §4.3.2), and the ratio reads only the header blocks — so the
+/// connection announces `SETTINGS_ENABLE_PUSH = 0`: pushed responses are
+/// octets the ratio never reads.
 ///
 /// Classifies RFC 7540 §4.3: the HPACK context spans the connection.
 pub fn probe(target: &Target, h: usize) -> HpackReport {
@@ -51,12 +57,7 @@ pub fn probe(target: &Target, h: usize) -> HpackReport {
         let (frames, _) = conn.fetch_as(stream, "HEAD", "/");
         sizes.extend(headers_sizes(&frames, stream));
     }
-    let ratio = if sizes.is_empty() || sizes[0] == 0 {
-        f64::NAN
-    } else {
-        sizes.iter().sum::<usize>() as f64 / (sizes[0] * sizes.len()) as f64
-    };
-    HpackReport { ratio, sizes, h }
+    HpackReport { sizes }
 }
 
 /// The probe connection's SETTINGS: push disabled.
@@ -94,7 +95,7 @@ mod tests {
             let name = profile.name.clone();
             let report = ratio_for(profile);
             assert_eq!(report.sizes.len(), 8);
-            assert!(report.ratio < 0.3, "{name}: r = {}", report.ratio);
+            assert!(report.ratio() < 0.3, "{name}: r = {}", report.ratio());
             assert!(!report.filtered());
         }
     }
@@ -110,9 +111,9 @@ mod tests {
             let name = profile.name.clone();
             let report = ratio_for(profile);
             assert!(
-                (report.ratio - 1.0).abs() < 1e-9,
+                (report.ratio() - 1.0).abs() < 1e-9,
                 "{name}: r = {}",
-                report.ratio
+                report.ratio()
             );
         }
     }
@@ -120,7 +121,7 @@ mod tests {
     #[test]
     fn cookie_injection_pushes_ratio_above_one() {
         let report = ratio_for(ServerProfile::tengine_aserver());
-        assert!(report.ratio > 1.0, "r = {}", report.ratio);
+        assert!(report.ratio() > 1.0, "r = {}", report.ratio());
         assert!(report.filtered(), "§V-G filters these sites out");
     }
 

@@ -49,13 +49,18 @@ pub struct PriorityReport {
     /// Expected ordering holds judging by each stream's *first* DATA
     /// frame (46 / 117 sites).
     pub by_first_frame: bool,
-    /// Both rules hold (38 / 111 sites).
-    pub by_both: bool,
     /// The server withheld even HEADERS while the connection window was
     /// zero (observed on some servers, §III-C1).
     pub headers_blocked_at_zero_conn_window: bool,
     /// Reaction to a self-dependent PRIORITY frame (§III-C2).
     pub self_dependency: Reaction,
+}
+
+impl PriorityReport {
+    /// Both ordering rules hold (38 / 111 sites).
+    pub fn by_both(&self) -> bool {
+        self.by_last_frame && self.by_first_frame
+    }
 }
 
 /// Runs Algorithm 1 against the target.
@@ -136,7 +141,6 @@ pub fn algorithm1(target: &Target) -> PriorityReport {
     PriorityReport {
         by_last_frame,
         by_first_frame,
-        by_both: by_last_frame && by_first_frame,
         headers_blocked_at_zero_conn_window: headers_blocked,
         self_dependency: self_dependency(target),
     }
@@ -247,7 +251,6 @@ pub fn naive_order_check(target: &Target) -> PriorityReport {
     PriorityReport {
         by_last_frame,
         by_first_frame,
-        by_both: by_last_frame && by_first_frame,
         headers_blocked_at_zero_conn_window: false,
         self_dependency: Reaction::Ignored, // not probed in the naive check
     }
@@ -314,7 +317,7 @@ mod tests {
             let report = algorithm1(&target_for(profile));
             assert!(report.by_last_frame, "{name} must pass Algorithm 1");
             assert!(report.by_first_frame, "{name} first-frame rule");
-            assert!(report.by_both, "{name}");
+            assert!(report.by_both(), "{name}");
         }
     }
 
@@ -338,7 +341,7 @@ mod tests {
         let report = algorithm1(&target_for(profile));
         assert!(report.by_last_frame, "completion follows priority");
         assert!(!report.by_first_frame, "first frames flush FCFS");
-        assert!(!report.by_both);
+        assert!(!report.by_both());
     }
 
     #[test]
@@ -348,7 +351,7 @@ mod tests {
         let report = algorithm1(&target_for(profile));
         assert!(report.by_first_frame, "first frames follow the tree");
         assert!(!report.by_last_frame, "completion is round-robin");
-        assert!(!report.by_both);
+        assert!(!report.by_both());
     }
 
     #[test]
@@ -371,6 +374,6 @@ mod tests {
             "naive check must be confounded by arrival order"
         );
         let proper = algorithm1(&target);
-        assert!(proper.by_both, "Algorithm 1 recovers the true verdict");
+        assert!(proper.by_both(), "Algorithm 1 recovers the true verdict");
     }
 }

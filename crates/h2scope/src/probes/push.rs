@@ -9,12 +9,17 @@ use crate::target::Target;
 /// Result of the push probe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PushReport {
-    /// At least one PUSH_PROMISE was received.
-    pub supported: bool,
     /// Paths the server promised, in promise order.
     pub promised_paths: Vec<String>,
     /// Octets of pushed response bodies received.
     pub pushed_octets: u64,
+}
+
+impl PushReport {
+    /// At least one PUSH_PROMISE naming a `:path` was received.
+    pub fn supported(&self) -> bool {
+        !self.promised_paths.is_empty()
+    }
 }
 
 /// Enables push, fetches the given pages, and records every promise.
@@ -68,7 +73,6 @@ pub fn probe(target: &Target, pages: &[&str]) -> PushReport {
         }
     }
     PushReport {
-        supported: !promised_paths.is_empty(),
         promised_paths,
         pushed_octets,
     }
@@ -143,7 +147,7 @@ mod tests {
         // receive pushed objects."
         let target = Target::testbed(ServerProfile::h2o(), push_site());
         let report = probe(&target, &["/asset/0"]);
-        assert!(!report.supported);
+        assert!(!report.supported());
     }
 
     #[test]
@@ -161,6 +165,6 @@ mod tests {
     fn push_capable_server_without_manifest_pushes_nothing() {
         let target = Target::testbed(ServerProfile::apache(), SiteSpec::benchmark());
         let report = probe(&target, &["/"]);
-        assert!(!report.supported);
+        assert!(!report.supported());
     }
 }

@@ -1,6 +1,5 @@
 //! SETTINGS frame probe (§V-C): record every parameter the server
-//! announces, plus the "announce zero, then WINDOW_UPDATE" pattern the
-//! paper observed on Nginx (Table V).
+//! announces.
 
 use h2wire::{Frame, SettingId, Settings};
 
@@ -23,10 +22,6 @@ pub struct SettingsReport {
     pub max_frame_size: Option<u32>,
     /// `SETTINGS_MAX_HEADER_LIST_SIZE`.
     pub max_header_list_size: Option<u32>,
-    /// The server announced `INITIAL_WINDOW_SIZE = 0` and immediately sent
-    /// a WINDOW_UPDATE re-opening the window (the Nginx pattern the paper
-    /// verified in its testbed).
-    pub zero_window_then_update: bool,
     /// A SETTINGS frame was received at all.
     pub received: bool,
 }
@@ -41,7 +36,6 @@ impl SettingsReport {
             initial_window_size: settings.get(SettingId::InitialWindowSize),
             max_frame_size: settings.get(SettingId::MaxFrameSize),
             max_header_list_size: settings.get(SettingId::MaxHeaderListSize),
-            zero_window_then_update: false,
             received: true,
         }
     }
@@ -54,25 +48,13 @@ pub fn probe(target: &Target) -> SettingsReport {
     target.obs.enter_probe(h2obs::ProbeKind::Settings);
     let mut conn = ProbeConn::establish(target, Settings::new(), 0x5e77);
     let frames = conn.exchange();
-    let mut report = SettingsReport::default();
-    let mut saw_settings = false;
-    for tf in &frames {
-        match &tf.frame {
-            Frame::Settings(s) if !s.ack && !saw_settings => {
-                saw_settings = true;
-                report = SettingsReport::from_settings(&s.settings);
-            }
-            Frame::WindowUpdate(wu)
-                if saw_settings
-                    && wu.stream_id.is_connection()
-                    && report.initial_window_size == Some(0) =>
-            {
-                report.zero_window_then_update = true;
-            }
-            _ => {}
-        }
-    }
-    report
+    frames
+        .iter()
+        .find_map(|tf| match &tf.frame {
+            Frame::Settings(s) if !s.ack => Some(SettingsReport::from_settings(&s.settings)),
+            _ => None,
+        })
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -85,10 +67,9 @@ mod tests {
     }
 
     #[test]
-    fn nginx_pattern_is_detected() {
+    fn nginx_announces_a_zero_window() {
         let report = report_for(ServerProfile::nginx());
         assert_eq!(report.initial_window_size, Some(0));
-        assert!(report.zero_window_then_update);
         assert_eq!(report.max_concurrent_streams, Some(128));
     }
 
@@ -96,7 +77,6 @@ mod tests {
     fn h2o_announces_large_window() {
         let report = report_for(ServerProfile::h2o());
         assert_eq!(report.initial_window_size, Some(16_777_216));
-        assert!(!report.zero_window_then_update);
     }
 
     #[test]

@@ -101,6 +101,6 @@ mod tests {
         assert!(report.flow_control.is_some());
         assert!(report.priority.is_some());
         assert!(report.hpack.is_some());
-        assert!(report.hpack.unwrap().ratio < 0.3);
+        assert!(report.hpack.unwrap().ratio() < 0.3);
     }
 }

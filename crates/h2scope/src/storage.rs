@@ -165,13 +165,13 @@ fn parse_opt_u32(s: &str) -> Result<Option<u32>, String> {
 /// records have no per-row checksum, so nothing else would catch the
 /// flipped byte.
 #[rustfmt::skip]
-const KEYS: [&str; 33] = [
+const KEYS: [&str; 28] = [
     "site", "alpn", "npn", "hdrs", "server",
-    "st.recv", "st.hts", "st.push", "st.mcs", "st.iws", "st.mfs", "st.mhls", "st.zwtu",
+    "st.recv", "st.hts", "st.push", "st.mcs", "st.iws", "st.mfs", "st.mhls",
     "fc.small", "fc.hzw", "fc.zus", "fc.zuc", "fc.lus", "fc.luc",
-    "pr.last", "pr.first", "pr.both", "pr.blocked", "pr.self",
-    "pu.sup", "pu.octets", "pu.paths",
-    "hp.r", "hp.h", "hp.sizes",
+    "pr.last", "pr.first", "pr.blocked", "pr.self",
+    "pu.octets", "pu.paths",
+    "hp.sizes",
     "pb.out", "pb.att", "pb.bk",
 ];
 
@@ -203,7 +203,7 @@ pub fn write_report(report: &SiteReport) -> String {
     let s = &report.settings;
     let _ = write!(
         line,
-        "|st.recv={}|st.hts={}|st.push={}|st.mcs={}|st.iws={}|st.mfs={}|st.mhls={}|st.zwtu={}",
+        "|st.recv={}|st.hts={}|st.push={}|st.mcs={}|st.iws={}|st.mfs={}|st.mhls={}",
         s.received as u8,
         opt_u32(s.header_table_size),
         opt_u32(s.enable_push),
@@ -211,7 +211,6 @@ pub fn write_report(report: &SiteReport) -> String {
         opt_u32(s.initial_window_size),
         opt_u32(s.max_frame_size),
         opt_u32(s.max_header_list_size),
-        s.zero_window_then_update as u8,
     );
     if let Some(fc) = &report.flow_control {
         let _ = write!(
@@ -228,10 +227,9 @@ pub fn write_report(report: &SiteReport) -> String {
     if let Some(p) = &report.priority {
         let _ = write!(
             line,
-            "|pr.last={}|pr.first={}|pr.both={}|pr.blocked={}|pr.self={}",
+            "|pr.last={}|pr.first={}|pr.blocked={}|pr.self={}",
             p.by_last_frame as u8,
             p.by_first_frame as u8,
-            p.by_both as u8,
             p.headers_blocked_at_zero_conn_window as u8,
             code(&REACTIONS, p.self_dependency),
         );
@@ -239,8 +237,7 @@ pub fn write_report(report: &SiteReport) -> String {
     if let Some(push) = &report.push {
         let _ = write!(
             line,
-            "|pu.sup={}|pu.octets={}|pu.paths={}",
-            push.supported as u8,
+            "|pu.octets={}|pu.paths={}",
             push.pushed_octets,
             push.promised_paths
                 .iter()
@@ -252,9 +249,7 @@ pub fn write_report(report: &SiteReport) -> String {
     if let Some(h) = &report.hpack {
         let _ = write!(
             line,
-            "|hp.r={}|hp.h={}|hp.sizes={}",
-            h.ratio,
-            h.h,
+            "|hp.sizes={}",
             h.sizes
                 .iter()
                 .map(|s| s.to_string())
@@ -345,7 +340,6 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
         initial_window_size: get_opt("st.iws")?,
         max_frame_size: get_opt("st.mfs")?,
         max_header_list_size: get_opt("st.mhls")?,
-        zero_window_then_update: get_bool("st.zwtu")?,
     };
     let flow_control = if present("fc.")? {
         Some(FlowControlReport {
@@ -364,7 +358,6 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
         Some(PriorityReport {
             by_last_frame: get_bool("pr.last")?,
             by_first_frame: get_bool("pr.first")?,
-            by_both: get_bool("pr.both")?,
             headers_blocked_at_zero_conn_window: get_bool("pr.blocked")?,
             self_dependency: reaction("pr.self")?,
         })
@@ -374,7 +367,6 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     let push = if present("pu.")? {
         let paths = get("pu.paths")?;
         Some(PushReport {
-            supported: get_bool("pu.sup")?,
             pushed_octets: get("pu.octets")?.parse().map_err(|_| bad("pu.octets"))?,
             promised_paths: if paths.is_empty() {
                 Vec::new()
@@ -385,19 +377,18 @@ pub fn read_report(line: &str) -> Result<SiteReport, ParseReportError> {
     } else {
         None
     };
-    // `write_report` writes an `hp.*` section only for a measurement: a
-    // finite ratio over at least one response size.
+    // `write_report` writes an `hp.*` section only for a measurement: at
+    // least one response size, the first of them (the ratio's divisor)
+    // non-zero. So no stored report holds a NaN ratio.
     let hpack = if present("hp.")? {
-        Some(HpackReport {
-            ratio: (get("hp.r")?.parse().ok())
-                .filter(|r: &f64| r.is_finite())
-                .ok_or_else(|| bad("hp.r"))?,
-            h: get("hp.h")?.parse().map_err(|_| bad("hp.h"))?,
-            sizes: get("hp.sizes")?
-                .split(',')
-                .map(|s| s.parse().map_err(|_| bad("hp.sizes")))
-                .collect::<Result<_, _>>()?,
-        })
+        let sizes: Vec<usize> = get("hp.sizes")?
+            .split(',')
+            .map(|s| s.parse().map_err(|_| bad("hp.sizes")))
+            .collect::<Result<_, _>>()?;
+        if sizes.first().is_none_or(|&first| first == 0) {
+            return Err(bad("hp.sizes"));
+        }
+        Some(HpackReport { sizes })
     } else {
         None
     };
@@ -493,8 +484,8 @@ mod tests {
         // The H2O row: it carries a `pu.*` section.
         let line = write_report(&sample_reports()[2]);
         assert!(read_report(&line).is_ok());
-        let err = read_report(&line.replace("|pu.sup=", "|pu.sux=")).unwrap_err();
-        assert!(err.message.contains("unknown field \"pu.sux\""), "{err}");
+        let err = read_report(&line.replace("|pu.octets=", "|pu.octetz=")).unwrap_err();
+        assert!(err.message.contains("unknown field \"pu.octetz\""), "{err}");
         let err = read_report(&format!("{line}|hdrs=0")).unwrap_err();
         assert!(err.message.contains("repeated field \"hdrs\""), "{err}");
         // A section loses a key: the rest of it must not be dropped
@@ -506,24 +497,24 @@ mod tests {
             });
             kept.collect::<Vec<_>>().join("|")
         };
-        // An HPACK section without a measurement (written by releases
-        // that stored a NaN ratio when no response HEADERS came back) or
-        // with an empty size list is refused, naming the field.
-        let hpack = |section: &str| format!("{}|{section}", without(&["hp.r", "hp.h", "hp.sizes"]));
+        // An HPACK section whose size list has no S₁ to divide by (empty,
+        // or starting with 0) is no measurement: it is refused, naming the
+        // field.
+        let hpack = |section: &str| format!("{}|{section}", without(&["hp.sizes"]));
         for (row, message) in [
             (without(&["fc.small"]), "incomplete fc.* section"),
             (without(&["pr.last"]), "incomplete pr.* section"),
-            (without(&["pu.sup"]), "incomplete pu.* section"),
-            (without(&["hp.r"]), "incomplete hp.* section"),
+            (without(&["pu.octets"]), "incomplete pu.* section"),
             (
                 without(&["pb.out", "pb.att", "pb.bk"]),
                 "missing field pb.out",
             ),
-            (hpack("hp.r=NaN|hp.h=8|hp.sizes="), "bad hp.r"),
-            (hpack("hp.r=0.5|hp.h=8|hp.sizes="), "bad hp.sizes"),
+            (hpack("hp.sizes="), "bad hp.sizes"),
+            (hpack("hp.sizes=0,21"), "bad hp.sizes"),
         ] {
             let err = read_report(&row).unwrap_err();
             assert!(err.message.contains(message), "{row}: {err}");
         }
+        assert!(read_report(&hpack("hp.sizes=21,0")).is_ok());
     }
 }

@@ -51,7 +51,6 @@ prop_compose! {
         iws in prop::option::of(any::<u32>()),
         mfs in prop::option::of(any::<u32>()),
         mhls in prop::option::of(any::<u32>()),
-        zwtu in any::<bool>(),
     ) -> SettingsReport {
         SettingsReport {
             received,
@@ -61,7 +60,6 @@ prop_compose! {
             initial_window_size: iws,
             max_frame_size: mfs,
             max_header_list_size: mhls,
-            zero_window_then_update: zwtu,
         }
     }
 }
@@ -82,13 +80,10 @@ prop_compose! {
             any::<bool>(), any::<bool>(), any::<bool>(), arb_reaction(),
         )),
         push in prop::option::of((
-            any::<bool>(), any::<u64>(),
+            any::<u64>(),
             prop::collection::vec("[!-~]{1,12}", 0..4),
         )),
-        hpack in prop::option::of((
-            0.0f64..2.0, 2usize..10,
-            prop::collection::vec(1usize..500, 1..8),
-        )),
+        hpack in prop::option::of(prop::collection::vec(1usize..500, 1..8)),
         probe in (arb_outcome(), 1u32..5, 0u64..10_000_000_000),
     ) -> SiteReport {
         SiteReport {
@@ -108,16 +103,14 @@ prop_compose! {
             priority: pr.map(|(last, first, blocked, self_dep)| PriorityReport {
                 by_last_frame: last,
                 by_first_frame: first,
-                by_both: last && first,
                 headers_blocked_at_zero_conn_window: blocked,
                 self_dependency: self_dep,
             }),
-            push: push.map(|(supported, octets, paths)| PushReport {
-                supported,
+            push: push.map(|(octets, paths)| PushReport {
                 pushed_octets: octets,
                 promised_paths: paths,
             }),
-            hpack: hpack.map(|(ratio, h, sizes)| HpackReport { ratio, h, sizes }),
+            hpack: hpack.map(|sizes| HpackReport { sizes }),
             probe: ProbeStats {
                 outcome: probe.0,
                 attempts: probe.1,
@@ -128,11 +121,21 @@ prop_compose! {
 }
 
 proptest! {
-    /// Every representable report round-trips exactly.
+    /// Every representable report round-trips exactly, each measurement
+    /// in one field: 15 always, plus 6 `fc.*`, 4 `pr.*`, 2 `pu.*` and 1
+    /// `hp.*` when the section is present — 28 in all.
     #[test]
     fn storage_round_trips(report in arb_report()) {
         let line = write_report(&report);
         prop_assert!(!line.contains('\n'), "records are single lines");
+        let sections = [
+            (report.flow_control.is_some(), 6),
+            (report.priority.is_some(), 4),
+            (report.push.is_some(), 2),
+            (report.hpack.is_some(), 1),
+        ];
+        let fields = 15 + sections.iter().filter(|(present, _)| *present).map(|(_, n)| n).sum::<usize>();
+        prop_assert_eq!(split_fields(&line).count(), fields);
         let loaded = read_report(&line).expect("parses");
         prop_assert_eq!(loaded, report);
     }
@@ -148,8 +151,7 @@ proptest! {
     ) {
         let line = write_report(&report);
         for key in [
-            "alpn", "npn", "hdrs", "st.recv", "st.zwtu", "fc.hzw", "pr.last", "pr.first",
-            "pr.both", "pr.blocked", "pu.sup",
+            "alpn", "npn", "hdrs", "st.recv", "fc.hzw", "pr.last", "pr.first", "pr.blocked",
         ] {
             // Boolean values are a single digit; `server=` always follows
             // `hdrs=`, so every key is followed by a separator.

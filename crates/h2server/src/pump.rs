@@ -307,9 +307,11 @@ impl H2Server {
     /// The DATA scheduler: sends chunk by chunk to the ready stream
     /// `pick` chooses — with `fresh_only`, among those yet to send their
     /// first chunk — until nothing is ready or a chunk ends the phase.
+    /// With the connection window closed no stream is ready, so the queue
+    /// is not scanned.
     fn pump_data(&mut self, fresh_only: bool, pick: Pick, out: &mut Vec<Frame>) {
         let mut ready = std::mem::take(&mut self.ready_scratch);
-        loop {
+        while self.core.connection_send_window() > 0 {
             self.collect_ready(fresh_only, &mut ready);
             let next = match pick {
                 Pick::First => ready.first().copied(),

@@ -120,7 +120,7 @@ impl Family {
     ];
 
     /// Stable short code used in persisted campaign records. Codes are
-    /// part of the `h2campaign-v2` on-disk schema: renaming one is a
+    /// part of the `h2campaign-v3` on-disk schema: renaming one is a
     /// format break and requires a schema bump.
     pub fn code(self) -> &'static str {
         match self {

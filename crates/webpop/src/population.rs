@@ -769,7 +769,16 @@ mod tests {
                 .get(SettingId::InitialWindowSize)
                 == Some(0)
             {
-                assert!(h2scope::probes::settings::probe(&site.target()).zero_window_then_update);
+                // Nginx's pattern (Table V): the greeting re-opens the
+                // connection window right after announcing a zero one.
+                let mut conn = h2scope::ProbeConn::establish(&site.target(), Settings::new(), 0);
+                let greeting = conn.exchange();
+                assert!(
+                    greeting.iter().any(|tf| matches!(&tf.frame,
+                        h2wire::Frame::WindowUpdate(wu) if wu.stream_id.is_connection())),
+                    "{}: {greeting:?}",
+                    site.site.authority
+                );
                 checked += 1;
             }
         }

@@ -32,7 +32,7 @@ fn main() {
     println!("self-dependency : {}", show(v.self_dependency));
     println!("server push     : {:?}", v.push);
     if let Some(hpack) = &report.hpack {
-        println!("HPACK ratio     : {:.3}", hpack.ratio);
+        println!("HPACK ratio     : {:.3}", hpack.ratio());
     }
 
     // The two probes the paper runs only in its testbed.

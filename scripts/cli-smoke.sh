@@ -52,8 +52,9 @@ metrics() {
 # holds no measurement, exit 2), `repro diff` and
 # `repro serve` must work from disk alone — the serve response digest the
 # same on one worker as on four, though each connection reuses its
-# decoded header lists, and its --metrics JSON valid — a torn record is
-# exit 5 and a record whose meta line was edited is exit 6.
+# decoded header lists, and its --metrics JSON valid — a record in the
+# previous schema (h2campaign-v2) is exit 2, a torn record is exit 5 and
+# a record whose meta line was edited is exit 6.
 resume() {
     "$repro" adoption --exp 1 --scale 0.01 --threads 1 --faults flaky --seed 42 --record golden.h2c
     local status=0
@@ -84,16 +85,16 @@ resume() {
     status=0
     "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume keyflip.h2c || status=$?
     test "$status" -eq 2
-    # So is an HPACK section without a measurement, as records written
-    # before the HPACK probe abstained could hold: read as a NaN ratio,
-    # it would reach Figure 4's quantiles.
-    sed -E '0,/\|hp\.r=[^|]*\|hp\.h=[^|]*\|hp\.sizes=[^|]*/s//|hp.r=NaN|hp.h=8|hp.sizes=/' crashed.h2c > legacy.h2c
-    if cmp -s crashed.h2c legacy.h2c; then
-        echo 'no HPACK section to rewrite in the partial record' >&2
+    # So is an HPACK section without a measurement: an empty size list
+    # has no S1 to divide by, and its NaN ratio would reach Figure 4's
+    # quantiles.
+    sed -E '0,/\|hp\.sizes=[^|]*/s//|hp.sizes=/' crashed.h2c > nosizes.h2c
+    if cmp -s crashed.h2c nosizes.h2c; then
+        echo 'no HPACK section to empty in the partial record' >&2
         exit 1
     fi
     status=0
-    "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume legacy.h2c || status=$?
+    "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume nosizes.h2c || status=$?
     test "$status" -eq 2
     "$repro" adoption --exp 1 --scale 0.01 --threads 2 --faults flaky --seed 42 --resume crashed.h2c
     cmp golden.h2c crashed.h2c
@@ -111,6 +112,16 @@ resume() {
     "$repro" serve golden.h2c second.h2c --threads 2 --queries 200 --metrics --out-dir served > /dev/null
     grep -q '"serve": {"lookups":200,' served/OBS_campaign.json
     json_ok served/OBS_campaign.json
+    # There is no reader for the previous schema, whose rows also stored
+    # derivable values: a v2 record is unreadable (exit 2).
+    sed '1s/^h2campaign-v3$/h2campaign-v2/' golden.h2c > v2.h2c
+    if cmp -s golden.h2c v2.h2c; then
+        echo 'no h2campaign-v3 schema line to rewrite' >&2
+        exit 1
+    fi
+    status=0
+    "$repro" diff v2.h2c golden.h2c || status=$?
+    test "$status" -eq 2
     sed '3d' golden.h2c > torn.h2c
     status=0
     "$repro" serve torn.h2c || status=$?

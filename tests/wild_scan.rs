@@ -62,7 +62,7 @@ fn scan_campaign_reproduces_the_papers_shapes() {
     let gse: Vec<f64> = reports
         .iter()
         .filter(|(f, r)| *f == Family::Gse && r.headers_received)
-        .filter_map(|(_, r)| r.hpack.as_ref().map(|h| h.ratio))
+        .filter_map(|(_, r)| r.hpack.as_ref().map(|h| h.ratio()))
         .collect();
     assert!(!gse.is_empty());
     assert!(gse.iter().all(|&r| r < 0.3), "GSE ratios all below 0.3");
@@ -70,7 +70,7 @@ fn scan_campaign_reproduces_the_papers_shapes() {
     let nginx: Vec<f64> = reports
         .iter()
         .filter(|(f, r)| *f == Family::Nginx && r.headers_received)
-        .filter_map(|(_, r)| r.hpack.as_ref().map(|h| h.ratio))
+        .filter_map(|(_, r)| r.hpack.as_ref().map(|h| h.ratio()))
         .collect();
     let at_one = nginx.iter().filter(|&&r| (r - 1.0).abs() < 1e-9).count() as f64;
     assert!(
