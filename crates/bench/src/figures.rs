@@ -28,7 +28,7 @@ pub fn fig3(population: &Population, loads: usize) -> String {
     let mut sites = 0;
     let mut improved = 0;
     for sample in population.iter_headers_sites() {
-        if sample.site.push_manifest.is_empty() || !sample.profile.behavior.push {
+        if !sample.profile.behavior.push {
             continue;
         }
         sites += 1;

@@ -401,12 +401,11 @@ fn run_serve(options: &Options) -> ! {
     cfg.hostile = options.hostile;
     cfg.obs = obs.clone();
     println!(
-        "repro: command=serve records={} workers={} queries={} seed={} cache={} hostile={}\n",
+        "repro: command=serve records={} workers={} queries={} seed={} hostile={}\n",
         cfg.records.len(),
         cfg.workers,
         cfg.queries,
         cfg.seed,
-        cfg.cache,
         cfg.hostile
     );
     let started = Instant::now();

@@ -21,10 +21,11 @@
 //!    [`h2server::H2Server`] via the target's handler hook — and return
 //!    `(status, body, latency)` tagged with the query's trace position.
 //!
-//! Responses are therefore byte-identical at any worker count, with the
-//! cache on or off, and with hostile clients interleaved: every response
-//! is a pure function of the loaded records and the query, and attack
-//! connections are separate pipes against separate server instances.
+//! Responses are therefore byte-identical at any worker count, whether a
+//! query hits the cache or not, and with hostile clients interleaved:
+//! every response is a pure function of the loaded records and the
+//! query, and attack connections are separate pipes against separate
+//! server instances.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -60,8 +61,6 @@ pub struct ServeConfig {
     pub queries: u64,
     /// Trace seed.
     pub seed: u64,
-    /// Enable the per-shard LRU render cache.
-    pub cache: bool,
     /// Interleave h2attack slow-read / rapid-reset clients with the
     /// query trace.
     pub hostile: bool,
@@ -71,15 +70,14 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A baseline config over `records`: 1 worker, 4096 queries, cache
-    /// on, no hostiles, metrics off.
+    /// A baseline config over `records`: 1 worker, 4096 queries, no
+    /// hostiles, metrics off.
     pub fn new(records: Vec<PathBuf>) -> ServeConfig {
         ServeConfig {
             records,
             workers: 1,
             queries: 4096,
             seed: 0x5e12e,
-            cache: true,
             hostile: false,
             obs: Obs::off(),
         }
@@ -275,7 +273,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, LoadError> {
     // The handler hook must own its index and cache, so those two stay
     // behind `Arc`s; everything else is borrowed by the workers.
     let caches: Vec<Arc<Mutex<QueryCache>>> = (0..workers)
-        .map(|_| Arc::new(Mutex::new(QueryCache::new(256, cfg.cache))))
+        .map(|_| Arc::new(Mutex::new(QueryCache::new(256, true))))
         .collect();
     let profile = Arc::new(serve_profile());
     let site = Arc::new(SiteSpec::benchmark());

@@ -440,23 +440,23 @@ mod tests {
     }
 
     /// A profile that inserts a fresh `set-cookie` into its encoder table
-    /// on every response, honouring or capping the peer's table size.
-    fn cookie_jar(mut profile: ServerProfile, honor: bool) -> Target {
-        profile.behavior.honor_peer_header_table_size = honor;
+    /// on every response.
+    fn cookie_jar(mut profile: ServerProfile) -> Target {
         profile.behavior.cookie_injection = true;
         Target::testbed(profile, SiteSpec::benchmark())
     }
 
     #[test]
-    fn table_thrash_grows_only_an_obedient_indexing_table() {
+    fn table_thrash_fills_at_most_the_default_table() {
         let thrash = |target: &Target| engage(AttackVector::TableThrash, target, 0, 200);
-        let r = thrash(&cookie_jar(ServerProfile::rfc7540(), true));
+        let r = thrash(&cookie_jar(ServerProfile::rfc7540()));
         assert_eq!(r.cost_unit, "table octets");
-        assert!(r.server_cost > 10_000, "the table balloons: {r:?}");
-        let r = thrash(&cookie_jar(ServerProfile::rfc7540(), false));
-        assert!(r.server_cost <= 4_096, "capped at the default: {r:?}");
+        assert!(
+            (1..=4_096).contains(&r.server_cost),
+            "capped at the default, whatever the peer announces: {r:?}"
+        );
         // Nginx never inserts response headers into the table at all.
-        let r = thrash(&cookie_jar(ServerProfile::nginx(), true));
+        let r = thrash(&cookie_jar(ServerProfile::nginx()));
         assert_eq!(r.server_cost, 0, "{r:?}");
     }
 

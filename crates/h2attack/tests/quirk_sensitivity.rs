@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
-use h2attack::{engage, hardening, AbuseHardeningReport, AttackVector};
+use h2attack::{hardening, AbuseHardeningReport};
 use h2fault::{ByzantineSpec, RetryPolicy};
 use h2scope::expected::{expected, Verdicts};
 use h2scope::probes::settings::SettingsReport;
@@ -42,10 +42,6 @@ enum Observer {
     Multiplexing,
     /// The outcome of one survey of a patient target.
     PatientOutcome,
-    /// The server cost of a table-thrash engagement against the same
-    /// server injecting cookies: no profile's responses fill a 4 KiB
-    /// table, so only fresh insertions show the table's cap.
-    TableThrash,
     /// The robustness row.
     Robustness,
 }
@@ -80,7 +76,6 @@ fn mutations(b: &ServerBehavior) -> Vec<Mutation> {
         zero_len_data_when_blocked,
         cookie_injection,
         processing_delay,
-        honor_peer_header_table_size,
         byzantine,
         rst_rate_limit,
         settings_rate_limit,
@@ -183,11 +178,6 @@ fn mutations(b: &ServerBehavior) -> Vec<Mutation> {
         [*processing_delay + SimDuration::from_millis(20)]
     );
     vary!(
-        honor_peer_header_table_size,
-        TableThrash,
-        [!*honor_peer_header_table_size]
-    );
-    vary!(
         byzantine,
         PatientOutcome,
         [
@@ -230,13 +220,6 @@ fn observe(observer: Observer, b: &ServerBehavior, checked: &Checked) -> String 
         Observer::Http1Rtt => format!("{:?}", probes::ping::compare_rtt(&target, 3, 7).h1_request),
         Observer::Multiplexing => probes::multiplexing::probe(&target, 4).to_string(),
         Observer::PatientOutcome => format!("{:?}", patient_outcome(b)),
-        Observer::TableThrash => {
-            let mut cookies = b.clone();
-            cookies.cookie_injection = true;
-            let target = Target::testbed(profile(&cookies), SiteSpec::testbed());
-            let report = engage(AttackVector::TableThrash, &target, 0, 200);
-            report.server_cost.to_string()
-        }
     }
 }
 
@@ -445,7 +428,7 @@ fn every_quirk_moves_its_observer_as_the_oracles_predict() {
     assert_eq!(verdicts.len(), 23, "{verdicts:?}");
     assert_eq!(
         total.fields.len(),
-        27,
+        26,
         "one row per field: {:?}",
         total.fields
     );

@@ -304,12 +304,6 @@ pub struct ConnectionCore {
     assembler: HeaderAssembler,
     next_push_id: u32,
     goaway_received: bool,
-    /// Ceiling applied to the peer's `SETTINGS_HEADER_TABLE_SIZE` before
-    /// resizing our encoder's dynamic table. RFC 7541 lets an encoder use
-    /// *up to* the peer's limit; a prudent implementation caps it (the
-    /// default, 4,096) while an obedient one honors any peer value — the
-    /// memory-pressure vector the paper's discussion section warns about.
-    encoder_table_cap: u32,
     /// Observability handle (off by default; a no-op unless enabled).
     obs: h2obs::Obs,
     /// HPACK evictions already reported to `obs`, so deltas are exact.
@@ -367,7 +361,6 @@ impl ConnectionCore {
             assembler: HeaderAssembler::new(),
             next_push_id: 2,
             goaway_received: false,
-            encoder_table_cap: DEFAULT_HEADER_TABLE_SIZE,
             obs: h2obs::Obs::off(),
             evictions_reported: 0,
             header_pool: scratch.header_pool,
@@ -412,11 +405,6 @@ impl ConnectionCore {
         let total = self.encoder.table().evictions() + self.decoder.table().evictions();
         self.obs.hpack_evictions(total - self.evictions_reported);
         self.evictions_reported = total;
-    }
-
-    /// Sets the ceiling applied to peer-requested encoder table sizes.
-    pub fn set_encoder_table_cap(&mut self, cap: u32) {
-        self.encoder_table_cap = cap;
     }
 
     /// The peer's most recent settings.
@@ -663,9 +651,12 @@ impl ConnectionCore {
             }
         }
         // The peer's header-table limit bounds our encoder's dynamic
-        // table, subject to our own prudence cap.
+        // table. RFC 7541 lets an encoder use *up to* that limit; ours
+        // never grows past the 4,096-octet default, so a peer announcing
+        // a huge table cannot make it hold more (the memory-pressure
+        // vector of the paper's discussion, §VI).
         if let Some(size) = settings.get(SettingId::HeaderTableSize) {
-            let target = size.min(self.encoder_table_cap);
+            let target = size.min(DEFAULT_HEADER_TABLE_SIZE);
             if target != self.encoder.table().max_size() {
                 self.encoder.resize_table(target);
             }

@@ -33,7 +33,7 @@
 //! let target = Target::testbed(ServerProfile::h2o(), SiteSpec::testbed());
 //! let verdicts = Verdicts::of(&H2Scope::new().survey(&target));
 //! assert_eq!(verdicts.by_last_frame, Some(true)); // H2O honors priorities
-//! assert_eq!(verdicts.push, Some(true)); // ...and pushes the manifest
+//! assert_eq!(verdicts.push, Some(true)); // ...and pushes the page's assets
 //! ```
 
 // Panic-freedom: this crate parses outside input, so a site that can

@@ -296,7 +296,7 @@ mod tests {
         assert_eq!(without_push.objects, 6, "all three levels discovered");
         let with_push = page_load(&target, true, 1);
         assert!(with_push.complete());
-        // The manifest (= policy push-all) covers level 1 only; the
+        // Policy push-all covers level 1 only; the
         // leaves are still discovered from their parents.
         assert_eq!(with_push.pushed_assets, 3);
         assert_eq!(with_push.objects, 6);

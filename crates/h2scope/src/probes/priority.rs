@@ -56,13 +56,6 @@ pub struct PriorityReport {
     pub self_dependency: Reaction,
 }
 
-impl PriorityReport {
-    /// Both ordering rules hold (38 / 111 sites).
-    pub fn by_both(&self) -> bool {
-        self.by_last_frame && self.by_first_frame
-    }
-}
-
 /// Runs Algorithm 1 against the target.
 ///
 /// Classifies RFC 7540 §5.3: parent before children, siblings by weight.
@@ -317,7 +310,6 @@ mod tests {
             let report = algorithm1(&target_for(profile));
             assert!(report.by_last_frame, "{name} must pass Algorithm 1");
             assert!(report.by_first_frame, "{name} first-frame rule");
-            assert!(report.by_both(), "{name}");
         }
     }
 
@@ -341,7 +333,6 @@ mod tests {
         let report = algorithm1(&target_for(profile));
         assert!(report.by_last_frame, "completion follows priority");
         assert!(!report.by_first_frame, "first frames flush FCFS");
-        assert!(!report.by_both());
     }
 
     #[test]
@@ -351,7 +342,6 @@ mod tests {
         let report = algorithm1(&target_for(profile));
         assert!(report.by_first_frame, "first frames follow the tree");
         assert!(!report.by_last_frame, "completion is round-robin");
-        assert!(!report.by_both());
     }
 
     #[test]
@@ -374,6 +364,9 @@ mod tests {
             "naive check must be confounded by arrival order"
         );
         let proper = algorithm1(&target);
-        assert!(proper.by_both(), "Algorithm 1 recovers the true verdict");
+        assert!(
+            proper.by_last_frame && proper.by_first_frame,
+            "Algorithm 1 recovers the true verdict"
+        );
     }
 }

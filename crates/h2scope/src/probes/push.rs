@@ -78,48 +78,6 @@ pub fn probe(target: &Target, pages: &[&str]) -> PushReport {
     }
 }
 
-/// RFC 7540 §5.1.2 push discipline probe: announce
-/// `MAX_CONCURRENT_STREAMS = 1`, fetch the front page, and verify the
-/// server never has more than one pushed stream *active* (HEADERS sent,
-/// not yet ended) at a time — the promises themselves are exempt, since
-/// reserved streams do not count toward the limit. Returns `true` for
-/// compliant servers (vacuously for push-incapable ones).
-pub fn promise_discipline(target: &Target) -> bool {
-    target.obs.enter_probe(h2obs::ProbeKind::Push);
-    let settings = Settings::new()
-        .with(SettingId::EnablePush, 1)
-        .with(SettingId::MaxConcurrentStreams, 1);
-    let mut conn = ProbeConn::establish(target, settings, 0x5112);
-    conn.exchange();
-    conn.get(1, "/", None);
-    let mut active: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    let mut disciplined = true;
-    loop {
-        let frames = conn.exchange();
-        if frames.is_empty() {
-            break;
-        }
-        for tf in &frames {
-            match &tf.frame {
-                Frame::Headers(h) if h.stream_id.value() % 2 == 0 => {
-                    active.insert(h.stream_id.value());
-                    if active.len() > 1 {
-                        disciplined = false;
-                    }
-                }
-                Frame::Data(d) => {
-                    conn.replenish(d.stream_id.value(), d.flow_controlled_len());
-                    if d.end_stream {
-                        active.remove(&d.stream_id.value());
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    disciplined
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,18 +109,7 @@ mod tests {
     }
 
     #[test]
-    fn every_testbed_profile_respects_the_pushed_stream_limit() {
-        for profile in ServerProfile::testbed_and_reference() {
-            let name = profile.name.clone();
-            // Bodies large enough that an undisciplined server would
-            // overlap pushed streams across several exchanges.
-            let target = Target::testbed(profile, SiteSpec::page_with_assets(4, 30_000));
-            assert!(promise_discipline(&target), "{name}");
-        }
-    }
-
-    #[test]
-    fn push_capable_server_without_manifest_pushes_nothing() {
+    fn push_capable_server_pushes_nothing_for_a_page_without_references() {
         let target = Target::testbed(ServerProfile::apache(), SiteSpec::benchmark());
         let report = probe(&target, &["/"]);
         assert!(!report.supported());

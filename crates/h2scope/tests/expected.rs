@@ -30,11 +30,5 @@ fn every_profile_surveys_as_its_behavior_predicts() {
             b.multiplexing,
             "{name}: multiplexing"
         );
-        // §5.1.2 is protocol mechanics, not a quirk: every profile gates
-        // pushed-stream activation on the client's advertised limit.
-        assert!(
-            probes::push::promise_discipline(&target),
-            "{name}: push discipline"
-        );
     }
 }

@@ -7,7 +7,6 @@
 //! the whole simulated connection.
 
 use h2scope::client::ProbeConn;
-use h2scope::probes;
 use h2scope::Target;
 use h2server::{ServerProfile, SiteSpec};
 use h2wire::{Frame, SettingId, Settings};
@@ -23,58 +22,57 @@ fn limited_conn(target: &Target) -> ProbeConn {
 fn promises_serialize_under_max_concurrent_streams_one() {
     // Bodies span several flow-control windows so pushed responses
     // stretch over many exchanges — an engine that ignored the limit
-    // would interleave them.
-    let target = Target::testbed(
-        ServerProfile::rfc7540(),
-        SiteSpec::page_with_assets(4, 30_000),
-    );
-    let mut conn = limited_conn(&target);
-    conn.exchange();
-    conn.get(1, "/", None);
-
-    let mut promises = 0;
-    let mut active: Option<u32> = None;
-    let mut delivered = 0;
-    loop {
-        let frames = conn.exchange();
-        if frames.is_empty() {
-            break;
-        }
-        for tf in &frames {
-            match &tf.frame {
-                Frame::PushPromise(_) => promises += 1,
-                Frame::Headers(h) if h.stream_id.value() % 2 == 0 => {
-                    assert!(
-                        active.is_none(),
-                        "pushed stream {} activated while {:?} still open",
-                        h.stream_id.value(),
-                        active
-                    );
-                    active = Some(h.stream_id.value());
-                }
-                Frame::Data(d) => {
-                    conn.replenish(d.stream_id.value(), d.flow_controlled_len());
-                    if d.end_stream && d.stream_id.value() % 2 == 0 {
-                        assert_eq!(active, Some(d.stream_id.value()));
-                        active = None;
-                        delivered += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    assert_eq!(promises, 4, "reserved streams are exempt from the limit");
-    assert_eq!(delivered, 4, "the gate queues pushes, it never drops them");
-    assert!(active.is_none());
-}
-
-#[test]
-fn discipline_probe_holds_across_the_testbed() {
+    // would interleave them. §5.1.2 is protocol mechanics, not a quirk:
+    // every profile gates pushed-stream activation on the client's limit.
     for profile in ServerProfile::testbed_and_reference() {
         let name = profile.name.clone();
-        let target = Target::testbed(profile, SiteSpec::page_with_assets(3, 25_000));
-        assert!(probes::push::promise_discipline(&target), "{name}");
+        let pushes = if profile.behavior.push { 4 } else { 0 };
+        let target = Target::testbed(profile, SiteSpec::page_with_assets(4, 30_000));
+        let mut conn = limited_conn(&target);
+        conn.exchange();
+        conn.get(1, "/", None);
+
+        let mut promises = 0;
+        let mut active: Option<u32> = None;
+        let mut delivered = 0;
+        loop {
+            let frames = conn.exchange();
+            if frames.is_empty() {
+                break;
+            }
+            for tf in &frames {
+                match &tf.frame {
+                    Frame::PushPromise(_) => promises += 1,
+                    Frame::Headers(h) if h.stream_id.value() % 2 == 0 => {
+                        assert!(
+                            active.is_none(),
+                            "{name}: pushed stream {} activated while {:?} still open",
+                            h.stream_id.value(),
+                            active
+                        );
+                        active = Some(h.stream_id.value());
+                    }
+                    Frame::Data(d) => {
+                        conn.replenish(d.stream_id.value(), d.flow_controlled_len());
+                        if d.end_stream && d.stream_id.value() % 2 == 0 {
+                            assert_eq!(active, Some(d.stream_id.value()), "{name}");
+                            active = None;
+                            delivered += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(
+            promises, pushes,
+            "{name}: reserved streams are exempt from the limit"
+        );
+        assert_eq!(
+            delivered, pushes,
+            "{name}: the gate queues pushes, it never drops them"
+        );
+        assert!(active.is_none(), "{name}");
     }
 }
 

@@ -21,7 +21,6 @@ use bytes::Bytes;
 
 use h2campaign::{diff_records, feature_counts, feature_names, render_diff};
 use h2server::{HandlerResponse, RequestHandler};
-use netsim::pipe::BytesPool;
 
 use crate::cache::QueryCache;
 use crate::index::{LoadedCampaign, ServeIndex};
@@ -35,19 +34,12 @@ pub struct QueryHandler {
     /// the load driver (for hit accounting); uncontended in steady state
     /// because a shard's queries are answered serially by one worker.
     cache: Arc<Mutex<QueryCache>>,
-    /// Render scratch, leased and reclaimed per uncached response so
-    /// steady-state table regeneration stops allocating fresh buffers.
-    scratch: BytesPool,
 }
 
 impl QueryHandler {
     /// A handler over `index`, caching regenerated bodies in `cache`.
     pub fn new(index: Arc<ServeIndex>, cache: Arc<Mutex<QueryCache>>) -> QueryHandler {
-        QueryHandler {
-            index,
-            cache,
-            scratch: BytesPool::default(),
-        }
+        QueryHandler { index, cache }
     }
 
     fn ok(body: Bytes) -> HandlerResponse {
@@ -79,11 +71,10 @@ impl QueryHandler {
         }
     }
 
-    /// Regenerates the adoption table for one campaign, through the
-    /// leased render scratch.
-    fn render_table(&mut self, campaign: &LoadedCampaign) -> Bytes {
+    /// Regenerates the adoption table for one campaign.
+    fn render_table(campaign: &LoadedCampaign) -> Bytes {
         use std::io::Write as _;
-        let mut buf = self.scratch.take();
+        let mut buf = Vec::new();
         let _ = writeln!(
             buf,
             "ADOPTION TABLE — {} (scale {}, {} sites)",
@@ -95,38 +86,33 @@ impl QueryHandler {
         for (name, count) in feature_names().iter().zip(counts) {
             let _ = writeln!(buf, "{name:<24} {count}");
         }
-        let body = Bytes::copy_from_slice(&buf);
-        self.scratch.put(buf);
-        body
+        Bytes::from(buf)
     }
 
-    fn respond(&mut self, key: &str, query: &Query) -> HandlerResponse {
-        // Local `Arc` so campaign borrows don't pin `self` (the table
-        // render needs `&mut self` for its scratch lease).
-        let index = Arc::clone(&self.index);
+    fn respond(&self, key: &str, query: &Query) -> HandlerResponse {
         match query {
             Query::Site {
                 campaign,
                 authority,
-            } => match index.campaign(*campaign) {
+            } => match self.index.campaign(*campaign) {
                 Some(c) => match c.site_line(authority) {
                     Some(line) => Self::ok(line),
                     None => Self::not_found(Bytes::from_static(b"no such site\n")),
                 },
                 None => Self::not_found(Bytes::from_static(b"no such campaign\n")),
             },
-            Query::Table { campaign } => match index.campaign(*campaign) {
+            Query::Table { campaign } => match self.index.campaign(*campaign) {
                 Some(c) => {
                     if let Some(body) = self.cached(key) {
                         return Self::ok(body);
                     }
-                    let body = self.render_table(c);
+                    let body = Self::render_table(c);
                     self.store(key, &body);
                     Self::ok(body)
                 }
                 None => Self::not_found(Bytes::from_static(b"no such campaign\n")),
             },
-            Query::Diff { a, b } => match (index.campaign(*a), index.campaign(*b)) {
+            Query::Diff { a, b } => match (self.index.campaign(*a), self.index.campaign(*b)) {
                 (Some(ca), Some(cb)) => {
                     if let Some(body) = self.cached(key) {
                         return Self::ok(body);

@@ -31,14 +31,14 @@
 //!   queries. Responses are pure functions of `(loaded records, query)`
 //!   — never of worker count, cache state, interleaving, or metrics —
 //!   which is what makes the daemon's byte-identical-responses
-//!   guarantee hold at any shard count, cache on or off.
+//!   guarantee hold at any shard count, cache hit or miss.
 //!
 //! Buffer discipline: response bodies are immutable shared [`bytes::Bytes`]
 //! (precomputed per site row, LRU-cached per table/diff), so a lookup is
-//! a refcount bump; the render scratch behind uncached responses leases
-//! from a [`netsim::pipe::BytesPool`] and reclaims after the copy, and
-//! the wire path carrying the bodies runs in the storage each worker
-//! hands from one probe connection to the next (`Pipe::connect_pooled`).
+//! a refcount bump; a table or diff is rendered into a fresh buffer only on a
+//! cache miss, and the wire path carrying the bodies runs in the storage
+//! each worker hands from one probe connection to the next
+//! (`Pipe::connect_pooled`).
 
 // Panic-freedom: this crate parses outside input, so a site that can
 // panic needs a reasoned `allow`/`expect` (clippy.toml exempts tests).

@@ -77,7 +77,7 @@ pub enum PriorityMode {
 /// Which subset of a page's object tree a push-capable server promises —
 /// the experimental axis of the push QoE study. RFC 7540 §8.2 leaves
 /// the *choice* of what to push entirely to the server, and deployed
-/// policies range from nothing through the declared manifest to
+/// policies range from nothing through the page's direct references to
 /// speculatively pushing whole sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushPolicy {
@@ -222,13 +222,6 @@ pub struct ServerBehavior {
     ///
     /// Modeling: no RFC 7540 rule involved.
     pub processing_delay: SimDuration,
-    /// Honor any `SETTINGS_HEADER_TABLE_SIZE` the peer announces when
-    /// sizing the response-header encoder table, instead of capping it at
-    /// the 4,096-octet default. Obedient servers expose the HPACK
-    /// memory-pressure vector sketched in the paper's discussion (§VI).
-    ///
-    /// Rule: RFC 7540 §6.5.2 (SETTINGS_HEADER_TABLE_SIZE).
-    pub honor_peer_header_table_size: bool,
     /// Injected byzantine misbehavior (fault campaigns only; `None` for
     /// every testbed profile). See [`h2fault::ByzantineSpec`].
     ///
@@ -305,7 +298,6 @@ impl ServerBehavior {
             zero_len_data_when_blocked: false,
             cookie_injection: false,
             processing_delay: SimDuration::from_micros(500),
-            honor_peer_header_table_size: false,
             byzantine: None,
             // The reference endpoint implements RFC 7540 and nothing
             // more: the spec requires none of the abuse bounds, so the

@@ -165,10 +165,7 @@ impl H2Server {
             },
             ..EncoderOptions::default()
         };
-        let mut core = ConnectionCore::new_in(Role::Server, local, encoder, scratch.core);
-        if behavior.honor_peer_header_table_size {
-            core.set_encoder_table_cap(u32::MAX);
-        }
+        let core = ConnectionCore::new_in(Role::Server, local, encoder, scratch.core);
         let mut ready_scratch = scratch.ready;
         ready_scratch.reserve(4);
         H2Server {

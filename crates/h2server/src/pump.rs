@@ -98,13 +98,18 @@ impl H2Server {
     /// responses have sat flow-control-blocked (or whose request bodies
     /// have trickled) past its patience. Checked whenever traffic gives
     /// the engine a chance to observe the clock — which is exactly how
-    /// event-driven servers implement it.
+    /// event-driven servers implement it. The queue's head is its oldest
+    /// response: responses join at the back as the clock advances, and
+    /// removals keep the order.
     fn check_stalls(&mut self, out: &mut Vec<Frame>) {
         let Some(timeout) = self.behavior().stall_timeout else {
             return;
         };
         let now = self.now;
-        let stalled = self.queue.iter().any(|q| now >= q.enqueued_at + timeout)
+        let stalled = self
+            .queue
+            .first()
+            .is_some_and(|q| now >= q.enqueued_at + timeout)
             || self
                 .pending_posts
                 .values()
@@ -245,12 +250,10 @@ impl H2Server {
                 }
             }
         }
-        self.queue
-            .retain(|q| q.headers.is_some() || q.remaining() > 0);
     }
 
-    /// Sends one DATA chunk on `queue[index]`; `false` ends the current
-    /// DATA phase.
+    /// Sends one DATA chunk on `queue[index]`, removing the response once
+    /// its last chunk is out; `false` ends the current DATA phase.
     fn send_chunk(&mut self, index: usize, out: &mut Vec<Frame>) -> bool {
         let stream = self.queue[index].stream;
         let sendable = self.core.sendable_on(stream) as usize;
@@ -283,7 +286,11 @@ impl H2Server {
         let offset = self.queue[index].offset;
         let data = self.queue[index].body.slice(offset..offset + chunk);
         out.push(self.core.send_data(stream, data, chunk == remaining));
-        self.queue[index].offset += chunk;
+        if chunk == remaining {
+            self.queue.remove(index);
+        } else {
+            self.queue[index].offset += chunk;
+        }
         if trickle.is_some() {
             self.last_delay = self.last_delay + byz.trickle_delay;
         }

@@ -1,5 +1,5 @@
-//! Site content: the resources a simulated web site serves, its object
-//! dependency graph and its push manifest.
+//! Site content: the resources a simulated web site serves and its
+//! object dependency graph, which is also what a server pushes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -105,13 +105,10 @@ pub struct SiteSpec {
     pub authority: String,
     /// Resources by path.
     pub resources: BTreeMap<String, Resource>,
-    /// `page path -> resources to push` when the server supports push.
-    pub push_manifest: BTreeMap<String, Vec<String>>,
     /// `parent path -> child objects` the parent references (HTML →
     /// CSS/JS/images, CSS → fonts, …). A client only learns about a
     /// child once the parent has finished loading — unless the server
-    /// pushed it first. Empty for legacy flat sites, whose manifest
-    /// doubles as the single dependency level.
+    /// pushed it first.
     pub deps: BTreeMap<String, Vec<String>>,
 }
 
@@ -136,12 +133,6 @@ impl SiteSpec {
         self
     }
 
-    /// Declares that requesting `page` should push `assets`.
-    pub fn push_on(mut self, page: impl Into<String>, assets: Vec<String>) -> SiteSpec {
-        self.push_manifest.insert(page.into(), assets);
-        self
-    }
-
     /// Declares that `parent` references `children` (discovered only
     /// once `parent` completes, unless pushed).
     pub fn depend(mut self, parent: impl Into<String>, children: Vec<String>) -> SiteSpec {
@@ -155,13 +146,9 @@ impl SiteSpec {
     }
 
     /// The objects discovered when `path` finishes loading: its
-    /// dependency-graph edges, falling back to the push manifest for
-    /// legacy flat sites that declare only a manifest.
+    /// dependency-graph edges.
     pub fn children(&self, path: &str) -> &[String] {
-        if let Some(children) = self.deps.get(path) {
-            return children;
-        }
-        self.push_manifest.get(path).map_or(&[], Vec::as_slice)
+        self.deps.get(path).map_or(&[], Vec::as_slice)
     }
 
     /// `true` when the resource at `path` is render-blocking (CSS or
@@ -178,8 +165,7 @@ impl SiteSpec {
     pub fn push_set(&self, page: &str, policy: PushPolicy) -> Vec<String> {
         match policy {
             PushPolicy::None => Vec::new(),
-            // The page's direct children: the declared manifest, or the
-            // first dependency level when the site has a graph.
+            // The page's direct children: the first dependency level.
             PushPolicy::All => self.children(page).to_vec(),
             // Walk the graph, descending only through render-blocking
             // objects (CSS/JS chains; images are never critical).
@@ -232,18 +218,17 @@ impl SiteSpec {
         site
     }
 
-    /// The [`benchmark`](SiteSpec::benchmark) site with a push manifest on
-    /// its front page, so one site answers every H2Scope probe: large
-    /// objects for the flow-control, multiplexing and priority probes,
-    /// promised assets for the push probe. Table III surveys it.
+    /// The [`benchmark`](SiteSpec::benchmark) site with its front page
+    /// referencing three assets, so one site answers every H2Scope probe:
+    /// large objects for the flow-control, multiplexing and priority
+    /// probes, pushable assets for the push probe. Table III surveys it.
     pub fn testbed() -> SiteSpec {
         let assets = ["/style.css", "/app.js", "/logo.png"];
-        SiteSpec::benchmark().push_on("/", assets.map(String::from).to_vec())
+        SiteSpec::benchmark().depend("/", assets.map(String::from).to_vec())
     }
 
-    /// A front page with `assets` subresources of `asset_size` octets each
-    /// and a push manifest covering all of them — the page-load experiment
-    /// site (Figure 3).
+    /// A front page referencing `assets` subresources of `asset_size`
+    /// octets each — the page-load experiment site (Figure 3).
     pub fn page_with_assets(assets: usize, asset_size: usize) -> SiteSpec {
         let mut site = SiteSpec::new("pageload.example");
         site.add(Resource::synthetic("/", "text/html", 16_384));
@@ -253,12 +238,12 @@ impl SiteSpec {
             site.add(Resource::synthetic(&path, asset_kind(i), asset_size));
             pushed.push(path);
         }
-        site.push_on("/", pushed)
+        site.depend("/", pushed)
     }
 
     /// A three-level dependency site for the push-study tests:
     /// HTML → {CSS, JS, hero image}, CSS → background image, JS →
-    /// follow-on script. The manifest declares the first level only.
+    /// follow-on script.
     pub fn page_with_tree() -> SiteSpec {
         SiteSpec::new("tree.example")
             .with(Resource::synthetic("/", "text/html", 16_384))
@@ -281,10 +266,6 @@ impl SiteSpec {
             )
             .depend("/style.css", vec!["/bg.png".into()])
             .depend("/app.js", vec!["/lazy.js".into()])
-            .push_on(
-                "/",
-                vec!["/style.css".into(), "/app.js".into(), "/hero.png".into()],
-            )
     }
 }
 
@@ -367,26 +348,18 @@ mod tests {
     }
 
     #[test]
-    fn push_manifest_lists_all_assets() {
+    fn front_page_references_all_assets() {
         let site = SiteSpec::page_with_assets(5, 1_000);
-        assert_eq!(site.push_manifest["/"].len(), 5);
-        for path in &site.push_manifest["/"] {
-            assert!(site.resource(path).is_some(), "pushed asset {path} exists");
+        assert_eq!(site.children("/").len(), 5);
+        for path in site.children("/") {
+            assert!(site.resource(path).is_some(), "asset {path} exists");
         }
+        assert!(site.children("/asset/0").is_empty());
     }
 
     #[test]
     fn lookup_miss_returns_none() {
         assert_eq!(SiteSpec::benchmark().resource("/nope"), None);
-    }
-
-    #[test]
-    fn children_fall_back_to_the_manifest_for_flat_sites() {
-        let flat = SiteSpec::page_with_assets(3, 1_000);
-        assert_eq!(flat.children("/").len(), 3);
-        assert!(flat.children("/asset/0").is_empty());
-        let tree = SiteSpec::page_with_tree();
-        assert_eq!(tree.children("/style.css"), ["/bg.png".to_string()]);
     }
 
     #[test]

@@ -186,7 +186,7 @@ fn scripted_exchange(mode: PriorityMode, multiplexing: bool) -> [String; 3] {
         .with(Resource::synthetic("/o/3", "image/png", 9_000))
         .with(Resource::synthetic("/o/4", "image/png", 500))
         .with(Resource::synthetic("/o/5", "image/png", 60_000))
-        .push_on("/", vec!["/pushed.css".into()]);
+        .depend("/", vec!["/pushed.css".into()]);
     let mut profile = ServerProfile::rfc7540();
     profile.behavior.priority_mode = mode;
     profile.behavior.multiplexing = multiplexing;

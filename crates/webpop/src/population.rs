@@ -568,31 +568,32 @@ impl Population {
                 body.clone(),
             ));
         }
+        let mut pushed = Vec::new();
         if push_site {
             let assets = rng.gen_range(5..=15usize);
-            let mut pushed = Vec::new();
             for a in 0..assets {
                 let path = format!("/asset/{a}");
                 let size = rng.gen_range(10_000..=40_000);
                 site.add(Resource::synthetic(&path, "application/javascript", size));
                 pushed.push(path);
             }
-            site = site.push_on("/", pushed);
         }
-        self.attach_object_tree(&mut site, i, family);
+        self.attach_object_tree(&mut site, i, family, pushed);
         site
     }
 
     /// Attaches the page's object dependency graph (HTML → CSS/JS/
     /// images, CSS → background images, JS → follow-on chunks), with
-    /// counts and sizes drawn from the family's [`PageMixture`].
+    /// counts and sizes drawn from the family's [`PageMixture`]. A push
+    /// site's `pushed` assets follow the images as further level-1
+    /// children.
     ///
     /// The draws come from a *separate* RNG keyed by `(campaign seed,
     /// site rank)` — not from the main generation stream — so adding
     /// the graph perturbs none of the pre-existing per-site draws
     /// (page size, push assets, link RTT) and older campaign outputs
     /// replay unchanged.
-    fn attach_object_tree(&self, site: &mut SiteSpec, i: u64, family: Family) {
+    fn attach_object_tree(&self, site: &mut SiteSpec, i: u64, family: Family, pushed: Vec<String>) {
         let mut rng = StdRng::seed_from_u64(splitmix64(
             self.spec.seed ^ i.wrapping_mul(0x9e37_79b9) ^ 0xdeb5,
         ));
@@ -604,7 +605,7 @@ impl Population {
             let size = rng.gen_range(m.css_bytes.0..=m.css_bytes.1);
             site.add(Resource::synthetic(&path, "text/css", size));
             // Every other stylesheet pulls a background image — the
-            // second dependency level a flat manifest cannot express.
+            // second dependency level.
             if rng.gen_bool(0.5) {
                 let sub = format!("/css/{c}.bg.png");
                 let sub_size = rng.gen_range(m.img_bytes.0..=m.img_bytes.1);
@@ -638,12 +639,7 @@ impl Population {
             site.add(Resource::synthetic(&path, "image/png", size));
             level1.push(path);
         }
-        // Push sites keep their legacy manifest objects as additional
-        // level-1 children, so the wild push probe's promised set is
-        // untouched by the graph.
-        if let Some(manifest) = site.push_manifest.get("/") {
-            level1.extend(manifest.iter().cloned());
-        }
+        level1.extend(pushed);
         site.deps.insert("/".to_string(), level1);
     }
 
@@ -727,7 +723,7 @@ mod tests {
         let pop = Population::new(ExperimentSpec::second(), 0.1);
         let push_sites: Vec<SiteSample> = pop
             .iter_headers_sites()
-            .filter(|s| !s.site.push_manifest.is_empty())
+            .filter(|s| s.site.resource("/asset/0").is_some())
             .collect();
         // 15 sites at 10% → expect ~2.
         assert!(!push_sites.is_empty());
@@ -839,22 +835,28 @@ mod tests {
 
     #[test]
     fn push_site_manifests_survive_the_graph() {
-        // The legacy promise set rides along as extra level-1 children;
-        // the wild push probe's output must not change.
+        // A push site's assets are level-1 children of its front page,
+        // next to the graph's own objects.
         let pop = Population::new(ExperimentSpec::second(), 0.1);
-        let sample = pop
-            .iter_headers_sites()
-            .find(|s| !s.site.push_manifest.is_empty())
-            .expect("a push site");
-        let manifest = &sample.site.push_manifest["/"];
-        assert!(manifest.iter().all(|p| p.starts_with("/asset/")));
-        let children = sample.site.children("/");
-        for promised in manifest {
-            assert!(children.contains(promised), "{promised} dropped");
+        let mut push_sites = 0;
+        for sample in pop.iter_headers_sites().filter(|s| s.profile.behavior.push) {
+            push_sites += 1;
+            let children = sample.site.children("/");
+            let assets: Vec<&String> = sample
+                .site
+                .resources
+                .keys()
+                .filter(|p| p.starts_with("/asset/"))
+                .collect();
+            assert!(!assets.is_empty(), "{}", sample.site.authority);
+            for asset in assets {
+                assert!(children.contains(asset), "{asset} dropped");
+            }
+            assert!(
+                children.iter().any(|c| !c.starts_with("/asset/")),
+                "graph adds non-asset objects"
+            );
         }
-        assert!(
-            children.len() > manifest.len(),
-            "graph adds non-promised objects"
-        );
+        assert!(push_sites > 0);
     }
 }
