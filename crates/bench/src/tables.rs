@@ -338,7 +338,8 @@ mod tests {
                 server: profile.name.clone(),
                 version: profile.version.clone(),
                 verdicts: expected(b, &SiteSpec::testbed()),
-                multiplexing: b.multiplexing,
+                // Every server the engine models multiplexes.
+                multiplexing: true,
                 ping: true,
             };
             assert_eq!(table3_column(profile), predicted.render(), "{name}");

@@ -38,8 +38,6 @@ enum Observer {
     HpackSizes,
     /// `compare_rtt`'s HTTP/1.1 request samples.
     Http1Rtt,
-    /// The multiplexing probe.
-    Multiplexing,
     /// The outcome of one survey of a patient target.
     PatientOutcome,
     /// The robustness row.
@@ -58,7 +56,6 @@ fn mutations(b: &ServerBehavior) -> Vec<Mutation> {
     let ServerBehavior {
         server_name,
         tls,
-        multiplexing,
         headers_flow_control,
         mute,
         extra_response_headers,
@@ -116,7 +113,6 @@ fn mutations(b: &ServerBehavior) -> Vec<Mutation> {
             TlsConfig::http1_only(),
         ]
     );
-    vary!(multiplexing, Multiplexing, [!*multiplexing]);
     vary!(
         headers_flow_control,
         Verdicts,
@@ -218,7 +214,6 @@ fn observe(observer: Observer, b: &ServerBehavior, checked: &Checked) -> String 
         Observer::HpackSizes => format!("{:?}", checked.hpack_sizes),
         Observer::Robustness => format!("{:?}", checked.hardening),
         Observer::Http1Rtt => format!("{:?}", probes::ping::compare_rtt(&target, 3, 7).h1_request),
-        Observer::Multiplexing => probes::multiplexing::probe(&target, 4).to_string(),
         Observer::PatientOutcome => format!("{:?}", patient_outcome(b)),
     }
 }
@@ -428,9 +423,9 @@ fn every_quirk_moves_its_observer_as_the_oracles_predict() {
     assert_eq!(verdicts.len(), 23, "{verdicts:?}");
     assert_eq!(
         total.fields.len(),
-        26,
+        25,
         "one row per field: {:?}",
         total.fields
     );
-    assert!(total.mutations > 400, "{} mutations", total.mutations);
+    assert_eq!(total.mutations, 487, "single-field servers swept");
 }

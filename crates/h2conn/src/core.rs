@@ -417,11 +417,6 @@ impl ConnectionCore {
         &self.streams
     }
 
-    /// The stream table, mutably.
-    pub fn streams_mut(&mut self) -> &mut StreamMap {
-        &mut self.streams
-    }
-
     /// The priority tree.
     pub fn priority(&self) -> &PriorityTree {
         &self.priority
@@ -712,7 +707,7 @@ impl ConnectionCore {
                 let is_new = self.streams.get(block.stream).is_none();
                 if is_new && self.role == Role::Server {
                     if let Some(max) = self.local.max_concurrent_streams {
-                        if self.streams.active_client_initiated() as u32 >= max {
+                        if self.streams.active(Role::Client) as u32 >= max {
                             events.push(CoreEvent::ConcurrencyExceeded {
                                 stream: block.stream,
                             });
@@ -912,24 +907,6 @@ impl ConnectionCore {
         }
     }
 
-    /// Updates our announced settings (affects decode limits and the
-    /// initial window applied to *newly created* streams, plus a
-    /// retroactive delta on existing receive windows per §6.9.2).
-    pub fn set_local_settings(&mut self, settings: EffectiveSettings) {
-        let delta =
-            i64::from(settings.initial_window_size) - i64::from(self.local.initial_window_size);
-        if delta != 0 {
-            for stream in self.streams.iter_mut() {
-                let _ = stream.recv_window.adjust(delta);
-            }
-        }
-        self.frame_decoder
-            .set_max_frame_size(settings.max_frame_size);
-        self.decoder
-            .set_protocol_max_table_size(settings.header_table_size);
-        self.local = settings;
-    }
-
     /// Direct access to the HPACK encoder (the HPACK probe inspects it).
     pub fn hpack_encoder(&self) -> &HpackEncoder {
         &self.encoder
@@ -946,11 +923,11 @@ mod tests {
     }
 
     fn server() -> ConnectionCore {
-        ConnectionCore::new(
-            Role::Server,
-            EffectiveSettings::default(),
-            EncoderOptions::default(),
-        )
+        server_with(EffectiveSettings::default())
+    }
+
+    fn server_with(local: EffectiveSettings) -> ConnectionCore {
+        ConnectionCore::new(Role::Server, local, EncoderOptions::default())
     }
 
     fn client_headers() -> Vec<Header> {
@@ -1221,12 +1198,10 @@ mod tests {
 
     #[test]
     fn flow_violation_is_reported() {
-        let mut core = server();
-        let local = EffectiveSettings {
+        let mut core = server_with(EffectiveSettings {
             initial_window_size: 10,
             ..Default::default()
-        };
-        core.set_local_settings(local);
+        });
         let mut client = ConnectionCore::new(
             Role::Client,
             EffectiveSettings::default(),
@@ -1252,12 +1227,10 @@ mod tests {
 
     #[test]
     fn concurrency_limit_is_reported_for_new_streams() {
-        let mut core = server();
-        let local = EffectiveSettings {
+        let mut core = server_with(EffectiveSettings {
             max_concurrent_streams: Some(1),
             ..Default::default()
-        };
-        core.set_local_settings(local);
+        });
         let mut client = ConnectionCore::new(
             Role::Client,
             EffectiveSettings::default(),

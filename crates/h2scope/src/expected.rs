@@ -150,8 +150,6 @@ pub fn expected(b: &ServerBehavior, site: &SiteSpec) -> Verdicts {
         // server that admits fewer refuses the rest, and with streams
         // missing neither ordering rule can hold.
         _ if b.max_concurrent_streams().is_some_and(|n| n < 6) => (false, false),
-        // A sequential server answers in request order, whatever the tree.
-        _ if !b.multiplexing => (false, false),
         PriorityMode::Strict => (true, true),
         PriorityMode::CompletionOrder => (true, false),
         PriorityMode::FirstFrameOnly => (false, true),

@@ -2,11 +2,6 @@
 //! a multiplexing server interleaves DATA frames across streams, a
 //! sequential one finishes each response before starting the next.
 
-#![allow(
-    clippy::indexing_slicing,
-    reason = "indices bounded by the response-count checks above each use"
-)]
-
 use h2wire::{Frame, Settings};
 
 use crate::client::ProbeConn;
@@ -51,9 +46,15 @@ pub fn probe(target: &Target, n: usize) -> bool {
         }
     }
 
-    let stream_switches = order.windows(2).filter(|w| w[0] != w[1]).count();
-    // Sequential service yields exactly n-1 switches (each stream is one
-    // contiguous run); anything more means interleaving.
+    interleaved(&order, n)
+}
+
+/// The probe's verdict over the stream ids of the DATA frames of `n`
+/// responses, in arrival order: sequential service is `n` contiguous
+/// runs, so `n - 1` switches between streams; anything more means the
+/// responses interleave.
+fn interleaved(order: &[u32], n: usize) -> bool {
+    let stream_switches = order.windows(2).filter(|w| w.first() != w.last()).count();
     stream_switches > n.saturating_sub(1)
 }
 
@@ -86,10 +87,12 @@ mod tests {
     }
 
     #[test]
-    fn sequential_server_is_detected() {
-        let mut profile = ServerProfile::rfc7540();
-        profile.behavior.multiplexing = false;
-        let target = Target::testbed(profile, SiteSpec::benchmark());
-        assert!(!probe(&target, 4));
+    fn sequential_order_is_not_interleaved() {
+        // Four responses, each one contiguous run of DATA frames.
+        let sequential = [1, 1, 1, 3, 3, 5, 7, 7, 7, 7];
+        assert!(!interleaved(&sequential, 4));
+        // One extra switch is enough.
+        let interleaving = [1, 1, 3, 1, 3, 5, 7, 7, 7, 7];
+        assert!(interleaved(&interleaving, 4));
     }
 }

@@ -25,9 +25,8 @@ fn every_profile_surveys_as_its_behavior_predicts() {
         );
         // The testbed-only probes, outside the survey funnel.
         assert!(probes::ping::probe(&target, 5).supported, "{name}: PING");
-        assert_eq!(
+        assert!(
             probes::multiplexing::probe(&target, 4),
-            b.multiplexing,
             "{name}: multiplexing"
         );
     }

@@ -126,12 +126,6 @@ pub struct ServerBehavior {
     ///
     /// Rule: RFC 7540 §3.3 (h2 is negotiated via ALPN over TLS).
     pub tls: TlsConfig,
-    /// Processes concurrent streams in parallel; `false` means strictly
-    /// sequential request handling (responses never interleave).
-    ///
-    /// Rule: RFC 7540 §5.1.2 (concurrent streams up to
-    /// MAX_CONCURRENT_STREAMS).
-    pub multiplexing: bool,
     /// Whether response HEADERS wait for flow-control window (see
     /// [`HeadersFlowControl`]).
     ///
@@ -277,7 +271,6 @@ impl ServerBehavior {
         ServerBehavior {
             server_name: "rfc7540-reference".into(),
             tls: TlsConfig::h2_full(),
-            multiplexing: true,
             headers_flow_control: HeadersFlowControl::Off,
             mute: false,
             extra_response_headers: Vec::new(),

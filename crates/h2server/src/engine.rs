@@ -12,12 +12,14 @@
     reason = "header slots bounded by the cursor that just advanced past them"
 )]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use h2conn::{ConnectionCore, CoreEvent, CoreScratch, EffectiveSettings, Role, WindowScope};
+use h2conn::{
+    CloseReason, ConnectionCore, CoreEvent, CoreScratch, EffectiveSettings, Role, WindowScope,
+};
 use h2hpack::{EncoderOptions, Header, IndexingPolicy};
 use h2wire::{ErrorCode, Frame, GoawayFrame, PingFrame, RstStreamFrame, SettingsFrame, StreamId};
 use netsim::time::{SimDuration, SimTime};
@@ -87,7 +89,6 @@ pub struct H2Server {
     pub(crate) preface: Vec<u8>,
     pub(crate) preface_done: bool,
     pub(crate) queue: Vec<QueuedResponse>,
-    rejected: BTreeSet<u32>,
     pub(crate) closed: bool,
     goaway_sent: bool,
     pub(crate) last_delay: SimDuration,
@@ -175,7 +176,6 @@ impl H2Server {
             preface: scratch.preface,
             preface_done: false,
             queue: scratch.queue,
-            rejected: BTreeSet::new(),
             closed: false,
             goaway_sent: false,
             last_delay: SimDuration::ZERO,
@@ -320,7 +320,13 @@ impl H2Server {
     }
 
     fn handle_request(&mut self, stream: StreamId, headers: &[Header], out: &mut Vec<Frame>) {
-        if self.rejected.contains(&stream.value()) || self.behavior().mute {
+        // A stream this server refused (see `rst`) is never answered.
+        let refused = self
+            .core
+            .streams()
+            .get(stream)
+            .is_some_and(|s| matches!(s.close_reason, Some(CloseReason::ResetLocal(_))));
+        if refused || self.behavior().mute {
             return;
         }
         self.last_delay = self.behavior().processing_delay;
@@ -459,7 +465,6 @@ impl H2Server {
                     out.push(Frame::Settings(SettingsFrame::ack()));
                 }
                 CoreEvent::ConcurrencyExceeded { stream } => {
-                    self.rejected.insert(stream.value());
                     self.rst(stream, ErrorCode::RefusedStream, out);
                 }
                 CoreEvent::HeadersReceived {
@@ -476,7 +481,6 @@ impl H2Server {
                             .map(|h| (h.name.len() + h.value.len() + 32) as u64)
                             .sum();
                         if size > u64::from(limit) {
-                            self.rejected.insert(stream.value());
                             self.apply_quirk(
                                 action,
                                 WindowScope::Stream(stream),
@@ -729,6 +733,13 @@ mod tests {
         assert_eq!(rsts.len(), 1);
         assert_eq!(rsts[0].stream_id, StreamId::new(3));
         assert_eq!(rsts[0].code, ErrorCode::RefusedStream);
+        // The refused request is never answered.
+        let answered = frames.iter().any(|f| match f {
+            Frame::Headers(h) => h.stream_id == StreamId::new(3),
+            Frame::Data(d) => d.stream_id == StreamId::new(3),
+            _ => false,
+        });
+        assert!(!answered, "{frames:?}");
     }
 
     #[test]

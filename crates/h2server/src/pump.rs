@@ -9,6 +9,7 @@
 
 use bytes::Bytes;
 
+use h2conn::Role;
 use h2hpack::Header;
 use h2wire::{DataFrame, ErrorCode, Frame, StreamId};
 use netsim::time::SimTime;
@@ -49,7 +50,7 @@ enum Pick {
     RoundRobin,
 }
 
-/// The DATA phases of a multiplexing server in `mode`, run in order:
+/// The DATA phases of a server in `mode`, run in order:
 /// `(fresh_only, pick)`, where `fresh_only` restricts the phase to
 /// responses that have not sent any body yet.
 fn phases(mode: PriorityMode) -> &'static [(bool, Pick)] {
@@ -133,9 +134,7 @@ impl H2Server {
     }
 
     /// Sends everything currently sendable: response headers first, then
-    /// DATA according to the scheduling discipline. A sequential
-    /// (non-multiplexing) server repeats the cycle: finishing one response
-    /// unblocks the head-of-line for the next.
+    /// DATA according to the scheduling discipline.
     pub(crate) fn pump(&mut self, out: &mut Vec<Frame>) {
         loop {
             let before = out.len();
@@ -153,7 +152,7 @@ impl H2Server {
                 .queue
                 .iter()
                 .any(|q| q.headers.is_some() && q.stream.is_server_initiated());
-            if self.behavior().multiplexing && !push_gated {
+            if !push_gated {
                 return;
             }
         }
@@ -165,9 +164,7 @@ impl H2Server {
     /// are exempt; only activated-but-unclosed pushes occupy slots.
     fn may_activate_push(&self) -> bool {
         match self.core.remote_settings().max_concurrent_streams {
-            Some(limit) => {
-                (self.core.streams().active_server_initiated() as u64) < u64::from(limit)
-            }
+            Some(limit) => (self.core.streams().active(Role::Server) as u64) < u64::from(limit),
             None => true,
         }
     }
@@ -182,12 +179,8 @@ impl H2Server {
         }
         // Phase 1: release response HEADERS.
         let headers_flow_control = self.behavior().headers_flow_control;
-        let sequential = !self.behavior().multiplexing;
         let mut i = 0;
         while i < self.queue.len() {
-            if sequential && i > 0 {
-                break; // strictly one response in flight
-            }
             let stream = self.queue[i].stream;
             let Some(headers) = &self.queue[i].headers else {
                 i += 1;
@@ -227,11 +220,8 @@ impl H2Server {
             }
             i += 1;
         }
-        // Phase 2: DATA, per the profile's scheduling discipline. A
-        // sequential server has only its head-of-line response in
-        // flight, whatever its mode would do with several.
+        // Phase 2: DATA, per the profile's scheduling discipline.
         for &(fresh_only, pick) in phases(self.behavior().priority_mode) {
-            let pick = if sequential { Pick::First } else { pick };
             self.pump_data(fresh_only, pick, out);
         }
         // Phase 3: zero-length DATA markers for blocked streams (quirk).

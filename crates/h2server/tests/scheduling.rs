@@ -1,5 +1,5 @@
-//! Scheduling-discipline tests: round-robin fairness, sequential
-//! ordering, and GOAWAY bookkeeping at the engine level.
+//! Scheduling-discipline tests: round-robin fairness, each priority
+//! mode's pinned DATA order, and GOAWAY bookkeeping at the engine level.
 
 use h2conn::{ConnectionCore, EffectiveSettings, Role};
 use h2hpack::{EncoderOptions, Header};
@@ -99,25 +99,6 @@ fn round_robin_servers_interleave_fairly() {
 }
 
 #[test]
-fn sequential_server_finishes_one_response_before_the_next() {
-    let mut profile = ServerProfile::rfc7540();
-    profile.behavior.multiplexing = false;
-    let mut server = H2Server::new(profile, SiteSpec::benchmark());
-    let mut client = Client::new();
-    server.on_bytes_vec(SimTime::ZERO, &client.hello(Settings::new()));
-    let mut bytes = client.request(1, "/");
-    bytes.extend(client.request(3, "/style.css"));
-    let reply = server.on_bytes_vec(SimTime::ZERO, &bytes);
-    let sequence = data_sequence(&client.frames(&reply));
-    let first_3 = sequence.iter().position(|&s| s == 3).unwrap();
-    let last_1 = sequence.iter().rposition(|&s| s == 1).unwrap();
-    assert!(
-        last_1 < first_3,
-        "stream 1 completes before stream 3 starts: {sequence:?}"
-    );
-}
-
-#[test]
 fn goaway_reports_highest_processed_stream() {
     let mut server = H2Server::new(ServerProfile::nghttpd(), SiteSpec::benchmark());
     let mut client = Client::new();
@@ -177,7 +158,7 @@ fn window_update(stream: u32, increment: u32) -> Vec<u8> {
 /// streams and finally the connection. Returns the DATA frames answering
 /// each of the three client segments as `stream:len` words, a trailing
 /// `.` marking END_STREAM.
-fn scripted_exchange(mode: PriorityMode, multiplexing: bool) -> [String; 3] {
+fn scripted_exchange(mode: PriorityMode) -> [String; 3] {
     let site = SiteSpec::new("sched.example")
         .with(Resource::synthetic("/", "text/html", 3_000))
         .with(Resource::synthetic("/pushed.css", "text/css", 40_000))
@@ -189,7 +170,6 @@ fn scripted_exchange(mode: PriorityMode, multiplexing: bool) -> [String; 3] {
         .depend("/", vec!["/pushed.css".into()]);
     let mut profile = ServerProfile::rfc7540();
     profile.behavior.priority_mode = mode;
-    profile.behavior.multiplexing = multiplexing;
     let mut server = H2Server::new(profile, site);
     let mut client = Client::new();
     server.on_bytes_vec(
@@ -238,7 +218,7 @@ fn data_order_is_pinned_for_every_mode() {
     // Captured from the four separate pump functions the phase table
     // replaced; any change to a mode's phases, to the tree/FIFO fallbacks
     // or to the round-robin cursor rule moves at least one word.
-    let multiplexed = [
+    let pinned = [
         (
             PriorityMode::Strict,
             [
@@ -272,19 +252,7 @@ fn data_order_is_pinned_for_every_mode() {
             ],
         ),
     ];
-    // A sequential server answers strictly in arrival order whatever its
-    // priority mode: one response in flight, so one stream is ever ready.
-    let sequential = [
-        "1:3000. 2:16384 2:7616",
-        "2:16000. 3:16384 3:16384 3:16384 3:16384 3:16384 3:8080. 5:16384 5:3616. 7:9000. 9:500. 11:16384 11:7616",
-        "11:16384 11:12651",
-    ];
-    for (mode, expected) in multiplexed {
-        assert_eq!(scripted_exchange(mode, true), expected, "{mode:?}");
-        assert_eq!(
-            scripted_exchange(mode, false),
-            sequential,
-            "{mode:?} sequential"
-        );
+    for (mode, expected) in pinned {
+        assert_eq!(scripted_exchange(mode), expected, "{mode:?}");
     }
 }
