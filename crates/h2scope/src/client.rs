@@ -29,8 +29,8 @@ use h2obs::Obs;
 use h2server::{H2Server, ServerScratch};
 use h2wire::settings::MAX_MAX_FRAME_SIZE;
 use h2wire::{
-    encode_all_into, Frame, FrameDecoder, HeadersFrame, PrioritySpec, SettingId, Settings,
-    SettingsFrame, StreamId, WindowUpdateFrame, CONNECTION_PREFACE,
+    encode_all_into, Frame, FrameDecoder, FrameKind, HeadersFrame, PrioritySpec, SettingId,
+    Settings, SettingsFrame, StreamId, WindowUpdateFrame, CONNECTION_PREFACE,
 };
 use netsim::pipe::BytesPool;
 use netsim::time::SimTime;
@@ -184,7 +184,8 @@ impl ProbeConn {
         conn.wire_scratch.extend_from_slice(CONNECTION_PREFACE);
         Frame::Settings(SettingsFrame::from(client_settings)).encode(&mut conn.wire_scratch);
         // The prelude SETTINGS bypasses `send`, so count it here.
-        conn.obs.frame_sent(0x4, conn.pipe.now().as_nanos());
+        conn.obs
+            .frame_sent(FrameKind::Settings.to_u8(), conn.pipe.now().as_nanos());
         conn.sent = (1, conn.wire_scratch.len() as u64);
         conn.pipe.client_send(&conn.wire_scratch);
         conn

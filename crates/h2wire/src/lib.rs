@@ -43,6 +43,7 @@ pub mod codec;
 pub mod error;
 pub mod frame;
 pub mod header;
+mod registry;
 pub mod settings;
 pub mod stream_id;
 

@@ -6,6 +6,8 @@
 )]
 
 use crate::error::DecodeFrameError;
+use crate::header::FrameKind;
+use crate::registry::registry;
 
 /// Default `SETTINGS_HEADER_TABLE_SIZE` (RFC 7540 §6.5.2).
 pub const DEFAULT_HEADER_TABLE_SIZE: u32 = 4_096;
@@ -22,51 +24,24 @@ pub const MAX_WINDOW_SIZE: u32 = (1 << 31) - 1;
 /// than 100"). The paper checks announced values against this floor.
 pub const RECOMMENDED_MIN_CONCURRENT_STREAMS: u32 = 100;
 
-/// Identifier of a SETTINGS parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum SettingId {
-    /// Maximum size of the peer's HPACK dynamic table (0x1).
-    HeaderTableSize,
-    /// Whether server push is permitted (0x2).
-    EnablePush,
-    /// Maximum number of concurrent streams the sender allows (0x3).
-    MaxConcurrentStreams,
-    /// Initial stream-level flow-control window (0x4).
-    InitialWindowSize,
-    /// Largest frame payload the sender will accept (0x5).
-    MaxFrameSize,
-    /// Advisory maximum header list size (0x6).
-    MaxHeaderListSize,
-    /// A parameter unknown to RFC 7540; receivers must ignore it.
-    Unknown(u16),
-}
-
-impl SettingId {
-    /// The 16-bit wire identifier.
-    pub fn to_u16(self) -> u16 {
-        match self {
-            SettingId::HeaderTableSize => 0x1,
-            SettingId::EnablePush => 0x2,
-            SettingId::MaxConcurrentStreams => 0x3,
-            SettingId::InitialWindowSize => 0x4,
-            SettingId::MaxFrameSize => 0x5,
-            SettingId::MaxHeaderListSize => 0x6,
-            SettingId::Unknown(v) => v,
-        }
-    }
-}
-
-impl From<u16> for SettingId {
-    fn from(v: u16) -> Self {
-        match v {
-            0x1 => SettingId::HeaderTableSize,
-            0x2 => SettingId::EnablePush,
-            0x3 => SettingId::MaxConcurrentStreams,
-            0x4 => SettingId::InitialWindowSize,
-            0x5 => SettingId::MaxFrameSize,
-            0x6 => SettingId::MaxHeaderListSize,
-            other => SettingId::Unknown(other),
-        }
+registry! {
+    /// Identifier of a SETTINGS parameter.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum SettingId via to_u16 {
+        /// A parameter unknown to RFC 7540; receivers must ignore it.
+        Unknown(u16),
+        /// Maximum size of the peer's HPACK dynamic table (0x1).
+        HeaderTableSize = 0x1 => "SETTINGS_HEADER_TABLE_SIZE",
+        /// Whether server push is permitted (0x2).
+        EnablePush = 0x2 => "SETTINGS_ENABLE_PUSH",
+        /// Maximum number of concurrent streams the sender allows (0x3).
+        MaxConcurrentStreams = 0x3 => "SETTINGS_MAX_CONCURRENT_STREAMS",
+        /// Initial stream-level flow-control window (0x4).
+        InitialWindowSize = 0x4 => "SETTINGS_INITIAL_WINDOW_SIZE",
+        /// Largest frame payload the sender will accept (0x5).
+        MaxFrameSize = 0x5 => "SETTINGS_MAX_FRAME_SIZE",
+        /// Advisory maximum header list size (0x6).
+        MaxHeaderListSize = 0x6 => "SETTINGS_MAX_HEADER_LIST_SIZE",
     }
 }
 
@@ -168,7 +143,7 @@ impl Settings {
     pub fn decode(payload: &[u8]) -> Result<Settings, DecodeFrameError> {
         if !payload.len().is_multiple_of(6) {
             return Err(DecodeFrameError::InvalidLength {
-                kind: 0x4,
+                kind: FrameKind::Settings.to_u8(),
                 length: payload.len() as u32,
             });
         }
