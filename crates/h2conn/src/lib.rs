@@ -61,7 +61,7 @@ pub use crate::core::{
 };
 pub use assembler::{AssemblyError, BlockKind, CompleteBlock, HeaderAssembler};
 pub use priority::{PriorityTree, SelfDependencyError};
-pub use stream::{CloseReason, Stream, StreamMap, StreamState};
+pub use stream::{Stream, StreamMap, StreamState};
 pub use window::{FlowWindow, WindowError, DEFAULT_WINDOW, MAX_WINDOW};
 
 #[cfg(test)]

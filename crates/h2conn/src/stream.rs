@@ -1,6 +1,6 @@
 //! Per-stream state (RFC 7540 §5.1) and the stream table.
 
-use h2wire::{ErrorCode, StreamId};
+use h2wire::StreamId;
 
 use crate::core::Role;
 use crate::window::FlowWindow;
@@ -42,17 +42,6 @@ impl StreamState {
     }
 }
 
-/// Why a stream reached [`StreamState::Closed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CloseReason {
-    /// Both sides finished normally.
-    EndStream,
-    /// We sent RST_STREAM.
-    ResetLocal(ErrorCode),
-    /// The peer sent RST_STREAM.
-    ResetRemote(ErrorCode),
-}
-
 /// One stream's bookkeeping: state plus both flow-control windows.
 #[derive(Debug, Clone)]
 pub struct Stream {
@@ -64,8 +53,6 @@ pub struct Stream {
     pub send_window: FlowWindow,
     /// Window limiting what the peer may send to us.
     pub recv_window: FlowWindow,
-    /// Set once the stream closes.
-    pub close_reason: Option<CloseReason>,
 }
 
 impl Stream {
@@ -76,41 +63,32 @@ impl Stream {
             state: StreamState::Idle,
             send_window: FlowWindow::new(send_initial),
             recv_window: FlowWindow::new(recv_initial),
-            close_reason: None,
         }
     }
 
-    /// Transition for sending HEADERS opening the stream.
+    /// Transition for sending HEADERS: it opens an idle stream and
+    /// activates one we reserved, then END_STREAM ends our side.
     pub fn send_headers(&mut self, end_stream: bool) {
-        self.state = match (self.state, end_stream) {
-            (StreamState::Idle, false) => StreamState::Open,
-            (StreamState::Idle, true) => StreamState::HalfClosedLocal,
-            (StreamState::ReservedLocal, false) => StreamState::HalfClosedRemote,
-            (StreamState::ReservedLocal, true) => StreamState::Closed,
-            (state, false) => state,
-            (StreamState::Open, true) => StreamState::HalfClosedLocal,
-            (StreamState::HalfClosedRemote, true) => StreamState::Closed,
-            (state, true) => state,
+        self.state = match self.state {
+            StreamState::Idle => StreamState::Open,
+            StreamState::ReservedLocal => StreamState::HalfClosedRemote,
+            state => state,
         };
-        if self.state == StreamState::Closed && self.close_reason.is_none() {
-            self.close_reason = Some(CloseReason::EndStream);
+        if end_stream {
+            self.send_end_stream();
         }
     }
 
-    /// Transition for receiving HEADERS.
+    /// Transition for receiving HEADERS: it opens an idle stream and
+    /// activates one the peer reserved, then END_STREAM ends its side.
     pub fn recv_headers(&mut self, end_stream: bool) {
-        self.state = match (self.state, end_stream) {
-            (StreamState::Idle, false) => StreamState::Open,
-            (StreamState::Idle, true) => StreamState::HalfClosedRemote,
-            (StreamState::ReservedRemote, false) => StreamState::HalfClosedLocal,
-            (StreamState::ReservedRemote, true) => StreamState::Closed,
-            (state, false) => state,
-            (StreamState::Open, true) => StreamState::HalfClosedRemote,
-            (StreamState::HalfClosedLocal, true) => StreamState::Closed,
-            (state, true) => state,
+        self.state = match self.state {
+            StreamState::Idle => StreamState::Open,
+            StreamState::ReservedRemote => StreamState::HalfClosedLocal,
+            state => state,
         };
-        if self.state == StreamState::Closed && self.close_reason.is_none() {
-            self.close_reason = Some(CloseReason::EndStream);
+        if end_stream {
+            self.recv_end_stream();
         }
     }
 
@@ -121,9 +99,6 @@ impl Stream {
             StreamState::HalfClosedRemote => StreamState::Closed,
             other => other,
         };
-        if self.state == StreamState::Closed && self.close_reason.is_none() {
-            self.close_reason = Some(CloseReason::EndStream);
-        }
     }
 
     /// Transition for a received END_STREAM on DATA.
@@ -133,36 +108,21 @@ impl Stream {
             StreamState::HalfClosedLocal => StreamState::Closed,
             other => other,
         };
-        if self.state == StreamState::Closed && self.close_reason.is_none() {
-            self.close_reason = Some(CloseReason::EndStream);
-        }
     }
 
-    /// Transition for sending RST_STREAM.
-    pub fn send_reset(&mut self, code: ErrorCode) {
+    /// Transition for sending or receiving RST_STREAM.
+    pub fn reset(&mut self) {
         self.state = StreamState::Closed;
-        self.close_reason = Some(CloseReason::ResetLocal(code));
-    }
-
-    /// Transition for receiving RST_STREAM.
-    pub fn recv_reset(&mut self, code: ErrorCode) {
-        self.state = StreamState::Closed;
-        self.close_reason = Some(CloseReason::ResetRemote(code));
-    }
-
-    /// `true` once the stream is closed.
-    pub fn is_closed(&self) -> bool {
-        self.state == StreamState::Closed
     }
 }
 
-/// The set of streams on one connection.
+/// The live streams on one connection. A stream leaves the table when it
+/// closes; RFC 7540 §5.1.1 tells a closed stream from an idle one by its
+/// id alone (see [`StreamMap::state`]), so nothing of it needs keeping.
 #[derive(Debug, Clone, Default)]
 pub struct StreamMap {
-    /// Every stream seen, sorted by id. Ids arrive (nearly) in ascending
-    /// order, so a new stream is an amortized push: the table grows by
-    /// doubling, not by a tree node every few streams, and a request late
-    /// in a long connection allocates no more than an early one.
+    /// The live streams, sorted by id. Ids arrive (nearly) in ascending
+    /// order, so a new stream is an amortized push.
     streams: Vec<Stream>,
     highest_client: u32,
     highest_server: u32,
@@ -192,76 +152,68 @@ impl StreamMap {
             .binary_search_by_key(&id.value(), |s| s.id.value())
     }
 
-    /// Gets a stream.
+    /// Gets a live stream.
     pub fn get(&self, id: StreamId) -> Option<&Stream> {
         self.streams.get(self.position(id).ok()?)
     }
 
-    /// Gets a stream mutably.
+    /// Gets a live stream mutably.
     pub(crate) fn get_mut(&mut self, id: StreamId) -> Option<&mut Stream> {
         let at = self.position(id).ok()?;
         self.streams.get_mut(at)
     }
 
-    /// Gets or creates a stream with the given initial windows, tracking
-    /// the highest id seen per initiator.
-    pub(crate) fn get_or_create(
-        &mut self,
-        id: StreamId,
-        send_initial: u32,
-        recv_initial: u32,
-    ) -> &mut Stream {
-        #[expect(clippy::expect_used, reason = "an entry that may open is always made")]
-        self.slot(id, true, send_initial, recv_initial)
-            .expect("opening entries always exist")
+    /// The §5.1 state `id` is in: a live stream's own; else, by §5.1.1,
+    /// closed when `id` is at or below the highest id its initiator has
+    /// used, and idle above it.
+    pub fn state(&self, id: StreamId) -> StreamState {
+        let highest = if id.is_client_initiated() {
+            self.highest_client
+        } else {
+            self.highest_server
+        };
+        match self.get(id) {
+            Some(stream) => stream.state,
+            None if id.value() > highest => StreamState::Idle,
+            None => StreamState::Closed,
+        }
     }
 
-    /// Like [`StreamMap::get_or_create`], but `None` when `id` is idle:
-    /// absent and above the highest id its initiator has used (RFC 7540
-    /// §5.1). Only HEADERS and PRIORITY may name an idle stream.
-    pub(crate) fn get_or_create_unless_idle(
+    /// The live stream `id`, or a new one with the given initial windows
+    /// when `id` is idle (which makes it its initiator's highest id).
+    /// `None` when `id` is closed: a closed stream never comes back.
+    pub(crate) fn open(
         &mut self,
         id: StreamId,
-        send_initial: u32,
-        recv_initial: u32,
-    ) -> Option<&mut Stream> {
-        self.slot(id, false, send_initial, recv_initial)
-    }
-
-    /// The entry for `id`; when absent, created with the given initial
-    /// windows unless `id` is idle and `may_open` is false. One search
-    /// either way.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`at` is the position just found or just inserted at"
-    )]
-    fn slot(
-        &mut self,
-        id: StreamId,
-        may_open: bool,
         send_initial: u32,
         recv_initial: u32,
     ) -> Option<&mut Stream> {
         let at = match self.position(id) {
             Ok(at) => at,
+            Err(_) if self.state(id) == StreamState::Closed => return None,
             Err(at) => {
-                let highest = if id.is_client_initiated() {
-                    &mut self.highest_client
+                if id.is_client_initiated() {
+                    self.highest_client = id.value();
                 } else {
-                    &mut self.highest_server
-                };
-                if id.value() > *highest {
-                    if !may_open {
-                        return None;
-                    }
-                    *highest = id.value();
+                    self.highest_server = id.value();
                 }
                 self.streams
                     .insert(at, Stream::new(id, send_initial, recv_initial));
                 at
             }
         };
-        Some(&mut self.streams[at])
+        self.streams.get_mut(at)
+    }
+
+    /// Drops `id` from the table if it has closed; `true` when it did.
+    pub(crate) fn remove_if_closed(&mut self, id: StreamId) -> bool {
+        match self.position(id) {
+            Ok(at) if self.streams.get(at).map(|s| s.state) == Some(StreamState::Closed) => {
+                self.streams.remove(at);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Highest client-initiated stream id seen.
@@ -291,7 +243,7 @@ impl StreamMap {
             .count()
     }
 
-    /// Iterates all streams mutably.
+    /// Iterates all live streams mutably.
     pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Stream> {
         self.streams.iter_mut()
     }
@@ -318,7 +270,6 @@ mod tests {
         assert_eq!(s.state, StreamState::HalfClosedLocal);
         s.recv_end_stream();
         assert_eq!(s.state, StreamState::Closed);
-        assert_eq!(s.close_reason, Some(CloseReason::EndStream));
     }
 
     #[test]
@@ -349,27 +300,28 @@ mod tests {
     fn reset_closes_immediately() {
         let mut s = Stream::new(sid(1), 65_535, 65_535);
         s.recv_headers(false);
-        s.recv_reset(ErrorCode::RefusedStream);
-        assert!(s.is_closed());
-        assert_eq!(
-            s.close_reason,
-            Some(CloseReason::ResetRemote(ErrorCode::RefusedStream))
-        );
+        s.reset();
+        assert_eq!(s.state, StreamState::Closed);
     }
 
     #[test]
     fn map_tracks_highest_ids_and_active_count() {
         let mut map = StreamMap::default();
-        map.get_or_create(sid(5), 100, 100).recv_headers(false);
-        map.get_or_create(sid(3), 100, 100).recv_headers(true);
-        map.get_or_create(sid(2), 100, 100);
-        assert_eq!(map.highest_client_id(), sid(5));
+        map.open(sid(3), 100, 100).unwrap().recv_headers(true);
+        map.open(sid(7), 100, 100).unwrap().recv_headers(false);
+        map.open(sid(2), 100, 100).unwrap();
+        assert_eq!(map.highest_client_id(), sid(7));
+        // §5.1.1: an id skipped below the highest is closed, one above
+        // it idle.
+        assert_eq!(map.state(sid(5)), StreamState::Closed);
+        assert_eq!(map.state(sid(9)), StreamState::Idle);
+        assert_eq!(map.state(sid(4)), StreamState::Idle);
         assert_eq!(
             map.active(Role::Client),
             2,
             "idle pushed stream not counted"
         );
-        map.get_or_create(sid(2), 100, 100).state = StreamState::Open;
+        map.get_mut(sid(2)).unwrap().state = StreamState::Open;
         assert_eq!(
             map.active(Role::Client),
             2,
@@ -383,26 +335,35 @@ mod tests {
         // limit; sending HEADERS on the promised stream is what makes
         // it count, and closing it frees the slot again.
         let mut map = StreamMap::default();
-        map.get_or_create(sid(2), 100, 100).state = StreamState::ReservedLocal;
-        map.get_or_create(sid(4), 100, 100).state = StreamState::ReservedLocal;
+        map.open(sid(2), 100, 100).unwrap().state = StreamState::ReservedLocal;
+        map.open(sid(4), 100, 100).unwrap().state = StreamState::ReservedLocal;
         assert_eq!(map.active(Role::Server), 0);
         map.get_mut(sid(2)).unwrap().send_headers(false);
         assert_eq!(map.active(Role::Server), 1);
         // A concurrent client stream never counts as server-initiated.
-        map.get_or_create(sid(1), 100, 100).recv_headers(false);
+        map.open(sid(1), 100, 100).unwrap().recv_headers(false);
         assert_eq!(map.active(Role::Server), 1);
         map.get_mut(sid(2)).unwrap().send_end_stream();
         assert_eq!(map.active(Role::Server), 0, "closed push frees its slot");
         map.get_mut(sid(4)).unwrap().send_headers(false);
-        map.get_mut(sid(4)).unwrap().recv_reset(ErrorCode::Cancel);
+        map.get_mut(sid(4)).unwrap().reset();
         assert_eq!(map.active(Role::Server), 0, "reset push frees its slot");
     }
 
     #[test]
-    fn get_or_create_is_idempotent() {
+    fn open_returns_the_live_stream_and_never_reopens_a_closed_one() {
         let mut map = StreamMap::default();
-        map.get_or_create(sid(1), 10, 10).send_headers(false);
-        let again = map.get_or_create(sid(1), 10, 10);
+        map.open(sid(1), 10, 10).unwrap().send_headers(false);
+        let again = map.open(sid(1), 10, 10).unwrap();
         assert_eq!(again.state, StreamState::Open, "existing stream returned");
+        again.reset();
+        assert!(!map.remove_if_closed(sid(3)), "idle");
+        assert!(map.remove_if_closed(sid(1)));
+        assert!(
+            map.get(sid(1)).is_none(),
+            "a closed stream leaves the table"
+        );
+        assert_eq!(map.state(sid(1)), StreamState::Closed);
+        assert!(map.open(sid(1), 10, 10).is_none(), "and stays closed");
     }
 }

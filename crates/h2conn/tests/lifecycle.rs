@@ -1,14 +1,12 @@
 //! Integration tests for connection-core corners not covered by the
-//! per-module unit tests: close reasons, DATA accounting, GOAWAY
+//! per-module unit tests: closed streams, DATA accounting, GOAWAY
 //! bookkeeping, and RFC 7540 §5.1's stream-state machine as a reference
 //! table.
 
 use bytes::Bytes;
-use h2conn::{
-    CloseReason, ConnectionCore, CoreEvent, EffectiveSettings, Role, Stream, StreamState,
-};
+use h2conn::{ConnError, ConnectionCore, CoreEvent, EffectiveSettings, Role, Stream, StreamState};
 use h2hpack::{EncoderOptions, Header};
-use h2wire::{DataFrame, ErrorCode, Frame, RstStreamFrame, StreamId};
+use h2wire::{DataFrame, ErrorCode, Frame, FrameKind, RstStreamFrame, StreamId, WindowUpdateFrame};
 use Event::{RecvEndStream, RecvHeaders, RecvReset, SendEndStream, SendHeaders, SendReset};
 use StreamState::{
     Closed, HalfClosedLocal, HalfClosedRemote, Idle, Open, ReservedLocal, ReservedRemote,
@@ -41,35 +39,99 @@ fn sid(v: u32) -> StreamId {
     StreamId::new(v)
 }
 
+fn feed(server: &mut ConnectionCore, frame: Frame) -> Result<Vec<CoreEvent>, ConnError> {
+    server.recv_bytes(&frame.to_bytes())
+}
+
+fn rst(stream_id: StreamId) -> Frame {
+    Frame::RstStream(RstStreamFrame {
+        stream_id,
+        code: ErrorCode::Cancel,
+    })
+}
+
+/// What a server does with frames on its closed stream 1: the stream is
+/// not in the table and its id says closed (§5.1.1); DATA and HEADERS
+/// draw a stream error, RST_STREAM is still reported, WINDOW_UPDATE is
+/// ignored, and none of them brings the stream back. Stream 3, never
+/// used, is still idle.
+fn check_closed_stream_one(mut client: ConnectionCore, mut server: ConnectionCore) {
+    let closed = sid(1);
+    let is_closed = |server: &ConnectionCore| {
+        server.streams().get(closed).is_none()
+            && server.streams().state(closed) == StreamState::Closed
+    };
+    assert!(is_closed(&server));
+    let data = Frame::Data(DataFrame {
+        stream_id: closed,
+        data: Bytes::from_static(b"late"),
+        end_stream: false,
+        pad_len: None,
+    });
+    assert_eq!(
+        feed(&mut server, data).unwrap(),
+        vec![CoreEvent::StreamClosed {
+            stream: closed,
+            flow_controlled_len: 4
+        }]
+    );
+    let mut events = Vec::new();
+    for frame in client.encode_headers(closed, &request(), true, None) {
+        events.extend(feed(&mut server, frame).unwrap());
+    }
+    assert_eq!(
+        events,
+        vec![CoreEvent::StreamClosed {
+            stream: closed,
+            flow_controlled_len: 0
+        }]
+    );
+    assert_eq!(
+        feed(&mut server, rst(closed)).unwrap(),
+        vec![CoreEvent::RstStreamReceived {
+            stream: closed,
+            code: ErrorCode::Cancel
+        }]
+    );
+    let update = |stream_id| {
+        Frame::WindowUpdate(WindowUpdateFrame {
+            stream_id,
+            increment: 1,
+        })
+    };
+    assert_eq!(feed(&mut server, update(closed)).unwrap(), vec![]);
+    assert!(is_closed(&server));
+    assert_eq!(server.streams().state(sid(3)), StreamState::Idle);
+    assert_eq!(
+        feed(&mut server, update(sid(3))).unwrap_err(),
+        ConnError::StreamState {
+            kind: FrameKind::WindowUpdate,
+            stream: sid(3),
+            state: StreamState::Idle
+        }
+    );
+}
+
 #[test]
-fn reset_streams_record_their_close_reason() {
+fn a_completed_stream_is_dropped_and_refuses_data_and_headers() {
+    let (mut client, mut server) = pair();
+    for frame in client.encode_headers(sid(1), &request(), true, None) {
+        server.recv_bytes(&frame.to_bytes()).unwrap();
+    }
+    server.encode_headers(sid(1), &[Header::new(":status", "200")], false, None);
+    server.send_data(sid(1), Bytes::from_static(b"body"), true);
+    check_closed_stream_one(client, server);
+}
+
+#[test]
+fn a_client_reset_stream_is_dropped_and_refuses_data_and_headers() {
     let (mut client, mut server) = pair();
     for frame in client.encode_headers(sid(1), &request(), false, None) {
         server.recv_bytes(&frame.to_bytes()).unwrap();
     }
-    let rst = Frame::RstStream(RstStreamFrame {
-        stream_id: sid(1),
-        code: ErrorCode::Cancel,
-    });
-    server.recv_bytes(&rst.to_bytes()).unwrap();
-    let stream = server.streams().get(sid(1)).unwrap();
-    assert_eq!(stream.state, StreamState::Closed);
-    assert_eq!(
-        stream.close_reason,
-        Some(CloseReason::ResetRemote(ErrorCode::Cancel))
-    );
-
-    // And locally initiated resets (fresh pair: HPACK contexts are
-    // per-connection).
-    let (mut client2, mut server2) = pair();
-    for frame in client2.encode_headers(sid(3), &request(), false, None) {
-        server2.recv_bytes(&frame.to_bytes()).unwrap();
-    }
-    server2.reset_stream(sid(3), ErrorCode::RefusedStream);
-    assert_eq!(
-        server2.streams().get(sid(3)).unwrap().close_reason,
-        Some(CloseReason::ResetLocal(ErrorCode::RefusedStream))
-    );
+    assert_eq!(server.streams().state(sid(1)), StreamState::Open);
+    server.recv_bytes(&rst(sid(1)).to_bytes()).unwrap();
+    check_closed_stream_one(client, server);
 }
 
 #[test]
@@ -154,8 +216,7 @@ impl Event {
             Event::RecvHeaders(end_stream) => stream.recv_headers(end_stream),
             Event::SendEndStream => stream.send_end_stream(),
             Event::RecvEndStream => stream.recv_end_stream(),
-            Event::SendReset => stream.send_reset(ErrorCode::Cancel),
-            Event::RecvReset => stream.recv_reset(ErrorCode::Cancel),
+            Event::SendReset | Event::RecvReset => stream.reset(),
         }
     }
 }

@@ -17,9 +17,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use h2conn::{
-    CloseReason, ConnectionCore, CoreEvent, CoreScratch, EffectiveSettings, Role, WindowScope,
-};
+use h2conn::{ConnectionCore, CoreEvent, CoreScratch, EffectiveSettings, Role, WindowScope};
 use h2hpack::{EncoderOptions, Header, IndexingPolicy};
 use h2wire::{ErrorCode, Frame, GoawayFrame, PingFrame, RstStreamFrame, SettingsFrame, StreamId};
 use netsim::time::{SimDuration, SimTime};
@@ -293,7 +291,7 @@ impl H2Server {
     }
 
     fn rst(&mut self, stream: StreamId, code: ErrorCode, out: &mut Vec<Frame>) {
-        self.core.reset_stream(stream, code);
+        self.core.reset_stream(stream);
         self.queue.retain(|q| q.stream != stream);
         out.push(Frame::RstStream(RstStreamFrame {
             stream_id: stream,
@@ -320,13 +318,7 @@ impl H2Server {
     }
 
     fn handle_request(&mut self, stream: StreamId, headers: &[Header], out: &mut Vec<Frame>) {
-        // A stream this server refused (see `rst`) is never answered.
-        let refused = self
-            .core
-            .streams()
-            .get(stream)
-            .is_some_and(|s| matches!(s.close_reason, Some(CloseReason::ResetLocal(_))));
-        if refused || self.behavior().mute {
+        if self.behavior().mute {
             return;
         }
         self.last_delay = self.behavior().processing_delay;
@@ -466,6 +458,13 @@ impl H2Server {
                 }
                 CoreEvent::ConcurrencyExceeded { stream } => {
                     self.rst(stream, ErrorCode::RefusedStream, out);
+                }
+                CoreEvent::StreamClosed {
+                    stream,
+                    flow_controlled_len: octets,
+                } => {
+                    self.rst(stream, ErrorCode::StreamClosed, out);
+                    out.extend(self.core.replenish_recv_windows(stream, octets));
                 }
                 CoreEvent::HeadersReceived {
                     stream,
@@ -740,6 +739,85 @@ mod tests {
             _ => false,
         });
         assert!(!answered, "{frames:?}");
+    }
+
+    #[test]
+    fn a_closed_stream_is_reset_not_served_again() {
+        let (mut server, mut client) = serve(ServerProfile::rfc7540());
+        server.on_bytes_vec(SimTime::ZERO, &client.preface_and_settings());
+        let request = client.request(1, "/");
+        let first = client.parse(&server.on_bytes_vec(SimTime::ZERO, &request));
+        assert!(first
+            .iter()
+            .any(|f| matches!(f, Frame::Data(d) if d.end_stream)));
+        let reset = Frame::RstStream(RstStreamFrame {
+            stream_id: StreamId::new(1),
+            code: ErrorCode::StreamClosed,
+        });
+        // A reused stream id draws RST_STREAM(STREAM_CLOSED), and no
+        // second response.
+        let request = client.request(1, "/");
+        let again = client.parse(&server.on_bytes_vec(SimTime::ZERO, &request));
+        assert_eq!(again, vec![reset.clone()]);
+        // DATA is refused the same way, and its octets are handed back
+        // to the connection window they were charged to.
+        let data = Frame::Data(h2wire::DataFrame {
+            stream_id: StreamId::new(1),
+            data: Bytes::from_static(b"late"),
+            end_stream: false,
+            pad_len: None,
+        });
+        let answer = client.parse(&server.on_bytes_vec(SimTime::ZERO, &data.to_bytes()));
+        let refund = Frame::WindowUpdate(WindowUpdateFrame {
+            stream_id: StreamId::CONNECTION,
+            increment: 4,
+        });
+        assert_eq!(answer, vec![reset, refund]);
+        assert!(!server.is_closed());
+    }
+
+    #[test]
+    fn a_long_connection_keeps_only_live_streams() {
+        // Each request is answered in full and leaves the stream table,
+        // so the concurrency count made for the next one scans no more
+        // streams than the first did.
+        const REQUESTS: u32 = 2_000;
+        let (mut server, mut client) = serve(ServerProfile::rfc7540());
+        server.on_bytes_vec(SimTime::ZERO, &client.preface_and_settings());
+        let mut credit = 0;
+        for k in 0..REQUESTS {
+            let id = StreamId::new(1 + 2 * k);
+            let mut bytes = Vec::new();
+            if credit > 0 {
+                Frame::WindowUpdate(WindowUpdateFrame {
+                    stream_id: StreamId::CONNECTION,
+                    increment: credit,
+                })
+                .encode(&mut bytes);
+            }
+            bytes.extend(client.request(id.value(), "/"));
+            let reply = server.on_bytes_vec(SimTime::ZERO, &bytes);
+            let data: Vec<_> = client
+                .parse(&reply)
+                .into_iter()
+                .filter_map(|f| match f {
+                    Frame::Data(d) => Some(d),
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                data.last()
+                    .is_some_and(|d| d.stream_id == id && d.end_stream),
+                "request {k} answered in full"
+            );
+            credit = data.iter().map(|d| d.data.len() as u32).sum();
+        }
+        let streams = server.core().streams();
+        for k in 0..REQUESTS {
+            let id = StreamId::new(1 + 2 * k);
+            assert!(streams.get(id).is_none(), "stream {} kept", id.value());
+            assert_eq!(streams.state(id), h2conn::StreamState::Closed);
+        }
     }
 
     #[test]
